@@ -9,6 +9,13 @@ cargo build --workspace --release
 echo "== tier-1: test suite =="
 cargo test --workspace --quiet
 
+echo "== benchmark package: builds against the crates, pinned digests hold =="
+# The end-to-end benchmark (BENCHMARK.json) is a Cargo workspace of its
+# own, so the legs above never build it. Its smoke tests run every
+# workload at toy size, check the metric names against BENCHMARK.json,
+# and check the campaign reports against their pinned digests.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== pipeline cross-check: library verdicts at jobs 1/2/8 =="
 cargo test --release --test pipeline --quiet
 

@@ -1,15 +1,23 @@
-//! Evaluator: cat models against candidate executions.
+//! Evaluator: compiled cat programs against candidate executions.
+//!
+//! A [`CatSession`] keeps one reusable [`Relation`] or [`EventSet`] slot
+//! per node of its model's compiled program and a stamp saying when the
+//! slot was last filled. A node is recomputed only when its stamp is
+//! older than the epoch of its tier: the static epoch moves when the
+//! pre-execution changes, the dynamic epoch with every candidate, and
+//! the loop epoch whenever a `let rec` variable changes mid-fixpoint.
+//! Checks pull the nodes they need; `a ; b` and `a & b` look at whichever
+//! operand is cheaper to have (the lower tier, else `a`) and skip the
+//! other when it is empty, so a model's RCU tail is never built for tests
+//! without RCU.
 
-use crate::ast::{Binding, CheckKind, Expr, Instr, Model};
+use crate::ast::CheckKind;
+use crate::compile::{Base, NodeId, Op, Program, Step, Ty, DYNAMIC, LOOP, STATIC};
+use crate::CatModel;
 use lkmm_core::budget::StepFuel;
-use lkmm_exec::{ExecFacts, Execution};
-use lkmm_litmus::FenceKind;
-use lkmm_relation::{
-    acquire_rel, scratch_words, with_scratch, ArenaRel, EventSet, Relation, SharedArena,
-};
-use std::collections::HashMap;
+use lkmm_exec::{Event, EventKind, ExecFacts, Execution};
+use lkmm_relation::{EventSet, Relation};
 use std::fmt;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Sentinel message distinguishing fuel exhaustion from genuine semantic
@@ -60,471 +68,68 @@ impl CatOutcome {
     }
 }
 
-/// A cat runtime value.
+/// A stateful evaluation handle for checking many candidates with one
+/// compiled model.
 ///
-/// Sets and relations are behind `Arc`s so that (a) cloning an
-/// environment — which happens once per candidate when a [`CatSession`]
-/// reuses its cached static environment — bumps reference counts instead
-/// of copying bitsets, and (b) operators can mutate uniquely-owned
-/// intermediate results in place (`Arc::try_unwrap` copy-on-write), which
-/// turns the allocation-heavy union chains of `let rec` fixpoints into
-/// in-place bit-ors. Relations are [`ArenaRel`] handles: when evaluation
-/// runs with a pool attached (the pipeline's per-worker arena), every
-/// intermediate that falls out of scope returns its storage for the next
-/// candidate instead of hitting the allocator.
-#[derive(Clone, Debug)]
-enum Value {
-    Set(Arc<EventSet>),
-    Rel(Arc<ArenaRel>),
-    Fun(Rc<FunVal>),
-}
-
-/// The optional per-worker storage pool, threaded through evaluation.
-type Pool<'p> = Option<&'p SharedArena>;
-
-/// Copy-on-write binary relation operator: mutate in place when the
-/// left operand is uniquely owned, copy into pooled storage otherwise.
-fn cow_rel(
-    a: Arc<ArenaRel>,
-    b: &Relation,
-    pool: Pool<'_>,
-    in_place: impl FnOnce(&mut Relation, &Relation),
-) -> Arc<ArenaRel> {
-    match Arc::try_unwrap(a) {
-        Ok(mut r) => {
-            in_place(&mut r, b);
-            Arc::new(r)
-        }
-        Err(a) => {
-            let mut r = acquire_rel(pool, a.universe());
-            r.copy_from(&a);
-            in_place(&mut r, b);
-            Arc::new(r)
-        }
-    }
-}
-
-/// Copy-on-write unary relation operator.
-fn cow_unary(
-    a: Arc<ArenaRel>,
-    pool: Pool<'_>,
-    in_place: impl FnOnce(&mut Relation),
-) -> Arc<ArenaRel> {
-    match Arc::try_unwrap(a) {
-        Ok(mut r) => {
-            in_place(&mut r);
-            Arc::new(r)
-        }
-        Err(a) => {
-            let mut r = acquire_rel(pool, a.universe());
-            r.copy_from(&a);
-            in_place(&mut r);
-            Arc::new(r)
-        }
-    }
-}
-
-#[derive(Debug)]
-struct FunVal {
-    params: Vec<String>,
-    body: Expr,
-    env: Env,
-}
-
-type Env = HashMap<String, Value>;
-
-/// Evaluate `model` against execution `x`.
+/// Static slots are keyed on the identity of the shared pre-execution
+/// (`Arc::ptr_eq` on `x.events`); holding a clone of the `Arc` keeps the
+/// allocation alive, so the pointer identity cannot be recycled while
+/// the slots are valid.
 ///
-/// # Errors
-///
-/// Returns [`EvalError`] for semantic errors; a type-correct model always
-/// evaluates.
-pub fn evaluate(model: &Model, x: &Execution) -> Result<CatOutcome, EvalError> {
-    let facts = ExecFacts::new(x);
-    let mut env = static_env(x, &facts)?;
-    insert_witness(&mut env, x, None);
-    evaluate_with_env(model, x.universe(), env, None, None)
-}
-
-/// Run a model's instructions against a pre-built base environment.
-/// When `fuel` is supplied, one unit is burned per instruction and per
-/// fixpoint-round binding, and exhaustion surfaces as
-/// [`EvalError::fuel_exhausted`]. When `pool` is supplied, relation
-/// intermediates draw storage from it.
-fn evaluate_with_env(
-    model: &Model,
-    n: usize,
-    mut env: Env,
-    fuel: Option<&StepFuel>,
-    pool: Pool<'_>,
-) -> Result<CatOutcome, EvalError> {
-    let mut outcome = CatOutcome { failed_check: None, flags: Vec::new() };
-    for (i, instr) in model.instrs.iter().enumerate() {
-        if let Some(f) = fuel {
-            if !f.consume(1) {
-                return Err(EvalError::fuel_exhausted());
-            }
-        }
-        match instr {
-            Instr::Let { recursive: false, bindings } => {
-                // Simultaneous bindings: evaluate all in the current env.
-                let vals: Vec<(String, Value)> = bindings
-                    .iter()
-                    .map(|b| Ok((b.name.clone(), bind_value(b, &env, pool)?)))
-                    .collect::<Result<_, EvalError>>()?;
-                env.extend(vals);
-            }
-            Instr::Let { recursive: true, bindings } => {
-                eval_rec(bindings, &mut env, n, fuel, pool)?;
-            }
-            Instr::Check { kind, negated, expr, name, flag } => {
-                let holds = eval_check(*kind, expr, &env, n, pool)? != *negated;
-                let label = || {
-                    name.clone()
-                        .unwrap_or_else(|| format!("{kind:?} (instruction {i})").to_lowercase())
-                };
-                if *flag {
-                    // herd semantics: a `flag` labels executions where the
-                    // condition *holds* (e.g. `flag ~empty bad as bad`
-                    // fires when `bad` is non-empty). It never forbids.
-                    if holds {
-                        outcome.flags.push(label());
-                    }
-                } else if !holds && outcome.failed_check.is_none() {
-                    outcome.failed_check = Some(label());
-                }
-            }
-        }
-    }
-    Ok(outcome)
-}
-
-fn bind_value(b: &Binding, env: &Env, pool: Pool<'_>) -> Result<Value, EvalError> {
-    if b.params.is_empty() {
-        eval_expr(&b.body, env, pool)
-    } else {
-        Ok(Value::Fun(Rc::new(FunVal {
-            params: b.params.clone(),
-            body: b.body.clone(),
-            env: env.clone(),
-        })))
-    }
-}
-
-fn eval_rec(
-    bindings: &[Binding],
-    env: &mut Env,
-    n: usize,
-    fuel: Option<&StepFuel>,
-    pool: Pool<'_>,
-) -> Result<(), EvalError> {
-    for b in bindings {
-        if !b.params.is_empty() {
-            return Err(EvalError { message: "recursive functions are not supported".into() });
-        }
-        env.insert(b.name.clone(), Value::Rel(Arc::new(acquire_rel(pool, n))));
-    }
-    // Least fixpoint by iteration; cat recursion over ∪/;/closures is
-    // monotone, so this terminates (the lattice of relations is finite).
-    let cap = n * n * bindings.len() + 2;
-    for _ in 0..cap {
-        // The fixpoint is where evaluation cost is super-linear, so this
-        // is the loop a step budget must bound.
-        if let Some(f) = fuel {
-            if !f.consume(bindings.len() as u64) {
-                return Err(EvalError::fuel_exhausted());
-            }
-        }
-        let mut changed = false;
-        for b in bindings {
-            let new = eval_expr(&b.body, env, pool)?;
-            let new_rel = as_rel(new, n)?;
-            let old = match env.get(&b.name) {
-                Some(Value::Rel(r)) => Arc::clone(r),
-                _ => unreachable!("rec name bound above"),
-            };
-            if *new_rel != *old {
-                changed = true;
-                env.insert(b.name.clone(), Value::Rel(new_rel));
-            }
-        }
-        if !changed {
-            return Ok(());
-        }
-    }
-    Err(EvalError { message: "recursive definition did not converge (non-monotone?)".into() })
-}
-
-fn eval_check(
-    kind: CheckKind,
-    expr: &Expr,
-    env: &Env,
-    n: usize,
-    pool: Pool<'_>,
-) -> Result<bool, EvalError> {
-    let v = eval_expr(expr, env, pool)?;
-    Ok(match kind {
-        CheckKind::Acyclic => as_rel(v, n)?.is_acyclic(),
-        CheckKind::Irreflexive => as_rel(v, n)?.is_irreflexive(),
-        CheckKind::Empty => match v {
-            Value::Set(s) => s.is_empty(),
-            Value::Rel(r) => r.is_empty(),
-            Value::Fun(_) => {
-                return Err(EvalError { message: "`empty` applied to a function".into() })
-            }
-        },
-    })
-}
-
-fn as_rel(v: Value, _n: usize) -> Result<Arc<ArenaRel>, EvalError> {
-    match v {
-        Value::Rel(r) => Ok(r),
-        Value::Set(_) => Err(EvalError { message: "expected a relation, found a set".into() }),
-        Value::Fun(_) => Err(EvalError { message: "expected a relation, found a function".into() }),
-    }
-}
-
-fn eval_expr(e: &Expr, env: &Env, pool: Pool<'_>) -> Result<Value, EvalError> {
-    let err = |m: String| EvalError { message: m };
-    match e {
-        Expr::Id(name) => env
-            .get(name)
-            .cloned()
-            .ok_or_else(|| err(format!("unknown identifier `{name}`"))),
-        Expr::Empty => {
-            // `0` is the empty relation; its universe is taken from `id`.
-            match env.get("id") {
-                Some(Value::Rel(id)) => {
-                    Ok(Value::Rel(Arc::new(acquire_rel(pool, id.universe()))))
-                }
-                _ => Err(err("internal: `id` missing from base env".into())),
-            }
-        }
-        Expr::Universe => match env.get("_UNIV") {
-            Some(v) => Ok(v.clone()),
-            _ => Err(err("internal: universe missing".into())),
-        },
-        Expr::App(name, args) => {
-            let vals: Vec<Value> =
-                args.iter().map(|a| eval_expr(a, env, pool)).collect::<Result<_, _>>()?;
-            match (name.as_str(), vals.as_slice()) {
-                ("domain", [Value::Rel(r)]) => Ok(Value::Set(Arc::new(r.domain()))),
-                ("range", [Value::Rel(r)]) => Ok(Value::Set(Arc::new(r.range()))),
-                _ => match env.get(name) {
-                    Some(Value::Fun(f)) => {
-                        if f.params.len() != args.len() {
-                            return Err(err(format!(
-                                "`{name}` expects {} argument(s), got {}",
-                                f.params.len(),
-                                args.len()
-                            )));
-                        }
-                        let mut call_env = f.env.clone();
-                        for (p, v) in f.params.iter().zip(vals) {
-                            call_env.insert(p.clone(), v);
-                        }
-                        eval_expr(&f.body, &call_env, pool)
-                    }
-                    Some(_) => Err(err(format!("`{name}` is not a function"))),
-                    None => Err(err(format!("unknown function `{name}`"))),
-                },
-            }
-        }
-        Expr::SetToId(inner) => match eval_expr(inner, env, pool)? {
-            Value::Set(s) => {
-                let mut r = acquire_rel(pool, s.universe());
-                for i in s.iter() {
-                    r.insert(i, i);
-                }
-                Ok(Value::Rel(Arc::new(r)))
-            }
-            _ => Err(err("`[…]` expects a set".into())),
-        },
-        Expr::Union(a, b) => binop(a, b, env, pool, "union", |x, y, pool| match (x, y) {
-            (Value::Set(a), Value::Set(b)) => Some(Value::Set(Arc::new(a.union(&b)))),
-            (Value::Rel(a), Value::Rel(b)) => {
-                Some(Value::Rel(cow_rel(a, &b, pool, Relation::union_in_place)))
-            }
-            _ => None,
-        }),
-        Expr::Inter(a, b) => binop(a, b, env, pool, "intersection", |x, y, pool| match (x, y) {
-            (Value::Set(a), Value::Set(b)) => Some(Value::Set(Arc::new(a.intersection(&b)))),
-            (Value::Rel(a), Value::Rel(b)) => {
-                Some(Value::Rel(cow_rel(a, &b, pool, Relation::intersection_in_place)))
-            }
-            _ => None,
-        }),
-        Expr::Diff(a, b) => binop(a, b, env, pool, "difference", |x, y, pool| match (x, y) {
-            (Value::Set(a), Value::Set(b)) => Some(Value::Set(Arc::new(a.difference(&b)))),
-            (Value::Rel(a), Value::Rel(b)) => {
-                Some(Value::Rel(cow_rel(a, &b, pool, Relation::difference_in_place)))
-            }
-            _ => None,
-        }),
-        Expr::Seq(a, b) => binop(a, b, env, pool, "sequence", |x, y, pool| match (x, y) {
-            (Value::Rel(a), Value::Rel(b)) => {
-                let mut out = acquire_rel(pool, a.universe());
-                a.seq_into(&b, &mut out);
-                Some(Value::Rel(Arc::new(out)))
-            }
-            _ => None,
-        }),
-        Expr::Cartesian(a, b) => {
-            binop(a, b, env, pool, "cartesian product", |x, y, pool| match (x, y) {
-                (Value::Set(a), Value::Set(b)) => {
-                    let mut out = acquire_rel(pool, a.universe());
-                    for i in a.iter() {
-                        for j in b.iter() {
-                            out.insert(i, j);
-                        }
-                    }
-                    Some(Value::Rel(Arc::new(out)))
-                }
-                _ => None,
-            })
-        }
-        Expr::Complement(inner) => match eval_expr(inner, env, pool)? {
-            Value::Set(s) => Ok(Value::Set(Arc::new(s.complement()))),
-            Value::Rel(r) => Ok(Value::Rel(cow_unary(r, pool, Relation::complement_in_place))),
-            Value::Fun(_) => Err(err("`~` applied to a function".into())),
-        },
-        Expr::Opt(inner) => match eval_expr(inner, env, pool)? {
-            Value::Rel(r) => Ok(Value::Rel(cow_unary(r, pool, Relation::reflexive_in_place))),
-            _ => Err(err("`?` expects a relation".into())),
-        },
-        Expr::Plus(inner) => match eval_expr(inner, env, pool)? {
-            // `+` is the fixpoint workhorse: close in place when the
-            // operand is an intermediate we uniquely own, and run the
-            // closure against a pooled scratch row either way.
-            Value::Rel(r) => Ok(Value::Rel(cow_unary(r, pool, |r| {
-                with_scratch(pool, scratch_words(r.universe()), |row| {
-                    r.transitive_close_with(row);
-                });
-            }))),
-            _ => Err(err("`+` expects a relation".into())),
-        },
-        Expr::Star(inner) => match eval_expr(inner, env, pool)? {
-            Value::Rel(r) => Ok(Value::Rel(cow_unary(r, pool, |r| {
-                with_scratch(pool, scratch_words(r.universe()), |row| {
-                    r.transitive_close_with(row);
-                });
-                r.reflexive_in_place();
-            }))),
-            _ => Err(err("`*` expects a relation".into())),
-        },
-        Expr::Inverse(inner) => match eval_expr(inner, env, pool)? {
-            Value::Rel(r) => {
-                let mut out = acquire_rel(pool, r.universe());
-                r.inverse_into(&mut out);
-                Ok(Value::Rel(Arc::new(out)))
-            }
-            _ => Err(err("`^-1` expects a relation".into())),
-        },
-    }
-}
-
-fn binop(
-    a: &Expr,
-    b: &Expr,
-    env: &Env,
-    pool: Pool<'_>,
-    what: &str,
-    f: impl Fn(Value, Value, Pool<'_>) -> Option<Value>,
-) -> Result<Value, EvalError> {
-    let va = eval_expr(a, env, pool)?;
-    let vb = eval_expr(b, env, pool)?;
-    f(va, vb, pool).ok_or_else(|| EvalError { message: format!("type error in {what}") })
-}
-
-/// The witness-independent identifiers herd-style models may assume:
-/// base relations (`po`, dependency relations, `loc`, `int`, `ext`,
-/// `id`, `crit`) and event sets (`R`, `W`, `M`, `F`, `IW`, `Acquire`,
-/// `Release`, one set per fence kind). Everything here is a function of
-/// the candidate's shared pre-execution, so a [`CatSession`] computes it
-/// once per thread-outcome combination and reuses it across all the
-/// `rf`/`co` witnesses — the `rf`/`co` entries themselves are added per
-/// candidate by [`insert_witness`]. The derived identifiers (`loc`,
-/// `int`, `ext`, `crit` and every event set) are read off the shared
-/// facts layer rather than recomputed from scratch.
-fn static_env(x: &Execution, facts: &ExecFacts<'_>) -> Result<Env, EvalError> {
-    if x.events.iter().any(|e| e.srcu().is_some()) {
-        return Err(EvalError {
-            message: "SRCU events are not exposed to cat models; use the native LKMM".into(),
-        });
-    }
-    let mut env = Env::new();
-    let n = x.universe();
-    let pool = facts.arena();
-    let mut rel = |name: &str, r: &Relation| {
-        let mut h = acquire_rel(pool, n);
-        h.copy_from(r);
-        env.insert(name.to_string(), Value::Rel(Arc::new(h)));
-    };
-    rel("po", &x.po);
-    rel("addr", &x.addr);
-    rel("data", &x.data);
-    rel("ctrl", &x.ctrl);
-    rel("rmw", &x.rmw);
-    rel("loc", facts.loc_rel());
-    rel("int", facts.int_rel());
-    rel("ext", facts.ext_rel());
-    rel("id", &Relation::identity(n));
-    rel("crit", facts.crit());
-    let mut set = |name: &str, s: EventSet| {
-        env.insert(name.to_string(), Value::Set(Arc::new(s)));
-    };
-    set("R", facts.reads().clone());
-    set("W", facts.writes().clone());
-    set("M", facts.mem().clone());
-    set("IW", facts.init_writes().clone());
-    set(
-        "F",
-        x.events_where(|e| matches!(e.kind, lkmm_exec::EventKind::Fence(_))),
-    );
-    set("Acquire", facts.acquires().clone());
-    set("Release", facts.releases().clone());
-    set("Rmb", facts.fences(FenceKind::Rmb).clone());
-    set("Wmb", facts.fences(FenceKind::Wmb).clone());
-    set("Mb", facts.fences(FenceKind::Mb).clone());
-    set("Rb-dep", facts.fences(FenceKind::RbDep).clone());
-    set("Rcu-lock", facts.fences(FenceKind::RcuLock).clone());
-    set("Rcu-unlock", facts.fences(FenceKind::RcuUnlock).clone());
-    set("Sync", facts.fences(FenceKind::SyncRcu).clone());
-    set("_UNIV", EventSet::full(n));
-    Ok(env)
-}
-
-/// Add the execution witness (`rf`, `co`) to a base environment,
-/// copying into pooled storage when a pool is attached.
-fn insert_witness(env: &mut Env, x: &Execution, pool: Pool<'_>) {
-    let n = x.universe();
-    let mut rf = acquire_rel(pool, n);
-    rf.copy_from(&x.rf);
-    env.insert("rf".to_string(), Value::Rel(Arc::new(rf)));
-    let mut co = acquire_rel(pool, n);
-    co.copy_from(&x.co);
-    env.insert("co".to_string(), Value::Rel(Arc::new(co)));
-}
-
-/// A stateful evaluation handle for checking many candidates of the same
-/// litmus test: the witness-independent part of the base environment
-/// ([`static_env`]) is cached and keyed on the identity of the shared
-/// pre-execution (`Arc::ptr_eq` on `x.events`). Holding a clone of the
-/// `Arc` keeps the allocation alive, so the pointer identity cannot be
-/// recycled while the cache entry exists.
+/// Fuel, when installed, is burned exactly as a tree walk of the source
+/// would: one unit per instruction and `bindings.len()` per round of
+/// each `let rec` fixpoint, which is why every fixpoint runs whether or
+/// not a check still needs it.
 ///
 /// One session serves one thread; the parallel pipeline opens a session
 /// per worker.
 pub struct CatSession<'a> {
-    model: &'a Model,
-    cache: Option<(Arc<Vec<lkmm_exec::Event>>, Env)>,
+    program: &'a Program,
+    rels: Vec<Relation>,
+    sets: Vec<EventSet>,
+    stamps: Vec<u64>,
+    /// Source of fresh epochs. Stamps start at 0 and every epoch but the
+    /// one of borrowed nodes (always 0, so always current) is at least 1
+    /// once used.
+    clock: u64,
+    /// The current static, dynamic, loop and borrowed epochs.
+    epochs: [u64; 4],
+    /// The pre-execution the static slots were computed for.
+    events: Option<Arc<Vec<Event>>>,
+    /// Whether that pre-execution has SRCU events.
+    srcu: bool,
+    n: usize,
+    /// Pending nodes of a demand walk, with how many operands are done.
+    stack: Vec<(NodeId, u8)>,
+    /// Scratch row for transitive closures.
+    row: Vec<u64>,
+    /// Scratch for acyclicity checks: in-degrees and a work list.
+    indegree: Vec<u32>,
+    ready: Vec<usize>,
     fuel: Option<Arc<StepFuel>>,
 }
 
 impl<'a> CatSession<'a> {
-    /// A session evaluating `model`.
-    pub fn new(model: &'a Model) -> Self {
-        CatSession { model, cache: None, fuel: None }
+    /// A session evaluating `model`'s compiled program.
+    pub fn new(model: &'a CatModel) -> Self {
+        let program = model.program();
+        let len = program.nodes.len();
+        CatSession {
+            program,
+            rels: vec![Relation::default(); len],
+            sets: vec![EventSet::empty(0); len],
+            stamps: vec![0; len],
+            clock: 0,
+            epochs: [0; 4],
+            events: None,
+            srcu: false,
+            n: 0,
+            stack: Vec::new(),
+            row: Vec::new(),
+            indegree: Vec::new(),
+            ready: Vec::new(),
+            fuel: None,
+        }
     }
 
     /// Meter every subsequent evaluation against `fuel` (shared with the
@@ -534,42 +139,362 @@ impl<'a> CatSession<'a> {
     }
 
     /// Evaluate all checks against one candidate execution, reusing the
-    /// cached static environment when `x` comes from the same
-    /// pre-execution as the previous candidate.
+    /// static slots when `x` comes from the same pre-execution as the
+    /// previous candidate.
     ///
     /// # Errors
     ///
-    /// Same as [`evaluate`]; with fuel installed, additionally
-    /// [`EvalError::fuel_exhausted`].
+    /// Returns [`EvalError`] for semantic errors (unknown identifiers,
+    /// type mismatches) — a well-formed model never errors — and, with
+    /// fuel installed, [`EvalError::fuel_exhausted`].
     pub fn evaluate(&mut self, x: &Execution) -> Result<CatOutcome, EvalError> {
         self.evaluate_with(x, &ExecFacts::new(x))
     }
 
-    /// [`Self::evaluate`] against a pre-computed facts layer, so a cache
-    /// miss fills the static environment from already-derived relations
-    /// instead of recomputing them from the execution.
+    /// [`Self::evaluate`] against a pre-computed facts layer, from which
+    /// the base relations and event sets are borrowed.
     pub fn evaluate_with(
         &mut self,
         x: &Execution,
         facts: &ExecFacts<'_>,
     ) -> Result<CatOutcome, EvalError> {
-        let hit = self
-            .cache
-            .as_ref()
-            .is_some_and(|(events, _)| Arc::ptr_eq(events, &x.events));
-        if !hit {
-            self.cache = Some((Arc::clone(&x.events), static_env(x, facts)?));
+        if !self.events.as_ref().is_some_and(|e| Arc::ptr_eq(e, &x.events)) {
+            self.events = Some(Arc::clone(&x.events));
+            self.srcu = x.events.iter().any(|e| e.srcu().is_some());
+            self.n = x.universe();
+            self.epochs[STATIC] = self.tick();
         }
-        let mut env = self.cache.as_ref().expect("cache filled above").1.clone();
-        insert_witness(&mut env, x, facts.arena());
-        evaluate_with_env(self.model, x.universe(), env, self.fuel.as_deref(), facts.arena())
+        if self.srcu {
+            return Err(EvalError {
+                message: "SRCU events are not exposed to cat models; use the native LKMM".into(),
+            });
+        }
+        self.epochs[DYNAMIC] = self.tick();
+        let program = self.program;
+        let mut outcome = CatOutcome { failed_check: None, flags: Vec::new() };
+        for step in &program.steps {
+            self.burn(1)?;
+            match step {
+                Step::Let => {}
+                Step::Rec(group) => self.fixpoint(*group, x, facts)?,
+                Step::Check(c) => {
+                    // Only flags can still change an outcome that failed.
+                    if !c.flag && outcome.failed_check.is_some() {
+                        continue;
+                    }
+                    self.demand(c.node, x, facts);
+                    let holds = match c.kind {
+                        CheckKind::Acyclic => self.is_acyclic(c.node, x, facts),
+                        CheckKind::Irreflexive => self.rel(c.node, x, facts).is_irreflexive(),
+                        CheckKind::Empty => self.is_empty(c.node, x, facts),
+                    } != c.negated;
+                    if c.flag {
+                        // herd semantics: a `flag` labels executions where
+                        // the condition *holds* (e.g. `flag ~empty bad as
+                        // bad` fires when `bad` is non-empty). It never
+                        // forbids.
+                        if holds {
+                            outcome.flags.push(c.label.clone());
+                        }
+                    } else if !holds {
+                        outcome.failed_check = Some(c.label.clone());
+                    }
+                }
+                Step::Fail { error, round_fuel } => {
+                    if *round_fuel > 0 {
+                        self.burn(*round_fuel)?;
+                    }
+                    return Err(error.clone());
+                }
+            }
+        }
+        Ok(outcome)
+    }
+
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    fn burn(&self, steps: u64) -> Result<(), EvalError> {
+        match &self.fuel {
+            Some(f) if !f.consume(steps) => Err(EvalError::fuel_exhausted()),
+            _ => Ok(()),
+        }
+    }
+
+    /// Solve `let rec` group `g` by Gauss–Seidel iteration from empty
+    /// relations: each binding sees the values assigned before it in the
+    /// same round, and the group has converged after a round that changes
+    /// nothing. Cat recursion over ∪/;/closures is monotone, so this
+    /// terminates within the cap (the lattice of relations is finite).
+    fn fixpoint(
+        &mut self,
+        g: usize,
+        x: &Execution,
+        facts: &ExecFacts<'_>,
+    ) -> Result<(), EvalError> {
+        let program = self.program;
+        let group = &program.groups[g];
+        let n = self.n;
+        for &v in &group.vars {
+            self.rels[v].reset(n);
+        }
+        self.epochs[LOOP] = self.tick();
+        let cap = n * n * group.bindings.len() + 2;
+        for _ in 0..cap {
+            // The fixpoint is where evaluation cost is super-linear, so
+            // this is the loop a step budget must bound.
+            self.burn(group.bindings.len() as u64)?;
+            let mut changed = false;
+            for &(body, var) in &group.bindings {
+                if body == var {
+                    continue; // `x = x` keeps its value
+                }
+                self.demand(body, x, facts);
+                let mut value = std::mem::take(&mut self.rels[var]);
+                let new = self.rel(body, x, facts);
+                if *new != value {
+                    value.copy_from(new);
+                    changed = true;
+                    // Everything that read the old value is stale.
+                    self.epochs[LOOP] = self.tick();
+                }
+                self.rels[var] = value;
+            }
+            if !changed {
+                return Ok(());
+            }
+        }
+        Err(EvalError { message: "recursive definition did not converge (non-monotone?)".into() })
+    }
+
+    fn is_current(&self, i: NodeId) -> bool {
+        self.stamps[i] == self.epochs[self.program.nodes[i].epoch]
+    }
+
+    /// Bring `root` up to date, computing exactly the stale nodes it
+    /// needs. The walk keeps its own stack: the node graph of a long
+    /// chain of `let`s is deeper than any one expression.
+    fn demand(&mut self, root: NodeId, x: &Execution, facts: &ExecFacts<'_>) {
+        if self.is_current(root) {
+            return;
+        }
+        self.stack.push((root, 0));
+        let nodes = &self.program.nodes;
+        while let Some(&(i, done)) = self.stack.last() {
+            let node = &nodes[i];
+            if done == 1 && node.short_circuit {
+                let first = node.demand[0].expect("binary operation");
+                if self.is_empty(first, x, facts) {
+                    self.clear(i);
+                    self.stack.pop();
+                    continue;
+                }
+            }
+            match node.demand.get(usize::from(done)).copied().flatten() {
+                Some(operand) => {
+                    self.stack.last_mut().expect("non-empty").1 += 1;
+                    if !self.is_current(operand) {
+                        self.stack.push((operand, 0));
+                    }
+                }
+                None => {
+                    self.compute(i, x, facts);
+                    self.stack.pop();
+                }
+            }
+        }
+    }
+
+    /// Mark node `i` current with an empty value.
+    fn clear(&mut self, i: NodeId) {
+        let n = self.n;
+        match self.program.nodes[i].ty {
+            Ty::Rel => self.rels[i].reset(n),
+            Ty::Set => self.sets[i] = EventSet::empty(n),
+        }
+        self.stamp(i);
+    }
+
+    fn stamp(&mut self, i: NodeId) {
+        self.stamps[i] = self.epochs[self.program.nodes[i].epoch];
+    }
+
+    /// Whether relation node `i` is acyclic: Kahn's algorithm over the
+    /// session's scratch buffers, so the check allocates nothing (the
+    /// checks of a model run for every candidate).
+    fn is_acyclic(&mut self, i: NodeId, x: &Execution, facts: &ExecFacts<'_>) -> bool {
+        let mut indegree = std::mem::take(&mut self.indegree);
+        let mut ready = std::mem::take(&mut self.ready);
+        let r = self.rel(i, x, facts);
+        let n = r.universe();
+        indegree.clear();
+        indegree.resize(n, 0);
+        for a in 0..n {
+            for b in r.successors(a) {
+                indegree[b] += 1;
+            }
+        }
+        ready.clear();
+        ready.extend((0..n).filter(|&a| indegree[a] == 0));
+        let mut removed = 0;
+        while let Some(a) = ready.pop() {
+            removed += 1;
+            for b in r.successors(a) {
+                indegree[b] -= 1;
+                if indegree[b] == 0 {
+                    ready.push(b);
+                }
+            }
+        }
+        self.indegree = indegree;
+        self.ready = ready;
+        removed == n
+    }
+
+    fn is_empty(&self, i: NodeId, x: &Execution, facts: &ExecFacts<'_>) -> bool {
+        match self.program.nodes[i].ty {
+            Ty::Rel => self.rel(i, x, facts).is_empty(),
+            Ty::Set => self.set(i, facts).is_empty(),
+        }
+    }
+
+    /// The current value of relation node `i`.
+    fn rel<'s>(&'s self, i: NodeId, x: &'s Execution, facts: &'s ExecFacts<'_>) -> &'s Relation {
+        match self.program.nodes[i].op {
+            Op::Base(Base::Po) => &x.po,
+            Op::Base(Base::Addr) => &x.addr,
+            Op::Base(Base::Data) => &x.data,
+            Op::Base(Base::Ctrl) => &x.ctrl,
+            Op::Base(Base::Rmw) => &x.rmw,
+            Op::Base(Base::Rf) => &x.rf,
+            Op::Base(Base::Co) => &x.co,
+            Op::Base(Base::Loc) => facts.loc_rel(),
+            Op::Base(Base::Int) => facts.int_rel(),
+            Op::Base(Base::Ext) => facts.ext_rel(),
+            Op::Base(Base::Crit) => facts.crit(),
+            Op::Fix(var) => &self.rels[var],
+            _ => &self.rels[i],
+        }
+    }
+
+    /// The current value of set node `i`.
+    fn set<'s>(&'s self, i: NodeId, facts: &'s ExecFacts<'_>) -> &'s EventSet {
+        match self.program.nodes[i].op {
+            Op::Base(Base::Reads) => facts.reads(),
+            Op::Base(Base::Writes) => facts.writes(),
+            Op::Base(Base::Mem) => facts.mem(),
+            Op::Base(Base::InitWrites) => facts.init_writes(),
+            Op::Base(Base::Acquire) => facts.acquires(),
+            Op::Base(Base::Release) => facts.releases(),
+            Op::Base(Base::Fence(kind)) => facts.fences(kind),
+            _ => &self.sets[i],
+        }
+    }
+
+    /// Compute node `i` into its slot from its (current) operands.
+    fn compute(&mut self, i: NodeId, x: &Execution, facts: &ExecFacts<'_>) {
+        let n = self.n;
+        let op = self.program.nodes[i].op;
+        if self.program.nodes[i].ty == Ty::Set {
+            let out = match op {
+                Op::Base(Base::Fences) => {
+                    x.events_where(|e| matches!(e.kind, EventKind::Fence(_)))
+                }
+                Op::Base(Base::Universe) => EventSet::full(n),
+                Op::Domain(a) => self.rel(a, x, facts).domain(),
+                Op::Range(a) => self.rel(a, x, facts).range(),
+                Op::Union(a, b) => self.set(a, facts).union(self.set(b, facts)),
+                Op::Inter(a, b) => self.set(a, facts).intersection(self.set(b, facts)),
+                Op::Diff(a, b) => self.set(a, facts).difference(self.set(b, facts)),
+                Op::Complement(a) => self.set(a, facts).complement(),
+                _ => unreachable!("{op:?} is not a set operation"),
+            };
+            self.sets[i] = out;
+        } else {
+            let mut out = std::mem::take(&mut self.rels[i]);
+            match op {
+                Op::Base(Base::Id) => {
+                    out.reset(n);
+                    for e in 0..n {
+                        out.insert(e, e);
+                    }
+                }
+                Op::Empty => out.reset(n),
+                Op::SetToId(s) => {
+                    out.reset(n);
+                    for e in self.set(s, facts).iter() {
+                        out.insert(e, e);
+                    }
+                }
+                Op::Cartesian(a, b) => {
+                    out.reset(n);
+                    let (a, b) = (self.set(a, facts), self.set(b, facts));
+                    for e in a.iter() {
+                        for f in b.iter() {
+                            out.insert(e, f);
+                        }
+                    }
+                }
+                Op::Union(a, b) => {
+                    out.copy_from(self.rel(a, x, facts));
+                    out.union_in_place(self.rel(b, x, facts));
+                }
+                Op::Inter(a, b) => {
+                    out.copy_from(self.rel(a, x, facts));
+                    out.intersection_in_place(self.rel(b, x, facts));
+                }
+                Op::Diff(a, b) => {
+                    out.copy_from(self.rel(a, x, facts));
+                    out.difference_in_place(self.rel(b, x, facts));
+                }
+                // `seq_into` and `inverse_into` overwrite every row, so
+                // the slot only needs the right shape.
+                Op::Seq(a, b) => {
+                    if out.universe() != n {
+                        out.reset(n);
+                    }
+                    self.rel(a, x, facts).seq_into(self.rel(b, x, facts), &mut out);
+                }
+                Op::Complement(a) => {
+                    out.copy_from(self.rel(a, x, facts));
+                    out.complement_in_place();
+                }
+                Op::Opt(a) => {
+                    out.copy_from(self.rel(a, x, facts));
+                    out.reflexive_in_place();
+                }
+                Op::Plus(a) | Op::Star(a) => {
+                    let a = self.rel(a, x, facts);
+                    if a.is_empty() {
+                        out.reset(n);
+                    } else {
+                        out.copy_from(a);
+                        out.transitive_close_with(&mut self.row);
+                    }
+                    if matches!(op, Op::Star(_)) {
+                        out.reflexive_in_place();
+                    }
+                }
+                Op::Inverse(a) => {
+                    if out.universe() != n {
+                        out.reset(n);
+                    }
+                    self.rel(a, x, facts).inverse_into(&mut out);
+                }
+                _ => unreachable!("{op:?} is not a relation operation"),
+            }
+            self.rels[i] = out;
+        }
+        self.stamp(i);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
+    use crate::compile::Tier;
     use lkmm_exec::enumerate::{enumerate, EnumOptions};
     use lkmm_litmus::library;
 
@@ -578,16 +503,16 @@ mod tests {
         (enumerate(&t, &EnumOptions::default()).unwrap(), t)
     }
 
-    fn sc_model() -> Model {
-        parse("\"SC\"\nlet fr = rf^-1 ; co\nacyclic po | rf | co | fr as sc").unwrap()
+    fn model(src: &str) -> CatModel {
+        CatModel::parse(src).unwrap()
     }
 
     #[test]
     fn sc_forbids_sb_weak_outcome() {
         let (execs, t) = execs("SB");
-        let m = sc_model();
+        let m = model("\"SC\"\nlet fr = rf^-1 ; co\nacyclic po | rf | co | fr as sc");
         for x in &execs {
-            let out = evaluate(&m, x).unwrap();
+            let out = m.evaluate(x).unwrap();
             if x.satisfies_prop(&t.condition.prop) {
                 assert_eq!(out.failed_check.as_deref(), Some("sc"));
             } else {
@@ -599,56 +524,80 @@ mod tests {
     #[test]
     fn rec_fixpoint_converges() {
         // Transitive closure via recursion must equal the + operator.
-        let m = parse("let rec tc = po | (tc ; tc)\nirreflexive tc \\ po+ as equal1\nirreflexive po+ \\ tc as equal2\nempty tc \\ po+ as equal3").unwrap();
+        let m = model("let rec tc = po | (tc ; tc)\nirreflexive tc \\ po+ as equal1\nirreflexive po+ \\ tc as equal2\nempty tc \\ po+ as equal3");
         let (execs, _) = execs("MP");
         for x in &execs {
-            let out = evaluate(&m, x).unwrap();
+            let out = m.evaluate(x).unwrap();
             assert!(out.allowed(), "{out:?}");
         }
     }
 
     #[test]
     fn flags_do_not_forbid() {
-        let m = parse("flag ~empty po as has-po").unwrap();
+        let m = model("flag ~empty po as has-po");
         let (execs, _) = execs("SB");
-        let out = evaluate(&m, &execs[0]).unwrap();
+        let out = m.evaluate(&execs[0]).unwrap();
         assert!(out.allowed());
         assert_eq!(out.flags, vec!["has-po"]);
     }
 
     #[test]
     fn functions_apply() {
-        let m = parse(
+        let m = model(
             "let rfe = rf & ext\nlet A-cumul(r) = rfe? ; r\nempty A-cumul(0) \\ rfe? as ok",
-        )
-        .unwrap();
+        );
         let (execs, _) = execs("MP");
         // A-cumul(0) = rfe? ; 0 = 0 ⊆ rfe?.
-        let out = evaluate(&m, &execs[0]).unwrap();
+        let out = m.evaluate(&execs[0]).unwrap();
         assert!(out.allowed(), "{out:?}");
     }
 
     #[test]
     fn type_errors_are_reported() {
-        let m = parse("acyclic R as oops").unwrap();
         let (execs, _) = execs("SB");
-        assert!(evaluate(&m, &execs[0]).is_err());
-        let m2 = parse("let x = R ; W\nempty x as oops").unwrap();
-        assert!(evaluate(&m2, &execs[0]).is_err());
-        let m3 = parse("empty nonsense as oops").unwrap();
-        assert!(evaluate(&m3, &execs[0]).is_err());
+        for src in ["acyclic R as oops", "let x = R ; W\nempty x as oops", "empty nonsense as oops"]
+        {
+            assert!(model(src).evaluate(&execs[0]).is_err(), "{src}");
+        }
     }
 
     #[test]
     fn cartesian_and_brackets() {
-        let m = parse(
+        let m = model(
             "let rr = po & (R * R)\nlet viaid = [R] ; po ; [R]\n\
              empty rr \\ viaid as same1\nempty viaid \\ rr as same2",
-        )
-        .unwrap();
+        );
         let (execs, _) = execs("MP");
         for x in &execs {
-            assert!(evaluate(&m, x).unwrap().allowed());
+            assert!(m.evaluate(x).unwrap().allowed());
         }
+    }
+
+    #[test]
+    fn shared_subexpressions_compile_to_one_node() {
+        let m = model("let a = (R * R) & po\nlet b = po & (R * R)\nlet c = (R * R) & po");
+        let nodes = &m.program().nodes;
+        let cartesians = nodes.iter().filter(|n| matches!(n.op, Op::Cartesian(..))).count();
+        let inters = nodes.iter().filter(|n| matches!(n.op, Op::Inter(..))).count();
+        assert_eq!((cartesians, inters), (1, 2));
+    }
+
+    #[test]
+    fn nodes_are_tiered_by_what_they_reach() {
+        let m = model("let s = po ; [Mb] ; po\nlet d = s | rf\nlet rec l = d | (l ; s)\nacyclic l");
+        let tier_of = |pred: fn(&Op) -> bool| {
+            m.program().nodes.iter().filter(|n| pred(&n.op)).map(|n| n.tier).max().unwrap()
+        };
+        assert_eq!(tier_of(|op| matches!(op, Op::SetToId(_))), Tier::Static);
+        assert_eq!(tier_of(|op| matches!(op, Op::Union(..))), Tier::Loop(0));
+        assert_eq!(tier_of(|op| matches!(op, Op::Fix(_))), Tier::Dynamic);
+        let union_tiers: Vec<_> = m
+            .program()
+            .nodes
+            .iter()
+            .filter(|n| matches!(n.op, Op::Union(..)))
+            .map(|n| n.tier)
+            .collect();
+        assert_eq!(union_tiers, vec![Tier::Dynamic, Tier::Loop(0)]);
     }
 }

@@ -1,4 +1,4 @@
-//! An interpreter for the `cat` consistency-model language.
+//! An executable semantics for the `cat` consistency-model language.
 //!
 //! `cat` [Alglave, Cousot & Maranget 2016] is the language in which the
 //! paper's LKMM is written: models are sets of constraints (`acyclic`,
@@ -12,8 +12,16 @@
 //! set-to-relation brackets `[S]`, cartesian product `X * Y`, and named
 //! checks (`acyclic hb as Hb`).
 //!
+//! [`CatModel::parse`] parses a model and compiles it once
+//! (`compile`): names resolve to nodes of a typed graph, functions are
+//! inlined, identical subexpressions share one node, and each node is
+//! tiered by whether it depends on the pre-execution only, on the
+//! candidate's `rf`/`co`, or on a `let rec` variable. A [`CatSession`]
+//! (`eval`) then evaluates that graph per candidate on demand from the
+//! checks, recomputing each node only when its tier says it is stale.
+//!
 //! The LKMM itself ships as an embedded cat file ([`LINUX_KERNEL_CAT`]);
-//! the test suite cross-checks the interpreted model against the native
+//! the test suite cross-checks the compiled model against the native
 //! Rust implementation in the `lkmm` crate on every library test.
 //!
 //! # Examples
@@ -35,6 +43,7 @@
 
 pub mod ast;
 pub mod builtin;
+mod compile;
 pub mod eval;
 pub mod lexer;
 pub mod parser;
@@ -47,20 +56,26 @@ pub use parser::CatParseError;
 
 use lkmm_exec::{ConsistencyModel, ExecFacts, Execution, ModelSession};
 
-/// A parsed cat model, usable as a [`ConsistencyModel`].
+/// A parsed and compiled cat model, usable as a [`ConsistencyModel`].
 #[derive(Clone, Debug)]
 pub struct CatModel {
     model: Model,
+    program: compile::Program,
 }
 
 impl CatModel {
-    /// Parse a cat source file.
+    /// Parse a cat source file and compile it for evaluation.
     ///
     /// # Errors
     ///
-    /// Returns [`CatParseError`] on syntax errors.
+    /// Returns [`CatParseError`] on syntax errors, including expressions
+    /// nested deeper than [`parser::MAX_EXPR_DEPTH`]. Semantic errors
+    /// (unknown identifiers, type mismatches) are not parse errors: they
+    /// surface as [`EvalError`]s when the model is evaluated.
     pub fn parse(src: &str) -> Result<Self, CatParseError> {
-        Ok(CatModel { model: parser::parse(src)? })
+        let model = parser::parse(src)?;
+        let program = compile::compile(&model);
+        Ok(CatModel { model, program })
     }
 
     /// The model's declared name (first string literal), if any.
@@ -75,12 +90,16 @@ impl CatModel {
     /// Returns [`EvalError`] for semantic errors (unknown identifiers,
     /// type mismatches) — a well-formed model never errors.
     pub fn evaluate(&self, x: &Execution) -> Result<CatOutcome, EvalError> {
-        eval::evaluate(&self.model, x)
+        CatSession::new(self).evaluate(x)
     }
 
     /// The parsed AST (for tooling).
     pub fn model(&self) -> &Model {
         &self.model
+    }
+
+    pub(crate) fn program(&self) -> &compile::Program {
+        &self.program
     }
 }
 
@@ -98,7 +117,7 @@ impl ConsistencyModel for CatModel {
     }
 
     fn allows_with(&self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
-        let allowed = CatSession::new(&self.model)
+        let allowed = CatSession::new(self)
             .evaluate_with(x, facts)
             .expect("cat evaluation failed")
             .allowed();
@@ -119,12 +138,14 @@ impl ConsistencyModel for CatModel {
     }
 
     fn session(&self) -> Option<Box<dyn ModelSession + '_>> {
-        Some(Box::new(CatSession::new(&self.model)))
+        Some(Box::new(CatSession::new(self)))
     }
 
-    /// Interpreting a cat model walks the AST per candidate — the most
-    /// expensive evaluator in the workspace (the stress-cat workloads),
-    /// so batches carrying a cat model stay fine-grained.
+    /// The highest hint in the workspace, so batches carrying a cat
+    /// model stay fine-grained. Compiled, the cat LKMM costs about what
+    /// the native LKMM (hint 5) does per candidate; the hint keeps the
+    /// value it had as a tree walk, so batch shapes did not move with
+    /// the compiler, and retuning it is a measurement of its own.
     fn eval_cost_hint(&self) -> usize {
         8
     }
@@ -180,7 +201,7 @@ impl ModelSession for CatSession<'_> {
     }
 }
 
-/// The LKMM as an interpreted cat model (parses [`LINUX_KERNEL_CAT`]).
+/// The LKMM as a compiled cat model (parses [`LINUX_KERNEL_CAT`]).
 ///
 /// # Panics
 ///

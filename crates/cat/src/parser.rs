@@ -27,12 +27,26 @@ impl std::error::Error for CatParseError {}
 /// the unsupported `include` directive.
 pub fn parse(src: &str) -> Result<Model, CatParseError> {
     let toks = lex(src).map_err(|(message, offset)| CatParseError { message, offset })?;
-    Parser { toks, pos: 0 }.parse_model()
+    Parser { toks, pos: 0, nest: 0 }.parse_model()
 }
+
+/// Expression trees are walked recursively by this parser, the printer,
+/// the compiler and `Drop` for `Box<Expr>`, so their height is capped:
+/// hostile input such as 20 000 nested `(`, a run of prefix `~`, or a
+/// flat 200 000-operand `po | po | …` chain (left-deep, so as tall as it
+/// is long) must be a parse error, not a stack overflow, which
+/// `catch_unwind` cannot contain. Real models stay under a dozen levels.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
+/// An expression with the height of its tree.
+type Parsed = (Expr, usize);
 
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Current recursion depth through parentheses, brackets, arguments
+    /// and prefix `~`.
+    nest: usize,
 }
 
 impl Parser {
@@ -133,7 +147,7 @@ impl Parser {
             other => return self.err(format!("expected instruction, found {other}")),
         };
         self.bump();
-        let expr = self.parse_expr()?;
+        let (expr, _) = self.parse_expr()?;
         let name = if self.is_kw("as") {
             self.bump();
             Some(self.expect_ident()?)
@@ -156,49 +170,51 @@ impl Parser {
             }
         }
         self.expect_punct("=")?;
-        let body = self.parse_expr()?;
+        let (body, _) = self.parse_expr()?;
         Ok(Binding { name, params, body })
     }
 
     // Precedence, loosest first: `|`, `;`, `\`, `&`, cartesian `*`,
-    // unary `~`, postfix `? + * ^-1`.
-    fn parse_expr(&mut self) -> Result<Expr, CatParseError> {
+    // unary `~`, postfix `? + * ^-1`. Every production returns the
+    // parsed tree with its height, so a chain that grows the tree in a
+    // loop (`po | po | …`, `po+++…`) is capped like a nested one.
+    fn parse_expr(&mut self) -> Result<Parsed, CatParseError> {
         let mut lhs = self.parse_seq()?;
         while self.eat_punct("|") {
             let rhs = self.parse_seq()?;
-            lhs = Expr::union(lhs, rhs);
+            lhs = self.binary(Expr::Union, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_seq(&mut self) -> Result<Expr, CatParseError> {
+    fn parse_seq(&mut self) -> Result<Parsed, CatParseError> {
         let mut lhs = self.parse_diff()?;
         while self.eat_punct(";") {
             let rhs = self.parse_diff()?;
-            lhs = Expr::seq(lhs, rhs);
+            lhs = self.binary(Expr::Seq, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_diff(&mut self) -> Result<Expr, CatParseError> {
+    fn parse_diff(&mut self) -> Result<Parsed, CatParseError> {
         let mut lhs = self.parse_inter()?;
         while self.eat_punct("\\") {
             let rhs = self.parse_inter()?;
-            lhs = Expr::Diff(Box::new(lhs), Box::new(rhs));
+            lhs = self.binary(Expr::Diff, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_inter(&mut self) -> Result<Expr, CatParseError> {
+    fn parse_inter(&mut self) -> Result<Parsed, CatParseError> {
         let mut lhs = self.parse_cartesian()?;
         while self.eat_punct("&") {
             let rhs = self.parse_cartesian()?;
-            lhs = Expr::Inter(Box::new(lhs), Box::new(rhs));
+            lhs = self.binary(Expr::Inter, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_cartesian(&mut self) -> Result<Expr, CatParseError> {
+    fn parse_cartesian(&mut self) -> Result<Parsed, CatParseError> {
         let lhs = self.parse_unary()?;
         // `X * Y` is cartesian product when `*` is followed by the start of
         // an atom; otherwise `*` was already consumed as a postfix closure
@@ -206,7 +222,7 @@ impl Parser {
         if matches!(self.peek(), Tok::Punct("*")) && self.starts_atom(self.peek2()) {
             self.bump();
             let rhs = self.parse_unary()?;
-            return Ok(Expr::Cartesian(Box::new(lhs), Box::new(rhs)));
+            return self.binary(Expr::Cartesian, lhs, rhs);
         }
         Ok(lhs)
     }
@@ -222,68 +238,112 @@ impl Parser {
         }
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, CatParseError> {
+    fn parse_unary(&mut self) -> Result<Parsed, CatParseError> {
         if self.eat_punct("~") {
+            self.enter_nested()?;
             let e = self.parse_unary()?;
-            return Ok(Expr::Complement(Box::new(e)));
+            self.nest -= 1;
+            return self.unary(Expr::Complement, e);
         }
         self.parse_postfix()
     }
 
-    fn parse_postfix(&mut self) -> Result<Expr, CatParseError> {
+    fn parse_postfix(&mut self) -> Result<Parsed, CatParseError> {
         let mut e = self.parse_atom()?;
         loop {
             if self.eat_punct("?") {
-                e = Expr::Opt(Box::new(e));
+                e = self.unary(Expr::Opt, e)?;
             } else if self.eat_punct("+") {
-                e = Expr::Plus(Box::new(e));
+                e = self.unary(Expr::Plus, e)?;
             } else if self.eat_punct("^-1") {
-                e = Expr::Inverse(Box::new(e));
+                e = self.unary(Expr::Inverse, e)?;
             } else if matches!(self.peek(), Tok::Punct("*")) && !self.starts_atom(self.peek2()) {
                 self.bump();
-                e = Expr::Star(Box::new(e));
+                e = self.unary(Expr::Star, e)?;
             } else {
                 return Ok(e);
             }
         }
     }
 
-    fn parse_atom(&mut self) -> Result<Expr, CatParseError> {
+    fn parse_atom(&mut self) -> Result<Parsed, CatParseError> {
         match self.peek().clone() {
             Tok::Zero => {
                 self.bump();
-                Ok(Expr::Empty)
+                Ok((Expr::Empty, 1))
             }
             Tok::Punct("(") => {
                 self.bump();
+                self.enter_nested()?;
                 let e = self.parse_expr()?;
+                self.nest -= 1;
                 self.expect_punct(")")?;
                 Ok(e)
             }
             Tok::Punct("[") => {
                 self.bump();
+                self.enter_nested()?;
                 let e = self.parse_expr()?;
+                self.nest -= 1;
                 self.expect_punct("]")?;
-                Ok(Expr::SetToId(Box::new(e)))
+                self.unary(Expr::SetToId, e)
             }
             Tok::Ident(name) => {
                 self.bump();
                 if name == "_" {
-                    return Ok(Expr::Universe);
+                    return Ok((Expr::Universe, 1));
                 }
                 if matches!(self.peek(), Tok::Punct("(")) {
                     self.bump();
-                    let mut args = vec![self.parse_expr()?];
+                    self.enter_nested()?;
+                    let (first, mut height) = self.parse_expr()?;
+                    let mut args = vec![first];
                     while self.eat_punct(",") {
-                        args.push(self.parse_expr()?);
+                        let (arg, h) = self.parse_expr()?;
+                        height = height.max(h);
+                        args.push(arg);
                     }
+                    self.nest -= 1;
                     self.expect_punct(")")?;
-                    return Ok(Expr::App(name, args));
+                    return self.node(Expr::App(name, args), height + 1);
                 }
-                Ok(Expr::Id(name))
+                Ok((Expr::Id(name), 1))
             }
             other => self.err(format!("expected expression, found {other}")),
         }
+    }
+
+    /// Depth guard for the productions that recurse without growing the
+    /// tree (parentheses, brackets, arguments, prefix `~`). The counter
+    /// is only decremented on success; an error aborts the whole parse.
+    fn enter_nested(&mut self) -> Result<(), CatParseError> {
+        self.nest += 1;
+        if self.nest > MAX_EXPR_DEPTH {
+            return self.err("expression nested too deeply");
+        }
+        Ok(())
+    }
+
+    /// Accept a node of the given height, or fail once it exceeds
+    /// [`MAX_EXPR_DEPTH`].
+    fn node(&self, e: Expr, height: usize) -> Result<Parsed, CatParseError> {
+        if height > MAX_EXPR_DEPTH {
+            return self.err("expression nested too deeply");
+        }
+        Ok((e, height))
+    }
+
+    fn unary(&self, f: fn(Box<Expr>) -> Expr, (e, h): Parsed) -> Result<Parsed, CatParseError> {
+        self.node(f(Box::new(e)), h + 1)
+    }
+
+    fn binary(
+        &self,
+        f: fn(Box<Expr>, Box<Expr>) -> Expr,
+        (a, ha): Parsed,
+        (b, hb): Parsed,
+    ) -> Result<Parsed, CatParseError> {
+        self.node(f(Box::new(a), Box::new(b)), ha.max(hb) + 1)
     }
 }
 

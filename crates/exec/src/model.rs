@@ -55,8 +55,8 @@ pub trait ConsistencyModel: Sync {
 
     /// Open a stateful per-worker evaluation session, if the model has
     /// one. Sessions may carry mutable caches keyed on the candidate's
-    /// shared pre-execution (e.g. the cat interpreter's static
-    /// environment), which a `&self` [`ConsistencyModel::allows`] cannot.
+    /// shared pre-execution (e.g. the cat evaluator's static node
+    /// slots), which a `&self` [`ConsistencyModel::allows`] cannot.
     ///
     /// Callers should go through [`open_session`], which falls back to a
     /// stateless pass-through for models that return `None` here.
@@ -110,7 +110,7 @@ pub trait ModelSession {
     }
 
     /// Hand the session a shared evaluation-step fuel tank. Sessions
-    /// that meter their work (the cat interpreter, the native LKMM)
+    /// that meter their work (the cat evaluator, the native LKMM)
     /// consume from it inside [`ModelSession::try_allows`]; the default
     /// discards it.
     fn install_step_fuel(&mut self, _fuel: Arc<StepFuel>) {}

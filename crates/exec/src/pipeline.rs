@@ -12,7 +12,7 @@
 //! schedules the workers.
 //!
 //! Batching is what keeps the per-pre-execution caches (model-session
-//! statics, [`FactsCache`], the cat interpreter's static environment)
+//! statics, [`FactsCache`], the cat evaluator's static node slots)
 //! hot: consecutive candidates of one pre-execution land on the same
 //! worker instead of being sprayed across all of them one at a time.
 //! Batch size adapts to per-candidate cost — event count times the sum

@@ -77,7 +77,7 @@ fn candidate_fuel_partial_tallies_are_identical_across_job_counts() {
 
 #[test]
 fn eval_step_fuel_exhaustion_is_inconclusive() {
-    // The cat interpreter burns fixpoint instructions as eval steps; one
+    // The cat evaluator burns fixpoint instructions as eval steps; one
     // step of fuel cannot possibly evaluate a candidate under LKMM-cat.
     let herd =
         Herd::new(ModelChoice::LkmmCat).with_budget(Budget::default().with_max_eval_steps(1));
@@ -88,6 +88,36 @@ fn eval_step_fuel_exhaustion_is_inconclusive() {
             ..
         } => {}
         other => panic!("expected eval-step exhaustion, got {other:?}"),
+    }
+}
+
+/// The cat LKMM burns 41 steps per candidate (40 instructions and one
+/// round of the `rcu-path` fixpoint), and SB has four candidates: 164
+/// steps complete it and 163 run dry, at every job count. Both figures
+/// were measured on the tree-walking interpreter the compiled evaluator
+/// replaced, so this pins its fuel accounting.
+#[test]
+fn eval_step_fuel_use_is_pinned_under_lkmm_cat() {
+    let test = library::by_name("SB").unwrap().test();
+    for jobs in [1, 2, 8] {
+        let herd = |steps| {
+            Herd::new(ModelChoice::LkmmCat)
+                .with_jobs(jobs)
+                .with_budget(Budget::default().with_max_eval_steps(steps))
+                .check_governed(&test)
+                .outcome
+        };
+        match herd(164) {
+            CheckOutcome::Complete(r) => assert_eq!(r.candidates, 4, "jobs={jobs}"),
+            other => panic!("164 steps at jobs={jobs}: expected completion, got {other:?}"),
+        }
+        match herd(163) {
+            CheckOutcome::Inconclusive {
+                reason: InconclusiveReason::BudgetExceeded(BudgetKind::EvalSteps),
+                ..
+            } => {}
+            other => panic!("163 steps at jobs={jobs}: expected exhaustion, got {other:?}"),
+        }
     }
 }
 

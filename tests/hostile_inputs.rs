@@ -126,6 +126,72 @@ fn deeply_nested_serve_json_is_an_error_not_a_stack_overflow() {
     }
 }
 
+/// Hostile cat models: deep nesting and long prefix, postfix and operator
+/// chains are parse errors, and long `let` or function-call chains
+/// evaluate or fail cleanly, never overflowing the stack. A flat
+/// operator chain is as dangerous as nesting: it parses into a left-deep
+/// tree as tall as the chain is long.
+#[test]
+fn hostile_cat_models_are_errors_not_stack_overflows() {
+    use linux_kernel_memory_model::cat::CatModel;
+    let too_deep = [
+        format!("acyclic {}po{}", "(".repeat(20_000), ")".repeat(20_000)),
+        format!("acyclic {}po{}", "[".repeat(20_000), "]".repeat(20_000)),
+        format!("acyclic {}po{}", "f(".repeat(20_000), ")".repeat(20_000)),
+        format!("acyclic {}po", "~".repeat(20_000)),
+        format!("acyclic po{}", "+".repeat(200_000)),
+        format!("acyclic po{}", "^-1".repeat(200_000)),
+        format!("acyclic po{}", " | po".repeat(200_000)),
+        format!("acyclic po{}", " ; po".repeat(200_000)),
+        format!("acyclic po{}", " \\ po".repeat(200_000)),
+        format!("let r = po{}", " & po".repeat(200_000)),
+    ];
+    for src in &too_deep {
+        let err = CatModel::parse(src).expect_err("hostile model parsed");
+        assert!(err.message.contains("nested too deeply"), "{err}");
+    }
+    // What real models nest still parses and evaluates.
+    let sb = parse(
+        "C SB\n{ x=0; y=0; }\n\
+         P0(int *x, int *y) { WRITE_ONCE(*x, 1); int r0; r0 = READ_ONCE(*y); }\n\
+         P1(int *x, int *y) { WRITE_ONCE(*y, 1); int r0; r0 = READ_ONCE(*x); }\n\
+         exists (0:r0=0 /\\ 1:r0=0)",
+    )
+    .unwrap();
+    let x = linux_kernel_memory_model::exec::enumerate::enumerate(&sb, &Default::default())
+        .unwrap()
+        .remove(0);
+    for src in [
+        format!("acyclic {}po{}", "(".repeat(64), ")".repeat(64)),
+        format!("acyclic po{} as chain", " | po".repeat(60)),
+    ] {
+        assert!(CatModel::parse(&src).unwrap().evaluate(&x).unwrap().allowed());
+    }
+    // 50 000 chained `let`s: each is shallow, their node graph is not.
+    let mut src = String::from("let a0 = po\n");
+    for i in 1..50_000 {
+        src.push_str(&format!("let a{i} = a{} | po\n", i - 1));
+    }
+    src.push_str("acyclic a49999 as long-chain");
+    assert!(CatModel::parse(&src).unwrap().evaluate(&x).unwrap().allowed());
+    // 20 000 mutually recursive bindings in one `let rec`.
+    let mut src = String::from("let rec r0 = po");
+    for i in 1..20_000 {
+        src.push_str(&format!(" and r{i} = r{} | po", i - 1));
+    }
+    src.push_str("\nacyclic r19999 as wide-fixpoint");
+    assert!(CatModel::parse(&src).unwrap().evaluate(&x).unwrap().allowed());
+    // 2 000 functions each applying the previous one: inlining them all
+    // would recurse as deep as the chain, so evaluation reports an error.
+    let mut src = String::from("let f0(r) = r\n");
+    for i in 1..2_000 {
+        src.push_str(&format!("let f{i}(r) = f{}(r)\n", i - 1));
+    }
+    src.push_str("acyclic f1999(po) as call-chain");
+    let err = CatModel::parse(&src).unwrap().evaluate(&x).unwrap_err();
+    assert_eq!(err.message, "function applications nested too deeply");
+}
+
 #[test]
 fn oversized_request_lines_are_rejected_under_a_tiny_cap() {
     let opts = ServeOptions { max_request_bytes: 64, ..ServeOptions::default() };

@@ -1,7 +1,7 @@
 //! Cross-check: the parallel pipeline is observably identical to the
 //! sequential checker on the full built-in library, for every model that
 //! exercises a distinct session path (native LKMM with its statics cache,
-//! the interpreted cat LKMM with its environment cache, and a stateless
+//! the compiled cat LKMM with its static node slots, and a stateless
 //! comparison model) — and, over a jobs × batch-size grid, on the
 //! corpora whose candidate streams stress the batched data plane from
 //! different directions: the contended-twin corpus (coherence-dominated
