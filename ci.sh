@@ -151,6 +151,24 @@ grep -q '"enumeration":' /tmp/lkmm-conf-ctd.json
 grep -q 'enumeration: .* rf prefixes pruned' /tmp/lkmm-conf-ctd.err
 rm -f /tmp/lkmm-conf-ctd.json /tmp/lkmm-conf-ctd.err
 
+echo "== conformance: campaign reports are the same at every --jobs =="
+# Campaigns prepare units on a worker pool and commit them in corpus
+# order, so the report — enumeration and data-plane counters included —
+# must not depend on the job count, cold or warm.
+for J in 1 8; do
+    rm -f /tmp/lkmm-ci-jobs-j$J.bin
+    for PASS in cold warm; do
+        "$BIN" conformance --max-cycle-len 4 --contended --sim-iterations 50 --enum-stats \
+            --json --jobs $J --store /tmp/lkmm-ci-jobs-j$J.bin \
+            > /tmp/lkmm-conf-j$J-$PASS.json 2> /dev/null
+    done
+done
+cmp /tmp/lkmm-conf-j1-cold.json /tmp/lkmm-conf-j8-cold.json
+cmp /tmp/lkmm-conf-j1-warm.json /tmp/lkmm-conf-j8-warm.json
+grep -q '"clean":true' /tmp/lkmm-conf-j8-cold.json
+rm -f /tmp/lkmm-ci-jobs-j1.bin /tmp/lkmm-ci-jobs-j8.bin /tmp/lkmm-conf-j1-cold.json \
+    /tmp/lkmm-conf-j8-cold.json /tmp/lkmm-conf-j1-warm.json /tmp/lkmm-conf-j8-warm.json
+
 echo "== conformance: cycle-length-6 campaign completes cleanly =="
 # The routine deep workload the pruned enumerator makes affordable:
 # every diy cycle up to length 6 through all seven models and the

@@ -67,9 +67,13 @@ pub struct CampaignConfig {
     pub include_library: bool,
     /// Cache version salt (each model column adds its own component).
     pub salt: String,
-    /// Pipeline worker threads per check (0 = all hardware threads).
+    /// Worker threads (0 = all hardware threads, never more than the
+    /// host has): the matrix pass checks this many units at once, each
+    /// on one thread; shrink re-checks spread each test's candidates
+    /// over this many pipeline workers. Reports are identical at any
+    /// value.
     pub jobs: usize,
-    /// Per-worker candidate queue bound.
+    /// Per-worker candidate queue bound (shrink re-checks).
     pub queue_depth: usize,
     /// Per-check budget; trips surface as inconclusive cells.
     pub budget: Budget,

@@ -41,6 +41,16 @@
 //!   run's. A mismatched fingerprint is refused — resuming under a
 //!   different config would silently mix two campaigns.
 //!
+//! Campaigns parallelise over units, not candidates. `jobs` scoped
+//! worker threads (never more than the host has) run the pure half of
+//! each unit, [`MultiBatchChecker::prepare`] — keys, store lookups, one
+//! inline enumeration — up to [`WINDOW_PER_WORKER`] units per worker
+//! ahead of the commit cursor. The calling thread commits units
+//! strictly in corpus order ([`CorpusRun::commit`]) and does all of the
+//! above, so reports, counters, checkpoints and fault points behave
+//! exactly as with one job, where both halves run inline and no thread
+//! is spawned.
+//!
 //! Fault points: `campaign.kill` aborts the process at a unit boundary
 //! (a simulated SIGKILL for crash tests); `worker.transient` injects a
 //! transient I/O failure into the supervisor's attempt path;
@@ -48,17 +58,23 @@
 
 use crate::campaign::{CampaignError, CorpusStream};
 use crate::checkpoint::{self, Checkpoint, CheckpointLog, FailedUnit, FailureKind, PrefixStats};
-use crate::matrix::{MatrixOptions, MatrixRow, ModelId, ModelPass, ModelSet, Origin};
+use crate::matrix::{CorpusEntry, MatrixOptions, MatrixRow, ModelId, ModelPass, ModelSet, Origin};
 use crate::oracle::{Discrepancy, OracleKind, OracleSummary};
 use lkmm_core::faultpoint;
-use lkmm_exec::{CheckOutcome, EnumOptions, Verdict};
+use lkmm_exec::{worker_threads, CheckOutcome, EnumOptions, Verdict};
+use lkmm_generator::GenError;
 use lkmm_litmus::ast::Test;
 use lkmm_service::{
-    BatchError, CorpusRun, MultiBatchChecker, MultiColumn, StoreError, UnitFault, VerdictStore,
+    BatchError, CorpusRun, MultiBatchChecker, MultiColumn, PreparedUnit, StoreError, UnitFault,
+    VerdictStore,
 };
 use lkmm_sim::rng::SplitMix64;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Mutex, PoisonError};
+use std::thread;
 use std::time::Duration;
 
 /// Crash-survival knobs for one campaign.
@@ -111,6 +127,9 @@ pub struct DriveOutcome {
     pub resumed_at: Option<usize>,
     /// Checkpoint frames appended this invocation.
     pub checkpoints_written: usize,
+    /// Units whose prepared check the commit threw away and redid on
+    /// the calling thread (see [`lkmm_service::MultiBatchReport`]).
+    pub prepared_discarded: usize,
 }
 
 /// Deterministic backoff for retry `attempt` (1-based) of `unit`:
@@ -142,19 +161,27 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One attempt at one unit. `None` is success (including deterministic
-/// inconclusive cells); `Some` classifies the failure.
+/// One attempt at one unit: commit its prepared check, or check it
+/// afresh on this thread when nothing was prepared. `None` is success
+/// (including deterministic inconclusive cells); `Some` classifies the
+/// failure. A panic while preparing is this attempt's failure.
 fn attempt_unit(
     run: &mut CorpusRun<'_, '_>,
     i: usize,
     test: &Test,
     mask_row: &[bool],
+    prepared: Result<Option<PreparedUnit>, String>,
     retry_timeouts: bool,
 ) -> Option<(FailureKind, String)> {
     if let Err(e) = faultpoint::inject_io("worker.transient") {
         return Some((FailureKind::TransientIo, e.to_string()));
     }
-    match catch_unwind(AssertUnwindSafe(|| run.check_unit(i, test, mask_row))) {
+    let committed = match prepared {
+        Err(detail) => return Some((FailureKind::Panic, detail)),
+        Ok(Some(unit)) => catch_unwind(AssertUnwindSafe(|| run.commit(i, test, mask_row, unit))),
+        Ok(None) => catch_unwind(AssertUnwindSafe(|| run.check_unit(i, test, mask_row))),
+    };
+    match committed {
         Err(payload) => Some((FailureKind::Panic, panic_text(payload.as_ref()))),
         Ok(Err(e)) => Some((FailureKind::TransientIo, e.to_string())),
         Ok(Ok(())) => match run.unit_fault(i) {
@@ -171,23 +198,26 @@ fn attempt_unit(
     }
 }
 
-/// Run one unit under the retry supervisor. Returns the quarantine
-/// record if every attempt failed; the unit's slots are reset either
-/// way before a retry or quarantine, so partial attempts never leak
-/// into the matrix (verdicts that reached the store stay — they are
-/// content-addressed and replay as hits on the retry).
+/// Run one unit under the retry supervisor: the first attempt commits
+/// what was `prepared`, retries check afresh on this thread. Returns
+/// the quarantine record if every attempt failed; the unit's row is
+/// reset either way before a retry or quarantine, so partial attempts
+/// never leak into the matrix (verdicts that reached the store stay —
+/// they are content-addressed and replay as hits on the retry).
 fn supervise_unit(
     run: &mut CorpusRun<'_, '_>,
     i: usize,
     test: &Test,
     mask_row: &[bool],
+    mut prepared: Result<Option<PreparedUnit>, String>,
     res: &ResilienceConfig,
     retry_timeouts: bool,
 ) -> Option<FailedUnit> {
     let mut attempt = 0u32;
     loop {
         attempt += 1;
-        match attempt_unit(run, i, test, mask_row, retry_timeouts) {
+        let this_attempt = std::mem::replace(&mut prepared, Ok(None));
+        match attempt_unit(run, i, test, mask_row, this_attempt, retry_timeouts) {
             None => return None,
             Some((kind, detail)) => {
                 run.reset_unit(i);
@@ -202,11 +232,106 @@ fn supervise_unit(
                 }
                 let delay = backoff_delay(res, i, attempt);
                 if !delay.is_zero() {
-                    std::thread::sleep(delay);
+                    thread::sleep(delay);
                 }
             }
         }
     }
+}
+
+/// Units prepared ahead of the commit cursor, per worker thread: deep
+/// enough that a slow unit at the cursor does not leave the workers
+/// idle behind it (4 per worker made contended-twin campaigns 1.7×
+/// slower), shallow enough that the units in flight stay small next to
+/// a simulator-bound campaign's memory.
+const WINDOW_PER_WORKER: usize = 16;
+
+/// Run `prepare` over `items` on `workers` scoped threads and hand each
+/// item with its prepared value to `commit` on the calling thread,
+/// strictly in input order, until `commit` returns `Ok(false)` (stop)
+/// or an error. At most [`WINDOW_PER_WORKER`] × `workers` items are in
+/// flight. A panic in `prepare` reaches `commit` as `Err(payload)`.
+/// With one worker both calls run inline and no thread is spawned.
+///
+/// The calling thread only commits: preparing a slow item there would
+/// hold back every commit behind it while the workers drain the window
+/// and idle.
+fn prepare_in_order<T: Send, P: Send, E>(
+    items: impl Iterator<Item = T>,
+    workers: usize,
+    prepare: impl Fn(&T) -> P + Sync,
+    mut commit: impl FnMut(T, thread::Result<P>) -> Result<bool, E>,
+) -> Result<(), E> {
+    let prepare = |item: &T| catch_unwind(AssertUnwindSafe(|| prepare(item)));
+    if workers <= 1 {
+        for item in items {
+            let prepared = prepare(&item);
+            if !commit(item, prepared)? {
+                break;
+            }
+        }
+        return Ok(());
+    }
+    let (job_tx, job_rx) = mpsc::channel::<(usize, T)>();
+    let (done_tx, done_rx) = mpsc::channel::<(usize, T, thread::Result<P>)>();
+    // Only workers take this lock: an idle one parks in `recv` holding
+    // it, and the calling thread never waits on it.
+    let job_rx = Mutex::new(job_rx);
+    let stopped = AtomicBool::new(false);
+    thread::scope(|s| {
+        for _ in 0..workers {
+            let (job_rx, stopped, prepare) = (&job_rx, &stopped, &prepare);
+            let done_tx = done_tx.clone();
+            s.spawn(move || loop {
+                let job = job_rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                let Ok((seq, item)) = job else { break };
+                if stopped.load(Ordering::Relaxed) {
+                    break;
+                }
+                let prepared = prepare(&item);
+                if done_tx.send((seq, item, prepared)).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(done_tx);
+        // Dropped when this closure returns (or unwinds), which lets
+        // every worker's `recv` fail once the queue is drained.
+        let job_tx = job_tx;
+        let mut items = items.fuse();
+        let window = WINDOW_PER_WORKER * workers;
+        // `ready[k]` holds item `next + k` once its worker is done.
+        let mut ready: VecDeque<Option<(T, thread::Result<P>)>> = VecDeque::new();
+        let (mut sent, mut next) = (0usize, 0usize);
+        let result = loop {
+            while sent - next < window {
+                let Some(item) = items.next() else { break };
+                job_tx.send((sent, item)).expect("the job queue outlives the scope");
+                sent += 1;
+            }
+            if next == sent {
+                break Ok(());
+            }
+            while !matches!(ready.front(), Some(Some(_))) {
+                let (seq, item, prepared) =
+                    done_rx.recv().expect("every worker returns each job it takes");
+                let slot = seq - next;
+                if ready.len() <= slot {
+                    ready.resize_with(slot + 1, || None);
+                }
+                ready[slot] = Some((item, prepared));
+            }
+            let (item, prepared) = ready.pop_front().flatten().expect("front slot is filled");
+            next += 1;
+            match commit(item, prepared) {
+                Ok(true) => {}
+                Ok(false) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        stopped.store(true, Ordering::Relaxed);
+        result
+    })
 }
 
 /// The campaign's deterministic substance, accumulated row by row —
@@ -329,11 +454,13 @@ pub fn drive_campaign(
             salt: format!("{}|col:{}", opts.salt, id.column()),
         })
         .collect();
-    let mut checker = MultiBatchChecker::new(columns, store)
+    // Campaigns parallelise over units, not candidates: `jobs` threads
+    // each prepare whole units, checking their candidates inline.
+    let workers = worker_threads(opts.jobs);
+    let checker = MultiBatchChecker::new(columns, store)
         .with_options(EnumOptions { stats: opts.enum_stats.clone(), ..EnumOptions::default() })
         .with_pipeline_stats(opts.data_plane.clone())
-        .with_jobs(opts.jobs)
-        .with_queue_depth(opts.queue_depth)
+        .with_jobs(1)
         .with_budget(opts.budget.clone());
 
     // Resume: load the latest valid manifest and refuse a config
@@ -394,52 +521,72 @@ pub fn drive_campaign(
     let mut checkpoints_written = 0usize;
     let mut processed = 0usize;
     let mut suspended = None;
-    let mut mask_row = vec![false; ModelId::ALL.len()];
+    let mask_of = |test: &Test| ModelId::ALL.map(|id| id.supports(test));
 
-    for (off, entry) in (&mut stream).enumerate() {
-        let i = start_at + off;
-        let entry = entry?;
-        // Simulated SIGKILL at a unit boundary (crash-storm tests).
-        if faultpoint::should_fail("campaign.kill") {
-            std::process::abort();
-        }
-        for (slot, &id) in mask_row.iter_mut().zip(&ModelId::ALL) {
-            *slot = id.supports(&entry.test);
-        }
-        if quarantined.contains(&i) {
-            // Still quarantined from the resumed campaign: the slots
-            // stay `None` without another round of doomed retries.
-        } else if let Some(f) = supervise_unit(&mut run, i, &entry.test, &mask_row, res, retry_timeouts) {
-            failed.push(f);
-        }
-        let row = MatrixRow { cells: run.row_cells(i), test: entry.test, origin: entry.origin };
-        row_check(i, &row, &mut core.discrepancies, &mut core.summaries);
-        core.account_row(&row);
-        processed += 1;
-        since_ckpt += 1;
-        let done = i + 1;
-        if done < total_units {
-            if let Some(log) = &mut log {
-                if since_ckpt >= res.checkpoint_every.max(1) {
-                    run.flush().map_err(CampaignError::Store)?;
-                    log.append(&Checkpoint {
-                        fingerprint,
-                        cursor: done,
-                        watermarks: core.watermarks(),
-                        failed_units: failed.clone(),
-                        prefix: core.prefix_stats(),
-                    })
-                    .map_err(CampaignError::Checkpoint)?;
-                    checkpoints_written += 1;
-                    since_ckpt = 0;
+    // Workers prepare units ahead (pure: keys, lookups, enumeration);
+    // everything order- or state-dependent happens here, in corpus
+    // order, on the calling thread.
+    let units = (&mut stream).enumerate().map(|(off, entry)| (start_at + off, entry));
+    let prepare = |(i, entry): &(usize, Result<CorpusEntry, GenError>)| {
+        let entry = entry.as_ref().ok().filter(|_| !quarantined.contains(i))?;
+        Some(checker.prepare(&entry.test, &mask_of(&entry.test)))
+    };
+    prepare_in_order(
+        units,
+        workers,
+        prepare,
+        |(i, entry), prepared| -> Result<bool, CampaignError> {
+            let entry = entry?;
+            // Simulated SIGKILL at a unit boundary (crash-storm tests).
+            if faultpoint::should_fail("campaign.kill") {
+                std::process::abort();
+            }
+            // A unit still quarantined from the resumed campaign keeps
+            // its row `None` without another round of doomed retries.
+            if !quarantined.contains(&i) {
+                if let Some(f) = supervise_unit(
+                    &mut run,
+                    i,
+                    &entry.test,
+                    &mask_of(&entry.test),
+                    prepared.map_err(|payload| panic_text(payload.as_ref())),
+                    res,
+                    retry_timeouts,
+                ) {
+                    failed.push(f);
                 }
             }
-            if res.stop_after.is_some_and(|stop| processed >= stop) {
-                suspended = Some(done);
-                break;
+            let cells = run.take_row(i).into_iter().map(|cell| cell.map(|c| c.outcome)).collect();
+            let row = MatrixRow { cells, test: entry.test, origin: entry.origin };
+            row_check(i, &row, &mut core.discrepancies, &mut core.summaries);
+            core.account_row(&row);
+            processed += 1;
+            since_ckpt += 1;
+            let done = i + 1;
+            if done < total_units {
+                if let Some(log) = &mut log {
+                    if since_ckpt >= res.checkpoint_every.max(1) {
+                        run.flush().map_err(CampaignError::Store)?;
+                        log.append(&Checkpoint {
+                            fingerprint,
+                            cursor: done,
+                            watermarks: core.watermarks(),
+                            failed_units: failed.clone(),
+                            prefix: core.prefix_stats(),
+                        })
+                        .map_err(CampaignError::Checkpoint)?;
+                        checkpoints_written += 1;
+                        since_ckpt = 0;
+                    }
+                }
+                if res.stop_after.is_some_and(|stop| processed >= stop) {
+                    suspended = Some(done);
+                    return Ok(false);
+                }
             }
-        }
-    }
+            Ok(true)
+        },
+    )?;
 
     if let Some(done) = suspended {
         run.flush().map_err(CampaignError::Store)?;
@@ -456,7 +603,7 @@ pub fn drive_campaign(
         return Err(CampaignError::Suspended { cursor: done, total: total_units });
     }
 
-    let report = match run.finish(total_units) {
+    let report = match run.finish() {
         Ok(r) => r,
         Err(BatchError::Io(e)) => return Err(CampaignError::Store(e)),
         Err(BatchError::Generate(e)) => unreachable!("check_unit does not generate: {e}"),
@@ -485,7 +632,15 @@ pub fn drive_campaign(
         pass.candidates_enumerated = col.candidates_enumerated;
     }
 
-    Ok((core, DriveOutcome { failed_units: failed, resumed_at, checkpoints_written }))
+    Ok((
+        core,
+        DriveOutcome {
+            failed_units: failed,
+            resumed_at,
+            checkpoints_written,
+            prepared_discarded: report.prepared_discarded,
+        },
+    ))
 }
 
 #[cfg(test)]
@@ -493,6 +648,8 @@ mod tests {
     use super::*;
     use crate::campaign::{config_fingerprint, corpus_stream, CampaignConfig, SimConfig};
     use crate::oracle::check_row;
+    use lkmm_exec::{ConsistencyModel, ExecFacts, Execution};
+    use std::sync::Arc;
 
     fn quick_config() -> CampaignConfig {
         CampaignConfig {
@@ -657,6 +814,54 @@ mod tests {
         assert!(outcome.checkpoints_written >= 1, "final frame always lands");
         assert!(core.corpus_library + core.corpus_generated > 0);
         let _ = std::fs::remove_file(&ckpt);
+    }
+
+    /// SC whose first `name()` call panics — a fault in key derivation,
+    /// outside the pipeline's containment, so it escapes `prepare`.
+    struct FirstNamePanics {
+        armed: Arc<AtomicBool>,
+        sc: lkmm_models::Sc,
+    }
+
+    impl ConsistencyModel for FirstNamePanics {
+        fn name(&self) -> &str {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                panic!("injected panic deriving a cache key");
+            }
+            self.sc.name()
+        }
+
+        fn allows(&self, x: &Execution) -> bool {
+            self.sc.allows(x)
+        }
+
+        fn allows_with(&self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
+            self.sc.allows_with(x, facts)
+        }
+    }
+
+    #[test]
+    fn panic_while_preparing_is_retried_on_the_calling_thread() {
+        let cfg = quick_config();
+        let res = ResilienceConfig { retry_base_ms: 0, ..ResilienceConfig::default() };
+        let (reference, _) = drive(&cfg, None, &res).unwrap();
+        for jobs in [1, 2] {
+            let armed = Arc::new(AtomicBool::new(true));
+            let mut set = ModelSet::standard();
+            set.replace(
+                ModelId::Sc,
+                Box::new(FirstNamePanics { armed: armed.clone(), sc: lkmm_models::Sc }),
+            );
+            let stream = corpus_stream(&cfg);
+            let fp = config_fingerprint(&cfg, stream.total());
+            let opts = MatrixOptions { jobs, ..MatrixOptions::default() };
+            let (core, outcome) =
+                drive_campaign(stream, fp, &set, &opts, &res, |_, row, d, s| check_row(row, d, s))
+                    .unwrap();
+            assert!(!armed.load(Ordering::SeqCst), "jobs={jobs}: the panic fired");
+            assert!(outcome.failed_units.is_empty(), "jobs={jobs}: the retry succeeded");
+            assert_same_substance(&core, &reference);
+        }
     }
 
     #[test]

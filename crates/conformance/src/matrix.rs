@@ -268,9 +268,12 @@ pub struct MatrixOptions<'a> {
     /// Cache version salt (the per-model component is the model name,
     /// already folded into every key by the batch checker).
     pub salt: &'a str,
-    /// Pipeline worker threads per check (0 = all hardware threads).
+    /// Worker threads (0 = all hardware threads): [`build_matrix`]
+    /// checks each test's candidates on this many pipeline workers,
+    /// [`crate::driver::drive_campaign`] checks this many units at once.
     pub jobs: usize,
-    /// Per-worker candidate queue bound.
+    /// Per-worker candidate queue bound ([`build_matrix`] only: the
+    /// campaign driver checks each unit's candidates inline).
     pub queue_depth: usize,
     /// Per-check budget; exceeding it leaves an inconclusive cell.
     pub budget: Budget,

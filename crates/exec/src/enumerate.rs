@@ -79,6 +79,21 @@ impl EnumStats {
             candidates_emitted: self.candidates_emitted.load(AtomicOrdering::Relaxed),
         }
     }
+
+    /// Add another counter set's totals to these — how an enumeration
+    /// run against private counters is folded into shared ones once its
+    /// result is kept.
+    pub fn add(&self, other: &EnumSnapshot) {
+        for (counter, n) in [
+            (&self.rf_prefixes_pruned, other.rf_prefixes_pruned),
+            (&self.co_pairs_saturated, other.co_pairs_saturated),
+            (&self.co_pairs_branched, other.co_pairs_branched),
+            (&self.co_leaves_tested, other.co_leaves_tested),
+            (&self.candidates_emitted, other.candidates_emitted),
+        ] {
+            counter.fetch_add(n, AtomicOrdering::Relaxed);
+        }
+    }
 }
 
 /// Point-in-time copy of [`EnumStats`].

@@ -52,7 +52,7 @@ pub use model::{
 };
 pub use pipeline::{
     check_test_governed, check_test_multi, check_test_multi_governed, check_test_pipelined,
-    effective_jobs, CheckOutcome, DataPlaneSnapshot, DataPlaneStats, InconclusiveReason,
-    MultiCheckOutcome, PipelineOptions, Tally, MAX_BATCH, MAX_JOBS,
+    effective_jobs, worker_threads, CheckOutcome, DataPlaneSnapshot, DataPlaneStats,
+    InconclusiveReason, MultiCheckOutcome, PipelineOptions, Tally, MAX_BATCH, MAX_JOBS,
 };
 pub use states::{collect_states, StateSummary};

@@ -181,6 +181,14 @@ impl DataPlaneStats {
         self.arena_acquires.fetch_add(acquires, Ordering::Relaxed);
         self.arena_reuses.fetch_add(reuses, Ordering::Relaxed);
     }
+
+    /// Add another counter set's totals to these — how a check run
+    /// against private counters is folded into shared ones once its
+    /// result is kept.
+    pub fn add(&self, other: &DataPlaneSnapshot) {
+        self.add_batches(other.batches_formed, other.batch_candidates);
+        self.add_arena(other.arena_acquires, other.arena_reuses);
+    }
 }
 
 /// Plain-data view of [`DataPlaneStats`] at one instant.
@@ -213,6 +221,15 @@ impl DataPlaneSnapshot {
 pub fn effective_jobs(jobs: usize) -> usize {
     let jobs = if jobs == 0 { hardware_parallelism() } else { jobs };
     jobs.min(MAX_JOBS)
+}
+
+/// Threads a `jobs` request actually runs on: [`effective_jobs`], never
+/// more than the host's available parallelism. Workers beyond it only
+/// add queue traffic and context switches on a saturated scheduler, and
+/// results are identical at any worker count by construction (on a
+/// single-threaded host every job count collapses to the inline path).
+pub fn worker_threads(jobs: usize) -> usize {
+    effective_jobs(jobs).min(hardware_parallelism())
 }
 
 /// The host's available parallelism, queried once per process.
@@ -475,13 +492,7 @@ fn run_check(
     pipe: &PipelineOptions,
 ) -> RawCheck {
     assert!(!models.is_empty(), "run_check needs at least one model");
-    // Workers beyond the host's parallelism only add queue traffic and
-    // context switches on a saturated scheduler — results are identical
-    // at any worker count by construction, so the spawned count is
-    // clamped to what the hardware can actually run (on a
-    // single-threaded host every job count collapses to the inline
-    // path).
-    let jobs = effective_jobs(pipe.jobs).min(hardware_parallelism());
+    let jobs = worker_threads(pipe.jobs);
     let quantifier = test.condition.quantifier;
     let prop = &test.condition.prop;
     let fuel = opts.budget.step_fuel();

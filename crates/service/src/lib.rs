@@ -43,7 +43,8 @@ pub mod store;
 
 pub use batch::{BatchChecker, BatchError, BatchOutcome, BatchReport, Provenance};
 pub use multi::{
-    ColumnReport, CorpusRun, MultiBatchChecker, MultiBatchReport, MultiColumn, UnitFault,
+    ColumnReport, CorpusRun, MultiBatchChecker, MultiBatchReport, MultiColumn, PreparedUnit,
+    UnitCell, UnitFault,
 };
 pub use canon::{cache_key, cache_key_of_text, canonical_text, canonicalize, CANON_REVISION};
 pub use serve::{serve, serve_with, ServeOptions, ServeSummary};

@@ -10,6 +10,14 @@
 //! shared facts layer. A fully warm store enumerates nothing; a cold
 //! seven-column run enumerates each test once instead of seven times.
 //!
+//! Checking a unit has two halves. [`MultiBatchChecker::prepare`] is
+//! pure — canonical text, keys, store lookups and the enumeration — so
+//! a driver may run it for many units at once on worker threads.
+//! [`CorpusRun::commit`] applies a prepared unit in corpus order: the
+//! dedupe map, store appends and counters all live there, which is what
+//! keeps reports and counters identical however many units were
+//! prepared ahead.
+//!
 //! Per-column bookkeeping (hits, computed, deduped, inconclusive,
 //! candidates) keeps the exact semantics of N sequential passes: a
 //! column's `candidates_enumerated` counts the candidates *its* verdict
@@ -22,12 +30,14 @@ use crate::canon::{cache_key, cache_key_of_text, canonical_text};
 use crate::store::{VerdictLog, VerdictStore};
 use lkmm_core::budget::{Budget, BudgetKind, Meter};
 use lkmm_exec::{
-    check_test_multi_governed, CheckOutcome, ConsistencyModel, EnumOptions, InconclusiveReason,
-    MultiCheckOutcome, PipelineOptions, Tally,
+    check_test_multi_governed, CheckOutcome, ConsistencyModel, DataPlaneSnapshot, DataPlaneStats,
+    EnumOptions, EnumSnapshot, EnumStats, InconclusiveReason, MultiCheckOutcome, PipelineOptions,
+    Tally,
 };
 use lkmm_litmus::ast::Test;
 use std::collections::HashMap;
 use std::io;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 /// One column of a multi-model batch: a model plus its cache salt.
@@ -40,11 +50,13 @@ pub struct MultiColumn<'m> {
     pub salt: String,
 }
 
-/// Per-column results and counters, aligned to the corpus.
+/// Per-column results and counters.
 #[derive(Clone, Debug)]
 pub struct ColumnReport {
     /// One slot per corpus member; `None` where the column was masked
-    /// out (the checker does not cover the test).
+    /// out (the checker does not cover the test). Filled by
+    /// [`MultiBatchChecker::check_corpus`]; empty in the report of a
+    /// streaming [`CorpusRun`], which keeps only the current unit.
     pub outcomes: Vec<Option<BatchOutcome>>,
     /// Store hits.
     pub hits: usize,
@@ -69,6 +81,12 @@ pub struct MultiBatchReport {
     /// Candidates actually enumerated, counted once per pass — the
     /// denominator of the single-enumeration saving.
     pub candidates_actual: usize,
+    /// Prepared enumerations a commit threw away because the columns
+    /// still missing had changed since (an in-corpus duplicate of a unit
+    /// that was itself in flight) or the corpus budget had run out.
+    /// Never counted anywhere else: their passes and candidates are not
+    /// in the totals above.
+    pub prepared_discarded: usize,
     /// Wall-clock for the batch, in microseconds.
     pub micros: u128,
 }
@@ -79,7 +97,13 @@ pub struct MultiBatchReport {
 /// [`crate::BatchChecker`].
 pub struct MultiBatchChecker<'m, S: VerdictLog = VerdictStore> {
     columns: Vec<MultiColumn<'m>>,
-    store: S,
+    /// Locked so threads running [`MultiBatchChecker::prepare`] can look
+    /// verdicts up while the committing thread appends.
+    store: RwLock<S>,
+    /// Fully-derived per-column key salts (base salt + options),
+    /// rederived only when the options change, which keeps the Debug
+    /// formatting of the options out of the per-unit path.
+    salts: Vec<String>,
     enum_opts: EnumOptions,
     pipe: PipelineOptions,
 }
@@ -94,16 +118,21 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
         assert!(!columns.is_empty(), "multi-model batch needs at least one column");
         MultiBatchChecker {
             columns,
-            store,
+            store: RwLock::new(store),
+            salts: Vec::new(),
             enum_opts: EnumOptions::default(),
             pipe: PipelineOptions { jobs: 0, ..PipelineOptions::default() },
         }
+        // Derives the key salts.
+        .with_options(EnumOptions::default())
     }
 
     /// Override the enumeration options (folded into cache keys, except
     /// the budget).
     pub fn with_options(mut self, opts: EnumOptions) -> Self {
         self.enum_opts = opts;
+        self.salts =
+            self.columns.iter().map(|c| format!("{}|{:?}", c.salt, self.enum_opts)).collect();
         self
     }
 
@@ -124,10 +153,7 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
     /// during enumeration passes. Observability only — like job count,
     /// never part of cache keys, and a warm store (which enumerates
     /// nothing) legitimately leaves the counters at zero.
-    pub fn with_pipeline_stats(
-        mut self,
-        stats: Option<std::sync::Arc<lkmm_exec::DataPlaneStats>>,
-    ) -> Self {
+    pub fn with_pipeline_stats(mut self, stats: Option<Arc<DataPlaneStats>>) -> Self {
         self.pipe.stats = stats;
         self
     }
@@ -143,9 +169,7 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
     /// [`crate::BatchChecker::key_of`] on a checker built with the same
     /// salt, so stores are shared freely between the two paths.
     pub fn key_of(&self, col: usize, test: &Test) -> u128 {
-        let c = &self.columns[col];
-        let salt = format!("{}|{:?}", c.salt, self.enum_opts);
-        cache_key(test, c.model.name(), &salt)
+        cache_key(test, self.columns[col].model.name(), &self.salts[col])
     }
 
     /// Check a corpus across every column: per column, dedupe by
@@ -159,8 +183,9 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
     /// [`crate::BatchChecker::check_corpus`].
     ///
     /// This is [`MultiBatchChecker::begin_corpus`] driven over the whole
-    /// slice at once; a driver that streams units (for checkpointing or
-    /// retries) uses the [`CorpusRun`] API directly.
+    /// slice at once, collecting every unit's cells into the report; a
+    /// driver that streams units (for checkpointing or retries) uses the
+    /// [`CorpusRun`] API directly.
     ///
     /// # Errors
     ///
@@ -175,6 +200,8 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
             assert_eq!(row.len(), tests.len(), "one mask slot per corpus member");
         }
         let ncols = self.columns.len();
+        let mut outcomes: Vec<Vec<Option<BatchOutcome>>> =
+            (0..ncols).map(|_| Vec::with_capacity(tests.len())).collect();
         let mut run = self.begin_corpus();
         let mut row = vec![false; ncols];
         for (i, test) in tests.iter().enumerate() {
@@ -182,15 +209,28 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
                 row[c] = mask[c][i];
             }
             run.check_unit(i, test, &row)?;
+            for (slots, cell) in outcomes.iter_mut().zip(run.take_row(i)) {
+                slots.push(cell.map(|cell| BatchOutcome {
+                    name: test.name.clone(),
+                    key: cell.key,
+                    outcome: cell.outcome,
+                    provenance: cell.provenance,
+                }));
+            }
         }
-        run.finish(tests.len())
+        let mut report = run.finish()?;
+        for (col, slots) in report.columns.iter_mut().zip(outcomes) {
+            col.outcomes = slots;
+        }
+        Ok(report)
     }
 
     /// Start a streaming corpus session: per-run dedupe maps, counters,
     /// and corpus meter, fed one unit at a time via
-    /// [`CorpusRun::check_unit`]. The checker (and its store) is borrowed
-    /// for the run's lifetime.
-    pub fn begin_corpus(&mut self) -> CorpusRun<'_, 'm, S> {
+    /// [`CorpusRun::check_unit`] or [`CorpusRun::commit`]. The checker
+    /// stays shared for the run's lifetime, so other threads may
+    /// [`prepare`](MultiBatchChecker::prepare) units meanwhile.
+    pub fn begin_corpus(&self) -> CorpusRun<'_, 'm, S> {
         let ncols = self.columns.len();
         // Corpus-level governor: absolute deadline and cancellation only;
         // candidate/step fuel and the relative time limit are per-check.
@@ -201,14 +241,6 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
             ..self.enum_opts.budget.clone()
         }
         .meter();
-        // The per-column key salts are fixed for the whole run (the
-        // checker is exclusively borrowed); deriving them here keeps
-        // the Debug-format of the options out of the per-unit path.
-        let salts: Vec<String> = self
-            .columns
-            .iter()
-            .map(|c| format!("{}|{:?}", c.salt, self.enum_opts))
-            .collect();
         CorpusRun {
             columns: (0..ncols)
                 .map(|_| ColumnReport {
@@ -221,18 +253,89 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
                 })
                 .collect(),
             seen: vec![HashMap::new(); ncols],
-            salts,
+            row: vec![None; ncols],
+            row_unit: None,
             enumeration_passes: 0,
             candidates_actual: 0,
+            prepared_discarded: 0,
             corpus_meter,
             start: Instant::now(),
             checker: self,
         }
     }
 
-    /// The underlying store.
-    pub fn store(&self) -> &S {
-        &self.store
+    /// The order-independent half of checking one unit, safe to run on
+    /// any thread ahead of the unit's turn: one canonicalization, every
+    /// column's key, a store lookup per column `mask_row` enables, and
+    /// one governed enumeration (at this checker's pipeline options)
+    /// over the enabled columns the store lacks. Its counters are kept
+    /// apart until [`CorpusRun::commit`] adopts the result.
+    ///
+    /// # Panics
+    ///
+    /// If `mask_row` does not have one slot per column.
+    pub fn prepare(&self, test: &Test, mask_row: &[bool]) -> PreparedUnit {
+        assert_eq!(mask_row.len(), self.columns.len(), "one mask slot per column");
+        // One canonicalization serves every column: the columns differ
+        // only in the (model, salt) folded into the hash, not in the
+        // canonical text, and canonicalizing dominates key derivation —
+        // this is what makes a store-warm replay (and a checkpoint
+        // resume) cheap.
+        let canon = canonical_text(test);
+        let keys: Vec<u128> = self
+            .columns
+            .iter()
+            .zip(&self.salts)
+            .map(|(c, salt)| cache_key_of_text(&canon, c.model.name(), salt))
+            .collect();
+        let missing: Vec<usize> = {
+            let store = self.store();
+            (0..keys.len()).filter(|&c| mask_row[c] && store.get(keys[c]).is_none()).collect()
+        };
+        let check = (!missing.is_empty()).then(|| self.check_columns(test, missing));
+        PreparedUnit { keys, check }
+    }
+
+    /// One governed enumeration of `test` over `columns`, against
+    /// private counters.
+    fn check_columns(&self, test: &Test, columns: Vec<usize>) -> ColumnsCheck {
+        let enum_stats = self.enum_opts.stats.as_ref().map(|_| Arc::new(EnumStats::default()));
+        let data_plane = self.pipe.stats.as_ref().map(|_| Arc::new(DataPlaneStats::default()));
+        let opts = EnumOptions { stats: enum_stats.clone(), ..self.enum_opts.clone() };
+        let pipe = PipelineOptions { stats: data_plane.clone(), ..self.pipe.clone() };
+        let models: Vec<&dyn ConsistencyModel> =
+            columns.iter().map(|&c| self.columns[c].model).collect();
+        let outcome = check_test_multi_governed(&models, test, &opts, &pipe);
+        ColumnsCheck {
+            columns,
+            outcome,
+            enum_stats: enum_stats.map(|s| s.snapshot()),
+            data_plane: data_plane.map(|s| s.snapshot()),
+        }
+    }
+
+    /// Fold an adopted check's private counters into the shared ones.
+    fn adopt_counters(&self, check: &ColumnsCheck) {
+        if let (Some(shared), Some(own)) = (&self.enum_opts.stats, &check.enum_stats) {
+            shared.add(own);
+        }
+        if let (Some(shared), Some(own)) = (&self.pipe.stats, &check.data_plane) {
+            shared.add(own);
+        }
+    }
+
+    /// The underlying store, read-locked while the guard lives.
+    ///
+    /// A panic while a commit held the lock leaves the store no worse
+    /// than a crash mid-append, which it is built to recover from (and
+    /// the campaign supervisor retries the unit), so a poisoned lock is
+    /// taken over rather than propagated.
+    pub fn store(&self) -> RwLockReadGuard<'_, S> {
+        self.store.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn store_mut(&self) -> RwLockWriteGuard<'_, S> {
+        self.store.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Sync the store to stable storage.
@@ -241,27 +344,40 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
     ///
     /// I/O errors from the sync.
     pub fn flush(&mut self) -> io::Result<()> {
-        self.store.flush()
+        self.store.get_mut().unwrap_or_else(PoisonError::into_inner).flush()
     }
 }
 
-/// A streaming corpus session over a [`MultiBatchChecker`]: the caller
-/// feeds units one at a time (in any index order, normally ascending)
-/// and collects the aggregate [`MultiBatchReport`] at the end. This is
-/// what a checkpointing campaign driver runs on — it can flush the
-/// store between units, skip quarantined indices (their slots stay
-/// `None`), and *re-run* a unit whose first attempt failed partway.
-///
-/// ## Retry semantics
-///
-/// `check_unit` is safe to call again with the same index after an
-/// error or a contained panic: outcome slots are per-index and simply
-/// overwritten, columns that already completed (their verdict reached
-/// the store or the dedupe map) replay instead of recomputing, and only
-/// the columns that never finished are enumerated again. Session
-/// counters (`hits`/`computed`/`deduped`) may double-count across such
-/// a retry — they are stderr observability, deliberately excluded from
-/// deterministic reports.
+/// A unit's result from [`MultiBatchChecker::prepare`], waiting for
+/// [`CorpusRun::commit`].
+#[derive(Debug)]
+pub struct PreparedUnit {
+    /// One cache key per column, masked columns included.
+    keys: Vec<u128>,
+    /// The enumeration over the columns the store lacked, if any.
+    check: Option<ColumnsCheck>,
+}
+
+/// One enumeration pass over a set of columns, with its own counters.
+#[derive(Debug)]
+struct ColumnsCheck {
+    columns: Vec<usize>,
+    outcome: MultiCheckOutcome,
+    enum_stats: Option<EnumSnapshot>,
+    data_plane: Option<DataPlaneSnapshot>,
+}
+
+/// One decided cell of a unit.
+#[derive(Clone, Debug)]
+pub struct UnitCell {
+    /// Content-addressed cache key.
+    pub key: u128,
+    /// The structured outcome (always `Complete` unless computed).
+    pub outcome: CheckOutcome,
+    /// How it was answered.
+    pub provenance: Provenance,
+}
+
 /// A retry-worthy failure recorded in a unit's cells (see
 /// [`CorpusRun::unit_fault`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -274,22 +390,47 @@ pub enum UnitFault {
     TimedOut,
 }
 
+/// A streaming corpus session over a [`MultiBatchChecker`]: the caller
+/// feeds units one at a time (in any index order, normally ascending)
+/// and collects the aggregate [`MultiBatchReport`] at the end. This is
+/// what a checkpointing campaign driver runs on — it can flush the
+/// store between units, skip quarantined indices (their rows stay
+/// `None`), and *re-run* a unit whose first attempt failed partway.
+///
+/// Only the unit committed last keeps its cells ([`CorpusRun::take_row`]);
+/// across units the session keeps per-column counters and a dedupe map
+/// from key to the first unit that resolved it. A duplicate's verdict
+/// is replayed from the store (a backend that dropped the first
+/// verdict's append makes the duplicate compute afresh instead).
+///
+/// ## Retry semantics
+///
+/// `check_unit` is safe to call again with the same index after an
+/// error or a contained panic: the unit's row is simply overwritten,
+/// columns that already completed (their verdict reached the store)
+/// replay instead of recomputing, and only the columns that never
+/// finished are enumerated again. Session counters
+/// (`hits`/`computed`/`deduped`) may double-count across such a retry —
+/// they are stderr observability, deliberately excluded from
+/// deterministic reports.
 pub struct CorpusRun<'a, 'm, S: VerdictLog = VerdictStore> {
-    checker: &'a mut MultiBatchChecker<'m, S>,
+    checker: &'a MultiBatchChecker<'m, S>,
     columns: Vec<ColumnReport>,
     seen: Vec<HashMap<u128, usize>>,
-    /// Fully-derived per-column key salts (base salt + options), fixed
-    /// for the run.
-    salts: Vec<String>,
+    /// Cells of unit `row_unit`, the one committed last.
+    row: Vec<Option<UnitCell>>,
+    row_unit: Option<usize>,
     enumeration_passes: usize,
     candidates_actual: usize,
+    prepared_discarded: usize,
     corpus_meter: Meter,
     start: Instant,
 }
 
 impl<S: VerdictLog> CorpusRun<'_, '_, S> {
     /// Check corpus member `i` across every column `mask_row` enables
-    /// (one slot per column). Outcome storage grows to cover `i`.
+    /// (one slot per column) on the calling thread:
+    /// [`MultiBatchChecker::prepare`] then [`CorpusRun::commit`].
     ///
     /// # Errors
     ///
@@ -300,66 +441,64 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
         test: &Test,
         mask_row: &[bool],
     ) -> Result<(), BatchError> {
-        let ncols = self.checker.columns.len();
+        let prepared = self.checker.prepare(test, mask_row);
+        self.commit(i, test, mask_row, prepared)
+    }
+
+    /// Apply unit `i`'s prepared check, in corpus order: resolve each
+    /// enabled column against the store (a verdict already there is a
+    /// replay — `Deduped` if an earlier unit of this run resolved the
+    /// key, else a `Hit`), then settle the columns still missing with
+    /// the prepared enumeration if it covered exactly those columns, or
+    /// with a fresh one on this thread if not. The two sets differ only
+    /// when an earlier duplicate of this unit was committed after this
+    /// one was prepared. Completed verdicts are appended to the store.
+    ///
+    /// # Errors
+    ///
+    /// Store-append failure only; see the retry semantics above.
+    pub fn commit(
+        &mut self,
+        i: usize,
+        test: &Test,
+        mask_row: &[bool],
+        prepared: PreparedUnit,
+    ) -> Result<(), BatchError> {
+        let ncols = self.columns.len();
         assert_eq!(mask_row.len(), ncols, "one mask slot per column");
-        for col in &mut self.columns {
-            if col.outcomes.len() <= i {
-                col.outcomes.resize(i + 1, None);
-            }
-        }
-        // One canonicalization serves every column: the columns differ
-        // only in the (model, salt) folded into the hash, not in the
-        // canonical text, and canonicalizing dominates key derivation —
-        // this is what makes a store-warm replay (and a checkpoint
-        // resume) cheap.
-        let canon = canonical_text(test);
-        let keys: Vec<u128> = (0..ncols)
-            .map(|c| {
-                cache_key_of_text(&canon, self.checker.columns[c].model.name(), &self.salts[c])
-            })
-            .collect();
-        // Resolve each column against its dedupe map and the store;
-        // whatever is left shares one enumeration pass.
+        self.row.iter_mut().for_each(|cell| *cell = None);
+        self.row_unit = Some(i);
+        let PreparedUnit { keys, check } = prepared;
         let mut missing: Vec<usize> = Vec::new();
-        for c in 0..ncols {
-            if !mask_row[c] {
-                continue;
-            }
-            let key = keys[c];
-            if let Some(&first) = self.seen[c].get(&key) {
-                self.columns[c].deduped += 1;
-                let replay = self.columns[c].outcomes[first]
-                    .as_ref()
-                    .expect("dedupe map only indexes filled slots")
-                    .outcome
-                    .clone();
-                self.columns[c].outcomes[i] = Some(BatchOutcome {
-                    name: test.name.clone(),
-                    key,
-                    outcome: replay,
-                    provenance: Provenance::Deduped,
-                });
-            } else if let Some(result) = self.checker.store.get(key) {
-                self.columns[c].hits += 1;
-                self.seen[c].insert(key, i);
-                self.columns[c].outcomes[i] = Some(BatchOutcome {
-                    name: test.name.clone(),
-                    key,
-                    outcome: CheckOutcome::Complete(result),
-                    provenance: Provenance::Hit,
-                });
-            } else {
-                missing.push(c);
+        {
+            let store = self.checker.store();
+            for c in (0..ncols).filter(|&c| mask_row[c]) {
+                let key = keys[c];
+                let Some(result) = store.get(key) else {
+                    missing.push(c);
+                    continue;
+                };
+                let provenance = if self.seen[c].contains_key(&key) {
+                    self.columns[c].deduped += 1;
+                    Provenance::Deduped
+                } else {
+                    self.columns[c].hits += 1;
+                    self.seen[c].insert(key, i);
+                    Provenance::Hit
+                };
+                self.row[c] =
+                    Some(UnitCell { key, outcome: CheckOutcome::Complete(result), provenance });
             }
         }
         if missing.is_empty() {
+            self.discard(check);
             return Ok(());
         }
         if let Err(kind) = self.corpus_meter.poll_now() {
+            self.discard(check);
             for &c in &missing {
                 self.columns[c].inconclusive += 1;
-                self.columns[c].outcomes[i] = Some(BatchOutcome {
-                    name: test.name.clone(),
+                self.row[c] = Some(UnitCell {
                     key: keys[c],
                     outcome: CheckOutcome::Inconclusive {
                         reason: InconclusiveReason::BudgetExceeded(kind),
@@ -370,26 +509,26 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
             }
             return Ok(());
         }
-        let models: Vec<&dyn ConsistencyModel> =
-            missing.iter().map(|&c| self.checker.columns[c].model).collect();
-        let outcome =
-            check_test_multi_governed(&models, test, &self.checker.enum_opts, &self.checker.pipe);
+        let check = match check {
+            Some(check) if check.columns == missing => check,
+            stale => {
+                self.discard(stale);
+                self.checker.check_columns(test, missing)
+            }
+        };
+        self.checker.adopt_counters(&check);
         self.enumeration_passes += 1;
-        match outcome {
+        match check.outcome {
             MultiCheckOutcome::Complete(results) => {
-                let mut counted = false;
-                for (&c, result) in missing.iter().zip(results) {
-                    if !counted {
-                        self.candidates_actual += result.candidates;
-                        counted = true;
-                    }
+                self.candidates_actual += results.first().map_or(0, |r| r.candidates);
+                let mut store = self.checker.store_mut();
+                for (&c, result) in check.columns.iter().zip(results) {
                     let key = keys[c];
-                    self.checker.store.put(key, result.clone())?;
+                    store.put(key, result.clone())?;
                     self.columns[c].computed += 1;
                     self.columns[c].candidates_enumerated += result.candidates;
                     self.seen[c].insert(key, i);
-                    self.columns[c].outcomes[i] = Some(BatchOutcome {
-                        name: test.name.clone(),
+                    self.row[c] = Some(UnitCell {
                         key,
                         outcome: CheckOutcome::Complete(result),
                         provenance: Provenance::Computed,
@@ -397,19 +536,14 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
                 }
             }
             MultiCheckOutcome::Inconclusive { reason, partials } => {
-                let mut counted = false;
-                for (&c, partial) in missing.iter().zip(partials) {
-                    if !counted {
-                        self.candidates_actual += partial.candidates;
-                        counted = true;
-                    }
+                self.candidates_actual += partials.first().map_or(0, |p| p.candidates);
+                for (&c, partial) in check.columns.iter().zip(partials) {
                     self.columns[c].inconclusive += 1;
                     self.columns[c].candidates_enumerated += partial.candidates;
                     // Inconclusive outcomes join neither the store
                     // nor the dedupe map: a later isomorph deserves
                     // its own attempt.
-                    self.columns[c].outcomes[i] = Some(BatchOutcome {
-                        name: test.name.clone(),
+                    self.row[c] = Some(UnitCell {
                         key: keys[c],
                         outcome: CheckOutcome::Inconclusive { reason: reason.clone(), partial },
                         provenance: Provenance::Computed,
@@ -420,41 +554,38 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
         Ok(())
     }
 
-    /// Clear every outcome recorded for unit `i` (slots revert to `None`)
-    /// and drop dedupe-map entries that point at it, so later isomorphs
-    /// resolve through the store instead of replaying a wiped slot. A
-    /// supervising driver calls this before retrying a failed unit and
-    /// before quarantining one — verdicts that already reached the store
-    /// stay there (they are content-addressed and valid regardless of
-    /// which attempt produced them) and replay as hits on the retry.
+    /// Count a prepared check that commit did not use.
+    fn discard(&mut self, check: Option<ColumnsCheck>) {
+        self.prepared_discarded += usize::from(check.is_some());
+    }
+
+    /// Clear unit `i`'s row (if it is the unit committed last) and drop
+    /// dedupe-map entries that point at it, so later isomorphs count as
+    /// store hits instead of replays of a wiped row. A supervising
+    /// driver calls this before retrying a failed unit and before
+    /// quarantining one — verdicts that already reached the store stay
+    /// there (they are content-addressed and valid regardless of which
+    /// attempt produced them) and replay as hits on the retry.
     pub fn reset_unit(&mut self, i: usize) {
-        for (c, col) in self.columns.iter_mut().enumerate() {
-            if col.outcomes.len() > i {
-                col.outcomes[i] = None;
-            }
-            self.seen[c].retain(|_, &mut first| first != i);
+        if self.row_unit == Some(i) {
+            self.row.iter_mut().for_each(|cell| *cell = None);
+        }
+        for seen in &mut self.seen {
+            seen.retain(|_, &mut first| first != i);
         }
     }
 
-    /// Clone unit `i`'s outcome cells, one per column (`None` for
-    /// masked or unvisited slots) — what a streaming driver feeds its
-    /// per-row oracles the moment the unit completes, instead of
-    /// waiting for the whole corpus.
-    pub fn row_cells(&self, i: usize) -> Vec<Option<CheckOutcome>> {
-        self.columns
-            .iter()
-            .map(|col| col.outcomes.get(i).and_then(Option::as_ref).map(|o| o.outcome.clone()))
-            .collect()
-    }
-
-    /// Per-column count of filled outcome slots. Deterministic for a
-    /// given set of visited units (unlike the hit/computed counters,
-    /// which may double-count across retries).
-    pub fn filled_per_column(&self) -> Vec<usize> {
-        self.columns
-            .iter()
-            .map(|col| col.outcomes.iter().filter(|o| o.is_some()).count())
-            .collect()
+    /// Move unit `i`'s cells out, one per column (`None` for masked
+    /// cells, and for every cell unless `i` is the unit committed last)
+    /// — what a streaming driver feeds its per-row oracles the moment
+    /// the unit completes, instead of waiting for the whole corpus.
+    pub fn take_row(&mut self, i: usize) -> Vec<Option<UnitCell>> {
+        let empty = vec![None; self.columns.len()];
+        if self.row_unit == Some(i) {
+            std::mem::replace(&mut self.row, empty)
+        } else {
+            empty
+        }
     }
 
     /// Whether unit `i`'s recorded cells carry a failure a retry could
@@ -464,10 +595,12 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
     /// Deterministic fuel trips (candidates, eval steps) are *not*
     /// faults: re-running them reproduces the same inconclusive cell.
     pub fn unit_fault(&self, i: usize) -> Option<UnitFault> {
+        if self.row_unit != Some(i) {
+            return None;
+        }
         let mut fault = None;
-        for col in &self.columns {
-            let Some(Some(o)) = col.outcomes.get(i) else { continue };
-            match &o.outcome {
+        for cell in self.row.iter().flatten() {
+            match &cell.outcome {
                 CheckOutcome::Inconclusive {
                     reason: InconclusiveReason::WorkerPanicked, ..
                 } => return Some(UnitFault::WorkerPanicked),
@@ -489,27 +622,22 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
     ///
     /// I/O errors from the sync.
     pub fn flush(&mut self) -> io::Result<()> {
-        self.checker.store.flush()
+        self.checker.store_mut().flush()
     }
 
-    /// Close the session: pad every column to `total_units` slots
-    /// (unvisited indices stay `None`), flush the store, and return the
-    /// aggregate report.
+    /// Close the session: flush the store and return the aggregate
+    /// counters (the per-column `outcomes` stay empty).
     ///
     /// # Errors
     ///
     /// I/O errors from the final flush.
-    pub fn finish(mut self, total_units: usize) -> Result<MultiBatchReport, BatchError> {
-        for col in &mut self.columns {
-            if col.outcomes.len() < total_units {
-                col.outcomes.resize(total_units, None);
-            }
-        }
-        self.checker.store.flush()?;
+    pub fn finish(mut self) -> Result<MultiBatchReport, BatchError> {
+        self.flush()?;
         Ok(MultiBatchReport {
             columns: self.columns,
             enumeration_passes: self.enumeration_passes,
             candidates_actual: self.candidates_actual,
+            prepared_discarded: self.prepared_discarded,
             micros: self.start.elapsed().as_micros(),
         })
     }
@@ -666,6 +794,34 @@ mod tests {
                 Some(Verdict::Allowed | Verdict::Forbidden)
             ));
         }
+    }
+
+    #[test]
+    fn a_check_prepared_beside_its_duplicate_is_discarded_at_commit() {
+        let test = corpus(1).remove(0);
+        let sc = lkmm_models::Sc;
+        let stats = Arc::new(DataPlaneStats::default());
+        let multi = MultiBatchChecker::new(
+            vec![MultiColumn { model: &sc, salt: "d|col:sc".into() }],
+            VerdictStore::in_memory(),
+        )
+        .with_pipeline_stats(Some(stats.clone()));
+        // Both copies are prepared before either commits, as two
+        // workers would: each enumerates, since the store is empty.
+        let first = multi.prepare(&test, &[true]);
+        let second = multi.prepare(&test, &[true]);
+        let mut run = multi.begin_corpus();
+        run.commit(0, &test, &[true], first).unwrap();
+        let after_first = stats.snapshot();
+        assert!(after_first.batches_formed > 0);
+        run.commit(1, &test, &[true], second).unwrap();
+        assert_eq!(stats.snapshot(), after_first, "a discarded check counts nowhere");
+        let row = run.take_row(1);
+        assert_eq!(row[0].as_ref().unwrap().provenance, Provenance::Deduped);
+        let report = run.finish().unwrap();
+        assert_eq!(report.prepared_discarded, 1);
+        assert_eq!(report.enumeration_passes, 1);
+        assert_eq!((report.columns[0].computed, report.columns[0].deduped), (1, 1));
     }
 
     #[test]

@@ -9,14 +9,17 @@
 //! still discriminates the two disagreeing checkers.
 
 use linux_kernel_memory_model::conformance::{
-    human_table, json_report, recheck_violated, run_campaign, run_campaign_with, test_size,
-    CampaignConfig, ModelId, ModelSet, OracleKind, Recheck, SimConfig,
+    corpus_stream, human_table, json_report, recheck_violated, run_campaign, run_campaign_with,
+    test_size, CampaignConfig, CampaignError, ModelId, ModelSet, OracleKind, Recheck,
+    ResilienceConfig, SimConfig,
 };
 use linux_kernel_memory_model::exec::{
-    ConsistencyModel, EnumOptions, Execution, PipelineOptions,
+    ConsistencyModel, DataPlaneStats, EnumOptions, EnumStats, Execution, PipelineOptions,
 };
 use linux_kernel_memory_model::litmus::library;
 use linux_kernel_memory_model::service::json::Json;
+use std::path::Path;
+use std::sync::Arc;
 
 /// Library-only campaign with a small seeded simulator pass and the
 /// shrinker armed — cheap enough for CI, exercises every layer.
@@ -75,12 +78,22 @@ impl ConsistencyModel for ForbidAll {
 fn broken_cat_column_is_caught_and_shrunk() {
     let mut set = ModelSet::standard();
     set.replace(ModelId::LkmmCat, Box::new(ForbidAll));
-    let cfg = CampaignConfig {
+    let config = |jobs| CampaignConfig {
+        jobs,
         sim: SimConfig { iterations: 0, ..SimConfig::default() },
         ..library_campaign()
     };
+    let cfg = config(1);
     let report = run_campaign_with(&cfg, &set).unwrap();
     assert!(!report.clean(), "a forbid-everything cat column must disagree somewhere");
+    // Discrepancies, their shrunk witnesses and all: the same report at
+    // every job count.
+    let cfg8 = config(8);
+    assert_eq!(
+        json_report(&run_campaign_with(&cfg8, &set).unwrap(), &cfg8).to_string(),
+        json_report(&report, &cfg).to_string(),
+        "jobs=8 differs from jobs=1"
+    );
 
     let d = report
         .discrepancies
@@ -172,4 +185,71 @@ fn reports_render_and_stay_deterministic_across_runs() {
         Some(library::all().len() as u64)
     );
     assert!(human_table(&a).contains("no discrepancies"));
+
+    // The same contract at every job count, on a corpus with in-corpus
+    // duplicates: cold, warm, and suspended halfway then resumed.
+    let dir = std::env::temp_dir().join(format!("lkmm-conf-jobs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let reference = counted_runs(&dir, 1);
+    for jobs in [2, 8] {
+        assert_eq!(counted_runs(&dir, jobs), reference, "jobs={jobs} differs from jobs=1");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One counted campaign's JSON report and per-column hits, computed,
+/// deduped and candidates enumerated.
+type Observed = (String, Vec<[usize; 4]>);
+
+/// Library + cycles ≤ 4, with enumeration and data-plane counters
+/// opted in, on on-disk stores, at `jobs`: a cold run, a warm run over
+/// its store, and a run suspended halfway on a fresh store then
+/// resumed. The corpus holds 12 isomorphic duplicates per column, so at
+/// jobs > 1 some commits throw away a check prepared while the first
+/// copy was still in flight; neither the report nor any counter may
+/// show it. (Contended twins are left to `ci.sh`, which compares them
+/// across job counts in a release build: here, unoptimised, they would
+/// take minutes. Simulators are off: they run on the committing thread
+/// and only cost time.)
+fn counted_runs(dir: &Path, jobs: usize) -> Vec<Observed> {
+    let config = |store: &str| CampaignConfig {
+        max_cycle_len: 4,
+        jobs,
+        store_path: Some(dir.join(format!("{store}-j{jobs}.vstore"))),
+        sim: SimConfig { iterations: 0, ..SimConfig::default() },
+        enum_stats: Some(Arc::new(EnumStats::default())),
+        data_plane: Some(Arc::new(DataPlaneStats::default())),
+        ..library_campaign()
+    };
+    let observe = |cfg: &CampaignConfig| -> Observed {
+        let report = run_campaign(cfg).unwrap();
+        assert!(report.clean() && report.failed_units.is_empty(), "jobs={jobs}");
+        let counters = report
+            .models
+            .iter()
+            .map(|m| [m.pass.hits, m.pass.computed, m.pass.deduped, m.pass.candidates_enumerated])
+            .collect();
+        (json_report(&report, cfg).to_string(), counters)
+    };
+    let cold = observe(&config("warmed"));
+    let warm = observe(&config("warmed"));
+
+    let resumable = |stop_after, resume| CampaignConfig {
+        resilience: ResilienceConfig {
+            checkpoint: Some(dir.join(format!("resumed-j{jobs}.ck"))),
+            stop_after,
+            resume,
+            retry_base_ms: 0,
+            ..ResilienceConfig::default()
+        },
+        ..config("resumed")
+    };
+    let half = corpus_stream(&config("resumed")).total() / 2;
+    match run_campaign(&resumable(Some(half), false)) {
+        Err(CampaignError::Suspended { cursor, .. }) => assert_eq!(cursor, half, "jobs={jobs}"),
+        other => panic!("jobs={jobs}: expected a suspension, got {other:?}"),
+    }
+    let resumed = observe(&resumable(None, true));
+    vec![cold, warm, resumed]
 }

@@ -4,8 +4,10 @@
 //! Each test arms a `lkmm_core::faultpoint` site, drives the real stack
 //! through it, and checks two things: the fault surfaces as a structured
 //! outcome (never an abort), and the system recovers once the site is
-//! disarmed. `faultpoint::arm` holds a global test lock, so these tests
-//! serialise against each other instead of seeing each other's faults.
+//! disarmed. Every test holds [`serial`] for its whole body:
+//! `faultpoint::arm` serialises only the armed windows, so without it
+//! one test's unarmed code — a check counting `worker.panic` hits, an
+//! unarmed `flush` — runs beside another test's armed site.
 
 #![cfg(feature = "fault-injection")]
 
@@ -13,9 +15,18 @@ use linux_kernel_memory_model::litmus::library;
 use linux_kernel_memory_model::service::{BatchChecker, Provenance, VerdictStore};
 use linux_kernel_memory_model::{CheckOutcome, Herd, InconclusiveReason, ModelChoice};
 use lkmm_core::faultpoint;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The file-wide test lock (a failed test poisons it; the next one
+/// still runs).
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[test]
 fn injected_worker_panic_is_contained_and_recovers() {
+    let _serial = serial();
     let herd = Herd::new(ModelChoice::Lkmm).with_jobs(4);
     let test = library::by_name("SB").unwrap().test();
 
@@ -33,6 +44,7 @@ fn injected_worker_panic_is_contained_and_recovers() {
 
 #[test]
 fn injected_enumerator_budget_trip_is_inconclusive() {
+    let _serial = serial();
     let herd = Herd::new(ModelChoice::Lkmm);
     let test = library::by_name("MP").unwrap().test();
 
@@ -51,6 +63,7 @@ fn injected_enumerator_budget_trip_is_inconclusive() {
 
 #[test]
 fn torn_store_append_is_an_error_and_reopen_recovers_the_valid_prefix() {
+    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("lkmm-fault-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("torn.vstore");
@@ -96,6 +109,7 @@ fn torn_store_append_is_an_error_and_reopen_recovers_the_valid_prefix() {
 
 #[test]
 fn injected_flush_failure_is_an_error_then_clears() {
+    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("lkmm-fault-flush-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("flush.vstore");
@@ -117,6 +131,7 @@ fn injected_flush_failure_is_an_error_then_clears() {
 
 #[test]
 fn injected_dir_sync_failure_fails_first_flush_then_clears() {
+    let _serial = serial();
     // The first flush of a store's lifetime also fsyncs the parent
     // directory (so a crash can't lose the just-created file entry);
     // `store.append.sync` sits on exactly that path.
@@ -145,6 +160,7 @@ fn injected_dir_sync_failure_fails_first_flush_then_clears() {
 
 #[test]
 fn crashed_compaction_leaves_the_original_log_intact() {
+    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("lkmm-fault-compact-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("compact.vstore");
@@ -185,6 +201,7 @@ fn crashed_compaction_leaves_the_original_log_intact() {
 
 #[test]
 fn nth_hit_trigger_fires_on_exactly_that_hit() {
+    let _serial = serial();
     // `worker.panic=2`: the first evaluated candidate passes, the second
     // panics. The check still reports WorkerPanicked (containment), which
     // shows the trigger grammar works end-to-end through the pipeline.
@@ -238,6 +255,7 @@ mod server_faults {
 
     #[test]
     fn poisoned_shard_quarantines_without_killing_the_server() {
+        let _serial = super::serial();
         let store = Arc::new(ShardedStore::in_memory(4));
         // The first append fails: exactly one shard poisons itself.
         let guard = faultpoint::arm("shard.append=1");
@@ -267,6 +285,7 @@ mod server_faults {
 
     #[test]
     fn injected_accept_failure_drops_one_connection_not_the_server() {
+        let _serial = super::serial();
         let store = Arc::new(ShardedStore::in_memory(1));
         let guard = faultpoint::arm("server.accept=1");
         let (addr, handle) = start(store, 2);

@@ -276,52 +276,60 @@ mod crash {
     fn transient_fault_storm_is_retried_into_a_clean_report() {
         let dir = temp_dir("storm-recovered");
         let reference = reference_json(&dir);
-        let store = dir.join("s.vstore");
-        let store = store.to_str().unwrap();
-        let ckpt = dir.join("s.ck");
-        let ckpt = ckpt.to_str().unwrap();
+        for jobs in ["1", "2", "8"] {
+            let store = dir.join(format!("s-j{jobs}.vstore"));
+            let store = store.to_str().unwrap();
+            let ckpt = dir.join(format!("s-j{jobs}.ck"));
+            let ckpt = ckpt.to_str().unwrap();
 
-        // Two injected failures, --max-retries 2: the third attempt at
-        // unit 0 succeeds and the storm leaves no trace in the report.
-        let out = herd(
-            &campaign_args(store, ckpt, "2", &["--max-retries", "2"]),
-            Some("worker.transient=1:2"),
-        );
-        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-        assert_eq!(stdout(&out), reference);
+            // Two injected failures, --max-retries 2: the third attempt
+            // at unit 0 succeeds and the storm leaves no trace in the
+            // report.
+            let out = herd(
+                &campaign_args(store, ckpt, jobs, &["--max-retries", "2"]),
+                Some("worker.transient=1:2"),
+            );
+            assert_eq!(out.status.code(), Some(0), "jobs={jobs}: {}", stderr(&out));
+            assert_eq!(stdout(&out), reference, "jobs={jobs}");
+        }
     }
 
     #[test]
     fn poisoned_unit_is_quarantined_and_the_campaign_degrades() {
         let dir = temp_dir("quarantine");
-        let store = dir.join("s.vstore");
-        let store = store.to_str().unwrap();
-        let ckpt = dir.join("s.ck");
-        let ckpt = ckpt.to_str().unwrap();
+        for jobs in ["1", "2", "8"] {
+            let store = dir.join(format!("s-j{jobs}.vstore"));
+            let store = store.to_str().unwrap();
+            let ckpt = dir.join(format!("s-j{jobs}.ck"));
+            let ckpt = ckpt.to_str().unwrap();
 
-        // Three injected failures swallow attempts 1..=3 of unit 0:
-        // quarantine, but the other 32 units complete.
-        let out = herd(
-            &campaign_args(store, ckpt, "2", &["--max-retries", "2"]),
-            Some("worker.transient=1:3"),
-        );
-        assert_eq!(out.status.code(), Some(8), "degraded exit: {}", stderr(&out));
-        let json = stdout(&out);
-        assert!(json.contains("\"partial\":true"), "{json}");
-        assert!(
-            json.contains("\"kind\":\"transient-io\"") && json.contains("\"attempts\":3"),
-            "{json}"
-        );
-        assert!(stderr(&out).contains("quarantined") || json.contains("failed_units"));
-        assert_scrub_clean(store);
+            // Three injected failures swallow attempts 1..=3 of unit 0:
+            // quarantine, but the other 32 units complete.
+            let out = herd(
+                &campaign_args(store, ckpt, jobs, &["--max-retries", "2"]),
+                Some("worker.transient=1:3"),
+            );
+            assert_eq!(out.status.code(), Some(8), "jobs={jobs}: degraded exit: {}", stderr(&out));
+            let json = stdout(&out);
+            assert!(json.contains("\"partial\":true"), "jobs={jobs}: {json}");
+            assert!(
+                json.contains("\"kind\":\"transient-io\"") && json.contains("\"attempts\":3"),
+                "jobs={jobs}: {json}"
+            );
+            assert!(stderr(&out).contains("quarantined") || json.contains("failed_units"));
+            assert_scrub_clean(store);
 
-        // The quarantine is sticky across resume (no doomed re-retries),
-        // and a fresh fault-free run of the same store heals the row.
-        let out = herd(
-            &campaign_args(store, ckpt, "2", &["--max-retries", "2"]),
-            None,
-        );
-        assert_eq!(out.status.code(), Some(0), "warm fault-free rerun: {}", stderr(&out));
-        assert!(stdout(&out).contains("\"partial\":false"), "{}", stdout(&out));
+            // The quarantine is sticky across resume (no doomed
+            // re-retries), and a fresh fault-free run of the same store
+            // heals the row.
+            let out = herd(&campaign_args(store, ckpt, jobs, &["--max-retries", "2"]), None);
+            assert_eq!(
+                out.status.code(),
+                Some(0),
+                "jobs={jobs}: warm fault-free rerun: {}",
+                stderr(&out)
+            );
+            assert!(stdout(&out).contains("\"partial\":false"), "{}", stdout(&out));
+        }
     }
 }
