@@ -16,6 +16,13 @@ echo "== benchmark package: builds against the crates, pinned digests hold =="
 # and check the campaign reports against their pinned digests.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
+echo "== canonical keys: the render matches the reference on every cycle up to length 6 =="
+# Cache keys hash a canonical text printed straight from each test; the
+# reference builds the canonical test and prints it. All 126 880 tests
+# of the cycle-length-6 campaign (with contended twins) must agree byte
+# for byte. Ignored in the debug workspace run above: it needs release.
+cargo test --release --offline -p lkmm-service --test canon_props --quiet -- --ignored
+
 echo "== pipeline cross-check: library verdicts at jobs 1/2/8 =="
 cargo test --release --test pipeline --quiet
 

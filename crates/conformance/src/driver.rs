@@ -648,7 +648,7 @@ mod tests {
     use super::*;
     use crate::campaign::{config_fingerprint, corpus_stream, CampaignConfig, SimConfig};
     use crate::oracle::check_row;
-    use lkmm_exec::{ConsistencyModel, ExecFacts, Execution};
+    use lkmm_exec::{ConsistencyModel, ExecFacts, Execution, ModelSession};
     use std::sync::Arc;
 
     fn quick_config() -> CampaignConfig {
@@ -816,19 +816,25 @@ mod tests {
         let _ = std::fs::remove_file(&ckpt);
     }
 
-    /// SC whose first `name()` call panics — a fault in key derivation,
-    /// outside the pipeline's containment, so it escapes `prepare`.
-    struct FirstNamePanics {
+    /// SC whose first `session()` call panics — a fault opening the
+    /// evaluation session, outside the pipeline's containment, so it
+    /// escapes `prepare`. (Key derivation does not call into the model
+    /// per unit: the checker hashes each column's key prefix once.)
+    struct FirstSessionPanics {
         armed: Arc<AtomicBool>,
         sc: lkmm_models::Sc,
     }
 
-    impl ConsistencyModel for FirstNamePanics {
+    impl ConsistencyModel for FirstSessionPanics {
         fn name(&self) -> &str {
-            if self.armed.swap(false, Ordering::SeqCst) {
-                panic!("injected panic deriving a cache key");
-            }
             self.sc.name()
+        }
+
+        fn session(&self) -> Option<Box<dyn ModelSession + '_>> {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                panic!("injected panic opening a model session");
+            }
+            self.sc.session()
         }
 
         fn allows(&self, x: &Execution) -> bool {
@@ -850,7 +856,7 @@ mod tests {
             let mut set = ModelSet::standard();
             set.replace(
                 ModelId::Sc,
-                Box::new(FirstNamePanics { armed: armed.clone(), sc: lkmm_models::Sc }),
+                Box::new(FirstSessionPanics { armed: armed.clone(), sc: lkmm_models::Sc }),
             );
             let stream = corpus_stream(&cfg);
             let fp = config_fingerprint(&cfg, stream.total());

@@ -561,62 +561,157 @@ pub fn default_alphabet() -> Vec<Edge> {
 /// Enumerate all valid cycles with length in `2..=max_len` over
 /// `alphabet`, canonicalised up to rotation (the lexicographically least
 /// rotation is kept).
+///
+/// A depth-first search over `alphabet` order, so the cycles come out in
+/// the order corpus indices, checkpoint cursors and simulator seeds rely
+/// on. Each prefix costs O(1) unless it closes a cycle: adjacency is
+/// checked at push and the external-edge count is carried down, so a
+/// prefix is a valid cycle when its wrap-around is adjacent, its last
+/// edge is external and its first is not. Subtrees that cannot yield a
+/// canonical cycle are never entered: an ill-formed edge anywhere, an
+/// external first edge (the closing edge is external too, and two
+/// externals may not meet), and an edge `e < stack[0]` after an external
+/// edge — the rotation starting at `e` ends in that external edge and is
+/// smaller than the cycle whatever completes it.
 pub fn cycles_up_to(max_len: usize, alphabet: &[Edge]) -> Vec<Vec<Edge>> {
-    let mut out = Vec::new();
-    let mut stack: Vec<Edge> = Vec::new();
     fn rec(
         alphabet: &[Edge],
         max_len: usize,
+        externals: usize,
         stack: &mut Vec<Edge>,
         out: &mut Vec<Vec<Edge>>,
     ) {
-        if stack.len() >= 2 && validate(stack).is_ok() && is_canonical_rotation(stack) {
+        let (first, last) = (stack[0], stack[stack.len() - 1]);
+        if stack.len() >= 2
+            && externals >= 2
+            && last.is_external()
+            && last.ends().1 == first.ends().0
+            && is_canonical_rotation(stack)
+        {
             out.push(stack.clone());
         }
         if stack.len() == max_len {
             return;
         }
         for &e in alphabet {
-            // Adjacency pruning.
-            if let Some(&last) = stack.last() {
-                if last.ends().1 != e.ends().0 {
-                    continue;
-                }
-                if last.is_external() && e.is_external() {
-                    continue;
-                }
+            if !e.well_formed() || last.ends().1 != e.ends().0 {
+                continue;
+            }
+            if last.is_external() && (e.is_external() || e < first) {
+                continue;
             }
             stack.push(e);
-            rec(alphabet, max_len, stack, out);
+            rec(alphabet, max_len, externals + usize::from(e.is_external()), stack, out);
             stack.pop();
         }
     }
-    rec(alphabet, max_len, &mut stack, &mut out);
+    let mut out = Vec::new();
+    if max_len < 2 {
+        return out;
+    }
+    let mut stack: Vec<Edge> = Vec::with_capacity(max_len);
+    for &e in alphabet {
+        if e.well_formed() && !e.is_external() {
+            stack.push(e);
+            rec(alphabet, max_len, 0, &mut stack, &mut out);
+            stack.pop();
+        }
+    }
     out
 }
 
-/// Is this cycle the lexicographically least among its rotations that
-/// also end in an external edge?
+/// Is this valid cycle the lexicographically least among its rotations
+/// that also end in an external edge? Compares in place.
 fn is_canonical_rotation(cycle: &[Edge]) -> bool {
     let n = cycle.len();
-    let mut best: Option<Vec<Edge>> = None;
-    for r in 0..n {
-        // Rotations must keep the "last edge external" closure property.
-        if !cycle[(r + n - 1) % n].is_external() {
-            continue;
-        }
-        let rotated: Vec<Edge> = (0..n).map(|i| cycle[(r + i) % n]).collect();
-        if best.as_ref().is_none_or(|b| rotated < *b) {
-            best = Some(rotated);
-        }
-    }
-    best.as_deref() == Some(cycle)
+    (1..n).filter(|&r| cycle[r - 1].is_external()).all(|r| {
+        let rotated = cycle[r..].iter().chain(&cycle[..r]);
+        rotated.cmp(cycle.iter()) != std::cmp::Ordering::Less
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use Extremity::{R, W};
+
+    /// The exhaustive search `cycles_up_to` prunes: every adjacent
+    /// prefix, fully validated, every rotation built. The reference for
+    /// its output and order.
+    fn cycles_brute_force(max_len: usize, alphabet: &[Edge]) -> Vec<Vec<Edge>> {
+        fn rec(alphabet: &[Edge], max_len: usize, stack: &mut Vec<Edge>, out: &mut Vec<Vec<Edge>>) {
+            if stack.len() >= 2 && validate(stack).is_ok() && least_rotation(stack) {
+                out.push(stack.clone());
+            }
+            if stack.len() == max_len {
+                return;
+            }
+            for &e in alphabet {
+                if let Some(&last) = stack.last() {
+                    if last.ends().1 != e.ends().0 || (last.is_external() && e.is_external()) {
+                        continue;
+                    }
+                }
+                stack.push(e);
+                rec(alphabet, max_len, stack, out);
+                stack.pop();
+            }
+        }
+        fn least_rotation(cycle: &[Edge]) -> bool {
+            let n = cycle.len();
+            let mut best: Option<Vec<Edge>> = None;
+            for r in 0..n {
+                if !cycle[(r + n - 1) % n].is_external() {
+                    continue;
+                }
+                let rotated: Vec<Edge> = (0..n).map(|i| cycle[(r + i) % n]).collect();
+                if best.as_ref().is_none_or(|b| rotated < *b) {
+                    best = Some(rotated);
+                }
+            }
+            best.as_deref() == Some(cycle)
+        }
+        let mut out = Vec::new();
+        rec(alphabet, max_len, &mut Vec::new(), &mut out);
+        out
+    }
+
+    #[test]
+    fn pruned_enumeration_matches_the_brute_force_in_order() {
+        let default = default_alphabet();
+        let mut reversed = default.clone();
+        reversed.reverse();
+        // A duplicate edge (every cycle through it comes out twice, in
+        // both searches) and an ill-formed one.
+        let odd = vec![
+            Edge::internal(InternalKind::Po, W, R),
+            Edge::Fre,
+            Edge::internal(InternalKind::Wmb, R, W),
+            Edge::Rfe,
+            Edge::internal(InternalKind::Mb, R, R),
+            Edge::internal(InternalKind::Po, W, R),
+            Edge::Coe,
+            Edge::internal(InternalKind::Data, R, W),
+            Edge::internal(InternalKind::Po, W, W),
+        ];
+        for alphabet in [&default, &reversed, &odd] {
+            for max_len in 0..=5 {
+                assert_eq!(
+                    cycles_up_to(max_len, alphabet),
+                    cycles_brute_force(max_len, alphabet),
+                    "length {max_len} over {alphabet:?}"
+                );
+            }
+        }
+        let odd_cycles = cycles_up_to(5, &odd);
+        assert_eq!(odd_cycles.len(), 44);
+        assert!(odd_cycles.iter().any(|c| odd_cycles.iter().filter(|d| *d == c).count() == 2));
+    }
+
+    #[test]
+    fn default_alphabet_has_63_440_cycles_up_to_length_6() {
+        assert_eq!(cycles_up_to(6, &default_alphabet()).len(), 63_440);
+    }
 
     #[test]
     fn validates_shapes() {

@@ -2,7 +2,7 @@
 
 use crate::cond::Condition;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A complete litmus test: shared-location initialisation, one body per
 /// thread, and a final-state condition.
@@ -61,50 +61,57 @@ impl Test {
     /// location appearing in any thread body or pointer initialiser),
     /// sorted and deduplicated.
     pub fn shared_locations(&self) -> Vec<String> {
-        let mut locs: Vec<String> = self.init.keys().cloned().collect();
+        let mut locs: Vec<&str> = self.init.keys().map(String::as_str).collect();
         for v in self.init.values() {
             if let InitVal::Ptr(t) = v {
-                locs.push(t.clone());
+                locs.push(t);
             }
         }
         for t in &self.threads {
             collect_locs_stmts(&t.body, &mut locs);
         }
-        locs.sort();
+        locs.sort_unstable();
         locs.dedup();
-        locs
+        locs.into_iter().map(str::to_string).collect()
     }
 
     /// Render the test in the standard `C`-litmus file format, re-parseable
     /// by [`crate::parse`].
     pub fn to_litmus_string(&self) -> String {
-        let mut out = format!("C {}\n\n{{\n", self.name);
+        let mut out = String::new();
+        let _ = write!(out, "C {}\n\n{{\n", self.name);
         for (k, v) in &self.init {
             match v {
-                InitVal::Int(i) => out.push_str(&format!("{k}={i};\n")),
-                InitVal::Ptr(t) => out.push_str(&format!("{k}=&{t};\n")),
+                InitVal::Int(i) => {
+                    let _ = writeln!(out, "{k}={i};");
+                }
+                InitVal::Ptr(t) => {
+                    let _ = writeln!(out, "{k}=&{t};");
+                }
             }
         }
         out.push_str("}\n\n");
         let locs = self.shared_locations();
-        let params =
-            locs.iter().map(|l| format!("int *{l}")).collect::<Vec<_>>().join(", ");
         for (i, t) in self.threads.iter().enumerate() {
-            out.push_str(&format!("P{i}({params})\n{{\n"));
+            let _ = write!(out, "P{i}(");
+            for (j, l) in locs.iter().enumerate() {
+                out.push_str(if j == 0 { "int *" } else { ", int *" });
+                out.push_str(l);
+            }
+            out.push_str(")\n{\n");
             let mut regs: Vec<&str> = Vec::new();
             collect_regs_stmts(&t.body, &mut regs);
-            regs.sort();
+            regs.sort_unstable();
             regs.dedup();
             for r in regs {
-                out.push_str(&format!("\tint {r};\n"));
+                let _ = writeln!(out, "\tint {r};");
             }
             for s in &t.body {
-                fmt_stmt(s, 1, &mut out);
+                fmt_stmt(s, 1, &AsWritten, &mut out);
             }
             out.push_str("}\n\n");
         }
-        out.push_str(&self.condition.to_string());
-        out.push('\n');
+        let _ = writeln!(out, "{}", self.condition);
         out
     }
 }
@@ -321,11 +328,13 @@ pub enum Stmt {
     SpinUnlock { addr: AddrExpr },
 }
 
-pub(crate) fn collect_locs_stmts(stmts: &[Stmt], out: &mut Vec<String>) {
+/// Every shared location a statement list names (`*x` or `&x`), in
+/// statement-traversal order, repeats included.
+pub(crate) fn collect_locs_stmts<'a>(stmts: &'a [Stmt], out: &mut Vec<&'a str>) {
     for s in stmts {
-        let mut addr = |a: &AddrExpr| {
+        let mut addr = |a: &'a AddrExpr| {
             if let AddrExpr::Var(v) = a {
-                out.push(v.clone());
+                out.push(v);
             }
         };
         match s {
@@ -364,9 +373,9 @@ pub(crate) fn collect_locs_stmts(stmts: &[Stmt], out: &mut Vec<String>) {
     }
 }
 
-fn collect_locs_expr(e: &Expr, out: &mut Vec<String>) {
+fn collect_locs_expr<'a>(e: &'a Expr, out: &mut Vec<&'a str>) {
     match e {
-        Expr::LocRef(l) => out.push(l.clone()),
+        Expr::LocRef(l) => out.push(l),
         Expr::Bin(_, a, b) => {
             collect_locs_expr(a, out);
             collect_locs_expr(b, out);
@@ -376,6 +385,9 @@ fn collect_locs_expr(e: &Expr, out: &mut Vec<String>) {
     }
 }
 
+/// Every register a statement list reads or fills, in statement-traversal
+/// order, repeats included. A register used only as a lock or SRCU
+/// domain address is not collected.
 pub(crate) fn collect_regs_stmts<'a>(stmts: &'a [Stmt], out: &mut Vec<&'a str>) {
     for s in stmts {
         match s {
@@ -439,69 +451,145 @@ pub(crate) fn collect_regs_stmts<'a>(stmts: &'a [Stmt], out: &mut Vec<&'a str>) 
     }
 }
 
-fn fmt_addr(a: &AddrExpr) -> String {
-    match a {
-        AddrExpr::Var(v) => format!("*{v}"),
-        AddrExpr::Reg(r) => format!("*{r}"),
+/// How the printer spells the names a test mentions.
+///
+/// [`Test::to_litmus_string`] prints every name as written
+/// ([`AsWritten`]). A canonicaliser prints the same statements under
+/// other names (`x0`, `r0`, …) through its own spelling, into its own
+/// buffer, without building a renamed copy of the test.
+pub trait Spelling {
+    /// Append the spelling of shared location `name`.
+    fn loc(&self, name: &str, out: &mut String);
+    /// Append the spelling of register `name`.
+    fn reg(&self, name: &str, out: &mut String);
+}
+
+/// The identity [`Spelling`]: every name as written.
+pub struct AsWritten;
+
+impl Spelling for AsWritten {
+    fn loc(&self, name: &str, out: &mut String) {
+        out.push_str(name);
+    }
+
+    fn reg(&self, name: &str, out: &mut String) {
+        out.push_str(name);
     }
 }
 
-fn fmt_expr(e: &Expr) -> String {
+fn fmt_addr(a: &AddrExpr, names: &impl Spelling, out: &mut String) {
+    out.push('*');
+    match a {
+        AddrExpr::Var(v) => names.loc(v, out),
+        AddrExpr::Reg(r) => names.reg(r, out),
+    }
+}
+
+fn fmt_expr(e: &Expr, names: &impl Spelling, out: &mut String) {
     match e {
-        Expr::Const(c) => c.to_string(),
-        Expr::Reg(r) => r.clone(),
-        Expr::LocRef(l) => format!("&{l}"),
+        Expr::Const(c) => {
+            let _ = write!(out, "{c}");
+        }
+        Expr::Reg(r) => names.reg(r, out),
+        Expr::LocRef(l) => {
+            out.push('&');
+            names.loc(l, out);
+        }
         Expr::Bin(op, a, b) => {
             let sym = match op {
-                BinOp::Add => "+",
-                BinOp::Sub => "-",
-                BinOp::Mul => "*",
-                BinOp::Xor => "^",
-                BinOp::And => "&",
-                BinOp::Or => "|",
-                BinOp::Eq => "==",
-                BinOp::Ne => "!=",
-                BinOp::Lt => "<",
-                BinOp::Le => "<=",
-                BinOp::Gt => ">",
-                BinOp::Ge => ">=",
+                BinOp::Add => " + ",
+                BinOp::Sub => " - ",
+                BinOp::Mul => " * ",
+                BinOp::Xor => " ^ ",
+                BinOp::And => " & ",
+                BinOp::Or => " | ",
+                BinOp::Eq => " == ",
+                BinOp::Ne => " != ",
+                BinOp::Lt => " < ",
+                BinOp::Le => " <= ",
+                BinOp::Gt => " > ",
+                BinOp::Ge => " >= ",
             };
-            format!("({} {} {})", fmt_expr(a), sym, fmt_expr(b))
+            out.push('(');
+            fmt_expr(a, names, out);
+            out.push_str(sym);
+            fmt_expr(b, names, out);
+            out.push(')');
         }
-        Expr::Not(e) => format!("!({})", fmt_expr(e)),
+        Expr::Not(e) => {
+            out.push_str("!(");
+            fmt_expr(e, names, out);
+            out.push(')');
+        }
     }
 }
 
-pub(crate) fn fmt_stmt(s: &Stmt, depth: usize, out: &mut String) {
-    let tab = "\t".repeat(depth);
+/// `{tab}{dst} = ` — the head of every statement that fills a register.
+fn fmt_dst(depth: usize, dst: &str, names: &impl Spelling, out: &mut String) {
+    fmt_tab(depth, out);
+    names.reg(dst, out);
+    out.push_str(" = ");
+}
+
+fn fmt_tab(depth: usize, out: &mut String) {
+    for _ in 0..depth {
+        out.push('\t');
+    }
+}
+
+/// `{call}({addr});` or `{call}({addr}, {value});`, closing the line.
+fn fmt_call(
+    call: &str,
+    addr: &AddrExpr,
+    value: Option<&Expr>,
+    names: &impl Spelling,
+    out: &mut String,
+) {
+    out.push_str(call);
+    out.push('(');
+    fmt_addr(addr, names, out);
+    if let Some(v) = value {
+        out.push_str(", ");
+        fmt_expr(v, names, out);
+    }
+    out.push_str(");\n");
+}
+
+/// Print one statement in the litmus source syntax, indented by `depth`
+/// tabs and ending in a newline, spelling every name through `names`.
+/// The only statement printer: [`Test::to_litmus_string`] and the
+/// canonical form both print through it.
+pub fn fmt_stmt(s: &Stmt, depth: usize, names: &impl Spelling, out: &mut String) {
     match s {
         Stmt::ReadOnce { dst, addr } => {
-            out.push_str(&format!("{tab}{dst} = READ_ONCE({});\n", fmt_addr(addr)));
+            fmt_dst(depth, dst, names, out);
+            fmt_call("READ_ONCE", addr, None, names, out);
         }
         Stmt::WriteOnce { addr, value } => {
-            out.push_str(&format!("{tab}WRITE_ONCE({}, {});\n", fmt_addr(addr), fmt_expr(value)));
+            fmt_tab(depth, out);
+            fmt_call("WRITE_ONCE", addr, Some(value), names, out);
         }
         Stmt::LoadAcquire { dst, addr } => {
-            out.push_str(&format!("{tab}{dst} = smp_load_acquire({});\n", fmt_addr(addr)));
+            fmt_dst(depth, dst, names, out);
+            fmt_call("smp_load_acquire", addr, None, names, out);
         }
         Stmt::StoreRelease { addr, value } => {
-            out.push_str(&format!(
-                "{tab}smp_store_release({}, {});\n",
-                fmt_addr(addr),
-                fmt_expr(value)
-            ));
+            fmt_tab(depth, out);
+            fmt_call("smp_store_release", addr, Some(value), names, out);
         }
         Stmt::RcuDereference { dst, addr } => {
-            out.push_str(&format!("{tab}{dst} = rcu_dereference({});\n", fmt_addr(addr)));
+            fmt_dst(depth, dst, names, out);
+            fmt_call("rcu_dereference", addr, None, names, out);
         }
         Stmt::RcuAssignPointer { addr, value } => {
-            out.push_str(&format!(
-                "{tab}rcu_assign_pointer({}, {});\n",
-                fmt_addr(addr),
-                fmt_expr(value)
-            ));
+            fmt_tab(depth, out);
+            fmt_call("rcu_assign_pointer", addr, Some(value), names, out);
         }
-        Stmt::Fence(k) => out.push_str(&format!("{tab}{}();\n", k.as_primitive())),
+        Stmt::Fence(k) => {
+            fmt_tab(depth, out);
+            out.push_str(k.as_primitive());
+            out.push_str("();\n");
+        }
         Stmt::Xchg { order, dst, addr, value } => {
             let f = match order {
                 RmwOrder::Relaxed => "xchg_relaxed",
@@ -509,11 +597,8 @@ pub(crate) fn fmt_stmt(s: &Stmt, depth: usize, out: &mut String) {
                 RmwOrder::Release => "xchg_release",
                 RmwOrder::Full => "xchg",
             };
-            out.push_str(&format!(
-                "{tab}{dst} = {f}({}, {});\n",
-                fmt_addr(addr),
-                fmt_expr(value)
-            ));
+            fmt_dst(depth, dst, names, out);
+            fmt_call(f, addr, Some(value), names, out);
         }
         Stmt::CmpXchg { order, dst, addr, expected, new } => {
             let f = match order {
@@ -522,12 +607,15 @@ pub(crate) fn fmt_stmt(s: &Stmt, depth: usize, out: &mut String) {
                 RmwOrder::Release => "cmpxchg_release",
                 RmwOrder::Full => "cmpxchg",
             };
-            out.push_str(&format!(
-                "{tab}{dst} = {f}({}, {}, {});\n",
-                fmt_addr(addr),
-                fmt_expr(expected),
-                fmt_expr(new)
-            ));
+            fmt_dst(depth, dst, names, out);
+            out.push_str(f);
+            out.push('(');
+            fmt_addr(addr, names, out);
+            out.push_str(", ");
+            fmt_expr(expected, names, out);
+            out.push_str(", ");
+            fmt_expr(new, names, out);
+            out.push_str(");\n");
         }
         Stmt::AtomicOp { order, dst, addr, op, operand } => {
             let opname = match op {
@@ -545,58 +633,83 @@ pub(crate) fn fmt_stmt(s: &Stmt, depth: usize, out: &mut String) {
                 RmwOrder::Full => "",
             };
             match dst {
-                None => out.push_str(&format!(
-                    "{tab}atomic_{opname}({}, {});\n",
-                    fmt_expr(operand),
-                    fmt_addr(addr)
-                )),
-                Some((d, AtomicDst::New)) => out.push_str(&format!(
-                    "{tab}{d} = atomic_{opname}_return{suffix}({}, {});\n",
-                    fmt_expr(operand),
-                    fmt_addr(addr)
-                )),
-                Some((d, AtomicDst::Old)) => out.push_str(&format!(
-                    "{tab}{d} = atomic_fetch_{opname}{suffix}({}, {});\n",
-                    fmt_expr(operand),
-                    fmt_addr(addr)
-                )),
+                None => {
+                    fmt_tab(depth, out);
+                    out.push_str("atomic_");
+                    out.push_str(opname);
+                }
+                Some((d, which)) => {
+                    fmt_dst(depth, d, names, out);
+                    match which {
+                        AtomicDst::New => {
+                            out.push_str("atomic_");
+                            out.push_str(opname);
+                            out.push_str("_return");
+                        }
+                        AtomicDst::Old => {
+                            out.push_str("atomic_fetch_");
+                            out.push_str(opname);
+                        }
+                    }
+                    out.push_str(suffix);
+                }
             }
+            out.push('(');
+            fmt_expr(operand, names, out);
+            out.push_str(", ");
+            fmt_addr(addr, names, out);
+            out.push_str(");\n");
         }
         Stmt::Assign { dst, value } => {
-            out.push_str(&format!("{tab}{dst} = {};\n", fmt_expr(value)));
+            fmt_dst(depth, dst, names, out);
+            fmt_expr(value, names, out);
+            out.push_str(";\n");
         }
         Stmt::Assume(cond) => {
-            out.push_str(&format!("{tab}__assume({});\n", fmt_expr(cond)));
+            fmt_tab(depth, out);
+            out.push_str("__assume(");
+            fmt_expr(cond, names, out);
+            out.push_str(");\n");
         }
         Stmt::If { cond, then_, else_ } => {
-            out.push_str(&format!("{tab}if ({}) {{\n", fmt_expr(cond)));
+            fmt_tab(depth, out);
+            out.push_str("if (");
+            fmt_expr(cond, names, out);
+            out.push_str(") {\n");
             for s in then_ {
-                fmt_stmt(s, depth + 1, out);
+                fmt_stmt(s, depth + 1, names, out);
             }
+            fmt_tab(depth, out);
             if else_.is_empty() {
-                out.push_str(&format!("{tab}}}\n"));
+                out.push_str("}\n");
             } else {
-                out.push_str(&format!("{tab}}} else {{\n"));
+                out.push_str("} else {\n");
                 for s in else_ {
-                    fmt_stmt(s, depth + 1, out);
+                    fmt_stmt(s, depth + 1, names, out);
                 }
-                out.push_str(&format!("{tab}}}\n"));
+                fmt_tab(depth, out);
+                out.push_str("}\n");
             }
         }
         Stmt::SrcuReadLock { domain } => {
-            out.push_str(&format!("{tab}srcu_read_lock({});\n", fmt_addr(domain)));
+            fmt_tab(depth, out);
+            fmt_call("srcu_read_lock", domain, None, names, out);
         }
         Stmt::SrcuReadUnlock { domain } => {
-            out.push_str(&format!("{tab}srcu_read_unlock({});\n", fmt_addr(domain)));
+            fmt_tab(depth, out);
+            fmt_call("srcu_read_unlock", domain, None, names, out);
         }
         Stmt::SynchronizeSrcu { domain } => {
-            out.push_str(&format!("{tab}synchronize_srcu({});\n", fmt_addr(domain)));
+            fmt_tab(depth, out);
+            fmt_call("synchronize_srcu", domain, None, names, out);
         }
         Stmt::SpinLock { addr } => {
-            out.push_str(&format!("{tab}spin_lock({});\n", fmt_addr(addr)));
+            fmt_tab(depth, out);
+            fmt_call("spin_lock", addr, None, names, out);
         }
         Stmt::SpinUnlock { addr } => {
-            out.push_str(&format!("{tab}spin_unlock({});\n", fmt_addr(addr)));
+            fmt_tab(depth, out);
+            fmt_call("spin_unlock", addr, None, names, out);
         }
     }
 }

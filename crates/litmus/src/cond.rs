@@ -14,6 +14,17 @@ pub enum Quantifier {
     Forall,
 }
 
+impl Quantifier {
+    /// The source spelling: `exists`, `~exists` or `forall`.
+    pub fn keyword(self) -> &'static str {
+        match self {
+            Quantifier::Exists => "exists",
+            Quantifier::NotExists => "~exists",
+            Quantifier::Forall => "forall",
+        }
+    }
+}
+
 /// A final-state condition: a quantifier over a proposition.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Condition {
@@ -35,12 +46,7 @@ impl Condition {
 
 impl fmt::Display for Condition {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let q = match self.quantifier {
-            Quantifier::Exists => "exists",
-            Quantifier::NotExists => "~exists",
-            Quantifier::Forall => "forall",
-        };
-        write!(f, "{q} ({})", self.prop)
+        write!(f, "{} ({})", self.quantifier.keyword(), self.prop)
     }
 }
 

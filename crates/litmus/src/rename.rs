@@ -7,24 +7,24 @@
 //!
 //! * [`thread_locations`] / [`thread_registers`] — first-occurrence name
 //!   order within one thread body (the seed of alpha-renaming);
-//! * [`body_to_string`] — render a statement list without a surrounding
-//!   test (the seed of name-blind structural fingerprints);
 //! * [`rename_stmts`] / [`rename_test`] — total, capture-free renaming of
 //!   locations and (per-thread) registers;
 //! * [`permute_threads`] — reorder threads, remapping the thread indices
 //!   that final-state conditions mention.
 //!
-//! All functions are pure: they clone rather than mutate.
+//! All functions are pure: they clone rather than mutate. Printing a
+//! test under other names needs no renamed copy: see
+//! [`crate::ast::Spelling`].
 
 use crate::ast::{
-    collect_locs_stmts, collect_regs_stmts, fmt_stmt, AddrExpr, Expr, InitVal, Stmt, Test, Thread,
+    collect_locs_stmts, collect_regs_stmts, AddrExpr, Expr, InitVal, Stmt, Test, Thread,
 };
 use crate::cond::{CondVal, Condition, Prop, StateTerm};
 use std::collections::BTreeMap;
 
 /// Shared locations referenced by a thread body, in order of first
 /// occurrence (statement-traversal order), deduplicated.
-pub fn thread_locations(thread: &Thread) -> Vec<String> {
+pub fn thread_locations(thread: &Thread) -> Vec<&str> {
     let mut locs = Vec::new();
     collect_locs_stmts(&thread.body, &mut locs);
     dedup_keep_first(locs)
@@ -32,13 +32,13 @@ pub fn thread_locations(thread: &Thread) -> Vec<String> {
 
 /// Registers referenced by a thread body, in order of first occurrence
 /// (statement-traversal order), deduplicated.
-pub fn thread_registers(thread: &Thread) -> Vec<String> {
+pub fn thread_registers(thread: &Thread) -> Vec<&str> {
     let mut regs = Vec::new();
     collect_regs_stmts(&thread.body, &mut regs);
-    dedup_keep_first(regs.into_iter().map(str::to_string).collect())
+    dedup_keep_first(regs)
 }
 
-fn dedup_keep_first(names: Vec<String>) -> Vec<String> {
+fn dedup_keep_first(names: Vec<&str>) -> Vec<&str> {
     let mut seen = Vec::new();
     for n in names {
         if !seen.contains(&n) {
@@ -46,16 +46,6 @@ fn dedup_keep_first(names: Vec<String>) -> Vec<String> {
         }
     }
     seen
-}
-
-/// Render a statement list in the litmus source syntax (one statement per
-/// line, tab-indented), without the enclosing `P{i}(…) { … }` frame.
-pub fn body_to_string(stmts: &[Stmt]) -> String {
-    let mut out = String::new();
-    for s in stmts {
-        fmt_stmt(s, 1, &mut out);
-    }
-    out
 }
 
 fn map_name(map: &BTreeMap<String, String>, name: &str) -> String {
@@ -325,14 +315,6 @@ exists (1:r0=1 /\ 1:r1=0)
         assert_eq!(swapped.condition.to_string(), "exists (0:r0=1 /\\ 0:r1=0)");
         // A double swap is the identity.
         assert_eq!(permute_threads(&swapped, &[1, 0]), t);
-    }
-
-    #[test]
-    fn body_to_string_matches_full_rendering_fragment() {
-        let t = parse(MP).unwrap();
-        let body = body_to_string(&t.threads[0].body);
-        assert!(t.to_litmus_string().contains(&body));
-        assert!(body.contains("smp_wmb();"));
     }
 
     #[test]

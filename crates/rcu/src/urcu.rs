@@ -187,6 +187,11 @@ mod tests {
             Arc::new([AtomicUsize::new(1), AtomicUsize::new(POISON)]);
         let current = Arc::new(AtomicUsize::new(0));
         let stop = Arc::new(AtomicBool::new(false));
+        // Readers that have completed a read-side section. An
+        // uncontended grace period only flips a counter and scans the
+        // reader slots, so without this the writer can finish every
+        // update before any reader is scheduled.
+        let started = Arc::new(AtomicUsize::new(0));
 
         let mut handles = Vec::new();
         for tid in 0..READERS {
@@ -194,19 +199,28 @@ mod tests {
             let slots = slots.clone();
             let current = current.clone();
             let stop = stop.clone();
+            let started = started.clone();
             handles.push(std::thread::spawn(move || {
                 let mut reads = 0u64;
                 while !stop.load(Ordering::Acquire) {
-                    let _g = rcu.read_guard(tid);
-                    let idx = current.load(Ordering::Relaxed);
-                    let v = slots[idx].load(Ordering::Relaxed);
-                    assert_ne!(v, POISON, "reader observed a freed object");
+                    {
+                        let _g = rcu.read_guard(tid);
+                        let idx = current.load(Ordering::Relaxed);
+                        let v = slots[idx].load(Ordering::Relaxed);
+                        assert_ne!(v, POISON, "reader observed a freed object");
+                    }
                     reads += 1;
+                    if reads == 1 {
+                        started.fetch_add(1, Ordering::Release);
+                    }
                 }
                 reads
             }));
         }
 
+        while started.load(Ordering::Acquire) < READERS {
+            std::thread::yield_now();
+        }
         for gen in 2..2 + UPDATES {
             let old = current.load(Ordering::Relaxed);
             let new = 1 - old;

@@ -16,7 +16,7 @@
 //! test, so a retry with a bigger budget must see a miss, not a poisoned
 //! hit.
 
-use crate::canon::cache_key;
+use crate::canon::{canonical_text, KeyPrefix};
 use crate::store::{VerdictLog, VerdictStore};
 use lkmm_core::budget::Budget;
 use lkmm_exec::{
@@ -127,6 +127,19 @@ impl From<GenError> for BatchError {
     }
 }
 
+/// The key prefix of `model`'s column under `salt` and `opts`.
+/// EnumOptions influence candidate counts (caps, Scpv pruning), so two
+/// configurations must never share an entry: their `Debug` form joins
+/// the salt. That form deliberately excludes the budget, which the
+/// checkers change per request without rehashing.
+pub(crate) fn key_prefix(
+    model: &dyn ConsistencyModel,
+    salt: &str,
+    opts: &EnumOptions,
+) -> KeyPrefix {
+    KeyPrefix::new(model.name(), &format!("{salt}|{opts:?}"))
+}
+
 /// A memoizing checker: one model, one store, one version salt.
 ///
 /// Generic over its [`VerdictLog`] backend (default: a plain owned
@@ -136,6 +149,9 @@ pub struct BatchChecker<'m, S: VerdictLog = VerdictStore> {
     model: &'m dyn ConsistencyModel,
     store: S,
     salt: String,
+    /// The key prefix for `salt` and `enum_opts`, rehashed only when the
+    /// options change.
+    key_prefix: KeyPrefix,
     enum_opts: EnumOptions,
     pipe: PipelineOptions,
     session_hits: usize,
@@ -150,11 +166,13 @@ impl<'m, S: VerdictLog> BatchChecker<'m, S> {
     /// enumerator options are folded into every key, since they can
     /// change counts.
     pub fn new(model: &'m dyn ConsistencyModel, store: S, salt: &str) -> Self {
+        let enum_opts = EnumOptions::default();
         BatchChecker {
             model,
             store,
             salt: salt.to_string(),
-            enum_opts: EnumOptions::default(),
+            key_prefix: key_prefix(model, salt, &enum_opts),
+            enum_opts,
             pipe: PipelineOptions { jobs: 0, ..PipelineOptions::default() },
             session_hits: 0,
             session_computed: 0,
@@ -165,6 +183,7 @@ impl<'m, S: VerdictLog> BatchChecker<'m, S> {
     /// Override the enumeration options (folded into cache keys, except
     /// the budget — see [`BatchChecker::set_budget`]).
     pub fn with_options(mut self, opts: EnumOptions) -> Self {
+        self.key_prefix = key_prefix(self.model, &self.salt, &opts);
         self.enum_opts = opts;
         self
     }
@@ -219,11 +238,7 @@ impl<'m, S: VerdictLog> BatchChecker<'m, S> {
 
     /// The cache key this checker derives for `test`.
     pub fn key_of(&self, test: &Test) -> u128 {
-        // EnumOptions influence candidate counts (caps, Scpv pruning),
-        // so two configurations must never share an entry. The Debug
-        // form deliberately excludes the budget.
-        let salt = format!("{}|{:?}", self.salt, self.enum_opts);
-        cache_key(test, self.model.name(), &salt)
+        self.key_prefix.key_of_text(&canonical_text(test))
     }
 
     /// Check one test, answering from the store when possible. A check

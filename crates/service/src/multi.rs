@@ -25,8 +25,8 @@
 //! saving shows up in [`MultiBatchReport::candidates_actual`], which
 //! counts each enumeration once no matter how many columns rode on it.
 
-use crate::batch::{BatchError, BatchOutcome, Provenance};
-use crate::canon::{cache_key, cache_key_of_text, canonical_text};
+use crate::batch::{key_prefix, BatchError, BatchOutcome, Provenance};
+use crate::canon::{canonical_text, KeyPrefix};
 use crate::store::{VerdictLog, VerdictStore};
 use lkmm_core::budget::{Budget, BudgetKind, Meter};
 use lkmm_exec::{
@@ -100,10 +100,10 @@ pub struct MultiBatchChecker<'m, S: VerdictLog = VerdictStore> {
     /// Locked so threads running [`MultiBatchChecker::prepare`] can look
     /// verdicts up while the committing thread appends.
     store: RwLock<S>,
-    /// Fully-derived per-column key salts (base salt + options),
-    /// rederived only when the options change, which keeps the Debug
-    /// formatting of the options out of the per-unit path.
-    salts: Vec<String>,
+    /// Per-column key prefixes (model, base salt + options), rehashed
+    /// only when the options change, so keying a unit hashes only its
+    /// canonical text.
+    prefixes: Vec<KeyPrefix>,
     enum_opts: EnumOptions,
     pipe: PipelineOptions,
 }
@@ -119,20 +119,20 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
         MultiBatchChecker {
             columns,
             store: RwLock::new(store),
-            salts: Vec::new(),
+            prefixes: Vec::new(),
             enum_opts: EnumOptions::default(),
             pipe: PipelineOptions { jobs: 0, ..PipelineOptions::default() },
         }
-        // Derives the key salts.
+        // Derives the key prefixes.
         .with_options(EnumOptions::default())
     }
 
     /// Override the enumeration options (folded into cache keys, except
     /// the budget).
     pub fn with_options(mut self, opts: EnumOptions) -> Self {
+        self.prefixes =
+            self.columns.iter().map(|c| key_prefix(c.model, &c.salt, &opts)).collect();
         self.enum_opts = opts;
-        self.salts =
-            self.columns.iter().map(|c| format!("{}|{:?}", c.salt, self.enum_opts)).collect();
         self
     }
 
@@ -169,7 +169,7 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
     /// [`crate::BatchChecker::key_of`] on a checker built with the same
     /// salt, so stores are shared freely between the two paths.
     pub fn key_of(&self, col: usize, test: &Test) -> u128 {
-        cache_key(test, self.columns[col].model.name(), &self.salts[col])
+        self.prefixes[col].key_of_text(&canonical_text(test))
     }
 
     /// Check a corpus across every column: per column, dedupe by
@@ -282,12 +282,7 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
         // this is what makes a store-warm replay (and a checkpoint
         // resume) cheap.
         let canon = canonical_text(test);
-        let keys: Vec<u128> = self
-            .columns
-            .iter()
-            .zip(&self.salts)
-            .map(|(c, salt)| cache_key_of_text(&canon, c.model.name(), salt))
-            .collect();
+        let keys: Vec<u128> = self.prefixes.iter().map(|p| p.key_of_text(&canon)).collect();
         let missing: Vec<usize> = {
             let store = self.store();
             (0..keys.len()).filter(|&c| mask_row[c] && store.get(keys[c]).is_none()).collect()
@@ -675,6 +670,43 @@ mod tests {
         for t in &tests {
             assert_eq!(multi.key_of(0, t), single_sc.key_of(t));
             assert_eq!(multi.key_of(1, t), single_tso.key_of(t));
+        }
+    }
+
+    #[test]
+    fn unit_keys_equal_key_of_for_every_enabled_column() {
+        let mut tests = corpus(usize::MAX);
+        let cycles = lkmm_generator::cycles_up_to(3, &lkmm_generator::default_alphabet());
+        tests.extend(cycles.iter().map(|c| lkmm_generator::generate(c).unwrap()));
+        let sc = lkmm_models::Sc;
+        let tso = lkmm_models::X86Tso;
+        let c11 = lkmm_models::OriginalC11;
+        let columns = || {
+            vec![
+                MultiColumn { model: &sc, salt: "u|col:sc".into() },
+                MultiColumn { model: &tso, salt: "u|col:tso".into() },
+                MultiColumn { model: &c11, salt: "u|col:c11".into() },
+            ]
+        };
+        let default = MultiBatchChecker::new(columns(), VerdictStore::in_memory());
+        // Options join every key, so changing them rehashes the prefixes.
+        let opts = EnumOptions { max_executions: 4_096, ..EnumOptions::default() };
+        let capped =
+            MultiBatchChecker::new(columns(), VerdictStore::in_memory()).with_options(opts);
+        assert_ne!(capped.key_of(0, &tests[0]), default.key_of(0, &tests[0]));
+        for pass in ["cold", "warm"] {
+            let mut run = capped.begin_corpus();
+            for (i, test) in tests.iter().enumerate() {
+                let mask: Vec<bool> = (0..3).map(|c| (i + c) % 3 != 0).collect();
+                run.check_unit(i, test, &mask).unwrap();
+                for (c, cell) in run.take_row(i).into_iter().enumerate() {
+                    assert_eq!(cell.is_some(), mask[c], "{pass} unit {i} column {c}");
+                    if let Some(cell) = cell {
+                        assert_eq!(cell.key, capped.key_of(c, test), "{pass} unit {i} column {c}");
+                    }
+                }
+            }
+            run.finish().unwrap();
         }
     }
 
