@@ -100,6 +100,13 @@ cmp /tmp/lkmm-multi.out /tmp/lkmm-multi-seq.out
 "$BIN" --models lkmm,sc,c11 --jobs 1 /tmp/lkmm-ci-multi.litmus > /tmp/lkmm-multi-j1.out
 "$BIN" --models lkmm,sc,c11 --jobs 4 /tmp/lkmm-ci-multi.litmus > /tmp/lkmm-multi-j4.out
 cmp /tmp/lkmm-multi-j1.out /tmp/lkmm-multi-j4.out
+# A test big enough to split over workers (the sweep's stress_test(3, 2):
+# 4 096 pre-executions) prints the same at every job count too.
+printf 'C ci-stress\n{ x=0; }\nP0(int *x) { int r0; int r1; WRITE_ONCE(*x, 1); r0 = READ_ONCE(*x); r1 = READ_ONCE(*x); }\nP1(int *x) { int r0; int r1; WRITE_ONCE(*x, 2); r0 = READ_ONCE(*x); r1 = READ_ONCE(*x); }\nP2(int *x) { int r0; int r1; WRITE_ONCE(*x, 3); r0 = READ_ONCE(*x); r1 = READ_ONCE(*x); }\nexists (0:r0=1)\n' \
+    > /tmp/lkmm-ci-stress.litmus
+"$BIN" --models lkmm,lkmm-cat,sc --jobs 1 /tmp/lkmm-ci-stress.litmus > /tmp/lkmm-stress-j1.out
+"$BIN" --models lkmm,lkmm-cat,sc --jobs 4 /tmp/lkmm-ci-stress.litmus > /tmp/lkmm-stress-j4.out
+cmp /tmp/lkmm-stress-j1.out /tmp/lkmm-stress-j4.out
 # An unknown model name is rejected at parse time: usage error, exit 2.
 set +e
 "$BIN" --models lkmm,bogus /tmp/lkmm-ci-multi.litmus > /dev/null 2> /tmp/lkmm-multi.err
@@ -108,7 +115,8 @@ set -e
 test "$MULTI_STATUS" -eq 2
 grep -q 'unknown model `bogus`' /tmp/lkmm-multi.err
 rm -f /tmp/lkmm-ci-multi.litmus /tmp/lkmm-multi.out /tmp/lkmm-multi-seq.out \
-    /tmp/lkmm-multi-j1.out /tmp/lkmm-multi-j4.out /tmp/lkmm-multi.err
+    /tmp/lkmm-multi-j1.out /tmp/lkmm-multi-j4.out /tmp/lkmm-multi.err \
+    /tmp/lkmm-ci-stress.litmus /tmp/lkmm-stress-j1.out /tmp/lkmm-stress-j4.out
 
 echo "== serve hardening: hostile input, request limits, bounded wall-clock =="
 SERVE_CMD="$BIN serve --max-request-bytes 4096 --budget-ms 5000"

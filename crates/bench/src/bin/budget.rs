@@ -3,11 +3,11 @@
 //! Dependency-free (no criterion): times three configurations of the
 //! same checking work over the pipeline-sweep workloads —
 //!
-//! * `ungoverned`   — `check_test_pipelined` with the default (unlimited)
-//!   budget: the pre-governance fast path;
-//! * `passive`      — `check_test_governed` with the default budget: the
-//!   meter exists but every poll is a no-op branch;
-//! * `metered`      — `check_test_governed` under a generous explicit
+//! * `ungoverned`   — `check` read through its strict `into_result` view
+//!   with the default (unlimited) budget: the pre-governance fast path;
+//! * `passive`      — `check`'s governed outcome with the default budget:
+//!   the meter exists but every poll is a no-op branch;
+//! * `metered`      — `check`'s governed outcome under a generous explicit
 //!   budget on every axis: strided fuel countdowns and deadline polls are
 //!   live but never trip.
 //!
@@ -22,10 +22,7 @@
 
 use lkmm::Lkmm;
 use lkmm_exec::enumerate::EnumOptions;
-use lkmm_exec::{
-    check_test_governed, check_test_pipelined, effective_jobs, Budget, CheckOutcome,
-    PipelineOptions, TestResult,
-};
+use lkmm_exec::{check, effective_jobs, Budget, CheckOutcome, PipelineOptions, TestResult};
 use lkmm_litmus::ast::Test;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -111,10 +108,10 @@ fn run_config(
     let check = |t: &Test| -> TestResult {
         match config {
             Config::Ungoverned => {
-                check_test_pipelined(model, t, &opts, pipe).expect("enumeration")
+                check(&[model], t, &opts, pipe).into_result().expect("enumeration").remove(0)
             }
             Config::Passive | Config::Metered => {
-                match check_test_governed(model, t, &opts, pipe) {
+                match check(&[model], t, &opts, pipe).into_first() {
                     CheckOutcome::Complete(r) => r,
                     CheckOutcome::Inconclusive { reason, .. } => {
                         panic!("generous budget went inconclusive: {reason}")

@@ -1,7 +1,7 @@
 //! Sequential-vs-parallel throughput micro-bench for the check pipeline.
 //!
-//! Dependency-free (no criterion): times `check_test` against
-//! `check_test_pipelined` at several job counts over three workloads —
+//! Dependency-free (no criterion): times `check_test` against the check
+//! engine (`check`) at several job counts over three workloads —
 //! the paper's Table 5 litmus library under the native LKMM, a generated
 //! MP-family sweep, and a model-eval-heavy stress workload under the
 //! interpreted cat LKMM — then writes `BENCH_PIPELINE.json` in the
@@ -14,8 +14,7 @@
 //! `--assert-bar X` turns the run into a perf gate: after writing the
 //! JSON it fails (exit 1) if any workload's `pipeline-j2` speedup fell
 //! below `X` — CI uses `--assert-bar 1.0` to pin "two workers are never
-//! slower than sequential" now that small checks collapse inline and
-//! batches amortise the queue traffic.
+//! slower than sequential".
 //!
 //! Verdicts are asserted identical across all configurations while
 //! timing, so a bench run doubles as a cross-check. The timing
@@ -29,19 +28,19 @@
 //! letting it systematically favour whichever config runs first or
 //! last.
 //!
-//! Reading the numbers: the pipeline's producer (candidate enumeration)
-//! is serial, so speedup is bounded by the model-evaluation share of each
-//! test (Amdahl), and each check pays a worker spawn/join. The library
-//! tests have single-digit candidate counts, so they measure that fixed
-//! overhead; the stress workload is where a multi-core machine shows the
-//! scaling (interpreted model ≈ 50 µs/candidate dwarfs the per-candidate
-//! enumeration cost). On a single-hardware-thread host every speedup
-//! clamps to ≈1×; the JSON records `hardware_threads` so results are
-//! interpretable.
+//! Reading the numbers: a check splits its pre-executions over the
+//! workers, each enumerating and evaluating its own ranges, only once it
+//! has worked through a fixed inline prefix. The library and MP-family
+//! tests have single-digit candidate counts and never leave that prefix,
+//! so their rows compare the inline engine against the allocating
+//! `check_test`; the stress workload is where a multi-core machine shows
+//! the split (`stress_test(3, 2)` has 4 096 pre-executions). On a
+//! single-hardware-thread host every speedup clamps to ≈1×; the JSON
+//! records `hardware_threads` so results are interpretable.
 
 use lkmm::Lkmm;
 use lkmm_exec::enumerate::EnumOptions;
-use lkmm_exec::{check_test, check_test_pipelined, effective_jobs, PipelineOptions, TestResult};
+use lkmm_exec::{check, check_test, effective_jobs, PipelineOptions, TestResult};
 use lkmm_litmus::ast::Test;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -134,7 +133,9 @@ fn time_config(
             .iter()
             .map(|t| match pipe {
                 None => check_test(model, t, opts).expect("enumeration"),
-                Some(p) => check_test_pipelined(model, t, opts, p).expect("enumeration"),
+                Some(p) => {
+                    check(&[model], t, opts, p).into_result().expect("enumeration").remove(0)
+                }
             })
             .collect();
     }

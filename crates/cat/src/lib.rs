@@ -140,15 +140,6 @@ impl ConsistencyModel for CatModel {
     fn session(&self) -> Option<Box<dyn ModelSession + '_>> {
         Some(Box::new(CatSession::new(self)))
     }
-
-    /// The highest hint in the workspace, so batches carrying a cat
-    /// model stay fine-grained. Compiled, the cat LKMM costs about what
-    /// the native LKMM (hint 5) does per candidate; the hint keeps the
-    /// value it had as a tree walk, so batch shapes did not move with
-    /// the compiler, and retuning it is a measurement of its own.
-    fn eval_cost_hint(&self) -> usize {
-        8
-    }
 }
 
 impl ModelSession for CatSession<'_> {

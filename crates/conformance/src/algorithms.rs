@@ -30,17 +30,13 @@
 use crate::matrix::{
     build_matrix, uses_srcu, CorpusEntry, MatrixOptions, ModelId, ModelSet, Origin,
 };
-use crate::campaign::{CampaignError, ModelStats, OracleStats, SimConfig};
-use crate::oracle::{
-    check_row, recheck_violated, Discrepancy, OracleKind, OracleSummary, Recheck,
-};
-use crate::shrink::{shrink, test_size};
+use crate::campaign::{sim_seed, CampaignError, ModelStats, OracleStats, SimConfig};
+use crate::oracle::{check_row, Discrepancy, OracleKind, OracleSummary, Recheck};
+use crate::shrink::shrink_discrepancies;
 use lkmm_algorithms::{AlgoProgram, FamilyId, FamilyParams, ScAtomic};
 use lkmm_algorithms::interleave;
 use lkmm_core::budget::Budget;
-use lkmm_exec::{
-    check_test_governed, CheckOutcome, EnumOptions, PipelineOptions, Verdict,
-};
+use lkmm_exec::{check, CheckOutcome, EnumOptions, PipelineOptions, Verdict};
 use lkmm_service::canonical_text;
 use lkmm_service::json::Json;
 use lkmm_sim::{run_test, Arch, RunConfig};
@@ -56,10 +52,9 @@ pub struct AlgoConfig {
     pub params: FamilyParams,
     /// Cache version salt (each model column adds its own component).
     pub salt: String,
-    /// Pipeline worker threads per check (0 = all hardware threads).
+    /// Worker threads per check (0 = all hardware threads): a check big
+    /// enough to split spreads its pre-executions over this many.
     pub jobs: usize,
-    /// Per-worker candidate queue bound.
-    pub queue_depth: usize,
     /// Per-check budget; trips surface as inconclusive cells.
     pub budget: Budget,
     /// Persistent verdict store; `None` runs in memory.
@@ -77,8 +72,8 @@ pub struct AlgoConfig {
     /// Shared enumeration pruning counters for the matrix pass
     /// (observability only, exactly as in the cycle campaign).
     pub enum_stats: Option<std::sync::Arc<lkmm_exec::EnumStats>>,
-    /// Shared data-plane counters (batch occupancy, arena reuse) for
-    /// the matrix pass (observability only, exactly as in the cycle
+    /// Shared data-plane counters (arena acquires and reuses) for the
+    /// matrix pass (observability only, exactly as in the cycle
     /// campaign).
     pub data_plane: Option<std::sync::Arc<lkmm_exec::DataPlaneStats>>,
 }
@@ -90,7 +85,6 @@ impl Default for AlgoConfig {
             params: FamilyParams::default(),
             salt: String::new(),
             jobs: 0,
-            queue_depth: 256,
             budget: Budget::default(),
             store_path: None,
             sim: SimConfig::default(),
@@ -153,11 +147,6 @@ impl AlgoReport {
     }
 }
 
-/// Per-program seed for the sim pass, mirroring the cycle campaign's.
-fn sim_seed(base: u64, index: usize) -> u64 {
-    base ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
 /// Run an algorithm campaign with the standard reference checkers.
 ///
 /// # Errors
@@ -214,7 +203,6 @@ pub fn run_algo_campaign_with(
     let matrix_opts = MatrixOptions {
         salt: &cfg.salt,
         jobs: cfg.jobs,
-        queue_depth: cfg.queue_depth,
         budget: cfg.budget.clone(),
         store_path: cfg.store_path.as_deref(),
         enum_stats: cfg.enum_stats.clone(),
@@ -358,11 +346,7 @@ pub fn run_algo_campaign_with(
     // machine vs the axiomatic SC+atomicity verdict.
     {
         let opts = EnumOptions { budget: cfg.budget.clone(), ..EnumOptions::default() };
-        let pipe = PipelineOptions {
-            jobs: cfg.jobs,
-            queue_depth: cfg.queue_depth.max(1),
-            ..PipelineOptions::default()
-        };
+        let pipe = PipelineOptions { jobs: cfg.jobs, ..PipelineOptions::default() };
         for (i, prog) in programs.iter().enumerate() {
             let fi = family_of(i);
             let Some(machine) = &prog.machine else { continue };
@@ -372,7 +356,7 @@ pub fn run_algo_campaign_with(
                 family_stats[fi].interleave.skipped += 1;
                 continue;
             }
-            let axiomatic = match check_test_governed(&ScAtomic, &prog.test, &opts, &pipe) {
+            let axiomatic = match check(&[&ScAtomic], &prog.test, &opts, &pipe).into_first() {
                 CheckOutcome::Complete(result) => result.verdict,
                 CheckOutcome::Inconclusive { .. } => {
                     summaries[OracleKind::InterleaveAgreement.index()].skipped += 1;
@@ -407,39 +391,9 @@ pub fn run_algo_campaign_with(
 
     // Shrink. Family-safety discrepancies re-check through one native
     // LKMM run, so the mutant-catching path minimizes to the smallest
-    // program that still gets the wrong verdict. Host observations are
-    // scheduling-dependent and interleave machines cannot follow a
-    // mutated test, so neither is shrunk (C11Expectation as before).
+    // program that still gets the wrong verdict.
     if cfg.shrink {
-        let opts = EnumOptions { budget: cfg.budget.clone(), ..EnumOptions::default() };
-        let pipe = PipelineOptions {
-            jobs: cfg.jobs,
-            queue_depth: cfg.queue_depth.max(1),
-            ..PipelineOptions::default()
-        };
-        for d in &mut discrepancies {
-            if matches!(
-                d.check,
-                Recheck::C11Expectation { .. }
-                    | Recheck::HostObservation { .. }
-                    | Recheck::InterleaveDivergence { .. }
-            ) {
-                continue;
-            }
-            if !recheck_violated(&d.check, &d.test, set, &opts, &pipe) {
-                continue;
-            }
-            let mut pred = |cand: &lkmm_litmus::ast::Test| {
-                recheck_violated(&d.check, cand, set, &opts, &pipe)
-            };
-            let (minimal, attempts, accepted) = shrink(&d.test, &mut pred);
-            d.shrunk = Some(crate::shrink::Shrunk {
-                litmus: canonical_text(&minimal),
-                size: test_size(&minimal),
-                attempts,
-                accepted,
-            });
-        }
+        shrink_discrepancies(&mut discrepancies, set, &cfg.budget, cfg.jobs);
     }
 
     Ok(AlgoReport {
@@ -693,6 +647,8 @@ pub fn algo_observability_lines(report: &AlgoReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::recheck_violated;
+    use crate::shrink::test_size;
 
     fn quick_config() -> AlgoConfig {
         AlgoConfig {

@@ -18,14 +18,13 @@ use crate::driver::{drive_campaign, ResilienceConfig};
 use crate::matrix::{
     uses_srcu, CorpusEntry, MatrixOptions, MatrixRow, ModelId, ModelPass, ModelSet, Origin,
 };
-use crate::oracle::{check_row, recheck_violated, Discrepancy, OracleKind, OracleSummary, Recheck};
-use crate::shrink::{shrink, test_size, Shrunk};
+use crate::oracle::{check_row, Discrepancy, OracleKind, OracleSummary, Recheck};
+use crate::shrink::shrink_discrepancies;
 use lkmm_core::budget::Budget;
-use lkmm_exec::{CheckOutcome, EnumOptions, PipelineOptions, Verdict};
+use lkmm_exec::{CheckOutcome, Verdict};
 use lkmm_generator::{
     cycles_up_to, default_alphabet, generate, generate_contended, Edge, GenError,
 };
-use lkmm_service::canonical_text;
 use lkmm_service::hash::fnv64;
 use lkmm_sim::{run_test, Arch, RunConfig};
 use std::fmt;
@@ -69,12 +68,10 @@ pub struct CampaignConfig {
     pub salt: String,
     /// Worker threads (0 = all hardware threads, never more than the
     /// host has): the matrix pass checks this many units at once, each
-    /// on one thread; shrink re-checks spread each test's candidates
-    /// over this many pipeline workers. Reports are identical at any
-    /// value.
+    /// on one thread; a shrink re-check big enough to split spreads its
+    /// pre-executions over this many workers. Reports are identical at
+    /// any value.
     pub jobs: usize,
-    /// Per-worker candidate queue bound (shrink re-checks).
-    pub queue_depth: usize,
     /// Per-check budget; trips surface as inconclusive cells.
     pub budget: Budget,
     /// Persistent verdict store; `None` runs in memory.
@@ -89,8 +86,8 @@ pub struct CampaignConfig {
     /// counters never influence verdicts or cache keys, and a warm store
     /// legitimately reports zeros.
     pub enum_stats: Option<std::sync::Arc<lkmm_exec::EnumStats>>,
-    /// Shared data-plane counters (batch occupancy, arena reuse) for
-    /// the matrix pass. Same contract as `enum_stats`: `None` (the
+    /// Shared data-plane counters (arena acquires and reuses) for the
+    /// matrix pass. Same contract as `enum_stats`: `None` (the
     /// default) records nothing; when set, the report carries a
     /// [`CampaignReport::data_plane`] snapshot. Observability only —
     /// counters never influence verdicts or cache keys, and a warm
@@ -109,7 +106,6 @@ impl Default for CampaignConfig {
             include_library: true,
             salt: String::new(),
             jobs: 0,
-            queue_depth: 256,
             budget: Budget::default(),
             store_path: None,
             sim: SimConfig::default(),
@@ -151,7 +147,7 @@ pub struct CampaignReport {
     /// Enumeration pruning counters from the matrix pass; present only
     /// when [`CampaignConfig::enum_stats`] was set.
     pub enumeration: Option<lkmm_exec::EnumSnapshot>,
-    /// Data-plane counters (batch occupancy, arena reuse) from the
+    /// Data-plane counters (arena acquires and reuses) from the
     /// matrix pass; present only when [`CampaignConfig::data_plane`]
     /// was set.
     pub data_plane: Option<lkmm_exec::DataPlaneSnapshot>,
@@ -356,10 +352,9 @@ pub fn corpus(cfg: &CampaignConfig) -> Result<Vec<CorpusEntry>, GenError> {
 /// FNV-64 fingerprint over everything the deterministic report depends
 /// on: corpus shape, cache salt, fuel budgets, simulator config, shrink
 /// flag, column set. A checkpoint records this and resume refuses a
-/// mismatch. Knobs that cannot change the report — `jobs`,
-/// `queue_depth`, wall-clock limits (already nondeterministic) — are
-/// deliberately excluded, so resuming on a different machine with
-/// different parallelism is fine.
+/// mismatch. Knobs that cannot change the report — `jobs`, wall-clock
+/// limits (already nondeterministic) — are deliberately excluded, so
+/// resuming on a different machine with different parallelism is fine.
 pub fn config_fingerprint(cfg: &CampaignConfig, total_units: usize) -> u64 {
     use std::fmt::Write as _;
     let mut s = String::new();
@@ -386,7 +381,7 @@ pub fn config_fingerprint(cfg: &CampaignConfig, total_units: usize) -> u64 {
 
 /// Per-test seed for the soundness pass: reproducible, distinct per
 /// corpus position, independent of which other tests are simulated.
-fn sim_seed(base: u64, corpus_index: usize) -> u64 {
+pub(crate) fn sim_seed(base: u64, corpus_index: usize) -> u64 {
     base ^ (corpus_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
@@ -476,7 +471,6 @@ pub fn run_campaign_with(
     let matrix_opts = MatrixOptions {
         salt: &cfg.salt,
         jobs: cfg.jobs,
-        queue_depth: cfg.queue_depth,
         budget: cfg.budget.clone(),
         store_path: cfg.store_path.as_deref(),
         enum_stats: cfg.enum_stats.clone(),
@@ -495,7 +489,8 @@ pub fn run_campaign_with(
         &cfg.resilience,
         |i, row, discrepancies, summaries| {
             check_row(row, discrepancies, summaries);
-            sim_check_row(&cfg.sim, i, row, discrepancies, &mut summaries[2]);
+            let sim = &mut summaries[OracleKind::SimSoundness.index()];
+            sim_check_row(&cfg.sim, i, row, discrepancies, sim);
         },
     )?;
     let crate::driver::CampaignCore {
@@ -515,35 +510,7 @@ pub fn run_campaign_with(
     // Re-checks recompute from scratch through the exact failing pair —
     // never through the store (see crate docs for why).
     if cfg.shrink {
-        let opts = EnumOptions { budget: cfg.budget.clone(), ..EnumOptions::default() };
-        let pipe = PipelineOptions {
-            jobs: cfg.jobs,
-            queue_depth: cfg.queue_depth.max(1),
-            ..PipelineOptions::default()
-        };
-        for d in &mut discrepancies {
-            // Library C11 expectations describe the original named test
-            // only; a reduced test has no published column to compare to.
-            if matches!(d.check, Recheck::C11Expectation { .. }) {
-                continue;
-            }
-            if !recheck_violated(&d.check, &d.test, set, &opts, &pipe) {
-                // Matrix said violated, scratch recheck disagrees (e.g. a
-                // budget trip): leave unshrunk rather than minimize
-                // against an unreproducible predicate.
-                continue;
-            }
-            let mut pred = |cand: &lkmm_litmus::ast::Test| {
-                recheck_violated(&d.check, cand, set, &opts, &pipe)
-            };
-            let (minimal, attempts, accepted) = shrink(&d.test, &mut pred);
-            d.shrunk = Some(Shrunk {
-                litmus: canonical_text(&minimal),
-                size: test_size(&minimal),
-                attempts,
-                accepted,
-            });
-        }
+        shrink_discrepancies(&mut discrepancies, set, &cfg.budget, cfg.jobs);
     }
 
     Ok(CampaignReport {
@@ -571,6 +538,9 @@ pub fn run_campaign_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::recheck_violated;
+    use crate::shrink::test_size;
+    use lkmm_exec::{EnumOptions, PipelineOptions};
 
     fn quick_config() -> CampaignConfig {
         CampaignConfig {

@@ -44,12 +44,13 @@
 //! Campaigns parallelise over units, not candidates. `jobs` scoped
 //! worker threads (never more than the host has) run the pure half of
 //! each unit, [`MultiBatchChecker::prepare`] — keys, store lookups, one
-//! inline enumeration — up to [`WINDOW_PER_WORKER`] units per worker
-//! ahead of the commit cursor. The calling thread commits units
-//! strictly in corpus order ([`CorpusRun::commit`]) and does all of the
-//! above, so reports, counters, checkpoints and fault points behave
-//! exactly as with one job, where both halves run inline and no thread
-//! is spawned.
+//! inline enumeration — up to 16 units per worker ahead of the commit
+//! cursor, on the ordered pool ([`prepare_in_order`]) that a check split
+//! over workers runs on too.
+//! The calling thread commits units strictly in corpus order
+//! ([`CorpusRun::commit`]) and does all of the above, so reports,
+//! counters, checkpoints and fault points behave exactly as with one
+//! job, where both halves run inline and no thread is spawned.
 //!
 //! Fault points: `campaign.kill` aborts the process at a unit boundary
 //! (a simulated SIGKILL for crash tests); `worker.transient` injects a
@@ -61,6 +62,7 @@ use crate::checkpoint::{self, Checkpoint, CheckpointLog, FailedUnit, FailureKind
 use crate::matrix::{CorpusEntry, MatrixOptions, MatrixRow, ModelId, ModelPass, ModelSet, Origin};
 use crate::oracle::{Discrepancy, OracleKind, OracleSummary};
 use lkmm_core::faultpoint;
+use lkmm_exec::pool::prepare_in_order;
 use lkmm_exec::{worker_threads, CheckOutcome, EnumOptions, Verdict};
 use lkmm_generator::GenError;
 use lkmm_litmus::ast::Test;
@@ -69,11 +71,8 @@ use lkmm_service::{
     VerdictStore,
 };
 use lkmm_sim::rng::SplitMix64;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -237,101 +236,6 @@ fn supervise_unit(
             }
         }
     }
-}
-
-/// Units prepared ahead of the commit cursor, per worker thread: deep
-/// enough that a slow unit at the cursor does not leave the workers
-/// idle behind it (4 per worker made contended-twin campaigns 1.7×
-/// slower), shallow enough that the units in flight stay small next to
-/// a simulator-bound campaign's memory.
-const WINDOW_PER_WORKER: usize = 16;
-
-/// Run `prepare` over `items` on `workers` scoped threads and hand each
-/// item with its prepared value to `commit` on the calling thread,
-/// strictly in input order, until `commit` returns `Ok(false)` (stop)
-/// or an error. At most [`WINDOW_PER_WORKER`] × `workers` items are in
-/// flight. A panic in `prepare` reaches `commit` as `Err(payload)`.
-/// With one worker both calls run inline and no thread is spawned.
-///
-/// The calling thread only commits: preparing a slow item there would
-/// hold back every commit behind it while the workers drain the window
-/// and idle.
-fn prepare_in_order<T: Send, P: Send, E>(
-    items: impl Iterator<Item = T>,
-    workers: usize,
-    prepare: impl Fn(&T) -> P + Sync,
-    mut commit: impl FnMut(T, thread::Result<P>) -> Result<bool, E>,
-) -> Result<(), E> {
-    let prepare = |item: &T| catch_unwind(AssertUnwindSafe(|| prepare(item)));
-    if workers <= 1 {
-        for item in items {
-            let prepared = prepare(&item);
-            if !commit(item, prepared)? {
-                break;
-            }
-        }
-        return Ok(());
-    }
-    let (job_tx, job_rx) = mpsc::channel::<(usize, T)>();
-    let (done_tx, done_rx) = mpsc::channel::<(usize, T, thread::Result<P>)>();
-    // Only workers take this lock: an idle one parks in `recv` holding
-    // it, and the calling thread never waits on it.
-    let job_rx = Mutex::new(job_rx);
-    let stopped = AtomicBool::new(false);
-    thread::scope(|s| {
-        for _ in 0..workers {
-            let (job_rx, stopped, prepare) = (&job_rx, &stopped, &prepare);
-            let done_tx = done_tx.clone();
-            s.spawn(move || loop {
-                let job = job_rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-                let Ok((seq, item)) = job else { break };
-                if stopped.load(Ordering::Relaxed) {
-                    break;
-                }
-                let prepared = prepare(&item);
-                if done_tx.send((seq, item, prepared)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(done_tx);
-        // Dropped when this closure returns (or unwinds), which lets
-        // every worker's `recv` fail once the queue is drained.
-        let job_tx = job_tx;
-        let mut items = items.fuse();
-        let window = WINDOW_PER_WORKER * workers;
-        // `ready[k]` holds item `next + k` once its worker is done.
-        let mut ready: VecDeque<Option<(T, thread::Result<P>)>> = VecDeque::new();
-        let (mut sent, mut next) = (0usize, 0usize);
-        let result = loop {
-            while sent - next < window {
-                let Some(item) = items.next() else { break };
-                job_tx.send((sent, item)).expect("the job queue outlives the scope");
-                sent += 1;
-            }
-            if next == sent {
-                break Ok(());
-            }
-            while !matches!(ready.front(), Some(Some(_))) {
-                let (seq, item, prepared) =
-                    done_rx.recv().expect("every worker returns each job it takes");
-                let slot = seq - next;
-                if ready.len() <= slot {
-                    ready.resize_with(slot + 1, || None);
-                }
-                ready[slot] = Some((item, prepared));
-            }
-            let (item, prepared) = ready.pop_front().flatten().expect("front slot is filled");
-            next += 1;
-            match commit(item, prepared) {
-                Ok(true) => {}
-                Ok(false) => break Ok(()),
-                Err(e) => break Err(e),
-            }
-        };
-        stopped.store(true, Ordering::Relaxed);
-        result
-    })
 }
 
 /// The campaign's deterministic substance, accumulated row by row —
@@ -527,13 +431,14 @@ pub fn drive_campaign(
     // everything order- or state-dependent happens here, in corpus
     // order, on the calling thread.
     let units = (&mut stream).enumerate().map(|(off, entry)| (start_at + off, entry));
-    let prepare = |(i, entry): &(usize, Result<CorpusEntry, GenError>)| {
+    let prepare = |_: &mut (), (i, entry): &(usize, Result<CorpusEntry, GenError>)| {
         let entry = entry.as_ref().ok().filter(|_| !quarantined.contains(i))?;
         Some(checker.prepare(&entry.test, &mask_of(&entry.test)))
     };
     prepare_in_order(
         units,
         workers,
+        || (),
         prepare,
         |(i, entry), prepared| -> Result<bool, CampaignError> {
             let entry = entry?;
@@ -649,6 +554,7 @@ mod tests {
     use crate::campaign::{config_fingerprint, corpus_stream, CampaignConfig, SimConfig};
     use crate::oracle::check_row;
     use lkmm_exec::{ConsistencyModel, ExecFacts, Execution, ModelSession};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     fn quick_config() -> CampaignConfig {

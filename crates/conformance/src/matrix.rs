@@ -264,17 +264,15 @@ pub struct ModelPass {
 }
 
 /// Knobs for one matrix build (a subset of the campaign config).
+#[derive(Default)]
 pub struct MatrixOptions<'a> {
     /// Cache version salt (the per-model component is the model name,
     /// already folded into every key by the batch checker).
     pub salt: &'a str,
     /// Worker threads (0 = all hardware threads): [`build_matrix`]
-    /// checks each test's candidates on this many pipeline workers,
+    /// splits each test big enough to pay for it over this many workers,
     /// [`crate::driver::drive_campaign`] checks this many units at once.
     pub jobs: usize,
-    /// Per-worker candidate queue bound ([`build_matrix`] only: the
-    /// campaign driver checks each unit's candidates inline).
-    pub queue_depth: usize,
     /// Per-check budget; exceeding it leaves an inconclusive cell.
     pub budget: Budget,
     /// Persistent verdict store; `None` checks in memory.
@@ -282,23 +280,9 @@ pub struct MatrixOptions<'a> {
     /// Shared enumeration pruning counters (observability only — like
     /// store hits, never part of cache keys or the default report JSON).
     pub enum_stats: Option<std::sync::Arc<EnumStats>>,
-    /// Shared data-plane counters (batch occupancy, arena reuse) from
-    /// the checking pipeline. Observability only, like `enum_stats`.
+    /// Shared data-plane counters (arena acquires and reuses) from the
+    /// checks. Observability only, like `enum_stats`.
     pub data_plane: Option<std::sync::Arc<lkmm_exec::DataPlaneStats>>,
-}
-
-impl Default for MatrixOptions<'_> {
-    fn default() -> Self {
-        MatrixOptions {
-            salt: "",
-            jobs: 0,
-            queue_depth: 256,
-            budget: Budget::default(),
-            store_path: None,
-            enum_stats: None,
-            data_plane: None,
-        }
-    }
 }
 
 /// Build the verdict matrix for `corpus` under `set`.
@@ -352,7 +336,6 @@ pub fn build_matrix(
         .with_options(EnumOptions { stats: opts.enum_stats.clone(), ..EnumOptions::default() })
         .with_pipeline_stats(opts.data_plane.clone())
         .with_jobs(opts.jobs)
-        .with_queue_depth(opts.queue_depth)
         .with_budget(opts.budget.clone());
     let report = match checker.check_corpus(&tests, &mask) {
         Ok(r) => r,

@@ -32,7 +32,7 @@
 //! before.
 
 use crate::matrix::{MatrixRow, ModelId, ModelSet, Origin};
-use lkmm_exec::{check_test_governed, CheckOutcome, EnumOptions, PipelineOptions, TestResult, Verdict};
+use lkmm_exec::{CheckOutcome, EnumOptions, PipelineOptions, TestResult, Verdict};
 use lkmm_litmus::ast::Test;
 use lkmm_litmus::library::Expect;
 use lkmm_models::OriginalC11;
@@ -331,7 +331,7 @@ pub fn check_row(
 }
 
 /// Whether `check` still fails on `test`, computed **from scratch** —
-/// every model run anew through the governed pipeline, the simulator
+/// every model run anew through the governed check engine, the simulator
 /// re-seeded; nothing is read from or written to any verdict store.
 /// Inconclusive checks count as *not failing* (the shrinker then simply
 /// keeps the larger test, staying conservative).
@@ -350,7 +350,7 @@ pub fn recheck_violated(
         if !ModelId::supports(id, test) {
             return None;
         }
-        match check_test_governed(set.get(id), test, opts, pipe) {
+        match lkmm_exec::check(&[set.get(id)], test, opts, pipe).into_first() {
             CheckOutcome::Complete(result) => Some(result),
             CheckOutcome::Inconclusive { .. } => None,
         }
@@ -400,7 +400,8 @@ pub fn recheck_violated(
                     // trivially-allowed empty program, which
                     // discriminates nothing.
                     Verdict::Allowed => matches!(
-                        check_test_governed(&lkmm_algorithms::ScAtomic, test, opts, pipe),
+                        lkmm_exec::check(&[&lkmm_algorithms::ScAtomic], test, opts, pipe)
+                            .into_first(),
                         CheckOutcome::Complete(r) if r.verdict == Verdict::Forbidden
                     ),
                     _ => true,
@@ -428,7 +429,7 @@ pub fn recheck_violated(
             if explored.truncated {
                 return false;
             }
-            match check_test_governed(&lkmm_algorithms::ScAtomic, test, opts, pipe) {
+            match lkmm_exec::check(&[&lkmm_algorithms::ScAtomic], test, opts, pipe).into_first() {
                 CheckOutcome::Complete(result) => {
                     explored.bad_reachable != (result.verdict == Verdict::Allowed)
                 }

@@ -1,8 +1,8 @@
 //! Delta-debugging minimizer for discrepancies.
 //!
 //! Given a failing test and a keep-predicate (the discrepancy's
-//! [`Recheck`](crate::oracle::Recheck), re-evaluated from scratch), the
-//! shrinker repeatedly tries structural *removals* —
+//! [`Recheck`], re-evaluated from scratch), the shrinker repeatedly
+//! tries structural *removals* —
 //!
 //! 1. drop a whole thread (remapping condition thread indices),
 //! 2. drop one statement, or flatten an `if` into its branches
@@ -20,9 +20,14 @@
 //! count as "fixed", so the shrinker conservatively keeps the larger,
 //! known-failing test instead of walking into unverifiable territory.
 
+use crate::matrix::ModelSet;
+use crate::oracle::{recheck_violated, Discrepancy, Recheck};
+use lkmm_core::budget::Budget;
+use lkmm_exec::{EnumOptions, PipelineOptions};
 use lkmm_litmus::ast::{Stmt, Test};
 use lkmm_litmus::cond::{Condition, Prop, StateTerm};
 use lkmm_litmus::validate;
+use lkmm_service::canonical_text;
 use std::collections::BTreeSet;
 
 /// A minimized witness.
@@ -36,6 +41,47 @@ pub struct Shrunk {
     pub attempts: usize,
     /// Reductions accepted (each one removed something).
     pub accepted: usize,
+}
+
+/// Shrink every discrepancy in place, as both campaigns do after their
+/// oracles ran: each re-check recomputes from scratch through the exact
+/// failing pair (never through a store) under `budget`, on `jobs`
+/// workers. Checks that describe only the original test are left alone:
+/// a library C11 expectation (a reduced test has no published column),
+/// a host observation (scheduling-dependent) and an interleaving
+/// divergence (its step machine cannot follow a mutated test).
+pub(crate) fn shrink_discrepancies(
+    discrepancies: &mut [Discrepancy],
+    set: &ModelSet,
+    budget: &Budget,
+    jobs: usize,
+) {
+    let opts = EnumOptions { budget: budget.clone(), ..EnumOptions::default() };
+    let pipe = PipelineOptions { jobs, ..PipelineOptions::default() };
+    for d in discrepancies {
+        if matches!(
+            d.check,
+            Recheck::C11Expectation { .. }
+                | Recheck::HostObservation { .. }
+                | Recheck::InterleaveDivergence { .. }
+        ) {
+            continue;
+        }
+        if !recheck_violated(&d.check, &d.test, set, &opts, &pipe) {
+            // The matrix said violated, the scratch re-check disagrees
+            // (a budget trip, say): leave it unshrunk rather than
+            // minimize against an unreproducible predicate.
+            continue;
+        }
+        let mut pred = |cand: &Test| recheck_violated(&d.check, cand, set, &opts, &pipe);
+        let (minimal, attempts, accepted) = shrink(&d.test, &mut pred);
+        d.shrunk = Some(Shrunk {
+            litmus: canonical_text(&minimal),
+            size: test_size(&minimal),
+            attempts,
+            accepted,
+        });
+    }
 }
 
 /// Structural size of a test: statements (nested ones included) plus

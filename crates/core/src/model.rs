@@ -289,10 +289,6 @@ impl ConsistencyModel for Lkmm {
             tmp: AxiomScratch::default(),
         }))
     }
-
-    fn eval_cost_hint(&self) -> usize {
-        5
-    }
 }
 
 /// A stateful checking session for the native LKMM: caches the

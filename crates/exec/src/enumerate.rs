@@ -27,7 +27,7 @@ use lkmm_litmus::FenceKind;
 use lkmm_relation::{IncrementalOrder, Relation};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
@@ -254,9 +254,7 @@ pub fn for_each_execution(
 /// Abortable streaming enumeration: each candidate is passed to `visit`
 /// *by value* (candidates share their pre-witness structure behind `Arc`s,
 /// so this is cheap), and the visitor may stop the enumeration early by
-/// returning [`ControlFlow::Break`]. This is the primitive the parallel
-/// check pipeline feeds from — both the move (no clone per candidate) and
-/// the abort (early-exit once a verdict is decided) matter there.
+/// returning [`ControlFlow::Break`].
 ///
 /// Returns [`ControlFlow::Break`] if the visitor stopped the run, and
 /// [`ControlFlow::Continue`] if the candidate space was exhausted.
@@ -269,90 +267,159 @@ pub fn try_for_each_execution(
     opts: &EnumOptions,
     visit: &mut dyn FnMut(Execution) -> ControlFlow<()>,
 ) -> Result<ControlFlow<()>, EnumError> {
-    if test.threads.is_empty() {
-        return Err(EnumError::NoThreads);
-    }
     let mut meter = opts.budget.meter();
-    let locs = test.shared_locations();
-    let init_vals: Vec<Val> = locs
-        .iter()
-        .map(|name| match test.init.get(name) {
-            Some(InitVal::Int(i)) => Val::Int(*i),
-            Some(InitVal::Ptr(t)) => {
-                Val::Loc(LocId(locs.iter().position(|l| l == t).expect("ptr target exists")))
-            }
-            None => Val::Int(0),
-        })
-        .collect();
+    let space = PreExecutions::new(test, opts, &mut meter)?;
+    space.try_for_each_in(0..space.len(), 1, opts, &mut meter, &mut 0, visit)
+}
 
-    // Which threads statically write each location; a location written by
-    // no thread other than the reader has deterministic read values.
-    let writers = static_writers(test, &locs);
+/// A test's pre-executions as an index space. Building one runs the
+/// value-domain fixpoint once; pre-execution `k` is then the `k`-th
+/// combination of per-thread outcomes, thread 0 varying fastest.
+///
+/// Enumeration takes ranges of *units*: cut into `slices` units each,
+/// pre-execution `k` is units `k * slices ..= k * slices + slices - 1`,
+/// unit `s` holding the `s`-th of `slices` equal shares of its witness
+/// tree, by the `rf` choices of the first reads assigned. Ranges of
+/// units enumerate independently — on any thread — and ranges visited
+/// in index order emit exactly the candidate stream of
+/// [`try_for_each_execution`], at any `slices`: that is how the check
+/// engine splits one test over a worker pool, slicing a pre-execution
+/// when one holds most of the work.
+pub struct PreExecutions {
+    locs: Arc<Vec<String>>,
+    init_vals: Vec<Val>,
+    outcomes: Vec<Vec<ThreadOutcome>>,
+    len: usize,
+}
 
-    // --- value-domain fixpoint -------------------------------------------
-    let mut domains: Vec<BTreeSet<Val>> =
-        init_vals.iter().map(|&v| BTreeSet::from([v])).collect();
-    let mut outcomes: Vec<Vec<ThreadOutcome>> = Vec::new();
-    let stmt_count: usize = test.threads.iter().map(|t| count_stmts(&t.body)).sum();
-    let rounds = (stmt_count + 1).min(opts.max_domain_iterations.max(1));
-    for _round in 0..rounds {
-        meter.poll_now().map_err(EnumError::BudgetExceeded)?;
-        outcomes = test
-            .threads
+impl PreExecutions {
+    /// Run the value-domain fixpoint for `test`, polling `meter` for the
+    /// clock and cancellation.
+    ///
+    /// # Errors
+    ///
+    /// See [`EnumError`]. A test with more pre-executions than `usize`
+    /// can index reports [`EnumError::TooManyExecutions`].
+    pub fn new(
+        test: &Test,
+        opts: &EnumOptions,
+        meter: &mut Meter,
+    ) -> Result<PreExecutions, EnumError> {
+        if test.threads.is_empty() {
+            return Err(EnumError::NoThreads);
+        }
+        let locs = test.shared_locations();
+        let init_vals: Vec<Val> = locs
             .iter()
-            .enumerate()
-            .map(|(tid, t)| {
-                explore_thread(&t.body, tid, &locs, &init_vals, &writers, &domains, opts, &mut meter)
+            .map(|name| match test.init.get(name) {
+                Some(InitVal::Int(i)) => Val::Int(*i),
+                Some(InitVal::Ptr(t)) => {
+                    Val::Loc(LocId(locs.iter().position(|l| l == t).expect("ptr target exists")))
+                }
+                None => Val::Int(0),
             })
-            .collect::<Result<_, _>>()?;
-        let mut changed = false;
-        for outs in &outcomes {
-            for out in outs {
-                for ev in &out.events {
-                    if let EventKind::Write { loc, val, .. } = ev.kind {
-                        changed |= domains[loc.0].insert(val);
+            .collect();
+
+        // Which threads statically write each location; a location
+        // written by no thread other than the reader has deterministic
+        // read values.
+        let writers = static_writers(test, &locs);
+
+        let mut domains: Vec<BTreeSet<Val>> =
+            init_vals.iter().map(|&v| BTreeSet::from([v])).collect();
+        let mut outcomes: Vec<Vec<ThreadOutcome>> = Vec::new();
+        let stmt_count: usize = test.threads.iter().map(|t| count_stmts(&t.body)).sum();
+        let rounds = (stmt_count + 1).min(opts.max_domain_iterations.max(1));
+        for _round in 0..rounds {
+            meter.poll_now().map_err(EnumError::BudgetExceeded)?;
+            outcomes = test
+                .threads
+                .iter()
+                .enumerate()
+                .map(|(tid, t)| {
+                    explore_thread(&t.body, tid, &locs, &init_vals, &writers, &domains, opts, meter)
+                })
+                .collect::<Result<_, _>>()?;
+            let mut changed = false;
+            for outs in &outcomes {
+                for out in outs {
+                    for ev in &out.events {
+                        if let EventKind::Write { loc, val, .. } = ev.kind {
+                            changed |= domains[loc.0].insert(val);
+                        }
                     }
                 }
             }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // A thread whose `__assume`s filter out every local outcome leaves
-    // the test with no candidate executions at all (the exists-condition
-    // is then vacuously unsatisfiable) — without this guard the odometer
-    // below would index into the empty outcome list.
-    if outcomes.iter().any(Vec::is_empty) {
-        return Ok(ControlFlow::Continue(()));
-    }
-
-    // --- assemble pre-executions and enumerate witnesses -----------------
-    let mut emitted = 0usize;
-    let mut combo = vec![0usize; test.threads.len()];
-    loop {
-        meter.poll_now().map_err(EnumError::BudgetExceeded)?;
-        let chosen: Vec<&ThreadOutcome> =
-            combo.iter().enumerate().map(|(t, &i)| &outcomes[t][i]).collect();
-        let pre = build_pre_execution(&locs, &init_vals, &chosen)?;
-        if enumerate_witnesses(&pre, opts, &mut emitted, &mut meter, visit)?.is_break() {
-            return Ok(ControlFlow::Break(()));
-        }
-
-        // Advance the per-thread outcome combination (odometer).
-        let mut t = 0;
-        loop {
-            if t == combo.len() {
-                return Ok(ControlFlow::Continue(()));
-            }
-            combo[t] += 1;
-            if combo[t] < outcomes[t].len() {
+            if !changed {
                 break;
             }
-            combo[t] = 0;
-            t += 1;
         }
+
+        // A thread whose `__assume`s filter out every local outcome
+        // leaves the test with no pre-executions at all (the
+        // exists-condition is then vacuously unsatisfiable).
+        let len = outcomes
+            .iter()
+            .try_fold(1usize, |n, outs| n.checked_mul(outs.len()))
+            .ok_or(EnumError::TooManyExecutions)?;
+        Ok(PreExecutions { locs: Arc::new(locs), init_vals, outcomes, len })
+    }
+
+    /// Number of pre-executions.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the test has no pre-execution (hence no candidate).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Enumerate the candidates of `units` (pre-executions cut into
+    /// `slices` units each), in index order, spending candidate fuel
+    /// from `meter`. `emitted` counts candidates against
+    /// [`EnumOptions::max_executions`]: carry one counter across
+    /// consecutive ranges of one check.
+    ///
+    /// # Errors
+    ///
+    /// See [`EnumError`].
+    ///
+    /// # Panics
+    ///
+    /// If `slices` is zero or `units` runs past the last pre-execution.
+    pub fn try_for_each_in(
+        &self,
+        units: Range<usize>,
+        slices: usize,
+        opts: &EnumOptions,
+        meter: &mut Meter,
+        emitted: &mut usize,
+        visit: &mut dyn FnMut(Execution) -> ControlFlow<()>,
+    ) -> Result<ControlFlow<()>, EnumError> {
+        assert!(slices > 0, "a pre-execution is at least one unit");
+        assert!(units.end <= self.len.saturating_mul(slices), "units past the last pre-execution");
+        let mut chosen: Vec<&ThreadOutcome> = Vec::with_capacity(self.outcomes.len());
+        let mut unit = units.start;
+        while unit < units.end {
+            meter.poll_now().map_err(EnumError::BudgetExceeded)?;
+            let k = unit / slices;
+            let first = k * slices;
+            let end = units.end.min(first + slices);
+            chosen.clear();
+            let mut rest = k;
+            for outs in &self.outcomes {
+                chosen.push(&outs[rest % outs.len()]);
+                rest /= outs.len();
+            }
+            let pre = build_pre_execution(&self.locs, &self.init_vals, &chosen)?;
+            let share = (end - unit < slices).then(|| (unit - first..end - first, slices));
+            if enumerate_witnesses(&pre, opts, share, emitted, meter, visit)?.is_break() {
+                return Ok(ControlFlow::Break(()));
+            }
+            unit = end;
+        }
+        Ok(ControlFlow::Continue(()))
     }
 }
 
@@ -494,7 +561,7 @@ struct PreExecution {
 }
 
 fn build_pre_execution(
-    locs: &[String],
+    locs: &Arc<Vec<String>>,
     init_vals: &[Val],
     chosen: &[&ThreadOutcome],
 ) -> Result<PreExecution, EnumError> {
@@ -587,7 +654,7 @@ fn build_pre_execution(
     }
 
     Ok(PreExecution {
-        locs: Arc::new(locs.to_vec()),
+        locs: Arc::clone(locs),
         events: Arc::new(events),
         n_threads: chosen.len(),
         po: Arc::new(po),
@@ -603,9 +670,66 @@ fn build_pre_execution(
     })
 }
 
+/// The share of one pre-execution's witness tree a run of its units
+/// covers: the `rf` assignments whose choices for the first
+/// `radix.len()` reads assigned (read `nr - 1` first, as both
+/// strategies nest them) form a mixed-radix prefix in `lo..hi`.
+struct Window {
+    /// Choices per windowed read, in assignment order.
+    radix: Vec<usize>,
+    /// Prefixes under one choice at each windowed depth.
+    span: Vec<usize>,
+    lo: usize,
+    hi: usize,
+}
+
+impl Window {
+    /// Shares `slices` of `of` equal ones, over enough leading reads
+    /// that there are at least `of` prefixes when the tree has them.
+    fn new(candidates: &[Vec<usize>], slices: &Range<usize>, of: usize) -> Window {
+        let mut radix = Vec::new();
+        let mut prefixes = 1usize;
+        for c in candidates.iter().rev() {
+            if prefixes >= of {
+                break;
+            }
+            radix.push(c.len());
+            prefixes *= c.len();
+        }
+        let mut span = vec![1usize; radix.len()];
+        for d in (1..radix.len()).rev() {
+            span[d - 1] = span[d] * radix[d];
+        }
+        Window { lo: slices.start * prefixes / of, hi: slices.end * prefixes / of, radix, span }
+    }
+
+    /// Where choice `ci` of the read at assignment depth `d` leads from
+    /// `prefix`: `None` when its subtree lies outside the window, else
+    /// the extended prefix and whether the window owns the subtree — it
+    /// holds the subtree's first prefix, so it alone counts the choice
+    /// as pruned.
+    fn enter(&self, d: usize, prefix: usize, ci: usize) -> Option<(usize, bool)> {
+        if d >= self.radix.len() {
+            return Some((prefix, true));
+        }
+        let p = prefix * self.radix[d] + ci;
+        let first = p * self.span[d];
+        (first < self.hi && first + self.span[d] > self.lo).then_some((p, first >= self.lo))
+    }
+
+    /// The prefix of a complete choice vector (indexed by read).
+    fn prefix_of(&self, choice: &[usize]) -> usize {
+        let nr = choice.len();
+        self.radix.iter().enumerate().fold(0, |p, (d, &r)| p * r + choice[nr - 1 - d])
+    }
+}
+
+/// Enumerate one pre-execution's witnesses, or only `share` of them:
+/// slices `share.0` of `share.1` (see [`PreExecutions`]).
 fn enumerate_witnesses(
     pre: &PreExecution,
     opts: &EnumOptions,
+    share: Option<(Range<usize>, usize)>,
     emitted: &mut usize,
     meter: &mut Meter,
     visit: &mut dyn FnMut(Execution) -> ControlFlow<()>,
@@ -629,6 +753,10 @@ fn enumerate_witnesses(
         }
         candidates.push(c);
     }
+    let window = share.map(|(slices, of)| Window::new(&candidates, &slices, of));
+    if window.as_ref().is_some_and(|w| w.lo == w.hi) {
+        return Ok(ControlFlow::Continue(()));
+    }
 
     // The pruned strategy represents forced-predecessor sets as one-word
     // bitmasks per location; litmus tests are far below 64 writes per
@@ -638,14 +766,27 @@ fn enumerate_witnesses(
         && opts.strategy == EnumStrategy::Pruned
         && pre.writes_per_loc.iter().all(|ws| ws.len() <= 64);
     if saturable {
-        return enumerate_witnesses_pruned(pre, &candidates, opts, emitted, meter, visit);
+        return enumerate_witnesses_pruned(pre, &candidates, window, opts, emitted, meter, visit);
     }
 
     // Scratch write orders, permuted in place by enumerate_co; one
     // allocation per pre-execution instead of one per (rf, location).
     let mut orders: Vec<Vec<usize>> = pre.writes_per_loc.clone();
-    let mut rf_choice = vec![0usize; pre.reads.len()];
+    let nr = pre.reads.len();
+    let mut rf_choice = vec![0usize; nr];
+    if let Some(w) = &window {
+        // The odometer nests the windowed reads outermost, so the window
+        // is one contiguous run of it, starting at prefix `lo`.
+        let mut rest = w.lo;
+        for d in (0..w.radix.len()).rev() {
+            rf_choice[nr - 1 - d] = rest % w.radix[d];
+            rest /= w.radix[d];
+        }
+    }
     loop {
+        if window.as_ref().is_some_and(|w| w.prefix_of(&rf_choice) >= w.hi) {
+            return Ok(ControlFlow::Continue(()));
+        }
         meter.poll().map_err(EnumError::BudgetExceeded)?;
         let mut rf = Relation::empty(pre.events.len());
         for (ri, &(read_id, _, _)) in pre.reads.iter().enumerate() {
@@ -822,6 +963,8 @@ struct PrunedState {
     pos_in_loc: Vec<usize>,
     /// For each read index: other read indices on the same location.
     peers: Vec<Vec<usize>>,
+    /// The share of the tree to enumerate, when not all of it.
+    window: Option<Window>,
 }
 
 /// Consistency-driven witness enumeration. Reads are assigned from the
@@ -835,6 +978,7 @@ struct PrunedState {
 fn enumerate_witnesses_pruned(
     pre: &PreExecution,
     candidates: &[Vec<usize>],
+    window: Option<Window>,
     opts: &EnumOptions,
     emitted: &mut usize,
     meter: &mut Meter,
@@ -880,12 +1024,13 @@ fn enumerate_witnesses_pruned(
         preds: pre.writes_per_loc.iter().map(|ws| vec![0u64; ws.len()]).collect(),
         pos_in_loc,
         peers,
+        window,
     };
     if nr == 0 {
         let rf = Relation::empty(n);
         return co_phase(pre, &rf, opts, &mut st, emitted, meter, visit);
     }
-    rf_rec(pre, candidates, opts, &mut st, nr - 1, emitted, meter, visit)
+    rf_rec(pre, candidates, opts, &mut st, nr - 1, 0, emitted, meter, visit)
 }
 
 /// Insert the `rf` edge for read `i` ← write `w` plus every coherence
@@ -939,6 +1084,8 @@ fn assign(pre: &PreExecution, st: &mut PrunedState, i: usize, w: usize) -> bool 
     true
 }
 
+/// Assign read `i` (and, recursively, every lower one), `prefix` being
+/// the window position of the reads assigned so far.
 #[allow(clippy::too_many_arguments)]
 fn rf_rec(
     pre: &PreExecution,
@@ -946,12 +1093,21 @@ fn rf_rec(
     opts: &EnumOptions,
     st: &mut PrunedState,
     i: usize,
+    prefix: usize,
     emitted: &mut usize,
     meter: &mut Meter,
     visit: &mut dyn FnMut(Execution) -> ControlFlow<()>,
 ) -> Result<ControlFlow<()>, EnumError> {
     meter.poll().map_err(EnumError::BudgetExceeded)?;
+    let depth = pre.reads.len() - 1 - i;
     for ci in 0..candidates[i].len() {
+        let (prefix, owned) = match &st.window {
+            None => (prefix, true),
+            Some(w) => match w.enter(depth, prefix, ci) {
+                Some(entered) => entered,
+                None => continue,
+            },
+        };
         let w = candidates[i][ci];
         let mark = st.order.checkpoint();
         if assign(pre, st, i, w) {
@@ -959,7 +1115,7 @@ fn rf_rec(
             let flow = if i == 0 {
                 rf_leaf(pre, opts, st, emitted, meter, visit)
             } else {
-                rf_rec(pre, candidates, opts, st, i - 1, emitted, meter, visit)
+                rf_rec(pre, candidates, opts, st, i - 1, prefix, emitted, meter, visit)
             };
             st.srcs[i] = usize::MAX;
             st.order.undo_to(mark);
@@ -968,7 +1124,7 @@ fn rf_rec(
             }
         } else {
             st.order.undo_to(mark);
-            if let Some(stats) = &opts.stats {
+            if let (Some(stats), true) = (&opts.stats, owned) {
                 stats.rf_prefixes_pruned.fetch_add(1, AtomicOrdering::Relaxed);
             }
         }

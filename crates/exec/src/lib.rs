@@ -34,6 +34,7 @@ pub mod enumerate;
 pub mod facts;
 pub mod model;
 pub mod pipeline;
+pub mod pool;
 pub mod states;
 pub mod event;
 pub mod execution;
@@ -51,8 +52,7 @@ pub use model::{
     check_test, open_session, ConsistencyModel, EvalStop, ModelSession, TestResult, Verdict,
 };
 pub use pipeline::{
-    check_test_governed, check_test_multi, check_test_multi_governed, check_test_pipelined,
-    effective_jobs, worker_threads, CheckOutcome, DataPlaneSnapshot, DataPlaneStats,
-    InconclusiveReason, MultiCheckOutcome, PipelineOptions, Tally, MAX_BATCH, MAX_JOBS,
+    check, effective_jobs, worker_threads, CheckOutcome, DataPlaneSnapshot, DataPlaneStats,
+    InconclusiveReason, MultiCheckOutcome, PipelineOptions, Tally, MAX_JOBS,
 };
 pub use states::{collect_states, StateSummary};

@@ -42,17 +42,6 @@ pub trait ConsistencyModel: Sync {
         }
     }
 
-    /// Relative cost of evaluating one candidate under this model, used
-    /// by the pipeline to size candidate batches: cheap models get large
-    /// batches (amortising queue traffic), expensive ones stay
-    /// fine-grained so work spreads across workers. Unitless; `1` is a
-    /// single-pass axiomatic check. Interpreted models (the cat
-    /// evaluator) and deep derived-relation stacks (native LKMM) return
-    /// more.
-    fn eval_cost_hint(&self) -> usize {
-        1
-    }
-
     /// Open a stateful per-worker evaluation session, if the model has
     /// one. Sessions may carry mutable caches keyed on the candidate's
     /// shared pre-execution (e.g. the cat evaluator's static node

@@ -2,15 +2,14 @@
 //!
 //! This is the §5 work-flow ("systematically generate thousands of tests
 //! … and run them against the model") as one call. Checking goes through
-//! the parallel pipeline ([`lkmm_exec::check_test_pipelined`]): each
-//! test's candidate executions are fanned out to worker threads, so a
-//! sweep saturates the machine without the caller managing threads.
-//! Verdicts are identical for every job count.
+//! the check engine ([`lkmm_exec::check`]), which splits a test big
+//! enough to pay for it over worker threads. Verdicts are identical for
+//! every job count.
 
 use crate::family::family_tests;
 use crate::{Edge, GenError};
 use lkmm_exec::enumerate::{EnumError, EnumOptions};
-use lkmm_exec::{check_test_pipelined, ConsistencyModel, PipelineOptions, TestResult};
+use lkmm_exec::{check, ConsistencyModel, PipelineOptions, TestResult};
 use lkmm_litmus::ast::Test;
 use std::fmt;
 
@@ -83,8 +82,10 @@ pub fn sweep_family(
     tests
         .into_iter()
         .map(|test| {
-            let result = check_test_pipelined(model, &test, opts, pipe)
-                .map_err(|e| SweepError::Enumerate(test.name.clone(), e))?;
+            let result = check(&[model], &test, opts, pipe)
+                .into_result()
+                .map_err(|e| SweepError::Enumerate(test.name.clone(), e))?
+                .remove(0);
             Ok(SweepEntry { test, result })
         })
         .collect()

@@ -230,6 +230,17 @@ impl Meter {
         self.poll()
     }
 
+    /// Account for `n` candidates another meter already emitted (a range
+    /// of the check enumerated on another thread). Fails, spending
+    /// nothing, when fewer than `n` remain: this meter would have
+    /// tripped partway through them.
+    pub fn spend_candidates(&mut self, n: u64) -> Result<(), BudgetKind> {
+        if let Some(left) = &mut self.candidates_left {
+            *left = left.checked_sub(n).ok_or(BudgetKind::Candidates)?;
+        }
+        Ok(())
+    }
+
     /// Cheap progress check for loops that do work *between* candidate
     /// emissions (fixpoint rounds, oracle branches, rf/co choices).
     /// Consults the clock and cancel flag once every [`POLL_STRIDE`]
@@ -292,6 +303,17 @@ mod tests {
         assert_eq!(m.spend_candidate(), Err(BudgetKind::Candidates));
         // and it stays tripped
         assert_eq!(m.spend_candidate(), Err(BudgetKind::Candidates));
+    }
+
+    #[test]
+    fn spending_candidates_in_bulk_fails_without_spending() {
+        let mut m = Budget::default().with_max_candidates(5).meter();
+        m.spend_candidates(3).unwrap();
+        assert_eq!(m.spend_candidates(3), Err(BudgetKind::Candidates));
+        m.spend_candidates(2).unwrap();
+        assert_eq!(m.spend_candidate(), Err(BudgetKind::Candidates));
+        // Unbounded fuel takes anything.
+        Budget::default().meter().spend_candidates(u64::MAX).unwrap();
     }
 
     #[test]

@@ -145,10 +145,6 @@ impl ConsistencyModel for Armv8 {
         // External visibility.
         Self::ob_pooled(x, facts).is_acyclic()
     }
-
-    fn eval_cost_hint(&self) -> usize {
-        3
-    }
 }
 
 #[cfg(test)]

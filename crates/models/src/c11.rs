@@ -298,10 +298,6 @@ impl ConsistencyModel for OriginalC11 {
         }
         Self::sc_order_exists(x, &hb, facts)
     }
-
-    fn eval_cost_hint(&self) -> usize {
-        3
-    }
 }
 
 #[cfg(test)]

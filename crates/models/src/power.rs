@@ -285,10 +285,6 @@ impl ConsistencyModel for Power {
         t.union_in_place(&rel.prop);
         t.is_acyclic()
     }
-
-    fn eval_cost_hint(&self) -> usize {
-        4
-    }
 }
 
 #[cfg(test)]

@@ -94,10 +94,6 @@ impl ConsistencyModel for X86Tso {
         }
         Self::ghb_pooled(x, facts).is_acyclic()
     }
-
-    fn eval_cost_hint(&self) -> usize {
-        2
-    }
 }
 
 #[cfg(test)]

@@ -19,9 +19,7 @@
 use crate::canon::{canonical_text, KeyPrefix};
 use crate::store::{VerdictLog, VerdictStore};
 use lkmm_core::budget::Budget;
-use lkmm_exec::{
-    check_test_governed, CheckOutcome, ConsistencyModel, EnumOptions, PipelineOptions, TestResult,
-};
+use lkmm_exec::{check, CheckOutcome, ConsistencyModel, EnumOptions, PipelineOptions, TestResult};
 use lkmm_generator::family::family_tests;
 use lkmm_generator::{Edge, GenError};
 use lkmm_litmus::ast::Test;
@@ -197,16 +195,10 @@ impl<'m, S: VerdictLog> BatchChecker<'m, S> {
         self
     }
 
-    /// Bound each worker's candidate queue (clamped to ≥ 1 downstream).
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.pipe.queue_depth = depth;
-        self
-    }
-
-    /// Record batch-occupancy and arena-reuse counters into `stats`
-    /// during enumeration passes. Observability only — like job count,
-    /// never part of cache keys, and a warm store (which enumerates
-    /// nothing) legitimately leaves the counters at zero.
+    /// Record arena counters into `stats` during enumeration passes.
+    /// Observability only — like job count, never part of cache keys,
+    /// and a warm store (which enumerates nothing) legitimately leaves
+    /// the counters at zero.
     pub fn with_pipeline_stats(
         mut self,
         stats: Option<std::sync::Arc<lkmm_exec::DataPlaneStats>>,
@@ -260,7 +252,7 @@ impl<'m, S: VerdictLog> BatchChecker<'m, S> {
                 provenance: Provenance::Hit,
             });
         }
-        let outcome = check_test_governed(self.model, test, &self.enum_opts, &self.pipe);
+        let outcome = check(&[self.model], test, &self.enum_opts, &self.pipe).into_first();
         match &outcome {
             CheckOutcome::Complete(result) => {
                 self.store.put(key, result.clone())?;

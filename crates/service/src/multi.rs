@@ -6,7 +6,7 @@
 //! byte-identical to what N separate `BatchChecker`s would derive, so
 //! warm stores written by either path replay interchangeably), then runs
 //! **one** governed enumeration pass over just the columns that missed —
-//! the PR-1 pipeline evaluates all of them per candidate against a
+//! the check engine evaluates all of them per candidate against a
 //! shared facts layer. A fully warm store enumerates nothing; a cold
 //! seven-column run enumerates each test once instead of seven times.
 //!
@@ -30,9 +30,8 @@ use crate::canon::{canonical_text, KeyPrefix};
 use crate::store::{VerdictLog, VerdictStore};
 use lkmm_core::budget::{Budget, BudgetKind, Meter};
 use lkmm_exec::{
-    check_test_multi_governed, CheckOutcome, ConsistencyModel, DataPlaneSnapshot, DataPlaneStats,
-    EnumOptions, EnumSnapshot, EnumStats, InconclusiveReason, MultiCheckOutcome, PipelineOptions,
-    Tally,
+    check, CheckOutcome, ConsistencyModel, DataPlaneSnapshot, DataPlaneStats, EnumOptions,
+    EnumSnapshot, EnumStats, InconclusiveReason, MultiCheckOutcome, PipelineOptions, Tally,
 };
 use lkmm_litmus::ast::Test;
 use std::collections::HashMap;
@@ -143,16 +142,10 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
         self
     }
 
-    /// Bound each worker's candidate queue.
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.pipe.queue_depth = depth;
-        self
-    }
-
-    /// Record batch-occupancy and arena-reuse counters into `stats`
-    /// during enumeration passes. Observability only — like job count,
-    /// never part of cache keys, and a warm store (which enumerates
-    /// nothing) legitimately leaves the counters at zero.
+    /// Record arena counters into `stats` during enumeration passes.
+    /// Observability only — like job count, never part of cache keys,
+    /// and a warm store (which enumerates nothing) legitimately leaves
+    /// the counters at zero.
     pub fn with_pipeline_stats(mut self, stats: Option<Arc<DataPlaneStats>>) -> Self {
         self.pipe.stats = stats;
         self
@@ -300,7 +293,7 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
         let pipe = PipelineOptions { stats: data_plane.clone(), ..self.pipe.clone() };
         let models: Vec<&dyn ConsistencyModel> =
             columns.iter().map(|&c| self.columns[c].model).collect();
-        let outcome = check_test_multi_governed(&models, test, &opts, &pipe);
+        let outcome = check(&models, test, &opts, &pipe);
         ColumnsCheck {
             columns,
             outcome,
@@ -378,8 +371,7 @@ pub struct UnitCell {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UnitFault {
     /// At least one cell is inconclusive because model evaluation
-    /// panicked (contained by the pipeline's per-candidate
-    /// `catch_unwind`).
+    /// panicked (contained by the check engine's `catch_unwind`).
     WorkerPanicked,
     /// At least one cell tripped the relative wall-clock limit.
     TimedOut,
@@ -845,7 +837,7 @@ mod tests {
         let mut run = multi.begin_corpus();
         run.commit(0, &test, &[true], first).unwrap();
         let after_first = stats.snapshot();
-        assert!(after_first.batches_formed > 0);
+        assert!(after_first.arena_acquires > 0);
         run.commit(1, &test, &[true], second).unwrap();
         assert_eq!(stats.snapshot(), after_first, "a discarded check counts nowhere");
         let row = run.take_row(1);

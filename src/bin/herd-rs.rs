@@ -10,10 +10,11 @@
 //! herd-rs store VERB PATH...       # maintain a verdict store offline
 //! ```
 //!
-//! `--jobs N` (`-j N`) checks candidate executions on `N` worker threads;
-//! the default `0` means one per available hardware thread. Output is
-//! byte-identical for every job count. `--early-exit` stops each check as
-//! soon as its verdict is decided (counts become lower bounds).
+//! `--jobs N` (`-j N`) splits a test big enough to pay for it over `N`
+//! worker threads; the default `0` means one per available hardware
+//! thread. Output is byte-identical for every job count. `--early-exit`
+//! stops each check as soon as its verdict is decided (counts become
+//! lower bounds).
 //!
 //! `--store PATH` routes checking through the persistent verdict store:
 //! results already cached are replayed without enumerating anything, and
@@ -95,6 +96,7 @@
 //! (`client`).
 
 use linux_kernel_memory_model::algorithms::FamilyId;
+use linux_kernel_memory_model::conformance::data_plane_line;
 use linux_kernel_memory_model::server::{serve_tcp, ServerConfig};
 use linux_kernel_memory_model::service::json::Json;
 use linux_kernel_memory_model::service::serve::{serve_with, ServeOptions};
@@ -111,7 +113,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "usage: herd-rs [--model lkmm|lkmm-cat|sc|tso|armv8|power|c11] [--jobs N] [--early-exit] [--dot] [--states] [--store PATH] [--salt STR] [BUDGET] FILE.litmus\n\
-     \x20      herd-rs --models M1,M2,... [--jobs N] [--queue-depth N] [BUDGET] FILE.litmus\n\
+     \x20      herd-rs --models M1,M2,... [--jobs N] [BUDGET] FILE.litmus\n\
      \x20      herd-rs [--model M] [--jobs N] [--store PATH] [--salt STR] [BUDGET] --library\n\
      \x20      herd-rs [--model M] [--jobs N] [--store PATH] [--salt STR] [BUDGET] [--max-request-bytes N] [SERVER] serve\n\
      \x20      herd-rs client --connect ADDR\n\
@@ -123,7 +125,6 @@ const USAGE: &str = "usage: herd-rs [--model lkmm|lkmm-cat|sc|tso|armv8|power|c1
      \x20 --models M1,M2   decide several models from ONE enumeration pass per test; output is\n\
      \x20                  byte-identical to running --model M1, --model M2, ... in sequence\n\
      \x20 --jobs N, -j N   worker threads (0 = all hardware threads; output is identical for any N)\n\
-     \x20 --queue-depth N  per-worker candidate queue bound (default 256)\n\
      \x20 --early-exit     stop each check once its verdict is decided (not with --store)\n\
      \x20 --store PATH     answer from / append to a persistent verdict store\n\
      \x20 --salt STR       version salt folded into every cache key\n\
@@ -204,9 +205,6 @@ const EXIT_OVERLOADED: u8 = 11;
 /// should be driven through the library API, not one CLI invocation.
 const MAX_CAMPAIGN_CYCLE_LEN: usize = 6;
 
-/// Queue depths beyond this are a typo, not a tuning choice.
-const MAX_QUEUE_DEPTH: usize = 1 << 20;
-
 struct Cli {
     model: ModelChoice,
     model_given: bool,
@@ -218,7 +216,6 @@ struct Cli {
     dot: bool,
     states: bool,
     jobs: usize,
-    queue_depth: Option<usize>,
     early_exit: bool,
     store: Option<String>,
     salt: String,
@@ -293,7 +290,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         dot: false,
         states: false,
         jobs: 0, // 0 = available parallelism
-        queue_depth: None,
         early_exit: false,
         store: None,
         salt: String::new(),
@@ -349,13 +345,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
                 if cli.jobs > MAX_JOBS {
                     return Err(format!("--jobs {n} exceeds the maximum of {MAX_JOBS}"));
                 }
-            }
-            "--queue-depth" => {
-                let n = it.next().ok_or("--queue-depth needs an argument")?;
-                let depth = n.parse::<usize>().ok().filter(|d| (1..=MAX_QUEUE_DEPTH).contains(d));
-                cli.queue_depth = Some(depth.ok_or_else(|| {
-                    format!("--queue-depth needs an integer in 1..={MAX_QUEUE_DEPTH}, got `{n}`")
-                })?);
             }
             "--early-exit" => cli.early_exit = true,
             "--model" | "-m" => {
@@ -626,8 +615,8 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         }
     }
     if cli.serve_mode && (cli.run_library || cli.dot || cli.states || cli.early_exit) {
-        return Err("`serve` takes only --model, --jobs, --queue-depth, --store, --salt, \
-                    --budget-*, --max-request-bytes, and the --listen server options"
+        return Err("`serve` takes only --model, --jobs, --store, --salt, --budget-*, \
+                    --max-request-bytes, and the --listen server options"
             .to_string());
     }
     if cli.client_mode {
@@ -681,7 +670,7 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         && (cli.run_library || cli.dot || cli.states || cli.early_exit || cli.model_given)
     {
         return Err("`conformance` runs all models over its own corpus; it takes only --jobs, \
-                    --queue-depth, --store, --salt, --budget-*, and the conformance flags"
+                    --store, --salt, --budget-*, and the conformance flags"
             .to_string());
     }
     if cli.list_algorithms {
@@ -800,9 +789,8 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
             || cli.early_exit
             || cli.store.is_some()
         {
-            return Err("--models checks one FILE.litmus and takes only --jobs, --queue-depth, \
-                        and --budget-* (use `conformance` for store-backed multi-model \
-                        campaigns)"
+            return Err("--models checks one FILE.litmus and takes only --jobs and --budget-* \
+                        (use `conformance` for store-backed multi-model campaigns)"
                 .to_string());
         }
     }
@@ -960,7 +948,6 @@ fn main() -> ExitCode {
         };
         let mut checker = BatchChecker::new(model.as_ref(), store, &cli.salt)
             .with_jobs(cli.jobs)
-            .with_queue_depth(cli.queue_depth.unwrap_or(256))
             .with_budget(cli.budget(true));
         let outcome = match checker.check_one(&test) {
             Ok(o) => o,
@@ -972,13 +959,10 @@ fn main() -> ExitCode {
         eprintln!("herd-rs: store {store_path}: {}", outcome.provenance);
         GovernedOutcome { model_name: model.name().to_string(), outcome: outcome.outcome }
     } else {
-        let mut herd = Herd::new(cli.model)
+        let herd = Herd::new(cli.model)
             .with_jobs(cli.jobs)
             .with_early_exit(cli.early_exit)
             .with_budget(cli.budget(true));
-        if let Some(depth) = cli.queue_depth {
-            herd = herd.with_queue_depth(depth);
-        }
         let governed = herd.check_governed(&test);
         GovernedOutcome { model_name: governed.model_name, outcome: governed.outcome }
     };
@@ -1044,14 +1028,11 @@ fn multi_mode(
     let dp_stats = cli
         .enum_stats
         .then(|| std::sync::Arc::new(lkmm_exec::DataPlaneStats::default()));
-    let mut herd = Herd::new_multi(models)
+    let herd = Herd::new_multi(models)
         .with_options(EnumOptions { stats: stats.clone(), ..EnumOptions::default() })
         .with_pipeline_stats(dp_stats.clone())
         .with_jobs(cli.jobs)
         .with_budget(cli.budget(true));
-    if let Some(depth) = cli.queue_depth {
-        herd = herd.with_queue_depth(depth);
-    }
     let governed = herd.check_multi_governed(test);
     match &governed.outcome {
         MultiCheckOutcome::Complete(_) => {
@@ -1103,7 +1084,6 @@ fn conformance_mode(cli: &Cli) -> ExitCode {
         include_library: !cli.no_library,
         salt: cli.salt.clone(),
         jobs: cli.jobs,
-        queue_depth: cli.queue_depth.unwrap_or(256),
         budget: cli.budget(true),
         store_path: cli.store.as_ref().map(std::path::PathBuf::from),
         sim: SimConfig {
@@ -1183,7 +1163,6 @@ fn algo_conformance_mode(cli: &Cli) -> ExitCode {
         },
         salt: cli.salt.clone(),
         jobs: cli.jobs,
-        queue_depth: cli.queue_depth.unwrap_or(256),
         budget: cli.budget(true),
         store_path: cli.store.as_ref().map(std::path::PathBuf::from),
         sim: SimConfig {
@@ -1241,7 +1220,6 @@ fn serve_mode(cli: &Cli) -> ExitCode {
     // checks many tests), so it lives in ServeOptions, not the budget.
     let mut checker = BatchChecker::new(model.as_ref(), store, &cli.salt)
         .with_jobs(cli.jobs)
-        .with_queue_depth(cli.queue_depth.unwrap_or(256))
         .with_budget(cli.budget(false));
     let opts = ServeOptions {
         max_request_bytes: cli.max_request_bytes.unwrap_or(ServeOptions::default().max_request_bytes),
@@ -1560,13 +1538,10 @@ fn store_cmd_mode(cli: &Cli) -> ExitCode {
 }
 
 fn library_plain(cli: &Cli) -> ExitCode {
-    let mut herd = Herd::new(cli.model)
+    let herd = Herd::new(cli.model)
         .with_jobs(cli.jobs)
         .with_early_exit(cli.early_exit)
         .with_budget(cli.budget(true));
-    if let Some(depth) = cli.queue_depth {
-        herd = herd.with_queue_depth(depth);
-    }
     let mut inconclusive = 0usize;
     for pt in lkmm_litmus::library::all() {
         match herd.check_governed(&pt.test()).outcome {
@@ -1605,7 +1580,6 @@ fn library_via_store(cli: &Cli, store_path: &str) -> ExitCode {
         .with_options(EnumOptions { stats: stats.clone(), ..EnumOptions::default() })
         .with_pipeline_stats(dp_stats.clone())
         .with_jobs(cli.jobs)
-        .with_queue_depth(cli.queue_depth.unwrap_or(256))
         .with_budget(cli.budget(true));
     let report = match checker.check_library() {
         Ok(r) => r,
@@ -1645,21 +1619,6 @@ fn library_via_store(cli: &Cli, store_path: &str) -> ExitCode {
         eprintln!("herd-rs: {}", data_plane_line(&dp.snapshot()));
     }
     ExitCode::SUCCESS
-}
-
-/// The `--enum-stats` data-plane stderr line: how the batched pipeline
-/// behaved. A fully warm store forms no batches and acquires nothing —
-/// all-zero counters are the cache working as intended.
-fn data_plane_line(d: &lkmm_exec::DataPlaneSnapshot) -> String {
-    format!(
-        "data-plane: {} batches carrying {} candidates (mean occupancy {:.1}), \
-         {} arena acquires ({} reused)",
-        d.batches_formed,
-        d.batch_candidates,
-        d.mean_batch_occupancy(),
-        d.arena_acquires,
-        d.arena_reuses
-    )
 }
 
 #[cfg(test)]

@@ -78,10 +78,7 @@ pub use lkmm_exec::{
 };
 
 use lkmm_exec::enumerate::EnumOptions;
-use lkmm_exec::{
-    check_test_governed, check_test_multi, check_test_multi_governed, check_test_pipelined,
-    ConsistencyModel, EnumError, PipelineOptions, TestResult, Verdict,
-};
+use lkmm_exec::{check, ConsistencyModel, EnumError, PipelineOptions, TestResult, Verdict};
 use lkmm_litmus::{parse, ParseError, Test};
 use std::fmt;
 
@@ -292,9 +289,19 @@ impl Herd {
     ///
     /// Panics on an empty choice list.
     pub fn new_multi(choices: &[ModelChoice]) -> Self {
-        assert!(!choices.is_empty(), "Herd needs at least one model");
+        Herd::from_models(choices.iter().map(|c| c.model()).collect())
+    }
+
+    /// A checker for models of the caller's own, in the order given: the
+    /// single-model methods act on the first one.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty model list.
+    pub fn from_models(models: Vec<Box<dyn ConsistencyModel>>) -> Self {
+        assert!(!models.is_empty(), "Herd needs at least one model");
         Herd {
-            models: choices.iter().map(|c| c.model()).collect(),
+            models,
             options: EnumOptions::default(),
             pipeline: PipelineOptions { jobs: 1, ..PipelineOptions::default() },
         }
@@ -314,8 +321,9 @@ impl Herd {
         self
     }
 
-    /// Check candidates on `jobs` worker threads (`0` = one per hardware
-    /// thread). Verdicts and counts are identical for every job count.
+    /// Split each test big enough to pay for it over `jobs` worker
+    /// threads (`0` = one per hardware thread). Verdicts and counts are
+    /// identical for every job count.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.pipeline.jobs = jobs;
         self
@@ -329,15 +337,8 @@ impl Herd {
         self
     }
 
-    /// Bound each worker's candidate queue (clamped to ≥ 1 downstream).
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.pipeline.queue_depth = depth;
-        self
-    }
-
-    /// Record batch-occupancy and arena-reuse counters into `stats`
-    /// while checking. Observability only — never affects verdicts or
-    /// counts.
+    /// Record arena counters into `stats` while checking.
+    /// Observability only — never affects verdicts or counts.
     pub fn with_pipeline_stats(
         mut self,
         stats: Option<std::sync::Arc<lkmm_exec::DataPlaneStats>>,
@@ -359,9 +360,16 @@ impl Herd {
     ///
     /// # Errors
     ///
-    /// Propagates enumeration errors.
+    /// Propagates enumeration errors; an exhausted budget is
+    /// [`EnumError::BudgetExceeded`].
+    ///
+    /// # Panics
+    ///
+    /// If model evaluation panics ([`Herd::check_governed`] contains
+    /// that instead).
     pub fn check(&self, test: &Test) -> Result<Report, HerdError> {
-        let result = check_test_pipelined(self.model(), test, &self.options, &self.pipeline)?;
+        let result =
+            check(&[self.model()], test, &self.options, &self.pipeline).into_result()?.remove(0);
         Ok(Report {
             test_name: test.name.clone(),
             model_name: self.model().name().to_string(),
@@ -376,10 +384,14 @@ impl Herd {
     ///
     /// # Errors
     ///
-    /// Propagates enumeration errors.
+    /// Propagates enumeration errors, as [`Herd::check`] does.
+    ///
+    /// # Panics
+    ///
+    /// If model evaluation panics.
     pub fn check_multi(&self, test: &Test) -> Result<Vec<Report>, HerdError> {
         let models = self.model_refs();
-        let results = check_test_multi(&models, test, &self.options, &self.pipeline)?;
+        let results = check(&models, test, &self.options, &self.pipeline).into_result()?;
         Ok(models
             .iter()
             .zip(results)
@@ -397,7 +409,7 @@ impl Herd {
     /// partial tally per model, all covering the same candidates.
     pub fn check_multi_governed(&self, test: &Test) -> MultiGovernedReport {
         let models = self.model_refs();
-        let outcome = check_test_multi_governed(&models, test, &self.options, &self.pipeline);
+        let outcome = check(&models, test, &self.options, &self.pipeline);
         MultiGovernedReport {
             test_name: test.name.clone(),
             model_names: models.iter().map(|m| m.name().to_string()).collect(),
@@ -410,7 +422,7 @@ impl Herd {
     /// panics inside model evaluation all come back as structured
     /// [`CheckOutcome::Inconclusive`] outcomes with partial tallies.
     pub fn check_governed(&self, test: &Test) -> GovernedReport {
-        let outcome = check_test_governed(self.model(), test, &self.options, &self.pipeline);
+        let outcome = check(&[self.model()], test, &self.options, &self.pipeline).into_first();
         GovernedReport {
             test_name: test.name.clone(),
             model_name: self.model().name().to_string(),

@@ -121,6 +121,36 @@ fn eval_step_fuel_use_is_pinned_under_lkmm_cat() {
     }
 }
 
+/// A step budget keeps a check on the calling thread, however many jobs
+/// it is given: the tank is shared, so a split check would spend steps
+/// on ranges a sequential run never reaches. On a test big enough to
+/// split, the trip — and the partial tally — match at every job count.
+#[test]
+fn eval_step_trips_on_a_test_big_enough_to_split_match_at_every_job_count() {
+    let thread = "(int *x) { int r0; int r1; WRITE_ONCE(*x, 1); r0 = READ_ONCE(*x); \
+                  r1 = READ_ONCE(*x); }";
+    let src = format!("C same\n{{ x=0; }}\nP0{thread}\nP1{thread}\nP2{thread}\nexists (0:r0=0)");
+    let test = linux_kernel_memory_model::litmus::parse(&src).unwrap();
+    let outcome = |jobs| {
+        Herd::new(ModelChoice::LkmmCat)
+            .with_jobs(jobs)
+            .with_budget(Budget::default().with_max_eval_steps(2_000))
+            .check_governed(&test)
+            .outcome
+    };
+    let sequential = outcome(1);
+    match &sequential {
+        CheckOutcome::Inconclusive {
+            reason: InconclusiveReason::BudgetExceeded(BudgetKind::EvalSteps),
+            partial,
+        } => assert!(partial.candidates > 0, "the trip falls partway through"),
+        other => panic!("expected an eval-step trip, got {other:?}"),
+    }
+    for jobs in [2, 8] {
+        assert_eq!(outcome(jobs), sequential, "jobs={jobs}");
+    }
+}
+
 #[test]
 fn zero_time_limit_is_inconclusive_wall_clock() {
     let herd = Herd::new(ModelChoice::Lkmm)
@@ -167,14 +197,12 @@ impl ConsistencyModel for PanickingModel {
 
 #[test]
 fn worker_panic_is_contained_and_the_process_continues() {
-    use linux_kernel_memory_model::exec::{
-        check_test_governed, EnumOptions, PipelineOptions,
-    };
+    use linux_kernel_memory_model::exec::{check, EnumOptions, PipelineOptions};
     let test = library::by_name("SB").unwrap().test();
     let opts = EnumOptions::default();
     for jobs in [1, 4] {
         let pipe = PipelineOptions { jobs, ..PipelineOptions::default() };
-        match check_test_governed(&PanickingModel, &test, &opts, &pipe) {
+        match check(&[&PanickingModel], &test, &opts, &pipe).into_first() {
             CheckOutcome::Inconclusive { reason: InconclusiveReason::WorkerPanicked, .. } => {}
             other => panic!("jobs={jobs}: expected WorkerPanicked, got {other:?}"),
         }
@@ -183,6 +211,24 @@ fn worker_panic_is_contained_and_the_process_continues() {
     // without fences is Allowed under LKMM — Figure 4.)
     let report = Herd::new(ModelChoice::Lkmm).check(&test).unwrap();
     assert!(report.allowed());
+}
+
+#[test]
+fn a_panicking_model_panics_through_check_and_is_contained_by_check_governed() {
+    // The strict path keeps its contract: a model panic propagates out
+    // of `Herd::check`, while `Herd::check_governed` reports it.
+    let test = library::by_name("SB").unwrap().test();
+    for jobs in [1, 4] {
+        let herd = Herd::from_models(vec![Box::new(PanickingModel)]).with_jobs(jobs);
+        let strict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| herd.check(&test)));
+        assert!(strict.is_err(), "jobs={jobs}: Herd::check must panic");
+        match herd.check_governed(&test).outcome {
+            CheckOutcome::Inconclusive { reason: InconclusiveReason::WorkerPanicked, partial } => {
+                assert_eq!(partial.candidates, 0, "jobs={jobs}: no candidate completed");
+            }
+            other => panic!("jobs={jobs}: expected WorkerPanicked, got {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -1,21 +1,22 @@
-//! Cross-check: the parallel pipeline is observably identical to the
+//! Cross-check: the check engine is observably identical to the
 //! sequential checker on the full built-in library, for every model that
 //! exercises a distinct session path (native LKMM with its statics cache,
 //! the compiled cat LKMM with its static node slots, and a stateless
-//! comparison model) — and, over a jobs × batch-size grid, on the
-//! corpora whose candidate streams stress the batched data plane from
-//! different directions: the contended-twin corpus (coherence-dominated
-//! streams full of doomed candidates) and an algorithms family
-//! (generated programs far bigger than any library litmus test).
+//! comparison model) — and, over jobs {1, 2, 8}, on corpora that stress
+//! it from different directions: the contended-twin corpus
+//! (coherence-dominated streams full of doomed candidates), an
+//! algorithms family (generated programs far bigger than any library
+//! litmus test), and tests big enough to split over workers.
 
 use linux_kernel_memory_model::{Herd, ModelChoice};
-use lkmm_exec::enumerate::EnumOptions;
+use lkmm_exec::enumerate::{EnumOptions, EnumStats};
+use lkmm_exec::pipeline::INLINE_WORK;
 use lkmm_exec::{
-    check_test, check_test_governed, check_test_pipelined, Budget, BudgetKind, CheckOutcome,
-    InconclusiveReason, PipelineOptions,
+    check, check_test, Budget, BudgetKind, CheckOutcome, InconclusiveReason, PipelineOptions,
 };
 use lkmm_litmus::ast::Test;
 use lkmm_litmus::library;
+use std::sync::Arc;
 
 fn pipeline_matches_sequential(choice: ModelChoice) {
     let model = choice.model();
@@ -24,15 +25,16 @@ fn pipeline_matches_sequential(choice: ModelChoice) {
         let t = pt.test();
         let seq = check_test(model.as_ref(), &t, &opts).unwrap();
         for jobs in [1, 2, 8] {
-            let par = check_test_pipelined(
-                model.as_ref(),
+            let par = check(
+                &[model.as_ref()],
                 &t,
                 &opts,
                 &PipelineOptions { jobs, ..Default::default() },
             )
+            .into_result()
             .unwrap();
             assert_eq!(
-                par, seq,
+                par, std::slice::from_ref(&seq),
                 "{} diverged from sequential under {:?} with jobs={jobs}",
                 pt.name, choice
             );
@@ -56,29 +58,17 @@ fn stateless_model_pipeline_matches_sequential_on_library() {
     pipeline_matches_sequential(ModelChoice::Sc);
 }
 
-/// Bit-identity of every [`lkmm_exec::TestResult`] field over the full
-/// jobs × batch-size grid: explicit batch sizes straddling the
-/// automatic one (1 = maximal queue traffic, 4 = mid-size batches, 0 =
-/// cost-derived) must not shift a single count at any worker count.
+/// Bit-identity of every [`lkmm_exec::TestResult`] field over jobs
+/// {1, 2, 8}: no worker count may shift a single count.
 fn grid_matches_sequential(model: &dyn lkmm_exec::ConsistencyModel, tests: &[Test]) {
     let opts = EnumOptions::default();
     for t in tests {
         let seq = check_test(model, t, &opts).unwrap();
         for jobs in [1, 2, 8] {
-            for batch_size in [1, 4, 0] {
-                let par = check_test_pipelined(
-                    model,
-                    t,
-                    &opts,
-                    &PipelineOptions { jobs, batch_size, ..Default::default() },
-                )
+            let par = check(&[model], t, &opts, &PipelineOptions { jobs, ..Default::default() })
+                .into_result()
                 .unwrap();
-                assert_eq!(
-                    par, seq,
-                    "{} diverged at jobs={jobs} batch={batch_size}",
-                    t.name
-                );
-            }
+            assert_eq!(par, std::slice::from_ref(&seq), "{} diverged at jobs={jobs}", t.name);
         }
     }
 }
@@ -92,7 +82,7 @@ fn jobs_batch_grid_matches_sequential_on_library() {
 /// The contended-twin corpus: every event of a cycle's test collapsed
 /// onto one location, so coherence prunes most of the candidate space
 /// and the stream is dominated by doomed candidates — the shape where
-/// batches fill unevenly across pre-executions.
+/// pre-executions differ most in cost.
 fn contended_twins() -> Vec<Test> {
     use lkmm_generator::{generate_contended, Edge, Extremity::*, InternalKind::*};
     let cycles: [&[Edge]; 3] = [
@@ -117,8 +107,7 @@ fn jobs_batch_grid_matches_sequential_on_contended_twins() {
 #[test]
 fn jobs_batch_grid_matches_sequential_on_algorithms_family() {
     // Ticket-lock programs are straight-line (no `__assume`) and much
-    // larger than library litmus tests, so the auto batch size lands
-    // low and budget/queue interplay differs from the litmus corpora.
+    // larger than library litmus tests.
     let params = lkmm_algorithms::FamilyParams::default();
     let tests: Vec<Test> = lkmm_algorithms::programs(lkmm_algorithms::FamilyId::Ticket, &params)
         .unwrap()
@@ -129,39 +118,100 @@ fn jobs_batch_grid_matches_sequential_on_algorithms_family() {
     grid_matches_sequential(ModelChoice::Lkmm.model().as_ref(), &tests);
 }
 
+/// One location, `threads` writers each storing `value(thread)`, then
+/// `reads` reads each — the sweep's stress test when every thread
+/// writes its own value, a same-value-writer test when all write 1.
+fn writers_test(name: &str, threads: usize, reads: usize, value: fn(usize) -> usize) -> Test {
+    let mut src = format!("C {name}\n{{ x=0; }}\n");
+    for i in 0..threads {
+        let regs: String = (0..reads).map(|r| format!("int r{r}; ")).collect();
+        let loads: String = (0..reads).map(|r| format!("r{r} = READ_ONCE(*x); ")).collect();
+        src.push_str(&format!("P{i}(int *x) {{ {regs}WRITE_ONCE(*x, {}); {loads}}}\n", value(i)));
+    }
+    src.push_str("exists (0:r0=1)\n");
+    lkmm_litmus::parse(&src).expect("writers test parses")
+}
+
+/// Tests big enough to split: the sweep's `stress_test(3, 2)` (4 096
+/// pre-executions, 108 candidates) and three threads writing the same
+/// value (64 pre-executions, 108 candidates), both well past the inline
+/// prefix.
+fn split_sized() -> Vec<Test> {
+    let tests =
+        vec![writers_test("stress-3w2r", 3, 2, |i| i + 1), writers_test("same-3w2r", 3, 2, |_| 1)];
+    for t in &tests {
+        let r = check_test(&lkmm_exec::model::AllowAll, t, &EnumOptions::default()).unwrap();
+        assert!(r.candidates > INLINE_WORK, "{} must split", t.name);
+    }
+    tests
+}
+
+#[test]
+fn jobs_grid_matches_sequential_on_tests_big_enough_to_split() {
+    grid_matches_sequential(ModelChoice::Lkmm.model().as_ref(), &split_sized());
+    grid_matches_sequential(ModelChoice::LkmmCat.model().as_ref(), &split_sized());
+}
+
 #[test]
 fn budget_trip_mid_batch_is_deterministic_across_jobs_and_batches() {
-    // A candidate budget that trips mid-batch: the partial tally must
-    // be exactly the budget at every job count and batch size, because
-    // candidate fuel is spent only by the single-threaded enumerator
-    // and flushed partial batches are still evaluated.
+    // A candidate budget that trips partway through a small test: the
+    // partial tally must be exactly the budget at every job count.
     let model = ModelChoice::Lkmm.model();
     let t = library::by_name("RWC").expect("RWC is in the library").test();
-    let opts = EnumOptions {
-        budget: Budget::default().with_max_candidates(7),
-        ..EnumOptions::default()
-    };
+    let opts =
+        EnumOptions { budget: Budget::default().with_max_candidates(7), ..EnumOptions::default() };
     for jobs in [1, 2, 8] {
-        for batch_size in [1, 4, 0] {
-            let outcome = check_test_governed(
-                model.as_ref(),
-                &t,
-                &opts,
-                &PipelineOptions { jobs, batch_size, ..Default::default() },
-            );
-            match outcome {
+        let pipe = PipelineOptions { jobs, ..Default::default() };
+        match check(&[model.as_ref()], &t, &opts, &pipe).into_first() {
+            CheckOutcome::Inconclusive { reason, partial } => {
+                assert_eq!(
+                    reason,
+                    InconclusiveReason::BudgetExceeded(BudgetKind::Candidates),
+                    "jobs={jobs}"
+                );
+                assert_eq!(partial.candidates, 7, "jobs={jobs}");
+            }
+            CheckOutcome::Complete(_) => panic!("RWC has more than 7 candidates (jobs={jobs})"),
+        }
+    }
+}
+
+#[test]
+fn budget_trip_inside_a_worker_range_is_exact_at_every_job_count() {
+    // The limit falls past the inline prefix, inside a range a worker
+    // enumerated ahead of the commit against the whole allowance: the
+    // commit re-runs that range inline, so the partial tally, the stop
+    // reason and the enumeration counters match the sequential run.
+    let model = ModelChoice::Lkmm.model();
+    for t in split_sized() {
+        let total = check_test(model.as_ref(), &t, &EnumOptions::default()).unwrap().candidates;
+        let limit = total - 5;
+        let mut seen = Vec::new();
+        for jobs in [1, 2, 8] {
+            let stats = Arc::new(EnumStats::default());
+            let opts = EnumOptions {
+                budget: Budget::default().with_max_candidates(limit as u64),
+                stats: Some(stats.clone()),
+                ..EnumOptions::default()
+            };
+            let pipe = PipelineOptions { jobs, ..Default::default() };
+            let outcome = check(&[model.as_ref()], &t, &opts, &pipe).into_first();
+            match &outcome {
                 CheckOutcome::Inconclusive { reason, partial } => {
                     assert_eq!(
-                        reason,
+                        *reason,
                         InconclusiveReason::BudgetExceeded(BudgetKind::Candidates),
-                        "jobs={jobs} batch={batch_size}"
+                        "{} at jobs={jobs}",
+                        t.name
                     );
-                    assert_eq!(partial.candidates, 7, "jobs={jobs} batch={batch_size}");
+                    assert_eq!(partial.candidates, limit, "{} at jobs={jobs}", t.name);
                 }
-                CheckOutcome::Complete(_) => {
-                    panic!("RWC has more than 7 candidates (jobs={jobs} batch={batch_size})")
-                }
+                CheckOutcome::Complete(_) => panic!("{} completed at jobs={jobs}", t.name),
             }
+            seen.push((outcome, stats.snapshot()));
+        }
+        for (jobs, s) in [2, 8].iter().zip(&seen[1..]) {
+            assert_eq!(*s, seen[0], "{} at jobs={jobs} differs from jobs=1", t.name);
         }
     }
 }
@@ -170,28 +220,29 @@ fn budget_trip_mid_batch_is_deterministic_across_jobs_and_batches() {
 fn early_exit_agrees_on_verdict_and_condition() {
     let model = ModelChoice::Lkmm.model();
     let opts = EnumOptions::default();
-    for pt in library::all() {
-        let t = pt.test();
+    for t in library::all().iter().map(|pt| pt.test()).chain(split_sized()) {
         let full = check_test(model.as_ref(), &t, &opts).unwrap();
         for jobs in [1, 4] {
-            let fast = check_test_pipelined(
-                model.as_ref(),
+            let fast = check(
+                &[model.as_ref()],
                 &t,
                 &opts,
                 &PipelineOptions { jobs, early_exit: true, ..Default::default() },
             )
-            .unwrap();
-            assert_eq!(fast.verdict, full.verdict, "{} jobs={jobs}", pt.name);
+            .into_result()
+            .unwrap()
+            .remove(0);
+            assert_eq!(fast.verdict, full.verdict, "{} jobs={jobs}", t.name);
             assert_eq!(
                 fast.condition_holds, full.condition_holds,
                 "{} jobs={jobs}",
-                pt.name
+                t.name
             );
             // Early exit can only do less work, and its counts are
             // consistent lower bounds.
-            assert!(fast.candidates <= full.candidates, "{}", pt.name);
-            assert!(fast.witnesses <= full.witnesses, "{}", pt.name);
-            assert!(fast.allowed <= full.allowed, "{}", pt.name);
+            assert!(fast.candidates <= full.candidates, "{}", t.name);
+            assert!(fast.witnesses <= full.witnesses, "{}", t.name);
+            assert!(fast.allowed <= full.allowed, "{}", t.name);
         }
     }
 }

@@ -6,9 +6,9 @@
 //! including under budget exhaustion.
 
 use linux_kernel_memory_model::exec::enumerate::{
-    enumerate, EnumOptions, EnumStats, EnumStrategy,
+    enumerate, EnumOptions, EnumStats, EnumStrategy, PreExecutions,
 };
-use linux_kernel_memory_model::exec::{check_test, check_test_pipelined, PipelineOptions};
+use linux_kernel_memory_model::exec::{check, check_test, PipelineOptions};
 use linux_kernel_memory_model::generator::{
     cycles_up_to, default_alphabet, generate, generate_contended,
 };
@@ -17,6 +17,7 @@ use linux_kernel_memory_model::litmus::Test;
 use linux_kernel_memory_model::{
     Budget, BudgetKind, CheckOutcome, Herd, InconclusiveReason, ModelChoice,
 };
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 fn with_strategy(strategy: EnumStrategy) -> EnumOptions {
@@ -138,15 +139,16 @@ fn pipelined_results_are_identical_between_strategies_at_all_job_counts() {
         let seq = check_test(model.as_ref(), &t, &with_strategy(EnumStrategy::Naive)).unwrap();
         for strategy in [EnumStrategy::Pruned, EnumStrategy::Naive] {
             for jobs in [1, 2, 8] {
-                let got = check_test_pipelined(
-                    model.as_ref(),
+                let got = check(
+                    &[model.as_ref()],
                     &t,
                     &with_strategy(strategy),
                     &PipelineOptions { jobs, ..Default::default() },
                 )
+                .into_result()
                 .unwrap();
                 assert_eq!(
-                    got, seq,
+                    got, std::slice::from_ref(&seq),
                     "{} diverged under {strategy:?} with jobs={jobs}",
                     pt.name
                 );
@@ -244,4 +246,58 @@ fn pruning_counters_report_real_work() {
         naive_snap.co_leaves_tested,
         snap.co_leaves_tested
     );
+}
+
+#[test]
+fn sliced_units_concatenate_to_the_sequential_stream_and_counters() {
+    // Every strategy, several slice counts: visiting the units one by
+    // one emits the sequential candidates in order, and the pruning
+    // counters add up to the sequential ones (a pruned `rf` choice
+    // shared by several slices is counted by one of them).
+    let same_value = linux_kernel_memory_model::litmus::parse(
+        "C same\n{ x=0; }\n\
+         P0(int *x) { int r0; int r1; WRITE_ONCE(*x, 1); r0 = READ_ONCE(*x); \
+         r1 = READ_ONCE(*x); }\n\
+         P1(int *x) { int r0; WRITE_ONCE(*x, 1); r0 = READ_ONCE(*x); }\n\
+         P2(int *x) { int r0; r0 = READ_ONCE(*x); WRITE_ONCE(*x, 1); }\n\
+         exists (0:r0=0)",
+    )
+    .unwrap();
+    let tests = [library::by_name("ISA2").unwrap().test(), same_value];
+    let configs = [
+        EnumOptions::default(),
+        EnumOptions { strategy: EnumStrategy::Naive, ..EnumOptions::default() },
+        EnumOptions { prune_scpv: false, ..EnumOptions::default() },
+    ];
+    for t in &tests {
+        for base in &configs {
+            let run = |slices: usize, unit_by_unit: bool| {
+                let stats = Arc::new(EnumStats::default());
+                let opts = EnumOptions { stats: Some(stats.clone()), ..base.clone() };
+                let mut meter = opts.budget.meter();
+                let space = PreExecutions::new(t, &opts, &mut meter).unwrap();
+                let units = space.len() * slices;
+                let step = if unit_by_unit { 1 } else { units.max(1) };
+                let (mut out, mut emitted) = (Vec::new(), 0);
+                for start in (0..units).step_by(step) {
+                    let range = start..(start + step).min(units);
+                    let _ = space
+                        .try_for_each_in(range, slices, &opts, &mut meter, &mut emitted, &mut |x| {
+                            out.push((x.rf.clone(), x.co.clone(), x.events.clone()));
+                            ControlFlow::Continue(())
+                        })
+                        .unwrap();
+                }
+                assert_eq!(emitted, out.len());
+                (out, stats.snapshot())
+            };
+            let (whole, whole_stats) = run(1, false);
+            assert!(!whole.is_empty(), "{}", t.name);
+            for slices in [1, 2, 3, 16] {
+                let (sliced, sliced_stats) = run(slices, true);
+                assert!(sliced == whole, "{} at {slices} slices: stream differs", t.name);
+                assert_eq!(sliced_stats, whole_stats, "{} at {slices} slices", t.name);
+            }
+        }
+    }
 }
