@@ -225,6 +225,22 @@ grep -q 'unknown algorithm family `bogus`' /tmp/lkmm-algo.err
 rm -f "$ALGO_STORE" /tmp/lkmm-algo-cold.json /tmp/lkmm-algo-warm.json \
     /tmp/lkmm-algo-warm.err /tmp/lkmm-algo.err
 
+echo "== conformance --algorithms: reports are the same at every --jobs =="
+# The family programs run on the campaign's unit pool as well, so the
+# report must not depend on the job count, cold or warm.
+for J in 1 4; do
+    rm -f /tmp/lkmm-ci-algo-jobs-j$J.bin
+    for PASS in cold warm; do
+        "$BIN" conformance --algorithms --sim-iterations 50 --json --jobs $J \
+            --store /tmp/lkmm-ci-algo-jobs-j$J.bin > /tmp/lkmm-algo-j$J-$PASS.json 2> /dev/null
+    done
+done
+cmp /tmp/lkmm-algo-j1-cold.json /tmp/lkmm-algo-j4-cold.json
+cmp /tmp/lkmm-algo-j1-warm.json /tmp/lkmm-algo-j4-warm.json
+grep -q '"clean":true' /tmp/lkmm-algo-j4-cold.json
+rm -f /tmp/lkmm-ci-algo-jobs-j1.bin /tmp/lkmm-ci-algo-jobs-j4.bin /tmp/lkmm-algo-j1-cold.json \
+    /tmp/lkmm-algo-j4-cold.json /tmp/lkmm-algo-j1-warm.json /tmp/lkmm-algo-j4-warm.json
+
 echo "== fault injection: armed faults are contained, disarmed builds are clean =="
 cargo test --features fault-injection --test fault_injection --quiet
 cargo test --features fault-injection --test resume --quiet
@@ -369,6 +385,15 @@ LOCKED_STATUS=$?
 set -e
 test "$LOCKED_STATUS" -eq 9
 grep -q "locked by pid $SRV_PID" /tmp/lkmm-ci-srv-locked.err
+# A campaign of either mode on a store a live process holds (here one
+# member of the server's family) exits 9 as well.
+set +e
+"$BIN" conformance --algorithms --sim-iterations 0 --store "$SRV_STORE.shard0of4" \
+    > /dev/null 2> /tmp/lkmm-ci-srv-algo-locked.err
+ALGO_LOCKED_STATUS=$?
+set -e
+test "$ALGO_LOCKED_STATUS" -eq 9
+grep -q "locked by live process $SRV_PID" /tmp/lkmm-ci-srv-algo-locked.err
 printf '%s\n' '{"op":"shutdown"}' | "$BIN" client --connect 127.0.0.1:"$PORT" > /dev/null
 wait "$SRV_PID"
 # Merged family export vs the sequential single-store pipeline: byte-identical.
@@ -401,7 +426,8 @@ printf '%s\n' '{"op":"shutdown"}' | "$BIN" client --connect 127.0.0.1:"$QPORT" >
 wait "$SRVQ_PID"
 rm -f "$SRV_STORE" "$SRV_STORE".shard* "$SEQ_STORE" /tmp/lkmm-srv.err /tmp/lkmm-srv-q.err \
     /tmp/lkmm-ci-srv-c1.out /tmp/lkmm-ci-srv-c2.out /tmp/lkmm-ci-srv-c3.out \
-    /tmp/lkmm-ci-srv-c4.out /tmp/lkmm-ci-srv-locked.err /tmp/lkmm-ci-srv-family.exp \
+    /tmp/lkmm-ci-srv-c4.out /tmp/lkmm-ci-srv-locked.err /tmp/lkmm-ci-srv-algo-locked.err \
+    /tmp/lkmm-ci-srv-family.exp \
     /tmp/lkmm-ci-srv-seq.exp /tmp/lkmm-ci-srv-stats.out /tmp/lkmm-ci-srv-quota.out
 
 echo "== budget-overhead bench: governed vs ungoverned =="

@@ -22,7 +22,7 @@
 use lkmm::Lkmm;
 use lkmm_exec::TestResult;
 use lkmm_litmus::ast::Test;
-use lkmm_service::{BatchChecker, VerdictStore};
+use lkmm_service::{ColumnReport, MultiBatchChecker, MultiColumn, VerdictStore};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -53,18 +53,34 @@ struct Measurement {
     deduped: usize,
 }
 
+/// One pass over `tests` through a fresh one-column checker on `store`.
+fn check_pass(model: &Lkmm, store: VerdictStore, tests: &[Test]) -> ColumnReport {
+    let column = MultiColumn { model, salt: "bench".into() };
+    let mut checker = MultiBatchChecker::new(vec![column], store);
+    let report = checker.check_corpus(tests, &[vec![true; tests.len()]]).expect("corpus checks");
+    report.columns.into_iter().next().expect("one column")
+}
+
+fn results(col: &ColumnReport) -> Vec<TestResult> {
+    col.outcomes
+        .iter()
+        .map(|cell| {
+            let cell = cell.as_ref().expect("every cell enabled");
+            cell.outcome.result().expect("unbudgeted check completes").clone()
+        })
+        .collect()
+}
+
 /// One timed pass over `tests` through a fresh checker on `store`.
 fn run_store_pass(
     store: VerdictStore,
     tests: &[Test],
 ) -> (f64, usize, usize, usize, Vec<TestResult>) {
     let model = Lkmm::new();
-    let mut checker = BatchChecker::new(&model, store, "bench");
     let start = Instant::now();
-    let report = checker.check_corpus(tests).expect("corpus checks");
+    let col = check_pass(&model, store, tests);
     let seconds = start.elapsed().as_secs_f64();
-    let results = report.outcomes.iter().map(|o| o.result().expect("unbudgeted check completes").clone()).collect();
-    (seconds, report.candidates_enumerated, report.hits, report.deduped, results)
+    (seconds, col.candidates_enumerated, col.hits, col.deduped, results(&col))
 }
 
 fn bench_workload(w: &Workload, iters: usize, store_path: &Path) -> Vec<Measurement> {
@@ -72,22 +88,12 @@ fn bench_workload(w: &Workload, iters: usize, store_path: &Path) -> Vec<Measurem
 
     // Baseline: no store at all (the pre-cache code path).
     let model = Lkmm::new();
-    let herd_results: Vec<TestResult> = {
-        let mut checker = BatchChecker::new(&model, VerdictStore::in_memory(), "bench");
-        checker
-            .check_corpus(&w.tests)
-            .unwrap()
-            .outcomes
-            .iter()
-            .map(|o| o.result().expect("unbudgeted check completes").clone())
-            .collect()
-    };
+    let herd_results = results(&check_pass(&model, VerdictStore::in_memory(), &w.tests));
     let start = Instant::now();
     for _ in 0..iters {
-        let mut checker = BatchChecker::new(&model, VerdictStore::in_memory(), "bench");
         // A throwaway in-memory store per iteration: every test is a miss,
         // so this measures canonicalize + hash + check with no replay.
-        let report = checker.check_corpus(&w.tests).unwrap();
+        let report = check_pass(&model, VerdictStore::in_memory(), &w.tests);
         assert_eq!(report.hits, 0);
         std::hint::black_box(report);
     }

@@ -3,8 +3,9 @@
 //! Dependency-free (no criterion): runs the seven-column conformance
 //! corpus (library + generated cycles) through
 //!
-//! * `sequential` — seven dedicated `BatchChecker`s, one cold pass per
-//!   column: every column enumerates every supported test itself;
+//! * `sequential` — seven one-column `MultiBatchChecker`s, one cold
+//!   pass per column: every column enumerates every supported test
+//!   itself;
 //! * `multi` — one `MultiBatchChecker` over the same columns and masks:
 //!   each test is enumerated **once** and every column's verdict is
 //!   decided from that shared pass;
@@ -19,10 +20,9 @@
 //! cargo run --release -p lkmm-bench --bin multimodel [-- --iters N] [--max-cycle-len L]
 //! ```
 
-use lkmm_conformance::campaign::corpus;
-use lkmm_conformance::{CampaignConfig, ModelId};
+use lkmm_conformance::{corpus_stream, CampaignConfig, ModelId};
 use lkmm_litmus::ast::Test;
-use lkmm_service::{BatchChecker, MultiBatchChecker, MultiColumn, VerdictStore};
+use lkmm_service::{MultiBatchChecker, MultiColumn, VerdictStore};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -63,8 +63,8 @@ fn main() {
     }
 
     let cfg = CampaignConfig { max_cycle_len, ..CampaignConfig::default() };
-    let entries = corpus(&cfg).expect("corpus generation");
-    let tests: Vec<Test> = entries.iter().map(|e| e.test.clone()).collect();
+    let tests: Vec<Test> =
+        corpus_stream(&cfg).map(|e| e.expect("corpus generation").test).collect();
     let models: Vec<_> = ModelId::ALL.iter().map(|id| id.instantiate()).collect();
     let mask: Vec<Vec<bool>> = ModelId::ALL
         .iter()
@@ -96,16 +96,18 @@ fn main() {
         let mut passes = 0usize;
         let mut verdicts = Vec::new();
         for (c, model) in models.iter().enumerate() {
+            let column = MultiColumn { model: model.as_ref(), salt: salts[c].clone() };
             let mut checker =
-                BatchChecker::new(model.as_ref(), VerdictStore::in_memory(), &salts[c])
-                    .with_jobs(1);
-            let report = checker.check_corpus(&per_column[c]).expect("sequential pass");
+                MultiBatchChecker::new(vec![column], VerdictStore::in_memory()).with_jobs(1);
+            let tests = &per_column[c];
+            let mut report =
+                checker.check_corpus(tests, &[vec![true; tests.len()]]).expect("sequential pass");
+            let report = report.columns.remove(0);
             assert_eq!(report.inconclusive, 0, "unbudgeted pass stopped early");
             candidates += report.candidates_enumerated;
             passes += report.computed;
-            verdicts.push(
-                report.outcomes.iter().map(|o| o.outcome.result().cloned()).collect::<Vec<_>>(),
-            );
+            let cells = report.outcomes.iter().flatten();
+            verdicts.push(cells.map(|o| o.outcome.result().cloned()).collect::<Vec<_>>());
         }
         seq_seconds += start.elapsed().as_secs_f64();
         if i == 0 {

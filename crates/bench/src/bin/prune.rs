@@ -26,7 +26,7 @@
 //! cargo run --release -p lkmm-bench --bin prune [-- --iters N] [--max-cycle-len L]
 //! ```
 
-use lkmm_conformance::campaign::{corpus, CampaignConfig};
+use lkmm_conformance::campaign::{corpus_stream, CampaignConfig};
 use lkmm_exec::{enumerate, EnumOptions, EnumSnapshot, EnumStats, EnumStrategy};
 use lkmm_litmus::Test;
 use std::fmt::Write as _;
@@ -43,10 +43,8 @@ struct Measurement {
 
 fn corpus_tests(max_cycle_len: usize) -> Vec<Test> {
     let cfg = CampaignConfig { max_cycle_len, contended: true, ..CampaignConfig::default() };
-    corpus(&cfg)
-        .expect("default-alphabet corpus generates")
-        .into_iter()
-        .map(|entry| entry.test)
+    corpus_stream(&cfg)
+        .map(|entry| entry.expect("default-alphabet corpus generates").test)
         .collect()
 }
 

@@ -5,9 +5,9 @@
 //! **durable** store (fsync per appended verdict) carries as much of
 //! the round as the host allows. The corpus is then served three ways:
 //!
-//! * `sequential` — the plain single-threaded `--store` pipeline
-//!   ([`BatchChecker`] over a [`VerdictStore`]); its key-ordered export
-//!   is the reference byte string;
+//! * `sequential` — the plain single-threaded `--store` pipeline (a
+//!   one-column [`MultiBatchChecker`] over a [`VerdictStore`]); its
+//!   key-ordered export is the reference byte string;
 //! * `serve-1shard` — a TCP server with 4 workers and one durable
 //!   store shard, driven by 4 concurrent clients: every append (and
 //!   its fsync) serialises on the single shard lock;
@@ -48,7 +48,7 @@ use lkmm::Lkmm;
 use lkmm_exec::{TestResult, Verdict};
 use lkmm_litmus::parse;
 use lkmm_server::{serve_tcp, ServerConfig};
-use lkmm_service::{BatchChecker, ShardedStore, VerdictStore};
+use lkmm_service::{MultiBatchChecker, MultiColumn, ShardedStore, VerdictStore};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -103,11 +103,12 @@ fn sequential(sources: &[String]) -> (Vec<u8>, f64) {
     let base = temp_base("seq");
     let model = Lkmm::new();
     let start = Instant::now();
-    let mut checker = BatchChecker::new(&model, VerdictStore::open(&base).unwrap(), SALT);
-    let report = checker.check_corpus(&tests).expect("sequential pass runs");
-    checker.flush().expect("sequential flush");
+    let column = MultiColumn { model: &model, salt: SALT.into() };
+    let mut checker = MultiBatchChecker::new(vec![column], VerdictStore::open(&base).unwrap());
+    let report =
+        checker.check_corpus(&tests, &[vec![true; tests.len()]]).expect("sequential pass runs");
     let seconds = start.elapsed().as_secs_f64();
-    assert_eq!(report.computed, sources.len(), "bench corpus has a key collision");
+    assert_eq!(report.columns[0].computed, sources.len(), "bench corpus has a key collision");
     drop(checker);
     let out = temp_base("seq-export");
     VerdictStore::export(&base, &out).unwrap();

@@ -2,10 +2,12 @@
 //! checked through every layer of the stack.
 //!
 //! One run expands the selected [`FamilyId`]s at a configured size into
-//! their program variants, pushes every program through the same
-//! single-enumeration verdict matrix as the cycle campaign (all seven
-//! axiomatic columns, incrementally through the verdict store), and
-//! then holds each program to the oracles its shape supports:
+//! their program variants and streams every program through the cycle
+//! campaign's driver, [`drive_campaign`]: the same single-enumeration
+//! verdict matrix (all seven axiomatic columns, incrementally through
+//! the verdict store), the same unit pool, retries and quarantine. As
+//! each program's row completes it is held to the oracles its shape
+//! supports:
 //!
 //! * the four matrix oracles of [`crate::oracle`] (native≡cat,
 //!   envelope, C11 whitelist) plus **family safety** — the LKMM verdict
@@ -25,21 +27,22 @@
 //! nondeterministic executions, but only the *violation count* they
 //! produce enters the report (zero for a sound model), and every other
 //! number is replayed from the store or recomputed identically, so a
-//! cold and a warm run render byte-identical JSON.
+//! cold and a warm run render byte-identical JSON at any job count.
 
-use crate::matrix::{
-    build_matrix, uses_srcu, CorpusEntry, MatrixOptions, ModelId, ModelSet, Origin,
+use crate::campaign::{
+    sim_check_row, CampaignError, CorpusStream, ModelStats, OracleStats, SimConfig,
 };
-use crate::campaign::{sim_seed, CampaignError, ModelStats, OracleStats, SimConfig};
+use crate::checkpoint::FailedUnit;
+use crate::driver::{drive_campaign, ResilienceConfig};
+use crate::matrix::{uses_srcu, CorpusEntry, MatrixOptions, MatrixRow, ModelId, ModelSet, Origin};
 use crate::oracle::{check_row, Discrepancy, OracleKind, OracleSummary, Recheck};
 use crate::shrink::shrink_discrepancies;
-use lkmm_algorithms::{AlgoProgram, FamilyId, FamilyParams, ScAtomic};
-use lkmm_algorithms::interleave;
+use lkmm_algorithms::interleave::{self, Machine};
+use lkmm_algorithms::{FamilyId, FamilyParams, ScAtomic};
 use lkmm_core::budget::Budget;
 use lkmm_exec::{check, CheckOutcome, EnumOptions, PipelineOptions, Verdict};
 use lkmm_service::canonical_text;
 use lkmm_service::json::Json;
-use lkmm_sim::{run_test, Arch, RunConfig};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -52,8 +55,11 @@ pub struct AlgoConfig {
     pub params: FamilyParams,
     /// Cache version salt (each model column adds its own component).
     pub salt: String,
-    /// Worker threads per check (0 = all hardware threads): a check big
-    /// enough to split spreads its pre-executions over this many.
+    /// Worker threads (0 = all hardware threads, never more than the
+    /// host has): the matrix pass checks this many units at once, each
+    /// on one thread, as in the cycle campaign; an interleave or shrink
+    /// re-check big enough to split spreads its pre-executions over this
+    /// many workers. Reports are identical at any value.
     pub jobs: usize,
     /// Per-check budget; trips surface as inconclusive cells.
     pub budget: Budget,
@@ -133,6 +139,10 @@ pub struct AlgoReport {
     /// Data-plane counters from the matrix pass; present only when
     /// [`AlgoConfig::data_plane`] was set.
     pub data_plane: Option<lkmm_exec::DataPlaneSnapshot>,
+    /// Units the supervisor quarantined after exhausting retries, as in
+    /// [`crate::CampaignReport::failed_units`]: a non-empty list makes
+    /// the report *degraded*.
+    pub failed_units: Vec<FailedUnit>,
 }
 
 impl AlgoReport {
@@ -145,6 +155,11 @@ impl AlgoReport {
     pub fn clean(&self) -> bool {
         self.discrepancies.is_empty()
     }
+
+    /// Whether the matrix is partial because units were quarantined.
+    pub fn degraded(&self) -> bool {
+        !self.failed_units.is_empty()
+    }
 }
 
 /// Run an algorithm campaign with the standard reference checkers.
@@ -152,6 +167,7 @@ impl AlgoReport {
 /// # Errors
 ///
 /// [`CampaignError::Generate`] on degenerate family parameters,
+/// [`CampaignError::Locked`] on a store held by a live process,
 /// [`CampaignError::Store`] on verdict-store I/O.
 pub fn run_algo_campaign(cfg: &AlgoConfig) -> Result<AlgoReport, CampaignError> {
     run_algo_campaign_with(cfg, &ModelSet::standard())
@@ -179,26 +195,36 @@ pub fn run_algo_campaign_with(
         fs
     };
 
-    // Expand: one flat program list, family boundaries remembered.
-    let mut programs: Vec<AlgoProgram> = Vec::new();
-    let mut spans: Vec<(FamilyId, usize, usize)> = Vec::new();
-    for &family in &families {
-        let start = programs.len();
-        programs.extend(lkmm_algorithms::programs(family, &cfg.params)?);
-        spans.push((family, start, programs.len()));
+    // Expand: one flat program list, each program's family remembered.
+    let mut programs = Vec::new();
+    let mut family_of = Vec::new();
+    let mut family_stats = Vec::new();
+    for (f, &family) in families.iter().enumerate() {
+        let expanded = lkmm_algorithms::programs(family, &cfg.params)?;
+        family_of.extend(std::iter::repeat_n(f, expanded.len()));
+        family_stats.push(FamilyStats {
+            family,
+            programs: expanded.len(),
+            safety: OracleSummary::default(),
+            sim: OracleSummary::default(),
+            host: OracleSummary::default(),
+            interleave: OracleSummary::default(),
+        });
+        programs.extend(expanded);
     }
-
-    let corpus: Vec<CorpusEntry> = programs
-        .iter()
-        .map(|p| CorpusEntry {
-            test: p.test.clone(),
-            origin: Origin::Algorithm {
-                family: p.family.name(),
-                invariant: p.family.invariant(),
-                expect: p.expect,
-            },
-        })
-        .collect();
+    let stream = CorpusStream::from_entries(
+        programs
+            .iter()
+            .map(|p| CorpusEntry {
+                test: p.test.clone(),
+                origin: Origin::Algorithm {
+                    family: p.family.name(),
+                    invariant: p.family.invariant(),
+                    expect: p.expect,
+                },
+            })
+            .collect(),
+    );
 
     let matrix_opts = MatrixOptions {
         salt: &cfg.salt,
@@ -208,186 +234,43 @@ pub fn run_algo_campaign_with(
         enum_stats: cfg.enum_stats.clone(),
         data_plane: cfg.data_plane.clone(),
     };
-    let (matrix, passes) = build_matrix(&corpus, set, &matrix_opts)?;
+    // Each row's checks count into a row summary first, which then joins
+    // both the campaign totals and its family's columns.
+    let row_check = |i: usize,
+                     row: &MatrixRow,
+                     discrepancies: &mut Vec<Discrepancy>,
+                     summaries: &mut [OracleSummary]| {
+        let program = &programs[i];
+        let mut here = [OracleSummary::default(); OracleKind::ALL.len()];
+        // Matrix oracles, family safety among them.
+        check_row(row, discrepancies, &mut here);
+        if program.runnable && !uses_srcu(&row.test) {
+            let sim = &mut here[OracleKind::SimSoundness.index()];
+            sim_check_row(&cfg.sim, i, row, discrepancies, sim);
+        }
+        if program.runnable {
+            let host = &mut here[OracleKind::HostSoundness.index()];
+            host_check_row(cfg.host_iterations, row, discrepancies, host);
+        }
+        if let Some(machine) = &program.machine {
+            let agreement = &mut here[OracleKind::InterleaveAgreement.index()];
+            interleave_check_row(machine, cfg, row, discrepancies, agreement);
+        }
+        for (total, part) in summaries.iter_mut().zip(here) {
+            *total += part;
+        }
+        let fs = &mut family_stats[family_of[i]];
+        fs.safety += here[OracleKind::FamilySafety.index()];
+        fs.sim += here[OracleKind::SimSoundness.index()];
+        fs.host += here[OracleKind::HostSoundness.index()];
+        fs.interleave += here[OracleKind::InterleaveAgreement.index()];
+    };
+    // No checkpoint, so no fingerprint to guard one.
+    let (core, drive) =
+        drive_campaign(stream, 0, set, &matrix_opts, &ResilienceConfig::default(), row_check)?;
+    let mut discrepancies = core.discrepancies;
     let enumeration = cfg.enum_stats.as_ref().map(|s| s.snapshot());
     let data_plane = cfg.data_plane.as_ref().map(|s| s.snapshot());
-
-    let mut discrepancies = Vec::new();
-    let mut summaries = [OracleSummary::default(); OracleKind::ALL.len()];
-    // Per-family slices of the per-oracle summaries.
-    let mut family_stats: Vec<FamilyStats> = spans
-        .iter()
-        .map(|&(family, start, end)| FamilyStats {
-            family,
-            programs: end - start,
-            safety: OracleSummary::default(),
-            sim: OracleSummary::default(),
-            host: OracleSummary::default(),
-            interleave: OracleSummary::default(),
-        })
-        .collect();
-    let family_of = |index: usize| -> usize {
-        spans
-            .iter()
-            .position(|&(_, start, end)| index >= start && index < end)
-            .expect("every program index lies in a span")
-    };
-
-    // Matrix oracles (incl. family safety, which check_row evaluates on
-    // algorithm rows).
-    for (i, row) in matrix.rows.iter().enumerate() {
-        let before = summaries[OracleKind::FamilySafety.index()];
-        check_row(row, &mut discrepancies, &mut summaries);
-        let after = summaries[OracleKind::FamilySafety.index()];
-        let fs = &mut family_stats[family_of(i)].safety;
-        fs.checked += after.checked - before.checked;
-        fs.violations += after.violations - before.violations;
-        fs.skipped += after.skipped - before.skipped;
-    }
-
-    let lkmm_forbidden = |row: &crate::matrix::MatrixRow| {
-        matches!(
-            row.cell(ModelId::LkmmNative).and_then(CheckOutcome::result),
-            Some(r) if r.verdict == Verdict::Forbidden
-        )
-    };
-
-    // Sim soundness over runnable programs: the operational simulators
-    // must never observe an outcome the LKMM forbids.
-    if cfg.sim.iterations > 0 {
-        for (i, (row, prog)) in matrix.rows.iter().zip(&programs).enumerate() {
-            let fi = family_of(i);
-            if !prog.runnable || uses_srcu(&row.test) {
-                continue;
-            }
-            if !lkmm_forbidden(row) {
-                continue;
-            }
-            let seed = sim_seed(cfg.sim.seed, i);
-            for arch in Arch::ALL {
-                let config = RunConfig { iterations: cfg.sim.iterations, seed };
-                match run_test(&row.test, arch, &config) {
-                    Err(_) => {
-                        summaries[OracleKind::SimSoundness.index()].skipped += 1;
-                        family_stats[fi].sim.skipped += 1;
-                    }
-                    Ok(stats) => {
-                        summaries[OracleKind::SimSoundness.index()].checked += 1;
-                        family_stats[fi].sim.checked += 1;
-                        if stats.observed > 0 {
-                            summaries[OracleKind::SimSoundness.index()].violations += 1;
-                            family_stats[fi].sim.violations += 1;
-                            discrepancies.push(Discrepancy {
-                                test_name: row.test.name.clone(),
-                                oracle: OracleKind::SimSoundness,
-                                detail: format!(
-                                    "{} observed an LKMM-forbidden outcome {} times in {} runs (seed {seed})",
-                                    arch.name(),
-                                    stats.observed,
-                                    stats.total
-                                ),
-                                check: Recheck::SimObservation {
-                                    arch,
-                                    iterations: cfg.sim.iterations,
-                                    seed,
-                                },
-                                test: row.test.clone(),
-                                shrunk: None,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Host soundness: the same runnable programs on real threads.
-    if cfg.host_iterations > 0 {
-        for (i, (row, prog)) in matrix.rows.iter().zip(&programs).enumerate() {
-            let fi = family_of(i);
-            if !prog.runnable {
-                continue;
-            }
-            if !lkmm_forbidden(row) {
-                continue;
-            }
-            let config = lkmm_klitmus::HostConfig { iterations: cfg.host_iterations };
-            match lkmm_klitmus::run_on_host(&row.test, &config) {
-                Err(_) => {
-                    summaries[OracleKind::HostSoundness.index()].skipped += 1;
-                    family_stats[fi].host.skipped += 1;
-                }
-                Ok(stats) => {
-                    summaries[OracleKind::HostSoundness.index()].checked += 1;
-                    family_stats[fi].host.checked += 1;
-                    if stats.observed > 0 {
-                        summaries[OracleKind::HostSoundness.index()].violations += 1;
-                        family_stats[fi].host.violations += 1;
-                        discrepancies.push(Discrepancy {
-                            test_name: row.test.name.clone(),
-                            oracle: OracleKind::HostSoundness,
-                            detail: format!(
-                                "host threads observed an LKMM-forbidden outcome {} times in {} runs",
-                                stats.observed, stats.total
-                            ),
-                            check: Recheck::HostObservation {
-                                iterations: cfg.host_iterations,
-                            },
-                            test: row.test.clone(),
-                            shrunk: None,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    // Interleave agreement: exhaustive SC interleaving of the step
-    // machine vs the axiomatic SC+atomicity verdict.
-    {
-        let opts = EnumOptions { budget: cfg.budget.clone(), ..EnumOptions::default() };
-        let pipe = PipelineOptions { jobs: cfg.jobs, ..PipelineOptions::default() };
-        for (i, prog) in programs.iter().enumerate() {
-            let fi = family_of(i);
-            let Some(machine) = &prog.machine else { continue };
-            let explored = interleave::explore(machine, cfg.interleave_max_states);
-            if explored.truncated {
-                summaries[OracleKind::InterleaveAgreement.index()].skipped += 1;
-                family_stats[fi].interleave.skipped += 1;
-                continue;
-            }
-            let axiomatic = match check(&[&ScAtomic], &prog.test, &opts, &pipe).into_first() {
-                CheckOutcome::Complete(result) => result.verdict,
-                CheckOutcome::Inconclusive { .. } => {
-                    summaries[OracleKind::InterleaveAgreement.index()].skipped += 1;
-                    family_stats[fi].interleave.skipped += 1;
-                    continue;
-                }
-            };
-            summaries[OracleKind::InterleaveAgreement.index()].checked += 1;
-            family_stats[fi].interleave.checked += 1;
-            if explored.bad_reachable != (axiomatic == Verdict::Allowed) {
-                summaries[OracleKind::InterleaveAgreement.index()].violations += 1;
-                family_stats[fi].interleave.violations += 1;
-                discrepancies.push(Discrepancy {
-                    test_name: prog.test.name.clone(),
-                    oracle: OracleKind::InterleaveAgreement,
-                    detail: format!(
-                        "interleaving says the bad state is {} ({} states explored), SC+atomic says {}",
-                        if explored.bad_reachable { "reachable" } else { "unreachable" },
-                        explored.states,
-                        axiomatic
-                    ),
-                    check: Recheck::InterleaveDivergence {
-                        machine: machine.clone(),
-                        max_states: cfg.interleave_max_states,
-                    },
-                    test: prog.test.clone(),
-                    shrunk: None,
-                });
-            }
-        }
-    }
 
     // Shrink. Family-safety discrepancies re-check through one native
     // LKMM run, so the mutant-catching path minimizes to the smallest
@@ -401,18 +284,102 @@ pub fn run_algo_campaign_with(
         families: family_stats,
         models: ModelId::ALL
             .iter()
-            .zip(passes)
+            .zip(core.passes)
             .map(|(&id, pass)| ModelStats { id, pass })
             .collect(),
         oracles: OracleKind::ALL
             .iter()
-            .zip(summaries)
+            .zip(core.summaries)
             .map(|(&kind, summary)| OracleStats { kind, summary })
             .collect(),
         discrepancies,
         enumeration,
         data_plane,
+        failed_units: drive.failed_units,
     })
+}
+
+/// Whether the native LKMM completed `row` with a Forbidden verdict.
+fn lkmm_forbidden(row: &MatrixRow) -> bool {
+    row.verdict(ModelId::LkmmNative) == Some(Verdict::Forbidden)
+}
+
+/// Host soundness for one runnable program's row: real hardware threads
+/// must never observe an outcome the LKMM forbids.
+fn host_check_row(
+    iterations: u64,
+    row: &MatrixRow,
+    discrepancies: &mut Vec<Discrepancy>,
+    summary: &mut OracleSummary,
+) {
+    if iterations == 0 || !lkmm_forbidden(row) {
+        return;
+    }
+    match lkmm_klitmus::run_on_host(&row.test, &lkmm_klitmus::HostConfig { iterations }) {
+        Err(_) => summary.skipped += 1,
+        Ok(stats) => {
+            summary.checked += 1;
+            if stats.observed > 0 {
+                summary.violations += 1;
+                discrepancies.push(Discrepancy {
+                    test_name: row.test.name.clone(),
+                    oracle: OracleKind::HostSoundness,
+                    detail: format!(
+                        "host threads observed an LKMM-forbidden outcome {} times in {} runs",
+                        stats.observed, stats.total
+                    ),
+                    check: Recheck::HostObservation { iterations },
+                    test: row.test.clone(),
+                    shrunk: None,
+                });
+            }
+        }
+    }
+}
+
+/// Interleave agreement for one program with a step machine: exhaustive
+/// SC interleaving (capped at `interleave_max_states`; a truncated
+/// exploration is skipped rather than risking a false verdict) against
+/// the axiomatic SC+atomicity verdict.
+fn interleave_check_row(
+    machine: &Machine,
+    cfg: &AlgoConfig,
+    row: &MatrixRow,
+    discrepancies: &mut Vec<Discrepancy>,
+    summary: &mut OracleSummary,
+) {
+    let max_states = cfg.interleave_max_states;
+    let explored = interleave::explore(machine, max_states);
+    if explored.truncated {
+        summary.skipped += 1;
+        return;
+    }
+    let opts = EnumOptions { budget: cfg.budget.clone(), ..EnumOptions::default() };
+    let pipe = PipelineOptions { jobs: cfg.jobs, ..PipelineOptions::default() };
+    let axiomatic = match check(&[&ScAtomic], &row.test, &opts, &pipe).into_first() {
+        CheckOutcome::Complete(result) => result.verdict,
+        CheckOutcome::Inconclusive { .. } => {
+            summary.skipped += 1;
+            return;
+        }
+    };
+    summary.checked += 1;
+    if explored.bad_reachable != (axiomatic == Verdict::Allowed) {
+        summary.violations += 1;
+        discrepancies.push(Discrepancy {
+            test_name: row.test.name.clone(),
+            oracle: OracleKind::InterleaveAgreement,
+            detail: format!(
+                "interleaving says the bad state is {} ({} states explored), SC+atomic says {}",
+                if explored.bad_reachable { "reachable" } else { "unreachable" },
+                explored.states,
+                axiomatic
+            ),
+            check: Recheck::InterleaveDivergence { machine: machine.clone(), max_states },
+            test: row.test.clone(),
+            shrunk: None,
+        });
+    }
 }
 
 /// Render the deterministic JSON report for an algorithm campaign.
@@ -515,8 +482,14 @@ pub fn algo_json_report(report: &AlgoReport, cfg: &AlgoConfig) -> Json {
         ("models", Json::Arr(models)),
         ("oracles", Json::Arr(oracles)),
         ("discrepancies", Json::Arr(discrepancies)),
-        ("clean", Json::Bool(report.clean())),
     ];
+    // Only a degraded report carries these fields: a clean report's bytes
+    // do not depend on the retry supervisor.
+    if report.degraded() {
+        fields.push(("failed_units", crate::report::failed_units_json(&report.failed_units)));
+        fields.push(("partial", Json::Bool(true)));
+    }
+    fields.push(("clean", Json::Bool(report.clean())));
     if let Some(e) = &report.enumeration {
         fields.push((
             "enumeration",
@@ -589,6 +562,7 @@ pub fn algo_human_table(report: &AlgoReport) -> String {
         );
     }
     let _ = writeln!(out);
+    crate::report::partial_lines(&mut out, &report.failed_units);
     if report.clean() {
         let _ = writeln!(out, "no discrepancies");
     } else {
@@ -757,5 +731,48 @@ mod tests {
             &EnumOptions::default(),
             &PipelineOptions::default(),
         ));
+    }
+
+    /// A model whose evaluation session always panics: every unit that
+    /// checks it fails each attempt and is quarantined.
+    struct SessionPanics;
+
+    impl lkmm_exec::ConsistencyModel for SessionPanics {
+        fn name(&self) -> &str {
+            "session-panics"
+        }
+
+        fn session(&self) -> Option<Box<dyn lkmm_exec::ModelSession + '_>> {
+            panic!("injected panic opening a model session");
+        }
+
+        fn allows(&self, _: &lkmm_exec::Execution) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn quarantined_units_are_reported_only_when_present() {
+        let cfg = AlgoConfig {
+            families: vec![FamilyId::Ticket],
+            sim: SimConfig { iterations: 0, ..SimConfig::default() },
+            host_iterations: 0,
+            ..AlgoConfig::default()
+        };
+        let clean = run_algo_campaign(&cfg).unwrap();
+        assert!(!clean.degraded());
+        assert!(!algo_json_report(&clean, &cfg).to_string().contains("failed_units"));
+
+        let mut set = ModelSet::standard();
+        set.replace(ModelId::Sc, Box::new(SessionPanics));
+        let report = run_algo_campaign_with(&cfg, &set).unwrap();
+        assert!(report.degraded());
+        assert_eq!(report.failed_units.len(), report.programs());
+        assert!(report.failed_units.iter().all(|f| f.attempts == 3));
+        let json = algo_json_report(&report, &cfg).to_string();
+        assert!(json.contains("\"failed_units\":[{\"index\":0,"), "{json}");
+        assert!(json.contains("\"kind\":\"panic\""), "{json}");
+        assert!(json.contains("\"partial\":true,\"clean\":true"), "{json}");
+        assert!(algo_human_table(&report).contains("PARTIAL:"));
     }
 }

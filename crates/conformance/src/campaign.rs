@@ -258,9 +258,12 @@ impl From<io::Error> for CampaignError {
 /// `cycles_up_to` order, each litmus test built only when the driver
 /// reaches it, then the contended twins. The order (and therefore every
 /// corpus index) is a deterministic function of the config — which is
-/// what lets a checkpoint record progress as a plain cursor.
+/// what lets a checkpoint record progress as a plain cursor. The
+/// algorithm campaign streams its expanded programs the same way,
+/// through [`CorpusStream::from_entries`].
 pub struct CorpusStream {
-    library: std::vec::IntoIter<CorpusEntry>,
+    /// Materialised entries, served first.
+    entries: std::vec::IntoIter<CorpusEntry>,
     cycles: Vec<Vec<Edge>>,
     /// Next cycle slot: `0..cycles.len()` plain, then the contended
     /// twins when enabled.
@@ -270,6 +273,17 @@ pub struct CorpusStream {
 }
 
 impl CorpusStream {
+    /// A stream over `entries` alone, in order.
+    pub fn from_entries(entries: Vec<CorpusEntry>) -> CorpusStream {
+        CorpusStream {
+            total: entries.len(),
+            entries: entries.into_iter(),
+            cycles: Vec::new(),
+            at: 0,
+            contended: false,
+        }
+    }
+
     /// Total units this stream will yield.
     pub fn total(&self) -> usize {
         self.total
@@ -280,13 +294,13 @@ impl CorpusStream {
     /// `0..cursor` from the checkpoint's aggregates, so their litmus
     /// tests never need to exist in this process at all.
     pub fn seek(&mut self, n: usize) {
-        let from_library = n.min(self.library.len());
-        if from_library > 0 {
+        let from_entries = n.min(self.entries.len());
+        if from_entries > 0 {
             // `Vec::IntoIter::nth` drops the skipped entries without
             // generating or cloning anything.
-            let _ = self.library.nth(from_library - 1);
+            let _ = self.entries.nth(from_entries - 1);
         }
-        self.at += n - from_library;
+        self.at += n - from_entries;
     }
 }
 
@@ -294,7 +308,7 @@ impl Iterator for CorpusStream {
     type Item = Result<CorpusEntry, GenError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if let Some(e) = self.library.next() {
+        if let Some(e) = self.entries.next() {
             return Some(Ok(e));
         }
         let n = self.cycles.len();
@@ -330,23 +344,12 @@ pub fn corpus_stream(cfg: &CampaignConfig) -> CorpusStream {
     };
     let total = library.len() + cycles.len() * if cfg.contended { 2 } else { 1 };
     CorpusStream {
-        library: library.into_iter(),
+        entries: library.into_iter(),
         cycles,
         at: 0,
         contended: cfg.contended,
         total,
     }
-}
-
-/// Assemble the whole campaign corpus eagerly — [`corpus_stream`]
-/// collected, for callers that want the full slice.
-///
-/// # Errors
-///
-/// Propagates generator failures (none are expected for the default
-/// alphabet: `cycles_up_to` only yields validated cycles).
-pub fn corpus(cfg: &CampaignConfig) -> Result<Vec<CorpusEntry>, GenError> {
-    corpus_stream(cfg).collect()
 }
 
 /// FNV-64 fingerprint over everything the deterministic report depends
@@ -391,7 +394,7 @@ pub(crate) fn sim_seed(base: u64, corpus_index: usize) -> u64 {
 /// index is sampled. Runs as part of the driver's per-row checks, so a
 /// checkpoint frame's aggregates already include the prefix's share of
 /// the simulator pass.
-fn sim_check_row(
+pub(crate) fn sim_check_row(
     sim: &SimConfig,
     i: usize,
     row: &MatrixRow,
@@ -569,8 +572,8 @@ mod tests {
         // The shortest critical cycle needs 4 edges (two non-adjacent
         // external edges), so a length-3 campaign is library-only.
         let cfg = CampaignConfig { max_cycle_len: 3, ..quick_config() };
-        let entries = corpus(&cfg).unwrap();
-        assert!(entries.iter().all(|e| matches!(e.origin, Origin::Library { .. })));
+        let mut entries = corpus_stream(&cfg);
+        assert!(entries.all(|e| matches!(e.unwrap().origin, Origin::Library { .. })));
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The supervised campaign driver: lazy work units, incremental
 //! per-row oracles, retry/backoff, quarantine, and checkpoint/resume.
 //!
-//! [`drive_campaign`] is the crash-survivable replacement for driving
-//! [`crate::matrix::build_matrix`] over a pre-built corpus. The driver
-//! *streams* work units from the lazy [`CorpusStream`], feeds them one
-//! at a time to the streaming [`CorpusRun`] API, and — the load-bearing
-//! difference from a batch build — runs the caller's row-level checks
-//! (matrix oracles, simulator soundness) the moment each row's cells
-//! are complete, folding everything into running aggregates
+//! [`drive_campaign`] builds the verdict matrix of every campaign, the
+//! cycle campaign and the algorithm campaign alike. It *streams* work
+//! units from a lazy [`CorpusStream`], feeds them one at a time to the
+//! streaming [`CorpusRun`] API, and runs the caller's row-level checks
+//! (matrix oracles, simulator soundness, and for the algorithm families
+//! family safety, host runs and interleaving) the moment each row's
+//! cells are complete, folding everything into running aggregates
 //! ([`CampaignCore`]). No full verdict matrix is ever materialised.
 //! That buys three things a monolithic batch call cannot offer:
 //!
@@ -67,8 +67,7 @@ use lkmm_exec::{worker_threads, CheckOutcome, EnumOptions, Verdict};
 use lkmm_generator::GenError;
 use lkmm_litmus::ast::Test;
 use lkmm_service::{
-    BatchError, CorpusRun, MultiBatchChecker, MultiColumn, PreparedUnit, StoreError, UnitFault,
-    VerdictStore,
+    CorpusRun, MultiBatchChecker, MultiColumn, PreparedUnit, StoreError, UnitFault, VerdictStore,
 };
 use lkmm_sim::rng::SplitMix64;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -182,7 +181,7 @@ fn attempt_unit(
     };
     match committed {
         Err(payload) => Some((FailureKind::Panic, panic_text(payload.as_ref()))),
-        Ok(Err(e)) => Some((FailureKind::TransientIo, e.to_string())),
+        Ok(Err(e)) => Some((FailureKind::TransientIo, format!("verdict store: {e}"))),
         Ok(Ok(())) => match run.unit_fault(i) {
             Some(UnitFault::WorkerPanicked) => Some((
                 FailureKind::Panic,
@@ -327,8 +326,8 @@ impl CampaignCore {
 /// Drive a whole campaign by streaming `stream` through a supervised,
 /// checkpointing [`CorpusRun`], running `row_check` (the matrix-level
 /// oracles plus whatever else the caller folds per row — simulator
-/// soundness, say) as each row completes. See the module docs for the
-/// full contract.
+/// soundness, say) as each row completes, in corpus order. See the
+/// module docs for the full contract.
 ///
 /// # Errors
 ///
@@ -508,11 +507,7 @@ pub fn drive_campaign(
         return Err(CampaignError::Suspended { cursor: done, total: total_units });
     }
 
-    let report = match run.finish() {
-        Ok(r) => r,
-        Err(BatchError::Io(e)) => return Err(CampaignError::Store(e)),
-        Err(BatchError::Generate(e)) => unreachable!("check_unit does not generate: {e}"),
-    };
+    let report = run.finish().map_err(CampaignError::Store)?;
     // Final frame: cursor at the end, so resuming a *finished* clean
     // campaign costs one checkpoint load and zero corpus work.
     if let Some(log) = &mut log {
@@ -552,6 +547,7 @@ pub fn drive_campaign(
 mod tests {
     use super::*;
     use crate::campaign::{config_fingerprint, corpus_stream, CampaignConfig, SimConfig};
+    use crate::matrix::reference_row;
     use crate::oracle::check_row;
     use lkmm_exec::{ConsistencyModel, ExecFacts, Execution, ModelSession};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -601,35 +597,65 @@ mod tests {
 
     #[test]
     fn driven_campaign_matches_the_batch_build() {
+        // The reference decides every row column by column with a fresh
+        // check each, then folds the rows exactly as the driver does.
         let cfg = quick_config();
-        let entries = crate::campaign::corpus(&cfg).unwrap();
-        let (batch, batch_passes) = crate::matrix::build_matrix(
-            &entries,
-            &ModelSet::standard(),
-            &MatrixOptions::default(),
-        )
-        .unwrap();
-        // The driver folds rows incrementally; re-derive the same
-        // aggregates from the batch matrix and compare sums and the
-        // per-row verdicts the driver's oracles saw.
-        let mut batch_summaries = vec![OracleSummary::default(); OracleKind::ALL.len()];
-        let mut batch_discrepancies = Vec::new();
-        for row in &batch.rows {
-            check_row(row, &mut batch_discrepancies, &mut batch_summaries);
+        let set = ModelSet::standard();
+        let mut reference = CampaignCore::empty();
+        let mut rows: Vec<MatrixRow> = Vec::new();
+        for entry in corpus_stream(&cfg) {
+            let row = reference_row(entry.unwrap(), &set);
+            check_row(&row, &mut reference.discrepancies, &mut reference.summaries);
+            reference.account_row(&row);
+            rows.push(row);
         }
         let res = ResilienceConfig { retry_base_ms: 0, ..ResilienceConfig::default() };
-        let (core, outcome) = drive(&cfg, None, &res).unwrap();
+        let mut seen = 0;
+        let stream = corpus_stream(&cfg);
+        let fp = config_fingerprint(&cfg, stream.total());
+        let (core, outcome) =
+            drive_campaign(stream, fp, &set, &MatrixOptions::default(), &res, |i, row, d, s| {
+                // Rows arrive in corpus order, each cell what a
+                // dedicated check of that column says.
+                assert_eq!(i, seen);
+                seen += 1;
+                assert_eq!(row.test.name, rows[i].test.name);
+                assert_eq!(row.cells, rows[i].cells, "{}", row.test.name);
+                check_row(row, d, s)
+            })
+            .unwrap();
+        assert_eq!(seen, rows.len());
         assert!(outcome.failed_units.is_empty());
         assert_eq!(outcome.resumed_at, None);
-        assert_eq!(core.corpus_library + core.corpus_generated, batch.rows.len());
-        for (d, b) in core.passes.iter().zip(&batch_passes) {
-            assert_eq!(d.checked, b.checked);
-            assert_eq!(d.allowed, b.allowed);
-            assert_eq!(d.forbidden, b.forbidden);
-            assert_eq!(d.skipped, b.skipped);
-        }
-        assert_eq!(core.summaries, batch_summaries);
-        assert_eq!(core.discrepancies.len(), batch_discrepancies.len());
+        assert_same_substance(&core, &reference);
+    }
+
+    #[test]
+    fn rows_cover_supported_cells_only() {
+        let entries = ["MP", "RCU-MP"].map(|name| CorpusEntry {
+            test: lkmm_litmus::library::by_name(name).unwrap().test(),
+            origin: Origin::Generated,
+        });
+        let res = ResilienceConfig::default();
+        let stream = CorpusStream::from_entries(entries.to_vec());
+        let mut rows = Vec::new();
+        let (core, _) = drive_campaign(
+            stream,
+            0,
+            &ModelSet::standard(),
+            &MatrixOptions::default(),
+            &res,
+            |_, row, _, _| rows.push(row.clone()),
+        )
+        .unwrap();
+        assert!(rows[0].cells.iter().all(Option::is_some));
+        assert!(rows[1].cell(ModelId::C11).is_none());
+        assert!(rows[1].cell(ModelId::LkmmNative).is_some());
+        assert_eq!(rows[0].verdict(ModelId::LkmmNative), Some(Verdict::Allowed));
+        assert_eq!(rows[1].verdict(ModelId::LkmmNative), Some(Verdict::Forbidden));
+        let c11_pass = &core.passes[ModelId::C11.index()];
+        assert_eq!(c11_pass.skipped, 1);
+        assert_eq!(c11_pass.checked, 1);
     }
 
     #[test]

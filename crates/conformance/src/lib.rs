@@ -9,12 +9,11 @@
 //! back to a feature C11 genuinely lacks. This crate automates that
 //! cross-checking at corpus scale:
 //!
-//! * [`matrix`] — run every test in a corpus through every checker and
-//!   collect the per-test × per-model verdict matrix, incrementally
-//!   through the content-addressed verdict store (each model column is
-//!   salted separately, so two checkers that share a display name —
-//!   native LKMM and the cat LKMM both print "LKMM" — can never replay
-//!   each other's cached verdicts).
+//! * [`matrix`] — the per-test × per-model verdict matrix: its columns,
+//!   rows and corpus entries (each model column is salted separately,
+//!   so two checkers that share a display name — native LKMM and the
+//!   cat LKMM both print "LKMM" — can never replay each other's cached
+//!   verdicts).
 //! * [`oracle`] — typed invariants over matrix rows; each violation is
 //!   a structured [`Discrepancy`] carrying the exact [`Recheck`] that
 //!   failed, so it can be re-validated from scratch.
@@ -23,9 +22,10 @@
 //!   a discrepancy to a minimal litmus test still discriminating the
 //!   disagreeing checkers.
 //! * [`campaign`] — the campaign tying the layers together,
-//! * [`driver`] — the supervised matrix driver: lazy work units,
-//!   per-unit retry with seeded backoff, quarantine of poisoned units,
-//!   and periodic checkpoints,
+//! * [`driver`] — the supervised matrix driver both campaigns run on:
+//!   lazy work units checked on a worker pool through the
+//!   content-addressed verdict store, per-unit retry with seeded
+//!   backoff, quarantine of poisoned units, and periodic checkpoints,
 //! * [`checkpoint`] — framed, checksummed campaign manifests with
 //!   latest-valid-frame-wins crash recovery and fingerprint-guarded
 //!   resume,
@@ -78,8 +78,7 @@ pub use campaign::{
 pub use checkpoint::{Checkpoint, CheckpointLog, CheckpointScan, FailedUnit, FailureKind};
 pub use driver::{backoff_delay, drive_campaign, CampaignCore, DriveOutcome, ResilienceConfig};
 pub use matrix::{
-    build_matrix, CorpusEntry, MatrixOptions, MatrixRow, ModelId, ModelPass, ModelSet, Origin,
-    VerdictMatrix,
+    CorpusEntry, MatrixOptions, MatrixRow, ModelId, ModelPass, ModelSet, Origin,
 };
 pub use oracle::{
     check_row, recheck_violated, Discrepancy, OracleKind, OracleSummary, Recheck, ENVELOPE_PAIRS,

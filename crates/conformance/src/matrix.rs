@@ -4,26 +4,24 @@
 //! LKMM formulations, the SC/TSO/ARMv8/Power comparison models, and
 //! original C11 under the P0124 mapping. A [`ModelSet`] holds the
 //! instantiated checkers (tests swap in deliberately broken mutants via
-//! [`ModelSet::replace`]); [`build_matrix`] runs the corpus through the
-//! single-enumeration [`MultiBatchChecker`]: each cold test is
-//! enumerated **once** and every missing column's verdict is read off
-//! that one pass via the shared execution-facts layer. Cache keys are
-//! unchanged from the per-column [`lkmm_service::BatchChecker`] era, so
-//! a matrix over an on-disk store is incremental: re-running a campaign
-//! replays every cached verdict and enumerates nothing.
+//! [`ModelSet::replace`]). [`crate::driver::drive_campaign`] builds the
+//! matrix a [`MatrixRow`] at a time through one seven-column
+//! [`lkmm_service::MultiBatchChecker`]: each cold test is enumerated
+//! **once** and every missing column's verdict is read off that one pass
+//! via the shared execution-facts layer. Each column has its own cache
+//! salt, so the matrix over an on-disk store is incremental: re-running
+//! a campaign replays every cached verdict and enumerates nothing.
 //!
 //! Not every checker covers every test: the hardware models and C11 have
 //! no RCU read-side semantics, and C11 has no RCU at all ("–" in
 //! Table 5). Unsupported cells are `None` and the oracles skip them.
 
 use lkmm_core::budget::Budget;
-use lkmm_exec::{CheckOutcome, ConsistencyModel, EnumOptions, EnumStats, Verdict};
+use lkmm_exec::{CheckOutcome, ConsistencyModel, EnumStats, Verdict};
 use lkmm_litmus::ast::{Stmt, Test};
 use lkmm_litmus::library::Expect;
 use lkmm_litmus::FenceKind;
 use lkmm_models::OriginalC11;
-use lkmm_service::{MultiBatchChecker, MultiColumn, VerdictStore};
-use std::io;
 use std::path::Path;
 
 /// One column of the verdict matrix.
@@ -232,13 +230,7 @@ impl MatrixRow {
     }
 }
 
-/// The full verdict matrix.
-#[derive(Clone, Debug, Default)]
-pub struct VerdictMatrix {
-    pub rows: Vec<MatrixRow>,
-}
-
-/// Per-model aggregate counts from one matrix build.
+/// Per-model aggregate counts from one campaign's matrix pass.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ModelPass {
     /// Tests this checker covered.
@@ -263,15 +255,16 @@ pub struct ModelPass {
     pub candidates_enumerated: usize,
 }
 
-/// Knobs for one matrix build (a subset of the campaign config).
+/// Knobs for one campaign's matrix pass (a subset of the campaign
+/// config).
 #[derive(Default)]
 pub struct MatrixOptions<'a> {
-    /// Cache version salt (the per-model component is the model name,
-    /// already folded into every key by the batch checker).
+    /// Cache version salt (each column adds `|col:<name>`, and the
+    /// checker folds the model name into every key).
     pub salt: &'a str,
-    /// Worker threads (0 = all hardware threads): [`build_matrix`]
-    /// splits each test big enough to pay for it over this many workers,
-    /// [`crate::driver::drive_campaign`] checks this many units at once.
+    /// Worker threads (0 = all hardware threads, never more than the
+    /// host has): [`crate::driver::drive_campaign`] checks this many
+    /// units at once, each on one thread.
     pub jobs: usize,
     /// Per-check budget; exceeding it leaves an inconclusive cell.
     pub budget: Budget,
@@ -285,94 +278,20 @@ pub struct MatrixOptions<'a> {
     pub data_plane: Option<std::sync::Arc<lkmm_exec::DataPlaneStats>>,
 }
 
-/// Build the verdict matrix for `corpus` under `set`.
-///
-/// All columns run through one [`MultiBatchChecker`]: per test, every
-/// column is first answered from the store, and the columns still
-/// missing share a single governed enumeration pass. Per-column cache
-/// keys are byte-identical to the old one-`BatchChecker`-per-column
-/// scheme (one salt per column: the checker folds the model's *name*
-/// into every key, but the native and cat formulations both answer to
-/// "LKMM" — without a per-column salt a warm store would replay one
-/// column's verdicts for the other, silently blinding the native≡cat
-/// oracle). Inconclusive outcomes occupy their cell but are never
-/// written back.
-///
-/// # Errors
-///
-/// Store I/O failure only — budget trips and enumeration problems
-/// surface as inconclusive cells, not errors.
-pub fn build_matrix(
-    corpus: &[CorpusEntry],
-    set: &ModelSet,
-    opts: &MatrixOptions<'_>,
-) -> io::Result<(VerdictMatrix, Vec<ModelPass>)> {
-    let mut rows: Vec<MatrixRow> = corpus
+/// A row decided column by column with a fresh `lkmm_exec::check`: no
+/// store, no shared enumeration — the reference campaign rows are
+/// tested against.
+#[cfg(test)]
+pub(crate) fn reference_row(entry: CorpusEntry, set: &ModelSet) -> MatrixRow {
+    let (opts, pipe) = (lkmm_exec::EnumOptions::default(), lkmm_exec::PipelineOptions::default());
+    let cells = ModelId::ALL
         .iter()
-        .map(|e| MatrixRow {
-            test: e.test.clone(),
-            origin: e.origin.clone(),
-            cells: vec![None; ModelId::ALL.len()],
+        .map(|&id| {
+            id.supports(&entry.test)
+                .then(|| lkmm_exec::check(&[set.get(id)], &entry.test, &opts, &pipe).into_first())
         })
         .collect();
-    let tests: Vec<Test> = corpus.iter().map(|e| e.test.clone()).collect();
-    let mask: Vec<Vec<bool>> = ModelId::ALL
-        .iter()
-        .map(|&id| tests.iter().map(|t| id.supports(t)).collect())
-        .collect();
-
-    let store = match opts.store_path {
-        Some(path) => VerdictStore::open(path)?,
-        None => VerdictStore::in_memory(),
-    };
-    let columns: Vec<MultiColumn<'_>> = ModelId::ALL
-        .iter()
-        .map(|&id| MultiColumn {
-            model: set.get(id),
-            salt: format!("{}|col:{}", opts.salt, id.column()),
-        })
-        .collect();
-    let mut checker = MultiBatchChecker::new(columns, store)
-        .with_options(EnumOptions { stats: opts.enum_stats.clone(), ..EnumOptions::default() })
-        .with_pipeline_stats(opts.data_plane.clone())
-        .with_jobs(opts.jobs)
-        .with_budget(opts.budget.clone());
-    let report = match checker.check_corpus(&tests, &mask) {
-        Ok(r) => r,
-        Err(lkmm_service::BatchError::Io(e)) => return Err(e),
-        Err(lkmm_service::BatchError::Generate(e)) => {
-            unreachable!("check_corpus does not generate: {e}")
-        }
-    };
-
-    let mut passes = Vec::with_capacity(ModelId::ALL.len());
-    for (col, &id) in report.columns.iter().zip(&ModelId::ALL) {
-        let mut pass = ModelPass {
-            hits: col.hits,
-            computed: col.computed,
-            deduped: col.deduped,
-            candidates_enumerated: col.candidates_enumerated,
-            ..ModelPass::default()
-        };
-        for (row_idx, outcome) in col.outcomes.iter().enumerate() {
-            let Some(outcome) = outcome else {
-                pass.skipped += 1;
-                continue;
-            };
-            pass.checked += 1;
-            match &outcome.outcome {
-                CheckOutcome::Complete(result) => match result.verdict {
-                    Verdict::Allowed => pass.allowed += 1,
-                    Verdict::Forbidden => pass.forbidden += 1,
-                },
-                CheckOutcome::Inconclusive { .. } => pass.inconclusive += 1,
-            }
-            rows[row_idx].cells[id.index()] = Some(outcome.outcome.clone());
-        }
-        passes.push(pass);
-    }
-
-    Ok((VerdictMatrix { rows }, passes))
+    MatrixRow { test: entry.test, origin: entry.origin, cells }
 }
 
 #[cfg(test)]
@@ -407,37 +326,11 @@ mod tests {
     fn replaced_model_answers_for_its_column() {
         let mut set = ModelSet::standard();
         // Both LKMM formulations answer to the same name — the reason
-        // build_matrix salts each column separately.
+        // each campaign column has its own salt.
         assert_eq!(set.get(ModelId::LkmmCat).name(), "LKMM");
         set.replace(ModelId::LkmmCat, Box::new(lkmm_exec::model::AllowAll));
         assert_eq!(set.get(ModelId::LkmmCat).name(), "allow-all");
         // The other columns are untouched.
         assert_eq!(set.get(ModelId::LkmmNative).name(), "LKMM");
-    }
-
-    #[test]
-    fn matrix_rows_cover_supported_cells_only() {
-        let corpus = vec![
-            CorpusEntry {
-                test: lkmm_litmus::library::by_name("MP").unwrap().test(),
-                origin: Origin::Generated,
-            },
-            CorpusEntry {
-                test: lkmm_litmus::library::by_name("RCU-MP").unwrap().test(),
-                origin: Origin::Generated,
-            },
-        ];
-        let set = ModelSet::standard();
-        let (matrix, passes) =
-            build_matrix(&corpus, &set, &MatrixOptions::default()).unwrap();
-        assert_eq!(matrix.rows.len(), 2);
-        assert!(matrix.rows[0].cells.iter().all(Option::is_some));
-        assert!(matrix.rows[1].cell(ModelId::C11).is_none());
-        assert!(matrix.rows[1].cell(ModelId::LkmmNative).is_some());
-        assert_eq!(matrix.rows[0].verdict(ModelId::LkmmNative), Some(Verdict::Allowed));
-        assert_eq!(matrix.rows[1].verdict(ModelId::LkmmNative), Some(Verdict::Forbidden));
-        let c11_pass = &passes[ModelId::C11.index()];
-        assert_eq!(c11_pass.skipped, 1);
-        assert_eq!(c11_pass.checked, 1);
     }
 }

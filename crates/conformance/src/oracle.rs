@@ -172,6 +172,14 @@ pub struct OracleSummary {
     pub skipped: usize,
 }
 
+impl std::ops::AddAssign for OracleSummary {
+    fn add_assign(&mut self, other: OracleSummary) {
+        self.checked += other.checked;
+        self.violations += other.violations;
+        self.skipped += other.skipped;
+    }
+}
+
 /// The envelope pairs: `(sub, envelope)` with `allowed(sub) ⊆
 /// allowed(envelope)`. SC ⊆ LKMM follows transitively through TSO.
 pub const ENVELOPE_PAIRS: [(ModelId, ModelId); 4] = [
@@ -442,17 +450,15 @@ pub fn recheck_violated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::{build_matrix, CorpusEntry, MatrixOptions};
+    use crate::matrix::{reference_row, CorpusEntry};
 
     fn library_row(name: &str) -> MatrixRow {
         let pt = lkmm_litmus::library::by_name(name).unwrap();
-        let corpus = vec![CorpusEntry {
+        let entry = CorpusEntry {
             test: pt.test(),
             origin: Origin::Library { lkmm: pt.lkmm, c11: pt.c11 },
-        }];
-        let (matrix, _) =
-            build_matrix(&corpus, &ModelSet::standard(), &MatrixOptions::default()).unwrap();
-        matrix.rows.into_iter().next().unwrap()
+        };
+        reference_row(entry, &ModelSet::standard())
     }
 
     #[test]

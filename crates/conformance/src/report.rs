@@ -9,6 +9,7 @@
 //! [`observability_lines`].
 
 use crate::campaign::{CampaignConfig, CampaignReport};
+use crate::checkpoint::FailedUnit;
 use crate::oracle::Recheck;
 use lkmm_service::json::Json;
 use std::fmt::Write as _;
@@ -95,24 +96,7 @@ pub fn json_report(report: &CampaignReport, cfg: &CampaignConfig) -> Json {
         ("models", Json::Arr(models)),
         ("oracles", Json::Arr(oracles)),
         ("discrepancies", Json::Arr(discrepancies)),
-        (
-            "failed_units",
-            Json::Arr(
-                report
-                    .failed_units
-                    .iter()
-                    .map(|f| {
-                        Json::obj(vec![
-                            ("index", Json::num(f.index as u64)),
-                            ("test", Json::str(&f.test)),
-                            ("kind", Json::str(f.kind.name())),
-                            ("attempts", Json::num(u64::from(f.attempts))),
-                            ("detail", Json::str(&f.detail)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("failed_units", failed_units_json(&report.failed_units)),
         ("partial", Json::Bool(report.degraded())),
         ("clean", Json::Bool(report.clean())),
     ];
@@ -136,6 +120,45 @@ pub fn json_report(report: &CampaignReport, cfg: &CampaignConfig) -> Json {
         fields.push(("data_plane", data_plane_json(d)));
     }
     Json::obj(fields)
+}
+
+/// Quarantined units as the reports list them.
+pub(crate) fn failed_units_json(units: &[FailedUnit]) -> Json {
+    Json::Arr(
+        units
+            .iter()
+            .map(|f| {
+                Json::obj(vec![
+                    ("index", Json::num(f.index as u64)),
+                    ("test", Json::str(&f.test)),
+                    ("kind", Json::str(f.kind.name())),
+                    ("attempts", Json::num(u64::from(f.attempts))),
+                    ("detail", Json::str(&f.detail)),
+                ])
+            })
+            .collect(),
+    )
+}
+
+/// The human tables' PARTIAL section; nothing when no unit was
+/// quarantined.
+pub(crate) fn partial_lines(out: &mut String, units: &[FailedUnit]) {
+    if units.is_empty() {
+        return;
+    }
+    let _ = writeln!(out, "PARTIAL: {} unit(s) quarantined after exhausting retries:", units.len());
+    for f in units {
+        let _ = writeln!(
+            out,
+            "  #{} {} [{}] after {} attempts: {}",
+            f.index,
+            f.test,
+            f.kind.name(),
+            f.attempts,
+            f.detail
+        );
+    }
+    let _ = writeln!(out);
 }
 
 /// The opt-in `data_plane` JSON section (shared with the algorithm
@@ -240,25 +263,7 @@ pub fn human_table(report: &CampaignReport) -> String {
         );
     }
     let _ = writeln!(out);
-    if report.degraded() {
-        let _ = writeln!(
-            out,
-            "PARTIAL: {} unit(s) quarantined after exhausting retries:",
-            report.failed_units.len()
-        );
-        for f in &report.failed_units {
-            let _ = writeln!(
-                out,
-                "  #{} {} [{}] after {} attempts: {}",
-                f.index,
-                f.test,
-                f.kind.name(),
-                f.attempts,
-                f.detail
-            );
-        }
-        let _ = writeln!(out);
-    }
+    partial_lines(&mut out, &report.failed_units);
     if report.clean() {
         let _ = writeln!(out, "no discrepancies");
     } else {

@@ -13,16 +13,20 @@
 //!   `key → verdict` records with an in-memory index. Recovery tolerates
 //!   torn or corrupt tails by truncating to the last valid record. The
 //!   [`store::VerdictLog`] trait splits out the lookup/append/flush
-//!   surface the checkers need, so they run over any backend.
+//!   surface the checker needs, so it runs over any backend.
 //! * [`shard`] — [`shard::ShardedStore`], N independent logs partitioned
 //!   by key prefix behind the same [`store::VerdictLog`] API: parallel
 //!   appends without file contention, per-shard quarantine, and
 //!   threshold-triggered in-place compaction.
-//! * [`batch`] — [`batch::BatchChecker`], which dedupes a corpus by
-//!   canonical key, replays store hits, and schedules only the misses
-//!   across the parallel checking pipeline.
+//! * [`multi`] — [`multi::MultiBatchChecker`], which dedupes a corpus
+//!   by canonical key, replays store hits, and checks only the misses:
+//!   one enumeration per test serves every column (model + salt) it
+//!   holds. One column is the plain memoizing checker; the conformance
+//!   campaign runs seven.
 //! * [`serve`] — a JSON-lines request/response loop (`herd-rs serve`)
-//!   exposing check/batch/stats/flush with per-request observability.
+//!   exposing check/batch/stats/flush with per-request observability,
+//!   and the request framing and per-request isolation the TCP server
+//!   shares with it.
 //! * [`hash`] / [`json`] — vendored FNV hashing and a minimal JSON
 //!   parser/printer, keeping the workspace dependency-free.
 //!
@@ -32,7 +36,6 @@
 //! that reach the same canonical form are isomorphic and share their
 //! verdict and counts exactly.
 
-pub mod batch;
 pub mod canon;
 pub mod hash;
 pub mod json;
@@ -41,13 +44,12 @@ pub mod serve;
 pub mod shard;
 pub mod store;
 
-pub use batch::{BatchChecker, BatchError, BatchOutcome, BatchReport, Provenance};
 pub use multi::{
     ColumnReport, CorpusRun, MultiBatchChecker, MultiBatchReport, MultiColumn, PreparedUnit,
-    UnitCell, UnitFault,
+    Provenance, UnitCell, UnitFault,
 };
 pub use canon::{cache_key, cache_key_of_text, canonical_text, canonicalize, CANON_REVISION};
-pub use serve::{serve, serve_with, ServeOptions, ServeSummary};
+pub use serve::{serve, serve_with, ServeOptions, ServeSession, ServeSummary};
 pub use shard::ShardedStore;
 pub use store::{
     CompactReport, MergeReport, RecoveryReport, ScrubReport, ShardStats, StoreError, VerdictLog,

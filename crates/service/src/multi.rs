@@ -1,14 +1,31 @@
-//! Multi-model batch checking: many columns, one enumeration per test.
+//! Batch checking through the verdict store: N columns, one enumeration
+//! per test.
 //!
-//! [`MultiBatchChecker`] generalises [`crate::BatchChecker`] to N models
-//! sharing one verdict store. For each corpus member it resolves every
-//! column independently against the store (per-column cache keys are
-//! byte-identical to what N separate `BatchChecker`s would derive, so
-//! warm stores written by either path replay interchangeably), then runs
-//! **one** governed enumeration pass over just the columns that missed —
-//! the check engine evaluates all of them per candidate against a
-//! shared facts layer. A fully warm store enumerates nothing; a cold
-//! seven-column run enumerates each test once instead of seven times.
+//! [`MultiBatchChecker`] is the paper's §5 workflow as a service: ingest
+//! a corpus, deduplicate isomorphic tests by canonical key, answer what
+//! the store already knows, check only the misses, and write the new
+//! verdicts back. Each column is a model plus its cache salt; a
+//! one-column checker is the plain memoizing checker behind `herd-rs
+//! --store`, `serve` and the TCP server's workers, and the conformance
+//! campaign runs all seven columns through one. Re-checking a corpus
+//! after a model tweak *with a bumped salt* recomputes everything;
+//! re-checking without one is pure cache replay — zero candidate
+//! enumerations.
+//!
+//! For each corpus member the checker resolves every column
+//! independently against the store (a column's keys depend only on its
+//! model, salt and options, never on its neighbours, so warm stores
+//! replay whichever checker wrote them), then runs **one** governed
+//! enumeration pass over just the columns that missed — the check
+//! engine evaluates all of them per candidate against a shared facts
+//! layer. A fully warm store enumerates nothing; a cold seven-column run
+//! enumerates each test once instead of seven times.
+//!
+//! Checks run under the checker's [`Budget`]: a check that does not
+//! complete surfaces as an inconclusive cell instead of failing the
+//! batch. Inconclusive verdicts are **never written to the store** —
+//! they describe the budget, not the test, so a retry with a bigger
+//! budget must see a miss, not a poisoned hit.
 //!
 //! Checking a unit has two halves. [`MultiBatchChecker::prepare`] is
 //! pure — canonical text, keys, store lookups and the enumeration — so
@@ -25,7 +42,6 @@
 //! saving shows up in [`MultiBatchReport::candidates_actual`], which
 //! counts each enumeration once no matter how many columns rode on it.
 
-use crate::batch::{key_prefix, BatchError, BatchOutcome, Provenance};
 use crate::canon::{canonical_text, KeyPrefix};
 use crate::store::{VerdictLog, VerdictStore};
 use lkmm_core::budget::{Budget, BudgetKind, Meter};
@@ -35,28 +51,61 @@ use lkmm_exec::{
 };
 use lkmm_litmus::ast::Test;
 use std::collections::HashMap;
+use std::fmt;
 use std::io;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
-/// One column of a multi-model batch: a model plus its cache salt.
+/// Where one cell's result came from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Provenance {
+    /// Answered from the store without enumerating anything.
+    Hit,
+    /// Enumerated and checked in this batch, then stored.
+    Computed,
+    /// Shared the canonical key of an earlier test in the same batch.
+    Deduped,
+}
+
+impl fmt::Display for Provenance {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Provenance::Hit => "hit",
+            Provenance::Computed => "computed",
+            Provenance::Deduped => "deduped",
+        })
+    }
+}
+
+/// The key prefix of `model`'s column under `salt` and `opts`.
+/// EnumOptions influence candidate counts (caps, Scpv pruning), so two
+/// configurations must never share an entry: their `Debug` form joins
+/// the salt. That form deliberately excludes the budget, which the
+/// checker changes per request without rehashing.
+fn key_prefix(model: &dyn ConsistencyModel, salt: &str, opts: &EnumOptions) -> KeyPrefix {
+    KeyPrefix::new(model.name(), &format!("{salt}|{opts:?}"))
+}
+
+/// One column of a batch: a model plus its cache salt.
 pub struct MultiColumn<'m> {
     /// The checker answering this column.
     pub model: &'m dyn ConsistencyModel,
-    /// Version salt for this column's cache keys — the same string a
-    /// dedicated [`crate::BatchChecker`] for this column would be built
-    /// with (e.g. `"{base}|col:{name}"` in the conformance matrix).
+    /// Version salt for this column's cache keys: it should name the
+    /// model/interpreter revision (bump it when checking semantics
+    /// change and old entries silently stop matching). The conformance
+    /// campaign uses `"{base}|col:{name}"`, so its two LKMM columns,
+    /// which share a model name, never share an entry.
     pub salt: String,
 }
 
 /// Per-column results and counters.
 #[derive(Clone, Debug)]
 pub struct ColumnReport {
-    /// One slot per corpus member; `None` where the column was masked
-    /// out (the checker does not cover the test). Filled by
-    /// [`MultiBatchChecker::check_corpus`]; empty in the report of a
-    /// streaming [`CorpusRun`], which keeps only the current unit.
-    pub outcomes: Vec<Option<BatchOutcome>>,
+    /// One slot per corpus member, in corpus order; `None` where the
+    /// column was masked out (the checker does not cover the test).
+    /// Filled by [`MultiBatchChecker::check_corpus`]; empty in the report
+    /// of a streaming [`CorpusRun`], which keeps only the current unit.
+    pub outcomes: Vec<Option<UnitCell>>,
     /// Store hits.
     pub hits: usize,
     /// Verdicts computed to completion this batch.
@@ -90,10 +139,10 @@ pub struct MultiBatchReport {
     pub micros: u128,
 }
 
-/// A memoizing multi-model checker: N columns, one store, one
-/// enumeration per cold test. Generic over its [`VerdictLog`] backend
-/// (default: a plain owned [`VerdictStore`]) like
-/// [`crate::BatchChecker`].
+/// A memoizing checker: N columns, one store, one enumeration per cold
+/// test. Generic over its [`VerdictLog`] backend (default: a plain owned
+/// [`VerdictStore`]), so the same checker drives the single-store CLI
+/// path and the server's shared [`crate::ShardedStore`] handle.
 pub struct MultiBatchChecker<'m, S: VerdictLog = VerdictStore> {
     columns: Vec<MultiColumn<'m>>,
     /// Locked so threads running [`MultiBatchChecker::prepare`] can look
@@ -135,8 +184,10 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
         self
     }
 
-    /// Check misses on `jobs` pipeline workers (`0` = one per hardware
-    /// thread). Never part of cache keys.
+    /// Split a check big enough to pay for it over `jobs` workers (`0` =
+    /// one per hardware thread). Job count never affects results, so it
+    /// is *not* part of the cache key. Early exit is deliberately
+    /// unsupported: its lower-bound counts must never be cached as exact.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.pipe.jobs = jobs;
         self
@@ -151,18 +202,37 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
         self
     }
 
-    /// Bound every subsequent check by `budget` (not part of cache keys;
-    /// inconclusive outcomes are never stored).
+    /// Bound every subsequent check by `budget`. The budget is *not*
+    /// part of the cache key: it cannot change a completed verdict, and
+    /// inconclusive outcomes are never stored, so entries computed under
+    /// any budget are interchangeable.
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.enum_opts.budget = budget;
         self
     }
 
-    /// The cache key column `col` derives for `test` — byte-identical to
-    /// [`crate::BatchChecker::key_of`] on a checker built with the same
-    /// salt, so stores are shared freely between the two paths.
+    /// Set (or clear) an absolute deadline on the current budget. The
+    /// serve loop uses this to give each request its own deadline
+    /// without rebuilding the checker.
+    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
+        self.enum_opts.budget.deadline = deadline;
+    }
+
+    /// The cache key column `col` derives for `test`. It depends only on
+    /// the column's model, salt and options, so a one-column checker and
+    /// a campaign column built alike share their entries.
     pub fn key_of(&self, col: usize, test: &Test) -> u128 {
         self.prefixes[col].key_of_text(&canonical_text(test))
+    }
+
+    /// Every column's key for `test`, from one canonicalization: the
+    /// columns differ only in the (model, salt) folded into the hash, not
+    /// in the canonical text, and canonicalizing dominates key
+    /// derivation — this is what makes a store-warm replay (and a
+    /// checkpoint resume) cheap.
+    fn keys(&self, test: &Test) -> Vec<u128> {
+        let canon = canonical_text(test);
+        self.prefixes.iter().map(|p| p.key_of_text(&canon)).collect()
     }
 
     /// Check a corpus across every column: per column, dedupe by
@@ -171,9 +241,11 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
     /// completed verdicts back, and sync the store once at the end.
     ///
     /// `mask[c][i]` gates column `c` on corpus member `i` (an unsupported
-    /// cell stays `None`). The budget's `deadline`/`cancel` axes govern
-    /// the corpus between tests exactly as in
-    /// [`crate::BatchChecker::check_corpus`].
+    /// cell stays `None`). The budget's `deadline`/`cancel` axes also
+    /// govern the corpus *between* tests: once tripped, every remaining
+    /// cell the store cannot answer is reported inconclusive without
+    /// being checked (store hits are still answered). The relative
+    /// `time_limit` axis stays per-check.
     ///
     /// This is [`MultiBatchChecker::begin_corpus`] driven over the whole
     /// slice at once, collecting every unit's cells into the report; a
@@ -182,18 +254,19 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
     ///
     /// # Errors
     ///
-    /// Store-append failure only.
+    /// Store failure (the store keeps everything computed before the
+    /// failing test).
     pub fn check_corpus(
         &mut self,
         tests: &[Test],
         mask: &[Vec<bool>],
-    ) -> Result<MultiBatchReport, BatchError> {
+    ) -> io::Result<MultiBatchReport> {
         assert_eq!(mask.len(), self.columns.len(), "one mask row per column");
         for row in mask {
             assert_eq!(row.len(), tests.len(), "one mask slot per corpus member");
         }
         let ncols = self.columns.len();
-        let mut outcomes: Vec<Vec<Option<BatchOutcome>>> =
+        let mut outcomes: Vec<Vec<Option<UnitCell>>> =
             (0..ncols).map(|_| Vec::with_capacity(tests.len())).collect();
         let mut run = self.begin_corpus();
         let mut row = vec![false; ncols];
@@ -203,12 +276,7 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
             }
             run.check_unit(i, test, &row)?;
             for (slots, cell) in outcomes.iter_mut().zip(run.take_row(i)) {
-                slots.push(cell.map(|cell| BatchOutcome {
-                    name: test.name.clone(),
-                    key: cell.key,
-                    outcome: cell.outcome,
-                    provenance: cell.provenance,
-                }));
+                slots.push(cell);
             }
         }
         let mut report = run.finish()?;
@@ -269,13 +337,7 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
     /// If `mask_row` does not have one slot per column.
     pub fn prepare(&self, test: &Test, mask_row: &[bool]) -> PreparedUnit {
         assert_eq!(mask_row.len(), self.columns.len(), "one mask slot per column");
-        // One canonicalization serves every column: the columns differ
-        // only in the (model, salt) folded into the hash, not in the
-        // canonical text, and canonicalizing dominates key derivation —
-        // this is what makes a store-warm replay (and a checkpoint
-        // resume) cheap.
-        let canon = canonical_text(test);
-        let keys: Vec<u128> = self.prefixes.iter().map(|p| p.key_of_text(&canon)).collect();
+        let keys = self.keys(test);
         let missing: Vec<usize> = {
             let store = self.store();
             (0..keys.len()).filter(|&c| mask_row[c] && store.get(keys[c]).is_none()).collect()
@@ -360,7 +422,9 @@ struct ColumnsCheck {
 pub struct UnitCell {
     /// Content-addressed cache key.
     pub key: u128,
-    /// The structured outcome (always `Complete` unless computed).
+    /// The structured outcome. Store hits and deduped replays are always
+    /// `Complete` (inconclusive outcomes are never cached); computed
+    /// outcomes are `Inconclusive` when the budget ran out.
     pub outcome: CheckOutcome,
     /// How it was answered.
     pub provenance: Provenance,
@@ -416,20 +480,16 @@ pub struct CorpusRun<'a, 'm, S: VerdictLog = VerdictStore> {
 
 impl<S: VerdictLog> CorpusRun<'_, '_, S> {
     /// Check corpus member `i` across every column `mask_row` enables
-    /// (one slot per column) on the calling thread:
-    /// [`MultiBatchChecker::prepare`] then [`CorpusRun::commit`].
+    /// (one slot per column) on the calling thread: [`CorpusRun::commit`]
+    /// with nothing prepared, so the columns the store lacks are checked
+    /// right there, once the corpus budget has been polled.
     ///
     /// # Errors
     ///
     /// Store-append failure only; see the retry semantics above.
-    pub fn check_unit(
-        &mut self,
-        i: usize,
-        test: &Test,
-        mask_row: &[bool],
-    ) -> Result<(), BatchError> {
-        let prepared = self.checker.prepare(test, mask_row);
-        self.commit(i, test, mask_row, prepared)
+    pub fn check_unit(&mut self, i: usize, test: &Test, mask_row: &[bool]) -> io::Result<()> {
+        let keys = self.checker.keys(test);
+        self.commit(i, test, mask_row, PreparedUnit { keys, check: None })
     }
 
     /// Apply unit `i`'s prepared check, in corpus order: resolve each
@@ -437,9 +497,10 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
     /// replay — `Deduped` if an earlier unit of this run resolved the
     /// key, else a `Hit`), then settle the columns still missing with
     /// the prepared enumeration if it covered exactly those columns, or
-    /// with a fresh one on this thread if not. The two sets differ only
-    /// when an earlier duplicate of this unit was committed after this
-    /// one was prepared. Completed verdicts are appended to the store.
+    /// with a fresh one on this thread if not: nothing was prepared
+    /// ([`CorpusRun::check_unit`]), or an earlier duplicate of this unit
+    /// was committed after this one was prepared. Completed verdicts are
+    /// appended to the store.
     ///
     /// # Errors
     ///
@@ -450,7 +511,7 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
         test: &Test,
         mask_row: &[bool],
         prepared: PreparedUnit,
-    ) -> Result<(), BatchError> {
+    ) -> io::Result<()> {
         let ncols = self.columns.len();
         assert_eq!(mask_row.len(), ncols, "one mask slot per column");
         self.row.iter_mut().for_each(|cell| *cell = None);
@@ -618,7 +679,7 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
     /// # Errors
     ///
     /// I/O errors from the final flush.
-    pub fn finish(mut self) -> Result<MultiBatchReport, BatchError> {
+    pub fn finish(mut self) -> io::Result<MultiBatchReport> {
         self.flush()?;
         Ok(MultiBatchReport {
             columns: self.columns,
@@ -633,9 +694,9 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchChecker;
     use lkmm_exec::model::AllowAll;
     use lkmm_exec::Verdict;
+    use lkmm_litmus::parse;
 
     fn corpus(n: usize) -> Vec<Test> {
         lkmm_litmus::library::all().iter().take(n).map(|pt| pt.test()).collect()
@@ -645,8 +706,160 @@ mod tests {
         vec![vec![true; ntests]; ncols]
     }
 
+    /// A one-column checker, as `herd-rs --store` builds it.
+    fn single<'m>(
+        model: &'m dyn ConsistencyModel,
+        store: VerdictStore,
+        salt: &str,
+    ) -> MultiBatchChecker<'m> {
+        MultiBatchChecker::new(vec![MultiColumn { model, salt: salt.into() }], store)
+    }
+
+    /// One pass of a one-column checker over `tests`.
+    fn single_pass(checker: &mut MultiBatchChecker<'_>, tests: &[Test]) -> ColumnReport {
+        let report = checker.check_corpus(tests, &full_mask(1, tests.len())).unwrap();
+        report.columns.into_iter().next().unwrap()
+    }
+
+    fn cells(col: &ColumnReport) -> impl Iterator<Item = &UnitCell> {
+        col.outcomes.iter().map(|cell| cell.as_ref().expect("every cell enabled"))
+    }
+
     #[test]
-    fn multi_keys_match_dedicated_batch_checkers() {
+    fn second_corpus_pass_is_all_hits_with_zero_enumerations() {
+        let tests = corpus(6);
+        let mut checker = single(&AllowAll, VerdictStore::in_memory(), "test-salt");
+        let cold = single_pass(&mut checker, &tests);
+        assert_eq!(cold.computed, tests.len());
+        assert!(cold.candidates_enumerated > 0);
+
+        let warm = single_pass(&mut checker, &tests);
+        assert_eq!(warm.hits, tests.len());
+        assert_eq!(warm.computed, 0);
+        assert_eq!(warm.candidates_enumerated, 0);
+        for (c, w) in cells(&cold).zip(cells(&warm)) {
+            assert_eq!(c.outcome.result(), w.outcome.result());
+            assert!(c.outcome.result().is_some());
+            assert_eq!(c.key, w.key);
+        }
+    }
+
+    #[test]
+    fn isomorphic_corpus_members_dedupe() {
+        let a = parse("C a\n{ x=0; }\nP0(int *x) { WRITE_ONCE(*x, 1); }\nexists (x=1)").unwrap();
+        let b = parse("C b\n{ y=0; }\nP0(int *y) { WRITE_ONCE(*y, 1); }\nexists (y=1)").unwrap();
+        let mut checker = single(&AllowAll, VerdictStore::in_memory(), "s");
+        let report = single_pass(&mut checker, &[a, b]);
+        assert_eq!(report.computed, 1);
+        assert_eq!(report.deduped, 1);
+        let row: Vec<&UnitCell> = cells(&report).collect();
+        assert_eq!(row[0].outcome.result(), row[1].outcome.result());
+        assert_eq!(row[1].provenance, Provenance::Deduped);
+    }
+
+    #[test]
+    fn family_ingestion_runs_through_the_cache() {
+        use lkmm_generator::family::family_tests;
+        use lkmm_generator::{Edge, Extremity::{R, W}, InternalKind};
+        let mp = [
+            Edge::internal(InternalKind::Po, W, W),
+            Edge::Rfe,
+            Edge::internal(InternalKind::Po, R, R),
+            Edge::Fre,
+        ];
+        let tests = family_tests(&mp).unwrap();
+        assert_eq!(tests.len(), 35);
+        let mut checker = single(&AllowAll, VerdictStore::in_memory(), "s");
+        single_pass(&mut checker, &tests);
+        let warm = single_pass(&mut checker, &tests);
+        assert_eq!(warm.computed, 0);
+        assert_eq!(warm.hits + warm.deduped, 35);
+    }
+
+    #[test]
+    fn different_salts_do_not_share_entries() {
+        let t = parse("C t\n{ x=0; }\nP0(int *x) { WRITE_ONCE(*x, 1); }\nexists (x=1)").unwrap();
+        let one = single(&AllowAll, VerdictStore::in_memory(), "v1");
+        let two = single(&AllowAll, VerdictStore::in_memory(), "v2");
+        assert_ne!(one.key_of(0, &t), two.key_of(0, &t));
+    }
+
+    #[test]
+    fn warm_naive_store_replays_byte_identically_under_pruned_enumeration() {
+        // A store populated before the consistency-driven enumerator
+        // landed (equivalently: by the naive ablation strategy) must be
+        // pure hits for the pruned default — same keys, same outcomes,
+        // and not a byte appended to the backing file.
+        use lkmm_exec::EnumStrategy;
+        let path = {
+            let mut p = std::env::temp_dir();
+            p.push(format!("lkmm-batch-warm-replay-{}.bin", std::process::id()));
+            let _ = std::fs::remove_file(&p);
+            p
+        };
+        let tests = corpus(8);
+
+        let mut naive = single(&AllowAll, VerdictStore::open(&path).unwrap(), "s")
+            .with_options(EnumOptions { strategy: EnumStrategy::Naive, ..Default::default() });
+        let naive_keys: Vec<u128> = tests.iter().map(|t| naive.key_of(0, t)).collect();
+        let cold = single_pass(&mut naive, &tests);
+        assert!(cold.computed > 0);
+        drop(naive);
+        let bytes_cold = std::fs::read(&path).unwrap();
+
+        let mut pruned = single(&AllowAll, VerdictStore::open(&path).unwrap(), "s");
+        let pruned_keys: Vec<u128> = tests.iter().map(|t| pruned.key_of(0, t)).collect();
+        assert_eq!(naive_keys, pruned_keys, "strategy must not perturb cache keys");
+        let warm = single_pass(&mut pruned, &tests);
+        assert_eq!(warm.computed, 0);
+        assert_eq!(warm.candidates_enumerated, 0);
+        assert_eq!(warm.hits + warm.deduped, tests.len());
+        for (c, w) in cells(&cold).zip(cells(&warm)) {
+            assert_eq!(c.key, w.key);
+            assert_eq!(c.outcome.result(), w.outcome.result());
+        }
+        drop(pruned);
+        let bytes_warm = std::fs::read(&path).unwrap();
+        assert_eq!(bytes_cold, bytes_warm, "warm replay must not rewrite the store");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn budget_is_not_part_of_the_cache_key() {
+        let t = parse("C t\n{ x=0; }\nP0(int *x) { WRITE_ONCE(*x, 1); }\nexists (x=1)").unwrap();
+        let plain = single(&AllowAll, VerdictStore::in_memory(), "s");
+        let tight = single(&AllowAll, VerdictStore::in_memory(), "s")
+            .with_budget(Budget::default().with_max_candidates(1));
+        assert_eq!(plain.key_of(0, &t), tight.key_of(0, &t));
+    }
+
+    #[test]
+    fn inconclusive_is_not_cached_and_retries_recompute() {
+        let sb = [lkmm_litmus::library::by_name("SB").unwrap().test()];
+        let mut checker = single(&AllowAll, VerdictStore::in_memory(), "s")
+            .with_budget(Budget::default().with_max_candidates(1));
+        let starved = single_pass(&mut checker, &sb);
+        let finished = cells(&starved).any(|c| c.outcome.result().is_some());
+        assert!(!finished, "1 candidate cannot finish SB");
+        assert_eq!(starved.inconclusive, 1);
+        assert_eq!(checker.store().len(), 0, "inconclusive must not be stored");
+
+        let mut checker = checker.with_budget(Budget::unlimited());
+        let full = single_pass(&mut checker, &sb);
+        let full = cells(&full).next().unwrap();
+        assert_eq!(full.provenance, Provenance::Computed);
+        let result = full.outcome.result().expect("unlimited budget completes").clone();
+        assert_eq!(checker.store().len(), 1);
+
+        // And now it hits.
+        let hit = single_pass(&mut checker, &sb);
+        let hit = cells(&hit).next().unwrap();
+        assert_eq!(hit.provenance, Provenance::Hit);
+        assert_eq!(hit.outcome.result(), Some(&result));
+    }
+
+    #[test]
+    fn multi_keys_match_one_column_checkers() {
         let tests = corpus(4);
         let sc = lkmm_models::Sc;
         let tso = lkmm_models::X86Tso;
@@ -657,11 +870,11 @@ mod tests {
             ],
             VerdictStore::in_memory(),
         );
-        let single_sc = BatchChecker::new(&sc, VerdictStore::in_memory(), "v1|col:sc");
-        let single_tso = BatchChecker::new(&tso, VerdictStore::in_memory(), "v1|col:tso");
+        let single_sc = single(&sc, VerdictStore::in_memory(), "v1|col:sc");
+        let single_tso = single(&tso, VerdictStore::in_memory(), "v1|col:tso");
         for t in &tests {
-            assert_eq!(multi.key_of(0, t), single_sc.key_of(t));
-            assert_eq!(multi.key_of(1, t), single_tso.key_of(t));
+            assert_eq!(multi.key_of(0, t), single_sc.key_of(0, t));
+            assert_eq!(multi.key_of(1, t), single_tso.key_of(0, t));
         }
     }
 
@@ -760,10 +973,8 @@ mod tests {
                 .into_iter()
                 .enumerate()
         {
-            let mut single = BatchChecker::new(model, VerdictStore::in_memory(), salt);
-            let seq = single.check_corpus(&tests).unwrap();
-            for (m, s) in report.columns[c].outcomes.iter().zip(&seq.outcomes) {
-                let m = m.as_ref().unwrap();
+            let seq = single_pass(&mut single(model, VerdictStore::in_memory(), salt), &tests);
+            for (m, s) in cells(&report.columns[c]).zip(cells(&seq)) {
                 assert_eq!(m.key, s.key);
                 assert_eq!(m.outcome.result(), s.outcome.result());
                 assert_eq!(m.provenance, s.provenance);

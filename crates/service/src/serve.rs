@@ -24,18 +24,22 @@
 //! ## Fault isolation
 //!
 //! The loop is hardened against hostile or broken clients
-//! ([`ServeOptions`]): request lines are read through a byte cap (an
-//! oversized line is drained and answered with an error, never buffered
-//! whole), invalid UTF-8 is an error response, a panic while answering
-//! one request is contained (`catch_unwind`) and reported as an error
+//! ([`ServeOptions`]): request lines are read through a byte cap that
+//! counts the line without its `\n` or `\r\n` terminator (an oversized
+//! line is drained and answered with an error, never buffered whole),
+//! invalid UTF-8 is an error response, a panic while answering one
+//! request is contained (`catch_unwind`) and reported as an error
 //! response, and an optional per-request deadline bounds each request's
 //! checking time — an over-deadline check comes back `inconclusive`
-//! rather than wedging the daemon. Only transport failures abort.
+//! rather than wedging the daemon. Only transport failures abort. The
+//! TCP server frames and isolates its requests with the same two
+//! functions, [`read_request`] and [`answer_isolated`].
 
-use crate::batch::{BatchChecker, BatchOutcome, BatchReport};
 use crate::json::Json;
-use crate::store::VerdictLog;
-use lkmm_exec::CheckOutcome;
+use crate::multi::{MultiBatchChecker, MultiColumn, Provenance, UnitCell};
+use crate::store::{VerdictLog, VerdictStore};
+use lkmm_core::budget::Budget;
+use lkmm_exec::{CheckOutcome, ConsistencyModel};
 use lkmm_litmus::ast::Test;
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,8 +48,9 @@ use std::time::{Duration, Instant};
 /// Hardening knobs for one [`serve_with`] session.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeOptions {
-    /// Longest accepted request line, in bytes. Longer lines are drained
-    /// without being buffered and answered with an error response.
+    /// Longest accepted request line, in bytes, not counting its line
+    /// terminator. Longer lines are drained without being buffered and
+    /// answered with an error response.
     pub max_request_bytes: usize,
     /// Wall-clock bound for answering one request. Installed as an
     /// absolute deadline on the checker's budget at the start of each
@@ -68,6 +73,61 @@ pub struct ServeSummary {
     pub errors: usize,
 }
 
+/// What requests are answered through: a one-column checker (one model,
+/// one store, one salt) plus the session counters the `stats` reply and
+/// the exit summary print.
+pub struct ServeSession<'m, S: VerdictLog = VerdictStore> {
+    checker: MultiBatchChecker<'m, S>,
+    /// Store hits answered since construction.
+    pub hits: usize,
+    /// Verdicts computed (not replayed) since construction.
+    pub computed: usize,
+    /// Checks stopped by budgets or faults since construction (never
+    /// stored).
+    pub inconclusive: usize,
+}
+
+impl<'m, S: VerdictLog> ServeSession<'m, S> {
+    /// A session answering through `model` and `store` under `salt`,
+    /// checking cold tests on `jobs` workers within `budget` (its
+    /// wall-clock axis is armed per request, see [`answer_isolated`]).
+    pub fn new(
+        model: &'m dyn ConsistencyModel,
+        store: S,
+        salt: &str,
+        jobs: usize,
+        budget: Budget,
+    ) -> Self {
+        let column = MultiColumn { model, salt: salt.to_string() };
+        let checker = MultiBatchChecker::new(vec![column], store);
+        ServeSession {
+            checker: checker.with_jobs(jobs).with_budget(budget),
+            hits: 0,
+            computed: 0,
+            inconclusive: 0,
+        }
+    }
+
+    /// Count one answered cell (a deduped replay counts nowhere).
+    fn tally(&mut self, cell: &UnitCell) {
+        match (cell.provenance, &cell.outcome) {
+            (Provenance::Hit, _) => self.hits += 1,
+            (Provenance::Computed, CheckOutcome::Complete(_)) => self.computed += 1,
+            (Provenance::Computed, CheckOutcome::Inconclusive { .. }) => self.inconclusive += 1,
+            (Provenance::Deduped, _) => {}
+        }
+    }
+
+    /// Sync the store to stable storage.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from the sync.
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.checker.flush()
+    }
+}
+
 /// [`serve_with`] under default [`ServeOptions`].
 ///
 /// # Errors
@@ -75,53 +135,34 @@ pub struct ServeSummary {
 /// Only transport failures (reading `input`, writing `output`) abort the
 /// loop; per-request failures become `"ok":false` responses.
 pub fn serve<S: VerdictLog>(
-    checker: &mut BatchChecker<'_, S>,
+    session: &mut ServeSession<'_, S>,
     input: impl BufRead,
     output: impl Write,
 ) -> io::Result<ServeSummary> {
-    serve_with(checker, input, output, &ServeOptions::default())
+    serve_with(session, input, output, &ServeOptions::default())
 }
 
-/// Run the request loop until end-of-input, answering through `checker`.
-/// The store is synced on every `flush` request and once at exit.
+/// Run the request loop until end-of-input, answering through `session`.
+/// The store is synced on every `flush` request, after every `batch`,
+/// and once at exit — never for a `check`.
 ///
 /// # Errors
 ///
 /// Only transport failures (reading `input`, writing `output`) abort the
 /// loop; per-request failures become `"ok":false` responses.
 pub fn serve_with<S: VerdictLog>(
-    checker: &mut BatchChecker<'_, S>,
+    session: &mut ServeSession<'_, S>,
     mut input: impl BufRead,
     mut output: impl Write,
     opts: &ServeOptions,
 ) -> io::Result<ServeSummary> {
     let mut summary = ServeSummary::default();
-    let max = opts.max_request_bytes;
     let mut buf = Vec::new();
-    loop {
-        buf.clear();
-        // Read through a cap: at most max+1 bytes are ever buffered, so
-        // a client cannot make the daemon hold an unbounded line.
-        let n = io::Read::take(&mut input, max as u64 + 1).read_until(b'\n', &mut buf)?;
-        if n == 0 {
-            break;
-        }
-        if buf.last() == Some(&b'\n') {
-            buf.pop();
-            if buf.last() == Some(&b'\r') {
-                buf.pop();
-            }
-        }
-        let response = if buf.len() > max {
-            // The cap truncated the line mid-way: skip its remainder.
-            drain_line(&mut input)?;
-            error_response(&format!("request line exceeds {max} bytes"))
-        } else {
-            match std::str::from_utf8(&buf) {
-                Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => answer_isolated(checker, line, opts),
-                Err(_) => error_response("request line is not valid UTF-8"),
-            }
+    while let Some(request) = read_request(&mut input, opts.max_request_bytes, &mut buf)? {
+        let response = match request {
+            Request::Blank => continue,
+            Request::Rejected(response) => response,
+            Request::Line(line) => answer_isolated(session, line, opts.request_time_limit),
         };
         summary.requests += 1;
         if response.get("ok") != Some(&Json::Bool(true)) {
@@ -130,8 +171,61 @@ pub fn serve_with<S: VerdictLog>(
         writeln!(output, "{response}")?;
         output.flush()?;
     }
-    checker.flush()?;
+    session.flush()?;
     Ok(summary)
+}
+
+/// One framed request line (see [`read_request`]).
+pub enum Request<'a> {
+    /// A request line, terminator stripped.
+    Line(&'a str),
+    /// A blank line: skipped, not answered.
+    Blank,
+    /// A line the framing refused — over the byte cap or not UTF-8 —
+    /// with the error response it gets.
+    Rejected(Json),
+}
+
+/// Read the next request line from `input` into `buf`; `None` at end of
+/// input. The byte cap `max` counts the line without its `\n` or `\r\n`
+/// terminator, and at most `max + 2` bytes are ever buffered, so a
+/// client cannot make the daemon hold an unbounded line: an oversized
+/// line's remainder is drained unread, and the line is [`Request::Rejected`].
+///
+/// # Errors
+///
+/// Transport failures reading `input`.
+pub fn read_request<'b>(
+    input: &mut impl BufRead,
+    max: usize,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<Option<Request<'b>>> {
+    buf.clear();
+    let cap = (max as u64).saturating_add(2);
+    if io::Read::take(&mut *input, cap).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    let terminated = buf.last() == Some(&b'\n');
+    if terminated {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    }
+    if buf.len() > max {
+        if !terminated {
+            // The cap cut the line short: skip its remainder.
+            drain_line(input)?;
+        }
+        return Ok(Some(Request::Rejected(error_response(&format!(
+            "request line exceeds {max} bytes"
+        )))));
+    }
+    Ok(Some(match std::str::from_utf8(buf) {
+        Ok(line) if line.trim().is_empty() => Request::Blank,
+        Ok(line) => Request::Line(line),
+        Err(_) => Request::Rejected(error_response("request line is not valid UTF-8")),
+    }))
 }
 
 /// Discard input up to and including the next newline (or end-of-input).
@@ -154,32 +248,33 @@ fn drain_line(input: &mut impl BufRead) -> io::Result<()> {
     }
 }
 
-/// Answer one request with the session's per-request governance: the
-/// deadline is (re)armed for this request, and a panic anywhere in the
-/// handler is contained into an error response.
-fn answer_isolated<S: VerdictLog>(
-    checker: &mut BatchChecker<'_, S>,
+/// Answer one request with per-request governance: the deadline is
+/// re-armed `time_limit` from now (when given), and a panic anywhere in
+/// the handler is contained into an error response, so the session's
+/// next request starts clean.
+pub fn answer_isolated<S: VerdictLog>(
+    session: &mut ServeSession<'_, S>,
     line: &str,
-    opts: &ServeOptions,
+    time_limit: Option<Duration>,
 ) -> Json {
-    if let Some(limit) = opts.request_time_limit {
-        checker.set_deadline(Some(Instant::now() + limit));
+    if let Some(limit) = time_limit {
+        session.checker.set_deadline(Some(Instant::now() + limit));
     }
-    catch_unwind(AssertUnwindSafe(|| answer(checker, line)))
+    catch_unwind(AssertUnwindSafe(|| answer(session, line)))
         .unwrap_or_else(|_| error_response("internal error: request handler panicked"))
 }
 
 /// Answer one request line (exposed for tests and non-stdio embeddings).
-pub fn answer<S: VerdictLog>(checker: &mut BatchChecker<'_, S>, line: &str) -> Json {
+pub fn answer<S: VerdictLog>(session: &mut ServeSession<'_, S>, line: &str) -> Json {
     let request = match Json::parse(line) {
         Ok(v) => v,
         Err(e) => return error_response(&format!("bad request: {e}")),
     };
     match request.get("op").and_then(Json::as_str) {
-        Some("check") => op_check(checker, &request),
-        Some("batch") => op_batch(checker, &request),
-        Some("stats") => op_stats(checker),
-        Some("flush") => op_flush(checker),
+        Some("check") => op_check(session, &request),
+        Some("batch") => op_batch(session, &request),
+        Some("stats") => op_stats(session),
+        Some("flush") => op_flush(session),
         Some(other) => error_response(&format!("unknown op `{other}` (check, batch, stats, flush)")),
         None => error_response("missing string field `op`"),
     }
@@ -199,7 +294,7 @@ fn parse_source(source: &str) -> Result<Test, String> {
     lkmm_litmus::parse(source).map_err(|e| format!("parse error: {e}"))
 }
 
-fn op_check<S: VerdictLog>(checker: &mut BatchChecker<'_, S>, request: &Json) -> Json {
+fn op_check<S: VerdictLog>(session: &mut ServeSession<'_, S>, request: &Json) -> Json {
     let test = match (
         request.get("source").and_then(Json::as_str),
         request.get("name").and_then(Json::as_str),
@@ -213,26 +308,55 @@ fn op_check<S: VerdictLog>(checker: &mut BatchChecker<'_, S>, request: &Json) ->
         Err(e) => return error_response(&e),
     };
     let start = Instant::now();
-    match checker.check_one(&test) {
-        Ok(outcome) => {
-            let mut fields = vec![("ok", Json::Bool(true)), ("op", Json::str("check"))];
-            fields.extend(outcome_fields(&outcome));
-            fields.push(("micros", Json::num(start.elapsed().as_micros() as u64)));
-            Json::obj(fields)
-        }
-        Err(e) => error_response(&e.to_string()),
+    // One unit and no `finish`: a check appends its verdict but never
+    // syncs the store (a `batch`, a `flush` or the exit does).
+    let mut run = session.checker.begin_corpus();
+    if let Err(e) = run.check_unit(0, &test, &[true]) {
+        return error_response(&format!("verdict store: {e}"));
     }
+    let cell = run.take_row(0).pop().flatten().expect("the one column is enabled");
+    session.tally(&cell);
+    let mut fields = vec![("ok", Json::Bool(true)), ("op", Json::str("check"))];
+    fields.extend(outcome_fields(&test, &cell));
+    fields.push(("micros", Json::num(start.elapsed().as_micros() as u64)));
+    Json::obj(fields)
 }
 
-fn op_batch<S: VerdictLog>(checker: &mut BatchChecker<'_, S>, request: &Json) -> Json {
-    let report = match gather_batch(request) {
-        Ok(tests) => match checker.check_corpus(&tests) {
-            Ok(report) => report,
-            Err(e) => return error_response(&e.to_string()),
-        },
+fn op_batch<S: VerdictLog>(session: &mut ServeSession<'_, S>, request: &Json) -> Json {
+    let tests = match gather_batch(request) {
+        Ok(tests) => tests,
         Err(e) => return error_response(&e),
     };
-    batch_response(&report)
+    let report = match session.checker.check_corpus(&tests, &[vec![true; tests.len()]]) {
+        Ok(report) => report,
+        Err(e) => return error_response(&format!("verdict store: {e}")),
+    };
+    let col = &report.columns[0];
+    let results: Vec<Json> = tests
+        .iter()
+        .zip(col.outcomes.iter().flatten())
+        .map(|(test, cell)| {
+            session.tally(cell);
+            Json::obj(outcome_fields(test, cell))
+        })
+        .collect();
+    let mut fields = vec![
+        ("ok", Json::Bool(true)),
+        ("op", Json::str("batch")),
+        ("count", Json::num(tests.len() as u64)),
+        ("hits", Json::num(col.hits as u64)),
+        ("computed", Json::num(col.computed as u64)),
+        ("deduped", Json::num(col.deduped as u64)),
+    ];
+    // Emitted only when present, so budget-free sessions stay
+    // byte-identical to older builds.
+    if col.inconclusive > 0 {
+        fields.push(("inconclusive", Json::num(col.inconclusive as u64)));
+    }
+    fields.push(("candidates_enumerated", Json::num(col.candidates_enumerated as u64)));
+    fields.push(("micros", Json::num(report.micros as u64)));
+    fields.push(("results", Json::Arr(results)));
+    Json::obj(fields)
 }
 
 /// Resolve a batch request's corpus. The four sources compose: one
@@ -274,12 +398,12 @@ fn gather_batch(request: &Json) -> Result<Vec<Test>, String> {
     Ok(tests)
 }
 
-fn outcome_fields(outcome: &BatchOutcome) -> Vec<(&'static str, Json)> {
+fn outcome_fields(test: &Test, cell: &UnitCell) -> Vec<(&'static str, Json)> {
     let mut fields = vec![
-        ("name", Json::str(&outcome.name)),
-        ("key", Json::str(format!("{:032x}", outcome.key))),
+        ("name", Json::str(&test.name)),
+        ("key", Json::str(format!("{:032x}", cell.key))),
     ];
-    match &outcome.outcome {
+    match &cell.outcome {
         CheckOutcome::Complete(result) => {
             fields.push(("verdict", Json::str(result.verdict.to_string())));
             fields.push(("condition_holds", Json::Bool(result.condition_holds)));
@@ -297,47 +421,23 @@ fn outcome_fields(outcome: &BatchOutcome) -> Vec<(&'static str, Json)> {
             fields.push(("witnesses", Json::num(partial.witnesses as u64)));
         }
     }
-    fields.push(("cache", Json::str(outcome.provenance.to_string())));
+    fields.push(("cache", Json::str(cell.provenance.to_string())));
     fields
 }
 
-fn batch_response(report: &BatchReport) -> Json {
-    let results: Vec<Json> =
-        report.outcomes.iter().map(|o| Json::Obj(
-            outcome_fields(o).into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-        )).collect();
-    let mut fields = vec![
-        ("ok", Json::Bool(true)),
-        ("op", Json::str("batch")),
-        ("count", Json::num(report.outcomes.len() as u64)),
-        ("hits", Json::num(report.hits as u64)),
-        ("computed", Json::num(report.computed as u64)),
-        ("deduped", Json::num(report.deduped as u64)),
-    ];
-    // Emitted only when present, so budget-free sessions stay
-    // byte-identical to older builds.
-    if report.inconclusive > 0 {
-        fields.push(("inconclusive", Json::num(report.inconclusive as u64)));
-    }
-    fields.push(("candidates_enumerated", Json::num(report.candidates_enumerated as u64)));
-    fields.push(("micros", Json::num(report.micros as u64)));
-    fields.push(("results", Json::Arr(results)));
-    Json::obj(fields)
-}
-
-fn op_stats<S: VerdictLog>(checker: &BatchChecker<'_, S>) -> Json {
-    let store = checker.store();
+fn op_stats<S: VerdictLog>(session: &ServeSession<'_, S>) -> Json {
+    let store = session.checker.store();
     let recovery = store.recovery();
     let mut fields = vec![
         ("ok", Json::Bool(true)),
         ("op", Json::str("stats")),
         ("entries", Json::num(store.len() as u64)),
         ("appended", Json::num(store.appended() as u64)),
-        ("session_hits", Json::num(checker.session_hits() as u64)),
-        ("session_computed", Json::num(checker.session_computed() as u64)),
+        ("session_hits", Json::num(session.hits as u64)),
+        ("session_computed", Json::num(session.computed as u64)),
     ];
-    if checker.session_inconclusive() > 0 {
-        fields.push(("session_inconclusive", Json::num(checker.session_inconclusive() as u64)));
+    if session.inconclusive > 0 {
+        fields.push(("session_inconclusive", Json::num(session.inconclusive as u64)));
     }
     fields.push(("recovered_records", Json::num(recovery.records as u64)));
     fields.push(("recovery_torn_bytes", Json::num(recovery.torn_bytes)));
@@ -383,12 +483,12 @@ fn op_stats<S: VerdictLog>(checker: &BatchChecker<'_, S>) -> Json {
     Json::obj(fields)
 }
 
-fn op_flush<S: VerdictLog>(checker: &mut BatchChecker<'_, S>) -> Json {
-    match checker.flush() {
+fn op_flush<S: VerdictLog>(session: &mut ServeSession<'_, S>) -> Json {
+    match session.flush() {
         Ok(()) => Json::obj(vec![
             ("ok", Json::Bool(true)),
             ("op", Json::str("flush")),
-            ("entries", Json::num(checker.store().len() as u64)),
+            ("entries", Json::num(session.checker.store().len() as u64)),
         ]),
         Err(e) => error_response(&format!("flush: {e}")),
     }
@@ -397,12 +497,14 @@ fn op_flush<S: VerdictLog>(checker: &mut BatchChecker<'_, S>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::VerdictStore;
-    use lkmm_core::budget::Budget;
     use lkmm_exec::model::AllowAll;
 
-    fn checker() -> BatchChecker<'static> {
-        BatchChecker::new(&AllowAll, VerdictStore::in_memory(), "test")
+    fn checker() -> ServeSession<'static> {
+        budgeted(Budget::default())
+    }
+
+    fn budgeted(budget: Budget) -> ServeSession<'static> {
+        ServeSession::new(&AllowAll, VerdictStore::in_memory(), "test", 0, budget)
     }
 
     #[test]
@@ -496,7 +598,7 @@ mod tests {
 
     #[test]
     fn starved_check_reports_inconclusive_fields() {
-        let mut c = checker().with_budget(Budget::default().with_max_candidates(1));
+        let mut c = budgeted(Budget::default().with_max_candidates(1));
         let response = answer(&mut c, r#"{"op":"check","name":"SB"}"#);
         assert_eq!(response.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(response.get("inconclusive"), Some(&Json::Bool(true)));
@@ -513,10 +615,28 @@ mod tests {
 
     #[test]
     fn batch_counts_inconclusive_when_budgeted() {
-        let mut c = checker().with_budget(Budget::default().with_max_candidates(1));
+        let mut c = budgeted(Budget::default().with_max_candidates(1));
         let response = answer(&mut c, r#"{"op":"batch","names":["SB","MP"]}"#);
         assert_eq!(response.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(response.get("inconclusive").and_then(Json::as_u64), Some(2));
         assert_eq!(response.get("computed").and_then(Json::as_u64), Some(0));
+    }
+
+    #[test]
+    fn a_batch_past_its_deadline_still_answers_store_hits() {
+        let mut c = checker();
+        let _ = answer(&mut c, r#"{"op":"check","name":"SB"}"#);
+        // A deadline already behind us: the stored SB replays, the cold
+        // MP is never started.
+        c.checker.set_deadline(Some(Instant::now()));
+        let response = answer(&mut c, r#"{"op":"batch","names":["SB","MP"]}"#);
+        let results = response.get("results").unwrap().as_arr().unwrap();
+        assert_eq!(results[0].get("cache").and_then(Json::as_str), Some("hit"));
+        assert_eq!(results[0].get("verdict").and_then(Json::as_str), Some("Allow"));
+        assert_eq!(results[1].get("inconclusive"), Some(&Json::Bool(true)));
+        let reason = results[1].get("reason").and_then(Json::as_str);
+        assert_eq!(reason, Some("wall-clock deadline exceeded"));
+        assert_eq!(response.get("hits").and_then(Json::as_u64), Some(1));
+        assert_eq!(response.get("inconclusive").and_then(Json::as_u64), Some(1));
     }
 }

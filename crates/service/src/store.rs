@@ -870,9 +870,15 @@ pub struct ShardStats {
 /// The storage behaviour the checking layers actually need: keyed
 /// verdict lookup, append, and durability — the [`VerdictStore`] API
 /// minus maintenance statics. Splitting this out lets
-/// [`crate::BatchChecker`] and [`crate::MultiBatchChecker`] run
-/// unchanged over a plain store, a shared [`crate::ShardedStore`]
-/// handle, or anything else that can answer these six questions.
+/// [`crate::MultiBatchChecker`] run unchanged over a plain store, a
+/// shared [`crate::ShardedStore`] handle, or anything else that can
+/// answer these six questions.
+///
+/// The two stores keep apart because their failure contracts differ:
+/// [`VerdictStore::put`] returns an append error, so the campaign
+/// supervisor retries the unit, while [`crate::ShardedStore`]
+/// quarantines a failing shard and drops its appends, so the server
+/// keeps answering.
 ///
 /// `get` returns an owned result (not `&TestResult`) so that
 /// lock-guarded backends can release their lock before returning.

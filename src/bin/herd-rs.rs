@@ -85,7 +85,9 @@
 //! invariants across the axiomatic matrix, the hardware simulators,
 //! real host threads, and exhaustive interleaving of the family's step
 //! machine. `--families a,b` restricts the run; unknown names are
-//! rejected at parse time.
+//! rejected at parse time. The programs run on the cycle campaign's
+//! driver: `--jobs` checks that many at once, and a program that keeps
+//! failing is quarantined and degrades the report (exit 8).
 //!
 //! Exit codes: 0 success, 1 internal/transport failure, 2 usage error,
 //! 3 input-file I/O error, 4 litmus parse error, 5 store error,
@@ -100,7 +102,9 @@ use linux_kernel_memory_model::conformance::data_plane_line;
 use linux_kernel_memory_model::server::{serve_tcp, ServerConfig};
 use linux_kernel_memory_model::service::json::Json;
 use linux_kernel_memory_model::service::serve::{serve_with, ServeOptions};
-use linux_kernel_memory_model::service::{BatchChecker, RecoveryReport, ShardedStore, VerdictStore};
+use linux_kernel_memory_model::service::{
+    MultiBatchChecker, MultiColumn, RecoveryReport, ServeSession, ShardedStore, VerdictStore,
+};
 use linux_kernel_memory_model::{
     Budget, CheckOutcome, Herd, InconclusiveReason, ModelChoice, MultiCheckOutcome, Report, Tally,
 };
@@ -740,8 +744,8 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
             || cli.stop_after.is_some())
     {
         return Err("--checkpoint/--checkpoint-every/--resume/--max-retries/--retry-base-ms/\
-                    --stop-after drive the cycle campaign; `--algorithms` runs its family \
-                    corpus in one piece"
+                    --stop-after tune the cycle campaign; `--algorithms` runs its family \
+                    corpus with the default retries and no checkpoint"
             .to_string());
     }
     if !cli.algorithms
@@ -844,6 +848,22 @@ fn open_store(path: Option<&str>) -> Result<VerdictStore, (u8, String)> {
     Ok(store)
 }
 
+/// A one-column checker for `--model` over the `--store` log at `path`,
+/// as the single-file and `--library` paths run it.
+fn store_checker<'m>(
+    cli: &Cli,
+    model: &'m dyn lkmm_exec::ConsistencyModel,
+    path: &str,
+    opts: EnumOptions,
+) -> Result<MultiBatchChecker<'m>, (u8, String)> {
+    let store = open_store(Some(path))?;
+    let column = MultiColumn { model, salt: cli.salt.clone() };
+    Ok(MultiBatchChecker::new(vec![column], store)
+        .with_options(opts)
+        .with_jobs(cli.jobs)
+        .with_budget(cli.budget(true)))
+}
+
 /// Narrate open-time recovery events on stderr: reclaimed stale locks
 /// (naming the dead holder), quarantined contents, truncated tails.
 fn report_recovery(path: &str, recovery: &RecoveryReport) {
@@ -942,22 +962,19 @@ fn main() -> ExitCode {
 
     let outcome = if let Some(store_path) = cli.store.as_deref() {
         let model = cli.model.model();
-        let store = match open_store(Some(store_path)) {
-            Ok(s) => s,
+        let opts = EnumOptions::default();
+        let mut checker = match store_checker(&cli, model.as_ref(), store_path, opts) {
+            Ok(c) => c,
             Err((code, e)) => return fail_code(code, &e),
         };
-        let mut checker = BatchChecker::new(model.as_ref(), store, &cli.salt)
-            .with_jobs(cli.jobs)
-            .with_budget(cli.budget(true));
-        let outcome = match checker.check_one(&test) {
-            Ok(o) => o,
-            Err(e) => return fail_code(EXIT_STORE, &format!("{store_path}: {e}")),
+        let cell = match checker.check_corpus(std::slice::from_ref(&test), &[vec![true]]) {
+            Ok(mut report) => {
+                report.columns.remove(0).outcomes.remove(0).expect("the one column is enabled")
+            }
+            Err(e) => return fail_code(EXIT_STORE, &format!("{store_path}: verdict store: {e}")),
         };
-        if let Err(e) = checker.flush() {
-            return fail_code(EXIT_STORE, &format!("{store_path}: {e}"));
-        }
-        eprintln!("herd-rs: store {store_path}: {}", outcome.provenance);
-        GovernedOutcome { model_name: model.name().to_string(), outcome: outcome.outcome }
+        eprintln!("herd-rs: store {store_path}: {}", cell.provenance);
+        GovernedOutcome { model_name: model.name().to_string(), outcome: cell.outcome }
     } else {
         let herd = Herd::new(cli.model)
             .with_jobs(cli.jobs)
@@ -1075,7 +1092,7 @@ fn multi_mode(
 fn conformance_mode(cli: &Cli) -> ExitCode {
     use linux_kernel_memory_model::conformance::{
         human_table, json_report, observability_lines, run_campaign, CampaignConfig,
-        CampaignError, ResilienceConfig, SimConfig,
+        ResilienceConfig, SimConfig,
     };
     let resilience_defaults = ResilienceConfig::default();
     let cfg = CampaignConfig {
@@ -1110,23 +1127,7 @@ fn conformance_mode(cli: &Cli) -> ExitCode {
     };
     let report = match run_campaign(&cfg) {
         Ok(r) => r,
-        Err(e @ CampaignError::Suspended { .. }) => {
-            eprintln!("herd-rs: conformance: {e}");
-            return ExitCode::SUCCESS;
-        }
-        Err(e @ CampaignError::Locked { .. }) => {
-            return fail_code(EXIT_LOCKED, &format!("conformance: {e}"));
-        }
-        Err(e @ CampaignError::CheckpointMismatch { .. }) => {
-            return fail_code(EXIT_USAGE, &format!("conformance: {e}"));
-        }
-        Err(CampaignError::Store(e)) => {
-            return fail_code(EXIT_STORE, &format!("conformance: {e}"));
-        }
-        Err(CampaignError::Checkpoint(e)) => {
-            return fail_code(EXIT_STORE, &format!("conformance: checkpoint: {e}"));
-        }
-        Err(e) => return fail_code(EXIT_INTERNAL, &format!("conformance: {e}")),
+        Err(e) => return campaign_exit(Err(e)),
     };
     eprint!("{}", observability_lines(&report));
     if cli.json {
@@ -1134,24 +1135,48 @@ fn conformance_mode(cli: &Cli) -> ExitCode {
     } else {
         print!("{}", human_table(&report));
     }
-    if !report.clean() {
-        ExitCode::from(EXIT_DISCREPANCY)
-    } else if report.degraded() {
-        ExitCode::from(EXIT_DEGRADED)
-    } else {
-        ExitCode::SUCCESS
+    campaign_exit(Ok((report.clean(), report.degraded())))
+}
+
+/// The exit code of a campaign, cycle or algorithm alike: its error, or
+/// for a finished campaign `(clean, degraded)` — 7 on discrepancies, 8
+/// when units were quarantined.
+fn campaign_exit(
+    outcome: Result<(bool, bool), linux_kernel_memory_model::conformance::CampaignError>,
+) -> ExitCode {
+    use linux_kernel_memory_model::conformance::CampaignError;
+    match outcome {
+        Ok((false, _)) => ExitCode::from(EXIT_DISCREPANCY),
+        Ok((true, true)) => ExitCode::from(EXIT_DEGRADED),
+        Ok((true, false)) => ExitCode::SUCCESS,
+        Err(e @ CampaignError::Suspended { .. }) => {
+            eprintln!("herd-rs: conformance: {e}");
+            ExitCode::SUCCESS
+        }
+        Err(e @ CampaignError::Locked { .. }) => {
+            fail_code(EXIT_LOCKED, &format!("conformance: {e}"))
+        }
+        Err(e @ CampaignError::CheckpointMismatch { .. }) => {
+            fail_code(EXIT_USAGE, &format!("conformance: {e}"))
+        }
+        Err(CampaignError::Store(e)) => fail_code(EXIT_STORE, &format!("conformance: {e}")),
+        Err(CampaignError::Checkpoint(e)) => {
+            fail_code(EXIT_STORE, &format!("conformance: checkpoint: {e}"))
+        }
+        Err(e) => fail_code(EXIT_INTERNAL, &format!("conformance: {e}")),
     }
 }
 
 /// `herd-rs conformance --algorithms`: the real-algorithm family
-/// campaign. Same output discipline as the cycle campaign: the report
-/// (stdout) is deterministic, cache observability goes to stderr, exit
-/// 7 when any per-family oracle found a discrepancy.
+/// campaign. Same output discipline and exit codes as the cycle
+/// campaign: the report (stdout) is deterministic, cache observability
+/// goes to stderr, exit 7 when any per-family oracle found a
+/// discrepancy, 8 when units were quarantined.
 fn algo_conformance_mode(cli: &Cli) -> ExitCode {
     use linux_kernel_memory_model::algorithms::FamilyParams;
     use linux_kernel_memory_model::conformance::{
         algo_human_table, algo_json_report, algo_observability_lines, run_algo_campaign,
-        AlgoConfig, CampaignError, SimConfig,
+        AlgoConfig, SimConfig,
     };
     let defaults = FamilyParams::default();
     let cfg = AlgoConfig {
@@ -1181,10 +1206,7 @@ fn algo_conformance_mode(cli: &Cli) -> ExitCode {
     };
     let report = match run_algo_campaign(&cfg) {
         Ok(r) => r,
-        Err(CampaignError::Store(e)) => {
-            return fail_code(EXIT_STORE, &format!("conformance: {e}"));
-        }
-        Err(e) => return fail_code(EXIT_INTERNAL, &format!("conformance: {e}")),
+        Err(e) => return campaign_exit(Err(e)),
     };
     eprint!("{}", algo_observability_lines(&report));
     if cli.json {
@@ -1192,11 +1214,7 @@ fn algo_conformance_mode(cli: &Cli) -> ExitCode {
     } else {
         print!("{}", algo_human_table(&report));
     }
-    if report.clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(EXIT_DISCREPANCY)
-    }
+    campaign_exit(Ok((report.clean(), report.degraded())))
 }
 
 /// `herd-rs --list-algorithms`: the family catalogue, one block per
@@ -1218,24 +1236,23 @@ fn serve_mode(cli: &Cli) -> ExitCode {
     };
     // The wall-clock axis is per *request* in serve mode (a batch request
     // checks many tests), so it lives in ServeOptions, not the budget.
-    let mut checker = BatchChecker::new(model.as_ref(), store, &cli.salt)
-        .with_jobs(cli.jobs)
-        .with_budget(cli.budget(false));
+    let mut session =
+        ServeSession::new(model.as_ref(), store, &cli.salt, cli.jobs, cli.budget(false));
     let opts = ServeOptions {
         max_request_bytes: cli.max_request_bytes.unwrap_or(ServeOptions::default().max_request_bytes),
         request_time_limit: cli.budget_ms.map(Duration::from_millis),
     };
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
-    match serve_with(&mut checker, stdin.lock(), stdout.lock(), &opts) {
+    match serve_with(&mut session, stdin.lock(), stdout.lock(), &opts) {
         Ok(summary) => {
-            let inconclusive = checker.session_inconclusive();
+            let inconclusive = session.inconclusive;
             eprintln!(
                 "herd-rs serve: {} requests ({} errors), {} computed, {} cache hits{}",
                 summary.requests,
                 summary.errors,
-                checker.session_computed(),
-                checker.session_hits(),
+                session.computed,
+                session.hits,
                 if inconclusive > 0 { format!(", {inconclusive} inconclusive") } else { String::new() }
             );
             ExitCode::SUCCESS
@@ -1566,41 +1583,38 @@ fn library_plain(cli: &Cli) -> ExitCode {
 /// without enumerating a single candidate execution.
 fn library_via_store(cli: &Cli, store_path: &str) -> ExitCode {
     let model = cli.model.model();
-    let store = match open_store(Some(store_path)) {
-        Ok(s) => s,
-        Err((code, e)) => return fail_code(code, &e),
-    };
     let stats = cli
         .enum_stats
         .then(|| std::sync::Arc::new(lkmm_exec::EnumStats::default()));
     let dp_stats = cli
         .enum_stats
         .then(|| std::sync::Arc::new(lkmm_exec::DataPlaneStats::default()));
-    let mut checker = BatchChecker::new(model.as_ref(), store, &cli.salt)
-        .with_options(EnumOptions { stats: stats.clone(), ..EnumOptions::default() })
-        .with_pipeline_stats(dp_stats.clone())
-        .with_jobs(cli.jobs)
-        .with_budget(cli.budget(true));
-    let report = match checker.check_library() {
-        Ok(r) => r,
-        Err(e) => return fail_code(EXIT_STORE, &e.to_string()),
+    let opts = EnumOptions { stats: stats.clone(), ..EnumOptions::default() };
+    let mut checker = match store_checker(cli, model.as_ref(), store_path, opts) {
+        Ok(c) => c.with_pipeline_stats(dp_stats.clone()),
+        Err((code, e)) => return fail_code(code, &e),
     };
-    debug_assert_eq!(report.outcomes.len(), lkmm_litmus::library::all().len());
-    for outcome in &report.outcomes {
-        match &outcome.outcome {
-            CheckOutcome::Complete(result) => println!("{}", library_line(&outcome.name, result)),
+    let tests: Vec<_> = lkmm_litmus::library::all().iter().map(|pt| pt.test()).collect();
+    let report = match checker.check_corpus(&tests, &[vec![true; tests.len()]]) {
+        Ok(r) => r,
+        Err(e) => return fail_code(EXIT_STORE, &format!("verdict store: {e}")),
+    };
+    let col = &report.columns[0];
+    for (test, cell) in tests.iter().zip(col.outcomes.iter().flatten()) {
+        match &cell.outcome {
+            CheckOutcome::Complete(result) => println!("{}", library_line(&test.name, result)),
             CheckOutcome::Inconclusive { reason, partial } => {
-                println!("{}", inconclusive_line(&outcome.name, reason, partial));
+                println!("{}", inconclusive_line(&test.name, reason, partial));
             }
         }
     }
     eprintln!(
         "herd-rs: store {store_path}: {} hits, {} computed, {} deduped, {}{} candidates enumerated, {} us",
-        report.hits,
-        report.computed,
-        report.deduped,
-        if report.inconclusive > 0 { format!("{} inconclusive, ", report.inconclusive) } else { String::new() },
-        report.candidates_enumerated,
+        col.hits,
+        col.computed,
+        col.deduped,
+        if col.inconclusive > 0 { format!("{} inconclusive, ", col.inconclusive) } else { String::new() },
+        col.candidates_enumerated,
         report.micros
     );
     if let Some(stats) = &stats {

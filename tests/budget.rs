@@ -7,8 +7,10 @@
 //! spends candidate fuel), and no governance path ever panics or hangs.
 
 use linux_kernel_memory_model::exec::{ConsistencyModel, Execution};
-use linux_kernel_memory_model::litmus::library;
-use linux_kernel_memory_model::service::{BatchChecker, Provenance, VerdictStore};
+use linux_kernel_memory_model::litmus::{library, Test};
+use linux_kernel_memory_model::service::{
+    ColumnReport, MultiBatchChecker, MultiColumn, Provenance, VerdictStore,
+};
 use linux_kernel_memory_model::{
     Budget, BudgetKind, CancelToken, CheckOutcome, Herd, InconclusiveReason, ModelChoice,
 };
@@ -231,41 +233,51 @@ fn a_panicking_model_panics_through_check_and_is_contained_by_check_governed() {
     }
 }
 
+/// A one-column checker under `salt`, as `herd-rs --store` builds it.
+fn single<'m>(model: &'m dyn ConsistencyModel, salt: &str) -> MultiBatchChecker<'m> {
+    let column = MultiColumn { model, salt: salt.into() };
+    MultiBatchChecker::new(vec![column], VerdictStore::in_memory())
+}
+
+/// One pass of a one-column checker over `tests`.
+fn pass(checker: &mut MultiBatchChecker<'_>, tests: &[Test]) -> ColumnReport {
+    checker.check_corpus(tests, &[vec![true; tests.len()]]).unwrap().columns.remove(0)
+}
+
 #[test]
 fn inconclusive_is_never_cached_and_a_bigger_budget_recomputes() {
     let model = linux_kernel_memory_model::model::Lkmm::new();
-    let test = library::by_name("SB").unwrap().test();
+    let test = [library::by_name("SB").unwrap().test()];
 
-    let mut checker = BatchChecker::new(&model, VerdictStore::in_memory(), "budget-test")
-        .with_budget(Budget::default().with_max_candidates(1));
-    let starved = checker.check_one(&test).unwrap();
-    assert!(starved.result().is_none(), "starved check must be inconclusive");
+    let mut checker =
+        single(&model, "budget-test").with_budget(Budget::default().with_max_candidates(1));
+    let starved = pass(&mut checker, &test);
+    let cell = starved.outcomes[0].as_ref().unwrap();
+    assert!(cell.outcome.result().is_none(), "starved check must be inconclusive");
     assert_eq!(checker.store().len(), 0, "inconclusive verdicts must not be stored");
-    assert_eq!(checker.session_inconclusive(), 1);
+    assert_eq!(starved.inconclusive, 1);
 
     // Retry with an unlimited budget: must recompute (miss), then hit.
-    checker.set_budget(Budget::unlimited());
-    let computed = checker.check_one(&test).unwrap();
+    let mut checker = checker.with_budget(Budget::unlimited());
+    let computed = pass(&mut checker, &test).outcomes.remove(0).unwrap();
     assert_eq!(computed.provenance, Provenance::Computed);
-    assert!(computed.result().is_some());
+    assert!(computed.outcome.result().is_some());
     assert_eq!(checker.store().len(), 1);
 
-    let hit = checker.check_one(&test).unwrap();
+    let hit = pass(&mut checker, &test).outcomes.remove(0).unwrap();
     assert_eq!(hit.provenance, Provenance::Hit);
-    assert_eq!(hit.result(), computed.result());
+    assert_eq!(hit.outcome.result(), computed.outcome.result());
 }
 
 #[test]
 fn generous_budget_library_batch_matches_unbudgeted_batch() {
     let model = linux_kernel_memory_model::model::Lkmm::new();
+    let library: Vec<Test> = library::all().iter().map(|pt| pt.test()).collect();
 
-    let mut plain = BatchChecker::new(&model, VerdictStore::in_memory(), "s");
-    let plain_report = plain.check_library().unwrap();
+    let plain_report = pass(&mut single(&model, "s"), &library);
 
-    let mut governed = BatchChecker::new(&model, VerdictStore::in_memory(), "s")
-        .with_budget(generous())
-        .with_jobs(2);
-    let governed_report = governed.check_library().unwrap();
+    let mut governed = single(&model, "s").with_budget(generous()).with_jobs(2);
+    let governed_report = pass(&mut governed, &library);
 
     assert_eq!(governed_report.inconclusive, 0);
     assert_eq!(governed_report.computed, plain_report.computed);
@@ -274,9 +286,10 @@ fn generous_budget_library_batch_matches_unbudgeted_batch() {
         governed_report.candidates_enumerated,
         plain_report.candidates_enumerated
     );
-    for (a, b) in plain_report.outcomes.iter().zip(governed_report.outcomes.iter()) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.key, b.key, "{}: budget must not perturb cache keys", a.name);
-        assert_eq!(a.result(), b.result(), "{}", a.name);
+    let cells = plain_report.outcomes.iter().zip(&governed_report.outcomes);
+    for (test, (a, b)) in library.iter().zip(cells) {
+        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+        assert_eq!(a.key, b.key, "{}: budget must not perturb cache keys", test.name);
+        assert_eq!(a.outcome.result(), b.outcome.result(), "{}", test.name);
     }
 }

@@ -12,7 +12,12 @@
 #![cfg(feature = "fault-injection")]
 
 use linux_kernel_memory_model::litmus::library;
-use linux_kernel_memory_model::service::{BatchChecker, Provenance, VerdictStore};
+use linux_kernel_memory_model::litmus::Test;
+use linux_kernel_memory_model::model::Lkmm;
+use linux_kernel_memory_model::service::{
+    MultiBatchChecker, MultiColumn, Provenance, UnitCell, VerdictStore,
+};
+use std::io;
 use linux_kernel_memory_model::{CheckOutcome, Herd, InconclusiveReason, ModelChoice};
 use lkmm_core::faultpoint;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -22,6 +27,17 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 fn serial() -> MutexGuard<'static, ()> {
     static SERIAL: Mutex<()> = Mutex::new(());
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// `herd-rs FILE --store` under salt "fault": `test` through a
+/// one-column checker, the store synced after.
+fn check_one(checker: &mut MultiBatchChecker<'_>, test: &Test) -> io::Result<UnitCell> {
+    let mut report = checker.check_corpus(std::slice::from_ref(test), &[vec![true]])?;
+    Ok(report.columns.remove(0).outcomes.remove(0).expect("the one column is enabled"))
+}
+
+fn checker(model: &Lkmm, store: VerdictStore) -> MultiBatchChecker<'_> {
+    MultiBatchChecker::new(vec![MultiColumn { model, salt: "fault".into() }], store)
 }
 
 #[test]
@@ -76,12 +92,12 @@ fn torn_store_append_is_an_error_and_reopen_recovers_the_valid_prefix() {
     // One good record, then a torn append under the armed fault.
     {
         let store = VerdictStore::open(&path).unwrap();
-        let mut checker = BatchChecker::new(&model, store, "fault");
-        checker.check_one(&sb).unwrap();
+        let mut checker = checker(&model, store);
+        check_one(&mut checker, &sb).unwrap();
         assert_eq!(checker.store().len(), 1);
 
         let guard = faultpoint::arm("store.append.torn");
-        let err = checker.check_one(&mp).unwrap_err();
+        let err = check_one(&mut checker, &mp).unwrap_err();
         assert!(err.to_string().contains("store.append.torn"), "got {err}");
         drop(guard);
     }
@@ -95,10 +111,10 @@ fn torn_store_append_is_an_error_and_reopen_recovers_the_valid_prefix() {
         assert!(recovery.truncated_bytes() > 0, "the torn tail is truncated");
         assert!(!recovery.quarantined);
 
-        let mut checker = BatchChecker::new(&model, store, "fault");
-        let hit = checker.check_one(&sb).unwrap();
+        let mut checker = checker(&model, store);
+        let hit = check_one(&mut checker, &sb).unwrap();
         assert_eq!(hit.provenance, Provenance::Hit);
-        let computed = checker.check_one(&mp).unwrap();
+        let computed = check_one(&mut checker, &mp).unwrap();
         assert_eq!(computed.provenance, Provenance::Computed);
         assert_eq!(checker.store().len(), 2);
     }
@@ -171,10 +187,9 @@ fn crashed_compaction_leaves_the_original_log_intact() {
     let mp = library::by_name("MP").unwrap().test();
     {
         let store = VerdictStore::open(&path).unwrap();
-        let mut checker = BatchChecker::new(&model, store, "fault");
-        checker.check_one(&sb).unwrap();
-        checker.check_one(&mp).unwrap();
-        checker.flush().unwrap();
+        let mut checker = checker(&model, store);
+        check_one(&mut checker, &sb).unwrap();
+        check_one(&mut checker, &mp).unwrap();
     }
     let before = std::fs::read(&path).unwrap();
 

@@ -3,9 +3,7 @@
 //! stack overflows, or unbounded buffering.
 
 use linux_kernel_memory_model::litmus::parse;
-use linux_kernel_memory_model::service::{
-    serve_with, BatchChecker, ServeOptions, VerdictStore,
-};
+use linux_kernel_memory_model::service::{serve_with, ServeOptions, ServeSession, VerdictStore};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Inputs the parser must reject with a structured error.
@@ -73,10 +71,15 @@ fn malformed_litmus_errors_without_panicking() {
 }
 
 fn serve_session(input: &str, opts: &ServeOptions) -> (Vec<String>, usize, usize) {
+    serve_bytes(input.as_bytes(), opts)
+}
+
+fn serve_bytes(input: &[u8], opts: &ServeOptions) -> (Vec<String>, usize, usize) {
     let model = linux_kernel_memory_model::model::Lkmm::new();
-    let mut checker = BatchChecker::new(&model, VerdictStore::in_memory(), "hostile");
+    let mut session =
+        ServeSession::new(&model, VerdictStore::in_memory(), "hostile", 0, Default::default());
     let mut out = Vec::new();
-    let summary = serve_with(&mut checker, input.as_bytes(), &mut out, opts)
+    let summary = serve_with(&mut session, input, &mut out, opts)
         .expect("transport to in-memory buffers cannot fail");
     let responses =
         String::from_utf8(out).unwrap().lines().map(|l| l.to_string()).collect::<Vec<_>>();
@@ -207,20 +210,51 @@ fn oversized_request_lines_are_rejected_under_a_tiny_cap() {
     assert!(responses[1].starts_with("{\"ok\":true"), "got {}", responses[1]);
 }
 
+/// `{"op":"stats"}` padded with spaces to exactly `len` bytes.
+fn padded_stats(len: usize) -> String {
+    let pad = len - r#"{"op":"stats"}"#.len();
+    format!(r#"{{"op":"stats"{}}}"#, " ".repeat(pad))
+}
+
+/// A request line exactly at a 64-byte cap, one a byte over it, then a
+/// plain request, every line ended by `terminator`.
+fn cap_probe(terminator: &str) -> String {
+    [padded_stats(64), padded_stats(65), r#"{"op":"stats"}"#.to_string()]
+        .map(|line| line + terminator)
+        .concat()
+}
+
+/// The replies to [`cap_probe`]: the line at the cap is answered, the
+/// one over it rejected, and the request after it answered.
+fn assert_cap_replies(responses: &[String], terminator: &str) {
+    assert_eq!(responses.len(), 3, "{terminator:?}: {responses:?}");
+    assert!(responses[0].starts_with("{\"ok\":true"), "{terminator:?} at the cap: {}", responses[0]);
+    assert!(
+        responses[1].contains("request line exceeds 64 bytes"),
+        "{terminator:?} over the cap: {}",
+        responses[1]
+    );
+    assert!(responses[2].starts_with("{\"ok\":true"), "{terminator:?} after: {}", responses[2]);
+}
+
+#[test]
+fn the_byte_cap_counts_a_line_without_its_terminator() {
+    let opts = ServeOptions { max_request_bytes: 64, ..ServeOptions::default() };
+    for terminator in ["\n", "\r\n"] {
+        let (responses, requests, errors) = serve_session(&cap_probe(terminator), &opts);
+        assert_eq!((requests, errors), (3, 1), "{terminator:?}");
+        assert_cap_replies(&responses, terminator);
+    }
+}
+
 #[test]
 fn invalid_utf8_request_is_an_error_response() {
-    let model = linux_kernel_memory_model::model::Lkmm::new();
-    let mut checker = BatchChecker::new(&model, VerdictStore::in_memory(), "hostile");
     let mut input = b"{\"op\":\"stats\"}\n".to_vec();
     input.extend_from_slice(&[0xff, 0xfe, 0x80, b'\n']);
     input.extend_from_slice(b"{\"op\":\"stats\"}\n");
-    let mut out = Vec::new();
-    let summary =
-        serve_with(&mut checker, &input[..], &mut out, &ServeOptions::default()).unwrap();
-    assert_eq!(summary.requests, 3);
-    assert_eq!(summary.errors, 1);
-    let text = String::from_utf8(out).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
+    let (lines, requests, errors) = serve_bytes(&input, &ServeOptions::default());
+    assert_eq!(requests, 3);
+    assert_eq!(errors, 1);
     assert!(lines[0].starts_with("{\"ok\":true"));
     assert!(lines[1].starts_with("{\"ok\":false"));
     assert!(lines[2].starts_with("{\"ok\":true"));
@@ -279,6 +313,25 @@ mod tcp {
         assert_eq!(responses.len(), 2, "oversized line answered, connection kept");
         assert!(responses[0].contains("request line exceeds"), "{}", responses[0]);
         assert!(responses[1].contains("\"ok\":true"), "{}", responses[1]);
+        shutdown(addr);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn tcp_byte_cap_counts_a_line_without_its_terminator() {
+        let config = ServerConfig {
+            serve: ServeOptions { max_request_bytes: 64, ..ServeOptions::default() },
+            ..ServerConfig::default()
+        };
+        let (addr, handle) = start(config);
+        for terminator in ["\n", "\r\n"] {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(super::cap_probe(terminator).as_bytes()).unwrap();
+            stream.shutdown(Shutdown::Write).unwrap();
+            let responses: Vec<String> =
+                BufReader::new(stream).lines().map_while(Result::ok).collect();
+            super::assert_cap_replies(&responses, terminator);
+        }
         shutdown(addr);
         handle.join().unwrap();
     }

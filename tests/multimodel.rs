@@ -6,9 +6,7 @@
 //! deterministic partial tallies (PR-3 semantics).
 
 use linux_kernel_memory_model::litmus::{self, ast::Test};
-use linux_kernel_memory_model::service::{
-    BatchChecker, MultiBatchChecker, MultiColumn, VerdictStore,
-};
+use linux_kernel_memory_model::service::{MultiBatchChecker, MultiColumn, VerdictStore};
 use linux_kernel_memory_model::{Budget, Herd, ModelChoice, MultiCheckOutcome};
 use std::path::PathBuf;
 
@@ -87,20 +85,22 @@ fn store_backed_model_set_is_bit_identical_cold_and_warm() {
     assert_eq!(cold.enumeration_passes + cold.columns[0].deduped, tests.len());
     assert!(cold.candidates_actual > 0);
 
-    // Each column, bit for bit, against a dedicated single-model
-    // BatchChecker built with the same salt on its own cold store.
+    // Each column, bit for bit, against a dedicated one-column checker
+    // built with the same salt on its own cold store.
     for (c, (model, salt)) in models.iter().zip(&salts).enumerate() {
-        let mut single = BatchChecker::new(model.as_ref(), VerdictStore::in_memory(), salt);
-        let seq = single.check_corpus(&tests).unwrap();
+        let column = MultiColumn { model: model.as_ref(), salt: salt.clone() };
+        let mut single = MultiBatchChecker::new(vec![column], VerdictStore::in_memory());
+        let seq = single.check_corpus(&tests, &mask[..1]).unwrap().columns.remove(0);
         assert_eq!(cold.columns[c].hits, seq.hits);
         assert_eq!(cold.columns[c].computed, seq.computed);
         assert_eq!(cold.columns[c].deduped, seq.deduped);
         assert_eq!(cold.columns[c].candidates_enumerated, seq.candidates_enumerated);
-        for (m, s) in cold.columns[c].outcomes.iter().zip(&seq.outcomes) {
-            let m = m.as_ref().unwrap();
-            assert_eq!(m.key, s.key, "{}: cache key diverged", s.name);
-            assert_eq!(m.outcome.result(), s.outcome.result(), "{}: verdict diverged", s.name);
-            assert_eq!(m.provenance, s.provenance, "{}: provenance diverged", s.name);
+        let cells = cold.columns[c].outcomes.iter().zip(&seq.outcomes);
+        for (t, (m, s)) in tests.iter().zip(cells) {
+            let (m, s) = (m.as_ref().unwrap(), s.as_ref().unwrap());
+            assert_eq!(m.key, s.key, "{}: cache key diverged", t.name);
+            assert_eq!(m.outcome.result(), s.outcome.result(), "{}: verdict diverged", t.name);
+            assert_eq!(m.provenance, s.provenance, "{}: provenance diverged", t.name);
         }
     }
 

@@ -159,6 +159,11 @@ fn live_lock_holder_is_refused_with_exit_9() {
     assert_eq!(out.status.code(), Some(9), "campaign on a held store: {}", stderr(&out));
     assert!(stderr(&out).contains("locked by live process"), "{}", stderr(&out));
 
+    // The algorithm campaign opens its store the same way.
+    let out = herd(&["--store", store, "--sim-iterations", "0", "conformance", "--algorithms"], None);
+    assert_eq!(out.status.code(), Some(9), "--algorithms on a held store: {}", stderr(&out));
+    assert!(stderr(&out).contains("locked by live process"), "{}", stderr(&out));
+
     let out = herd(&["store", "scrub", store], None);
     assert_eq!(out.status.code(), Some(9), "scrub on a held store: {}", stderr(&out));
 }
@@ -331,5 +336,28 @@ mod crash {
             );
             assert!(stdout(&out).contains("\"partial\":false"), "{}", stdout(&out));
         }
+    }
+
+    #[test]
+    fn poisoned_algorithm_unit_is_quarantined_and_the_campaign_degrades() {
+        // The family corpus runs on the same supervisor: three injected
+        // failures swallow every attempt at unit 0 (default retries).
+        let out = herd(
+            &[
+                "--families",
+                "ticket",
+                "--sim-iterations",
+                "0",
+                "--json",
+                "conformance",
+                "--algorithms",
+            ],
+            Some("worker.transient=1:3"),
+        );
+        assert_eq!(out.status.code(), Some(8), "degraded exit: {}", stderr(&out));
+        let json = stdout(&out);
+        assert!(json.contains("\"failed_units\":[{\"index\":0,"), "{json}");
+        assert!(json.contains("\"kind\":\"transient-io\""), "{json}");
+        assert!(json.contains("\"partial\":true,\"clean\":true"), "{json}");
     }
 }

@@ -8,7 +8,9 @@
 use linux_kernel_memory_model::litmus::library;
 use linux_kernel_memory_model::model::Lkmm;
 use linux_kernel_memory_model::server::{serve_tcp, ServerConfig, ServerSummary};
-use linux_kernel_memory_model::service::{BatchChecker, ShardedStore, VerdictStore};
+use linux_kernel_memory_model::service::{
+    MultiBatchChecker, MultiBatchReport, MultiColumn, ServeSession, ShardedStore, VerdictStore,
+};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -78,15 +80,21 @@ fn partition(n: usize) -> Vec<Vec<&'static str>> {
     parts
 }
 
+/// The sequential `--library --store` pipeline over the store at
+/// `base`: one pass through a one-column checker.
+fn sequential_library(base: &Path) -> MultiBatchReport {
+    let model = Lkmm::new();
+    let column = MultiColumn { model: &model, salt: SALT.into() };
+    let mut checker = MultiBatchChecker::new(vec![column], VerdictStore::open(base).unwrap());
+    let tests: Vec<_> = library::all().iter().map(|pt| pt.test()).collect();
+    checker.check_corpus(&tests, &[vec![true; tests.len()]]).unwrap()
+}
+
 /// The sequential pipeline's export of a full-library store: the
 /// reference bytes every server configuration must reproduce.
 fn sequential_export() -> Vec<u8> {
     let base = temp_base("seq");
-    let model = Lkmm::new();
-    let mut checker = BatchChecker::new(&model, VerdictStore::open(&base).unwrap(), SALT);
-    checker.check_library().unwrap();
-    checker.flush().unwrap();
-    drop(checker);
+    sequential_library(&base);
     let out = temp_base("seq-export");
     VerdictStore::export(&base, &out).unwrap();
     let bytes = std::fs::read(&out).unwrap();
@@ -141,12 +149,7 @@ fn warm_stores_interchange_between_sequential_and_server_paths() {
     // promotion into a 4-way family every request is a cache hit and
     // the family still exports the same bytes.
     let seq = temp_base("warm-seq");
-    {
-        let model = Lkmm::new();
-        let mut checker = BatchChecker::new(&model, VerdictStore::open(&seq).unwrap(), SALT);
-        checker.check_library().unwrap();
-        checker.flush().unwrap();
-    }
+    sequential_library(&seq);
     let want = {
         let out = temp_base("warm-seq-export");
         VerdictStore::export(&seq, &out).unwrap();
@@ -180,11 +183,88 @@ fn warm_stores_interchange_between_sequential_and_server_paths() {
     assert!(responses[0].contains("\"ok\":true"), "{}", responses[0]);
     shutdown_server(addr);
     handle.join().unwrap();
-    let model = Lkmm::new();
-    let mut checker = BatchChecker::new(&model, VerdictStore::open(&served).unwrap(), SALT);
-    let report = checker.check_library().unwrap();
+    let report = &sequential_library(&served).columns[0];
     assert_eq!(report.computed, 0, "server-written store must replay sequentially");
     assert_eq!(report.hits + report.deduped, names.len());
     cleanup(&seq);
     cleanup(&served);
+}
+
+/// One scripted session touching every reply shape: checks by name and
+/// by source, a repeat that hits, a batch mixing `names` and `family`
+/// (the family's MP variant dedupes against the named MP), a malformed
+/// line, an unknown op, `stats` and `flush`.
+const SESSION: &[&str] = &[
+    r#"{"op":"check","name":"SB"}"#,
+    r#"{"op":"check","source":"C src\n{ x=0; y=0; }\nP0(int *x, int *y) { WRITE_ONCE(*x, 1); smp_wmb(); WRITE_ONCE(*y, 1); }\nP1(int *x, int *y) { int r0; int r1; r0 = READ_ONCE(*y); smp_rmb(); r1 = READ_ONCE(*x); }\nexists (1:r0=1 /\\ 1:r1=0)"}"#,
+    r#"{"op":"check","name":"SB"}"#,
+    r#"{"op":"batch","names":["SB","MP"],"family":"PodWW Rfe PodRR Fre"}"#,
+    "not json",
+    r#"{"op":"nope"}"#,
+    r#"{"op":"stats"}"#,
+    r#"{"op":"flush"}"#,
+];
+
+/// `"micros":N` is wall-clock; every other byte of a reply is pinned.
+fn mask_micros(line: &str) -> String {
+    let mut out = String::with_capacity(line.len());
+    let mut rest = line;
+    while let Some(at) = rest.find("\"micros\":") {
+        let (head, tail) = rest.split_at(at + "\"micros\":".len());
+        out.push_str(head);
+        out.push('0');
+        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
+/// A reply without its `shards` field, which only a sharded store emits.
+fn without_shards(line: &str) -> String {
+    use linux_kernel_memory_model::service::json::Json;
+    match Json::parse(line).unwrap() {
+        Json::Obj(fields) => {
+            Json::Obj(fields.into_iter().filter(|(k, _)| k != "shards").collect()).to_string()
+        }
+        other => other.to_string(),
+    }
+}
+
+#[test]
+fn stdio_and_tcp_sessions_give_the_same_replies() {
+    use linux_kernel_memory_model::service::hash::fnv64;
+    use linux_kernel_memory_model::service::serve::serve;
+
+    let model = Lkmm::new();
+    let mut session = ServeSession::new(&model, VerdictStore::in_memory(), SALT, 0, Default::default());
+    let mut out = Vec::new();
+    serve(&mut session, SESSION.join("\n").as_bytes(), &mut out).unwrap();
+    let stdio: Vec<String> =
+        String::from_utf8(out).unwrap().lines().map(mask_micros).collect();
+    assert_eq!(stdio.len(), SESSION.len());
+    // Computed before the cached-check paths were folded into one: the
+    // fold must not change a byte of this session.
+    let digest = fnv64(stdio.join("\n").as_bytes());
+    assert_eq!(digest, 0xe2fe_04a0_fea9_da4d, "stdio session digest {digest:#018x}:\n{}", stdio.join("\n"));
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = thread::spawn(move || {
+        let store = Arc::new(ShardedStore::in_memory(1));
+        let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+        serve_tcp(listener, &|| Box::new(Lkmm::new()), SALT, store, &config).unwrap()
+    });
+    let mut stream = TcpStream::connect(addr).unwrap();
+    for line in SESSION {
+        writeln!(stream, "{line}").unwrap();
+    }
+    stream.shutdown(Shutdown::Write).unwrap();
+    let tcp: Vec<String> =
+        BufReader::new(stream).lines().map(|l| mask_micros(&l.unwrap())).collect();
+    shutdown_server(addr);
+    handle.join().unwrap();
+    assert_eq!(tcp.len(), stdio.len());
+    for (i, (s, t)) in stdio.iter().zip(&tcp).enumerate() {
+        assert_eq!(without_shards(s), without_shards(t), "reply {i} differs");
+    }
 }

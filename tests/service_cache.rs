@@ -9,14 +9,14 @@
 //! warm store written before it.
 
 use linux_kernel_memory_model::conformance::{MatrixOptions, ModelId, ModelSet};
-use linux_kernel_memory_model::exec::EnumOptions;
+use linux_kernel_memory_model::exec::{ConsistencyModel, EnumOptions, TestResult};
 use linux_kernel_memory_model::generator::{
     cycles_up_to, default_alphabet, generate, generate_contended,
 };
 use linux_kernel_memory_model::litmus::{library, parse, Test};
 use linux_kernel_memory_model::service::hash::Fnv64;
 use linux_kernel_memory_model::service::{
-    BatchChecker, MultiBatchChecker, MultiColumn, Provenance, VerdictStore,
+    ColumnReport, MultiBatchChecker, MultiColumn, Provenance, VerdictStore,
 };
 use linux_kernel_memory_model::ModelChoice;
 use std::fs::OpenOptions;
@@ -31,6 +31,33 @@ fn temp_store(tag: &str) -> PathBuf {
     p
 }
 
+/// A one-column checker, as `herd-rs --store` builds it.
+fn single<'m>(
+    model: &'m dyn ConsistencyModel,
+    store: VerdictStore,
+    salt: &str,
+) -> MultiBatchChecker<'m> {
+    MultiBatchChecker::new(vec![MultiColumn { model, salt: salt.into() }], store)
+}
+
+/// `herd-rs --library --store` under salt "it": one pass over the
+/// library through a one-column checker on `store`.
+fn library_pass(model: &dyn ConsistencyModel, store: VerdictStore) -> ColumnReport {
+    let tests: Vec<Test> = library::all().iter().map(|pt| pt.test()).collect();
+    let mask = [vec![true; tests.len()]];
+    single(model, store, "it").check_corpus(&tests, &mask).unwrap().columns.remove(0)
+}
+
+/// Each library test's name, key, result and provenance in `col`.
+type Cell<'a> = (&'static str, u128, Option<&'a TestResult>, Provenance);
+
+fn results(col: &ColumnReport) -> impl Iterator<Item = Cell<'_>> {
+    library::all().iter().zip(&col.outcomes).map(|(pt, cell)| {
+        let cell = cell.as_ref().unwrap();
+        (pt.name, cell.key, cell.outcome.result(), cell.provenance)
+    })
+}
+
 #[test]
 fn warm_library_pass_is_pure_replay_with_identical_results() {
     let path = temp_store("warm");
@@ -39,8 +66,7 @@ fn warm_library_pass_is_pure_replay_with_identical_results() {
     let cold = {
         let store = VerdictStore::open(&path).unwrap();
         assert_eq!(store.len(), 0);
-        let mut checker = BatchChecker::new(model.as_ref(), store, "it");
-        checker.check_library().unwrap()
+        library_pass(model.as_ref(), store)
     };
     assert_eq!(cold.hits, 0);
     assert!(cold.computed > 0);
@@ -50,18 +76,16 @@ fn warm_library_pass_is_pure_replay_with_identical_results() {
     let store = VerdictStore::open(&path).unwrap();
     assert_eq!(store.recovery().truncated_bytes(), 0);
     assert_eq!(store.len(), cold.computed);
-    let mut checker = BatchChecker::new(model.as_ref(), store, "it");
-    let warm = checker.check_library().unwrap();
+    let warm = library_pass(model.as_ref(), store);
     assert_eq!(warm.computed, 0);
     assert_eq!(warm.candidates_enumerated, 0);
     assert_eq!(warm.hits, cold.computed + cold.hits);
     assert_eq!(warm.deduped, cold.deduped);
     assert_eq!(cold.outcomes.len(), warm.outcomes.len());
-    for (c, w) in cold.outcomes.iter().zip(&warm.outcomes) {
-        assert_eq!(c.name, w.name);
-        assert_eq!(c.key, w.key);
-        assert_eq!(c.result(), w.result(), "{}: warm result differs from cold", c.name);
-        assert_ne!(w.provenance, Provenance::Computed, "{}: warm pass recomputed", w.name);
+    for ((name, c_key, c, _), (_, w_key, w, w_provenance)) in results(&cold).zip(results(&warm)) {
+        assert_eq!(c_key, w_key);
+        assert_eq!(c, w, "{name}: warm result differs from cold");
+        assert_ne!(w_provenance, Provenance::Computed, "{name}: warm pass recomputed");
     }
 
     std::fs::remove_file(&path).unwrap();
@@ -72,11 +96,7 @@ fn torn_tail_is_truncated_and_recomputed() {
     let path = temp_store("torn");
     let model = ModelChoice::Lkmm.model();
 
-    let cold = {
-        let store = VerdictStore::open(&path).unwrap();
-        let mut checker = BatchChecker::new(model.as_ref(), store, "it");
-        checker.check_library().unwrap()
-    };
+    let cold = library_pass(model.as_ref(), VerdictStore::open(&path).unwrap());
 
     // Tear the last record: chop a few bytes off, as a crash mid-append
     // would.
@@ -88,20 +108,17 @@ fn torn_tail_is_truncated_and_recomputed() {
     let store = VerdictStore::open(&path).unwrap();
     assert!(store.recovery().truncated_bytes() > 0, "torn tail went unnoticed");
     assert_eq!(store.recovery().records, cold.computed - 1, "more than the tail was lost");
-    let mut checker = BatchChecker::new(model.as_ref(), store, "it");
-    let warm = checker.check_library().unwrap();
+    let warm = library_pass(model.as_ref(), store);
     assert_eq!(warm.computed, 1, "exactly the torn record should recompute");
-    for (c, w) in cold.outcomes.iter().zip(&warm.outcomes) {
-        assert_eq!(c.result(), w.result(), "{}: result changed across recovery", c.name);
+    for ((name, _, c, _), (_, _, w, _)) in results(&cold).zip(results(&warm)) {
+        assert_eq!(c, w, "{name}: result changed across recovery");
     }
 
     // The recomputed record was appended: a third pass is pure replay.
-    // (The previous checker must drop first — it holds the store lock.)
-    drop(checker);
+    // (The previous checker has dropped, releasing the store lock.)
     let store = VerdictStore::open(&path).unwrap();
     assert_eq!(store.recovery().truncated_bytes(), 0);
-    let mut checker = BatchChecker::new(model.as_ref(), store, "it");
-    let third = checker.check_library().unwrap();
+    let third = library_pass(model.as_ref(), store);
     assert_eq!(third.computed, 0);
 
     std::fs::remove_file(&path).unwrap();
@@ -112,11 +129,7 @@ fn corrupt_mid_record_keeps_the_valid_prefix() {
     let path = temp_store("corrupt");
     let model = ModelChoice::Lkmm.model();
 
-    let cold = {
-        let store = VerdictStore::open(&path).unwrap();
-        let mut checker = BatchChecker::new(model.as_ref(), store, "it");
-        checker.check_library().unwrap()
-    };
+    let cold = library_pass(model.as_ref(), VerdictStore::open(&path).unwrap());
 
     // Flip one byte halfway into the log: the checksum of the record it
     // lands in must fail, and everything from that record on is dropped.
@@ -137,12 +150,11 @@ fn corrupt_mid_record_keeps_the_valid_prefix() {
     assert!(recovered < cold.computed, "corruption went unnoticed");
     assert!(store.recovery().truncated_bytes() > 0);
 
-    let mut checker = BatchChecker::new(model.as_ref(), store, "it");
-    let warm = checker.check_library().unwrap();
+    let warm = library_pass(model.as_ref(), store);
     assert_eq!(warm.computed, cold.computed - recovered);
     assert_eq!(warm.hits + warm.deduped + warm.computed, cold.outcomes.len());
-    for (c, w) in cold.outcomes.iter().zip(&warm.outcomes) {
-        assert_eq!(c.result(), w.result(), "{}: result changed across recovery", c.name);
+    for ((name, _, c, _), (_, _, w, _)) in results(&cold).zip(results(&warm)) {
+        assert_eq!(c, w, "{name}: result changed across recovery");
     }
 
     std::fs::remove_file(&path).unwrap();
@@ -178,9 +190,9 @@ fn cache_keys_and_printed_tests_match_the_pinned_digest() {
     let set = ModelSet::standard();
     let multi = campaign_checker(&set);
     // `herd-rs --store` without `--salt`.
-    let singles: Vec<BatchChecker<'_>> = ModelId::ALL
+    let singles: Vec<MultiBatchChecker<'_>> = ModelId::ALL
         .iter()
-        .map(|&id| BatchChecker::new(set.get(id), VerdictStore::in_memory(), ""))
+        .map(|&id| single(set.get(id), VerdictStore::in_memory(), ""))
         .collect();
     let corpus = pinned_corpus();
     assert_eq!(corpus.len(), 355);
@@ -190,7 +202,7 @@ fn cache_keys_and_printed_tests_match_the_pinned_digest() {
             h.write(&multi.key_of(col, test).to_le_bytes());
         }
         for single in &singles {
-            h.write(&single.key_of(test).to_le_bytes());
+            h.write(&single.key_of(0, test).to_le_bytes());
         }
         h.write(test.to_litmus_string().as_bytes());
     }
@@ -213,9 +225,9 @@ fn cache_keys_and_printed_tests_match_the_pinned_digest() {
     for (name, campaign, cli) in pinned {
         let test = library::by_name(name).unwrap().test();
         assert_eq!(multi.key_of(lkmm, &test), campaign, "{name}: campaign lkmm column key");
-        assert_eq!(herd.key_of(&test), cli, "{name}: herd-rs --store key");
+        assert_eq!(herd.key_of(0, &test), cli, "{name}: herd-rs --store key");
     }
     // A reparsed print keys like the original.
     let mp = library::by_name("MP").unwrap().test();
-    assert_eq!(herd.key_of(&parse(&mp.to_litmus_string()).unwrap()), herd.key_of(&mp));
+    assert_eq!(herd.key_of(0, &parse(&mp.to_litmus_string()).unwrap()), herd.key_of(0, &mp));
 }
