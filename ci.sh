@@ -114,6 +114,21 @@ MULTI_STATUS=$?
 set -e
 test "$MULTI_STATUS" -eq 2
 grep -q 'unknown model `bogus`' /tmp/lkmm-multi.err
+# So is a flag given outside the modes that use it: one list per kind
+# the parser once accepted and then ignored.
+for ARGS in "client --connect 127.0.0.1:9 --dot" "--list-algorithms --jobs 2" \
+    "store scrub /tmp/lkmm-ci-unused.log --salt x" "--library --dot" \
+    "--models sc,tso --salt x /tmp/lkmm-ci-multi.litmus"; do
+    set +e
+    # $ARGS is unquoted on purpose: each list splits into its words.
+    "$BIN" $ARGS > /dev/null 2> /tmp/lkmm-multi.err
+    USAGE_STATUS=$?
+    set -e
+    test "$USAGE_STATUS" -eq 2
+    grep -q '(try --help)' /tmp/lkmm-multi.err
+done
+# The help text is byte-for-byte what it was before the flag table.
+test "$("$BIN" --help | cksum)" = "3870552447 5913"
 rm -f /tmp/lkmm-ci-multi.litmus /tmp/lkmm-multi.out /tmp/lkmm-multi-seq.out \
     /tmp/lkmm-multi-j1.out /tmp/lkmm-multi-j4.out /tmp/lkmm-multi.err \
     /tmp/lkmm-ci-stress.litmus /tmp/lkmm-stress-j1.out /tmp/lkmm-stress-j4.out

@@ -589,32 +589,12 @@ pub fn algo_human_table(report: &AlgoReport) -> String {
 /// everything deliberately excluded from the deterministic report.
 pub fn algo_observability_lines(report: &AlgoReport) -> String {
     let mut out = String::new();
-    for m in &report.models {
-        let _ = writeln!(
-            out,
-            "{}: {} cached, {} computed, {} deduped, {} candidates enumerated",
-            m.id.column(),
-            m.pass.hits,
-            m.pass.computed,
-            m.pass.deduped,
-            m.pass.candidates_enumerated
-        );
-    }
-    if let Some(e) = &report.enumeration {
-        let _ = writeln!(
-            out,
-            "enumeration: {} rf prefixes pruned, {} co pairs saturated, {} branched, \
-             {} leaves tested, {} candidates emitted",
-            e.rf_prefixes_pruned,
-            e.co_pairs_saturated,
-            e.co_pairs_branched,
-            e.co_leaves_tested,
-            e.candidates_emitted
-        );
-    }
-    if let Some(d) = &report.data_plane {
-        let _ = writeln!(out, "{}", crate::report::data_plane_line(d));
-    }
+    crate::report::column_lines(
+        &mut out,
+        &report.models,
+        report.enumeration.as_ref(),
+        report.data_plane.as_ref(),
+    );
     out
 }
 

@@ -83,5 +83,5 @@ pub use matrix::{
 pub use oracle::{
     check_row, recheck_violated, Discrepancy, OracleKind, OracleSummary, Recheck, ENVELOPE_PAIRS,
 };
-pub use report::{data_plane_line, human_table, json_report, observability_lines};
+pub use report::{data_plane_line, enumeration_line, human_table, json_report, observability_lines};
 pub use shrink::{shrink, test_size, Shrunk};

@@ -8,7 +8,7 @@
 //! (hits, computed, candidates enumerated) belong on stderr; see
 //! [`observability_lines`].
 
-use crate::campaign::{CampaignConfig, CampaignReport};
+use crate::campaign::{CampaignConfig, CampaignReport, ModelStats};
 use crate::checkpoint::FailedUnit;
 use crate::oracle::Recheck;
 use lkmm_service::json::Json;
@@ -179,6 +179,20 @@ pub fn data_plane_line(d: &lkmm_exec::DataPlaneSnapshot) -> String {
     format!("data-plane: {} arena acquires ({} reused)", d.arena_acquires, d.arena_reuses)
 }
 
+/// The enumerator's pruning-counter stderr line, shared by both
+/// campaigns and `herd-rs --enum-stats`.
+pub fn enumeration_line(e: &lkmm_exec::EnumSnapshot) -> String {
+    format!(
+        "enumeration: {} rf prefixes pruned, {} co pairs saturated, {} branched, \
+         {} leaves tested, {} candidates emitted",
+        e.rf_prefixes_pruned,
+        e.co_pairs_saturated,
+        e.co_pairs_branched,
+        e.co_leaves_tested,
+        e.candidates_emitted
+    )
+}
+
 pub(crate) fn recheck_json(check: &Recheck) -> Json {
     match check {
         Recheck::ResultAgreement { left, right } => Json::obj(vec![
@@ -296,7 +310,19 @@ pub fn observability_lines(report: &CampaignReport) -> String {
     if report.checkpoints_written > 0 {
         let _ = writeln!(out, "{} checkpoint frame(s) written", report.checkpoints_written);
     }
-    for m in &report.models {
+    column_lines(&mut out, &report.models, report.enumeration.as_ref(), report.data_plane.as_ref());
+    out
+}
+
+/// The stderr lines both campaigns print: one per model column, then
+/// the opt-in enumeration and data-plane counters.
+pub(crate) fn column_lines(
+    out: &mut String,
+    models: &[ModelStats],
+    enumeration: Option<&lkmm_exec::EnumSnapshot>,
+    data_plane: Option<&lkmm_exec::DataPlaneSnapshot>,
+) {
+    for m in models {
         let _ = writeln!(
             out,
             "{}: {} cached, {} computed, {} deduped, {} candidates enumerated",
@@ -307,22 +333,12 @@ pub fn observability_lines(report: &CampaignReport) -> String {
             m.pass.candidates_enumerated
         );
     }
-    if let Some(e) = &report.enumeration {
-        let _ = writeln!(
-            out,
-            "enumeration: {} rf prefixes pruned, {} co pairs saturated, {} branched, \
-             {} leaves tested, {} candidates emitted",
-            e.rf_prefixes_pruned,
-            e.co_pairs_saturated,
-            e.co_pairs_branched,
-            e.co_leaves_tested,
-            e.candidates_emitted
-        );
+    if let Some(e) = enumeration {
+        let _ = writeln!(out, "{}", enumeration_line(e));
     }
-    if let Some(d) = &report.data_plane {
+    if let Some(d) = data_plane {
         let _ = writeln!(out, "{}", data_plane_line(d));
     }
-    out
 }
 
 #[cfg(test)]

@@ -89,6 +89,10 @@
 //! driver: `--jobs` checks that many at once, and a program that keeps
 //! failing is quarantined and degrades the report (exit 8).
 //!
+//! Every flag applies to a fixed set of modes (one row of `FLAGS`); a
+//! flag given outside the modes that use it is a usage error, like a
+//! malformed value.
+//!
 //! Exit codes: 0 success, 1 internal/transport failure, 2 usage error,
 //! 3 input-file I/O error, 4 litmus parse error, 5 store error,
 //! 6 single-test check inconclusive (budget exhausted), 7 conformance
@@ -98,7 +102,7 @@
 //! (`client`).
 
 use linux_kernel_memory_model::algorithms::FamilyId;
-use linux_kernel_memory_model::conformance::data_plane_line;
+use linux_kernel_memory_model::conformance::{data_plane_line, enumeration_line, SimConfig};
 use linux_kernel_memory_model::server::{serve_tcp, ServerConfig};
 use linux_kernel_memory_model::service::json::Json;
 use linux_kernel_memory_model::service::serve::{serve_with, ServeOptions};
@@ -111,7 +115,8 @@ use linux_kernel_memory_model::{
 use lkmm_core::quota::ClientQuota;
 use lkmm_exec::enumerate::{enumerate, EnumOptions};
 use lkmm_exec::states::collect_states;
-use lkmm_exec::MAX_JOBS;
+use lkmm_exec::{DataPlaneStats, EnumStats, MAX_JOBS};
+use lkmm_service::StoreError;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -209,16 +214,184 @@ const EXIT_OVERLOADED: u8 = 11;
 /// should be driven through the library API, not one CLI invocation.
 const MAX_CAMPAIGN_CYCLE_LEN: usize = 6;
 
+/// What one invocation does: the subcommand word picks it, else the
+/// first of `--list-algorithms`, `--library` and `--models` given;
+/// `--listen` and `--algorithms` pick the second form of `serve` and
+/// `conformance`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Mode {
+    #[default]
+    File,
+    Models,
+    Library,
+    Serve,
+    Listen,
+    Client,
+    Campaign,
+    Algorithms,
+    Store,
+    ListAlgorithms,
+}
+
+impl Mode {
+    /// Every mode, as the command line spells it.
+    const NAMES: [(Mode, &'static str); 10] = [
+        (Mode::File, "FILE.litmus"),
+        (Mode::Models, "--models"),
+        (Mode::Library, "--library"),
+        (Mode::Serve, "serve"),
+        (Mode::Listen, "serve --listen"),
+        (Mode::Client, "client"),
+        (Mode::Campaign, "conformance"),
+        (Mode::Algorithms, "conformance --algorithms"),
+        (Mode::Store, "store"),
+        (Mode::ListAlgorithms, "--list-algorithms"),
+    ];
+
+    fn name(self) -> &'static str {
+        Mode::NAMES.iter().find(|(mode, _)| *mode == self).expect("every mode is named").1
+    }
+
+    const fn bit(self) -> Modes {
+        1 << self as u16
+    }
+}
+
+/// A set of [`Mode::bit`]s: the modes a flag applies to.
+type Modes = u16;
+
+const SERVE: Modes = Mode::Serve.bit() | Mode::Listen.bit();
+const LISTEN: Modes = Mode::Listen.bit();
+const CYCLES: Modes = Mode::Campaign.bit();
+const ALGOS: Modes = Mode::Algorithms.bit();
+const CAMPAIGN: Modes = CYCLES | ALGOS;
+/// The modes that check one test at a time in this process.
+const DIRECT: Modes = Mode::File.bit() | Mode::Library.bit();
+/// The modes that check under the one `--model`.
+const ONE_MODEL: Modes = DIRECT | SERVE;
+/// The modes that can answer from a `--store`.
+const CACHED: Modes = ONE_MODEL | CAMPAIGN;
+/// The modes that run checks, which `--jobs` and the budgets tune.
+const CHECKS: Modes = CACHED | Mode::Models.bit();
+/// The modes whose enumeration `--enum-stats` counts.
+const ENUMERATES: Modes = Mode::Models.bit() | Mode::Library.bit() | CAMPAIGN;
+
+/// Whether a flag takes the next argument as its value.
+const VALUE: bool = true;
+const SWITCH: bool = false;
+
+/// One row of the flag table: the flag's spellings, whether it takes a
+/// value, and the modes it applies to. A flag given outside its modes is
+/// a usage error; [`Cli::set`] stores what it was given.
+struct Flag(&'static [&'static str], bool, Modes);
+
+const FLAGS: &[Flag] = &[
+    Flag(&["--jobs", "-j"], VALUE, CHECKS),
+    Flag(&["--early-exit"], SWITCH, DIRECT),
+    Flag(&["--model", "-m"], VALUE, ONE_MODEL),
+    Flag(&["--models"], VALUE, Mode::Models.bit()),
+    Flag(&["--store"], VALUE, CACHED),
+    Flag(&["--salt"], VALUE, CACHED),
+    Flag(&["--budget-candidates"], VALUE, CHECKS),
+    Flag(&["--budget-steps"], VALUE, CHECKS),
+    Flag(&["--budget-ms"], VALUE, CHECKS),
+    Flag(&["--max-request-bytes"], VALUE, SERVE),
+    Flag(&["--max-cycle-len"], VALUE, CYCLES),
+    Flag(&["--contended"], SWITCH, CYCLES),
+    Flag(&["--no-library"], SWITCH, CYCLES),
+    Flag(&["--no-shrink"], SWITCH, CAMPAIGN),
+    Flag(&["--json"], SWITCH, CAMPAIGN),
+    Flag(&["--sim-iterations"], VALUE, CAMPAIGN),
+    Flag(&["--sim-seed"], VALUE, CAMPAIGN),
+    Flag(&["--sim-stride"], VALUE, CYCLES),
+    Flag(&["--checkpoint"], VALUE, CYCLES),
+    Flag(&["--checkpoint-every"], VALUE, CYCLES),
+    Flag(&["--resume"], SWITCH, CYCLES),
+    Flag(&["--max-retries"], VALUE, CYCLES),
+    Flag(&["--retry-base-ms"], VALUE, CYCLES),
+    Flag(&["--stop-after"], VALUE, CYCLES),
+    Flag(&["--repair"], SWITCH, Mode::Store.bit()),
+    Flag(&["--listen"], VALUE, LISTEN),
+    Flag(&["--shards"], VALUE, LISTEN | Mode::Store.bit()),
+    Flag(&["--server-workers"], VALUE, LISTEN),
+    Flag(&["--durable"], SWITCH, LISTEN),
+    Flag(&["--quota-requests"], VALUE, LISTEN),
+    Flag(&["--max-pending"], VALUE, LISTEN),
+    Flag(&["--max-conns"], VALUE, LISTEN),
+    Flag(&["--idle-timeout-ms"], VALUE, LISTEN),
+    Flag(&["--connect"], VALUE, Mode::Client.bit()),
+    Flag(&["--algorithms"], SWITCH, ALGOS),
+    Flag(&["--families"], VALUE, ALGOS),
+    Flag(&["--algo-threads"], VALUE, ALGOS),
+    Flag(&["--algo-sections"], VALUE, ALGOS),
+    Flag(&["--algo-retries"], VALUE, ALGOS),
+    Flag(&["--list-algorithms"], SWITCH, Mode::ListAlgorithms.bit()),
+    Flag(&["--enum-stats"], SWITCH, ENUMERATES),
+    Flag(&["--library", "-l"], SWITCH, Mode::Library.bit()),
+    Flag(&["--dot"], SWITCH, Mode::File.bit()),
+    Flag(&["--states", "-s"], SWITCH, Mode::File.bit()),
+];
+
+/// A flag's value, with the spelling the flag was given under.
+struct Value<'a> {
+    flag: &'a str,
+    text: &'a str,
+}
+
+impl Value<'_> {
+    fn needs(&self, what: &str) -> String {
+        format!("{} needs {what}, got `{}`", self.flag, self.text)
+    }
+
+    fn int<T: std::str::FromStr>(&self) -> Result<T, String> {
+        self.text.parse().map_err(|_| self.needs("a non-negative integer"))
+    }
+
+    fn positive<T: std::str::FromStr + Default + PartialOrd>(&self) -> Result<T, String> {
+        let n = self.text.parse().ok().filter(|n| *n > T::default());
+        n.ok_or_else(|| self.needs("a positive integer"))
+    }
+
+    fn within(&self, lo: usize, hi: usize) -> Result<usize, String> {
+        let n = self.text.parse().ok().filter(|n| (lo..=hi).contains(n));
+        n.ok_or_else(|| self.needs(&format!("an integer in {lo}..={hi}")))
+    }
+
+    /// A comma-separated list of `what` names, each read by `one`.
+    fn list<T>(&self, what: &str, one: fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+        let names = self.text.split(',').map(str::trim);
+        names
+            .map(|name| match name {
+                "" => Err(format!("{} got an empty {what} name in `{}`", self.flag, self.text)),
+                name => one(name),
+            })
+            .collect()
+    }
+}
+
+fn model(name: &str) -> Result<ModelChoice, String> {
+    ModelChoice::parse_name(name).ok_or_else(|| {
+        format!("unknown model `{name}` (lkmm, lkmm-cat, sc, tso, armv8, power, c11)")
+    })
+}
+
+fn family(name: &str) -> Result<FamilyId, String> {
+    FamilyId::parse_name(name).ok_or_else(|| {
+        let known: Vec<_> = FamilyId::ALL.iter().map(|f| f.name()).collect();
+        format!("unknown algorithm family `{name}` ({})", known.join(", "))
+    })
+}
+
+/// The parsed command line: the mode and what each flag was given.
+#[derive(Default)]
 struct Cli {
+    mode: Mode,
     model: ModelChoice,
-    model_given: bool,
     models: Option<Vec<ModelChoice>>,
     file: Option<String>,
-    serve_mode: bool,
-    conformance_mode: bool,
-    run_library: bool,
     dot: bool,
     states: bool,
+    /// Worker threads; 0 = available parallelism.
     jobs: usize,
     early_exit: bool,
     store: Option<String>,
@@ -232,25 +405,18 @@ struct Cli {
     no_library: bool,
     no_shrink: bool,
     json: bool,
-    sim_iterations: u64,
-    sim_seed: u64,
-    sim_stride: usize,
-    sim_stride_given: bool,
+    sim: SimConfig,
     enum_stats: bool,
-    conformance_flag_seen: bool,
-    algorithms: bool,
     families: Vec<FamilyId>,
     algo_threads: Option<usize>,
     algo_sections: Option<usize>,
     algo_retries: Option<usize>,
-    list_algorithms: bool,
     checkpoint: Option<String>,
     checkpoint_every: Option<usize>,
     resume: bool,
     max_retries: Option<u32>,
     retry_base_ms: Option<u64>,
     stop_after: Option<usize>,
-    store_cmd: bool,
     store_args: Vec<String>,
     repair: bool,
     listen: Option<String>,
@@ -261,7 +427,6 @@ struct Cli {
     max_pending: Option<usize>,
     max_conns: Option<usize>,
     idle_timeout_ms: Option<u64>,
-    client_mode: bool,
     connect: Option<String>,
 }
 
@@ -275,543 +440,165 @@ fn fail_code(code: u8, message: &str) -> ExitCode {
     ExitCode::from(code)
 }
 
-fn parse_count(flag: &str, value: &str) -> Result<u64, String> {
-    match value.parse::<u64>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("{flag} needs a positive integer, got `{value}`")),
-    }
-}
-
+/// Parse the command line; `Ok(None)` means `--help` was printed.
 fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
-    let mut cli = Cli {
-        model: ModelChoice::Lkmm,
-        model_given: false,
-        models: None,
-        file: None,
-        serve_mode: false,
-        conformance_mode: false,
-        run_library: false,
-        dot: false,
-        states: false,
-        jobs: 0, // 0 = available parallelism
-        early_exit: false,
-        store: None,
-        salt: String::new(),
-        budget_candidates: None,
-        budget_steps: None,
-        budget_ms: None,
-        max_request_bytes: None,
-        max_cycle_len: None,
-        contended: false,
-        no_library: false,
-        no_shrink: false,
-        json: false,
-        sim_iterations: 200,
-        sim_seed: 7,
-        sim_stride: 1,
-        sim_stride_given: false,
-        enum_stats: false,
-        conformance_flag_seen: false,
-        algorithms: false,
-        families: Vec::new(),
-        algo_threads: None,
-        algo_sections: None,
-        algo_retries: None,
-        list_algorithms: false,
-        checkpoint: None,
-        checkpoint_every: None,
-        resume: false,
-        max_retries: None,
-        retry_base_ms: None,
-        stop_after: None,
-        store_cmd: false,
-        store_args: Vec::new(),
-        repair: false,
-        listen: None,
-        shards: None,
-        server_workers: None,
-        durable: false,
-        quota_requests: None,
-        max_pending: None,
-        max_conns: None,
-        idle_timeout_ms: None,
-        client_mode: false,
-        connect: None,
-    };
-    let mut it = args.iter();
+    let mut cli = Cli::default();
+    let mut given = Vec::new();
+    let mut subcommand = None;
+    let mut it = args.iter().map(String::as_str);
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--jobs" | "-j" => {
-                let n = it.next().ok_or("--jobs needs an argument")?;
-                cli.jobs = n
-                    .parse::<usize>()
-                    .map_err(|_| format!("--jobs needs a non-negative integer, got `{n}`"))?;
-                if cli.jobs > MAX_JOBS {
-                    return Err(format!("--jobs {n} exceeds the maximum of {MAX_JOBS}"));
-                }
+        if arg == "--help" || arg == "-h" {
+            println!("{USAGE}");
+            return Ok(None);
+        }
+        if let Some(flag) = FLAGS.iter().find(|f| f.0.contains(&arg)) {
+            let text = match flag.1 {
+                VALUE => it.next().ok_or_else(|| format!("{arg} needs an argument"))?,
+                SWITCH => "",
+            };
+            cli.set(flag.0[0], &Value { flag: arg, text })?;
+            given.push((arg, flag));
+            continue;
+        }
+        if arg.starts_with('-') {
+            return Err(format!("unknown option `{arg}`"));
+        }
+        let subcommands = [Mode::Serve, Mode::Campaign, Mode::Store, Mode::Client];
+        let word = subcommands.into_iter().find(|mode| mode.name() == arg);
+        match (subcommand, &cli.file) {
+            (Some(Mode::Store), _) => cli.store_args.push(arg.to_string()),
+            (Some(mode), _) => {
+                return Err(format!("unexpected argument `{arg}` after `{}`", mode.name()));
             }
-            "--early-exit" => cli.early_exit = true,
-            "--model" | "-m" => {
-                let name = it.next().ok_or("--model needs an argument")?;
-                cli.model = ModelChoice::parse_name(name).ok_or_else(|| {
-                    format!("unknown model `{name}` (lkmm, lkmm-cat, sc, tso, armv8, power, c11)")
-                })?;
-                cli.model_given = true;
+            (None, None) if word.is_some() => subcommand = word,
+            (None, Some(first)) => {
+                return Err(format!("unexpected second input file `{arg}` (after `{first}`)"));
             }
-            "--models" => {
-                let list = it.next().ok_or("--models needs a comma-separated list of models")?;
-                let mut choices = Vec::new();
-                for name in list.split(',') {
-                    let name = name.trim();
-                    if name.is_empty() {
-                        return Err(format!("--models got an empty model name in `{list}`"));
-                    }
-                    choices.push(ModelChoice::parse_name(name).ok_or_else(|| {
-                        format!(
-                            "unknown model `{name}` in --models \
-                             (lkmm, lkmm-cat, sc, tso, armv8, power, c11)"
-                        )
-                    })?);
-                }
-                cli.models = Some(choices);
-            }
-            "--store" => {
-                let path = it.next().ok_or("--store needs a path argument")?;
-                cli.store = Some(path.clone());
-            }
-            "--salt" => {
-                let salt = it.next().ok_or("--salt needs an argument")?;
-                cli.salt = salt.clone();
-            }
-            "--budget-candidates" => {
-                let n = it.next().ok_or("--budget-candidates needs an argument")?;
-                cli.budget_candidates = Some(parse_count("--budget-candidates", n)?);
-            }
-            "--budget-steps" => {
-                let n = it.next().ok_or("--budget-steps needs an argument")?;
-                cli.budget_steps = Some(parse_count("--budget-steps", n)?);
-            }
-            "--budget-ms" => {
-                let n = it.next().ok_or("--budget-ms needs an argument")?;
-                cli.budget_ms = Some(parse_count("--budget-ms", n)?);
-            }
-            "--max-request-bytes" => {
-                let n = it.next().ok_or("--max-request-bytes needs an argument")?;
-                cli.max_request_bytes =
-                    Some(parse_count("--max-request-bytes", n)? as usize);
-            }
-            "--max-cycle-len" => {
-                let n = it.next().ok_or("--max-cycle-len needs an argument")?;
-                let len = n
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|l| *l <= MAX_CAMPAIGN_CYCLE_LEN);
-                cli.max_cycle_len = Some(len.ok_or_else(|| {
-                    format!(
-                        "--max-cycle-len needs an integer in 0..={MAX_CAMPAIGN_CYCLE_LEN}, \
-                         got `{n}` (longer campaigns explode combinatorially; drive them \
-                         through the conformance library API instead)"
-                    )
-                })?);
-                cli.conformance_flag_seen = true;
-            }
-            "--contended" => {
-                cli.contended = true;
-                cli.conformance_flag_seen = true;
-            }
-            "--no-library" => {
-                cli.no_library = true;
-                cli.conformance_flag_seen = true;
-            }
-            "--no-shrink" => {
-                cli.no_shrink = true;
-                cli.conformance_flag_seen = true;
-            }
-            "--json" => {
-                cli.json = true;
-                cli.conformance_flag_seen = true;
-            }
-            "--sim-iterations" => {
-                let n = it.next().ok_or("--sim-iterations needs an argument")?;
-                cli.sim_iterations = n.parse::<u64>().map_err(|_| {
-                    format!("--sim-iterations needs a non-negative integer, got `{n}`")
-                })?;
-                cli.conformance_flag_seen = true;
-            }
-            "--sim-seed" => {
-                let n = it.next().ok_or("--sim-seed needs an argument")?;
-                cli.sim_seed = n
-                    .parse::<u64>()
-                    .map_err(|_| format!("--sim-seed needs a non-negative integer, got `{n}`"))?;
-                cli.conformance_flag_seen = true;
-            }
-            "--sim-stride" => {
-                let n = it.next().ok_or("--sim-stride needs an argument")?;
-                cli.sim_stride = parse_count("--sim-stride", n)? as usize;
-                cli.sim_stride_given = true;
-                cli.conformance_flag_seen = true;
-            }
-            "--checkpoint" => {
-                let path = it.next().ok_or("--checkpoint needs a path argument")?;
-                cli.checkpoint = Some(path.clone());
-                cli.conformance_flag_seen = true;
-            }
-            "--checkpoint-every" => {
-                let n = it.next().ok_or("--checkpoint-every needs an argument")?;
-                cli.checkpoint_every = Some(parse_count("--checkpoint-every", n)? as usize);
-                cli.conformance_flag_seen = true;
-            }
-            "--resume" => {
-                cli.resume = true;
-                cli.conformance_flag_seen = true;
-            }
-            "--max-retries" => {
-                let n = it.next().ok_or("--max-retries needs an argument")?;
-                cli.max_retries = Some(n.parse::<u32>().map_err(|_| {
-                    format!("--max-retries needs a non-negative integer, got `{n}`")
-                })?);
-                cli.conformance_flag_seen = true;
-            }
-            "--retry-base-ms" => {
-                let n = it.next().ok_or("--retry-base-ms needs an argument")?;
-                cli.retry_base_ms = Some(n.parse::<u64>().map_err(|_| {
-                    format!("--retry-base-ms needs a non-negative integer, got `{n}`")
-                })?);
-                cli.conformance_flag_seen = true;
-            }
-            "--stop-after" => {
-                let n = it.next().ok_or("--stop-after needs an argument")?;
-                cli.stop_after = Some(parse_count("--stop-after", n)? as usize);
-                cli.conformance_flag_seen = true;
-            }
-            "--repair" => cli.repair = true,
-            "--listen" => {
-                let addr = it.next().ok_or("--listen needs an address argument")?;
-                cli.listen = Some(addr.clone());
-            }
-            "--shards" => {
-                let n = it.next().ok_or("--shards needs an argument")?;
-                let shards = n.parse::<usize>().ok().filter(|s| (1..=64).contains(s));
-                cli.shards = Some(
-                    shards
-                        .ok_or_else(|| format!("--shards needs an integer in 1..=64, got `{n}`"))?,
-                );
-            }
-            "--server-workers" => {
-                let n = it.next().ok_or("--server-workers needs an argument")?;
-                cli.server_workers = Some(parse_count("--server-workers", n)? as usize);
-            }
-            "--durable" => cli.durable = true,
-            "--quota-requests" => {
-                let n = it.next().ok_or("--quota-requests needs an argument")?;
-                cli.quota_requests = Some(parse_count("--quota-requests", n)?);
-            }
-            "--max-pending" => {
-                let n = it.next().ok_or("--max-pending needs an argument")?;
-                cli.max_pending = Some(parse_count("--max-pending", n)? as usize);
-            }
-            "--max-conns" => {
-                let n = it.next().ok_or("--max-conns needs an argument")?;
-                cli.max_conns = Some(parse_count("--max-conns", n)? as usize);
-            }
-            "--idle-timeout-ms" => {
-                let n = it.next().ok_or("--idle-timeout-ms needs an argument")?;
-                cli.idle_timeout_ms = Some(n.parse::<u64>().map_err(|_| {
-                    format!("--idle-timeout-ms needs a non-negative integer, got `{n}`")
-                })?);
-            }
-            "--connect" => {
-                let addr = it.next().ok_or("--connect needs an address argument")?;
-                cli.connect = Some(addr.clone());
-            }
-            "--algorithms" => {
-                cli.algorithms = true;
-                cli.conformance_flag_seen = true;
-            }
-            "--families" => {
-                let list = it.next().ok_or("--families needs a comma-separated list")?;
-                for name in list.split(',') {
-                    let name = name.trim();
-                    if name.is_empty() {
-                        return Err(format!("--families got an empty family name in `{list}`"));
-                    }
-                    cli.families.push(FamilyId::parse_name(name).ok_or_else(|| {
-                        let known = FamilyId::ALL
-                            .iter()
-                            .map(|f| f.name())
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        format!("unknown algorithm family `{name}` ({known})")
-                    })?);
-                }
-                cli.conformance_flag_seen = true;
-            }
-            "--algo-threads" => {
-                let n = it.next().ok_or("--algo-threads needs an argument")?;
-                cli.algo_threads = Some(parse_count("--algo-threads", n)? as usize);
-                cli.conformance_flag_seen = true;
-            }
-            "--algo-sections" => {
-                let n = it.next().ok_or("--algo-sections needs an argument")?;
-                cli.algo_sections = Some(parse_count("--algo-sections", n)? as usize);
-                cli.conformance_flag_seen = true;
-            }
-            "--algo-retries" => {
-                let n = it.next().ok_or("--algo-retries needs an argument")?;
-                cli.algo_retries = Some(parse_count("--algo-retries", n)? as usize);
-                cli.conformance_flag_seen = true;
-            }
-            "--list-algorithms" => cli.list_algorithms = true,
-            "--enum-stats" => cli.enum_stats = true,
-            "--library" | "-l" => cli.run_library = true,
-            "--dot" => cli.dot = true,
-            "--states" | "-s" => cli.states = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option `{other}`"));
-            }
-            "serve"
-                if !cli.serve_mode && !cli.conformance_mode && !cli.store_cmd
-                    && !cli.client_mode && cli.file.is_none() =>
-            {
-                cli.serve_mode = true;
-            }
-            "conformance"
-                if !cli.serve_mode && !cli.conformance_mode && !cli.store_cmd
-                    && !cli.client_mode && cli.file.is_none() =>
-            {
-                cli.conformance_mode = true;
-            }
-            "store"
-                if !cli.serve_mode && !cli.conformance_mode && !cli.store_cmd
-                    && !cli.client_mode && cli.file.is_none() =>
-            {
-                cli.store_cmd = true;
-            }
-            "client"
-                if !cli.serve_mode && !cli.conformance_mode && !cli.store_cmd
-                    && !cli.client_mode && cli.file.is_none() =>
-            {
-                cli.client_mode = true;
-            }
-            other => {
-                if cli.store_cmd {
-                    cli.store_args.push(other.to_string());
-                    continue;
-                }
-                if cli.serve_mode {
-                    return Err(format!("unexpected argument `{other}` after `serve`"));
-                }
-                if cli.client_mode {
-                    return Err(format!("unexpected argument `{other}` after `client`"));
-                }
-                if cli.conformance_mode {
-                    return Err(format!("unexpected argument `{other}` after `conformance`"));
-                }
-                if let Some(first) = &cli.file {
-                    return Err(format!("unexpected second input file `{other}` (after `{first}`)"));
-                }
-                cli.file = Some(other.to_string());
-            }
+            (None, None) => cli.file = Some(arg.to_string()),
         }
     }
-    if cli.serve_mode && (cli.run_library || cli.dot || cli.states || cli.early_exit) {
-        return Err("`serve` takes only --model, --jobs, --store, --salt, --budget-*, \
-                    --max-request-bytes, and the --listen server options"
-            .to_string());
+    let has = |name: &str| given.iter().any(|(_, f)| f.0[0] == name);
+    cli.mode = match subcommand {
+        Some(Mode::Serve) if cli.listen.is_some() => Mode::Listen,
+        Some(Mode::Campaign) if has("--algorithms") => Mode::Algorithms,
+        Some(mode) => mode,
+        None if has("--list-algorithms") => Mode::ListAlgorithms,
+        None if has("--library") => Mode::Library,
+        None if cli.models.is_some() => Mode::Models,
+        None => Mode::File,
+    };
+    if let Some((spelling, flag)) = given.iter().find(|(_, f)| f.2 & cli.mode.bit() == 0) {
+        let modes = Mode::NAMES.iter().filter(|(mode, _)| flag.2 & mode.bit() != 0);
+        let modes: Vec<_> = modes.map(|(_, name)| format!("`{name}`")).collect();
+        return Err(format!(
+            "{spelling} does not apply to `{}`, only to {}",
+            cli.mode.name(),
+            modes.join(", ")
+        ));
     }
-    if cli.client_mode {
-        if cli.connect.is_none() {
-            return Err("`client` needs --connect ADDR (the server to talk to)".to_string());
+    let verb = cli.store_args.first().map(String::as_str);
+    Err(match cli.mode {
+        Mode::Client if cli.connect.is_none() => {
+            "`client` needs --connect ADDR (the server to talk to)".to_string()
         }
-        if cli.serve_mode
-            || cli.conformance_mode
-            || cli.store_cmd
-            || cli.run_library
-            || cli.file.is_some()
-            || cli.model_given
-            || cli.models.is_some()
-            || cli.store.is_some()
-            || cli.listen.is_some()
-            || cli.conformance_flag_seen
-            || cli.enum_stats
-            || cli.list_algorithms
-        {
-            return Err("`client` takes only --connect ADDR".to_string());
+        Mode::Store if verb.is_none() => {
+            "`store` needs a verb: scrub, compact, export, merge, or stats".to_string()
         }
-        return Ok(Some(cli));
-    }
-    if cli.connect.is_some() {
-        return Err("--connect only applies to `client`".to_string());
-    }
-    if cli.listen.is_some() && !cli.serve_mode {
-        return Err("--listen only applies to `serve`".to_string());
-    }
-    if cli.listen.is_none()
-        && (cli.server_workers.is_some()
-            || cli.durable
-            || cli.quota_requests.is_some()
-            || cli.max_pending.is_some()
-            || cli.max_conns.is_some()
-            || cli.idle_timeout_ms.is_some())
-    {
-        return Err("--server-workers/--durable/--quota-requests/--max-pending/--max-conns/\
-                    --idle-timeout-ms only apply to `serve --listen`"
-            .to_string());
-    }
-    if cli.shards.is_some()
-        && !(cli.serve_mode && cli.listen.is_some())
-        && !(cli.store_cmd && cli.store_args.first().map(String::as_str) == Some("merge"))
-    {
-        return Err(
-            "--shards applies to `serve --listen` and `store merge`".to_string(),
-        );
-    }
-    if cli.conformance_mode
-        && (cli.run_library || cli.dot || cli.states || cli.early_exit || cli.model_given)
-    {
-        return Err("`conformance` runs all models over its own corpus; it takes only --jobs, \
-                    --store, --salt, --budget-*, and the conformance flags"
-            .to_string());
-    }
-    if cli.list_algorithms {
-        if cli.serve_mode
-            || cli.conformance_mode
-            || cli.store_cmd
-            || cli.run_library
-            || cli.file.is_some()
-            || cli.models.is_some()
-            || cli.model_given
-            || cli.conformance_flag_seen
-            || cli.enum_stats
-            || cli.store.is_some()
-        {
-            return Err("--list-algorithms takes no other options".to_string());
+        Mode::Store if cli.repair && verb != Some("scrub") => {
+            "--repair only applies to `store scrub`".to_string()
         }
-        return Ok(Some(cli));
-    }
-    if cli.store_cmd {
-        if cli.run_library
-            || cli.dot
-            || cli.states
-            || cli.early_exit
-            || cli.model_given
-            || cli.models.is_some()
-            || cli.enum_stats
-            || cli.store.is_some()
-            || cli.conformance_flag_seen
-            || cli.budget_candidates.is_some()
-            || cli.budget_steps.is_some()
-            || cli.budget_ms.is_some()
-            || cli.max_request_bytes.is_some()
-        {
-            return Err("`store` takes a verb (scrub/compact/export/merge/stats), its path \
-                        arguments, --repair (scrub only), and --shards (merge only)"
-                .to_string());
+        Mode::Store if cli.shards.is_some() && verb != Some("merge") => {
+            "--shards applies to `serve --listen` and `store merge`".to_string()
         }
-        if cli.store_args.is_empty() {
-            return Err(
-                "`store` needs a verb: scrub, compact, export, merge, or stats".to_string()
-            );
+        Mode::Library | Mode::ListAlgorithms if cli.file.is_some() => {
+            format!("{} does not take an input file", cli.mode.name())
         }
-    }
-    if cli.repair
-        && !(cli.store_cmd && cli.store_args.first().map(String::as_str) == Some("scrub"))
-    {
-        return Err("--repair only applies to `store scrub`".to_string());
-    }
-    if cli.conformance_flag_seen && !cli.conformance_mode {
-        return Err("--max-cycle-len/--contended/--no-library/--no-shrink/--json/--sim-*/\
-                    --algorithms/--families/--algo-*/--checkpoint*/--resume/--max-retries/\
-                    --retry-base-ms/--stop-after only apply to `conformance`"
-            .to_string());
-    }
-    if cli.resume && cli.checkpoint.is_none() {
-        return Err("--resume needs --checkpoint PATH (the manifest to resume from)".to_string());
-    }
-    if cli.checkpoint_every.is_some() && cli.checkpoint.is_none() {
-        return Err("--checkpoint-every needs --checkpoint PATH".to_string());
-    }
-    if cli.algorithms
-        && (cli.checkpoint.is_some()
-            || cli.checkpoint_every.is_some()
-            || cli.resume
-            || cli.max_retries.is_some()
-            || cli.retry_base_ms.is_some()
-            || cli.stop_after.is_some())
-    {
-        return Err("--checkpoint/--checkpoint-every/--resume/--max-retries/--retry-base-ms/\
-                    --stop-after tune the cycle campaign; `--algorithms` runs its family \
-                    corpus with the default retries and no checkpoint"
-            .to_string());
-    }
-    if !cli.algorithms
-        && (!cli.families.is_empty()
-            || cli.algo_threads.is_some()
-            || cli.algo_sections.is_some()
-            || cli.algo_retries.is_some())
-    {
-        return Err("--families/--algo-threads/--algo-sections/--algo-retries only apply to \
-                    `conformance --algorithms`"
-            .to_string());
-    }
-    if cli.algorithms
-        && (cli.max_cycle_len.is_some()
-            || cli.contended
-            || cli.no_library
-            || cli.sim_stride_given)
-    {
-        return Err("--max-cycle-len/--contended/--no-library/--sim-stride describe the cycle \
-                    corpus; `--algorithms` replaces it with the family programs"
-            .to_string());
-    }
-    if cli.enum_stats
-        && !(cli.conformance_mode
-            || (cli.run_library && cli.store.is_some())
-            || cli.models.is_some())
-    {
-        return Err(
-            "--enum-stats applies to `conformance`, `--models`, or `--library --store`"
-                .to_string(),
-        );
-    }
-    if cli.max_request_bytes.is_some() && !cli.serve_mode {
-        return Err("--max-request-bytes only applies to `serve`".to_string());
-    }
-    if cli.models.is_some() {
-        if cli.model_given {
-            return Err("--models replaces --model; give the whole list to --models".to_string());
+        Mode::Library if cli.enum_stats && cli.store.is_none() => {
+            "--enum-stats with --library needs --store".to_string()
         }
-        if cli.serve_mode
-            || cli.conformance_mode
-            || cli.run_library
-            || cli.dot
-            || cli.states
-            || cli.early_exit
-            || cli.store.is_some()
-        {
-            return Err("--models checks one FILE.litmus and takes only --jobs and --budget-* \
-                        (use `conformance` for store-backed multi-model campaigns)"
-                .to_string());
+        _ if cli.checkpoint.is_none() && (cli.resume || cli.checkpoint_every.is_some()) => {
+            let flag = if cli.resume { "--resume" } else { "--checkpoint-every" };
+            format!("{flag} needs --checkpoint PATH")
         }
-    }
-    if cli.run_library && cli.file.is_some() {
-        return Err("--library does not take an input file".to_string());
-    }
-    if cli.store.is_some() && cli.early_exit {
-        return Err(
+        _ if cli.early_exit && cli.store.is_some() => {
             "--early-exit cannot be combined with --store (its counts are lower bounds and \
              must not be cached as exact)"
-                .to_string(),
-        );
+                .to_string()
+        }
+        _ => return Ok(Some(cli)),
+    })
+}
+
+/// The `--enum-stats` counters a run shares: enumeration and data plane.
+type Stats = (Option<Arc<EnumStats>>, Option<Arc<DataPlaneStats>>);
+
+/// Print the one-pass paths' `--enum-stats` lines on stderr.
+fn report_stats((enumeration, data_plane): &Stats) {
+    if let Some(e) = enumeration {
+        eprintln!("herd-rs: {}", enumeration_line(&e.snapshot()));
     }
-    Ok(Some(cli))
+    if let Some(d) = data_plane {
+        eprintln!("herd-rs: {}", data_plane_line(&d.snapshot()));
+    }
 }
 
 impl Cli {
+    /// Store what `flag`, named by its first spelling in [`FLAGS`], was
+    /// given.
+    fn set(&mut self, flag: &str, v: &Value) -> Result<(), String> {
+        match flag {
+            "--jobs" => self.jobs = v.within(0, MAX_JOBS)?,
+            "--early-exit" => self.early_exit = true,
+            "--model" => self.model = model(v.text)?,
+            "--models" => self.models = Some(v.list("model", model)?),
+            "--store" => self.store = Some(v.text.into()),
+            "--salt" => self.salt = v.text.into(),
+            "--budget-candidates" => self.budget_candidates = Some(v.positive()?),
+            "--budget-steps" => self.budget_steps = Some(v.positive()?),
+            "--budget-ms" => self.budget_ms = Some(v.positive()?),
+            "--max-request-bytes" => self.max_request_bytes = Some(v.positive()?),
+            "--max-cycle-len" => {
+                let why = " (longer campaigns explode combinatorially; drive them through the \
+                           conformance library API instead)";
+                let len = v.within(0, MAX_CAMPAIGN_CYCLE_LEN).map_err(|e| e + why)?;
+                self.max_cycle_len = Some(len);
+            }
+            "--contended" => self.contended = true,
+            "--no-library" => self.no_library = true,
+            "--no-shrink" => self.no_shrink = true,
+            "--json" => self.json = true,
+            "--sim-iterations" => self.sim.iterations = v.int()?,
+            "--sim-seed" => self.sim.seed = v.int()?,
+            "--sim-stride" => self.sim.stride = v.positive()?,
+            "--checkpoint" => self.checkpoint = Some(v.text.into()),
+            "--checkpoint-every" => self.checkpoint_every = Some(v.positive()?),
+            "--resume" => self.resume = true,
+            "--max-retries" => self.max_retries = Some(v.int()?),
+            "--retry-base-ms" => self.retry_base_ms = Some(v.int()?),
+            "--stop-after" => self.stop_after = Some(v.positive()?),
+            "--repair" => self.repair = true,
+            "--listen" => self.listen = Some(v.text.into()),
+            "--shards" => self.shards = Some(v.within(1, 64)?),
+            "--server-workers" => self.server_workers = Some(v.positive()?),
+            "--durable" => self.durable = true,
+            "--quota-requests" => self.quota_requests = Some(v.positive()?),
+            "--max-pending" => self.max_pending = Some(v.positive()?),
+            "--max-conns" => self.max_conns = Some(v.positive()?),
+            "--idle-timeout-ms" => self.idle_timeout_ms = Some(v.int()?),
+            "--connect" => self.connect = Some(v.text.into()),
+            "--families" => self.families.extend(v.list("family", family)?),
+            "--algo-threads" => self.algo_threads = Some(v.positive()?),
+            "--algo-sections" => self.algo_sections = Some(v.positive()?),
+            "--algo-retries" => self.algo_retries = Some(v.positive()?),
+            "--enum-stats" => self.enum_stats = true,
+            "--dot" => self.dot = true,
+            "--states" => self.states = true,
+            "--algorithms" | "--list-algorithms" | "--library" => {} // they pick the mode
+            other => unreachable!("{other} is in FLAGS but sets no field"),
+        }
+        Ok(())
+    }
+
     /// The per-check budget the flags describe. In `serve` mode the
     /// wall-clock axis is handled per request instead (see `main`).
     fn budget(&self, include_time: bool) -> Budget {
@@ -829,21 +616,42 @@ impl Cli {
         }
         budget
     }
+
+    /// Request framing for both serve modes. The wall-clock axis is per
+    /// *request* (a batch request checks many tests), so it lives here,
+    /// not in the budget.
+    fn serve_options(&self) -> ServeOptions {
+        ServeOptions {
+            max_request_bytes: self
+                .max_request_bytes
+                .unwrap_or(ServeOptions::default().max_request_bytes),
+            request_time_limit: self.budget_ms.map(Duration::from_millis),
+        }
+    }
+
+    /// Fresh `--enum-stats` counters, or none without the flag.
+    fn stats(&self) -> Stats {
+        (self.enum_stats.then(Arc::default), self.enum_stats.then(Arc::default))
+    }
+}
+
+/// Exit code and message for a store that failed to open or maintain:
+/// 9 when another live process holds its lock, 5 otherwise.
+fn store_fail(context: &str, e: &StoreError) -> ExitCode {
+    let code = match e {
+        StoreError::Locked { .. } => EXIT_LOCKED,
+        StoreError::Io(_) => EXIT_STORE,
+    };
+    fail_code(code, &format!("{context}: {e}"))
 }
 
 /// Open the store named by `--store` (or an in-memory one for `serve`
 /// without persistence), reporting recovery events on stderr.
-fn open_store(path: Option<&str>) -> Result<VerdictStore, (u8, String)> {
+fn open_store(path: Option<&str>) -> Result<VerdictStore, ExitCode> {
     let Some(path) = path else {
         return Ok(VerdictStore::in_memory());
     };
-    let store = VerdictStore::open(path).map_err(|e| {
-        let code = match &e {
-            lkmm_service::StoreError::Locked { .. } => EXIT_LOCKED,
-            lkmm_service::StoreError::Io(_) => EXIT_STORE,
-        };
-        (code, format!("{path}: {e}"))
-    })?;
+    let store = VerdictStore::open(path).map_err(|e| store_fail(path, &e))?;
     report_recovery(path, &store.recovery());
     Ok(store)
 }
@@ -855,7 +663,7 @@ fn store_checker<'m>(
     model: &'m dyn lkmm_exec::ConsistencyModel,
     path: &str,
     opts: EnumOptions,
-) -> Result<MultiBatchChecker<'m>, (u8, String)> {
+) -> Result<MultiBatchChecker<'m>, ExitCode> {
     let store = open_store(Some(path))?;
     let column = MultiColumn { model, salt: cli.salt.clone() };
     Ok(MultiBatchChecker::new(vec![column], store)
@@ -910,44 +718,31 @@ fn main() -> ExitCode {
         Ok(None) => return ExitCode::SUCCESS,
         Err(e) => return usage_fail(&e),
     };
-
-    if cli.list_algorithms {
-        return list_algorithms_mode();
+    match cli.mode {
+        Mode::ListAlgorithms => list_algorithms_mode(),
+        Mode::Client => client_mode(cli.connect.as_deref().expect("parse_args requires --connect")),
+        Mode::Serve => serve_mode(&cli),
+        Mode::Listen => {
+            serve_tcp_mode(&cli, cli.listen.as_deref().expect("--listen picks the mode"))
+        }
+        Mode::Store => store_cmd_mode(&cli),
+        Mode::Campaign => conformance_mode(&cli),
+        Mode::Algorithms => algo_conformance_mode(&cli),
+        Mode::Library => match cli.store.as_deref() {
+            Some(store_path) => library_via_store(&cli, store_path),
+            None => library_plain(&cli),
+        },
+        Mode::File | Mode::Models => file_mode(&cli),
     }
+}
 
-    if cli.client_mode {
-        let addr = cli.connect.as_deref().expect("parse_args requires --connect");
-        return client_mode(addr);
-    }
-
-    if cli.serve_mode {
-        return if let Some(addr) = cli.listen.as_deref() {
-            serve_tcp_mode(&cli, addr)
-        } else {
-            serve_mode(&cli)
-        };
-    }
-
-    if cli.store_cmd {
-        return store_cmd_mode(&cli);
-    }
-
-    if cli.conformance_mode {
-        return if cli.algorithms { algo_conformance_mode(&cli) } else { conformance_mode(&cli) };
-    }
-
-    if cli.run_library {
-        return if let Some(store_path) = cli.store.as_deref() {
-            library_via_store(&cli, store_path)
-        } else {
-            library_plain(&cli)
-        };
-    }
-
-    let Some(path) = cli.file.clone() else {
+/// Check the one FILE.litmus under `--model`, or under every `--models`
+/// column at once.
+fn file_mode(cli: &Cli) -> ExitCode {
+    let Some(path) = cli.file.as_deref() else {
         return usage_fail("no input file");
     };
-    let source = match std::fs::read_to_string(&path) {
+    let source = match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => return fail_code(EXIT_INPUT, &format!("{path}: {e}")),
     };
@@ -957,15 +752,15 @@ fn main() -> ExitCode {
     };
 
     if let Some(models) = cli.models.as_deref() {
-        return multi_mode(&cli, models, &test, &path);
+        return multi_mode(cli, models, &test, path);
     }
 
-    let outcome = if let Some(store_path) = cli.store.as_deref() {
+    let (model_name, outcome) = if let Some(store_path) = cli.store.as_deref() {
         let model = cli.model.model();
         let opts = EnumOptions::default();
-        let mut checker = match store_checker(&cli, model.as_ref(), store_path, opts) {
+        let mut checker = match store_checker(cli, model.as_ref(), store_path, opts) {
             Ok(c) => c,
-            Err((code, e)) => return fail_code(code, &e),
+            Err(code) => return code,
         };
         let cell = match checker.check_corpus(std::slice::from_ref(&test), &[vec![true]]) {
             Ok(mut report) => {
@@ -974,17 +769,17 @@ fn main() -> ExitCode {
             Err(e) => return fail_code(EXIT_STORE, &format!("{store_path}: verdict store: {e}")),
         };
         eprintln!("herd-rs: store {store_path}: {}", cell.provenance);
-        GovernedOutcome { model_name: model.name().to_string(), outcome: cell.outcome }
+        (model.name().to_string(), cell.outcome)
     } else {
         let herd = Herd::new(cli.model)
             .with_jobs(cli.jobs)
             .with_early_exit(cli.early_exit)
             .with_budget(cli.budget(true));
         let governed = herd.check_governed(&test);
-        GovernedOutcome { model_name: governed.model_name, outcome: governed.outcome }
+        (governed.model_name, governed.outcome)
     };
 
-    let result = match outcome.outcome {
+    let result = match outcome {
         CheckOutcome::Complete(result) => result,
         CheckOutcome::Inconclusive { reason, partial } => {
             return fail_code(
@@ -997,11 +792,7 @@ fn main() -> ExitCode {
             );
         }
     };
-    let report = Report {
-        test_name: test.name.clone(),
-        model_name: outcome.model_name,
-        result,
-    };
+    let report = Report { test_name: test.name.clone(), model_name, result };
 
     println!("{report}");
     if cli.states {
@@ -1020,12 +811,6 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The single-file checking paths (store and storeless) converge here.
-struct GovernedOutcome {
-    model_name: String,
-    outcome: CheckOutcome,
-}
-
 /// `--models a,b,c FILE`: decide every listed model from one enumeration
 /// pass. Stdout is byte-identical to running `--model a FILE`,
 /// `--model b FILE`, ... in sequence; a budget trip makes *all* models
@@ -1039,15 +824,10 @@ fn multi_mode(
     test: &lkmm_litmus::Test,
     path: &str,
 ) -> ExitCode {
-    let stats = cli
-        .enum_stats
-        .then(|| std::sync::Arc::new(lkmm_exec::EnumStats::default()));
-    let dp_stats = cli
-        .enum_stats
-        .then(|| std::sync::Arc::new(lkmm_exec::DataPlaneStats::default()));
+    let stats = cli.stats();
     let herd = Herd::new_multi(models)
-        .with_options(EnumOptions { stats: stats.clone(), ..EnumOptions::default() })
-        .with_pipeline_stats(dp_stats.clone())
+        .with_options(EnumOptions { stats: stats.0.clone(), ..EnumOptions::default() })
+        .with_pipeline_stats(stats.1.clone())
         .with_jobs(cli.jobs)
         .with_budget(cli.budget(true));
     let governed = herd.check_multi_governed(test);
@@ -1056,21 +836,7 @@ fn multi_mode(
             for report in governed.reports().expect("outcome is Complete") {
                 println!("{report}");
             }
-            if let Some(stats) = &stats {
-                let e = stats.snapshot();
-                eprintln!(
-                    "herd-rs: enumeration: {} rf prefixes pruned, {} co pairs saturated, \
-                     {} branched, {} leaves tested, {} candidates emitted",
-                    e.rf_prefixes_pruned,
-                    e.co_pairs_saturated,
-                    e.co_pairs_branched,
-                    e.co_leaves_tested,
-                    e.candidates_emitted
-                );
-            }
-            if let Some(dp) = &dp_stats {
-                eprintln!("herd-rs: {}", data_plane_line(&dp.snapshot()));
-            }
+            report_stats(&stats);
             ExitCode::SUCCESS
         }
         MultiCheckOutcome::Inconclusive { reason, partials } => {
@@ -1092,29 +858,23 @@ fn multi_mode(
 fn conformance_mode(cli: &Cli) -> ExitCode {
     use linux_kernel_memory_model::conformance::{
         human_table, json_report, observability_lines, run_campaign, CampaignConfig,
-        ResilienceConfig, SimConfig,
+        ResilienceConfig,
     };
-    let resilience_defaults = ResilienceConfig::default();
+    let defaults = CampaignConfig::default();
+    let resilience_defaults = defaults.resilience;
+    let (enum_stats, data_plane) = cli.stats();
     let cfg = CampaignConfig {
-        max_cycle_len: cli.max_cycle_len.unwrap_or(4),
+        max_cycle_len: cli.max_cycle_len.unwrap_or(defaults.max_cycle_len),
         contended: cli.contended,
         include_library: !cli.no_library,
         salt: cli.salt.clone(),
         jobs: cli.jobs,
         budget: cli.budget(true),
         store_path: cli.store.as_ref().map(std::path::PathBuf::from),
-        sim: SimConfig {
-            iterations: cli.sim_iterations,
-            seed: cli.sim_seed,
-            stride: cli.sim_stride,
-        },
+        sim: cli.sim.clone(),
         shrink: !cli.no_shrink,
-        enum_stats: cli
-            .enum_stats
-            .then(|| std::sync::Arc::new(lkmm_exec::EnumStats::default())),
-        data_plane: cli
-            .enum_stats
-            .then(|| std::sync::Arc::new(lkmm_exec::DataPlaneStats::default())),
+        enum_stats,
+        data_plane,
         resilience: ResilienceConfig {
             checkpoint: cli.checkpoint.as_ref().map(std::path::PathBuf::from),
             checkpoint_every: cli.checkpoint_every.unwrap_or(resilience_defaults.checkpoint_every),
@@ -1175,10 +935,10 @@ fn campaign_exit(
 fn algo_conformance_mode(cli: &Cli) -> ExitCode {
     use linux_kernel_memory_model::algorithms::FamilyParams;
     use linux_kernel_memory_model::conformance::{
-        algo_human_table, algo_json_report, algo_observability_lines, run_algo_campaign,
-        AlgoConfig, SimConfig,
+        algo_human_table, algo_json_report, algo_observability_lines, run_algo_campaign, AlgoConfig,
     };
     let defaults = FamilyParams::default();
+    let (enum_stats, data_plane) = cli.stats();
     let cfg = AlgoConfig {
         families: cli.families.clone(),
         params: FamilyParams {
@@ -1190,18 +950,12 @@ fn algo_conformance_mode(cli: &Cli) -> ExitCode {
         jobs: cli.jobs,
         budget: cli.budget(true),
         store_path: cli.store.as_ref().map(std::path::PathBuf::from),
-        sim: SimConfig {
-            iterations: cli.sim_iterations,
-            seed: cli.sim_seed,
-            ..SimConfig::default()
-        },
+        // `--sim-stride` is a cycle-campaign flag, so the stride is the
+        // default here.
+        sim: cli.sim.clone(),
         shrink: !cli.no_shrink,
-        enum_stats: cli
-            .enum_stats
-            .then(|| std::sync::Arc::new(lkmm_exec::EnumStats::default())),
-        data_plane: cli
-            .enum_stats
-            .then(|| std::sync::Arc::new(lkmm_exec::DataPlaneStats::default())),
+        enum_stats,
+        data_plane,
         ..AlgoConfig::default()
     };
     let report = match run_algo_campaign(&cfg) {
@@ -1232,19 +986,13 @@ fn serve_mode(cli: &Cli) -> ExitCode {
     let model = cli.model.model();
     let store = match open_store(cli.store.as_deref()) {
         Ok(s) => s,
-        Err((code, e)) => return fail_code(code, &e),
+        Err(code) => return code,
     };
-    // The wall-clock axis is per *request* in serve mode (a batch request
-    // checks many tests), so it lives in ServeOptions, not the budget.
     let mut session =
         ServeSession::new(model.as_ref(), store, &cli.salt, cli.jobs, cli.budget(false));
-    let opts = ServeOptions {
-        max_request_bytes: cli.max_request_bytes.unwrap_or(ServeOptions::default().max_request_bytes),
-        request_time_limit: cli.budget_ms.map(Duration::from_millis),
-    };
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
-    match serve_with(&mut session, stdin.lock(), stdout.lock(), &opts) {
+    match serve_with(&mut session, stdin.lock(), stdout.lock(), &cli.serve_options()) {
         Ok(summary) => {
             let inconclusive = session.inconclusive;
             eprintln!(
@@ -1275,13 +1023,7 @@ fn serve_tcp_mode(cli: &Cli, addr: &str) -> ExitCode {
                 report_recovery(path, &s.recovery());
                 s
             }
-            Err(e) => {
-                let code = match &e {
-                    lkmm_service::StoreError::Locked { .. } => EXIT_LOCKED,
-                    lkmm_service::StoreError::Io(_) => EXIT_STORE,
-                };
-                return fail_code(code, &format!("{path}: {e}"));
-            }
+            Err(e) => return store_fail(path, &e),
         },
         None => ShardedStore::in_memory(shards),
     };
@@ -1298,12 +1040,7 @@ fn serve_tcp_mode(cli: &Cli, addr: &str) -> ExitCode {
         workers: cli.server_workers.unwrap_or(defaults.workers),
         jobs: cli.jobs,
         quota,
-        serve: ServeOptions {
-            max_request_bytes: cli
-                .max_request_bytes
-                .unwrap_or(ServeOptions::default().max_request_bytes),
-            request_time_limit: cli.budget_ms.map(Duration::from_millis),
-        },
+        serve: cli.serve_options(),
         max_conns: cli.max_conns.unwrap_or(defaults.max_conns),
         idle_timeout: match cli.idle_timeout_ms {
             Some(0) => None,
@@ -1344,7 +1081,7 @@ fn serve_tcp_mode(cli: &Cli, addr: &str) -> ExitCode {
 /// its responses, and surface typed rejections in the exit code (10
 /// over-quota, 11 overloaded; the numerically worst seen wins).
 fn client_mode(addr: &str) -> ExitCode {
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufRead, BufReader};
     use std::net::{Shutdown, TcpStream};
     let stream = match TcpStream::connect(addr) {
         Ok(s) => s,
@@ -1355,14 +1092,9 @@ fn client_mode(addr: &str) -> ExitCode {
         Err(e) => return fail_code(EXIT_INTERNAL, &format!("client: {e}")),
     };
     let writer = std::thread::spawn(move || {
-        let stdin = std::io::stdin();
-        let mut out = std::io::BufWriter::new(&write_half);
-        for line in stdin.lock().lines().map_while(Result::ok) {
-            if writeln!(out, "{line}").and_then(|()| out.flush()).is_err() {
-                break;
-            }
-        }
-        drop(out);
+        // Stdin's bytes go out unchanged, so the server's framing answers
+        // every line, one that is not UTF-8 included.
+        let _ = std::io::copy(&mut std::io::stdin().lock(), &mut &write_half);
         // Half-close tells the server we are done; responses to
         // everything already sent keep flowing back.
         let _ = write_half.shutdown(Shutdown::Write);
@@ -1390,15 +1122,7 @@ fn client_mode(addr: &str) -> ExitCode {
 /// a check: it exits 5 when the log has defects a repair would heal,
 /// so CI can assert a store is pristine.
 fn store_cmd_mode(cli: &Cli) -> ExitCode {
-    use lkmm_service::StoreError;
     use std::path::Path;
-    fn store_fail(context: &str, e: StoreError) -> ExitCode {
-        let code = match &e {
-            StoreError::Locked { .. } => EXIT_LOCKED,
-            StoreError::Io(_) => EXIT_STORE,
-        };
-        fail_code(code, &format!("store {context}: {e}"))
-    }
     /// Scrub one family member; the caller folds the worst exit code.
     fn scrub_one(path: &str, repair: bool) -> Result<u8, StoreError> {
         let r = VerdictStore::scrub(path, repair)?;
@@ -1438,7 +1162,7 @@ fn store_cmd_mode(cli: &Cli) -> ExitCode {
                 }
                 match scrub_one(&member.display().to_string(), cli.repair) {
                     Ok(code) => worst = worst.max(code),
-                    Err(e) => return store_fail("scrub", e),
+                    Err(e) => return store_fail("store scrub", &e),
                 }
             }
             ExitCode::from(worst)
@@ -1461,7 +1185,7 @@ fn store_cmd_mode(cli: &Cli) -> ExitCode {
                         r.bytes_before,
                         r.bytes_after
                     ),
-                    Err(e) => return store_fail("compact", e),
+                    Err(e) => return store_fail("store compact", &e),
                 }
             }
             ExitCode::SUCCESS
@@ -1473,7 +1197,7 @@ fn store_cmd_mode(cli: &Cli) -> ExitCode {
             }
             let store = match ShardedStore::open(path, shards) {
                 Ok(s) => s,
-                Err(e) => return store_fail("stats", e),
+                Err(e) => return store_fail("store stats", &e),
             };
             let (mut records, mut superseded, mut quarantined) = (0usize, 0usize, 0usize);
             for st in store.stats() {
@@ -1521,7 +1245,7 @@ fn store_cmd_mode(cli: &Cli) -> ExitCode {
                     );
                     ExitCode::SUCCESS
                 }
-                Err(e) => store_fail("export", e),
+                Err(e) => store_fail("store export", &e),
             }
         }
         ("merge", [dst, sources @ ..]) if !sources.is_empty() => {
@@ -1538,7 +1262,7 @@ fn store_cmd_mode(cli: &Cli) -> ExitCode {
                         "{src} -> {dst}: {} source keys, {} merged, {} unchanged",
                         r.source_keys, r.merged, r.unchanged
                     ),
-                    Err(e) => return store_fail("merge", e),
+                    Err(e) => return store_fail("store merge", &e),
                 }
             }
             ExitCode::SUCCESS
@@ -1583,16 +1307,11 @@ fn library_plain(cli: &Cli) -> ExitCode {
 /// without enumerating a single candidate execution.
 fn library_via_store(cli: &Cli, store_path: &str) -> ExitCode {
     let model = cli.model.model();
-    let stats = cli
-        .enum_stats
-        .then(|| std::sync::Arc::new(lkmm_exec::EnumStats::default()));
-    let dp_stats = cli
-        .enum_stats
-        .then(|| std::sync::Arc::new(lkmm_exec::DataPlaneStats::default()));
-    let opts = EnumOptions { stats: stats.clone(), ..EnumOptions::default() };
+    let stats = cli.stats();
+    let opts = EnumOptions { stats: stats.0.clone(), ..EnumOptions::default() };
     let mut checker = match store_checker(cli, model.as_ref(), store_path, opts) {
-        Ok(c) => c.with_pipeline_stats(dp_stats.clone()),
-        Err((code, e)) => return fail_code(code, &e),
+        Ok(c) => c.with_pipeline_stats(stats.1.clone()),
+        Err(code) => return code,
     };
     let tests: Vec<_> = lkmm_litmus::library::all().iter().map(|pt| pt.test()).collect();
     let report = match checker.check_corpus(&tests, &[vec![true; tests.len()]]) {
@@ -1617,21 +1336,7 @@ fn library_via_store(cli: &Cli, store_path: &str) -> ExitCode {
         col.candidates_enumerated,
         report.micros
     );
-    if let Some(stats) = &stats {
-        let e = stats.snapshot();
-        eprintln!(
-            "herd-rs: enumeration: {} rf prefixes pruned, {} co pairs saturated, {} branched, \
-             {} leaves tested, {} candidates emitted",
-            e.rf_prefixes_pruned,
-            e.co_pairs_saturated,
-            e.co_pairs_branched,
-            e.co_leaves_tested,
-            e.candidates_emitted
-        );
-    }
-    if let Some(dp) = &dp_stats {
-        eprintln!("herd-rs: {}", data_plane_line(&dp.snapshot()));
-    }
+    report_stats(&stats);
     ExitCode::SUCCESS
 }
 
@@ -1685,9 +1390,9 @@ mod tests {
     #[test]
     fn enum_stats_needs_a_mode_that_enumerates() {
         let cli = parse(&["--enum-stats", "conformance"]).unwrap().unwrap();
-        assert!(cli.enum_stats && cli.conformance_mode);
+        assert!(cli.enum_stats && cli.mode == Mode::Campaign);
         let cli = parse(&["--enum-stats", "--library", "--store", "s.log"]).unwrap().unwrap();
-        assert!(cli.enum_stats && cli.run_library);
+        assert!(cli.enum_stats && cli.mode == Mode::Library);
         // The multi-model path enumerates once for all N models; its
         // shared counters are reportable too.
         let cli = parse(&["--enum-stats", "--models", "sc,tso", "t.litmus"]).unwrap().unwrap();
@@ -1713,7 +1418,7 @@ mod tests {
         ])
         .unwrap()
         .unwrap();
-        assert!(cli.conformance_mode && cli.algorithms && cli.json);
+        assert!(cli.mode == Mode::Algorithms && cli.json);
         assert_eq!(cli.families, vec![FamilyId::Ticket, FamilyId::Deque]);
         assert_eq!(cli.algo_threads, Some(3));
         assert_eq!(cli.algo_sections, Some(2));
@@ -1756,7 +1461,7 @@ mod tests {
     #[test]
     fn list_algorithms_stands_alone() {
         let cli = parse(&["--list-algorithms"]).unwrap().unwrap();
-        assert!(cli.list_algorithms);
+        assert!(cli.mode == Mode::ListAlgorithms);
         assert!(parse(&["--list-algorithms", "conformance"]).is_err());
         assert!(parse(&["--list-algorithms", "--library"]).is_err());
         assert!(parse(&["--list-algorithms", "t.litmus"]).is_err());
@@ -1781,7 +1486,7 @@ mod tests {
         ])
         .unwrap()
         .unwrap();
-        assert!(cli.conformance_mode && cli.resume);
+        assert!(cli.mode == Mode::Campaign && cli.resume);
         assert_eq!(cli.checkpoint.as_deref(), Some("c.ck"));
         assert_eq!(cli.checkpoint_every, Some(8));
         assert_eq!(cli.max_retries, Some(0));
@@ -1805,7 +1510,7 @@ mod tests {
     #[test]
     fn store_subcommand_collects_verb_and_paths() {
         let cli = parse(&["store", "scrub", "--repair", "s.log"]).unwrap().unwrap();
-        assert!(cli.store_cmd && cli.repair);
+        assert!(cli.mode == Mode::Store && cli.repair);
         assert_eq!(cli.store_args, vec!["scrub", "s.log"]);
         let cli = parse(&["store", "merge", "dst.log", "a.log", "b.log"]).unwrap().unwrap();
         assert_eq!(cli.store_args, vec!["merge", "dst.log", "a.log", "b.log"]);
@@ -1844,7 +1549,7 @@ mod tests {
         ])
         .unwrap()
         .unwrap();
-        assert!(cli.serve_mode && cli.durable);
+        assert!(cli.mode == Mode::Listen && cli.durable);
         assert_eq!(cli.listen.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(cli.shards, Some(4));
         assert_eq!(cli.server_workers, Some(8));
@@ -1876,7 +1581,7 @@ mod tests {
     #[test]
     fn client_takes_only_connect() {
         let cli = parse(&["client", "--connect", "127.0.0.1:9"]).unwrap().unwrap();
-        assert!(cli.client_mode);
+        assert!(cli.mode == Mode::Client);
         assert_eq!(cli.connect.as_deref(), Some("127.0.0.1:9"));
         // Flag order does not matter.
         assert!(parse(&["--connect", "127.0.0.1:9", "client"]).is_ok());
@@ -1891,7 +1596,7 @@ mod tests {
     #[test]
     fn store_stats_verb_parses() {
         let cli = parse(&["store", "stats", "s.log"]).unwrap().unwrap();
-        assert!(cli.store_cmd);
+        assert!(cli.mode == Mode::Store);
         assert_eq!(cli.store_args, vec!["stats", "s.log"]);
     }
 
@@ -1902,5 +1607,129 @@ mod tests {
             .unwrap();
         assert_eq!(cli.jobs, 4);
         assert_eq!(cli.budget_candidates, Some(100));
+    }
+
+    /// Every invocation form `herd-rs` has.
+    const FORMS: &[&[&str]] = &[
+        &["t.litmus"],
+        &["--store", "s.log", "t.litmus"],
+        &["--models", "sc,tso", "t.litmus"],
+        &["--library"],
+        &["--library", "--store", "s.log"],
+        &["serve"],
+        &["serve", "--listen", "127.0.0.1:0"],
+        &["client", "--connect", "127.0.0.1:9"],
+        &["conformance"],
+        &["conformance", "--algorithms"],
+        &["store", "scrub", "s.log"],
+        &["store", "merge", "d.log", "s.log"],
+        &["store", "compact", "s.log"],
+        &["--list-algorithms"],
+        &[],
+    ];
+
+    /// Every flag spelling, with a valid value where it takes one.
+    const FLAG_ARGS: &[&[&str]] = &[
+        &["--jobs", "2"],
+        &["-j", "2"],
+        &["--early-exit"],
+        &["--model", "sc"],
+        &["-m", "sc"],
+        &["--models", "sc,tso"],
+        &["--store", "s.log"],
+        &["--salt", "x"],
+        &["--budget-candidates", "5"],
+        &["--budget-steps", "5"],
+        &["--budget-ms", "5"],
+        &["--max-request-bytes", "64"],
+        &["--max-cycle-len", "4"],
+        &["--contended"],
+        &["--no-library"],
+        &["--no-shrink"],
+        &["--json"],
+        &["--sim-iterations", "0"],
+        &["--sim-seed", "1"],
+        &["--sim-stride", "2"],
+        &["--checkpoint", "c.ck"],
+        &["--checkpoint-every", "8"],
+        &["--resume"],
+        &["--max-retries", "1"],
+        &["--retry-base-ms", "0"],
+        &["--stop-after", "3"],
+        &["--repair"],
+        &["--listen", "127.0.0.1:0"],
+        &["--shards", "2"],
+        &["--server-workers", "2"],
+        &["--durable"],
+        &["--quota-requests", "5"],
+        &["--max-pending", "4"],
+        &["--max-conns", "4"],
+        &["--idle-timeout-ms", "0"],
+        &["--connect", "127.0.0.1:9"],
+        &["--algorithms"],
+        &["--families", "ticket"],
+        &["--algo-threads", "2"],
+        &["--algo-sections", "1"],
+        &["--algo-retries", "1"],
+        &["--list-algorithms"],
+        &["--enum-stats"],
+        &["--library"],
+        &["-l"],
+        &["--dot"],
+        &["--states"],
+        &["-s"],
+        &["--help"],
+        &["-h"],
+    ];
+
+    /// Every positional word.
+    const WORDS: &[&str] = &["t.litmus", "serve", "conformance", "store", "client"];
+
+    /// Each form alone, then with each flag or word placed before and
+    /// after it: 15 forms and 55 extras make 1 665 lists.
+    fn argument_lists() -> Vec<Vec<&'static str>> {
+        let words = WORDS.iter().map(std::slice::from_ref);
+        let extras: Vec<&[&str]> = FLAG_ARGS.iter().copied().chain(words).collect();
+        let mut lists = Vec::new();
+        for form in FORMS {
+            lists.push(form.to_vec());
+            for extra in &extras {
+                lists.push([*extra, *form].concat());
+                lists.push([*form, *extra].concat());
+            }
+        }
+        lists
+    }
+
+    /// Which argument lists the parser accepts, pinned by digest. The pin
+    /// was taken with the parser the flag table replaced, minus the 94
+    /// lists it accepted only to ignore one of their flags. A refused
+    /// list must name one of its flags or words.
+    #[test]
+    fn acceptance_table_is_pinned() {
+        use linux_kernel_memory_model::service::hash::fnv64;
+        let spellings: Vec<&str> = FLAG_ARGS.iter().map(|a| a[0]).collect();
+        for flag in FLAGS {
+            assert!(flag.0.iter().all(|s| spellings.contains(s)), "{:?} is not tried", flag.0);
+        }
+        let named = |a: &str| a.starts_with('-') || WORDS.contains(&a);
+        let mut accepted = String::new();
+        let mut count = 0;
+        for list in argument_lists() {
+            match parse(&list) {
+                Ok(_) => {
+                    count += 1;
+                    accepted += &(list.join(" ") + "\n");
+                }
+                Err(e) => assert!(
+                    list.iter().any(|a| named(a) && e.contains(a)),
+                    "`{}` is refused without naming a flag or word: {e}",
+                    list.join(" ")
+                ),
+            }
+        }
+        assert_eq!(argument_lists().len(), 1665);
+        let digest = fnv64(accepted.as_bytes());
+        assert_eq!((count, digest), (392, 0x2785_bd10_b028_1f0b), "accepted:\n{accepted}");
     }
 }

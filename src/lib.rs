@@ -83,9 +83,10 @@ use lkmm_litmus::{parse, ParseError, Test};
 use std::fmt;
 
 /// Which consistency model to check against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ModelChoice {
-    /// The native LKMM (core + RCU axioms).
+    /// The native LKMM (core + RCU axioms); the default.
+    #[default]
     Lkmm,
     /// The LKMM interpreted from its embedded cat file.
     LkmmCat,

@@ -268,3 +268,37 @@ fn stdio_and_tcp_sessions_give_the_same_replies() {
         assert_eq!(without_shards(s), without_shards(t), "reply {i} differs");
     }
 }
+
+/// `herd-rs client` forwards stdin's bytes unchanged, so the server's
+/// framing answers every line: a line that is not UTF-8 gets an error
+/// reply, and the requests after it are still answered.
+#[test]
+fn client_forwards_every_line_after_one_that_is_not_utf8() {
+    use std::process::{Command, Stdio};
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = thread::spawn(move || {
+        let store = Arc::new(ShardedStore::in_memory(1));
+        let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+        serve_tcp(listener, &|| Box::new(Lkmm::new()), SALT, store, &config).unwrap()
+    });
+    let mut client = Command::new(env!("CARGO_BIN_EXE_herd-rs"))
+        .args(["client", "--connect", &addr.to_string()])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let input: &[u8] =
+        b"{\"op\":\"stats\"}\n\xff\xfe bad\n{\"op\":\"check\",\"name\":\"SB\"}\n{\"op\":\"stats\"}\n";
+    client.stdin.take().unwrap().write_all(input).unwrap();
+    let out = client.wait_with_output().unwrap();
+    shutdown_server(addr);
+    handle.join().unwrap();
+    assert!(out.status.success(), "{:?}", out.status);
+    let replies = String::from_utf8(out.stdout).unwrap();
+    let replies: Vec<&str> = replies.lines().collect();
+    assert_eq!(replies.len(), 4, "{replies:#?}");
+    assert!(replies[1].contains("not valid UTF-8"), "{}", replies[1]);
+    assert!(replies[2].contains("\"verdict\""), "{}", replies[2]);
+}
