@@ -23,6 +23,15 @@ echo "== canonical keys: the render matches the reference on every cycle up to l
 # for byte. Ignored in the debug workspace run above: it needs release.
 cargo test --release --offline -p lkmm-service --test canon_props --quiet -- --ignored
 
+echo "== static tiers: shape-keyed caches match uncached evaluation of every candidate =="
+# The facts cache's static tier and the LKMM and cat session caches key
+# on each candidate's value-free shape, so pre-executions differing only
+# in values share them. Every column's tally must match an evaluation of
+# every candidate afresh, on the library plus all cycles up to
+# length 6 and on the contended cycles up to length 5; the first corpus
+# also bounds the static tiers built. Ignored in the debug run above.
+cargo test --release --offline --test static_tier --quiet -- --ignored
+
 echo "== pipeline cross-check: library verdicts at jobs 1/2/8 =="
 cargo test --release --test pipeline --quiet
 

@@ -66,7 +66,7 @@ impl ConsistencyModel for ScAtomic {
     }
 
     fn allows_with(&self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
-        facts.atomicity_ok() && x.po.union(facts.com()).is_acyclic()
+        facts.atomicity_ok() && x.shape.po.union(facts.com()).is_acyclic()
     }
 }
 

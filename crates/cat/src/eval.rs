@@ -4,18 +4,18 @@
 //! per node of its model's compiled program and a stamp saying when the
 //! slot was last filled. A node is recomputed only when its stamp is
 //! older than the epoch of its tier: the static epoch moves when the
-//! pre-execution changes, the dynamic epoch with every candidate, and
-//! the loop epoch whenever a `let rec` variable changes mid-fixpoint.
-//! Checks pull the nodes they need; `a ; b` and `a & b` look at whichever
-//! operand is cheaper to have (the lower tier, else `a`) and skip the
-//! other when it is empty, so a model's RCU tail is never built for tests
-//! without RCU.
+//! candidate's [`Shape`] changes, the dynamic epoch with every
+//! candidate, and the loop epoch whenever a `let rec` variable changes
+//! mid-fixpoint. Checks pull the nodes they need; `a ; b` and `a & b`
+//! look at whichever operand is cheaper to have (the lower tier, else
+//! `a`) and skip the other when it is empty, so a model's RCU tail is
+//! never built for tests without RCU.
 
 use crate::ast::CheckKind;
 use crate::compile::{Base, NodeId, Op, Program, Step, Ty, DYNAMIC, LOOP, STATIC};
 use crate::CatModel;
 use lkmm_core::budget::StepFuel;
-use lkmm_exec::{Event, EventKind, ExecFacts, Execution};
+use lkmm_exec::{EventKind, ExecFacts, Execution, Shape};
 use lkmm_relation::{EventSet, Relation};
 use std::fmt;
 use std::sync::Arc;
@@ -71,10 +71,11 @@ impl CatOutcome {
 /// A stateful evaluation handle for checking many candidates with one
 /// compiled model.
 ///
-/// Static slots are keyed on the identity of the shared pre-execution
-/// (`Arc::ptr_eq` on `x.events`); holding a clone of the `Arc` keeps the
-/// allocation alive, so the pointer identity cannot be recycled while
-/// the slots are valid.
+/// Static slots are keyed on the identity of the candidate's value-free
+/// [`Shape`] (`Arc::ptr_eq` on `x.shape`), so they serve every
+/// pre-execution of a test that differs only in values; holding a clone
+/// of the `Arc` keeps the allocation alive, so the pointer identity
+/// cannot be recycled while the slots are valid.
 ///
 /// Fuel, when installed, is burned exactly as a tree walk of the source
 /// would: one unit per instruction and `bindings.len()` per round of
@@ -94,18 +95,15 @@ pub struct CatSession<'a> {
     clock: u64,
     /// The current static, dynamic, loop and borrowed epochs.
     epochs: [u64; 4],
-    /// The pre-execution the static slots were computed for.
-    events: Option<Arc<Vec<Event>>>,
-    /// Whether that pre-execution has SRCU events.
+    /// The shape the static slots were computed for.
+    shape: Option<Arc<Shape>>,
+    /// Whether that shape has SRCU events.
     srcu: bool,
     n: usize,
     /// Pending nodes of a demand walk, with how many operands are done.
     stack: Vec<(NodeId, u8)>,
     /// Scratch row for transitive closures.
     row: Vec<u64>,
-    /// Scratch for acyclicity checks: in-degrees and a work list.
-    indegree: Vec<u32>,
-    ready: Vec<usize>,
     fuel: Option<Arc<StepFuel>>,
 }
 
@@ -121,13 +119,11 @@ impl<'a> CatSession<'a> {
             stamps: vec![0; len],
             clock: 0,
             epochs: [0; 4],
-            events: None,
+            shape: None,
             srcu: false,
             n: 0,
             stack: Vec::new(),
             row: Vec::new(),
-            indegree: Vec::new(),
-            ready: Vec::new(),
             fuel: None,
         }
     }
@@ -139,8 +135,7 @@ impl<'a> CatSession<'a> {
     }
 
     /// Evaluate all checks against one candidate execution, reusing the
-    /// static slots when `x` comes from the same pre-execution as the
-    /// previous candidate.
+    /// static slots when `x` has the shape of the previous candidate.
     ///
     /// # Errors
     ///
@@ -158,8 +153,8 @@ impl<'a> CatSession<'a> {
         x: &Execution,
         facts: &ExecFacts<'_>,
     ) -> Result<CatOutcome, EvalError> {
-        if !self.events.as_ref().is_some_and(|e| Arc::ptr_eq(e, &x.events)) {
-            self.events = Some(Arc::clone(&x.events));
+        if !self.shape.as_ref().is_some_and(|s| Arc::ptr_eq(s, &x.shape)) {
+            self.shape = Some(Arc::clone(&x.shape));
             self.srcu = x.events.iter().any(|e| e.srcu().is_some());
             self.n = x.universe();
             self.epochs[STATIC] = self.tick();
@@ -184,7 +179,7 @@ impl<'a> CatSession<'a> {
                     }
                     self.demand(c.node, x, facts);
                     let holds = match c.kind {
-                        CheckKind::Acyclic => self.is_acyclic(c.node, x, facts),
+                        CheckKind::Acyclic => self.rel(c.node, x, facts).is_acyclic(),
                         CheckKind::Irreflexive => self.rel(c.node, x, facts).is_irreflexive(),
                         CheckKind::Empty => self.is_empty(c.node, x, facts),
                     } != c.negated;
@@ -321,38 +316,6 @@ impl<'a> CatSession<'a> {
         self.stamps[i] = self.epochs[self.program.nodes[i].epoch];
     }
 
-    /// Whether relation node `i` is acyclic: Kahn's algorithm over the
-    /// session's scratch buffers, so the check allocates nothing (the
-    /// checks of a model run for every candidate).
-    fn is_acyclic(&mut self, i: NodeId, x: &Execution, facts: &ExecFacts<'_>) -> bool {
-        let mut indegree = std::mem::take(&mut self.indegree);
-        let mut ready = std::mem::take(&mut self.ready);
-        let r = self.rel(i, x, facts);
-        let n = r.universe();
-        indegree.clear();
-        indegree.resize(n, 0);
-        for a in 0..n {
-            for b in r.successors(a) {
-                indegree[b] += 1;
-            }
-        }
-        ready.clear();
-        ready.extend((0..n).filter(|&a| indegree[a] == 0));
-        let mut removed = 0;
-        while let Some(a) = ready.pop() {
-            removed += 1;
-            for b in r.successors(a) {
-                indegree[b] -= 1;
-                if indegree[b] == 0 {
-                    ready.push(b);
-                }
-            }
-        }
-        self.indegree = indegree;
-        self.ready = ready;
-        removed == n
-    }
-
     fn is_empty(&self, i: NodeId, x: &Execution, facts: &ExecFacts<'_>) -> bool {
         match self.program.nodes[i].ty {
             Ty::Rel => self.rel(i, x, facts).is_empty(),
@@ -363,11 +326,11 @@ impl<'a> CatSession<'a> {
     /// The current value of relation node `i`.
     fn rel<'s>(&'s self, i: NodeId, x: &'s Execution, facts: &'s ExecFacts<'_>) -> &'s Relation {
         match self.program.nodes[i].op {
-            Op::Base(Base::Po) => &x.po,
-            Op::Base(Base::Addr) => &x.addr,
-            Op::Base(Base::Data) => &x.data,
-            Op::Base(Base::Ctrl) => &x.ctrl,
-            Op::Base(Base::Rmw) => &x.rmw,
+            Op::Base(Base::Po) => &x.shape.po,
+            Op::Base(Base::Addr) => &x.shape.addr,
+            Op::Base(Base::Data) => &x.shape.data,
+            Op::Base(Base::Ctrl) => &x.shape.ctrl,
+            Op::Base(Base::Rmw) => &x.shape.rmw,
             Op::Base(Base::Rf) => &x.rf,
             Op::Base(Base::Co) => &x.co,
             Op::Base(Base::Loc) => facts.loc_rel(),

@@ -61,7 +61,7 @@ fn label_edge(
             ("fr", &r.fr),
             ("po-loc", &r.po_loc),
         ],
-        Axiom::At => vec![("rmw", &x.rmw), ("fre", &fre), ("coe", &coe)],
+        Axiom::At => vec![("rmw", &x.shape.rmw), ("fre", &fre), ("coe", &coe)],
         Axiom::Rcu => vec![("rcu-path", &r.rcu_path)],
         Axiom::Hb | Axiom::Pb => vec![
             // Fine-grained ppo/prop constituents first.
@@ -72,9 +72,9 @@ fn label_edge(
             ("rb-dep", &r.rb_dep),
             ("acq-po", &r.acq_po),
             ("po-rel", &r.po_rel),
-            ("addr", &x.addr),
-            ("data", &x.data),
-            ("ctrl", &x.ctrl),
+            ("addr", &x.shape.addr),
+            ("data", &x.shape.data),
+            ("ctrl", &x.shape.ctrl),
             ("rfi-rel-acq", &r.rfi_rel_acq),
             ("rfe", &rfe),
             ("fre", &fre),
@@ -105,7 +105,7 @@ fn axiom_relation(x: &Execution, r: &LkmmRelations, axiom: Axiom) -> Relation {
             // backwards (w -> r) with fre;coe (r -> w).
             let fre = r.fr.intersection(&x.ext_rel());
             let coe = x.co.intersection(&x.ext_rel());
-            x.rmw.intersection(&fre.seq(&coe)).union(&x.rmw.inverse())
+            x.shape.rmw.intersection(&fre.seq(&coe)).union(&x.shape.rmw.inverse())
         }
         Axiom::Hb => r.hb.clone(),
         Axiom::Pb => r.pb.clone(),

@@ -4,7 +4,7 @@
 use crate::relations::{
     rcu_path_irreflexive_with, FixpointScratch, LkmmRelations, LkmmStatics,
 };
-use lkmm_exec::{ConsistencyModel, Event, ExecFacts, Execution, ModelSession};
+use lkmm_exec::{ConsistencyModel, ExecFacts, Execution, ModelSession, Shape};
 use lkmm_relation::Relation;
 use std::fmt;
 use std::sync::Arc;
@@ -153,7 +153,7 @@ impl Lkmm {
         target.intersection_in_place(&s.int);
         target.union_in_place(&s.rwdep); // to-w
         s.dep.seq_into(rfi, rrdep);
-        rrdep.union_in_place(&x.addr);
+        rrdep.union_in_place(&x.shape.addr);
         t.copy_from(rrdep); // strong-rrdep = rrdep⁺ ∩ rb-dep
         t.transitive_close_with(row);
         t.intersection_in_place(&s.rb_dep);
@@ -292,15 +292,15 @@ impl ConsistencyModel for Lkmm {
 }
 
 /// A stateful checking session for the native LKMM: caches the
-/// witness-independent [`LkmmStatics`] across the candidates of one
-/// pre-execution, keyed on the identity of the shared event list (the
-/// held `Arc` keeps the allocation alive, so pointer identity cannot be
-/// recycled while the cache entry exists), and keeps one
+/// witness-independent [`LkmmStatics`] across consecutive candidates of
+/// one value-free [`Shape`], keyed on the identity of the shape handle
+/// (the held `Arc` keeps the allocation alive, so pointer identity cannot
+/// be recycled while the cache entry exists), and keeps one
 /// [`AxiomScratch`] whose relations are reshaped in place candidate
 /// after candidate.
 pub struct LkmmSession {
     model: Lkmm,
-    cache: Option<(Arc<Vec<Event>>, LkmmStatics)>,
+    cache: Option<(Arc<Shape>, LkmmStatics)>,
     fuel: Option<Arc<lkmm_core::budget::StepFuel>>,
     tmp: AxiomScratch,
 }
@@ -311,13 +311,9 @@ impl ModelSession for LkmmSession {
     }
 
     fn allows_with(&mut self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
-        let hit = self
-            .cache
-            .as_ref()
-            .is_some_and(|(events, _)| Arc::ptr_eq(events, &x.events));
+        let hit = self.cache.as_ref().is_some_and(|(shape, _)| Arc::ptr_eq(shape, &x.shape));
         if !hit {
-            self.cache =
-                Some((Arc::clone(&x.events), LkmmStatics::compute_with_facts(x, facts)));
+            self.cache = Some((Arc::clone(&x.shape), LkmmStatics::compute_with_facts(x, facts)));
         }
         let statics = &self.cache.as_ref().expect("cache filled above").1;
         let allowed =
@@ -429,6 +425,39 @@ mod tests {
         assert_eq!(axiom_of("PeterZ"), Axiom::Pb); // §3.2.5
         assert_eq!(axiom_of("RCU-MP"), Axiom::Rcu); // §4.2
         assert_eq!(axiom_of("RCU-deferred-free"), Axiom::Rcu);
+    }
+
+    #[test]
+    fn one_tests_shapes_visited_a_b_a_match_fresh_evaluation() {
+        // Two shapes of equal universe: P0 runs smp_mb() or smp_wmb()
+        // between its write and its read, depending on what it read from
+        // z, so statics served across shapes would change verdicts.
+        let t = parse(
+            "C two-shapes\n{ x=0; y=0; z=0; }\n\
+             P0(int *x, int *y, int *z) { int r0; int r1; WRITE_ONCE(*x, 1); \
+             r0 = READ_ONCE(*z); if (r0) { smp_mb(); } else { smp_wmb(); } \
+             r1 = READ_ONCE(*y); }\n\
+             P1(int *x, int *y) { int r2; WRITE_ONCE(*y, 1); smp_mb(); r2 = READ_ONCE(*x); }\n\
+             P2(int *z) { WRITE_ONCE(*z, 1); }\n\
+             exists (0:r1=0 /\\ 1:r2=0)",
+        )
+        .unwrap();
+        let xs = enumerate(&t, &EnumOptions::default()).unwrap();
+        let (a, b): (Vec<&Execution>, Vec<&Execution>) =
+            xs.iter().partition(|x| Arc::ptr_eq(&x.shape, &xs[0].shape));
+        assert!(b.iter().all(|x| Arc::ptr_eq(&x.shape, &b[0].shape)), "two shapes");
+        assert_eq!(a[0].universe(), b[0].universe());
+        let model = Lkmm::new();
+        let forbids_weak = |xs: &[&Execution]| {
+            xs.iter().any(|x| x.satisfies_prop(&t.condition.prop) && !model.allows(x))
+        };
+        assert_ne!(forbids_weak(&a), forbids_weak(&b), "the fences decide the SB outcome");
+
+        let mut session = model.session().unwrap();
+        let mut cache = lkmm_exec::FactsCache::new();
+        for x in a.iter().chain(&b).chain(&a) {
+            assert_eq!(session.allows_with(x, &cache.facts(x)), model.allows(x));
+        }
     }
 
     #[test]

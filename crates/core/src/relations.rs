@@ -14,12 +14,12 @@ use lkmm_relation::{acquire_rel, ArenaRel, EventSet, Relation, SharedArena};
 /// skeletons, RCU grace-period/read-side-section shapes, and the
 /// auxiliary `int`/`ext`/`id` relations and `R`/`W` sets.
 ///
-/// All candidates sharing one pre-execution (thread-outcome combination)
-/// have identical statics, so sessions compute this once per
-/// pre-execution — keyed on `Arc::ptr_eq` of `Execution::events` — and
-/// reuse it for every witness. This removes the `O(n²)` `int`/`loc`
-/// rebuilds and the fence `po;[F];po` sequences from the per-candidate
-/// hot loop.
+/// None of them reads a value, so all candidates sharing one value-free
+/// [`Shape`](lkmm_exec::Shape) have identical statics: sessions compute
+/// this once per shape — keyed on `Arc::ptr_eq` of `Execution::shape` —
+/// and reuse it for every witness of every pre-execution of that shape.
+/// This removes the `O(n²)` `int`/`loc` rebuilds and the fence
+/// `po;[F];po` sequences from the per-candidate hot loop.
 #[derive(Clone, Debug)]
 pub struct LkmmStatics {
     /// `id`.
@@ -97,8 +97,8 @@ impl LkmmStatics {
         let rb_dep = facts.fencerel(FenceKind::RbDep).intersection(&rr);
         let acquires_id = facts.acquires().as_identity();
         let releases_id = facts.releases().as_identity();
-        let acq_po = acquires_id.seq(&x.po);
-        let po_rel = x.po.seq(&releases_id);
+        let acq_po = acquires_id.seq(&x.shape.po);
+        let po_rel = x.shape.po.seq(&releases_id);
         let gp = facts.gp().clone();
         // synchronize_srcu provides the same strong-fence ordering as
         // synchronize_rcu (the kernel's documented guarantee); the real
@@ -109,19 +109,19 @@ impl LkmmStatics {
             acc
         });
 
-        let dep = x.addr.union(&x.data);
-        let rwdep = dep.union(&x.ctrl).intersection(&reads.cross(&writes));
+        let dep = x.shape.addr.union(&x.shape.data);
+        let rwdep = dep.union(&x.shape.ctrl).intersection(&reads.cross(&writes));
         let strong_fence = mb.union(&gp_strong);
         let mut fence = strong_fence.union(&po_rel);
         fence.union_in_place(&wmb);
         fence.union_in_place(&rmb);
         fence.union_in_place(&acq_po);
 
-        let rscs = x.po.seq(&facts.crit().inverse()).seq(&x.po.reflexive());
+        let rscs = x.shape.po.seq(&facts.crit().inverse()).seq(&x.shape.po.reflexive());
         let srcu = srcu_facts
             .iter()
             .map(|d| {
-                let srscs = x.po.seq(&d.crit.inverse()).seq(&x.po.reflexive());
+                let srscs = x.shape.po.seq(&d.crit.inverse()).seq(&x.shape.po.reflexive());
                 (d.gp.clone(), srscs)
             })
             .collect();
@@ -256,7 +256,7 @@ impl LkmmRelations {
 
         let overwrite = x.co.union(&fr);
         let to_w = s.rwdep.union(&overwrite.intersection(&s.int));
-        let rrdep = x.addr.union(&s.dep.seq(&rfi));
+        let rrdep = x.shape.addr.union(&s.dep.seq(&rfi));
         let strong_rrdep = rrdep.transitive_closure().intersection(&s.rb_dep);
         let to_r = strong_rrdep.union(&rfi_rel_acq);
         let mut ppo_target = to_r.union(&to_w);
@@ -473,7 +473,7 @@ mod tests {
         // T0: read a, ctrl-dependent write b.
         let a = x.events.iter().find(|e| e.thread == Some(0) && e.is_read()).unwrap().id;
         let b = x.events.iter().find(|e| e.thread == Some(0) && e.is_write()).unwrap().id;
-        assert!(x.ctrl.contains(a, b));
+        assert!(x.shape.ctrl.contains(a, b));
         assert!(r.ppo.contains(a, b));
         // T1: read c, mb, write d.
         let c = x.events.iter().find(|e| e.thread == Some(1) && e.is_read()).unwrap().id;

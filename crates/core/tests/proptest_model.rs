@@ -25,13 +25,13 @@ proptest! {
         for_each_execution(&test, &EnumOptions::default(), &mut |x| {
             let r = LkmmRelations::compute(x);
             assert!(
-                r.ppo.difference(&x.po).is_empty(),
+                r.ppo.difference(&x.shape.po).is_empty(),
                 "{}: ppo ⊄ po\n{x}",
                 test.name
             );
             assert!(r.hb.is_irreflexive(), "{}: hb reflexive", test.name);
             // fence relations are program-order too.
-            assert!(r.fence.difference(&x.po).is_empty());
+            assert!(r.fence.difference(&x.shape.po).is_empty());
             // strong-fence ⊆ fence ⊆ ppo.
             assert!(r.strong_fence.difference(&r.fence).is_empty());
             assert!(r.fence.difference(&r.ppo).is_empty());
@@ -80,7 +80,7 @@ proptest! {
         let test = generate(cycle).unwrap();
         let model = Lkmm::new();
         for_each_execution(&test, &EnumOptions::default(), &mut |x| {
-            let sc = x.po.union(&x.com()).is_acyclic();
+            let sc = x.shape.po.union(&x.com()).is_acyclic();
             if sc {
                 assert!(model.allows(x), "{}: SC-consistent but LKMM-forbidden", test.name);
             }

@@ -17,15 +17,15 @@
 //! the leaves. Both emit exactly the same candidate sequence; the naive
 //! path remains as the differential oracle and for `prune_scpv: false`.
 
-use crate::event::{Event, EventKind, LocId, Val, WriteAnnot};
-use crate::execution::Execution;
-use crate::thread::{run_thread, ThreadOutcome, ThreadStop};
+use crate::event::{Event, EventKind, LocId, SrcuKind, Val, WriteAnnot};
+use crate::execution::{Execution, Shape};
+use crate::thread::{run_thread, LocalDeps, ThreadOutcome, ThreadStop};
 use lkmm_core::budget::{Budget, BudgetKind, Meter};
 use lkmm_core::faultpoint;
 use lkmm_litmus::ast::{InitVal, Test};
 use lkmm_litmus::FenceKind;
 use lkmm_relation::{IncrementalOrder, Relation};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -269,27 +269,43 @@ pub fn try_for_each_execution(
 ) -> Result<ControlFlow<()>, EnumError> {
     let mut meter = opts.budget.meter();
     let space = PreExecutions::new(test, opts, &mut meter)?;
-    space.try_for_each_in(0..space.len(), 1, opts, &mut meter, &mut 0, visit)
+    space.cursor().try_for_each_in(0..space.len(), 1, opts, &mut meter, &mut 0, visit)
 }
 
 /// A test's pre-executions as an index space. Building one runs the
 /// value-domain fixpoint once; pre-execution `k` is then the `k`-th
 /// combination of per-thread outcomes, thread 0 varying fastest.
 ///
-/// Enumeration takes ranges of *units*: cut into `slices` units each,
-/// pre-execution `k` is units `k * slices ..= k * slices + slices - 1`,
-/// unit `s` holding the `s`-th of `slices` equal shares of its witness
-/// tree, by the `rf` choices of the first reads assigned. Ranges of
-/// units enumerate independently — on any thread — and ranges visited
-/// in index order emit exactly the candidate stream of
-/// [`try_for_each_execution`], at any `slices`: that is how the check
+/// Enumeration takes ranges of *units*, through a [`Cursor`]: cut into
+/// `slices` units each, pre-execution `k` is units `k * slices ..= k *
+/// slices + slices - 1`, unit `s` holding the `s`-th of `slices` equal
+/// shares of its witness tree, by the `rf` choices of the first reads
+/// assigned. Ranges of units enumerate independently — on any thread —
+/// and ranges visited in index order emit exactly the candidate stream
+/// of [`try_for_each_execution`], at any `slices`: that is how the check
 /// engine splits one test over a worker pool, slicing a pre-execution
 /// when one holds most of the work.
+///
+/// Each thread's outcomes are classed once, by their value-free
+/// structure, so a pre-execution's [`Shape`] is known from its index.
 pub struct PreExecutions {
     locs: Arc<Vec<String>>,
     init_vals: Vec<Val>,
     outcomes: Vec<Vec<ThreadOutcome>>,
+    /// Per thread, the class of each outcome (parallel to `outcomes`).
+    classes: Vec<Vec<OutcomeClass>>,
     len: usize,
+}
+
+/// What classing one thread outcome found.
+#[derive(Clone, Copy, Debug)]
+struct OutcomeClass {
+    /// The outcome's class times the number of shapes the threads before
+    /// it can form: a pre-execution's shape key is the sum over its
+    /// threads, distinct per distinct structure.
+    key: usize,
+    /// Whether its RCU and per-domain SRCU sections balance.
+    balanced: bool,
 }
 
 impl PreExecutions {
@@ -362,7 +378,18 @@ impl PreExecutions {
             .iter()
             .try_fold(1usize, |n, outs| n.checked_mul(outs.len()))
             .ok_or(EnumError::TooManyExecutions)?;
-        Ok(PreExecutions { locs: Arc::new(locs), init_vals, outcomes, len })
+        // A thread has at most as many classes as outcomes, so the
+        // running product of class counts stays within `len`.
+        let mut stride = 1usize;
+        let classes = outcomes
+            .iter()
+            .map(|outs| {
+                let (classes, count) = class_outcomes(outs, stride);
+                stride = stride.saturating_mul(count);
+                classes
+            })
+            .collect();
+        Ok(PreExecutions { locs: Arc::new(locs), init_vals, outcomes, classes, len })
     }
 
     /// Number of pre-executions.
@@ -375,6 +402,24 @@ impl PreExecutions {
         self.len == 0
     }
 
+    /// A cursor enumerating runs of this space's units on one thread.
+    pub fn cursor(&self) -> Cursor<'_> {
+        Cursor { space: self, shapes: HashMap::new() }
+    }
+}
+
+/// One thread's enumerator over a [`PreExecutions`] space. It interns
+/// one [`Shape`] per value-free structure it meets, building its
+/// relations once, in a table of its own that outlives each run of
+/// units: pre-executions of one structure share one shape — and every
+/// static cache keyed on it — across the runs one thread enumerates,
+/// and split workers, each with its own cursor, never lock.
+pub struct Cursor<'a> {
+    space: &'a PreExecutions,
+    shapes: HashMap<usize, Interned>,
+}
+
+impl Cursor<'_> {
     /// Enumerate the candidates of `units` (pre-executions cut into
     /// `slices` units each), in index order, spending candidate fuel
     /// from `meter`. `emitted` counts candidates against
@@ -389,7 +434,7 @@ impl PreExecutions {
     ///
     /// If `slices` is zero or `units` runs past the last pre-execution.
     pub fn try_for_each_in(
-        &self,
+        &mut self,
         units: Range<usize>,
         slices: usize,
         opts: &EnumOptions,
@@ -397,9 +442,10 @@ impl PreExecutions {
         emitted: &mut usize,
         visit: &mut dyn FnMut(Execution) -> ControlFlow<()>,
     ) -> Result<ControlFlow<()>, EnumError> {
+        let space = self.space;
         assert!(slices > 0, "a pre-execution is at least one unit");
-        assert!(units.end <= self.len.saturating_mul(slices), "units past the last pre-execution");
-        let mut chosen: Vec<&ThreadOutcome> = Vec::with_capacity(self.outcomes.len());
+        assert!(units.end <= space.len.saturating_mul(slices), "units past the last pre-execution");
+        let mut chosen: Vec<&ThreadOutcome> = Vec::with_capacity(space.outcomes.len());
         let mut unit = units.start;
         while unit < units.end {
             meter.poll_now().map_err(EnumError::BudgetExceeded)?;
@@ -407,12 +453,19 @@ impl PreExecutions {
             let first = k * slices;
             let end = units.end.min(first + slices);
             chosen.clear();
+            let mut key = 0;
             let mut rest = k;
-            for outs in &self.outcomes {
-                chosen.push(&outs[rest % outs.len()]);
+            for (t, (outs, classes)) in space.outcomes.iter().zip(&space.classes).enumerate() {
+                let i = rest % outs.len();
+                if !classes[i].balanced {
+                    return Err(EnumError::UnbalancedRcu { thread: t });
+                }
+                chosen.push(&outs[i]);
+                key += classes[i].key;
                 rest /= outs.len();
             }
-            let pre = build_pre_execution(&self.locs, &self.init_vals, &chosen)?;
+            let shape = self.shapes.entry(key).or_insert_with(|| intern(space.locs.len(), &chosen));
+            let pre = build_pre_execution(&space.locs, &space.init_vals, &chosen, shape);
             let share = (end - unit < slices).then(|| (unit - first..end - first, slices));
             if enumerate_witnesses(&pre, opts, share, emitted, meter, visit)?.is_break() {
                 return Ok(ControlFlow::Break(()));
@@ -535,38 +588,136 @@ fn explore_thread(
     Ok(done)
 }
 
+/// Class one thread's outcomes by value-free structure: equal classes
+/// iff equal event kinds, annotations and locations, in order, and equal
+/// dependency edges. Returns each outcome's class, keyed by `stride`, and
+/// the number of classes.
+fn class_outcomes(outs: &[ThreadOutcome], stride: usize) -> (Vec<OutcomeClass>, usize) {
+    let mut seen: HashMap<(Vec<EventKind>, &LocalDeps), OutcomeClass> = HashMap::new();
+    let classes = outs
+        .iter()
+        .map(|out| {
+            let kinds = out.events.iter().map(|e| without_value(e.kind)).collect();
+            let next = seen.len();
+            *seen.entry((kinds, &out.deps)).or_insert_with(|| OutcomeClass {
+                key: next * stride,
+                balanced: balanced(out),
+            })
+        })
+        .collect();
+    (classes, seen.len())
+}
+
+/// `kind` with its value, if any, replaced by zero.
+fn without_value(kind: EventKind) -> EventKind {
+    match kind {
+        EventKind::Read { loc, annot, .. } => EventKind::Read { loc, val: Val::Int(0), annot },
+        EventKind::Write { loc, annot, is_init, .. } => {
+            EventKind::Write { loc, val: Val::Int(0), annot, is_init }
+        }
+        kind => kind,
+    }
+}
+
+/// Whether a thread outcome's RCU sections, and its SRCU sections per
+/// domain, open before they close and all close.
+fn balanced(out: &ThreadOutcome) -> bool {
+    let mut depth = 0i64;
+    let mut srcu_depth: HashMap<LocId, i64> = HashMap::new();
+    for ev in &out.events {
+        match ev.kind {
+            EventKind::Fence(FenceKind::RcuLock) => depth += 1,
+            EventKind::Fence(FenceKind::RcuUnlock) => depth -= 1,
+            EventKind::Srcu { kind: SrcuKind::Lock, domain } => {
+                *srcu_depth.entry(domain).or_insert(0) += 1;
+            }
+            EventKind::Srcu { kind: SrcuKind::Unlock, domain } => {
+                *srcu_depth.entry(domain).or_insert(0) -= 1;
+            }
+            _ => {}
+        }
+        if depth < 0 || srcu_depth.values().any(|&d| d < 0) {
+            return false;
+        }
+    }
+    depth == 0 && srcu_depth.values().all(|&d| d == 0)
+}
+
+/// One shape of a test, interned by a [`Cursor`], with the write lists
+/// the witness enumeration reads off it.
+struct Interned {
+    shape: Arc<Shape>,
+    /// Global indices of non-init writes per location.
+    writes_per_loc: Vec<Vec<usize>>,
+}
+
+/// Build the shape of the pre-execution made of `chosen` (one outcome
+/// per thread, after `n_locs` initialising writes): any pre-execution
+/// whose outcomes fall in the same classes gets the same one.
+fn intern(n_locs: usize, chosen: &[&ThreadOutcome]) -> Interned {
+    let total: usize = n_locs + chosen.iter().map(|o| o.events.len()).sum::<usize>();
+    let mut po = Relation::empty(total);
+    let mut addr = Relation::empty(total);
+    let mut data = Relation::empty(total);
+    let mut ctrl = Relation::empty(total);
+    let mut rmw = Relation::empty(total);
+    let mut po_loc = Relation::empty(total);
+    let mut writes_per_loc = vec![Vec::new(); n_locs];
+    let mut base = n_locs;
+    for out in chosen {
+        for (i, ev) in out.events.iter().enumerate() {
+            if let EventKind::Write { loc, .. } = ev.kind {
+                writes_per_loc[loc.0].push(base + i);
+            }
+            let loc = ev.kind.loc();
+            for (j, before) in out.events[..i].iter().enumerate() {
+                po.insert(base + j, base + i);
+                if loc.is_some() && before.kind.loc() == loc {
+                    po_loc.insert(base + j, base + i);
+                }
+            }
+        }
+        for (rel, pairs) in [
+            (&mut addr, &out.deps.addr),
+            (&mut data, &out.deps.data),
+            (&mut ctrl, &out.deps.ctrl),
+            (&mut rmw, &out.deps.rmw),
+        ] {
+            for &(a, b) in pairs {
+                rel.insert(base + a, base + b);
+            }
+        }
+        base += out.events.len();
+    }
+    Interned { shape: Arc::new(Shape { po, addr, data, ctrl, rmw, po_loc }), writes_per_loc }
+}
+
 /// Everything fixed before `rf`/`co` are chosen. The shared parts are
 /// already behind `Arc`s so every candidate built from this pre-execution
-/// clones reference counts, not data.
-struct PreExecution {
+/// clones reference counts, not data. The initialising write of location
+/// `l` is event `l`.
+struct PreExecution<'s> {
     locs: Arc<Vec<String>>,
     events: Arc<Vec<Event>>,
     n_threads: usize,
-    po: Arc<Relation>,
-    addr: Arc<Relation>,
-    data: Arc<Relation>,
-    ctrl: Arc<Relation>,
-    rmw: Arc<Relation>,
+    /// The interned shape: `po-loc` for pruning, and the relations every
+    /// emitted [`Execution`] shares (and from there the checkers' static
+    /// caches, which key on it).
+    shape: Arc<Shape>,
     final_regs: Arc<Vec<BTreeMap<String, Val>>>,
     /// Global indices of reads, with (loc, val).
     reads: Vec<(usize, LocId, Val)>,
     /// Global indices of non-init writes per location.
-    writes_per_loc: Vec<Vec<usize>>,
-    /// Global index of the initialising write per location.
-    init_write: Vec<usize>,
-    /// `po ∩ loc`, shared with every emitted [`Execution`] (and from
-    /// there with the checkers' fact caches) instead of being recomputed
-    /// per candidate.
-    po_loc: Arc<Relation>,
+    writes_per_loc: &'s [Vec<usize>],
 }
 
-fn build_pre_execution(
+fn build_pre_execution<'s>(
     locs: &Arc<Vec<String>>,
     init_vals: &[Val],
     chosen: &[&ThreadOutcome],
-) -> Result<PreExecution, EnumError> {
-    let n_init = locs.len();
-    let total: usize = n_init + chosen.iter().map(|o| o.events.len()).sum::<usize>();
+    shape: &'s Interned,
+) -> PreExecution<'s> {
+    let total = shape.shape.po.universe();
     let mut events = Vec::with_capacity(total);
     for (i, &v) in init_vals.iter().enumerate() {
         events.push(Event {
@@ -580,94 +731,25 @@ fn build_pre_execution(
             },
         });
     }
-    let mut po = Relation::empty(total);
-    let mut addr = Relation::empty(total);
-    let mut data = Relation::empty(total);
-    let mut ctrl = Relation::empty(total);
-    let mut rmw = Relation::empty(total);
-    let mut final_regs = Vec::with_capacity(chosen.len());
-    for (t, out) in chosen.iter().enumerate() {
-        let base = events.len();
-        // RCU and per-domain SRCU balance checks for this outcome.
-        let mut depth = 0i64;
-        let mut srcu_depth: std::collections::HashMap<crate::event::LocId, i64> =
-            std::collections::HashMap::new();
-        for ev in &out.events {
-            match ev.kind {
-                EventKind::Fence(FenceKind::RcuLock) => depth += 1,
-                EventKind::Fence(FenceKind::RcuUnlock) => depth -= 1,
-                EventKind::Srcu { kind: crate::event::SrcuKind::Lock, domain } => {
-                    *srcu_depth.entry(domain).or_insert(0) += 1;
-                }
-                EventKind::Srcu { kind: crate::event::SrcuKind::Unlock, domain } => {
-                    *srcu_depth.entry(domain).or_insert(0) -= 1;
-                }
-                _ => {}
-            }
-            if depth < 0 || srcu_depth.values().any(|&d| d < 0) {
-                return Err(EnumError::UnbalancedRcu { thread: t });
-            }
-        }
-        if depth != 0 || srcu_depth.values().any(|&d| d != 0) {
-            return Err(EnumError::UnbalancedRcu { thread: t });
-        }
-        for (i, ev) in out.events.iter().enumerate() {
-            events.push(Event { id: base + i, thread: Some(t), kind: ev.kind });
-            for j in 0..i {
-                po.insert(base + j, base + i);
-            }
-        }
-        for &(a, b) in &out.deps.addr {
-            addr.insert(base + a, base + b);
-        }
-        for &(a, b) in &out.deps.data {
-            data.insert(base + a, base + b);
-        }
-        for &(a, b) in &out.deps.ctrl {
-            ctrl.insert(base + a, base + b);
-        }
-        for &(a, b) in &out.deps.rmw {
-            rmw.insert(base + a, base + b);
-        }
-        final_regs.push(out.final_regs.clone());
-    }
-
     let mut reads = Vec::new();
-    let mut writes_per_loc = vec![Vec::new(); locs.len()];
-    for e in &events {
-        match e.kind {
-            EventKind::Read { loc, val, .. } => reads.push((e.id, loc, val)),
-            EventKind::Write { loc, is_init: false, .. } => writes_per_loc[loc.0].push(e.id),
-            _ => {}
-        }
-    }
-    let init_write = (0..locs.len()).collect();
-
-    // po-loc for pruning.
-    let mut po_loc = Relation::empty(total);
-    for (a, b) in po.iter() {
-        if let (Some(la), Some(lb)) = (events[a].loc(), events[b].loc()) {
-            if la == lb {
-                po_loc.insert(a, b);
+    for (t, out) in chosen.iter().enumerate() {
+        for ev in &out.events {
+            let id = events.len();
+            if let EventKind::Read { loc, val, .. } = ev.kind {
+                reads.push((id, loc, val));
             }
+            events.push(Event { id, thread: Some(t), kind: ev.kind });
         }
     }
-
-    Ok(PreExecution {
+    PreExecution {
         locs: Arc::clone(locs),
         events: Arc::new(events),
         n_threads: chosen.len(),
-        po: Arc::new(po),
-        addr: Arc::new(addr),
-        data: Arc::new(data),
-        ctrl: Arc::new(ctrl),
-        rmw: Arc::new(rmw),
-        final_regs: Arc::new(final_regs),
+        shape: Arc::clone(&shape.shape),
+        final_regs: Arc::new(chosen.iter().map(|out| out.final_regs.clone()).collect()),
         reads,
-        writes_per_loc,
-        init_write,
-        po_loc: Arc::new(po_loc),
-    })
+        writes_per_loc: &shape.writes_per_loc,
+    }
 }
 
 /// The share of one pre-execution's witness tree a run of its units
@@ -738,7 +820,7 @@ fn enumerate_witnesses(
     let mut candidates: Vec<Vec<usize>> = Vec::with_capacity(pre.reads.len());
     for &(_, loc, val) in &pre.reads {
         let mut c: Vec<usize> = Vec::new();
-        let init = pre.init_write[loc.0];
+        let init = loc.0; // the location's initialising write
         if pre.events[init].val() == Some(val) {
             c.push(init);
         }
@@ -771,7 +853,7 @@ fn enumerate_witnesses(
 
     // Scratch write orders, permuted in place by enumerate_co; one
     // allocation per pre-execution instead of one per (rf, location).
-    let mut orders: Vec<Vec<usize>> = pre.writes_per_loc.clone();
+    let mut orders: Vec<Vec<usize>> = pre.writes_per_loc.to_vec();
     let nr = pre.reads.len();
     let mut rf_choice = vec![0usize; nr];
     if let Some(w) = &window {
@@ -838,7 +920,7 @@ fn emit_leaf(
     }
     let mut co = Relation::empty(pre.events.len());
     for (l, order) in orders.iter().enumerate() {
-        let mut prev = pre.init_write[l];
+        let mut prev = l;
         for &w in order {
             co.insert(prev, w);
             prev = w;
@@ -851,7 +933,7 @@ fn emit_leaf(
         let mut com = rf.inverse().seq(&co);
         com.union_in_place(rf);
         com.union_in_place(&co);
-        com.union_in_place(&pre.po_loc);
+        com.union_in_place(&pre.shape.po_loc);
         if !com.is_acyclic() {
             return Ok(ControlFlow::Continue(()));
         }
@@ -865,7 +947,7 @@ fn emit_leaf(
                 let mut com = rf.inverse().seq(&co);
                 com.union_in_place(rf);
                 com.union_in_place(&co);
-                com.union_in_place(&pre.po_loc);
+                com.union_in_place(&pre.shape.po_loc);
                 com.is_acyclic()
             },
             "saturated coherence order violates scpv"
@@ -886,14 +968,9 @@ fn emit_leaf(
         locs: Arc::clone(&pre.locs),
         events: Arc::clone(&pre.events),
         n_threads: pre.n_threads,
-        po: Arc::clone(&pre.po),
-        addr: Arc::clone(&pre.addr),
-        data: Arc::clone(&pre.data),
-        ctrl: Arc::clone(&pre.ctrl),
-        rmw: Arc::clone(&pre.rmw),
+        shape: Arc::clone(&pre.shape),
         rf: rf.clone(),
         co,
-        po_loc: Arc::clone(&pre.po_loc),
         final_regs: Arc::clone(&pre.final_regs),
     };
     Ok(visit(x))
@@ -986,7 +1063,7 @@ fn enumerate_witnesses_pruned(
 ) -> Result<ControlFlow<()>, EnumError> {
     let n = pre.events.len();
     let mut order = IncrementalOrder::new(n);
-    for (a, b) in pre.po_loc.iter() {
+    for (a, b) in pre.shape.po_loc.iter() {
         if !order.add_edge(a, b) {
             // po is a strict order, so po-loc cannot be cyclic; be
             // defensive anyway — a cyclic base order admits no witness.
@@ -996,7 +1073,7 @@ fn enumerate_witnesses_pruned(
     for (l, ws) in pre.writes_per_loc.iter().enumerate() {
         for &w in ws {
             // The initialising write is coherence-first at its location.
-            if !order.add_edge(pre.init_write[l], w) {
+            if !order.add_edge(l, w) {
                 return Ok(ControlFlow::Continue(()));
             }
         }
@@ -1012,7 +1089,7 @@ fn enumerate_witnesses_pruned(
         }
     }
     let mut pos_in_loc = vec![0usize; n];
-    for ws in &pre.writes_per_loc {
+    for ws in pre.writes_per_loc {
         for (p, &w) in ws.iter().enumerate() {
             pos_in_loc[w] = p;
         }
@@ -1020,7 +1097,7 @@ fn enumerate_witnesses_pruned(
     let mut st = PrunedState {
         srcs: vec![usize::MAX; nr],
         order,
-        orders: pre.writes_per_loc.clone(),
+        orders: pre.writes_per_loc.to_vec(),
         preds: pre.writes_per_loc.iter().map(|ws| vec![0u64; ws.len()]).collect(),
         pos_in_loc,
         peers,
@@ -1060,10 +1137,10 @@ fn assign(pre: &PreExecution, st: &mut PrunedState, i: usize, w: usize) -> bool 
         if w2 == w {
             continue;
         }
-        if pre.po_loc.contains(w2, rid) && !st.order.add_edge(w2, w) {
+        if pre.shape.po_loc.contains(w2, rid) && !st.order.add_edge(w2, w) {
             return false;
         }
-        if pre.po_loc.contains(rid, w2) && !st.order.add_edge(w, w2) {
+        if pre.shape.po_loc.contains(rid, w2) && !st.order.add_edge(w, w2) {
             return false;
         }
     }
@@ -1074,10 +1151,10 @@ fn assign(pre: &PreExecution, st: &mut PrunedState, i: usize, w: usize) -> bool 
             continue;
         }
         let rid2 = pre.reads[j].0;
-        if pre.po_loc.contains(rid2, rid) && !st.order.add_edge(w2, w) {
+        if pre.shape.po_loc.contains(rid2, rid) && !st.order.add_edge(w2, w) {
             return false;
         }
-        if pre.po_loc.contains(rid, rid2) && !st.order.add_edge(w, w2) {
+        if pre.shape.po_loc.contains(rid, rid2) && !st.order.add_edge(w, w2) {
             return false;
         }
     }
@@ -1356,7 +1433,7 @@ mod tests {
     fn pointer_chase_has_address_dependency() {
         let t = library::by_name("MP+wmb+addr").unwrap().test();
         let execs = enumerate(&t, &EnumOptions::default()).unwrap();
-        assert!(execs.iter().all(|x| !x.addr.is_empty() || x.events.len() < 8));
+        assert!(execs.iter().all(|x| !x.shape.addr.is_empty() || x.events.len() < 8));
         assert!(execs.iter().any(|x| x.satisfies_prop(&t.condition.prop)));
     }
 
@@ -1370,7 +1447,7 @@ mod tests {
         let (l, u) = crit.iter().next().unwrap();
         assert!(x.events[l].is_fence(FenceKind::RcuLock));
         assert!(x.events[u].is_fence(FenceKind::RcuUnlock));
-        assert!(x.po.contains(l, u));
+        assert!(x.shape.po.contains(l, u));
     }
 
     #[test]

@@ -79,6 +79,16 @@ pub enum EventKind {
     Srcu { kind: SrcuKind, domain: LocId },
 }
 
+impl EventKind {
+    /// The location accessed, if this is a memory access.
+    pub fn loc(self) -> Option<LocId> {
+        match self {
+            EventKind::Read { loc, .. } | EventKind::Write { loc, .. } => Some(loc),
+            EventKind::Fence(_) | EventKind::Srcu { .. } => None,
+        }
+    }
+}
+
 /// The three SRCU primitives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SrcuKind {
@@ -126,10 +136,7 @@ impl Event {
 
     /// The location accessed, if this is a memory access.
     pub fn loc(&self) -> Option<LocId> {
-        match self.kind {
-            EventKind::Read { loc, .. } | EventKind::Write { loc, .. } => Some(loc),
-            EventKind::Fence(_) | EventKind::Srcu { .. } => None,
-        }
+        self.kind.loc()
     }
 
     /// The value read or written, if this is a memory access.

@@ -9,21 +9,20 @@ use std::fmt;
 use std::sync::Arc;
 
 /// One candidate execution of a litmus test: events plus the abstract
-/// execution relations (`po`, `addr`, `data`, `ctrl`, `rmw`) and the
-/// execution witness (`rf`, `co`).
+/// execution relations (`po`, `addr`, `data`, `ctrl`, `rmw`, in its
+/// [`Shape`]) and the execution witness (`rf`, `co`).
 ///
 /// All the derived relations used by cat models are provided as methods
 /// (`fr`, `po_loc`, `rfe`, [`Execution::fencerel`], the RCU `crit`
 /// matching, …). Events are densely numbered: initialising writes first,
 /// then each thread's events in program order.
 ///
-/// The pre-witness part (everything except `rf`/`co`) is shared between
-/// the many candidates of one thread-outcome combination behind `Arc`s:
-/// cloning a candidate — and sending it to a pipeline worker — copies two
-/// bitset relations and a handful of reference counts, not the whole
-/// event structure. The shared `events` allocation also gives model
-/// implementations a stable identity (`Arc::as_ptr`) to key per-test
-/// caches on.
+/// The pre-witness part (everything except `rf`/`co`) is shared behind
+/// `Arc`s: the events and final registers by every candidate of one
+/// thread-outcome combination, the shape by every pre-execution of the
+/// test with the same value-free structure. Cloning a candidate copies
+/// two bitset relations and a handful of reference counts, not the whole
+/// event structure.
 #[derive(Clone, Debug)]
 pub struct Execution {
     /// Location names; `LocId(i)` names `locs[i]`.
@@ -32,27 +31,44 @@ pub struct Execution {
     pub events: Arc<Vec<Event>>,
     /// Number of program threads.
     pub n_threads: usize,
-    /// Program order (transitive, per thread).
-    pub po: Arc<Relation>,
-    /// Address dependencies (from reads).
-    pub addr: Arc<Relation>,
-    /// Data dependencies (from reads to writes).
-    pub data: Arc<Relation>,
-    /// Control dependencies (from reads).
-    pub ctrl: Arc<Relation>,
-    /// Read-modify-write pairing.
-    pub rmw: Arc<Relation>,
+    /// The value-free structure: program order, dependencies, `rmw` and
+    /// `po-loc`.
+    pub shape: Arc<Shape>,
     /// Reads-from: one write per read.
     pub rf: Relation,
     /// Coherence order: total per location, initialising write first
     /// (stored transitively closed).
     pub co: Relation,
-    /// `po ∩ loc`, precomputed by the enumerator and shared (like the
-    /// other pre-witness relations) across every candidate of one
-    /// thread-outcome combination.
-    pub po_loc: Arc<Relation>,
     /// Final register values, per thread.
     pub final_regs: Arc<Vec<BTreeMap<String, Val>>>,
+}
+
+/// The value-free structure of a pre-execution. Pre-executions whose
+/// events differ only in the values they read and write — the same
+/// kinds, annotations, locations and threads, in the same order, with
+/// the same dependency edges — share one shape.
+///
+/// The enumerator interns one shape per distinct structure of a test
+/// that a thread meets (see [`crate::enumerate::Cursor`]), and builds its
+/// relations once. Every fact that depends only on structure
+/// (the static tier of [`crate::FactsCache`], the model sessions' own
+/// static caches) is keyed on the identity of this `Arc`
+/// (`Arc::ptr_eq`): holding a clone keeps the allocation alive, so the
+/// identity cannot be recycled while a cache entry exists.
+#[derive(Debug)]
+pub struct Shape {
+    /// Program order (transitive, per thread).
+    pub po: Relation,
+    /// Address dependencies (from reads).
+    pub addr: Relation,
+    /// Data dependencies (from reads to writes).
+    pub data: Relation,
+    /// Control dependencies (from reads).
+    pub ctrl: Relation,
+    /// Read-modify-write pairing.
+    pub rmw: Relation,
+    /// `po ∩ loc`.
+    pub po_loc: Relation,
 }
 
 impl Execution {
@@ -154,9 +170,9 @@ impl Execution {
     }
 
     /// Program order restricted to same-location accesses (a clone of
-    /// the shared precomputed relation).
+    /// the shape's precomputed relation).
     pub fn po_loc(&self) -> Relation {
-        (*self.po_loc).clone()
+        self.shape.po_loc.clone()
     }
 
     /// Internal reads-from.
@@ -183,7 +199,7 @@ impl Execution {
     /// in program order (`po ; [F kind] ; po`).
     pub fn fencerel(&self, kind: FenceKind) -> Relation {
         let f = self.fences(kind).as_identity();
-        self.po.seq(&f).seq(&self.po)
+        self.shape.po.seq(&f).seq(&self.shape.po)
     }
 
     /// The paper's `gp` relation (Figure 12):
@@ -191,7 +207,7 @@ impl Execution {
     /// or whose second element is the `synchronize_rcu` itself.
     pub fn gp(&self) -> Relation {
         let sync = self.fences(FenceKind::SyncRcu).as_identity();
-        self.po.seq(&sync).seq(&self.po.reflexive())
+        self.shape.po.seq(&sync).seq(&self.shape.po.reflexive())
     }
 
     /// The `crit` relation: each *outermost* `rcu_read_lock` paired with
@@ -274,7 +290,7 @@ impl Execution {
     /// `gp` for one SRCU domain (`(po ∩ (_ × SyncSrcu_d)) ; po?`).
     pub fn srcu_gp(&self, domain: LocId) -> Relation {
         let sync = self.srcu_events(SrcuKind::Sync, domain).as_identity();
-        self.po.seq(&sync).seq(&self.po.reflexive())
+        self.shape.po.seq(&sync).seq(&self.shape.po.reflexive())
     }
 
     /// The final value of each location: the coherence-maximal write.
@@ -318,16 +334,17 @@ impl Execution {
             out.push_str(&format!("  e{} [label=\"{}\"];\n", e.id, e));
         }
         let edge_sets: [(&str, &Relation, &str); 5] = [
-            ("po", &self.po, "black"),
+            ("po", &self.shape.po, "black"),
             ("rf", &self.rf, "red"),
             ("co", &self.co, "blue"),
-            ("addr", &self.addr, "darkgreen"),
-            ("ctrl", &self.ctrl, "purple"),
+            ("addr", &self.shape.addr, "darkgreen"),
+            ("ctrl", &self.shape.ctrl, "purple"),
         ];
         for (name, rel, colour) in edge_sets {
             for (a, b) in rel.iter() {
                 // Show only immediate po edges to keep graphs readable.
-                if name == "po" && self.po.successors(a).any(|m| self.po.contains(m, b)) {
+                let po = &self.shape.po;
+                if name == "po" && po.successors(a).any(|m| po.contains(m, b)) {
                     continue;
                 }
                 out.push_str(&format!(

@@ -12,13 +12,14 @@
 //! The facts split into two tiers, mirroring how executions share their
 //! pre-witness structure behind `Arc`s:
 //!
-//! * [`StaticExecFacts`] — facts that depend only on the pre-execution
-//!   (events, `po`, dependencies): `loc`, `int`/`ext`, `po-loc`, event
-//!   sets, fence relations, `gp`, `crit`, SRCU structure. All candidates
-//!   of one thread-outcome combination share these; a [`FactsCache`]
-//!   reuses them across candidates, keyed on the identity of the shared
-//!   event list (`Arc::ptr_eq`), exactly like the model sessions' own
-//!   per-pre-execution caches.
+//! * [`StaticExecFacts`] — facts that depend only on the value-free
+//!   structure of the pre-execution (event kinds and locations, `po`,
+//!   dependencies): `loc`, `int`/`ext`, event sets, fence relations,
+//!   `gp`, `crit`, SRCU structure. A [`FactsCache`] reuses them across
+//!   candidates keyed on the identity of the execution's [`Shape`]
+//!   (`Arc::ptr_eq`), exactly like the model sessions' own static
+//!   caches, so every pre-execution of a test that differs only in
+//!   values shares one tier.
 //! * [`ExecFacts`] — the witness-dependent tier (`fr`, `com`, `rfe`,
 //!   `fre ; coe`, the shared coherence/atomicity axiom verdicts), fresh
 //!   per candidate, borrowing the static tier.
@@ -27,8 +28,8 @@
 //! pipeline gives each worker its own [`FactsCache`], the same way each
 //! worker owns its model sessions.
 
-use crate::event::{Event, LocId};
-use crate::execution::Execution;
+use crate::event::LocId;
+use crate::execution::{Execution, Shape};
 use lkmm_litmus::FenceKind;
 use lkmm_relation::{acquire_rel, ArenaRel, EventSet, Relation, SharedArena};
 use std::cell::OnceCell;
@@ -63,20 +64,19 @@ pub struct SrcuDomainFacts {
     pub crit: Relation,
 }
 
-/// Lazily-computed facts shared by every candidate of one pre-execution.
+/// Lazily-computed facts shared by every candidate of one shape.
 ///
 /// Each field is computed on first access — through an [`ExecFacts`]
 /// borrowing this tier — and memoised for every later candidate and
 /// every later model. A fresh instance knows nothing; it fills in from
-/// whichever execution first asks, which is sound because all candidates
-/// sharing it (see [`FactsCache`]) share the identical `Arc`'d
-/// pre-execution structure.
+/// whichever execution first asks, which is sound because every
+/// candidate sharing it (see [`FactsCache`]) has the same [`Shape`], and
+/// no fact here reads a value.
 #[derive(Debug, Default)]
 pub struct StaticExecFacts {
     loc_rel: OnceCell<Relation>,
     int: OnceCell<Relation>,
     ext: OnceCell<Relation>,
-    po_loc: OnceCell<Arc<Relation>>,
     reads: OnceCell<EventSet>,
     writes: OnceCell<EventSet>,
     init_writes: OnceCell<EventSet>,
@@ -95,7 +95,7 @@ pub struct StaticExecFacts {
 ///
 /// Construct with [`ExecFacts::new`] for one-off use, or through a
 /// [`FactsCache`] to share the static tier across the candidates of a
-/// pre-execution. Accessors return references; nothing is recomputed on
+/// shape. Accessors return references; nothing is recomputed on
 /// a second call, whether it comes from the same model or a different
 /// one.
 #[derive(Debug)]
@@ -155,7 +155,7 @@ impl<'x> ExecFacts<'x> {
         self.arena.as_ref()
     }
 
-    // --- static tier: pre-execution facts ---
+    // --- static tier: value-free facts of the shape ---
 
     /// `loc`: pairs of memory accesses to the same location.
     pub fn loc_rel(&self) -> &Relation {
@@ -173,9 +173,9 @@ impl<'x> ExecFacts<'x> {
     }
 
     /// `po-loc`: program order restricted to same-location accesses
-    /// (shared with the execution's precomputed relation, not rebuilt).
+    /// (the shape's precomputed relation, not rebuilt).
     pub fn po_loc(&self) -> &Relation {
-        self.statics.po_loc.get_or_init(|| Arc::clone(&self.x.po_loc))
+        &self.x.shape.po_loc
     }
 
     /// All reads (`R`).
@@ -217,7 +217,7 @@ impl<'x> ExecFacts<'x> {
     pub fn fencerel(&self, kind: FenceKind) -> &Relation {
         self.statics.fencerels[fence_index(kind)].get_or_init(|| {
             let f = self.fences(kind).as_identity();
-            self.x.po.seq(&f).seq(&self.x.po)
+            self.x.shape.po.seq(&f).seq(&self.x.shape.po)
         })
     }
 
@@ -225,7 +225,7 @@ impl<'x> ExecFacts<'x> {
     pub fn gp(&self) -> &Relation {
         self.statics.gp.get_or_init(|| {
             let sync = self.fences(FenceKind::SyncRcu).as_identity();
-            self.x.po.seq(&sync).seq(&self.x.po.reflexive())
+            self.x.shape.po.seq(&sync).seq(&self.x.shape.po.reflexive())
         })
     }
 
@@ -357,19 +357,20 @@ impl<'x> ExecFacts<'x> {
     pub fn atomicity_ok(&self) -> bool {
         *self
             .atomicity_ok
-            .get_or_init(|| !self.x.rmw.intersects(self.fre_seq_coe()))
+            .get_or_init(|| !self.x.shape.rmw.intersects(self.fre_seq_coe()))
     }
 }
 
 /// A per-worker cache lending [`ExecFacts`] whose static tier is reused
-/// across all candidates of one pre-execution, keyed on the identity of
-/// the shared event list. The held `Arc` keeps the allocation alive, so
-/// pointer identity cannot be recycled while the entry exists — the same
-/// pattern the model sessions use for their own per-test caches.
+/// across consecutive candidates of one [`Shape`], keyed on the identity
+/// of the execution's shape handle. The held `Arc` keeps the allocation
+/// alive, so pointer identity cannot be recycled while the entry exists —
+/// the same pattern the model sessions use for their own static caches.
 #[derive(Debug, Default)]
 pub struct FactsCache {
-    statics: Option<(Arc<Vec<Event>>, Rc<StaticExecFacts>)>,
+    statics: Option<(Arc<Shape>, Rc<StaticExecFacts>)>,
     arena: Option<SharedArena>,
+    builds: u64,
 }
 
 impl FactsCache {
@@ -385,7 +386,7 @@ impl FactsCache {
     /// state candidate checking recycles relation storage instead of
     /// allocating it.
     pub fn with_arena(arena: SharedArena) -> Self {
-        FactsCache { statics: None, arena: Some(arena) }
+        FactsCache { arena: Some(arena), ..FactsCache::default() }
     }
 
     /// The arena backing this cache's facts, if any.
@@ -393,16 +394,19 @@ impl FactsCache {
         self.arena.as_ref()
     }
 
-    /// Facts for `x`, reusing the cached static tier when `x` shares its
-    /// pre-execution with the previous candidate.
+    /// How many static tiers this cache has started: one per run of
+    /// consecutive candidates sharing a shape.
+    pub fn static_builds(&self) -> u64 {
+        self.builds
+    }
+
+    /// Facts for `x`, reusing the cached static tier when `x` has the
+    /// shape of the previous candidate.
     pub fn facts<'x>(&mut self, x: &'x Execution) -> ExecFacts<'x> {
-        let hit = self
-            .statics
-            .as_ref()
-            .is_some_and(|(events, _)| Arc::ptr_eq(events, &x.events));
+        let hit = self.statics.as_ref().is_some_and(|(shape, _)| Arc::ptr_eq(shape, &x.shape));
         if !hit {
-            self.statics =
-                Some((Arc::clone(&x.events), Rc::new(StaticExecFacts::default())));
+            self.statics = Some((Arc::clone(&x.shape), Rc::new(StaticExecFacts::default())));
+            self.builds += 1;
         }
         let statics = Rc::clone(&self.statics.as_ref().expect("cache filled above").1);
         ExecFacts::with_statics(x, statics, self.arena.clone())
@@ -413,6 +417,7 @@ impl FactsCache {
 mod tests {
     use super::*;
     use crate::enumerate::{enumerate, EnumOptions};
+    use crate::event::{Event, EventKind};
     use lkmm_litmus::library;
 
     fn candidates(name: &str) -> Vec<Execution> {
@@ -444,15 +449,7 @@ mod tests {
                 assert_eq!(f.init_writes(), &x.init_writes(), "{name}: IW");
                 assert_eq!(f.acquires(), &x.acquires(), "{name}: Acquire");
                 assert_eq!(f.releases(), &x.releases(), "{name}: Release");
-                for kind in [
-                    FenceKind::Rmb,
-                    FenceKind::Wmb,
-                    FenceKind::Mb,
-                    FenceKind::RbDep,
-                    FenceKind::RcuLock,
-                    FenceKind::RcuUnlock,
-                    FenceKind::SyncRcu,
-                ] {
+                for kind in FENCE_KINDS {
                     assert_eq!(f.fences(kind), &x.fences(kind), "{name}: F[{kind:?}]");
                     assert_eq!(f.fencerel(kind), &x.fencerel(kind), "{name}: {kind:?}");
                 }
@@ -463,7 +460,7 @@ mod tests {
                 );
                 assert_eq!(
                     f.atomicity_ok(),
-                    x.rmw.intersection(&x.fre().seq(&x.coe())).is_empty(),
+                    x.shape.rmw.intersection(&x.fre().seq(&x.coe())).is_empty(),
                     "{name}: at"
                 );
             }
@@ -502,6 +499,139 @@ mod tests {
             let f = cache.facts(other);
             assert!(!Rc::ptr_eq(&f.statics, &statics));
         }
+    }
+
+    fn parsed(src: &str) -> Vec<Execution> {
+        let t = lkmm_litmus::parse(src).unwrap();
+        enumerate(&t, &EnumOptions::default()).unwrap()
+    }
+
+    /// Some pre-executions take the branch (and write `y`), some do not.
+    const BRANCHY: &str = "C branchy\n{ x=0; y=0; }\n\
+        P0(int *x, int *y) { int r0; r0 = READ_ONCE(*x); if (r0) { WRITE_ONCE(*y, 1); } }\n\
+        P1(int *x, int *y) { int r1; r1 = READ_ONCE(*y); WRITE_ONCE(*x, 1); }\n\
+        exists (0:r0=1 /\\ 1:r1=1)";
+
+    /// The write of `z` data-depends on the read of `x` only when the
+    /// read returns 1; its events differ only in values either way.
+    const DEP_ON_ONE_PATH: &str = "C dep-on-one-path\n{ x=0; z=0; }\n\
+        P0(int *x, int *z) { int r0; int r1; r0 = READ_ONCE(*x); \
+        if (r0 == 1) { r1 = r0; } else { r1 = 2; } WRITE_ONCE(*z, r1); }\n\
+        P1(int *x) { WRITE_ONCE(*x, 1); }\n\
+        exists (z=1)";
+
+    /// A candidate's events with their values erased, in order.
+    fn value_free_events(x: &Execution) -> Vec<String> {
+        x.events
+            .iter()
+            .map(|e| {
+                let kind = match e.kind {
+                    EventKind::Read { loc, annot, .. } => format!("R {loc:?} {annot:?}"),
+                    EventKind::Write { loc, annot, is_init, .. } => {
+                        format!("W {loc:?} {annot:?} {is_init}")
+                    }
+                    kind => format!("{kind:?}"),
+                };
+                format!("{:?} {kind}", e.thread)
+            })
+            .collect()
+    }
+
+    /// Every static-tier accessor of `a` equals `b`'s.
+    fn assert_same_static_facts(a: &ExecFacts<'_>, b: &ExecFacts<'_>, what: &str) {
+        assert_eq!(a.loc_rel(), b.loc_rel(), "{what}: loc");
+        assert_eq!(a.int_rel(), b.int_rel(), "{what}: int");
+        assert_eq!(a.ext_rel(), b.ext_rel(), "{what}: ext");
+        assert_eq!(a.po_loc(), b.po_loc(), "{what}: po-loc");
+        assert_eq!(a.reads(), b.reads(), "{what}: R");
+        assert_eq!(a.writes(), b.writes(), "{what}: W");
+        assert_eq!(a.init_writes(), b.init_writes(), "{what}: IW");
+        assert_eq!(a.mem(), b.mem(), "{what}: M");
+        assert_eq!(a.acquires(), b.acquires(), "{what}: Acquire");
+        assert_eq!(a.releases(), b.releases(), "{what}: Release");
+        for kind in FENCE_KINDS {
+            assert_eq!(a.fences(kind), b.fences(kind), "{what}: F[{kind:?}]");
+            assert_eq!(a.fencerel(kind), b.fencerel(kind), "{what}: {kind:?}");
+        }
+        assert_eq!(a.gp(), b.gp(), "{what}: gp");
+        assert_eq!(a.crit(), b.crit(), "{what}: crit");
+        let srcu = |f: &ExecFacts<'_>| {
+            f.srcu().iter().map(|d| (d.domain, d.gp.clone(), d.crit.clone())).collect::<Vec<_>>()
+        };
+        assert_eq!(srcu(a), srcu(b), "{what}: srcu");
+    }
+
+    const FENCE_KINDS: [FenceKind; N_FENCE_KINDS] = [
+        FenceKind::Rmb,
+        FenceKind::Wmb,
+        FenceKind::Mb,
+        FenceKind::RbDep,
+        FenceKind::RcuLock,
+        FenceKind::RcuUnlock,
+        FenceKind::SyncRcu,
+    ];
+
+    #[test]
+    fn pre_executions_differing_only_in_values_share_one_static_tier() {
+        // MP's four pre-executions read different values, nothing else.
+        let xs = candidates("MP");
+        let mut pres: Vec<*const Vec<Event>> = xs.iter().map(|x| Arc::as_ptr(&x.events)).collect();
+        pres.dedup();
+        assert_eq!(pres.len(), 4, "MP has four pre-executions");
+        let mut cache = FactsCache::new();
+        let first = Rc::clone(&cache.facts(&xs[0]).statics);
+        let _ = cache.facts(&xs[0]).loc_rel();
+        for x in &xs {
+            let f = cache.facts(x);
+            assert!(Rc::ptr_eq(&f.statics, &first), "one static tier for every MP candidate");
+        }
+        assert!(first.loc_rel.get().is_some(), "filled once, seen by every pre-execution");
+        assert_eq!(cache.static_builds(), 1);
+    }
+
+    #[test]
+    fn pre_executions_differing_in_an_event_or_an_edge_get_their_own_tier() {
+        for (src, differs) in [
+            (BRANCHY, "events"),
+            (DEP_ON_ONE_PATH, "data"),
+        ] {
+            let xs = parsed(src);
+            let mut cache = FactsCache::new();
+            let mut seen: Vec<(&Execution, Rc<StaticExecFacts>)> = Vec::new();
+            let mut distinct = false;
+            for x in &xs {
+                let statics = Rc::clone(&cache.facts(x).statics);
+                if let Some((prev, prev_statics)) = seen.last() {
+                    let same = value_free_events(prev) == value_free_events(x)
+                        && prev.shape.addr == x.shape.addr
+                        && prev.shape.data == x.shape.data
+                        && prev.shape.ctrl == x.shape.ctrl
+                        && prev.shape.rmw == x.shape.rmw;
+                    assert_eq!(Rc::ptr_eq(prev_statics, &statics), same, "{differs}");
+                    distinct |= !same;
+                    if differs == "data" && !same {
+                        assert_eq!(value_free_events(prev), value_free_events(x));
+                        assert_ne!(prev.shape.data, x.shape.data);
+                    }
+                }
+                seen.push((x, statics));
+            }
+            assert!(distinct, "{differs}: consecutive candidates of two shapes");
+        }
+    }
+
+    #[test]
+    fn every_candidates_static_facts_are_its_own() {
+        let mut cache = FactsCache::new();
+        let library = lkmm_litmus::library::all().iter().flat_map(|pt| {
+            enumerate(&pt.test(), &EnumOptions::default()).unwrap()
+        });
+        let xs: Vec<Execution> =
+            library.chain(parsed(BRANCHY)).chain(parsed(DEP_ON_ONE_PATH)).collect();
+        for x in &xs {
+            assert_same_static_facts(&cache.facts(x), &ExecFacts::new(x), &format!("{x}"));
+        }
+        assert!(cache.static_builds() < xs.len() as u64);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use enumerate::{
     EnumStats, EnumStrategy,
 };
 pub use event::{Event, EventKind, LocId, ReadAnnot, SrcuKind, Val, WriteAnnot};
-pub use execution::Execution;
+pub use execution::{Execution, Shape};
 pub use facts::{ExecFacts, FactsCache, SrcuDomainFacts, StaticExecFacts};
 pub use lkmm_core::budget::{Budget, BudgetKind, CancelToken, StepFuel};
 pub use model::{

@@ -26,7 +26,7 @@
 //! candidates is rolled back and handed to the pool cut into slices by
 //! its first `rf` choices, so a test whose work sits in one
 //! pre-execution still spreads. Each worker enumerates *and* evaluates its share with its
-//! own model sessions and facts cache, so the per-pre-execution caches
+//! own model sessions and facts cache, so the per-shape static caches
 //! stay hot, and the calling thread commits the tallies in index order.
 //! (A heavy pre-execution after the prefix stays in one range: only the
 //! prefix is watched for them.)
@@ -58,7 +58,7 @@
 //! counts are then lower bounds, which is why the flag exists instead of
 //! being always-on.
 
-use crate::enumerate::{EnumError, EnumOptions, EnumStats, PreExecutions};
+use crate::enumerate::{Cursor, EnumError, EnumOptions, EnumStats, PreExecutions};
 use crate::execution::Execution;
 use crate::facts::FactsCache;
 use crate::model::{open_session, ConsistencyModel, EvalStop, ModelSession, TestResult, Verdict};
@@ -115,18 +115,21 @@ pub struct PipelineOptions {
 }
 
 /// Opt-in counters describing how much relation storage the per-worker
-/// arenas served and recycled. Shared via [`PipelineOptions::stats`];
-/// all methods are thread-safe.
+/// arenas served and recycled, and how many static fact tiers the
+/// workers built. Shared via [`PipelineOptions::stats`]; all methods are
+/// thread-safe.
 ///
-/// A check on the calling thread draws from one fresh arena, so a
-/// campaign, which checks each unit inline, reports the same counts at
-/// any job count. A split check adds one arena per worker, each warming
-/// up on its own, so its `arena_reuses` (and, where workers recompute a
-/// pre-execution's shared facts, `arena_acquires`) depend on the split.
+/// A check on the calling thread draws from one fresh arena and one
+/// facts cache, so a campaign, which checks each unit inline, reports
+/// the same counts at any job count. A split check adds one arena and
+/// cache per worker, each warming up on its own, so its `arena_reuses`
+/// and `static_builds` (and, where workers recompute a pre-execution's
+/// shared facts, `arena_acquires`) depend on the split.
 #[derive(Debug, Default)]
 pub struct DataPlaneStats {
     arena_acquires: AtomicU64,
     arena_reuses: AtomicU64,
+    static_builds: AtomicU64,
 }
 
 impl DataPlaneStats {
@@ -135,6 +138,7 @@ impl DataPlaneStats {
         DataPlaneSnapshot {
             arena_acquires: self.arena_acquires.load(Ordering::Relaxed),
             arena_reuses: self.arena_reuses.load(Ordering::Relaxed),
+            static_builds: self.static_builds.load(Ordering::Relaxed),
         }
     }
 
@@ -144,6 +148,7 @@ impl DataPlaneStats {
     pub fn add(&self, other: &DataPlaneSnapshot) {
         self.arena_acquires.fetch_add(other.arena_acquires, Ordering::Relaxed);
         self.arena_reuses.fetch_add(other.arena_reuses, Ordering::Relaxed);
+        self.static_builds.fetch_add(other.static_builds, Ordering::Relaxed);
     }
 }
 
@@ -154,6 +159,9 @@ pub struct DataPlaneSnapshot {
     pub arena_acquires: u64,
     /// Acquisitions served from pooled storage instead of the allocator.
     pub arena_reuses: u64,
+    /// Static fact tiers built: one per run of consecutive candidates
+    /// of one [`Shape`](crate::execution::Shape) a facts cache saw.
+    pub static_builds: u64,
 }
 
 /// Resolve a `--jobs` value: `0` becomes the available parallelism
@@ -452,7 +460,7 @@ fn run_check(
     // The whole candidate allowance with the deadline pinned once, here:
     // what every range enumerated ahead of the commit runs against.
     let allowance = meter.clone();
-    let mut inline = WorkerState::new(models, &fuel, &pipe.stats);
+    let mut inline = WorkerState::new(models, &space, &fuel, &pipe.stats);
     let mut emitted = 0usize;
     let mut next = 0usize;
     if workers > 1 {
@@ -503,7 +511,7 @@ fn run_check(
             let Ok(()) = prepare_in_order(
                 ranges,
                 workers,
-                || WorkerState::new(models, &None, &pipe.stats),
+                || WorkerState::new(models, &space, &None, &pipe.stats),
                 |worker, range| worker.run_ahead(&cx, range, opts, &allowance),
                 |range, ran| -> Result<bool, Infallible> {
                     let Ok(ran) = ran else {
@@ -549,14 +557,17 @@ struct RangeRun {
     enum_stats: Option<crate::EnumSnapshot>,
 }
 
-/// One thread's evaluation state: a session per model, the shared-facts
-/// cache (arena-backed — each worker recycles relation storage between
-/// candidates), and one running tally per model. All models see the
-/// exact same candidate sequence — a candidate counts for either every
-/// tally or none (a panic or fuel stop mid-candidate discards it
-/// everywhere), so per-model partial tallies stay aligned.
+/// One thread's evaluation state: a session per model, a cursor over the
+/// test's pre-executions (its interned shapes outlive each run of units,
+/// so the static caches keyed on them stay hot across the runs), the
+/// shared-facts cache (arena-backed — each worker recycles relation
+/// storage between candidates), and one running tally per model. All
+/// models see the exact same candidate sequence — a candidate counts for
+/// either every tally or none (a panic or fuel stop mid-candidate
+/// discards it everywhere), so per-model partial tallies stay aligned.
 struct WorkerState<'m> {
     sessions: Vec<Box<dyn ModelSession + 'm>>,
+    cursor: Cursor<'m>,
     cache: FactsCache,
     allows: Vec<bool>,
     tallies: Vec<Tally>,
@@ -566,6 +577,7 @@ struct WorkerState<'m> {
 impl<'m> WorkerState<'m> {
     fn new(
         models: &[&'m dyn ConsistencyModel],
+        space: &'m PreExecutions,
         fuel: &Option<Arc<StepFuel>>,
         stats: &Option<Arc<DataPlaneStats>>,
     ) -> Self {
@@ -582,6 +594,7 @@ impl<'m> WorkerState<'m> {
         WorkerState {
             allows: Vec::with_capacity(sessions.len()),
             tallies: vec![Tally::default(); sessions.len()],
+            cursor: space.cursor(),
             cache: FactsCache::with_arena(lkmm_relation::shared_arena()),
             sessions,
             stats: stats.clone(),
@@ -601,7 +614,7 @@ impl<'m> WorkerState<'m> {
     /// exactly as a per-candidate catch would have it.
     fn run(
         &mut self,
-        cx: &Cx<'_>,
+        cx: &Cx<'m>,
         units: Range<usize>,
         opts: &EnumOptions,
         meter: &mut Meter,
@@ -610,8 +623,10 @@ impl<'m> WorkerState<'m> {
     ) -> Ran {
         let (prop, quantifier) = (&cx.test.condition.prop, cx.test.condition.quantifier);
         let mut halt = None;
+        // The visitor borrows `self`, so the cursor steps out for the run.
+        let mut cursor = std::mem::replace(&mut self.cursor, cx.space.cursor());
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            cx.space.try_for_each_in(units, cx.slices, opts, meter, emitted, &mut |x| {
+            cursor.try_for_each_in(units, cx.slices, opts, meter, emitted, &mut |x| {
                 if self.evaluate(&x, prop).is_err() {
                     halt = Some(Ran::Stopped(InconclusiveReason::BudgetExceeded(
                         BudgetKind::EvalSteps,
@@ -624,6 +639,7 @@ impl<'m> WorkerState<'m> {
                 ControlFlow::Break(())
             })
         }));
+        self.cursor = cursor;
         match caught {
             Err(_) => Ran::Stopped(InconclusiveReason::WorkerPanicked),
             Ok(Err(e)) => Ran::Stopped(e.into()),
@@ -637,7 +653,7 @@ impl<'m> WorkerState<'m> {
     /// fits what is left.
     fn run_ahead(
         &mut self,
-        cx: &Cx<'_>,
+        cx: &Cx<'m>,
         units: &Range<usize>,
         opts: &EnumOptions,
         allowance: &Meter,
@@ -689,7 +705,8 @@ impl<'m> WorkerState<'m> {
 }
 
 impl Drop for WorkerState<'_> {
-    /// Fold this thread's arena counters into the data-plane stats.
+    /// Fold this thread's arena and facts-cache counters into the
+    /// data-plane stats.
     fn drop(&mut self) {
         if let (Some(stats), Some(Ok(arena))) =
             (&self.stats, self.cache.arena().map(|arena| arena.try_borrow()))
@@ -697,6 +714,7 @@ impl Drop for WorkerState<'_> {
             stats.add(&DataPlaneSnapshot {
                 arena_acquires: arena.acquires(),
                 arena_reuses: arena.reuses(),
+                static_builds: self.cache.static_builds(),
             });
         }
     }

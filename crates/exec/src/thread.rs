@@ -16,7 +16,7 @@ pub struct LocalEvent {
 }
 
 /// Dependency edges between local event indices.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct LocalDeps {
     pub addr: Vec<(usize, usize)>,
     pub data: Vec<(usize, usize)>,

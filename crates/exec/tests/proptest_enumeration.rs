@@ -61,15 +61,15 @@ proptest! {
             // With pruning on, Scpv holds by construction.
             assert!(x.po_loc().union(&x.com()).is_acyclic());
             // Dependencies originate at reads and stay in-thread po.
-            for (a, b) in x.addr.iter().chain(x.ctrl.iter()).chain(x.data.iter()) {
+            for (a, b) in x.shape.addr.iter().chain(x.shape.ctrl.iter()).chain(x.shape.data.iter()) {
                 assert!(x.events[a].is_read());
-                assert!(x.po.contains(a, b));
+                assert!(x.shape.po.contains(a, b));
             }
             // rmw pairs are same-location adjacent read/write.
-            for (r, w) in x.rmw.iter() {
+            for (r, w) in x.shape.rmw.iter() {
                 assert!(x.events[r].is_read() && x.events[w].is_write());
                 assert_eq!(x.events[r].loc(), x.events[w].loc());
-                assert!(x.po.contains(r, w));
+                assert!(x.shape.po.contains(r, w));
             }
         }).unwrap();
         prop_assert!(count > 0, "{}: no candidates", test.name);

@@ -59,8 +59,8 @@ impl Armv8 {
     /// the call.
     fn ob_pooled(x: &Execution, facts: &ExecFacts<'_>) -> ArenaRel {
         let pool = facts.arena();
-        let n = x.po.universe();
-        let po = &x.po;
+        let n = x.shape.po.universe();
+        let po = &x.shape.po;
         let r = facts.reads();
         let w = facts.writes();
         let m = facts.mem();
@@ -77,24 +77,24 @@ impl Armv8 {
         // and control(-to-write) dependencies, dependency-into-rfi
         // forwarding, and address-dependency-then-po to a write.
         let mut dep = acquire_rel(pool, n);
-        dep.copy_from(&x.addr);
-        dep.union_in_place(&x.data);
+        dep.copy_from(&x.shape.addr);
+        dep.union_in_place(&x.shape.data);
         ob.union_in_place(&dep);
-        t.copy_from(&x.ctrl); // ctrl ∩ (R × W)
+        t.copy_from(&x.shape.ctrl); // ctrl ∩ (R × W)
         t.restrict_domain_in_place(r);
         t.restrict_range_in_place(w);
         ob.union_in_place(&t);
         dep.seq_into(rfi, &mut t); // dep ; rfi
         ob.union_in_place(&t);
-        x.addr.seq_into(po, &mut t); // (addr ; po) ∩ (R × W)
+        x.shape.addr.seq_into(po, &mut t); // (addr ; po) ∩ (R × W)
         t.restrict_domain_in_place(r);
         t.restrict_range_in_place(w);
         ob.union_in_place(&t);
 
         // aob: atomic-ordered-before — rmw ∪ [ran(rmw)] ; rfi ; [A].
-        ob.union_in_place(&x.rmw);
+        ob.union_in_place(&x.shape.rmw);
         let mut rmw_w = acquire_set(pool, n);
-        x.rmw.range_into(&mut rmw_w);
+        x.shape.rmw.range_into(&mut rmw_w);
         t.copy_from(rfi);
         t.restrict_domain_in_place(&rmw_w);
         t.restrict_range_in_place(facts.acquires());

@@ -159,7 +159,7 @@ impl OriginalC11 {
         let pool = facts.arena();
         let n = x.universe();
         let rf = &x.rf;
-        let po = &x.po;
+        let po = &x.shape.po;
         // seq_cst fences are both release and acquire fences.
         let mut rel_fence = acquire_set(pool, n);
         let mut acq_fence = acquire_set(pool, n);
@@ -217,7 +217,7 @@ impl OriginalC11 {
     /// [`Self::hb_with`] into pooled storage.
     fn hb_pooled(x: &Execution, facts: &ExecFacts<'_>) -> ArenaRel {
         let mut hb = Self::sw_pooled(x, facts);
-        hb.union_in_place(&x.po);
+        hb.union_in_place(&x.shape.po);
         with_scratch(facts.arena(), scratch_words(x.universe()), |row| {
             hb.transitive_close_with(row);
         });
@@ -253,7 +253,7 @@ impl OriginalC11 {
                 // po-after a, with (B, A) ∈ fr ∪ co. Then ¬(b <S a), i.e.
                 // a must precede b.
                 let conflict = bad().any(|(obs, wr)| {
-                    x.events[wr].is_write() && x.po.contains(wr, b) && x.po.contains(a, obs)
+                    x.events[wr].is_write() && x.shape.po.contains(wr, b) && x.shape.po.contains(a, obs)
                 });
                 if conflict {
                     must.insert(a, b);

@@ -88,7 +88,7 @@ impl Power {
         let r = facts.reads();
         let w = facts.writes();
         let m = facts.mem();
-        let po = &x.po;
+        let po = &x.shape.po;
         let po_loc = facts.po_loc();
         let rfi = facts.rfi();
         let rfe = facts.rfe();
@@ -99,8 +99,8 @@ impl Power {
 
         // --- ppo fixpoint (Herding Cats, Fig. 18) ---
         let mut dp = acquire_rel(pool, n);
-        dp.copy_from(&x.addr);
-        dp.union_in_place(&x.data);
+        dp.copy_from(&x.shape.addr);
+        dp.union_in_place(&x.shape.data);
 
         // ii0 = dp ∪ rdw ∪ rfi, rdw = po-loc ∩ (fre ; rfe).
         let mut ii0 = acquire_rel(pool, n);
@@ -118,14 +118,14 @@ impl Power {
         let mut ci0 = acquire_rel(pool, n);
         ci0.copy_from(po);
         ci0.restrict_domain_in_place(facts.acquires());
-        ci0.union_in_place(&x.ctrl);
+        ci0.union_in_place(&x.shape.ctrl);
         ci0.union_in_place(&detour);
         // cc0 = dp ∪ po-loc ∪ ctrl ∪ addr ; po.
         let mut cc0 = acquire_rel(pool, n);
-        x.addr.seq_into(po, &mut cc0);
+        x.shape.addr.seq_into(po, &mut cc0);
         cc0.union_in_place(&dp);
         cc0.union_in_place(po_loc);
-        cc0.union_in_place(&x.ctrl);
+        cc0.union_in_place(&x.shape.ctrl);
         // ic0 = ∅ (no separate handle needed — nic starts from ii ∪ cc).
 
         let mut ii = acquire_rel(pool, n);

@@ -42,8 +42,8 @@ impl ConsistencyModel for Sc {
         if !facts.atomicity_ok() {
             return false;
         }
-        let mut order = acquire_rel(facts.arena(), x.po.universe());
-        order.copy_from(&x.po);
+        let mut order = acquire_rel(facts.arena(), x.shape.po.universe());
+        order.copy_from(&x.shape.po);
         order.union_in_place(facts.com());
         order.is_acyclic()
     }

@@ -53,9 +53,9 @@ impl X86Tso {
     /// storage on drop.
     fn ghb_pooled(x: &Execution, facts: &ExecFacts<'_>) -> lkmm_relation::ArenaRel {
         let pool = facts.arena();
-        let n = x.po.universe();
+        let n = x.shape.po.universe();
         let mut ghb = acquire_rel(pool, n);
-        ghb.copy_from(&x.po);
+        ghb.copy_from(&x.shape.po);
         ghb.subtract_cross(facts.writes(), facts.reads()); // ppo_tso
         ghb.union_in_place(facts.fencerel(FenceKind::Mb));
         ghb.union_in_place(facts.fencerel(FenceKind::SyncRcu));
@@ -63,12 +63,12 @@ impl X86Tso {
         // operation: po ; [dom(rmw)] and [ran(rmw)] ; po.
         let mut ends = acquire_set(pool, n);
         let mut tmp = acquire_rel(pool, n);
-        x.rmw.domain_into(&mut ends);
-        tmp.copy_from(&x.po);
+        x.shape.rmw.domain_into(&mut ends);
+        tmp.copy_from(&x.shape.po);
         tmp.restrict_range_in_place(&ends);
         ghb.union_in_place(&tmp);
-        x.rmw.range_into(&mut ends);
-        tmp.copy_from(&x.po);
+        x.shape.rmw.range_into(&mut ends);
+        tmp.copy_from(&x.shape.po);
         tmp.restrict_domain_in_place(&ends);
         ghb.union_in_place(&tmp);
         ghb.union_in_place(facts.rfe());

@@ -50,9 +50,9 @@ fn rcu_fence_pair(
         Precedes::Rscs => (unlock, sync),
         Precedes::Gp => (sync, lock),
     };
-    let firsts: Vec<usize> = (0..n).filter(|&e| x.po.contains(e, before_of)).collect();
+    let firsts: Vec<usize> = (0..n).filter(|&e| x.shape.po.contains(e, before_of)).collect();
     let seconds: Vec<usize> =
-        (0..n).filter(|&e| e == anchor || x.po.contains(anchor, e)).collect();
+        (0..n).filter(|&e| e == anchor || x.shape.po.contains(anchor, e)).collect();
     for &a in &firsts {
         for &b in &seconds {
             r.insert(a, b);

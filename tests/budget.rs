@@ -123,6 +123,39 @@ fn eval_step_fuel_use_is_pinned_under_lkmm_cat() {
     }
 }
 
+/// Fuel is burned per instruction, never per cache miss: RCU-MP's four
+/// pre-executions differ only in values, so they share one shape and
+/// every candidate after the first reuses its static slots, yet each
+/// candidate still pays for its static instructions. Each candidate
+/// burns 42 steps (its `rcu-path` fixpoint takes a second round), so 168
+/// steps complete it and 167 run dry, at every job count. Both figures
+/// were measured on the evaluator that keyed its static slots on each
+/// pre-execution.
+#[test]
+fn eval_step_fuel_use_does_not_depend_on_static_cache_hits() {
+    let test = library::by_name("RCU-MP").unwrap().test();
+    for jobs in [1, 2, 8] {
+        let herd = |steps| {
+            Herd::new(ModelChoice::LkmmCat)
+                .with_jobs(jobs)
+                .with_budget(Budget::default().with_max_eval_steps(steps))
+                .check_governed(&test)
+                .outcome
+        };
+        match herd(168) {
+            CheckOutcome::Complete(r) => assert_eq!(r.candidates, 4, "jobs={jobs}"),
+            other => panic!("168 steps at jobs={jobs}: expected completion, got {other:?}"),
+        }
+        match herd(167) {
+            CheckOutcome::Inconclusive {
+                reason: InconclusiveReason::BudgetExceeded(BudgetKind::EvalSteps),
+                ..
+            } => {}
+            other => panic!("167 steps at jobs={jobs}: expected exhaustion, got {other:?}"),
+        }
+    }
+}
+
 /// A step budget keeps a check on the calling thread, however many jobs
 /// it is given: the tank is shared, so a split check would spend steps
 /// on ranges a sequential run never reaches. On a test big enough to

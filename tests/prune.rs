@@ -276,12 +276,13 @@ fn sliced_units_concatenate_to_the_sequential_stream_and_counters() {
                 let opts = EnumOptions { stats: Some(stats.clone()), ..base.clone() };
                 let mut meter = opts.budget.meter();
                 let space = PreExecutions::new(t, &opts, &mut meter).unwrap();
+                let mut cursor = space.cursor();
                 let units = space.len() * slices;
                 let step = if unit_by_unit { 1 } else { units.max(1) };
                 let (mut out, mut emitted) = (Vec::new(), 0);
                 for start in (0..units).step_by(step) {
                     let range = start..(start + step).min(units);
-                    let _ = space
+                    let _ = cursor
                         .try_for_each_in(range, slices, &opts, &mut meter, &mut emitted, &mut |x| {
                             out.push((x.rf.clone(), x.co.clone(), x.events.clone()));
                             ControlFlow::Continue(())
