@@ -193,7 +193,8 @@ rm -f /tmp/lkmm-conf-ctd.json /tmp/lkmm-conf-ctd.err
 echo "== conformance: campaign reports are the same at every --jobs =="
 # Campaigns prepare units on a worker pool and commit them in corpus
 # order, so the report — enumeration and data-plane counters included —
-# must not depend on the job count, cold or warm.
+# must not depend on the job count, cold or warm, as JSON or as the
+# human table.
 for J in 1 8; do
     rm -f /tmp/lkmm-ci-jobs-j$J.bin
     for PASS in cold warm; do
@@ -205,8 +206,16 @@ done
 cmp /tmp/lkmm-conf-j1-cold.json /tmp/lkmm-conf-j8-cold.json
 cmp /tmp/lkmm-conf-j1-warm.json /tmp/lkmm-conf-j8-warm.json
 grep -q '"clean":true' /tmp/lkmm-conf-j8-cold.json
+# The human table too, cold (no store).
+for J in 1 8; do
+    "$BIN" conformance --max-cycle-len 4 --contended --sim-iterations 50 --enum-stats \
+        --jobs $J > /tmp/lkmm-conf-j$J-table.txt 2> /dev/null
+done
+cmp /tmp/lkmm-conf-j1-table.txt /tmp/lkmm-conf-j8-table.txt
+grep -q 'no discrepancies' /tmp/lkmm-conf-j8-table.txt
 rm -f /tmp/lkmm-ci-jobs-j1.bin /tmp/lkmm-ci-jobs-j8.bin /tmp/lkmm-conf-j1-cold.json \
-    /tmp/lkmm-conf-j8-cold.json /tmp/lkmm-conf-j1-warm.json /tmp/lkmm-conf-j8-warm.json
+    /tmp/lkmm-conf-j8-cold.json /tmp/lkmm-conf-j1-warm.json /tmp/lkmm-conf-j8-warm.json \
+    /tmp/lkmm-conf-j1-table.txt /tmp/lkmm-conf-j8-table.txt
 
 echo "== conformance: cycle-length-6 campaign completes cleanly =="
 # The routine deep workload the pruned enumerator makes affordable:
@@ -251,7 +260,8 @@ rm -f "$ALGO_STORE" /tmp/lkmm-algo-cold.json /tmp/lkmm-algo-warm.json \
 
 echo "== conformance --algorithms: reports are the same at every --jobs =="
 # The family programs run on the campaign's unit pool as well, so the
-# report must not depend on the job count, cold or warm.
+# report must not depend on the job count, cold or warm, as JSON or as
+# the human table.
 for J in 1 4; do
     rm -f /tmp/lkmm-ci-algo-jobs-j$J.bin
     for PASS in cold warm; do
@@ -262,8 +272,16 @@ done
 cmp /tmp/lkmm-algo-j1-cold.json /tmp/lkmm-algo-j4-cold.json
 cmp /tmp/lkmm-algo-j1-warm.json /tmp/lkmm-algo-j4-warm.json
 grep -q '"clean":true' /tmp/lkmm-algo-j4-cold.json
+# The human table too, cold (no store).
+for J in 1 4; do
+    "$BIN" conformance --algorithms --sim-iterations 50 --jobs $J \
+        > /tmp/lkmm-algo-j$J-table.txt 2> /dev/null
+done
+cmp /tmp/lkmm-algo-j1-table.txt /tmp/lkmm-algo-j4-table.txt
+grep -q 'no discrepancies' /tmp/lkmm-algo-j4-table.txt
 rm -f /tmp/lkmm-ci-algo-jobs-j1.bin /tmp/lkmm-ci-algo-jobs-j4.bin /tmp/lkmm-algo-j1-cold.json \
-    /tmp/lkmm-algo-j4-cold.json /tmp/lkmm-algo-j1-warm.json /tmp/lkmm-algo-j4-warm.json
+    /tmp/lkmm-algo-j4-cold.json /tmp/lkmm-algo-j1-warm.json /tmp/lkmm-algo-j4-warm.json \
+    /tmp/lkmm-algo-j1-table.txt /tmp/lkmm-algo-j4-table.txt
 
 echo "== fault injection: armed faults are contained, disarmed builds are clean =="
 cargo test --features fault-injection --test fault_injection --quiet

@@ -50,16 +50,17 @@ fn algo_config(params: FamilyParams, store_path: &Path) -> AlgoConfig {
 }
 
 fn pass_stats(report: &AlgoReport) -> (usize, usize, usize) {
-    let cells = report.models.iter().map(|m| m.pass.checked).sum();
-    let enumerated = report.models.iter().map(|m| m.pass.candidates_enumerated).sum();
-    let hits = report.models.iter().map(|m| m.pass.hits).sum();
+    let models = &report.campaign.models;
+    let cells = models.iter().map(|m| m.pass.checked).sum();
+    let enumerated = models.iter().map(|m| m.pass.candidates_enumerated).sum();
+    let hits = models.iter().map(|m| m.pass.hits).sum();
     (cells, enumerated, hits)
 }
 
 /// Cells answered without touching the store: duplicates of another
 /// program with the same canonical form.
 fn deduped(report: &AlgoReport) -> usize {
-    report.models.iter().map(|m| m.pass.deduped).sum()
+    report.campaign.models.iter().map(|m| m.pass.deduped).sum()
 }
 
 fn main() {
@@ -104,7 +105,7 @@ fn main() {
         let start = Instant::now();
         let report = run_algo_campaign(&cfg).expect("cold campaign runs");
         cold_seconds += start.elapsed().as_secs_f64();
-        assert!(report.clean(), "cold campaign found discrepancies");
+        assert!(report.campaign.clean(), "cold campaign found discrepancies");
         let (cells, enumerated, hits) = pass_stats(&report);
         assert_eq!(hits, 0, "cold pass hit a fresh store");
         assert!(enumerated > 0, "cold pass enumerated nothing");
@@ -136,7 +137,7 @@ fn main() {
         let start = Instant::now();
         let report = run_algo_campaign(&cfg).expect("warm campaign runs");
         warm_seconds += start.elapsed().as_secs_f64();
-        assert!(report.clean(), "warm campaign found discrepancies");
+        assert!(report.campaign.clean(), "warm campaign found discrepancies");
         let (cells, enumerated, hits) = pass_stats(&report);
         assert_eq!(enumerated, 0, "warm pass enumerated candidates");
         assert_eq!(hits + deduped(&report), cells, "warm pass missed the store somewhere");

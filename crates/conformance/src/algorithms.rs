@@ -22,26 +22,29 @@
 //!   reachability of the bad state must match the axiomatic
 //!   SC+atomicity verdict ([`lkmm_algorithms::ScAtomic`]).
 //!
-//! Like the cycle campaign, the resulting [`AlgoReport`] is a
+//! The resulting [`AlgoReport`] wraps the driver's [`CampaignReport`]
+//! (per-model counts, oracle totals, discrepancies, quarantined units,
+//! opt-in counters) with the expansion size and the per-family oracle
+//! columns, and renders through the cycle campaign's report sections
+//! ([`crate::report`]). Like the cycle campaign's, it is a
 //! deterministic function of the [`AlgoConfig`]: host runs are real
 //! nondeterministic executions, but only the *violation count* they
 //! produce enters the report (zero for a sound model), and every other
 //! number is replayed from the store or recomputed identically, so a
 //! cold and a warm run render byte-identical JSON at any job count.
 
-use crate::campaign::{
-    sim_check_row, CampaignError, CorpusStream, ModelStats, OracleStats, SimConfig,
-};
-use crate::checkpoint::FailedUnit;
+use crate::campaign::{sim_check_row, CampaignError, CampaignReport, CorpusStream, SimConfig};
 use crate::driver::{drive_campaign, ResilienceConfig};
 use crate::matrix::{uses_srcu, CorpusEntry, MatrixOptions, MatrixRow, ModelId, ModelSet, Origin};
 use crate::oracle::{check_row, Discrepancy, OracleKind, OracleSummary, Recheck};
+use crate::report::{
+    counters_json, discrepancies_json, failed_units_json, models_json, oracles_json, table_tail,
+};
 use crate::shrink::shrink_discrepancies;
 use lkmm_algorithms::interleave::{self, Machine};
 use lkmm_algorithms::{FamilyId, FamilyParams, ScAtomic};
 use lkmm_core::budget::Budget;
 use lkmm_exec::{check, CheckOutcome, EnumOptions, PipelineOptions, Verdict};
-use lkmm_service::canonical_text;
 use lkmm_service::json::Json;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -122,43 +125,22 @@ pub struct FamilyStats {
 /// Everything an algorithm campaign produces.
 #[derive(Clone, Debug)]
 pub struct AlgoReport {
+    /// The campaign over every expanded program, as the driver reports
+    /// it (its corpus counts every program as generated), with the
+    /// discrepancies shrunk when configured. It never resumes or writes
+    /// a checkpoint.
+    pub campaign: CampaignReport,
     /// Expansion size the campaign ran at.
     pub params: FamilyParams,
     /// Per-family oracle columns, in [`FamilyId::ALL`] order (selected
     /// families only).
     pub families: Vec<FamilyStats>,
-    /// Per-model counts, in [`ModelId::ALL`] order.
-    pub models: Vec<ModelStats>,
-    /// Per-oracle counts, in [`OracleKind::ALL`] order.
-    pub oracles: Vec<OracleStats>,
-    /// Every oracle violation (shrunk when configured).
-    pub discrepancies: Vec<Discrepancy>,
-    /// Enumeration pruning counters from the matrix pass; present only
-    /// when [`AlgoConfig::enum_stats`] was set.
-    pub enumeration: Option<lkmm_exec::EnumSnapshot>,
-    /// Data-plane counters from the matrix pass; present only when
-    /// [`AlgoConfig::data_plane`] was set.
-    pub data_plane: Option<lkmm_exec::DataPlaneSnapshot>,
-    /// Units the supervisor quarantined after exhausting retries, as in
-    /// [`crate::CampaignReport::failed_units`]: a non-empty list makes
-    /// the report *degraded*.
-    pub failed_units: Vec<FailedUnit>,
 }
 
 impl AlgoReport {
     /// Total programs across all families.
     pub fn programs(&self) -> usize {
         self.families.iter().map(|f| f.programs).sum()
-    }
-
-    /// Whether every oracle held everywhere.
-    pub fn clean(&self) -> bool {
-        self.discrepancies.is_empty()
-    }
-
-    /// Whether the matrix is partial because units were quarantined.
-    pub fn degraded(&self) -> bool {
-        !self.failed_units.is_empty()
     }
 }
 
@@ -266,37 +248,15 @@ pub fn run_algo_campaign_with(
         fs.interleave += here[OracleKind::InterleaveAgreement.index()];
     };
     // No checkpoint, so no fingerprint to guard one.
-    let (core, drive) =
+    let mut campaign =
         drive_campaign(stream, 0, set, &matrix_opts, &ResilienceConfig::default(), row_check)?;
-    let mut discrepancies = core.discrepancies;
-    let enumeration = cfg.enum_stats.as_ref().map(|s| s.snapshot());
-    let data_plane = cfg.data_plane.as_ref().map(|s| s.snapshot());
-
     // Shrink. Family-safety discrepancies re-check through one native
     // LKMM run, so the mutant-catching path minimizes to the smallest
     // program that still gets the wrong verdict.
     if cfg.shrink {
-        shrink_discrepancies(&mut discrepancies, set, &cfg.budget, cfg.jobs);
+        shrink_discrepancies(&mut campaign.discrepancies, set, &cfg.budget, cfg.jobs);
     }
-
-    Ok(AlgoReport {
-        params: cfg.params,
-        families: family_stats,
-        models: ModelId::ALL
-            .iter()
-            .zip(core.passes)
-            .map(|(&id, pass)| ModelStats { id, pass })
-            .collect(),
-        oracles: OracleKind::ALL
-            .iter()
-            .zip(core.summaries)
-            .map(|(&kind, summary)| OracleStats { kind, summary })
-            .collect(),
-        discrepancies,
-        enumeration,
-        data_plane,
-        failed_units: drive.failed_units,
-    })
+    Ok(AlgoReport { campaign, params: cfg.params, families: family_stats })
 }
 
 /// Whether the native LKMM completed `row` with a Forbidden verdict.
@@ -406,61 +366,7 @@ pub fn algo_json_report(report: &AlgoReport, cfg: &AlgoConfig) -> Json {
             ])
         })
         .collect();
-
-    let models = report
-        .models
-        .iter()
-        .map(|m| {
-            Json::obj(vec![
-                ("model", Json::str(m.id.column())),
-                ("checked", Json::num(m.pass.checked as u64)),
-                ("allowed", Json::num(m.pass.allowed as u64)),
-                ("forbidden", Json::num(m.pass.forbidden as u64)),
-                ("inconclusive", Json::num(m.pass.inconclusive as u64)),
-                ("skipped", Json::num(m.pass.skipped as u64)),
-            ])
-        })
-        .collect();
-
-    let oracles = report
-        .oracles
-        .iter()
-        .map(|o| {
-            Json::obj(vec![
-                ("oracle", Json::str(o.kind.name())),
-                ("checked", Json::num(o.summary.checked as u64)),
-                ("violations", Json::num(o.summary.violations as u64)),
-                ("skipped", Json::num(o.summary.skipped as u64)),
-            ])
-        })
-        .collect();
-
-    let discrepancies = report
-        .discrepancies
-        .iter()
-        .map(|d| {
-            let mut fields = vec![
-                ("test", Json::str(&d.test_name)),
-                ("oracle", Json::str(d.oracle.name())),
-                ("detail", Json::str(&d.detail)),
-                ("check", crate::report::recheck_json(&d.check)),
-                ("witness", Json::str(canonical_text(&d.test))),
-            ];
-            if let Some(s) = &d.shrunk {
-                fields.push((
-                    "shrunk",
-                    Json::obj(vec![
-                        ("litmus", Json::str(&s.litmus)),
-                        ("size", Json::num(s.size as u64)),
-                        ("attempts", Json::num(s.attempts as u64)),
-                        ("accepted", Json::num(s.accepted as u64)),
-                    ]),
-                ));
-            }
-            Json::obj(fields)
-        })
-        .collect();
-
+    let campaign = &report.campaign;
     let mut fields = vec![
         ("op", Json::str("conformance-algorithms")),
         (
@@ -479,32 +385,18 @@ pub fn algo_json_report(report: &AlgoReport, cfg: &AlgoConfig) -> Json {
         ),
         ("programs", Json::num(report.programs() as u64)),
         ("families", Json::Arr(families)),
-        ("models", Json::Arr(models)),
-        ("oracles", Json::Arr(oracles)),
-        ("discrepancies", Json::Arr(discrepancies)),
+        ("models", models_json(campaign)),
+        ("oracles", oracles_json(campaign)),
+        ("discrepancies", discrepancies_json(campaign)),
     ];
     // Only a degraded report carries these fields: a clean report's bytes
     // do not depend on the retry supervisor.
-    if report.degraded() {
-        fields.push(("failed_units", crate::report::failed_units_json(&report.failed_units)));
+    if campaign.degraded() {
+        fields.push(("failed_units", failed_units_json(campaign)));
         fields.push(("partial", Json::Bool(true)));
     }
-    fields.push(("clean", Json::Bool(report.clean())));
-    if let Some(e) = &report.enumeration {
-        fields.push((
-            "enumeration",
-            Json::obj(vec![
-                ("rf_prefixes_pruned", Json::num(e.rf_prefixes_pruned)),
-                ("co_pairs_saturated", Json::num(e.co_pairs_saturated)),
-                ("co_pairs_branched", Json::num(e.co_pairs_branched)),
-                ("co_leaves_tested", Json::num(e.co_leaves_tested)),
-                ("candidates_emitted", Json::num(e.candidates_emitted)),
-            ]),
-        ));
-    }
-    if let Some(d) = &report.data_plane {
-        fields.push(("data_plane", crate::report::data_plane_json(d)));
-    }
+    fields.push(("clean", Json::Bool(campaign.clean())));
+    counters_json(&mut fields, campaign);
     Json::obj(fields)
 }
 
@@ -546,55 +438,7 @@ pub fn algo_human_table(report: &AlgoReport) -> String {
         );
     }
     let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "{:<22} {:>8} {:>11} {:>8}",
-        "oracle", "checked", "violations", "skipped"
-    );
-    for o in &report.oracles {
-        let _ = writeln!(
-            out,
-            "{:<22} {:>8} {:>11} {:>8}",
-            o.kind.name(),
-            o.summary.checked,
-            o.summary.violations,
-            o.summary.skipped
-        );
-    }
-    let _ = writeln!(out);
-    crate::report::partial_lines(&mut out, &report.failed_units);
-    if report.clean() {
-        let _ = writeln!(out, "no discrepancies");
-    } else {
-        let _ = writeln!(out, "{} DISCREPANCIES:", report.discrepancies.len());
-        for d in &report.discrepancies {
-            let _ = writeln!(out);
-            let _ = writeln!(out, "[{}] {}: {}", d.oracle.name(), d.test_name, d.detail);
-            if let Some(s) = &d.shrunk {
-                let _ = writeln!(
-                    out,
-                    "minimal witness (size {}, {} of {} reductions accepted):",
-                    s.size, s.accepted, s.attempts
-                );
-                for line in s.litmus.lines() {
-                    let _ = writeln!(out, "  {line}");
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Observability lines for stderr (cache hits, enumeration counters) —
-/// everything deliberately excluded from the deterministic report.
-pub fn algo_observability_lines(report: &AlgoReport) -> String {
-    let mut out = String::new();
-    crate::report::column_lines(
-        &mut out,
-        &report.models,
-        report.enumeration.as_ref(),
-        report.data_plane.as_ref(),
-    );
+    table_tail(&mut out, &report.campaign);
     out
 }
 
@@ -617,9 +461,9 @@ mod tests {
     fn ticket_and_deque_campaign_is_clean_across_all_layers() {
         let report = run_algo_campaign(&quick_config()).unwrap();
         assert!(
-            report.clean(),
+            report.campaign.clean(),
             "{:?}",
-            report.discrepancies.iter().map(|d| &d.detail).collect::<Vec<_>>()
+            report.campaign.discrepancies.iter().map(|d| &d.detail).collect::<Vec<_>>()
         );
         assert_eq!(report.families.len(), 2);
         for f in &report.families {
@@ -629,13 +473,13 @@ mod tests {
         }
         // Both families carry step machines, so the interleave oracle
         // ran, and both have runnable programs for the operational layers.
-        let il = &report.oracles[OracleKind::InterleaveAgreement.index()];
+        let il = &report.campaign.oracles[OracleKind::InterleaveAgreement.index()];
         assert!(il.summary.checked >= 4, "interleave checked {}", il.summary.checked);
         assert_eq!(il.summary.violations, 0);
-        let host = &report.oracles[OracleKind::HostSoundness.index()];
+        let host = &report.campaign.oracles[OracleKind::HostSoundness.index()];
         assert!(host.summary.checked >= 2, "host checked {}", host.summary.checked);
         assert_eq!(host.summary.violations, 0);
-        let sim = &report.oracles[OracleKind::SimSoundness.index()];
+        let sim = &report.campaign.oracles[OracleKind::SimSoundness.index()];
         assert!(sim.summary.checked > 0);
         assert_eq!(sim.summary.violations, 0);
     }
@@ -695,8 +539,9 @@ mod tests {
             ..AlgoConfig::default()
         };
         let report = run_algo_campaign_with(&cfg, &set).unwrap();
-        assert!(!report.clean());
+        assert!(!report.campaign.clean());
         let d = report
+            .campaign
             .discrepancies
             .iter()
             .find(|d| d.oracle == OracleKind::FamilySafety)
@@ -740,15 +585,15 @@ mod tests {
             ..AlgoConfig::default()
         };
         let clean = run_algo_campaign(&cfg).unwrap();
-        assert!(!clean.degraded());
+        assert!(!clean.campaign.degraded());
         assert!(!algo_json_report(&clean, &cfg).to_string().contains("failed_units"));
 
         let mut set = ModelSet::standard();
         set.replace(ModelId::Sc, Box::new(SessionPanics));
         let report = run_algo_campaign_with(&cfg, &set).unwrap();
-        assert!(report.degraded());
-        assert_eq!(report.failed_units.len(), report.programs());
-        assert!(report.failed_units.iter().all(|f| f.attempts == 3));
+        assert!(report.campaign.degraded());
+        assert_eq!(report.campaign.failed_units.len(), report.programs());
+        assert!(report.campaign.failed_units.iter().all(|f| f.attempts == 3));
         let json = algo_json_report(&report, &cfg).to_string();
         assert!(json.contains("\"failed_units\":[{\"index\":0,"), "{json}");
         assert!(json.contains("\"kind\":\"panic\""), "{json}");

@@ -131,7 +131,9 @@ pub struct OracleStats {
     pub summary: OracleSummary,
 }
 
-/// Everything a campaign produces.
+/// Everything a campaign produces, as [`drive_campaign`] returns it
+/// (the cycle campaign then shrinks its discrepancies; the algorithm
+/// campaign wraps it in [`crate::AlgoReport`]).
 #[derive(Clone, Debug)]
 pub struct CampaignReport {
     /// Library tests in the corpus.
@@ -145,11 +147,12 @@ pub struct CampaignReport {
     /// Every oracle violation (shrunk when configured).
     pub discrepancies: Vec<Discrepancy>,
     /// Enumeration pruning counters from the matrix pass; present only
-    /// when [`CampaignConfig::enum_stats`] was set.
+    /// when [`CampaignConfig::enum_stats`] (or
+    /// [`crate::AlgoConfig::enum_stats`]) was set.
     pub enumeration: Option<lkmm_exec::EnumSnapshot>,
     /// Data-plane counters (arena acquires and reuses) from the
     /// matrix pass; present only when [`CampaignConfig::data_plane`]
-    /// was set.
+    /// (or [`crate::AlgoConfig::data_plane`]) was set.
     pub data_plane: Option<lkmm_exec::DataPlaneSnapshot>,
     /// Units the supervisor gave up on after exhausting retries. A
     /// non-empty list makes the report *degraded*: the matrix is
@@ -484,7 +487,7 @@ pub fn run_campaign_with(
     // cells are complete — that per-row folding is what lets a
     // checkpoint frame carry the campaign's whole deterministic state
     // as aggregates, and a resume continue it as arithmetic.
-    let (core, drive) = drive_campaign(
+    let mut report = drive_campaign(
         stream,
         fingerprint,
         set,
@@ -496,46 +499,13 @@ pub fn run_campaign_with(
             sim_check_row(&cfg.sim, i, row, discrepancies, sim);
         },
     )?;
-    let crate::driver::CampaignCore {
-        corpus_library,
-        corpus_generated,
-        passes,
-        summaries,
-        mut discrepancies,
-    } = core;
-    // Snapshot before the shrink phase so the counters describe exactly
-    // the matrix enumeration pass (the per-row oracles and the
-    // simulator enumerate nothing; shrink re-checks do).
-    let enumeration = cfg.enum_stats.as_ref().map(|s| s.snapshot());
-    let data_plane = cfg.data_plane.as_ref().map(|s| s.snapshot());
-
     // Shrink every discrepancy down to a minimal discriminating witness.
     // Re-checks recompute from scratch through the exact failing pair —
     // never through the store (see crate docs for why).
     if cfg.shrink {
-        shrink_discrepancies(&mut discrepancies, set, &cfg.budget, cfg.jobs);
+        shrink_discrepancies(&mut report.discrepancies, set, &cfg.budget, cfg.jobs);
     }
-
-    Ok(CampaignReport {
-        corpus_library,
-        corpus_generated,
-        models: ModelId::ALL
-            .iter()
-            .zip(passes)
-            .map(|(&id, pass)| ModelStats { id, pass })
-            .collect(),
-        oracles: OracleKind::ALL
-            .iter()
-            .zip(summaries)
-            .map(|(&kind, summary)| OracleStats { kind, summary })
-            .collect(),
-        discrepancies,
-        enumeration,
-        data_plane,
-        failed_units: drive.failed_units,
-        resumed_at: drive.resumed_at,
-        checkpoints_written: drive.checkpoints_written,
-    })
+    Ok(report)
 }
 
 #[cfg(test)]

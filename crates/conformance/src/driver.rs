@@ -1,15 +1,15 @@
 //! The supervised campaign driver: lazy work units, incremental
 //! per-row oracles, retry/backoff, quarantine, and checkpoint/resume.
 //!
-//! [`drive_campaign`] builds the verdict matrix of every campaign, the
-//! cycle campaign and the algorithm campaign alike. It *streams* work
-//! units from a lazy [`CorpusStream`], feeds them one at a time to the
-//! streaming [`CorpusRun`] API, and runs the caller's row-level checks
-//! (matrix oracles, simulator soundness, and for the algorithm families
-//! family safety, host runs and interleaving) the moment each row's
-//! cells are complete, folding everything into running aggregates
-//! ([`CampaignCore`]). No full verdict matrix is ever materialised.
-//! That buys three things a monolithic batch call cannot offer:
+//! [`drive_campaign`] runs every campaign, the cycle campaign and the
+//! algorithm campaign alike. It *streams* work units from a lazy
+//! [`CorpusStream`], feeds them one at a time to the streaming
+//! [`CorpusRun`] API, and runs the caller's row-level checks (matrix
+//! oracles, simulator soundness, and for the algorithm families family
+//! safety, host runs and interleaving) the moment each row's cells are
+//! complete, folding everything into running aggregates. No full
+//! verdict matrix is ever materialised. That buys three things a
+//! monolithic batch call cannot offer:
 //!
 //! * **Checkpoint.** Every `checkpoint_every` units the driver flushes
 //!   the verdict store and appends a framed manifest (see
@@ -41,6 +41,14 @@
 //!   run's. A mismatched fingerprint is refused — resuming under a
 //!   different config would silently mix two campaigns.
 //!
+//! After the last unit the driver ends the campaign and returns its
+//! [`CampaignReport`]: the aggregates with this process's cache counters
+//! grafted on, the quarantine list, the resume cursor, the checkpoint
+//! count, and the opt-in enumeration and data-plane counters as they
+//! stood after the last unit. All a campaign does afterwards is shrink
+//! the discrepancies; those re-checks start from scratch and never show
+//! in the counters.
+//!
 //! Campaigns parallelise over units, not candidates. `jobs` scoped
 //! worker threads (never more than the host has) run the pure half of
 //! each unit, [`MultiBatchChecker::prepare`] — keys, store lookups, one
@@ -57,7 +65,7 @@
 //! transient I/O failure into the supervisor's attempt path;
 //! `ckpt.torn` (in [`crate::checkpoint`]) tears a checkpoint frame.
 
-use crate::campaign::{CampaignError, CorpusStream};
+use crate::campaign::{CampaignError, CampaignReport, CorpusStream, ModelStats, OracleStats};
 use crate::checkpoint::{self, Checkpoint, CheckpointLog, FailedUnit, FailureKind, PrefixStats};
 use crate::matrix::{CorpusEntry, MatrixOptions, MatrixRow, ModelId, ModelPass, ModelSet, Origin};
 use crate::oracle::{Discrepancy, OracleKind, OracleSummary};
@@ -112,22 +120,6 @@ impl Default for ResilienceConfig {
             stop_after: None,
         }
     }
-}
-
-/// Driver observability: everything about *how* the matrix was built
-/// that must stay out of the deterministic report JSON, plus the
-/// quarantine list (which does go in — a degraded report says so).
-#[derive(Clone, Debug, Default)]
-pub struct DriveOutcome {
-    /// Quarantined units, in corpus order.
-    pub failed_units: Vec<FailedUnit>,
-    /// `Some(cursor)` when a checkpoint was resumed from.
-    pub resumed_at: Option<usize>,
-    /// Checkpoint frames appended this invocation.
-    pub checkpoints_written: usize,
-    /// Units whose prepared check the commit threw away and redid on
-    /// the calling thread (see [`lkmm_service::MultiBatchReport`]).
-    pub prepared_discarded: usize,
 }
 
 /// Deterministic backoff for retry `attempt` (1-based) of `unit`:
@@ -241,21 +233,18 @@ fn supervise_unit(
 /// exactly what the report JSON is rendered from. Rows are folded in
 /// corpus order, so these sums are identical whether a campaign ran
 /// uninterrupted or restarted from a [`PrefixStats`] frame.
-#[derive(Clone, Debug)]
-pub struct CampaignCore {
-    /// Library rows accounted so far.
-    pub corpus_library: usize,
-    /// Generated rows accounted so far.
-    pub corpus_generated: usize,
+struct CampaignCore {
+    corpus_library: usize,
+    corpus_generated: usize,
     /// Per-column counts, in [`ModelId::ALL`] order. The deterministic
     /// fields accumulate per row; the observability counters (hits,
     /// computed, deduped, candidates) are grafted on from the
     /// [`CorpusRun`] when it finishes and cover this process only.
-    pub passes: Vec<ModelPass>,
+    passes: Vec<ModelPass>,
     /// Per-oracle summaries, in [`OracleKind::ALL`] order.
-    pub summaries: Vec<OracleSummary>,
+    summaries: Vec<OracleSummary>,
     /// Oracle violations so far, in row order.
-    pub discrepancies: Vec<Discrepancy>,
+    discrepancies: Vec<Discrepancy>,
 }
 
 impl CampaignCore {
@@ -321,13 +310,39 @@ impl CampaignCore {
     fn watermarks(&self) -> Vec<usize> {
         self.passes.iter().map(|p| p.checked).collect()
     }
+
+    /// The aggregates as a report, with nothing of the run's
+    /// observability (counters, quarantine, checkpoints) filled in.
+    fn into_report(self) -> CampaignReport {
+        CampaignReport {
+            corpus_library: self.corpus_library,
+            corpus_generated: self.corpus_generated,
+            models: ModelId::ALL
+                .iter()
+                .zip(self.passes)
+                .map(|(&id, pass)| ModelStats { id, pass })
+                .collect(),
+            oracles: OracleKind::ALL
+                .iter()
+                .zip(self.summaries)
+                .map(|(&kind, summary)| OracleStats { kind, summary })
+                .collect(),
+            discrepancies: self.discrepancies,
+            enumeration: None,
+            data_plane: None,
+            failed_units: Vec::new(),
+            resumed_at: None,
+            checkpoints_written: 0,
+        }
+    }
 }
 
 /// Drive a whole campaign by streaming `stream` through a supervised,
 /// checkpointing [`CorpusRun`], running `row_check` (the matrix-level
 /// oracles plus whatever else the caller folds per row — simulator
-/// soundness, say) as each row completes, in corpus order. See the
-/// module docs for the full contract.
+/// soundness, say) as each row completes, in corpus order, and return
+/// the campaign's report, unshrunk. See the module docs for the full
+/// contract.
 ///
 /// # Errors
 ///
@@ -341,7 +356,7 @@ pub fn drive_campaign(
     opts: &MatrixOptions<'_>,
     res: &ResilienceConfig,
     mut row_check: impl FnMut(usize, &MatrixRow, &mut Vec<Discrepancy>, &mut [OracleSummary]),
-) -> Result<(CampaignCore, DriveOutcome), CampaignError> {
+) -> Result<CampaignReport, CampaignError> {
     let total_units = stream.total();
     let store = match opts.store_path {
         Some(path) => VerdictStore::open(path).map_err(|e| match e {
@@ -531,16 +546,14 @@ pub fn drive_campaign(
         pass.deduped = col.deduped;
         pass.candidates_enumerated = col.candidates_enumerated;
     }
-
-    Ok((
-        core,
-        DriveOutcome {
-            failed_units: failed,
-            resumed_at,
-            checkpoints_written,
-            prepared_discarded: report.prepared_discarded,
-        },
-    ))
+    Ok(CampaignReport {
+        enumeration: opts.enum_stats.as_ref().map(|s| s.snapshot()),
+        data_plane: opts.data_plane.as_ref().map(|s| s.snapshot()),
+        failed_units: failed,
+        resumed_at,
+        checkpoints_written,
+        ..core.into_report()
+    })
 }
 
 #[cfg(test)]
@@ -572,7 +585,7 @@ mod tests {
         cfg: &CampaignConfig,
         store: Option<&std::path::Path>,
         res: &ResilienceConfig,
-    ) -> Result<(CampaignCore, DriveOutcome), CampaignError> {
+    ) -> Result<CampaignReport, CampaignError> {
         let stream = corpus_stream(cfg);
         let fp = config_fingerprint(cfg, stream.total());
         let opts = MatrixOptions { store_path: store, ..MatrixOptions::default() };
@@ -581,17 +594,18 @@ mod tests {
         })
     }
 
-    fn assert_same_substance(a: &CampaignCore, b: &CampaignCore) {
+    fn assert_same_substance(a: &CampaignReport, b: &CampaignReport) {
         assert_eq!(a.corpus_library, b.corpus_library);
         assert_eq!(a.corpus_generated, b.corpus_generated);
-        for (x, y) in a.passes.iter().zip(&b.passes) {
-            assert_eq!(x.checked, y.checked);
-            assert_eq!(x.allowed, y.allowed);
-            assert_eq!(x.forbidden, y.forbidden);
-            assert_eq!(x.inconclusive, y.inconclusive);
-            assert_eq!(x.skipped, y.skipped);
+        for (x, y) in a.models.iter().zip(&b.models) {
+            assert_eq!(x.pass.checked, y.pass.checked);
+            assert_eq!(x.pass.allowed, y.pass.allowed);
+            assert_eq!(x.pass.forbidden, y.pass.forbidden);
+            assert_eq!(x.pass.inconclusive, y.pass.inconclusive);
+            assert_eq!(x.pass.skipped, y.pass.skipped);
         }
-        assert_eq!(a.summaries, b.summaries);
+        let summaries = |r: &CampaignReport| r.oracles.iter().map(|o| o.summary).collect::<Vec<_>>();
+        assert_eq!(summaries(a), summaries(b));
         assert_eq!(a.discrepancies.len(), b.discrepancies.len());
     }
 
@@ -613,7 +627,7 @@ mod tests {
         let mut seen = 0;
         let stream = corpus_stream(&cfg);
         let fp = config_fingerprint(&cfg, stream.total());
-        let (core, outcome) =
+        let report =
             drive_campaign(stream, fp, &set, &MatrixOptions::default(), &res, |i, row, d, s| {
                 // Rows arrive in corpus order, each cell what a
                 // dedicated check of that column says.
@@ -625,9 +639,9 @@ mod tests {
             })
             .unwrap();
         assert_eq!(seen, rows.len());
-        assert!(outcome.failed_units.is_empty());
-        assert_eq!(outcome.resumed_at, None);
-        assert_same_substance(&core, &reference);
+        assert!(report.failed_units.is_empty());
+        assert_eq!(report.resumed_at, None);
+        assert_same_substance(&report, &reference.into_report());
     }
 
     #[test]
@@ -639,7 +653,7 @@ mod tests {
         let res = ResilienceConfig::default();
         let stream = CorpusStream::from_entries(entries.to_vec());
         let mut rows = Vec::new();
-        let (core, _) = drive_campaign(
+        let report = drive_campaign(
             stream,
             0,
             &ModelSet::standard(),
@@ -653,7 +667,7 @@ mod tests {
         assert!(rows[1].cell(ModelId::LkmmNative).is_some());
         assert_eq!(rows[0].verdict(ModelId::LkmmNative), Some(Verdict::Allowed));
         assert_eq!(rows[1].verdict(ModelId::LkmmNative), Some(Verdict::Forbidden));
-        let c11_pass = &core.passes[ModelId::C11.index()];
+        let c11_pass = &report.models[ModelId::C11.index()].pass;
         assert_eq!(c11_pass.skipped, 1);
         assert_eq!(c11_pass.checked, 1);
     }
@@ -672,7 +686,7 @@ mod tests {
 
         // Uninterrupted reference run (its own store, so no warm help).
         let ref_store = temp("resume-ref");
-        let (full, _) = drive(
+        let full = drive(
             &cfg,
             Some(&ref_store),
             &ResilienceConfig { retry_base_ms: 0, ..ResilienceConfig::default() },
@@ -693,11 +707,11 @@ mod tests {
         // replays — only the tail computes), and the substance matches
         // the uninterrupted run exactly.
         let res = ResilienceConfig { resume: true, ..base };
-        let (resumed, outcome) = drive(&cfg, Some(&store), &res).unwrap();
-        assert_eq!(outcome.resumed_at, Some(7));
+        let resumed = drive(&cfg, Some(&store), &res).unwrap();
+        assert_eq!(resumed.resumed_at, Some(7));
         assert_same_substance(&resumed, &full);
-        let full_enum: usize = full.passes.iter().map(|p| p.candidates_enumerated).sum();
-        let tail_enum: usize = resumed.passes.iter().map(|p| p.candidates_enumerated).sum();
+        let full_enum: usize = full.models.iter().map(|m| m.pass.candidates_enumerated).sum();
+        let tail_enum: usize = resumed.models.iter().map(|m| m.pass.candidates_enumerated).sum();
         assert!(tail_enum > 0, "the tail computes fresh");
         assert!(tail_enum < full_enum, "the prefix is never re-enumerated");
 
@@ -741,10 +755,10 @@ mod tests {
             retry_base_ms: 0,
             ..ResilienceConfig::default()
         };
-        let (core, outcome) = drive(&cfg, None, &res).unwrap();
-        assert_eq!(outcome.resumed_at, None);
-        assert!(outcome.checkpoints_written >= 1, "final frame always lands");
-        assert!(core.corpus_library + core.corpus_generated > 0);
+        let report = drive(&cfg, None, &res).unwrap();
+        assert_eq!(report.resumed_at, None);
+        assert!(report.checkpoints_written >= 1, "final frame always lands");
+        assert!(report.corpus_library + report.corpus_generated > 0);
         let _ = std::fs::remove_file(&ckpt);
     }
 
@@ -782,7 +796,7 @@ mod tests {
     fn panic_while_preparing_is_retried_on_the_calling_thread() {
         let cfg = quick_config();
         let res = ResilienceConfig { retry_base_ms: 0, ..ResilienceConfig::default() };
-        let (reference, _) = drive(&cfg, None, &res).unwrap();
+        let reference = drive(&cfg, None, &res).unwrap();
         for jobs in [1, 2] {
             let armed = Arc::new(AtomicBool::new(true));
             let mut set = ModelSet::standard();
@@ -793,12 +807,12 @@ mod tests {
             let stream = corpus_stream(&cfg);
             let fp = config_fingerprint(&cfg, stream.total());
             let opts = MatrixOptions { jobs, ..MatrixOptions::default() };
-            let (core, outcome) =
+            let report =
                 drive_campaign(stream, fp, &set, &opts, &res, |_, row, d, s| check_row(row, d, s))
                     .unwrap();
             assert!(!armed.load(Ordering::SeqCst), "jobs={jobs}: the panic fired");
-            assert!(outcome.failed_units.is_empty(), "jobs={jobs}: the retry succeeded");
-            assert_same_substance(&core, &reference);
+            assert!(report.failed_units.is_empty(), "jobs={jobs}: the retry succeeded");
+            assert_same_substance(&report, &reference);
         }
     }
 

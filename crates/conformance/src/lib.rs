@@ -25,11 +25,13 @@
 //! * [`driver`] — the supervised matrix driver both campaigns run on:
 //!   lazy work units checked on a worker pool through the
 //!   content-addressed verdict store, per-unit retry with seeded
-//!   backoff, quarantine of poisoned units, and periodic checkpoints,
+//!   backoff, quarantine of poisoned units, and periodic checkpoints;
+//!   it returns the finished [`CampaignReport`] both campaigns render,
 //! * [`checkpoint`] — framed, checksummed campaign manifests with
 //!   latest-valid-frame-wins crash recovery and fingerprint-guarded
 //!   resume,
-//! * [`report`] — deterministic JSON plus a human summary table, and
+//! * [`report`] — deterministic JSON plus a human summary table, built
+//!   from sections both campaigns share, and
 //! * [`algorithms`] — the real-algorithm campaign: parameterised
 //!   litmus families (locks, refcounts, seqlock, RCU trees, deques)
 //!   held to per-family safety invariants across the axiomatic,
@@ -68,15 +70,15 @@ pub mod report;
 pub mod shrink;
 
 pub use algorithms::{
-    algo_human_table, algo_json_report, algo_observability_lines, run_algo_campaign,
-    run_algo_campaign_with, AlgoConfig, AlgoReport, FamilyStats,
+    algo_human_table, algo_json_report, run_algo_campaign, run_algo_campaign_with, AlgoConfig,
+    AlgoReport, FamilyStats,
 };
 pub use campaign::{
     config_fingerprint, corpus_stream, run_campaign, run_campaign_with, CampaignConfig,
     CampaignError, CampaignReport, CorpusStream, ModelStats, OracleStats, SimConfig,
 };
 pub use checkpoint::{Checkpoint, CheckpointLog, CheckpointScan, FailedUnit, FailureKind};
-pub use driver::{backoff_delay, drive_campaign, CampaignCore, DriveOutcome, ResilienceConfig};
+pub use driver::{backoff_delay, drive_campaign, ResilienceConfig};
 pub use matrix::{
     CorpusEntry, MatrixOptions, MatrixRow, ModelId, ModelPass, ModelSet, Origin,
 };

@@ -7,69 +7,21 @@
 //! bytes. CI relies on this with a plain `cmp`. Observability numbers
 //! (hits, computed, candidates enumerated) belong on stderr; see
 //! [`observability_lines`].
+//!
+//! Both campaigns render through the sections here. The cycle
+//! campaign's [`json_report`] and [`human_table`] and the algorithm
+//! campaign's [`crate::algo_json_report`] and [`crate::algo_human_table`]
+//! each list their own fields, in their own order, around the shared
+//! model, oracle, discrepancy and counter sections and the human
+//! tables' shared tail; [`observability_lines`] serves both.
 
-use crate::campaign::{CampaignConfig, CampaignReport, ModelStats};
-use crate::checkpoint::FailedUnit;
+use crate::campaign::{CampaignConfig, CampaignReport};
 use crate::oracle::Recheck;
 use lkmm_service::json::Json;
 use std::fmt::Write as _;
 
 /// Render the deterministic JSON report.
 pub fn json_report(report: &CampaignReport, cfg: &CampaignConfig) -> Json {
-    let models = report
-        .models
-        .iter()
-        .map(|m| {
-            Json::obj(vec![
-                ("model", Json::str(m.id.column())),
-                ("checked", Json::num(m.pass.checked as u64)),
-                ("allowed", Json::num(m.pass.allowed as u64)),
-                ("forbidden", Json::num(m.pass.forbidden as u64)),
-                ("inconclusive", Json::num(m.pass.inconclusive as u64)),
-                ("skipped", Json::num(m.pass.skipped as u64)),
-            ])
-        })
-        .collect();
-
-    let oracles = report
-        .oracles
-        .iter()
-        .map(|o| {
-            Json::obj(vec![
-                ("oracle", Json::str(o.kind.name())),
-                ("checked", Json::num(o.summary.checked as u64)),
-                ("violations", Json::num(o.summary.violations as u64)),
-                ("skipped", Json::num(o.summary.skipped as u64)),
-            ])
-        })
-        .collect();
-
-    let discrepancies = report
-        .discrepancies
-        .iter()
-        .map(|d| {
-            let mut fields = vec![
-                ("test", Json::str(&d.test_name)),
-                ("oracle", Json::str(d.oracle.name())),
-                ("detail", Json::str(&d.detail)),
-                ("check", recheck_json(&d.check)),
-                ("witness", Json::str(lkmm_service::canonical_text(&d.test))),
-            ];
-            if let Some(s) = &d.shrunk {
-                fields.push((
-                    "shrunk",
-                    Json::obj(vec![
-                        ("litmus", Json::str(&s.litmus)),
-                        ("size", Json::num(s.size as u64)),
-                        ("attempts", Json::num(s.attempts as u64)),
-                        ("accepted", Json::num(s.accepted as u64)),
-                    ]),
-                ));
-            }
-            Json::obj(fields)
-        })
-        .collect();
-
     let mut fields = vec![
         ("op", Json::str("conformance")),
         (
@@ -93,39 +45,92 @@ pub fn json_report(report: &CampaignReport, cfg: &CampaignConfig) -> Json {
                 ("total", Json::num(report.corpus_total() as u64)),
             ]),
         ),
-        ("models", Json::Arr(models)),
-        ("oracles", Json::Arr(oracles)),
-        ("discrepancies", Json::Arr(discrepancies)),
-        ("failed_units", failed_units_json(&report.failed_units)),
+        ("models", models_json(report)),
+        ("oracles", oracles_json(report)),
+        ("discrepancies", discrepancies_json(report)),
+        ("failed_units", failed_units_json(report)),
         ("partial", Json::Bool(report.degraded())),
         ("clean", Json::Bool(report.clean())),
     ];
-    // Absent by default so default reports stay byte-identical across
-    // cold and warm runs; opting into counters (`--enum-stats`) opts out
-    // of that guarantee — a warm store enumerates nothing and reports
-    // zeros.
-    if let Some(e) = &report.enumeration {
-        fields.push((
-            "enumeration",
-            Json::obj(vec![
-                ("rf_prefixes_pruned", Json::num(e.rf_prefixes_pruned)),
-                ("co_pairs_saturated", Json::num(e.co_pairs_saturated)),
-                ("co_pairs_branched", Json::num(e.co_pairs_branched)),
-                ("co_leaves_tested", Json::num(e.co_leaves_tested)),
-                ("candidates_emitted", Json::num(e.candidates_emitted)),
-            ]),
-        ));
-    }
-    if let Some(d) = &report.data_plane {
-        fields.push(("data_plane", data_plane_json(d)));
-    }
+    counters_json(&mut fields, report);
     Json::obj(fields)
 }
 
-/// Quarantined units as the reports list them.
-pub(crate) fn failed_units_json(units: &[FailedUnit]) -> Json {
+/// Per-column verdict counts.
+pub(crate) fn models_json(report: &CampaignReport) -> Json {
     Json::Arr(
-        units
+        report
+            .models
+            .iter()
+            .map(|m| {
+                Json::obj(vec![
+                    ("model", Json::str(m.id.column())),
+                    ("checked", Json::num(m.pass.checked as u64)),
+                    ("allowed", Json::num(m.pass.allowed as u64)),
+                    ("forbidden", Json::num(m.pass.forbidden as u64)),
+                    ("inconclusive", Json::num(m.pass.inconclusive as u64)),
+                    ("skipped", Json::num(m.pass.skipped as u64)),
+                ])
+            })
+            .collect(),
+    )
+}
+
+/// Per-oracle outcome counts.
+pub(crate) fn oracles_json(report: &CampaignReport) -> Json {
+    Json::Arr(
+        report
+            .oracles
+            .iter()
+            .map(|o| {
+                Json::obj(vec![
+                    ("oracle", Json::str(o.kind.name())),
+                    ("checked", Json::num(o.summary.checked as u64)),
+                    ("violations", Json::num(o.summary.violations as u64)),
+                    ("skipped", Json::num(o.summary.skipped as u64)),
+                ])
+            })
+            .collect(),
+    )
+}
+
+/// Every discrepancy, with its re-check, canonical witness and, when
+/// shrunk, its minimal witness.
+pub(crate) fn discrepancies_json(report: &CampaignReport) -> Json {
+    Json::Arr(
+        report
+            .discrepancies
+            .iter()
+            .map(|d| {
+                let mut fields = vec![
+                    ("test", Json::str(&d.test_name)),
+                    ("oracle", Json::str(d.oracle.name())),
+                    ("detail", Json::str(&d.detail)),
+                    ("check", recheck_json(&d.check)),
+                    ("witness", Json::str(lkmm_service::canonical_text(&d.test))),
+                ];
+                if let Some(s) = &d.shrunk {
+                    fields.push((
+                        "shrunk",
+                        Json::obj(vec![
+                            ("litmus", Json::str(&s.litmus)),
+                            ("size", Json::num(s.size as u64)),
+                            ("attempts", Json::num(s.attempts as u64)),
+                            ("accepted", Json::num(s.accepted as u64)),
+                        ]),
+                    ));
+                }
+                Json::obj(fields)
+            })
+            .collect(),
+    )
+}
+
+/// Quarantined units as the reports list them.
+pub(crate) fn failed_units_json(report: &CampaignReport) -> Json {
+    Json::Arr(
+        report
+            .failed_units
             .iter()
             .map(|f| {
                 Json::obj(vec![
@@ -140,36 +145,33 @@ pub(crate) fn failed_units_json(units: &[FailedUnit]) -> Json {
     )
 }
 
-/// The human tables' PARTIAL section; nothing when no unit was
-/// quarantined.
-pub(crate) fn partial_lines(out: &mut String, units: &[FailedUnit]) {
-    if units.is_empty() {
-        return;
+/// Append the opt-in `enumeration` and `data_plane` sections, each
+/// present only when its counters were asked for. Absent by default so
+/// default reports stay byte-identical across cold and warm runs;
+/// opting into counters (`--enum-stats`) opts out of that guarantee — a
+/// warm store enumerates and acquires nothing and reports zeros.
+pub(crate) fn counters_json(fields: &mut Vec<(&'static str, Json)>, report: &CampaignReport) {
+    if let Some(e) = &report.enumeration {
+        fields.push((
+            "enumeration",
+            Json::obj(vec![
+                ("rf_prefixes_pruned", Json::num(e.rf_prefixes_pruned)),
+                ("co_pairs_saturated", Json::num(e.co_pairs_saturated)),
+                ("co_pairs_branched", Json::num(e.co_pairs_branched)),
+                ("co_leaves_tested", Json::num(e.co_leaves_tested)),
+                ("candidates_emitted", Json::num(e.candidates_emitted)),
+            ]),
+        ));
     }
-    let _ = writeln!(out, "PARTIAL: {} unit(s) quarantined after exhausting retries:", units.len());
-    for f in units {
-        let _ = writeln!(
-            out,
-            "  #{} {} [{}] after {} attempts: {}",
-            f.index,
-            f.test,
-            f.kind.name(),
-            f.attempts,
-            f.detail
-        );
+    if let Some(d) = &report.data_plane {
+        fields.push((
+            "data_plane",
+            Json::obj(vec![
+                ("arena_acquires", Json::num(d.arena_acquires)),
+                ("arena_reuses", Json::num(d.arena_reuses)),
+            ]),
+        ));
     }
-    let _ = writeln!(out);
-}
-
-/// The opt-in `data_plane` JSON section (shared with the algorithm
-/// campaign's report). Absent by default for the same reason as
-/// `enumeration`: default reports must stay byte-identical between cold
-/// and warm runs, and a warm store acquires nothing.
-pub(crate) fn data_plane_json(d: &lkmm_exec::DataPlaneSnapshot) -> Json {
-    Json::obj(vec![
-        ("arena_acquires", Json::num(d.arena_acquires)),
-        ("arena_reuses", Json::num(d.arena_reuses)),
-    ])
 }
 
 /// The data-plane stderr observability line, shared by both campaigns
@@ -193,7 +195,7 @@ pub fn enumeration_line(e: &lkmm_exec::EnumSnapshot) -> String {
     )
 }
 
-pub(crate) fn recheck_json(check: &Recheck) -> Json {
+fn recheck_json(check: &Recheck) -> Json {
     match check {
         Recheck::ResultAgreement { left, right } => Json::obj(vec![
             ("kind", Json::str("result-agreement")),
@@ -261,6 +263,13 @@ pub fn human_table(report: &CampaignReport) -> String {
         );
     }
     let _ = writeln!(out);
+    table_tail(&mut out, report);
+    out
+}
+
+/// The end of both human tables: the oracle table, the PARTIAL block
+/// when units were quarantined, and the discrepancies.
+pub(crate) fn table_tail(out: &mut String, report: &CampaignReport) {
     let _ = writeln!(
         out,
         "{:<22} {:>8} {:>11} {:>8}",
@@ -277,7 +286,22 @@ pub fn human_table(report: &CampaignReport) -> String {
         );
     }
     let _ = writeln!(out);
-    partial_lines(&mut out, &report.failed_units);
+    if report.degraded() {
+        let units = &report.failed_units;
+        let _ = writeln!(out, "PARTIAL: {} unit(s) quarantined after exhausting retries:", units.len());
+        for f in units {
+            let _ = writeln!(
+                out,
+                "  #{} {} [{}] after {} attempts: {}",
+                f.index,
+                f.test,
+                f.kind.name(),
+                f.attempts,
+                f.detail
+            );
+        }
+        let _ = writeln!(out);
+    }
     if report.clean() {
         let _ = writeln!(out, "no discrepancies");
     } else {
@@ -297,11 +321,11 @@ pub fn human_table(report: &CampaignReport) -> String {
             }
         }
     }
-    out
 }
 
 /// Observability lines for stderr: everything deliberately excluded
-/// from the deterministic report.
+/// from the deterministic report — checkpoint activity, one line per
+/// model column, then the opt-in enumeration and data-plane counters.
 pub fn observability_lines(report: &CampaignReport) -> String {
     let mut out = String::new();
     if let Some(cursor) = report.resumed_at {
@@ -310,19 +334,7 @@ pub fn observability_lines(report: &CampaignReport) -> String {
     if report.checkpoints_written > 0 {
         let _ = writeln!(out, "{} checkpoint frame(s) written", report.checkpoints_written);
     }
-    column_lines(&mut out, &report.models, report.enumeration.as_ref(), report.data_plane.as_ref());
-    out
-}
-
-/// The stderr lines both campaigns print: one per model column, then
-/// the opt-in enumeration and data-plane counters.
-pub(crate) fn column_lines(
-    out: &mut String,
-    models: &[ModelStats],
-    enumeration: Option<&lkmm_exec::EnumSnapshot>,
-    data_plane: Option<&lkmm_exec::DataPlaneSnapshot>,
-) {
-    for m in models {
+    for m in &report.models {
         let _ = writeln!(
             out,
             "{}: {} cached, {} computed, {} deduped, {} candidates enumerated",
@@ -333,12 +345,13 @@ pub(crate) fn column_lines(
             m.pass.candidates_enumerated
         );
     }
-    if let Some(e) = enumeration {
+    if let Some(e) = &report.enumeration {
         let _ = writeln!(out, "{}", enumeration_line(e));
     }
-    if let Some(d) = data_plane {
+    if let Some(d) = &report.data_plane {
         let _ = writeln!(out, "{}", data_plane_line(d));
     }
+    out
 }
 
 #[cfg(test)]

@@ -129,12 +129,6 @@ pub struct MultiBatchReport {
     /// Candidates actually enumerated, counted once per pass — the
     /// denominator of the single-enumeration saving.
     pub candidates_actual: usize,
-    /// Prepared enumerations a commit threw away because the columns
-    /// still missing had changed since (an in-corpus duplicate of a unit
-    /// that was itself in flight) or the corpus budget had run out.
-    /// Never counted anywhere else: their passes and candidates are not
-    /// in the totals above.
-    pub prepared_discarded: usize,
     /// Wall-clock for the batch, in microseconds.
     pub micros: u128,
 }
@@ -318,7 +312,6 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
             row_unit: None,
             enumeration_passes: 0,
             candidates_actual: 0,
-            prepared_discarded: 0,
             corpus_meter,
             start: Instant::now(),
             checker: self,
@@ -473,7 +466,6 @@ pub struct CorpusRun<'a, 'm, S: VerdictLog = VerdictStore> {
     row_unit: Option<usize>,
     enumeration_passes: usize,
     candidates_actual: usize,
-    prepared_discarded: usize,
     corpus_meter: Meter,
     start: Instant,
 }
@@ -539,11 +531,9 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
             }
         }
         if missing.is_empty() {
-            self.discard(check);
             return Ok(());
         }
         if let Err(kind) = self.corpus_meter.poll_now() {
-            self.discard(check);
             for &c in &missing {
                 self.columns[c].inconclusive += 1;
                 self.row[c] = Some(UnitCell {
@@ -559,10 +549,7 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
         }
         let check = match check {
             Some(check) if check.columns == missing => check,
-            stale => {
-                self.discard(stale);
-                self.checker.check_columns(test, missing)
-            }
+            _ => self.checker.check_columns(test, missing),
         };
         self.checker.adopt_counters(&check);
         self.enumeration_passes += 1;
@@ -600,11 +587,6 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
             }
         }
         Ok(())
-    }
-
-    /// Count a prepared check that commit did not use.
-    fn discard(&mut self, check: Option<ColumnsCheck>) {
-        self.prepared_discarded += usize::from(check.is_some());
     }
 
     /// Clear unit `i`'s row (if it is the unit committed last) and drop
@@ -685,7 +667,6 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
             columns: self.columns,
             enumeration_passes: self.enumeration_passes,
             candidates_actual: self.candidates_actual,
-            prepared_discarded: self.prepared_discarded,
             micros: self.start.elapsed().as_micros(),
         })
     }
@@ -1054,7 +1035,6 @@ mod tests {
         let row = run.take_row(1);
         assert_eq!(row[0].as_ref().unwrap().provenance, Provenance::Deduped);
         let report = run.finish().unwrap();
-        assert_eq!(report.prepared_discarded, 1);
         assert_eq!(report.enumeration_passes, 1);
         assert_eq!((report.columns[0].computed, report.columns[0].deduped), (1, 1));
     }

@@ -102,7 +102,9 @@
 //! (`client`).
 
 use linux_kernel_memory_model::algorithms::FamilyId;
-use linux_kernel_memory_model::conformance::{data_plane_line, enumeration_line, SimConfig};
+use linux_kernel_memory_model::conformance::{
+    data_plane_line, enumeration_line, CampaignError, CampaignReport, SimConfig,
+};
 use linux_kernel_memory_model::server::{serve_tcp, ServerConfig};
 use linux_kernel_memory_model::service::json::Json;
 use linux_kernel_memory_model::service::serve::{serve_with, ServeOptions};
@@ -895,20 +897,17 @@ fn conformance_mode(cli: &Cli) -> ExitCode {
     } else {
         print!("{}", human_table(&report));
     }
-    campaign_exit(Ok((report.clean(), report.degraded())))
+    campaign_exit(Ok(&report))
 }
 
 /// The exit code of a campaign, cycle or algorithm alike: its error, or
-/// for a finished campaign `(clean, degraded)` — 7 on discrepancies, 8
-/// when units were quarantined.
-fn campaign_exit(
-    outcome: Result<(bool, bool), linux_kernel_memory_model::conformance::CampaignError>,
-) -> ExitCode {
-    use linux_kernel_memory_model::conformance::CampaignError;
+/// for a finished campaign 7 on discrepancies, else 8 when units were
+/// quarantined.
+fn campaign_exit(outcome: Result<&CampaignReport, CampaignError>) -> ExitCode {
     match outcome {
-        Ok((false, _)) => ExitCode::from(EXIT_DISCREPANCY),
-        Ok((true, true)) => ExitCode::from(EXIT_DEGRADED),
-        Ok((true, false)) => ExitCode::SUCCESS,
+        Ok(report) if !report.clean() => ExitCode::from(EXIT_DISCREPANCY),
+        Ok(report) if report.degraded() => ExitCode::from(EXIT_DEGRADED),
+        Ok(_) => ExitCode::SUCCESS,
         Err(e @ CampaignError::Suspended { .. }) => {
             eprintln!("herd-rs: conformance: {e}");
             ExitCode::SUCCESS
@@ -935,7 +934,7 @@ fn campaign_exit(
 fn algo_conformance_mode(cli: &Cli) -> ExitCode {
     use linux_kernel_memory_model::algorithms::FamilyParams;
     use linux_kernel_memory_model::conformance::{
-        algo_human_table, algo_json_report, algo_observability_lines, run_algo_campaign, AlgoConfig,
+        algo_human_table, algo_json_report, observability_lines, run_algo_campaign, AlgoConfig,
     };
     let defaults = FamilyParams::default();
     let (enum_stats, data_plane) = cli.stats();
@@ -962,13 +961,13 @@ fn algo_conformance_mode(cli: &Cli) -> ExitCode {
         Ok(r) => r,
         Err(e) => return campaign_exit(Err(e)),
     };
-    eprint!("{}", algo_observability_lines(&report));
+    eprint!("{}", observability_lines(&report.campaign));
     if cli.json {
         println!("{}", algo_json_report(&report, &cfg));
     } else {
         print!("{}", algo_human_table(&report));
     }
-    campaign_exit(Ok((report.clean(), report.degraded())))
+    campaign_exit(Ok(&report.campaign))
 }
 
 /// `herd-rs --list-algorithms`: the family catalogue, one block per

@@ -84,8 +84,9 @@ fn weakened_ticket_family_is_caught_and_shrunk() {
     let report = run_algo_campaign(&cfg).unwrap();
     drop(guard);
 
-    assert!(!report.clean(), "the weakened family must not pass");
+    assert!(!report.campaign.clean(), "the weakened family must not pass");
     let safety: Vec<_> = report
+        .campaign
         .discrepancies
         .iter()
         .filter(|d| d.oracle == OracleKind::FamilySafety)
@@ -114,5 +115,9 @@ fn weakened_ticket_family_is_caught_and_shrunk() {
 
     // Disarmed, the same campaign is clean again.
     let healed = run_algo_campaign(&cfg).unwrap();
-    assert!(healed.clean(), "{:?}", healed.discrepancies.first().map(|d| &d.detail));
+    assert!(
+        healed.campaign.clean(),
+        "{:?}",
+        healed.campaign.discrepancies.first().map(|d| &d.detail)
+    );
 }

@@ -8,15 +8,20 @@
 //! caught, and its discrepancy shrinks to a minimal litmus test that
 //! still discriminates the two disagreeing checkers.
 
+use linux_kernel_memory_model::algorithms::FamilyId;
 use linux_kernel_memory_model::conformance::{
-    corpus_stream, human_table, json_report, recheck_violated, run_campaign, run_campaign_with,
-    test_size, CampaignConfig, CampaignError, ModelId, ModelSet, OracleKind, Recheck,
-    ResilienceConfig, SimConfig,
+    algo_human_table, algo_json_report, corpus_stream, human_table, json_report,
+    observability_lines, recheck_violated, run_algo_campaign_with, run_campaign,
+    run_campaign_with, test_size, AlgoConfig, CampaignConfig, CampaignError, ModelId, ModelSet,
+    OracleKind, Recheck, ResilienceConfig, SimConfig,
 };
+use linux_kernel_memory_model::exec::model::AllowAll;
 use linux_kernel_memory_model::exec::{
-    ConsistencyModel, DataPlaneStats, EnumOptions, EnumStats, Execution, PipelineOptions,
+    ConsistencyModel, DataPlaneStats, EnumOptions, EnumStats, Execution, ModelSession,
+    PipelineOptions,
 };
 use linux_kernel_memory_model::litmus::library;
+use linux_kernel_memory_model::service::hash::fnv64;
 use linux_kernel_memory_model::service::json::Json;
 use std::path::Path;
 use std::sync::Arc;
@@ -252,4 +257,85 @@ fn counted_runs(dir: &Path, jobs: usize) -> Vec<Observed> {
     }
     let resumed = observe(&resumable(None, true));
     vec![cold, warm, resumed]
+}
+
+/// A column whose evaluation session always panics: every unit that
+/// checks it fails each attempt and is quarantined, so the report is
+/// degraded. Standing in for C11, it spares the rows C11 does not cover
+/// (the RCU tests), which still complete.
+struct SessionPanics;
+
+impl ConsistencyModel for SessionPanics {
+    fn name(&self) -> &str {
+        "session-panics"
+    }
+
+    fn session(&self) -> Option<Box<dyn ModelSession + '_>> {
+        panic!("injected panic opening a model session");
+    }
+
+    fn allows(&self, _x: &Execution) -> bool {
+        true
+    }
+}
+
+/// The standard set with `AllowAll` in `mutant`'s column and, when
+/// `degraded`, [`SessionPanics`] in C11's.
+fn mutant_set(mutant: ModelId, degraded: bool) -> ModelSet {
+    let mut set = ModelSet::standard();
+    set.replace(mutant, Box::new(AllowAll));
+    if degraded {
+        set.replace(ModelId::C11, Box::new(SessionPanics));
+    }
+    set
+}
+
+#[test]
+fn rendered_reports_are_pinned() {
+    // Each run's JSON report, human table and stderr lines, hashed
+    // together: a cycle campaign and an algorithm campaign, each with
+    // an allow-all LKMM column, then again with C11 quarantining every
+    // unit it covers. Runs are sequential with both counter handles
+    // set, so the opt-in sections and the per-column cache counters are
+    // pinned too: a change to either campaign's rendering that alters
+    // one byte of a section fails here.
+    let cycles = |degraded| {
+        let cfg = CampaignConfig {
+            jobs: 1,
+            sim: SimConfig { iterations: 20, seed: 7, stride: 1 },
+            enum_stats: Some(Arc::new(EnumStats::default())),
+            data_plane: Some(Arc::new(DataPlaneStats::default())),
+            resilience: ResilienceConfig { retry_base_ms: 0, ..ResilienceConfig::default() },
+            ..library_campaign()
+        };
+        let report = run_campaign_with(&cfg, &mutant_set(ModelId::LkmmCat, degraded)).unwrap();
+        [json_report(&report, &cfg).to_string(), human_table(&report), observability_lines(&report)]
+            .concat()
+    };
+    let algorithms = |degraded| {
+        let cfg = AlgoConfig {
+            families: vec![FamilyId::Ticket],
+            jobs: 1,
+            sim: SimConfig { iterations: 0, ..SimConfig::default() },
+            host_iterations: 0,
+            enum_stats: Some(Arc::new(EnumStats::default())),
+            data_plane: Some(Arc::new(DataPlaneStats::default())),
+            ..AlgoConfig::default()
+        };
+        let set = mutant_set(ModelId::LkmmNative, degraded);
+        let report = run_algo_campaign_with(&cfg, &set).unwrap();
+        [
+            algo_json_report(&report, &cfg).to_string(),
+            algo_human_table(&report),
+            observability_lines(&report.campaign),
+        ]
+        .concat()
+    };
+    let texts = [cycles(false), cycles(true), algorithms(false), algorithms(true)];
+    let digests = texts.map(|text| fnv64(text.as_bytes()));
+    assert_eq!(
+        digests,
+        [0x1aee_6b02_e533_41df, 0xf853_554b_2a6d_e4a9, 0x3a37_3a8b_4713_b208, 0x7bdf_f6b8_0535_eb55],
+        "{digests:#018x?}"
+    );
 }
