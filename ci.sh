@@ -32,6 +32,12 @@ echo "== static tiers: shape-keyed caches match uncached evaluation of every can
 # also bounds the static tiers built. Ignored in the debug run above.
 cargo test --release --offline --test static_tier --quiet -- --ignored
 
+echo "== simulators: exhaustive exploration of the library is pinned =="
+# explore() over every library test on all five machines: outcome sets,
+# observability, visited-state counts and truncation, hashed against a
+# digest. Ignored in the debug run above (about 1.5 s in release).
+cargo test --release --offline --test simulator --quiet -- --ignored
+
 echo "== pipeline cross-check: library verdicts at jobs 1/2/8 =="
 cargo test --release --test pipeline --quiet
 
@@ -138,6 +144,11 @@ for ARGS in "client --connect 127.0.0.1:9 --dot" "--list-algorithms --jobs 2" \
 done
 # The help text is byte-for-byte what it was before the flag table.
 test "$("$BIN" --help | cksum)" = "3870552447 5913"
+# The simulated Table 5 is byte-for-byte what the by-name simulators
+# printed. Its SB and MP rows are the ones where the machines do observe
+# outcomes, which no campaign digest covers: every row a campaign
+# simulates is LKMM-forbidden and reads 0.
+test "$(cargo run --release --offline -q --example table5 -- 2000 | cksum)" = "3522350971 1689"
 rm -f /tmp/lkmm-ci-multi.litmus /tmp/lkmm-multi.out /tmp/lkmm-multi-seq.out \
     /tmp/lkmm-multi-j1.out /tmp/lkmm-multi-j4.out /tmp/lkmm-multi.err \
     /tmp/lkmm-ci-stress.litmus /tmp/lkmm-stress-j1.out /tmp/lkmm-stress-j4.out

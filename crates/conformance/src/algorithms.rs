@@ -300,7 +300,8 @@ fn host_check_row(
 /// Interleave agreement for one program with a step machine: exhaustive
 /// SC interleaving (capped at `interleave_max_states`; a truncated
 /// exploration is skipped rather than risking a false verdict) against
-/// the axiomatic SC+atomicity verdict.
+/// the axiomatic SC+atomicity verdict. A quarantined unit's all-`None`
+/// row is skipped unexplored, as the matrix oracles skip it.
 fn interleave_check_row(
     machine: &Machine,
     cfg: &AlgoConfig,
@@ -308,6 +309,10 @@ fn interleave_check_row(
     discrepancies: &mut Vec<Discrepancy>,
     summary: &mut OracleSummary,
 ) {
+    if row.cells.iter().all(Option::is_none) {
+        summary.skipped += 1;
+        return;
+    }
     let max_states = cfg.interleave_max_states;
     let explored = interleave::explore(machine, max_states);
     if explored.truncated {

@@ -1,16 +1,18 @@
 //! Exhaustive operational exploration: every scheduler interleaving.
 //!
 //! The Monte-Carlo [runner](crate::runner) samples schedules; this module
-//! *enumerates* them — a depth-first search over all enabled actions with
-//! memoisation on machine-state fingerprints. For litmus-scale tests this
-//! terminates quickly and yields the **exact** set of operationally
-//! reachable final states, which the test suite compares against the
-//! axiomatic models (the Owens-style TSO equivalence, done empirically).
+//! *enumerates* them — a depth-first search over all enabled actions of
+//! the same machine, memoised on a key of the machine state (a word
+//! vector naming everything that decides the state's future). For
+//! litmus-scale tests this terminates quickly and yields the **exact**
+//! set of operationally reachable final states, which the test suite
+//! compares against the axiomatic models (the Owens-style TSO
+//! equivalence, done empirically).
 
+use crate::lower::Program;
 use crate::machine::{Arch, Machine, MachineError};
-use lkmm_exec::{LocId, Val};
-use lkmm_litmus::ast::{InitVal, Test};
-use lkmm_litmus::cond::StateTerm;
+use lkmm_exec::Val;
+use lkmm_litmus::ast::Test;
 use std::collections::{BTreeSet, HashSet};
 
 /// Result of exhaustive exploration.
@@ -45,101 +47,52 @@ pub struct ExploreResult {
 /// assert_eq!(r.outcomes.len(), 4);
 /// ```
 pub fn explore(test: &Test, arch: Arch, max_states: usize) -> Result<ExploreResult, MachineError> {
-    let locs = test.shared_locations();
-    let init: Vec<Val> = locs
-        .iter()
-        .map(|name| match test.init.get(name) {
-            Some(InitVal::Int(i)) => Val::Int(*i),
-            Some(InitVal::Ptr(t)) => {
-                Val::Loc(LocId(locs.iter().position(|l| l == t).expect("ptr target")))
-            }
-            None => Val::Int(0),
-        })
-        .collect();
-    let terms: Vec<&StateTerm> = test.condition.prop.terms();
-
+    let prog = Program::lower(test);
     let mut result = ExploreResult {
         outcomes: BTreeSet::new(),
         observable: false,
         states_visited: 0,
         truncated: false,
     };
-    let mut visited: HashSet<String> = HashSet::new();
-    let mut stack: Vec<Machine> = vec![Machine::new(test, &locs, &init, arch)];
+    let mut visited: HashSet<Box<[u64]>> = HashSet::new();
+    let mut finals: HashSet<Box<[Option<Val>]>> = HashSet::new();
+    let mut key = Vec::new();
+    let mut vals = Vec::new();
+    let mut actions = Vec::new();
+    let mut stack = vec![Machine::new(&prog, arch)];
 
     while let Some(mut m) = stack.pop() {
-        let key = m.fingerprint();
-        if !visited.insert(key) {
+        key.clear();
+        m.state_key(&mut key);
+        if visited.contains(key.as_slice()) {
             continue;
         }
+        visited.insert(key.as_slice().into());
         result.states_visited += 1;
         if result.states_visited >= max_states {
             result.truncated = true;
             break;
         }
-        let actions = m.enabled_actions();
+        m.enabled_actions(&mut actions);
         if actions.is_empty() {
             if !m.finished() {
                 return Err(MachineError::Deadlock);
             }
-            let final_mem = m.final_memory();
-            let rendered = render_outcome(&m, &locs, &final_mem, &terms);
-            if eval_outcome(test, &m, &locs, &final_mem) {
-                result.observable = true;
+            m.final_values(&mut vals);
+            if !finals.contains(vals.as_slice()) {
+                finals.insert(vals.as_slice().into());
             }
-            result.outcomes.insert(rendered);
             continue;
         }
-        for a in actions {
+        for &a in &actions {
             let mut next = m.clone();
             next.execute(a)?;
             stack.push(next);
         }
     }
+    result.observable = finals.iter().any(|vals| prog.holds(&test.condition.prop, vals));
+    result.outcomes = finals.iter().map(|vals| prog.render(vals, "; ")).collect();
     Ok(result)
-}
-
-fn render_outcome(
-    m: &Machine,
-    locs: &[String],
-    final_mem: &[Val],
-    terms: &[&StateTerm],
-) -> String {
-    let render = |v: Val| match v {
-        Val::Int(i) => i.to_string(),
-        Val::Loc(l) => format!("&{}", locs[l.0]),
-    };
-    terms
-        .iter()
-        .map(|t| {
-            let v = match t {
-                StateTerm::Reg { thread, reg } => m.final_reg(*thread, reg),
-                StateTerm::Loc(name) => {
-                    locs.iter().position(|l| l == name).map(|i| final_mem[i])
-                }
-            };
-            match v {
-                None => format!("{t}=?"),
-                Some(v) => format!("{t}={}", render(v)),
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("; ")
-}
-
-fn eval_outcome(test: &Test, m: &Machine, locs: &[String], final_mem: &[Val]) -> bool {
-    use lkmm_litmus::cond::CondVal;
-    let lookup = |term: &StateTerm| -> Option<CondVal> {
-        let v = match term {
-            StateTerm::Reg { thread, reg } => m.final_reg(*thread, reg)?,
-            StateTerm::Loc(name) => final_mem[locs.iter().position(|l| l == name)?],
-        };
-        Some(match v {
-            Val::Int(i) => CondVal::Int(i),
-            Val::Loc(l) => CondVal::LocRef(locs[l.0].clone()),
-        })
-    };
-    test.condition.prop.eval(&lookup)
 }
 
 #[cfg(test)]

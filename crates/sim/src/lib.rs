@@ -44,6 +44,7 @@
 //! ```
 
 pub mod exhaustive;
+mod lower;
 pub mod machine;
 pub mod rng;
 pub mod runner;

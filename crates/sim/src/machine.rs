@@ -1,6 +1,6 @@
 //! The parametric operational machine.
 //!
-//! One machine skeleton covers all four architectures:
+//! One machine skeleton covers all five architectures:
 //!
 //! * threads *issue* statements in program order (no branch speculation —
 //!   control dependencies stall issue until the branch inputs are ready);
@@ -15,13 +15,25 @@
 //!   dependency sets (release: everything observed; after `smp_wmb`: own
 //!   earlier stores).
 //!
-//! Registers are SSA-renamed at issue so reused register names never
-//! alias across loop-free program order.
+//! The machine runs on a test lowered once (`crate::lower`): locations
+//! and registers are dense indices. Every register write gets a fresh
+//! SSA id — the next slot of its thread's SSA vector, which records the
+//! source register and, once performed, the value — so a reused register
+//! never aliases across loop-free program order. Issuing a store or RMW
+//! copies the SSA ids its expressions read into the thread's leaf arena;
+//! Power's dependency sets and grace-period snapshots live in arenas of
+//! the machine too. `Machine::reset` clears every buffer in place, so
+//! the Monte-Carlo runner reuses one machine for all its iterations.
+//!
+//! `Machine::enabled_actions` lists actions in a fixed order (per
+//! thread: issue, window performs oldest first, drain; then Power
+//! propagations by thread and location). The runner draws one of them
+//! from a seeded stream, so that order is part of every seeded result.
 
-use lkmm_exec::{LocId, Val};
-use lkmm_litmus::ast::{AddrExpr, BinOp, Expr, FenceKind, RmwOrder, Stmt, Test};
+use crate::lower::{Addr, BlockId, ExprId, LExpr, LStmt, Node, Program, Term, ONE, ZERO};
 use crate::rng::SplitMix64;
-use std::collections::HashMap;
+use lkmm_exec::{LocId, Val};
+use lkmm_litmus::ast::{BinOp, FenceKind, RmwOrder};
 use std::fmt;
 
 /// A simulated architecture.
@@ -106,20 +118,47 @@ impl fmt::Display for MachineError {
 
 impl std::error::Error for MachineError {}
 
-/// In-window operation.
-#[derive(Clone, Debug)]
+/// "No SSA id" / "no position": a register never written, an absent
+/// per-location entry.
+const NONE: u32 = u32::MAX;
+
+/// An expression as issued: its root node plus where its leaves' SSA
+/// ids start in the thread's leaf arena.
+#[derive(Clone, Copy, Debug)]
+struct Resolved {
+    root: ExprId,
+    base: u32,
+}
+
+/// A range of [`Machine::deps`].
+#[derive(Clone, Copy, Debug, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+/// In-window operation. `dst` fields are SSA ids.
+#[derive(Clone, Copy, Debug)]
 enum Op {
-    Load { dst: String, loc: usize, acquire: bool },
-    Store { loc: usize, value: Expr, release: bool },
+    Load {
+        dst: u32,
+        loc: u32,
+        acquire: bool,
+    },
+    Store {
+        loc: u32,
+        value: Resolved,
+        release: bool,
+    },
     /// Atomic read-modify-write. `expected` of `Some` makes it a
     /// compare-and-swap whose success is decided at perform time;
     /// `must_succeed` additionally delays scheduling until it would
     /// succeed (spin_lock: spin until the lock is free).
     Rmw {
-        dst: String,
-        loc: usize,
-        value: Expr,
-        expected: Option<Expr>,
+        dst: u32,
+        loc: u32,
+        value: Resolved,
+        expected: Option<Resolved>,
         acquire: bool,
         release: bool,
         must_succeed: bool,
@@ -132,12 +171,20 @@ enum Op {
     RcuLock,
     RcuUnlock,
     /// SRCU section markers for one domain (a location index).
-    SrcuLock { domain: usize },
-    SrcuUnlock { domain: usize },
+    SrcuLock {
+        domain: u32,
+    },
+    SrcuUnlock {
+        domain: u32,
+    },
     /// Grace-period wait; `domain` of `None` is RCU, `Some(d)` is the
-    /// SRCU domain `d`. The epoch snapshot is taken when the op reaches
-    /// the head of the window.
-    GpWait { domain: Option<usize>, snapshot: Option<Vec<u64>> },
+    /// SRCU domain `d`. The epoch snapshot (one epoch per thread, from
+    /// [`Machine::snapshots`]) is taken when the op reaches the head of
+    /// the window.
+    GpWait {
+        domain: Option<u32>,
+        snapshot: Option<u32>,
+    },
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -149,68 +196,149 @@ enum SimFence {
     RbDep,
 }
 
-#[derive(Clone, Debug)]
-struct WindowEntry {
+/// What a pending window entry holds back, as bits of [`Entry::class`].
+const BLOCKS: u16 = 1; // full barrier, RCU/SRCU marker, grace period; Power lwsync
+const ACQUIRE: u16 = 1 << 1;
+const RELEASE: u16 = 1 << 2;
+const LOADS: u16 = 1 << 3; // load or RMW
+const STORES: u16 = 1 << 4; // store or RMW
+const RMB_RBDEP: u16 = 1 << 5;
+const WMB: u16 = 1 << 6;
+const RMB: u16 = 1 << 7;
+
+impl Op {
+    fn loc(&self) -> Option<u32> {
+        match *self {
+            Op::Load { loc, .. } | Op::Store { loc, .. } | Op::Rmw { loc, .. } => Some(loc),
+            _ => None,
+        }
+    }
+
+    fn class(&self, arch: Arch) -> u16 {
+        match *self {
+            Op::Load { acquire, .. } => LOADS | if acquire { ACQUIRE } else { 0 },
+            Op::Store { release, .. } => STORES | if release { RELEASE } else { 0 },
+            Op::Rmw { acquire, release, .. } => {
+                LOADS
+                    | STORES
+                    | if acquire { ACQUIRE } else { 0 }
+                    | if release { RELEASE } else { 0 }
+            }
+            Op::Fence(SimFence::Mb)
+            | Op::GpWait { .. }
+            | Op::RcuLock
+            | Op::RcuUnlock
+            | Op::SrcuLock { .. }
+            | Op::SrcuUnlock { .. } => BLOCKS,
+            // On Power, smp_wmb/smp_rmb are both lwsync, which orders all
+            // local pairs except store→load visibility — so they block too.
+            Op::Fence(SimFence::Wmb) => WMB | if arch == Arch::Power { BLOCKS } else { 0 },
+            Op::Fence(SimFence::Rmb) => {
+                RMB | RMB_RBDEP | if arch == Arch::Power { BLOCKS } else { 0 }
+            }
+            Op::Fence(SimFence::RbDep) => RMB_RBDEP,
+        }
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Entry {
     op: Op,
+    class: u16,
     performed: bool,
 }
 
 /// One coherence-ordered write version (Power memory system).
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Version {
     val: Val,
     /// Visibility prerequisites: `(loc, pos)` pairs that must already be
     /// visible to a thread before this version may propagate to it.
-    deps: Vec<(usize, usize)>,
+    deps: Span,
 }
 
-#[derive(Clone)]
-struct ThreadState<'a> {
+/// An SSA register: its source register and, once written, its value.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    reg: u32,
+    val: Option<Val>,
+}
+
+/// A statement cursor: the next statement of a block.
+#[derive(Clone, Copy, Debug)]
+struct Frame {
+    block: BlockId,
+    idx: u32,
+}
+
+#[derive(Clone, Debug)]
+struct ThreadState {
     /// Statement cursor: stack of (block, next index).
-    frames: Vec<(&'a [Stmt], usize)>,
-    window: Vec<WindowEntry>,
-    /// SSA register values (filled at perform).
-    regs: HashMap<String, Val>,
-    /// Source register name → current SSA name.
-    rename: HashMap<String, String>,
-    ssa_counter: usize,
+    frames: Vec<Frame>,
+    window: Vec<Entry>,
+    /// Source register → current SSA id (`NONE` until first written).
+    rename: Vec<u32>,
+    /// SSA registers, by id.
+    slots: Vec<Slot>,
+    /// SSA ids read by issued expressions (`NONE` for a register never
+    /// written when its reader issued).
+    leaves: Vec<u32>,
     /// x86 store buffer: FIFO of (loc, val).
-    buffer: Vec<(usize, Val)>,
-    /// Own latest committed coherence position per location (Power).
-    own_latest: HashMap<usize, usize>,
+    buffer: Vec<(u32, Val)>,
+    /// Own latest committed coherence position per location (Power;
+    /// `NONE` until the thread writes the location).
+    own_latest: Vec<u32>,
     /// Coherence positions snapshotted at the last `smp_wmb` (Power).
-    wmb_snapshot: Vec<(usize, usize)>,
+    wmb_snapshot: Span,
     /// Alpha: per-location lower bound on the version a load may return
     /// (raised by own accesses and by `smp_read_barrier_depends`/`smp_mb`;
     /// staleness below the *view* is otherwise allowed — banked caches).
-    read_floor: Vec<usize>,
+    read_floor: Vec<u32>,
 }
 
-impl<'a> ThreadState<'a> {
+impl ThreadState {
     fn done(&self) -> bool {
         self.frames.is_empty() && self.window.iter().all(|e| e.performed)
     }
+
+    fn value(&self, ssa: u32) -> Option<Val> {
+        self.slots.get(ssa as usize)?.val
+    }
+}
+
+/// Where an expression's register leaves find their SSA ids.
+#[derive(Clone, Copy)]
+enum Leaves {
+    /// Through the thread's current renaming (statements being issued).
+    Now,
+    /// In the leaf arena from `base` (operations already issued).
+    At(u32),
 }
 
 /// The whole machine for one run.
 #[derive(Clone)]
-pub(crate) struct Machine<'a> {
+pub(crate) struct Machine<'p> {
+    prog: &'p Program,
     arch: Arch,
-    locs: Vec<String>,
-    threads: Vec<ThreadState<'a>>,
+    window_cap: usize,
+    threads: Vec<ThreadState>,
     /// MCA global memory.
     mem: Vec<Val>,
     /// Power: coherence version lists per location (index 0 = initial).
     versions: Vec<Vec<Version>>,
-    /// Power: per thread, per location, visible version index.
-    view: Vec<Vec<usize>>,
+    /// Power: every version's and `smp_wmb` snapshot's `(loc, pos)` pairs.
+    deps: Vec<(u32, u32)>,
+    /// Power: visible version index, `view[thread * locs + loc]`.
+    view: Vec<u32>,
     /// RCU bookkeeping.
     nesting: Vec<u64>,
     lock_epoch: Vec<u64>,
-    /// Per-thread, per-SRCU-domain nesting and epochs.
-    srcu_nesting: Vec<HashMap<usize, u64>>,
-    srcu_epoch: Vec<HashMap<usize, u64>>,
-    window_cap: usize,
+    /// Per-thread, per-SRCU-domain nesting and epochs,
+    /// `[thread * locs + domain]`; `None` until first touched.
+    srcu_nesting: Vec<Option<u64>>,
+    srcu_epoch: Vec<Option<u64>>,
+    /// Grace-period epoch snapshots, one epoch per thread each.
+    snapshots: Vec<u64>,
 }
 
 /// An enabled scheduler action.
@@ -221,94 +349,137 @@ pub(crate) enum Action {
     /// coherence version the (possibly stale) bank returns.
     Perform(usize, usize, Option<usize>),
     Drain(usize),
-    Propagate { dst: usize, loc: usize },
+    Propagate {
+        dst: usize,
+        loc: usize,
+    },
 }
 
-impl<'a> Machine<'a> {
-    pub(crate) fn new(
-        test: &'a Test,
-        locs: &[String],
-        init: &[Val],
-        arch: Arch,
-    ) -> Machine<'a> {
-        let n = test.threads.len();
-        Machine {
+impl<'p> Machine<'p> {
+    /// A machine at the initial state of `prog` on `arch`.
+    pub(crate) fn new(prog: &'p Program, arch: Arch) -> Machine<'p> {
+        let (n, locs) = (prog.threads.len(), prog.locs.len());
+        let mut m = Machine {
+            prog,
             arch,
-            locs: locs.to_vec(),
-            threads: test
+            window_cap: if arch == Arch::Armv7 { 4 } else { 8 },
+            threads: prog
                 .threads
                 .iter()
-                .map(|t| ThreadState {
-                    frames: vec![(t.body.as_slice(), 0)],
+                .map(|code| ThreadState {
+                    frames: Vec::new(),
                     window: Vec::new(),
-                    regs: HashMap::new(),
-                    rename: HashMap::new(),
-                    ssa_counter: 0,
+                    rename: vec![NONE; code.regs],
+                    slots: Vec::new(),
+                    leaves: Vec::new(),
                     buffer: Vec::new(),
-                    own_latest: HashMap::new(),
-                    wmb_snapshot: Vec::new(),
-                    read_floor: vec![0; init.len()],
+                    own_latest: vec![NONE; locs],
+                    wmb_snapshot: Span::default(),
+                    read_floor: vec![0; locs],
                 })
                 .collect(),
-            mem: init.to_vec(),
-            versions: init.iter().map(|&v| vec![Version { val: v, deps: Vec::new() }]).collect(),
-            view: vec![vec![0; init.len()]; n],
+            mem: prog.init.clone(),
+            versions: prog
+                .init
+                .iter()
+                .map(|&val| vec![Version { val, deps: Span::default() }])
+                .collect(),
+            deps: Vec::new(),
+            view: vec![0; n * locs],
             nesting: vec![0; n],
             lock_epoch: vec![0; n],
-            srcu_nesting: vec![HashMap::new(); n],
-            srcu_epoch: vec![HashMap::new(); n],
-            window_cap: if arch == Arch::Armv7 { 4 } else { 8 },
-        }
+            srcu_nesting: vec![None; n * locs],
+            srcu_epoch: vec![None; n * locs],
+            snapshots: Vec::new(),
+        };
+        m.reset();
+        m
     }
 
-    /// Run to completion under the given RNG.
-    pub(crate) fn run(&mut self, rng: &mut SplitMix64) -> Result<(), MachineError> {
+    /// Return to the initial state, keeping every buffer's allocation.
+    pub(crate) fn reset(&mut self) {
+        for (t, code) in self.threads.iter_mut().zip(&self.prog.threads) {
+            t.frames.clear();
+            t.frames.push(Frame { block: code.body, idx: 0 });
+            t.window.clear();
+            t.rename.fill(NONE);
+            t.slots.clear();
+            t.leaves.clear();
+            t.buffer.clear();
+            t.own_latest.fill(NONE);
+            t.wmb_snapshot = Span::default();
+            t.read_floor.fill(0);
+        }
+        self.mem.copy_from_slice(&self.prog.init);
+        for v in &mut self.versions {
+            v.truncate(1);
+        }
+        self.deps.clear();
+        self.view.fill(0);
+        self.nesting.fill(0);
+        self.lock_epoch.fill(0);
+        self.srcu_nesting.fill(None);
+        self.srcu_epoch.fill(None);
+        self.snapshots.clear();
+    }
+
+    /// Run to completion under the given RNG; `actions` is scratch.
+    pub(crate) fn run(
+        &mut self,
+        rng: &mut SplitMix64,
+        actions: &mut Vec<Action>,
+    ) -> Result<(), MachineError> {
         loop {
-            let actions = self.enabled_actions();
+            self.enabled_actions(actions);
             if actions.is_empty() {
-                if self.threads.iter().all(|t| t.done())
-                    && self.threads.iter().all(|t| t.buffer.is_empty())
-                {
-                    return Ok(());
-                }
-                return Err(MachineError::Deadlock);
+                return if self.finished() { Ok(()) } else { Err(MachineError::Deadlock) };
             }
             let a = actions[rng.gen_index(actions.len())];
             self.execute(a)?;
         }
     }
 
-    /// Final value of each location.
-    pub(crate) fn final_memory(&self) -> Vec<Val> {
-        if self.arch.multi_copy_atomic() {
-            self.mem.clone()
-        } else {
-            self.versions.iter().map(|v| v.last().unwrap().val).collect()
-        }
+    /// Whether every thread has finished and all buffers drained.
+    pub(crate) fn finished(&self) -> bool {
+        self.threads.iter().all(|t| t.done() && t.buffer.is_empty())
     }
 
-    /// Final value of a source-level register in a thread.
-    pub(crate) fn final_reg(&self, thread: usize, reg: &str) -> Option<Val> {
-        let t = &self.threads[thread];
-        let ssa = t.rename.get(reg)?;
-        t.regs.get(ssa).copied()
+    /// The final value of each condition term, in `Program::terms` order.
+    pub(crate) fn final_values(&self, out: &mut Vec<Option<Val>>) {
+        out.clear();
+        out.extend(self.prog.terms.iter().map(|term| match *term {
+            Term::Reg { thread, reg } => {
+                let t = &self.threads[thread];
+                t.value(t.rename[reg? as usize])
+            }
+            Term::Loc(loc) => Some(self.coherence_latest(loc?)),
+        }));
     }
 
-    pub(crate) fn enabled_actions(&mut self) -> Vec<Action> {
-        let mut out = Vec::new();
+    /// Fill `out` with the enabled actions, in the fixed order the
+    /// runner's draws index into.
+    pub(crate) fn enabled_actions(&mut self, out: &mut Vec<Action>) {
+        out.clear();
         for tid in 0..self.threads.len() {
             if self.can_issue(tid) {
                 out.push(Action::Issue(tid));
             }
+            // Classes and completion of the entries before `i`.
+            let mut pending = 0;
+            let mut all_done = true;
             for i in 0..self.threads[tid].window.len() {
-                if !self.threads[tid].window[i].performed && self.op_ready(tid, i) {
-                    match &self.threads[tid].window[i].op {
+                let entry = self.threads[tid].window[i];
+                if entry.performed {
+                    continue;
+                }
+                if self.op_ready(tid, i, pending, all_done) {
+                    match entry.op {
                         Op::Load { loc, .. } if self.arch.stale_dependent_reads() => {
                             // Each coherent-but-possibly-stale bank version
                             // is a distinct schedule.
-                            let floor = self.threads[tid].read_floor[*loc];
-                            for v in floor..=self.view[tid][*loc] {
-                                out.push(Action::Perform(tid, i, Some(v)));
+                            let floor = self.threads[tid].read_floor[loc as usize];
+                            for v in floor..=self.view(tid, loc) {
+                                out.push(Action::Perform(tid, i, Some(v as usize)));
                             }
                         }
                         _ => out.push(Action::Perform(tid, i, None)),
@@ -317,6 +488,8 @@ impl<'a> Machine<'a> {
                         break; // only the oldest ready op on x86
                     }
                 }
+                pending |= entry.class;
+                all_done = false;
             }
             if self.arch.store_buffer() && !self.threads[tid].buffer.is_empty() {
                 out.push(Action::Drain(tid));
@@ -324,14 +497,13 @@ impl<'a> Machine<'a> {
         }
         if !self.arch.multi_copy_atomic() {
             for dst in 0..self.threads.len() {
-                for loc in 0..self.locs.len() {
+                for loc in 0..self.prog.locs.len() {
                     if self.can_propagate(dst, loc) {
                         out.push(Action::Propagate { dst, loc });
                     }
                 }
             }
         }
-        out
     }
 
     pub(crate) fn execute(&mut self, a: Action) -> Result<(), MachineError> {
@@ -340,72 +512,86 @@ impl<'a> Machine<'a> {
             Action::Perform(t, i, stale) => {
                 self.perform(t, i, stale);
                 // Trim performed prefix to bound the window scan.
-                while self.threads[t]
-                    .window
-                    .first()
-                    .is_some_and(|e| e.performed)
-                {
-                    self.threads[t].window.remove(0);
-                }
+                let window = &mut self.threads[t].window;
+                let done = window.iter().take_while(|e| e.performed).count();
+                window.drain(..done);
                 Ok(())
             }
             Action::Drain(t) => {
                 let (loc, val) = self.threads[t].buffer.remove(0);
-                self.mem[loc] = val;
+                self.mem[loc as usize] = val;
                 Ok(())
             }
             Action::Propagate { dst, loc } => {
-                self.view[dst][loc] += 1;
+                self.view[dst * self.prog.locs.len() + loc] += 1;
                 Ok(())
             }
         }
     }
 
+    fn view(&self, tid: usize, loc: u32) -> u32 {
+        self.view[tid * self.prog.locs.len() + loc as usize]
+    }
+
+    fn view_of(&self, tid: usize) -> &[u32] {
+        let n = self.prog.locs.len();
+        &self.view[tid * n..(tid + 1) * n]
+    }
+
     fn can_propagate(&self, dst: usize, loc: usize) -> bool {
-        let cur = self.view[dst][loc];
-        let Some(next) = self.versions[loc].get(cur + 1) else { return false };
-        next.deps.iter().all(|&(l, p)| self.view[dst][l] >= p)
+        let view = self.view_of(dst);
+        let Some(next) = self.versions[loc].get(view[loc] as usize + 1) else {
+            return false;
+        };
+        self.span(next.deps).iter().all(|&(l, p)| view[l as usize] >= p)
+    }
+
+    fn span(&self, s: Span) -> &[(u32, u32)] {
+        &self.deps[s.start as usize..(s.start + s.len) as usize]
+    }
+
+    /// Append every location this thread has observed beyond the initial
+    /// write, with its visible position, to the dependency arena.
+    fn observed_span(&mut self, tid: usize) -> Span {
+        let start = self.deps.len() as u32;
+        let n = self.prog.locs.len();
+        for l in 0..n {
+            let pos = self.view[tid * n + l];
+            if pos > 0 {
+                self.deps.push((l as u32, pos));
+            }
+        }
+        Span { start, len: self.deps.len() as u32 - start }
+    }
+
+    /// Alpha bank synchronisation: later loads see at least the view.
+    fn sync_banks(&mut self, tid: usize) {
+        let n = self.prog.locs.len();
+        let (view, threads) = (&self.view, &mut self.threads);
+        threads[tid].read_floor.copy_from_slice(&view[tid * n..(tid + 1) * n]);
     }
 
     // ------------------------------------------------------------------
     // Issue
     // ------------------------------------------------------------------
 
-    fn next_stmt(&self, tid: usize) -> Option<&'a Stmt> {
-        let t = &self.threads[tid];
-        let &(block, idx) = t.frames.last()?;
-        block.get(idx)
+    /// Evaluate an expression; `None` while inputs are pending.
+    fn eval(&self, tid: usize, root: ExprId, at: Leaves) -> Option<Val> {
+        self.eval_node(&self.threads[tid], root, at)
     }
 
-    /// Resolve a source expression to SSA names at issue time.
-    fn resolve_expr(&self, tid: usize, e: &Expr) -> Expr {
-        match e {
-            Expr::Const(c) => Expr::Const(*c),
-            Expr::LocRef(n) => Expr::LocRef(n.clone()),
-            Expr::Reg(r) => {
-                let t = &self.threads[tid];
-                Expr::Reg(t.rename.get(r).cloned().unwrap_or_else(|| r.clone()))
-            }
-            Expr::Bin(op, a, b) => Expr::bin(
-                *op,
-                self.resolve_expr(tid, a),
-                self.resolve_expr(tid, b),
-            ),
-            Expr::Not(inner) => Expr::Not(Box::new(self.resolve_expr(tid, inner))),
-        }
-    }
-
-    /// Evaluate a (resolved) expression; `None` while inputs are pending.
-    fn eval_expr(&self, tid: usize, e: &Expr) -> Option<Val> {
-        let regs = &self.threads[tid].regs;
-        Some(match e {
-            Expr::Const(c) => Val::Int(*c),
-            Expr::LocRef(n) => Val::Loc(LocId(self.locs.iter().position(|l| l == n)?)),
-            Expr::Reg(r) => *regs.get(r)?,
-            Expr::Not(inner) => Val::Int(i64::from(!self.eval_expr(tid, inner)?.truthy())),
-            Expr::Bin(op, a, b) => {
-                let va = self.eval_expr(tid, a)?;
-                let vb = self.eval_expr(tid, b)?;
+    fn eval_node(&self, t: &ThreadState, node: ExprId, at: Leaves) -> Option<Val> {
+        Some(match self.prog.exprs[node as usize] {
+            Node::Const(c) => Val::Int(c),
+            Node::Loc(l) => Val::Loc(LocId(l as usize)),
+            Node::Reg { reg, leaf } => t.value(match at {
+                Leaves::Now => t.rename[reg as usize],
+                Leaves::At(base) => t.leaves[(base + leaf) as usize],
+            })?,
+            Node::Not(inner) => Val::Int(i64::from(!self.eval_node(t, inner, at)?.truthy())),
+            Node::Bin(op, a, b) => {
+                let va = self.eval_node(t, a, at)?;
+                let vb = self.eval_node(t, b, at)?;
                 match op {
                     BinOp::Eq => Val::Int(i64::from(va == vb)),
                     BinOp::Ne => Val::Int(i64::from(va != vb)),
@@ -432,106 +618,109 @@ impl<'a> Machine<'a> {
         })
     }
 
+    fn eval_resolved(&self, tid: usize, r: Resolved) -> Option<Val> {
+        self.eval(tid, r.root, Leaves::At(r.base))
+    }
+
+    /// Record the SSA ids `e`'s leaves read now.
+    fn resolve(&mut self, tid: usize, e: LExpr) -> Resolved {
+        let t = &mut self.threads[tid];
+        let base = t.leaves.len() as u32;
+        let regs = &self.prog.leaf_regs[e.leaf_start as usize..(e.leaf_start + e.leaves) as usize];
+        t.leaves.extend(regs.iter().map(|&r| t.rename[r as usize]));
+        Resolved { root: e.root, base }
+    }
+
     /// Resolve a memory address; `None` while the pointer is pending.
-    fn resolve_addr(&self, tid: usize, a: &AddrExpr) -> Option<usize> {
+    fn resolve_addr(&self, tid: usize, a: Addr) -> Option<u32> {
         match a {
-            AddrExpr::Var(name) => self.locs.iter().position(|l| l == name),
-            AddrExpr::Reg(r) => {
+            Addr::Loc(l) => Some(l),
+            Addr::Reg(r) => {
                 let t = &self.threads[tid];
-                let ssa = t.rename.get(r)?;
-                match t.regs.get(ssa)? {
-                    Val::Loc(l) => Some(l.0),
+                match t.value(t.rename[r as usize])? {
+                    Val::Loc(l) => Some(l.0 as u32),
                     Val::Int(_) => None,
                 }
             }
         }
     }
 
-    fn fresh_ssa(&mut self, tid: usize, reg: &str) -> String {
+    /// The address of a statement being issued.
+    fn issued_addr(&self, tid: usize, a: Addr) -> u32 {
+        self.resolve_addr(tid, a).expect("can_issue checked the address")
+    }
+
+    fn fresh_ssa(&mut self, tid: usize, reg: u32, val: Option<Val>) -> u32 {
         let t = &mut self.threads[tid];
-        let name = format!("{reg}@{}", t.ssa_counter);
-        t.ssa_counter += 1;
-        t.rename.insert(reg.to_string(), name.clone());
-        name
+        let ssa = t.slots.len() as u32;
+        t.slots.push(Slot { reg, val });
+        t.rename[reg as usize] = ssa;
+        ssa
+    }
+
+    /// The next statement, popping exhausted frames first.
+    fn next_stmt(&mut self, tid: usize) -> Option<&'p LStmt> {
+        let prog = self.prog;
+        let code = &prog.threads[tid];
+        let frames = &mut self.threads[tid].frames;
+        while let Some(f) = frames.last() {
+            if let Some(stmt) = code.stmt(f.block, f.idx) {
+                return Some(stmt);
+            }
+            frames.pop();
+        }
+        None
     }
 
     fn can_issue(&mut self, tid: usize) -> bool {
         if self.threads[tid].window.len() >= self.window_cap {
             return false;
         }
-        // Pop exhausted frames.
-        while let Some(&(block, idx)) = self.threads[tid].frames.last() {
-            if idx >= block.len() {
-                self.threads[tid].frames.pop();
-            } else {
-                break;
+        let Some(stmt) = self.next_stmt(tid) else {
+            return false;
+        };
+        match *stmt {
+            LStmt::Load { addr, .. }
+            | LStmt::Store { addr, .. }
+            | LStmt::Rmw { addr, .. }
+            | LStmt::SrcuLock(addr)
+            | LStmt::SrcuUnlock(addr)
+            | LStmt::SyncSrcu(addr)
+            | LStmt::SpinLock(addr)
+            | LStmt::SpinUnlock(addr) => self.resolve_addr(tid, addr).is_some(),
+            LStmt::If { cond: e, .. } | LStmt::Assign { value: e, .. } => {
+                self.eval(tid, e.root, Leaves::Now).is_some()
             }
-        }
-        let Some(stmt) = self.next_stmt(tid) else { return false };
-        match stmt {
-            Stmt::ReadOnce { addr, .. }
-            | Stmt::LoadAcquire { addr, .. }
-            | Stmt::RcuDereference { addr, .. } => self.resolve_addr(tid, addr).is_some(),
-            Stmt::WriteOnce { addr, .. }
-            | Stmt::StoreRelease { addr, .. }
-            | Stmt::RcuAssignPointer { addr, .. }
-            | Stmt::Xchg { addr, .. }
-            | Stmt::CmpXchg { addr, .. }
-            | Stmt::AtomicOp { addr, .. }
-            | Stmt::SpinLock { addr }
-            | Stmt::SpinUnlock { addr } => self.resolve_addr(tid, addr).is_some(),
-            Stmt::SrcuReadLock { domain }
-            | Stmt::SrcuReadUnlock { domain }
-            | Stmt::SynchronizeSrcu { domain } => self.resolve_addr(tid, domain).is_some(),
-            Stmt::If { cond, .. } => {
-                let resolved = self.resolve_expr(tid, cond);
-                self.eval_expr(tid, &resolved).is_some()
-            }
-            Stmt::Assign { value, .. } => {
-                let resolved = self.resolve_expr(tid, value);
-                self.eval_expr(tid, &resolved).is_some()
-            }
-            Stmt::Fence(_) | Stmt::Assume(_) => true,
+            LStmt::Fence(_) | LStmt::Assume => true,
         }
     }
 
     fn push_op(&mut self, tid: usize, op: Op) {
-        self.threads[tid].window.push(WindowEntry { op, performed: false });
-    }
-
-    fn advance(&mut self, tid: usize) {
-        if let Some(frame) = self.threads[tid].frames.last_mut() {
-            frame.1 += 1;
-        }
+        let class = op.class(self.arch);
+        self.threads[tid].window.push(Entry { op, class, performed: false });
     }
 
     fn issue(&mut self, tid: usize) -> Result<(), MachineError> {
-        let stmt = self.next_stmt(tid).expect("can_issue checked");
-        self.advance(tid);
-        match stmt {
-            Stmt::ReadOnce { dst, addr }
-            | Stmt::LoadAcquire { dst, addr }
-            | Stmt::RcuDereference { dst, addr } => {
-                let loc = self.resolve_addr(tid, addr).unwrap();
-                let acquire = matches!(stmt, Stmt::LoadAcquire { .. });
-                let ssa = self.fresh_ssa(tid, dst);
-                self.push_op(tid, Op::Load { dst: ssa, loc, acquire });
+        let prog = self.prog;
+        let frame = self.threads[tid].frames.last_mut().expect("can_issue checked");
+        let stmt = prog.threads[tid].stmt(frame.block, frame.idx).expect("can_issue checked");
+        frame.idx += 1;
+        match *stmt {
+            LStmt::Load { dst, addr, acquire, deref } => {
+                let loc = self.issued_addr(tid, addr);
+                let dst = self.fresh_ssa(tid, dst, None);
+                self.push_op(tid, Op::Load { dst, loc, acquire });
                 // Table 4: rcu_dereference carries the Alpha read barrier.
-                if matches!(stmt, Stmt::RcuDereference { .. })
-                    && self.arch.stale_dependent_reads()
-                {
+                if deref && self.arch.stale_dependent_reads() {
                     self.push_op(tid, Op::Fence(SimFence::RbDep));
                 }
             }
-            Stmt::WriteOnce { addr, value }
-            | Stmt::StoreRelease { addr, value }
-            | Stmt::RcuAssignPointer { addr, value } => {
-                let loc = self.resolve_addr(tid, addr).unwrap();
-                let release = !matches!(stmt, Stmt::WriteOnce { .. });
-                let value = self.resolve_expr(tid, value);
+            LStmt::Store { addr, value, release } => {
+                let loc = self.issued_addr(tid, addr);
+                let value = self.resolve(tid, value);
                 self.push_op(tid, Op::Store { loc, value, release });
             }
-            Stmt::Fence(kind) => match kind {
+            LStmt::Fence(kind) => match kind {
                 FenceKind::Rmb => self.push_op(tid, Op::Fence(SimFence::Rmb)),
                 FenceKind::Wmb => self.push_op(tid, Op::Fence(SimFence::Wmb)),
                 FenceKind::Mb => self.push_op(tid, Op::Fence(SimFence::Mb)),
@@ -543,151 +732,106 @@ impl<'a> Machine<'a> {
                 }
                 FenceKind::RcuLock => self.push_op(tid, Op::RcuLock),
                 FenceKind::RcuUnlock => self.push_op(tid, Op::RcuUnlock),
-                FenceKind::SyncRcu => {
-                    self.push_op(tid, Op::Fence(SimFence::Mb));
-                    self.push_op(tid, Op::GpWait { domain: None, snapshot: None });
-                    self.push_op(tid, Op::Fence(SimFence::Mb));
-                }
+                FenceKind::SyncRcu => self.grace_period(tid, None),
             },
-            Stmt::Xchg { order, dst, addr, value } => {
-                let loc = self.resolve_addr(tid, addr).unwrap();
-                let value = self.resolve_expr(tid, value);
-                let (acquire, release, full) = rmw_flags(*order);
-                if full {
-                    self.push_op(tid, Op::Fence(SimFence::Mb));
-                }
-                let ssa = self.fresh_ssa(tid, dst);
-                self.push_op(tid, Op::Rmw {
-                    dst: ssa,
-                    loc,
-                    value,
-                    expected: None,
-                    acquire,
-                    release,
-                    must_succeed: false,
-                    compute: None,
-                    dst_new: false,
-                });
-                if full {
-                    self.push_op(tid, Op::Fence(SimFence::Mb));
-                }
-            }
-            Stmt::CmpXchg { order, dst, addr, expected, new } => {
-                let loc = self.resolve_addr(tid, addr).unwrap();
-                let expected = self.resolve_expr(tid, expected);
-                let new = self.resolve_expr(tid, new);
-                let (acquire, release, full) = rmw_flags(*order);
-                if full {
-                    self.push_op(tid, Op::Fence(SimFence::Mb));
-                }
-                let ssa = self.fresh_ssa(tid, dst);
-                self.push_op(tid, Op::Rmw {
-                    dst: ssa,
-                    loc,
-                    value: new,
-                    expected: Some(expected),
-                    acquire,
-                    release,
-                    must_succeed: false,
-                    compute: None,
-                    dst_new: false,
-                });
-                if full {
-                    self.push_op(tid, Op::Fence(SimFence::Mb));
-                }
-            }
-            Stmt::SrcuReadLock { domain } | Stmt::SrcuReadUnlock { domain } => {
-                let d = self.resolve_addr(tid, domain).unwrap();
-                if matches!(stmt, Stmt::SrcuReadLock { .. }) {
-                    self.push_op(tid, Op::SrcuLock { domain: d });
-                } else {
-                    self.push_op(tid, Op::SrcuUnlock { domain: d });
-                }
-            }
-            Stmt::SynchronizeSrcu { domain } => {
-                let d = self.resolve_addr(tid, domain).unwrap();
-                self.push_op(tid, Op::Fence(SimFence::Mb));
-                self.push_op(tid, Op::GpWait { domain: Some(d), snapshot: None });
-                self.push_op(tid, Op::Fence(SimFence::Mb));
-            }
-            Stmt::AtomicOp { order, dst, addr, op, operand } => {
-                let loc = self.resolve_addr(tid, addr).unwrap();
-                let operand = self.resolve_expr(tid, operand);
-                let (acquire, release, full) = rmw_flags(*order);
-                if full {
-                    self.push_op(tid, Op::Fence(SimFence::Mb));
-                }
-                let (ssa, dst_new) = match dst {
-                    Some((d, kind)) => (
-                        self.fresh_ssa(tid, d),
-                        *kind == lkmm_litmus::ast::AtomicDst::New,
-                    ),
-                    None => (self.fresh_ssa(tid, &format!("__void{loc}")), false),
+            LStmt::Rmw { order, dst, addr, value, expected, compute, dst_new } => {
+                let loc = self.issued_addr(tid, addr);
+                let expected = expected.map(|e| self.resolve(tid, e));
+                let value = self.resolve(tid, value);
+                let (acquire, release, full) = match order {
+                    RmwOrder::Relaxed => (false, false, false),
+                    RmwOrder::Acquire => (true, false, false),
+                    RmwOrder::Release => (false, true, false),
+                    RmwOrder::Full => (false, false, true),
                 };
-                self.push_op(tid, Op::Rmw {
-                    dst: ssa,
-                    loc,
-                    value: operand,
-                    expected: None,
-                    acquire,
-                    release,
-                    must_succeed: false,
-                    compute: Some(*op),
-                    dst_new,
-                });
+                if full {
+                    self.push_op(tid, Op::Fence(SimFence::Mb));
+                }
+                let reg = dst.unwrap_or_else(|| self.prog.threads[tid].void_regs[loc as usize]);
+                let dst = self.fresh_ssa(tid, reg, None);
+                self.push_op(
+                    tid,
+                    Op::Rmw {
+                        dst,
+                        loc,
+                        value,
+                        expected,
+                        acquire,
+                        release,
+                        must_succeed: false,
+                        compute,
+                        dst_new,
+                    },
+                );
                 if full {
                     self.push_op(tid, Op::Fence(SimFence::Mb));
                 }
             }
-            Stmt::SpinLock { addr } => {
-                let loc = self.resolve_addr(tid, addr).unwrap();
+            LStmt::SrcuLock(domain) => {
+                let domain = self.issued_addr(tid, domain);
+                self.push_op(tid, Op::SrcuLock { domain });
+            }
+            LStmt::SrcuUnlock(domain) => {
+                let domain = self.issued_addr(tid, domain);
+                self.push_op(tid, Op::SrcuUnlock { domain });
+            }
+            LStmt::SyncSrcu(domain) => {
+                let domain = self.issued_addr(tid, domain);
+                self.grace_period(tid, Some(domain));
+            }
+            LStmt::SpinLock(addr) => {
+                let loc = self.issued_addr(tid, addr);
                 // Acquire-RMW spinning until it reads 0; modelled by a
                 // cmpxchg_acquire(0 → 1) that is only ready when the lock
                 // word is free (see op_ready).
-                let ssa = self.fresh_ssa(tid, &format!("__lock{loc}"));
-                self.push_op(tid, Op::Rmw {
-                    dst: ssa,
-                    loc,
-                    value: Expr::Const(1),
-                    expected: Some(Expr::Const(0)),
-                    acquire: true,
-                    release: false,
-                    must_succeed: true,
-                    compute: None,
-                    dst_new: false,
-                });
+                let reg = self.prog.threads[tid].lock_regs[loc as usize];
+                let dst = self.fresh_ssa(tid, reg, None);
+                let (value, expected) = (self.resolve(tid, ONE), self.resolve(tid, ZERO));
+                self.push_op(
+                    tid,
+                    Op::Rmw {
+                        dst,
+                        loc,
+                        value,
+                        expected: Some(expected),
+                        acquire: true,
+                        release: false,
+                        must_succeed: true,
+                        compute: None,
+                        dst_new: false,
+                    },
+                );
             }
-            Stmt::SpinUnlock { addr } => {
-                let loc = self.resolve_addr(tid, addr).unwrap();
-                self.push_op(tid, Op::Store { loc, value: Expr::Const(0), release: true });
+            LStmt::SpinUnlock(addr) => {
+                let loc = self.issued_addr(tid, addr);
+                let value = self.resolve(tid, ZERO);
+                self.push_op(tid, Op::Store { loc, value, release: true });
             }
-            Stmt::Assign { dst, value } => {
-                let resolved = self.resolve_expr(tid, value);
-                let v = self.eval_expr(tid, &resolved).expect("can_issue checked");
-                let ssa = self.fresh_ssa(tid, dst);
-                self.threads[tid].regs.insert(ssa, v);
+            LStmt::Assign { dst, value } => {
+                let v = self.eval(tid, value.root, Leaves::Now).expect("can_issue checked");
+                self.fresh_ssa(tid, dst, Some(v));
             }
-            Stmt::If { cond, then_, else_ } => {
-                let resolved = self.resolve_expr(tid, cond);
-                let c = self.eval_expr(tid, &resolved).expect("can_issue checked");
-                let branch = if c.truthy() { then_ } else { else_ };
-                self.threads[tid].frames.push((branch.as_slice(), 0));
+            LStmt::If { cond, then_, else_ } => {
+                let c = self.eval(tid, cond.root, Leaves::Now).expect("can_issue checked");
+                let block = if c.truthy() { then_ } else { else_ };
+                self.threads[tid].frames.push(Frame { block, idx: 0 });
             }
-            Stmt::Assume(_) => return Err(MachineError::Unsupported("__assume")),
+            LStmt::Assume => return Err(MachineError::Unsupported("__assume")),
         }
         Ok(())
+    }
+
+    /// `synchronize_rcu` (`domain` of `None`) or `synchronize_srcu`: full
+    /// fence, wait for pre-existing readers, full fence.
+    fn grace_period(&mut self, tid: usize, domain: Option<u32>) {
+        self.push_op(tid, Op::Fence(SimFence::Mb));
+        self.push_op(tid, Op::GpWait { domain, snapshot: None });
+        self.push_op(tid, Op::Fence(SimFence::Mb));
     }
 
     // ------------------------------------------------------------------
     // Perform
     // ------------------------------------------------------------------
-
-    fn op_loc(op: &Op) -> Option<usize> {
-        match op {
-            Op::Load { loc, .. } | Op::Store { loc, .. } | Op::Rmw { loc, .. } => Some(*loc),
-            _ => None,
-        }
-    }
 
     /// Is every write this thread has observed visible to all threads?
     /// (Power `sync` condition; trivially true on MCA machines.)
@@ -695,284 +839,218 @@ impl<'a> Machine<'a> {
         if self.arch.multi_copy_atomic() {
             return true;
         }
-        (0..self.locs.len()).all(|loc| {
-            let mine = self.view[tid][loc];
-            (0..self.threads.len()).all(|t| self.view[t][loc] >= mine)
+        let n = self.prog.locs.len();
+        (0..n).all(|loc| {
+            let mine = self.view[tid * n + loc];
+            (0..self.threads.len()).all(|t| self.view[t * n + loc] >= mine)
         })
     }
 
-    fn op_ready(&self, tid: usize, i: usize) -> bool {
+    /// Whether window entry `i` of `tid` may perform, given the OR of the
+    /// classes of the unperformed entries before it (`pending`) and
+    /// whether there are none (`all_done`).
+    fn op_ready(&self, tid: usize, i: usize, pending: u16, all_done: bool) -> bool {
         let t = &self.threads[tid];
         let entry = &t.window[i];
-        let earlier = &t.window[..i];
-        let all_earlier_done = earlier.iter().all(|e| e.performed);
-        if self.arch.in_order() && !all_earlier_done {
+        if self.arch.in_order() && !all_done {
             return false;
         }
-        // Full barriers (and RCU markers) block everything after them.
-        // On Power, smp_wmb/smp_rmb are both lwsync, which orders all
-        // local pairs except store→load visibility — so they block too.
-        let blocked_by_barrier = earlier.iter().any(|e| {
-            !e.performed
-                && match e.op {
-                    Op::Fence(SimFence::Mb)
-                    | Op::GpWait { .. }
-                    | Op::RcuLock
-                    | Op::RcuUnlock
-                    | Op::SrcuLock { .. }
-                    | Op::SrcuUnlock { .. } => true,
-                    Op::Fence(SimFence::Wmb | SimFence::Rmb) => self.arch == Arch::Power,
-                    _ => false,
-                }
-        });
-        if blocked_by_barrier {
-            return false;
-        }
-        // Earlier unperformed acquire loads block everything after.
-        let blocked_by_acquire = earlier.iter().any(|e| {
-            !e.performed
-                && match &e.op {
-                    Op::Load { acquire, .. } | Op::Rmw { acquire, .. } => *acquire,
-                    _ => false,
-                }
-        });
-        if blocked_by_acquire {
+        // Full barriers (and RCU markers) block everything after them;
+        // so do earlier unperformed acquire loads.
+        if pending & (BLOCKS | ACQUIRE) != 0 {
             return false;
         }
         // ARMv7: acquire/release are dmb-based — a pending *release* also
         // blocks later ops (dmb ; str orders both directions).
-        if self.arch.full_barrier_acq_rel() {
-            let blocked = earlier.iter().any(|e| {
-                !e.performed
-                    && match &e.op {
-                        Op::Store { release, .. } | Op::Rmw { release, .. } => *release,
-                        _ => false,
-                    }
-            });
-            if blocked {
-                return false;
-            }
+        if self.arch.full_barrier_acq_rel() && pending & RELEASE != 0 {
+            return false;
         }
         // Same-location program order.
-        if let Some(loc) = Self::op_loc(&entry.op) {
-            if earlier.iter().any(|e| !e.performed && Self::op_loc(&e.op) == Some(loc)) {
+        if let Some(loc) = entry.op.loc() {
+            if t.window[..i].iter().any(|e| !e.performed && e.op.loc() == Some(loc)) {
                 return false;
             }
         }
         // Stores are irrevocable: they retire only after program-order-
         // earlier loads have completed (no store speculation). This is why
         // none of the paper's machines ever exhibited LB (§5.1).
-        if matches!(entry.op, Op::Store { .. } | Op::Rmw { .. }) {
-            let pending_load = earlier
-                .iter()
-                .any(|e| !e.performed && matches!(e.op, Op::Load { .. } | Op::Rmw { .. }));
-            if pending_load {
-                return false;
-            }
+        if entry.class & STORES != 0 && pending & LOADS != 0 {
+            return false;
         }
-        match &entry.op {
+        match entry.op {
             Op::Load { acquire, .. } => {
                 // Loads wait for earlier unperformed Rmb/rb-dep fences.
-                if earlier.iter().any(|e| {
-                    !e.performed
-                        && matches!(e.op, Op::Fence(SimFence::Rmb | SimFence::RbDep))
-                }) {
-                    return false;
-                }
                 // ARMv8's release/acquire are RCsc: LDAR waits for every
                 // earlier STLR ([L]; po; [A] in bob). Power's
                 // lwsync-based mapping has no such ordering.
-                if *acquire && self.arch != Arch::Power {
-                    let pending_release = earlier.iter().any(|e| {
-                        !e.performed
-                            && matches!(
-                                e.op,
-                                Op::Store { release: true, .. }
-                                    | Op::Rmw { release: true, .. }
-                            )
-                    });
-                    if pending_release {
-                        return false;
-                    }
-                }
-                true
+                pending & RMB_RBDEP == 0
+                    && !(acquire && self.arch != Arch::Power && pending & RELEASE != 0)
             }
             Op::Store { value, release, .. } => {
-                if self.eval_expr(tid, value).is_none() {
-                    return false;
-                }
-                if *release && !all_earlier_done {
-                    return false;
-                }
                 // Stores wait for earlier unperformed Wmb fences.
-                !earlier.iter().any(|e| {
-                    !e.performed && matches!(e.op, Op::Fence(SimFence::Wmb))
-                })
+                self.eval_resolved(tid, value).is_some()
+                    && (!release || all_done)
+                    && pending & WMB == 0
             }
             Op::Rmw { value, expected, release, loc, must_succeed, .. } => {
-                if self.eval_expr(tid, value).is_none() {
+                if self.eval_resolved(tid, value).is_none() {
                     return false;
                 }
                 if let Some(exp) = expected {
-                    let Some(e) = self.eval_expr(tid, exp) else { return false };
+                    let Some(e) = self.eval_resolved(tid, exp) else {
+                        return false;
+                    };
                     // spin_lock: only schedulable once the lock word's
                     // globally-latest value lets the acquisition succeed.
-                    if *must_succeed && self.rmw_current(tid, *loc) != e {
+                    if must_succeed && self.rmw_current(tid, loc) != e {
                         return false;
                     }
                 }
-                if *release && !all_earlier_done {
+                if release && !all_done {
                     return false;
                 }
                 // RMWs act on the coherence point: on Power they wait
                 // until the location is fully propagated to this thread.
                 if !self.arch.multi_copy_atomic()
-                    && self.view[tid][*loc] != self.versions[*loc].len() - 1
+                    && self.view(tid, loc) as usize != self.versions[loc as usize].len() - 1
                 {
                     return false;
                 }
-                !earlier.iter().any(|e| {
-                    !e.performed && matches!(e.op, Op::Fence(SimFence::Wmb | SimFence::Rmb))
-                })
+                pending & (WMB | RMB) == 0
             }
-            Op::Fence(SimFence::RbDep) => earlier
-                .iter()
-                .all(|e| e.performed || !matches!(e.op, Op::Load { .. } | Op::Rmw { .. })),
+            Op::Fence(SimFence::RbDep) => pending & LOADS == 0,
             Op::Fence(SimFence::Rmb) => {
                 if self.arch == Arch::Power {
-                    all_earlier_done // lwsync
+                    all_done // lwsync
                 } else {
-                    earlier.iter().all(|e| {
-                        e.performed || !matches!(e.op, Op::Load { .. } | Op::Rmw { .. })
-                    })
+                    pending & LOADS == 0
                 }
             }
             Op::Fence(SimFence::Wmb) => {
                 if self.arch == Arch::Power {
-                    all_earlier_done // lwsync
+                    all_done // lwsync
                 } else {
-                    earlier.iter().all(|e| {
-                        e.performed || !matches!(e.op, Op::Store { .. } | Op::Rmw { .. })
-                    })
+                    pending & STORES == 0
                 }
             }
             Op::Fence(SimFence::Mb) => {
-                if !all_earlier_done {
-                    return false;
-                }
-                if self.arch.store_buffer() && !t.buffer.is_empty() {
-                    return false;
-                }
-                self.fully_propagated(tid)
+                all_done
+                    && (!self.arch.store_buffer() || t.buffer.is_empty())
+                    && self.fully_propagated(tid)
             }
-            Op::RcuLock | Op::RcuUnlock | Op::SrcuLock { .. } | Op::SrcuUnlock { .. } => {
-                all_earlier_done
-            }
+            Op::RcuLock | Op::RcuUnlock | Op::SrcuLock { .. } | Op::SrcuUnlock { .. } => all_done,
             Op::GpWait { domain, snapshot } => {
-                if !all_earlier_done {
+                if !all_done {
                     return false;
                 }
-                match snapshot {
+                let Some(base) = snapshot else {
                     // First evaluation: becomes schedulable to take the
                     // snapshot (perform() handles both steps).
-                    None => true,
-                    Some(snap) => (0..self.threads.len()).all(|t2| match domain {
-                        None => self.nesting[t2] == 0 || self.lock_epoch[t2] > snap[t2],
+                    return true;
+                };
+                let n = self.prog.locs.len();
+                (0..self.threads.len()).all(|t2| {
+                    let snap = self.snapshots[base as usize + t2];
+                    match domain {
+                        None => self.nesting[t2] == 0 || self.lock_epoch[t2] > snap,
                         Some(d) => {
-                            let nest =
-                                self.srcu_nesting[t2].get(d).copied().unwrap_or(0);
-                            let epoch = self.srcu_epoch[t2].get(d).copied().unwrap_or(0);
-                            nest == 0 || epoch > snap[t2]
+                            let k = t2 * n + d as usize;
+                            self.srcu_nesting[k].unwrap_or(0) == 0
+                                || self.srcu_epoch[k].unwrap_or(0) > snap
                         }
-                    }),
-                }
+                    }
+                })
             }
         }
     }
 
     /// The value an RMW would read: the coherence-globally-latest value
     /// (accounting for this thread's own buffered stores on x86).
-    fn rmw_current(&self, tid: usize, loc: usize) -> Val {
+    fn rmw_current(&self, tid: usize, loc: u32) -> Val {
         if self.arch.store_buffer() {
-            if let Some(&(_, v)) =
-                self.threads[tid].buffer.iter().rev().find(|&&(l, _)| l == loc)
-            {
+            if let Some(&(_, v)) = self.threads[tid].buffer.iter().rev().find(|b| b.0 == loc) {
                 return v;
             }
-            return self.mem[loc];
+            return self.mem[loc as usize];
         }
+        self.coherence_latest(loc)
+    }
+
+    /// The last value in `loc`'s coherence order.
+    fn coherence_latest(&self, loc: u32) -> Val {
         if self.arch.multi_copy_atomic() {
-            self.mem[loc]
+            self.mem[loc as usize]
         } else {
-            self.versions[loc].last().unwrap().val
+            self.versions[loc as usize].last().expect("version 0 is the initial value").val
         }
     }
 
     /// The latest coherent value of `loc` visible to `tid`.
-    fn coherent_latest(&self, tid: usize, loc: usize) -> Option<Val> {
+    fn coherent_latest(&self, tid: usize, loc: u32) -> Val {
         if self.arch.store_buffer() {
             // Own buffer first (store forwarding), then memory.
-            if let Some(&(_, v)) =
-                self.threads[tid].buffer.iter().rev().find(|&&(l, _)| l == loc)
-            {
-                return Some(v);
+            if let Some(&(_, v)) = self.threads[tid].buffer.iter().rev().find(|b| b.0 == loc) {
+                return v;
             }
-            return Some(self.mem[loc]);
+            return self.mem[loc as usize];
         }
         if self.arch.multi_copy_atomic() {
-            Some(self.mem[loc])
+            self.mem[loc as usize]
         } else {
-            Some(self.versions[loc][self.view[tid][loc]].val)
+            self.versions[loc as usize][self.view(tid, loc) as usize].val
         }
     }
 
-    fn commit_store(&mut self, tid: usize, loc: usize, val: Val, release: bool) {
+    /// Append a version of `loc` written by `tid` at the coherence point
+    /// and make it visible to `tid`; returns its position.
+    fn append_version(&mut self, tid: usize, loc: u32, val: Val, deps: Span) -> u32 {
+        let versions = &mut self.versions[loc as usize];
+        versions.push(Version { val, deps });
+        let pos = (versions.len() - 1) as u32;
+        self.view[tid * self.prog.locs.len() + loc as usize] = pos;
+        self.threads[tid].own_latest[loc as usize] = pos;
+        pos
+    }
+
+    fn commit_store(&mut self, tid: usize, loc: u32, val: Val, release: bool) {
         if self.arch.store_buffer() {
             self.threads[tid].buffer.push((loc, val));
             return;
         }
         if self.arch.multi_copy_atomic() {
-            self.mem[loc] = val;
+            self.mem[loc as usize] = val;
             return;
         }
         // Power: append a coherence version with cumulativity deps.
         let deps = if release {
             // A-cumulative: everything this thread has observed.
-            (0..self.locs.len())
-                .filter(|&l| self.view[tid][l] > 0)
-                .map(|l| (l, self.view[tid][l]))
-                .collect()
+            self.observed_span(tid)
         } else {
-            self.threads[tid].wmb_snapshot.clone()
+            self.threads[tid].wmb_snapshot
         };
-        self.versions[loc].push(Version { val, deps });
-        let pos = self.versions[loc].len() - 1;
-        self.view[tid][loc] = pos;
-        self.threads[tid].own_latest.insert(loc, pos);
-        self.threads[tid].read_floor[loc] = pos;
+        let pos = self.append_version(tid, loc, val, deps);
+        self.threads[tid].read_floor[loc as usize] = pos;
     }
 
     fn perform(&mut self, tid: usize, i: usize, stale: Option<usize>) {
-        let op = self.threads[tid].window[i].op.clone();
-        match op {
+        match self.threads[tid].window[i].op {
             Op::Load { dst, loc, acquire } => {
                 let v = match stale {
                     Some(pos) => {
                         // CoRR: later reads may not go further back.
-                        self.threads[tid].read_floor[loc] = pos;
-                        self.versions[loc][pos].val
+                        self.threads[tid].read_floor[loc as usize] = pos as u32;
+                        self.versions[loc as usize][pos].val
                     }
-                    None => self.coherent_latest(tid, loc).expect("readiness checked"),
+                    None => self.coherent_latest(tid, loc),
                 };
                 // Alpha: smp_load_acquire is ld;mb — the mb syncs banks.
                 if acquire && self.arch.stale_dependent_reads() {
-                    let view = self.view[tid].clone();
-                    self.threads[tid].read_floor = view;
+                    self.sync_banks(tid);
                 }
-                self.threads[tid].regs.insert(dst, v);
+                self.threads[tid].slots[dst as usize].val = Some(v);
             }
             Op::Store { loc, value, release } => {
-                let v = self.eval_expr(tid, &value).expect("readiness checked");
+                let v = self.eval_resolved(tid, value).expect("readiness checked");
                 self.commit_store(tid, loc, v, release);
             }
             Op::Rmw { dst, loc, value, expected, compute, dst_new, .. } => {
@@ -980,23 +1058,17 @@ impl<'a> Machine<'a> {
                 // value and (conditionally) write in one step. On x86 a
                 // LOCK'd operation drains the store buffer first.
                 if self.arch.store_buffer() {
-                    let pending: Vec<(usize, Val)> =
-                        self.threads[tid].buffer.drain(..).collect();
-                    for (l, bv) in pending {
-                        self.mem[l] = bv;
+                    for (l, bv) in self.threads[tid].buffer.drain(..) {
+                        self.mem[l as usize] = bv;
                     }
                 }
-                let cur = if self.arch.multi_copy_atomic() {
-                    self.mem[loc]
-                } else {
-                    self.versions[loc].last().unwrap().val
-                };
-                let succeed = match &expected {
+                let cur = self.coherence_latest(loc);
+                let succeed = match expected {
                     None => true,
-                    Some(e) => self.eval_expr(tid, e).expect("readiness checked") == cur,
+                    Some(e) => self.eval_resolved(tid, e).expect("readiness checked") == cur,
                 };
                 if succeed {
-                    let operand = self.eval_expr(tid, &value).expect("readiness checked");
+                    let operand = self.eval_resolved(tid, value).expect("readiness checked");
                     let v = match compute {
                         None => operand,
                         Some(op) => {
@@ -1014,20 +1086,14 @@ impl<'a> Machine<'a> {
                             })
                         }
                     };
-                    self.threads[tid].regs.insert(dst, if dst_new { v } else { cur });
+                    self.threads[tid].slots[dst as usize].val = Some(if dst_new { v } else { cur });
                     if self.arch.multi_copy_atomic() {
-                        self.mem[loc] = v;
+                        self.mem[loc as usize] = v;
                     } else {
                         // Fully-propagated precondition makes this the
                         // coherence-latest position.
-                        let deps: Vec<(usize, usize)> = (0..self.locs.len())
-                            .filter(|&l| self.view[tid][l] > 0)
-                            .map(|l| (l, self.view[tid][l]))
-                            .collect();
-                        self.versions[loc].push(Version { val: v, deps });
-                        let pos = self.versions[loc].len() - 1;
-                        self.view[tid][loc] = pos;
-                        self.threads[tid].own_latest.insert(loc, pos);
+                        let deps = self.observed_span(tid);
+                        self.append_version(tid, loc, v, deps);
                     }
                 }
             }
@@ -1036,29 +1102,16 @@ impl<'a> Machine<'a> {
                 // later stores may not propagate to a thread before
                 // everything this thread has *observed* (its own stores
                 // and any foreign stores it has read) is visible there.
-                let snap: Vec<(usize, usize)> = (0..self.locs.len())
-                    .filter(|&l| self.view[tid][l] > 0)
-                    .map(|l| (l, self.view[tid][l]))
-                    .collect();
-                self.threads[tid].wmb_snapshot = snap;
+                self.threads[tid].wmb_snapshot = self.observed_span(tid);
             }
-            Op::Fence(SimFence::RbDep) => {
-                // Bank sync: subsequent loads see at least the current view.
-                let view = self.view[tid].clone();
-                self.threads[tid].read_floor = view;
-            }
+            Op::Fence(SimFence::RbDep) => self.sync_banks(tid),
             Op::Fence(SimFence::Rmb) if self.arch == Arch::Power => {
                 // lwsync: same cumulativity as the Wmb case.
-                let snap: Vec<(usize, usize)> = (0..self.locs.len())
-                    .filter(|&l| self.view[tid][l] > 0)
-                    .map(|l| (l, self.view[tid][l]))
-                    .collect();
-                self.threads[tid].wmb_snapshot = snap;
+                self.threads[tid].wmb_snapshot = self.observed_span(tid);
             }
             Op::Fence(SimFence::Mb | SimFence::Rmb) if self.arch.stale_dependent_reads() => {
                 // Alpha mb/rmb also synchronise the banks.
-                let view = self.view[tid].clone();
-                self.threads[tid].read_floor = view;
+                self.sync_banks(tid);
             }
             Op::Fence(_) => {}
             Op::RcuLock => {
@@ -1068,107 +1121,212 @@ impl<'a> Machine<'a> {
                 // implies a bank synchronisation (the quiescent-state
                 // machinery executes full barriers on every CPU).
                 if self.arch.stale_dependent_reads() {
-                    let view = self.view[tid].clone();
-                    self.threads[tid].read_floor = view;
+                    self.sync_banks(tid);
                 }
             }
             Op::RcuUnlock => {
                 self.nesting[tid] = self.nesting[tid].saturating_sub(1);
                 if self.arch.stale_dependent_reads() {
-                    let view = self.view[tid].clone();
-                    self.threads[tid].read_floor = view;
+                    self.sync_banks(tid);
                 }
             }
             Op::SrcuLock { domain } => {
-                *self.srcu_nesting[tid].entry(domain).or_insert(0) += 1;
-                *self.srcu_epoch[tid].entry(domain).or_insert(0) += 1;
+                let k = tid * self.prog.locs.len() + domain as usize;
+                *self.srcu_nesting[k].get_or_insert(0) += 1;
+                *self.srcu_epoch[k].get_or_insert(0) += 1;
                 if self.arch.stale_dependent_reads() {
-                    let view = self.view[tid].clone();
-                    self.threads[tid].read_floor = view;
+                    self.sync_banks(tid);
                 }
             }
             Op::SrcuUnlock { domain } => {
-                let n = self.srcu_nesting[tid].entry(domain).or_insert(0);
+                let n = self.srcu_nesting[tid * self.prog.locs.len() + domain as usize]
+                    .get_or_insert(0);
                 *n = n.saturating_sub(1);
                 if self.arch.stale_dependent_reads() {
-                    let view = self.view[tid].clone();
-                    self.threads[tid].read_floor = view;
+                    self.sync_banks(tid);
                 }
             }
-            Op::GpWait { domain, snapshot } => {
-                if snapshot.is_none() {
-                    // First scheduling: take the epoch snapshot; the wait
-                    // itself happens via op_ready on later turns.
-                    let snap: Vec<u64> = match domain {
-                        None => self.lock_epoch.clone(),
-                        Some(d) => (0..self.threads.len())
-                            .map(|t2| self.srcu_epoch[t2].get(&d).copied().unwrap_or(0))
-                            .collect(),
+            Op::GpWait { domain, snapshot: None } => {
+                // First scheduling: take the epoch snapshot; the wait
+                // itself happens via op_ready on later turns.
+                let base = self.snapshots.len() as u32;
+                let n = self.prog.locs.len();
+                for t2 in 0..self.threads.len() {
+                    let epoch = match domain {
+                        None => self.lock_epoch[t2],
+                        Some(d) => self.srcu_epoch[t2 * n + d as usize].unwrap_or(0),
                     };
-                    if let Op::GpWait { snapshot, .. } = &mut self.threads[tid].window[i].op
-                    {
-                        *snapshot = Some(snap);
-                    }
-                    return; // not performed yet
+                    self.snapshots.push(epoch);
                 }
+                if let Op::GpWait { snapshot, .. } = &mut self.threads[tid].window[i].op {
+                    *snapshot = Some(base);
+                }
+                return; // not performed yet
             }
+            Op::GpWait { .. } => {}
         }
         self.threads[tid].window[i].performed = true;
     }
-}
 
-impl Machine<'_> {
-    /// Whether every thread has finished and all buffers drained.
-    pub(crate) fn finished(&self) -> bool {
-        self.threads.iter().all(|t| t.done() && t.buffer.is_empty())
-    }
+    // ------------------------------------------------------------------
+    // Memoisation key
+    // ------------------------------------------------------------------
 
-    /// A canonical fingerprint of the whole machine state, used by the
-    /// exhaustive explorer's memoisation. Two states with equal
-    /// fingerprints have identical future behaviour.
-    pub(crate) fn fingerprint(&self) -> String {
-        use std::collections::BTreeMap;
-        use std::fmt::Write;
-        let mut out = String::new();
+    /// Append the state's memoisation key to `out`: two states with equal
+    /// keys have identical future behaviour. The key covers each thread's
+    /// frames, window, written SSA registers (each with its source
+    /// register), store buffer, own latest positions and `smp_wmb`
+    /// snapshot, then memory, versions with their dependency sets, views,
+    /// and the RCU and SRCU counters. Alpha's read floors are left out.
+    pub(crate) fn state_key(&self, out: &mut Vec<u64>) {
         for t in &self.threads {
-            let frames: Vec<(usize, usize)> =
-                t.frames.iter().map(|&(b, i)| (b.as_ptr() as usize, i)).collect();
-            let regs: BTreeMap<&String, &Val> = t.regs.iter().collect();
-            let own: BTreeMap<&usize, &usize> = t.own_latest.iter().collect();
-            let _ = write!(
-                out,
-                "T{{f:{frames:?} w:{:?} r:{regs:?} b:{:?} o:{own:?} s:{:?}}}",
-                t.window, t.buffer, t.wmb_snapshot
-            );
+            out.push(t.frames.len() as u64);
+            out.extend(t.frames.iter().flat_map(|f| [u64::from(f.block), u64::from(f.idx)]));
+            out.push(t.window.len() as u64);
+            for e in &t.window {
+                self.op_key(t, &e.op, out);
+                out.push(u64::from(e.performed));
+            }
+            out.push(t.slots.iter().filter(|s| s.val.is_some()).count() as u64);
+            for (ssa, slot) in t.slots.iter().enumerate() {
+                if let Some(v) = slot.val {
+                    out.extend([ssa as u64, u64::from(slot.reg)]);
+                    val_key(v, out);
+                }
+            }
+            out.push(t.buffer.len() as u64);
+            for &(loc, v) in &t.buffer {
+                out.push(u64::from(loc));
+                val_key(v, out);
+            }
+            out.push(t.own_latest.iter().filter(|&&p| p != NONE).count() as u64);
+            for (loc, &pos) in t.own_latest.iter().enumerate() {
+                if pos != NONE {
+                    out.extend([loc as u64, u64::from(pos)]);
+                }
+            }
+            self.span_key(t.wmb_snapshot, out);
         }
-        type SortedCounters<'a> = Vec<(&'a usize, &'a u64)>;
-        let srcu: Vec<(SortedCounters, SortedCounters)> = self
-            .srcu_nesting
-            .iter()
-            .zip(&self.srcu_epoch)
-            .map(|(n, e)| {
-                let mut nv: Vec<_> = n.iter().collect();
-                nv.sort();
-                let mut ev: Vec<_> = e.iter().collect();
-                ev.sort();
-                (nv, ev)
-            })
-            .collect();
-        let _ = write!(
-            out,
-            "M{{m:{:?} v:{:?} vw:{:?} n:{:?} e:{:?} s:{srcu:?}}}",
-            self.mem, self.versions, self.view, self.nesting, self.lock_epoch
-        );
-        out
+        for &v in &self.mem {
+            val_key(v, out);
+        }
+        for versions in &self.versions {
+            out.push(versions.len() as u64);
+            for v in versions {
+                val_key(v.val, out);
+                self.span_key(v.deps, out);
+            }
+        }
+        out.extend(self.view.iter().map(|&p| u64::from(p)));
+        out.extend(self.nesting.iter().chain(&self.lock_epoch));
+        let n = self.prog.locs.len().max(1);
+        for (nesting, epochs) in self.srcu_nesting.chunks(n).zip(self.srcu_epoch.chunks(n)) {
+            for counters in [nesting, epochs] {
+                out.push(counters.iter().flatten().count() as u64);
+                for (d, c) in counters.iter().enumerate() {
+                    if let Some(c) = c {
+                        out.extend([d as u64, *c]);
+                    }
+                }
+            }
+        }
+    }
+
+    fn span_key(&self, s: Span, out: &mut Vec<u64>) {
+        out.push(u64::from(s.len));
+        out.extend(self.span(s).iter().flat_map(|&(l, p)| [u64::from(l), u64::from(p)]));
+    }
+
+    fn op_key(&self, t: &ThreadState, op: &Op, out: &mut Vec<u64>) {
+        let ssa = |ssa: u32| [u64::from(ssa), u64::from(t.slots[ssa as usize].reg)];
+        match *op {
+            Op::Load { dst, loc, acquire } => {
+                out.push(0);
+                out.extend(ssa(dst));
+                out.extend([u64::from(loc), u64::from(acquire)]);
+            }
+            Op::Store { loc, value, release } => {
+                out.extend([1, u64::from(loc)]);
+                self.expr_key(t, value.root, value.base, out);
+                out.push(u64::from(release));
+            }
+            Op::Rmw {
+                dst,
+                loc,
+                value,
+                expected,
+                acquire,
+                release,
+                must_succeed,
+                compute,
+                dst_new,
+            } => {
+                out.push(2);
+                out.extend(ssa(dst));
+                out.push(u64::from(loc));
+                self.expr_key(t, value.root, value.base, out);
+                match expected {
+                    None => out.push(0),
+                    Some(e) => {
+                        out.push(1);
+                        self.expr_key(t, e.root, e.base, out);
+                    }
+                }
+                out.extend([
+                    u64::from(acquire),
+                    u64::from(release),
+                    u64::from(must_succeed),
+                    compute.map_or(0, |op| op as u64 + 1),
+                    u64::from(dst_new),
+                ]);
+            }
+            Op::Fence(f) => out.extend([3, f as u64]),
+            Op::RcuLock => out.push(4),
+            Op::RcuUnlock => out.push(5),
+            Op::SrcuLock { domain } => out.extend([6, u64::from(domain)]),
+            Op::SrcuUnlock { domain } => out.extend([7, u64::from(domain)]),
+            Op::GpWait { domain, snapshot } => {
+                out.extend([8, domain.map_or(0, |d| u64::from(d) + 1)]);
+                match snapshot {
+                    None => out.push(0),
+                    Some(base) => {
+                        out.push(1);
+                        let n = self.threads.len();
+                        out.extend(&self.snapshots[base as usize..base as usize + n]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// An issued expression by structure, each register leaf as the SSA
+    /// id (with its source register) it read, or as its source register
+    /// if it had never been written.
+    fn expr_key(&self, t: &ThreadState, node: ExprId, base: u32, out: &mut Vec<u64>) {
+        match self.prog.exprs[node as usize] {
+            Node::Const(c) => out.extend([0, c as u64]),
+            Node::Loc(l) => out.extend([1, u64::from(l)]),
+            Node::Reg { reg, leaf } => match t.leaves[(base + leaf) as usize] {
+                NONE => out.extend([2, u64::from(reg)]),
+                ssa => out.extend([3, u64::from(ssa), u64::from(reg)]),
+            },
+            Node::Bin(op, a, b) => {
+                out.extend([4, op as u64]);
+                self.expr_key(t, a, base, out);
+                self.expr_key(t, b, base, out);
+            }
+            Node::Not(a) => {
+                out.push(5);
+                self.expr_key(t, a, base, out);
+            }
+        }
     }
 }
 
-fn rmw_flags(order: RmwOrder) -> (bool, bool, bool) {
-    match order {
-        RmwOrder::Relaxed => (false, false, false),
-        RmwOrder::Acquire => (true, false, false),
-        RmwOrder::Release => (false, true, false),
-        RmwOrder::Full => (false, false, true),
+fn val_key(v: Val, out: &mut Vec<u64>) {
+    match v {
+        Val::Int(i) => out.extend([0, i as u64]),
+        Val::Loc(l) => out.extend([1, l.0 as u64]),
     }
 }
 
@@ -1183,5 +1341,22 @@ mod tests {
         assert!(Arch::Armv8.multi_copy_atomic());
         assert!(Arch::Armv7.full_barrier_acq_rel());
         assert_eq!(Arch::Power.name(), "Power8");
+    }
+
+    #[test]
+    fn reset_restores_the_initial_state() {
+        let sb = lkmm_litmus::library::by_name("SB").unwrap().test();
+        let prog = Program::lower(&sb);
+        for arch in Arch::ALL_WITH_ALPHA {
+            let mut m = Machine::new(&prog, arch);
+            let mut initial = Vec::new();
+            m.state_key(&mut initial);
+            let mut actions = Vec::new();
+            m.run(&mut SplitMix64::seed_from_u64(5), &mut actions).unwrap();
+            m.reset();
+            let mut again = Vec::new();
+            m.state_key(&mut again);
+            assert_eq!(initial, again, "{}", arch.name());
+        }
     }
 }

@@ -1,11 +1,17 @@
 //! Monte-Carlo litmus harness: the klitmus-style experiment loop.
+//!
+//! [`run_test`] lowers the test once, then runs one machine for every
+//! iteration, resetting it in place between runs; iteration `i` draws its
+//! schedule from its own stream seeded `seed + i`. Final states are
+//! counted by their raw term values, and each distinct one is rendered
+//! into the histogram once at the end.
 
+use crate::lower::Program;
 use crate::machine::{Arch, Machine, MachineError};
-use lkmm_exec::{LocId, Val};
-use lkmm_litmus::ast::{InitVal, Test};
-use lkmm_litmus::cond::{CondVal, StateTerm};
 use crate::rng::SplitMix64;
-use std::collections::BTreeMap;
+use lkmm_exec::Val;
+use lkmm_litmus::ast::Test;
+use std::collections::{BTreeMap, HashMap};
 
 /// Harness configuration.
 #[derive(Clone, Copy, Debug)]
@@ -30,7 +36,8 @@ pub struct RunStats {
     /// Total runs.
     pub total: u64,
     /// Histogram of final states, keyed by a canonical rendering of the
-    /// state terms appearing in the condition.
+    /// state terms appearing in the condition (`term=value` pairs joined
+    /// by spaces, `?` for a register never written).
     pub histogram: BTreeMap<String, u64>,
 }
 
@@ -69,53 +76,31 @@ impl RunStats {
 /// assert_eq!(x86.observed, 0);
 /// ```
 pub fn run_test(test: &Test, arch: Arch, config: &RunConfig) -> Result<RunStats, MachineError> {
-    let locs = test.shared_locations();
-    let init: Vec<Val> = locs
-        .iter()
-        .map(|name| match test.init.get(name) {
-            Some(InitVal::Int(i)) => Val::Int(*i),
-            Some(InitVal::Ptr(t)) => {
-                Val::Loc(LocId(locs.iter().position(|l| l == t).expect("ptr target")))
-            }
-            None => Val::Int(0),
-        })
-        .collect();
-
-    let terms: Vec<&StateTerm> = test.condition.prop.terms();
-    let mut stats =
-        RunStats { observed: 0, total: config.iterations, histogram: BTreeMap::new() };
+    let prog = Program::lower(test);
+    let mut machine = Machine::new(&prog, arch);
+    let mut actions = Vec::new();
+    let mut vals = Vec::new();
+    let mut outcomes: HashMap<Box<[Option<Val>]>, u64> = HashMap::new();
     for i in 0..config.iterations {
         let mut rng = SplitMix64::seed_from_u64(config.seed.wrapping_add(i));
-        let mut m = Machine::new(test, &locs, &init, arch);
-        m.run(&mut rng)?;
-
-        let final_mem = m.final_memory();
-        let lookup = |term: &StateTerm| -> Option<CondVal> {
-            let val = match term {
-                StateTerm::Reg { thread, reg } => m.final_reg(*thread, reg)?,
-                StateTerm::Loc(name) => final_mem[locs.iter().position(|l| l == name)?],
-            };
-            Some(match val {
-                Val::Int(v) => CondVal::Int(v),
-                Val::Loc(l) => CondVal::LocRef(locs[l.0].clone()),
-            })
-        };
-        if test.condition.prop.eval(&lookup) {
-            stats.observed += 1;
+        machine.reset();
+        machine.run(&mut rng, &mut actions)?;
+        machine.final_values(&mut vals);
+        match outcomes.get_mut(vals.as_slice()) {
+            Some(n) => *n += 1,
+            None => {
+                outcomes.insert(vals.as_slice().into(), 1);
+            }
         }
-        let key = terms
-            .iter()
-            .map(|t| {
-                let v = lookup(t)
-                    .map(|v| v.to_string())
-                    .unwrap_or_else(|| "?".to_string());
-                format!("{t}={v}")
-            })
-            .collect::<Vec<_>>()
-            .join(" ");
-        *stats.histogram.entry(key).or_insert(0) += 1;
     }
-    Ok(stats)
+    let (mut observed, mut histogram) = (0, BTreeMap::new());
+    for (vals, n) in outcomes {
+        if prog.holds(&test.condition.prop, &vals) {
+            observed += n;
+        }
+        *histogram.entry(prog.render(&vals, " ")).or_insert(0) += n;
+    }
+    Ok(RunStats { observed, total: config.iterations, histogram })
 }
 
 #[cfg(test)]

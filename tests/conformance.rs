@@ -335,7 +335,30 @@ fn rendered_reports_are_pinned() {
     let digests = texts.map(|text| fnv64(text.as_bytes()));
     assert_eq!(
         digests,
-        [0x1aee_6b02_e533_41df, 0xf853_554b_2a6d_e4a9, 0x3a37_3a8b_4713_b208, 0x7bdf_f6b8_0535_eb55],
+        [0x1aee_6b02_e533_41df, 0xf853_554b_2a6d_e4a9, 0x3a37_3a8b_4713_b208, 0x58d9_810c_c814_8d1b],
         "{digests:#018x?}"
     );
+}
+
+#[test]
+fn quarantined_algorithm_rows_are_not_interleaved() {
+    // C11 panics on every unit, so every ticket program is quarantined
+    // and its row stays all-`None`: interleave agreement, like every
+    // matrix oracle, must skip those rows rather than explore them.
+    let cfg = AlgoConfig {
+        families: vec![FamilyId::Ticket],
+        jobs: 1,
+        sim: SimConfig { iterations: 0, ..SimConfig::default() },
+        host_iterations: 0,
+        ..AlgoConfig::default()
+    };
+    let report = run_algo_campaign_with(&cfg, &mutant_set(ModelId::LkmmNative, true)).unwrap();
+    let programs = report.families[0].programs;
+    assert!(programs > 0);
+    assert_eq!(report.campaign.failed_units.len(), programs);
+    let agreement = &report.campaign.oracles[OracleKind::InterleaveAgreement.index()];
+    assert_eq!(agreement.kind, OracleKind::InterleaveAgreement);
+    assert_eq!((agreement.summary.checked, agreement.summary.skipped), (0, programs));
+    let family = &report.families[0].interleave;
+    assert_eq!((family.checked, family.skipped), (0, programs));
 }
