@@ -19,13 +19,14 @@
 
 use crate::event::{Event, EventKind, LocId, SrcuKind, Val, WriteAnnot};
 use crate::execution::{Execution, Shape};
+use crate::lower::{Addr, LStmt, Program};
 use crate::thread::{run_thread, LocalDeps, ThreadOutcome, ThreadStop};
 use lkmm_core::budget::{Budget, BudgetKind, Meter};
 use lkmm_core::faultpoint;
-use lkmm_litmus::ast::{InitVal, Test};
+use lkmm_litmus::ast::Test;
 use lkmm_litmus::FenceKind;
 use lkmm_relation::{IncrementalOrder, Relation};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -289,8 +290,7 @@ pub fn try_for_each_execution(
 /// Each thread's outcomes are classed once, by their value-free
 /// structure, so a pre-execution's [`Shape`] is known from its index.
 pub struct PreExecutions {
-    locs: Arc<Vec<String>>,
-    init_vals: Vec<Val>,
+    program: Arc<Program>,
     outcomes: Vec<Vec<ThreadOutcome>>,
     /// Per thread, the class of each outcome (parallel to `outcomes`).
     classes: Vec<Vec<OutcomeClass>>,
@@ -324,37 +324,22 @@ impl PreExecutions {
         if test.threads.is_empty() {
             return Err(EnumError::NoThreads);
         }
-        let locs = test.shared_locations();
-        let init_vals: Vec<Val> = locs
-            .iter()
-            .map(|name| match test.init.get(name) {
-                Some(InitVal::Int(i)) => Val::Int(*i),
-                Some(InitVal::Ptr(t)) => {
-                    Val::Loc(LocId(locs.iter().position(|l| l == t).expect("ptr target exists")))
-                }
-                None => Val::Int(0),
-            })
-            .collect();
+        let program = Program::lower(test);
 
         // Which threads statically write each location; a location
         // written by no thread other than the reader has deterministic
         // read values.
-        let writers = static_writers(test, &locs);
+        let writers = static_writers(&program);
 
         let mut domains: Vec<BTreeSet<Val>> =
-            init_vals.iter().map(|&v| BTreeSet::from([v])).collect();
+            program.init.iter().map(|&v| BTreeSet::from([v])).collect();
         let mut outcomes: Vec<Vec<ThreadOutcome>> = Vec::new();
-        let stmt_count: usize = test.threads.iter().map(|t| count_stmts(&t.body)).sum();
+        let stmt_count: usize = program.threads.iter().map(|code| code.stmts.len()).sum();
         let rounds = (stmt_count + 1).min(opts.max_domain_iterations.max(1));
         for _round in 0..rounds {
             meter.poll_now().map_err(EnumError::BudgetExceeded)?;
-            outcomes = test
-                .threads
-                .iter()
-                .enumerate()
-                .map(|(tid, t)| {
-                    explore_thread(&t.body, tid, &locs, &init_vals, &writers, &domains, opts, meter)
-                })
+            outcomes = (0..program.threads.len())
+                .map(|tid| explore_thread(&program, tid, &writers, &domains, opts, meter))
                 .collect::<Result<_, _>>()?;
             let mut changed = false;
             for outs in &outcomes {
@@ -389,7 +374,7 @@ impl PreExecutions {
                 classes
             })
             .collect();
-        Ok(PreExecutions { locs: Arc::new(locs), init_vals, outcomes, classes, len })
+        Ok(PreExecutions { program: Arc::new(program), outcomes, classes, len })
     }
 
     /// Number of pre-executions.
@@ -464,8 +449,11 @@ impl Cursor<'_> {
                 key += classes[i].key;
                 rest /= outs.len();
             }
-            let shape = self.shapes.entry(key).or_insert_with(|| intern(space.locs.len(), &chosen));
-            let pre = build_pre_execution(&space.locs, &space.init_vals, &chosen, shape);
+            let shape = self
+                .shapes
+                .entry(key)
+                .or_insert_with(|| intern(space.program.locs.len(), &chosen));
+            let pre = build_pre_execution(&space.program, &chosen, shape);
             let share = (end - unit < slices).then(|| (unit - first..end - first, slices));
             if enumerate_witnesses(&pre, opts, share, emitted, meter, visit)?.is_break() {
                 return Ok(ControlFlow::Break(()));
@@ -476,75 +464,40 @@ impl Cursor<'_> {
     }
 }
 
-fn count_stmts(body: &[lkmm_litmus::Stmt]) -> usize {
-    body.iter()
-        .map(|s| match s {
-            lkmm_litmus::Stmt::If { then_, else_, .. } => {
-                1 + count_stmts(then_) + count_stmts(else_)
-            }
-            _ => 1,
-        })
-        .sum()
-}
-
 /// Statically determine, per location, which threads may write it. A
 /// thread containing a write through a register pointer may write any
 /// location.
-fn static_writers(test: &Test, locs: &[String]) -> Vec<BTreeSet<usize>> {
-    use lkmm_litmus::ast::{AddrExpr, Stmt};
-    let mut writers = vec![BTreeSet::new(); locs.len()];
-    fn scan(
-        stmts: &[Stmt],
-        tid: usize,
-        locs: &[String],
-        writers: &mut [BTreeSet<usize>],
-    ) {
-        let mark = |addr: &AddrExpr, locs: &[String], writers: &mut [BTreeSet<usize>]| {
+fn static_writers(program: &Program) -> Vec<BTreeSet<usize>> {
+    let mut writers = vec![BTreeSet::new(); program.locs.len()];
+    for (tid, code) in program.threads.iter().enumerate() {
+        for stmt in &code.stmts {
+            let addr = match *stmt {
+                LStmt::Store { addr, .. }
+                | LStmt::Rmw { addr, .. }
+                | LStmt::SpinLock(addr)
+                | LStmt::SpinUnlock(addr) => addr,
+                // SRCU domain arguments are markers, not writes.
+                _ => continue,
+            };
             match addr {
-                AddrExpr::Var(name) => {
-                    if let Some(i) = locs.iter().position(|l| l == name) {
-                        writers[i].insert(tid);
-                    }
+                Addr::Loc(l) => {
+                    writers[l as usize].insert(tid);
                 }
                 // A pointer write may target anything.
-                AddrExpr::Reg(_) => {
+                Addr::Reg(_) => {
                     for w in writers.iter_mut() {
                         w.insert(tid);
                     }
                 }
             }
-        };
-        for s in stmts {
-            match s {
-                Stmt::WriteOnce { addr, .. }
-                | Stmt::StoreRelease { addr, .. }
-                | Stmt::RcuAssignPointer { addr, .. }
-                | Stmt::Xchg { addr, .. }
-                | Stmt::CmpXchg { addr, .. }
-                | Stmt::AtomicOp { addr, .. }
-                | Stmt::SpinLock { addr }
-                | Stmt::SpinUnlock { addr } => mark(addr, locs, writers),
-                Stmt::If { then_, else_, .. } => {
-                    scan(then_, tid, locs, writers);
-                    scan(else_, tid, locs, writers);
-                }
-                // SRCU domain arguments are markers, not writes.
-                _ => {}
-            }
         }
-    }
-    for (tid, t) in test.threads.iter().enumerate() {
-        scan(&t.body, tid, locs, &mut writers);
     }
     writers
 }
 
-#[allow(clippy::too_many_arguments)]
 fn explore_thread(
-    body: &[lkmm_litmus::Stmt],
+    program: &Program,
     tid: usize,
-    locs: &[String],
-    init_vals: &[Val],
     writers: &[BTreeSet<usize>],
     domains: &[BTreeSet<Val>],
     opts: &EnumOptions,
@@ -559,7 +512,7 @@ fn explore_thread(
             return Err(EnumError::TooManyBranches);
         }
         meter.poll().map_err(EnumError::BudgetExceeded)?;
-        match run_thread(body, &oracle, locs) {
+        match run_thread(program, tid, &oracle) {
             Ok(out) => done.push(out),
             Err(ThreadStop::NeedValue { loc, last_local_write }) => {
                 // Determinisation of thread-local reads is justified by
@@ -572,7 +525,7 @@ fn explore_thread(
                     // this thread's latest prior write (or the initial
                     // value).
                     let mut next = oracle.clone();
-                    next.push(last_local_write.unwrap_or(init_vals[loc.0]));
+                    next.push(last_local_write.unwrap_or(program.init[loc.0]));
                     stack.push(next);
                 } else {
                     for &v in &domains[loc.0] {
@@ -697,14 +650,14 @@ fn intern(n_locs: usize, chosen: &[&ThreadOutcome]) -> Interned {
 /// clones reference counts, not data. The initialising write of location
 /// `l` is event `l`.
 struct PreExecution<'s> {
-    locs: Arc<Vec<String>>,
+    program: Arc<Program>,
     events: Arc<Vec<Event>>,
     n_threads: usize,
     /// The interned shape: `po-loc` for pruning, and the relations every
     /// emitted [`Execution`] shares (and from there the checkers' static
     /// caches, which key on it).
     shape: Arc<Shape>,
-    final_regs: Arc<Vec<BTreeMap<String, Val>>>,
+    final_regs: Arc<Vec<Vec<Option<Val>>>>,
     /// Global indices of reads, with (loc, val).
     reads: Vec<(usize, LocId, Val)>,
     /// Global indices of non-init writes per location.
@@ -712,14 +665,13 @@ struct PreExecution<'s> {
 }
 
 fn build_pre_execution<'s>(
-    locs: &Arc<Vec<String>>,
-    init_vals: &[Val],
+    program: &Arc<Program>,
     chosen: &[&ThreadOutcome],
     shape: &'s Interned,
 ) -> PreExecution<'s> {
     let total = shape.shape.po.universe();
     let mut events = Vec::with_capacity(total);
-    for (i, &v) in init_vals.iter().enumerate() {
+    for (i, &v) in program.init.iter().enumerate() {
         events.push(Event {
             id: i,
             thread: None,
@@ -742,7 +694,7 @@ fn build_pre_execution<'s>(
         }
     }
     PreExecution {
-        locs: Arc::clone(locs),
+        program: Arc::clone(program),
         events: Arc::new(events),
         n_threads: chosen.len(),
         shape: Arc::clone(&shape.shape),
@@ -965,7 +917,7 @@ fn emit_leaf(
         stats.candidates_emitted.fetch_add(1, AtomicOrdering::Relaxed);
     }
     let x = Execution {
-        locs: Arc::clone(&pre.locs),
+        program: Arc::clone(&pre.program),
         events: Arc::clone(&pre.events),
         n_threads: pre.n_threads,
         shape: Arc::clone(&pre.shape),
@@ -1001,7 +953,7 @@ fn enumerate_co(
         meter: &mut Meter,
         visit: &mut dyn FnMut(Execution) -> ControlFlow<()>,
     ) -> Result<ControlFlow<()>, EnumError> {
-        if loc == pre.locs.len() {
+        if loc == orders.len() {
             return emit_leaf(pre, rf, opts, orders, opts.prune_scpv, emitted, meter, visit);
         }
         if k == orders[loc].len() {
@@ -1313,7 +1265,7 @@ fn co_rec(
     meter: &mut Meter,
     visit: &mut dyn FnMut(Execution) -> ControlFlow<()>,
 ) -> Result<ControlFlow<()>, EnumError> {
-    if loc == pre.locs.len() {
+    if loc == orders.len() {
         return emit_leaf(pre, rf, opts, orders, false, emitted, meter, visit);
     }
     if k == orders[loc].len() {

@@ -6,10 +6,8 @@
 //! output for any [`ConsistencyModel`].
 
 use crate::enumerate::{for_each_execution, EnumError, EnumOptions};
-use crate::execution::Execution;
 use crate::model::ConsistencyModel;
 use lkmm_litmus::ast::Test;
-use lkmm_litmus::cond::StateTerm;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -68,31 +66,6 @@ impl fmt::Display for StateSummary {
     }
 }
 
-/// Render the final state of one execution over the given terms.
-fn render_state(x: &Execution, terms: &[&StateTerm]) -> State {
-    let render = |v: crate::event::Val| match v {
-        crate::event::Val::Int(i) => i.to_string(),
-        crate::event::Val::Loc(l) => format!("&{}", x.locs[l.0]),
-    };
-    let finals = x.final_values();
-    let parts: Vec<String> = terms
-        .iter()
-        .map(|t| {
-            let v = match t {
-                StateTerm::Reg { thread, reg } => {
-                    x.final_regs.get(*thread).and_then(|m| m.get(reg)).copied()
-                }
-                StateTerm::Loc(name) => x.loc_id(name).and_then(|l| finals.get(&l).copied()),
-            };
-            match v {
-                None => format!("{t}=?"),
-                Some(val) => format!("{t}={}", render(val)),
-            }
-        })
-        .collect();
-    State(parts.join("; "))
-}
-
 /// Enumerate all candidate executions and build the state histogram.
 ///
 /// # Errors
@@ -116,12 +89,11 @@ pub fn collect_states(
     test: &Test,
     opts: &EnumOptions,
 ) -> Result<StateSummary, EnumError> {
-    let terms: Vec<&StateTerm> = test.condition.prop.terms();
     let mut states: BTreeMap<State, StateCount> = BTreeMap::new();
     for_each_execution(test, opts, &mut |x| {
-        let state = render_state(x, &terms);
-        let entry = states.entry(state).or_default();
-        entry.satisfies = x.satisfies_prop(&test.condition.prop);
+        let vals = x.term_values();
+        let entry = states.entry(State(x.program.render(&vals, "; "))).or_default();
+        entry.satisfies = x.program.holds(&test.condition.prop, &vals);
         if model.allows(x) {
             entry.allowed += 1;
         } else {
@@ -138,6 +110,7 @@ pub fn collect_states(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::execution::Execution;
     use crate::model::AllowAll;
     use lkmm_litmus::library;
 
@@ -162,8 +135,9 @@ mod tests {
             }
             fn allows(&self, x: &Execution) -> bool {
                 // Forbid executions where both final regs are (1, 0).
-                !(x.final_regs[1].get("r0") == Some(&crate::event::Val::Int(1))
-                    && x.final_regs[1].get("r1") == Some(&crate::event::Val::Int(0)))
+                let reg = |name| x.final_regs[1][x.program.reg(1, name).unwrap() as usize];
+                !(reg("r0") == Some(crate::event::Val::Int(1))
+                    && reg("r1") == Some(crate::event::Val::Int(0)))
             }
         }
         let t = library::by_name("MP").unwrap().test();

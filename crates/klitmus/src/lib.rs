@@ -17,10 +17,17 @@
 //! | RCU primitives         | the real [`lkmm_rcu::Urcu`] runtime   |
 //! | `spin_lock`/`spin_unlock` | CAS-acquire loop / store-release   |
 //!
-//! Every iteration lines the threads up on a barrier, runs the bodies
-//! concurrently, and records the final state. The key soundness check —
-//! mirrored from Table 5 — is that no LKMM-forbidden outcome is ever
-//! observed on real silicon.
+//! Each test is lowered once ([`lkmm_exec::lower`]), as the enumerator
+//! and the simulators lower it: the interpreter reads registers from
+//! slots by id and memory cells by location index, and every `xchg`,
+//! `cmpxchg` and arithmetic atomic is one `Rmw` statement. Every
+//! iteration lines the threads up on a barrier, runs the bodies
+//! concurrently, and records the final registers and memory. The final
+//! states are counted by their term values, and each distinct one is
+//! checked and rendered once, by the same `Program::holds` and
+//! `Program::render` the other interpreters use. The key soundness
+//! check — mirrored from Table 5 — is that no LKMM-forbidden outcome is
+//! ever observed on real silicon.
 //!
 //! # Examples
 //!
@@ -32,8 +39,9 @@
 //! assert_eq!(stats.observed, 0); // fenced store buffering never shows
 //! ```
 
-use lkmm_litmus::ast::{AddrExpr, BinOp, Expr, FenceKind, InitVal, RmwOrder, Stmt, Test};
-use lkmm_litmus::cond::{CondVal, StateTerm};
+use lkmm_exec::lower::{atomic_result, Addr, BlockId, LExpr, LStmt, Node, Program, Term};
+use lkmm_exec::{LocId, Val};
+use lkmm_litmus::ast::{BinOp, FenceKind, RmwOrder, Test};
 use lkmm_rcu::Urcu;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -90,12 +98,19 @@ impl std::error::Error for HostError {}
 /// Pointers are encoded as negative integers so that plain `AtomicI64`
 /// cells can hold both (litmus tests only use small non-negative data
 /// values).
-fn encode_loc(i: usize) -> i64 {
-    -(i as i64) - 1
+fn encode(v: Val) -> i64 {
+    match v {
+        Val::Int(i) => i,
+        Val::Loc(l) => -(l.0 as i64) - 1,
+    }
 }
 
 fn decode_loc(v: i64) -> Option<usize> {
     (v < 0).then(|| (-v - 1) as usize)
+}
+
+fn decode(v: i64) -> Val {
+    decode_loc(v).map_or(Val::Int(v), |l| Val::Loc(LocId(l)))
 }
 
 /// Run `test` on the host.
@@ -104,65 +119,37 @@ fn decode_loc(v: i64) -> Option<usize> {
 ///
 /// See [`HostError`].
 pub fn run_on_host(test: &Test, config: &HostConfig) -> Result<HostStats, HostError> {
-    let locs = test.shared_locations();
-    let init: Vec<i64> = locs
-        .iter()
-        .map(|name| match test.init.get(name) {
-            Some(InitVal::Int(i)) => *i,
-            Some(InitVal::Ptr(t)) => {
-                encode_loc(locs.iter().position(|l| l == t).expect("ptr target"))
-            }
-            None => 0,
-        })
-        .collect();
+    let prog = Program::lower(test);
+    // Reject unsupported constructs up front.
+    let mut stmts = prog.threads.iter().flat_map(|code| &code.stmts);
+    if stmts.any(|s| matches!(s, LStmt::Assume(_))) {
+        return Err(HostError::Unsupported("__assume"));
+    }
+    let init: Vec<i64> = prog.init.iter().map(|&v| encode(v)).collect();
     let mem: Vec<AtomicI64> = init.iter().map(|&v| AtomicI64::new(v)).collect();
-    let n_threads = test.threads.len();
+    let n_threads = prog.threads.len();
     let rcu = Urcu::new(n_threads);
     // One independent RCU domain per location doubles as the SRCU
     // implementation (srcu ≙ per-domain userspace RCU).
-    let srcu: Vec<Urcu> = (0..locs.len()).map(|_| Urcu::new(n_threads)).collect();
+    let srcu: Vec<Urcu> = (0..prog.locs.len()).map(|_| Urcu::new(n_threads)).collect();
     let start = Barrier::new(n_threads);
     let finish = Barrier::new(n_threads);
 
-    let mut stats =
-        HostStats { observed: 0, total: config.iterations, histogram: BTreeMap::new() };
-    let terms: Vec<&StateTerm> = test.condition.prop.terms();
+    /// Per-worker result: its final registers, iteration after
+    /// iteration, plus (thread 0 only) the memory snapshot per iteration.
+    type WorkerOut = (Vec<Option<i64>>, Vec<Vec<i64>>);
 
-    // Reject unsupported constructs up front.
-    fn check(stmts: &[Stmt]) -> Result<(), HostError> {
-        for s in stmts {
-            match s {
-                Stmt::Assume(_) => return Err(HostError::Unsupported("__assume")),
-                Stmt::If { then_, else_, .. } => {
-                    check(then_)?;
-                    check(else_)?;
-                }
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-    for t in &test.threads {
-        check(&t.body)?;
-    }
-
-    /// Per-worker result: final registers per iteration, plus (thread 0
-    /// only) the memory snapshot per iteration.
-    type WorkerOut = (Vec<BTreeMap<String, i64>>, Vec<Vec<i64>>);
-
-    std::thread::scope(|scope| -> Result<(), HostError> {
+    let joined = std::thread::scope(|scope| -> Result<Vec<WorkerOut>, HostError> {
         let mut handles = Vec::new();
-        for (tid, thread) in test.threads.iter().enumerate() {
-            let mem = &mem;
-            let locs = &locs;
-            let rcu = &rcu;
-            let srcu = &srcu;
-            let start = &start;
-            let finish = &finish;
-            let init = &init;
+        for tid in 0..n_threads {
+            let (prog, mem, rcu, srcu) = (&prog, &mem, &rcu, &srcu);
+            let (start, finish, init) = (&start, &finish, &init);
             handles.push(scope.spawn(move || -> Result<WorkerOut, HostError> {
-                let mut finals = Vec::with_capacity(config.iterations as usize);
+                let code = &prog.threads[tid];
+                let mut finals = Vec::with_capacity(config.iterations as usize * code.names.len());
                 let mut snapshots = Vec::new();
+                let mut interp =
+                    Interp { prog, tid, mem, rcu, srcu, regs: vec![None; code.names.len()] };
                 for _ in 0..config.iterations {
                     // Thread 0 resets memory before releasing the pack;
                     // everyone else is parked on the start barrier.
@@ -172,68 +159,47 @@ pub fn run_on_host(test: &Test, config: &HostConfig) -> Result<HostStats, HostEr
                         }
                     }
                     start.wait();
-                    let mut interp = Interp {
-                        tid,
-                        mem,
-                        locs,
-                        rcu,
-                        srcu,
-                        regs: HashMap::new(),
-                    };
-                    interp.run(&thread.body)?;
-                    finals.push(interp.regs.into_iter().collect());
+                    interp.regs.fill(None);
+                    interp.run(code.body)?;
+                    finals.extend_from_slice(&interp.regs);
                     finish.wait();
                     // All bodies are done; snapshot the final memory
                     // before the next iteration's reset.
                     if tid == 0 {
-                        snapshots
-                            .push(mem.iter().map(|c| c.load(Ordering::Relaxed)).collect());
+                        snapshots.push(mem.iter().map(|c| c.load(Ordering::Relaxed)).collect());
                     }
                 }
                 Ok((finals, snapshots))
             }));
         }
-        let joined: Vec<WorkerOut> = handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect::<Result<_, _>>()?;
-        let snapshots = joined[0].1.clone();
-        let per_thread: Vec<Vec<BTreeMap<String, i64>>> =
-            joined.into_iter().map(|(f, _)| f).collect();
-
-        for (i, snapshot) in snapshots.iter().enumerate() {
-            let lookup = |term: &StateTerm| -> Option<CondVal> {
-                let v = match term {
-                    StateTerm::Reg { thread, reg } => {
-                        *per_thread.get(*thread)?.get(i)?.get(reg)?
-                    }
-                    StateTerm::Loc(name) => {
-                        let idx = locs.iter().position(|l| l == name)?;
-                        snapshot[idx]
-                    }
-                };
-                Some(match decode_loc(v) {
-                    Some(l) => CondVal::LocRef(locs[l].clone()),
-                    None => CondVal::Int(v),
-                })
-            };
-            if test.condition.prop.eval(&lookup) {
-                stats.observed += 1;
-            }
-            let key = terms
-                .iter()
-                .map(|t| {
-                    let v = lookup(t)
-                        .map(|v| v.to_string())
-                        .unwrap_or_else(|| "?".to_string());
-                    format!("{t}={v}")
-                })
-                .collect::<Vec<_>>()
-                .join(" ");
-            *stats.histogram.entry(key).or_insert(0) += 1;
-        }
-        Ok(())
+        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
     })?;
+
+    // Count final states by their term values, then check and render
+    // each distinct one once.
+    let mut outcomes: HashMap<Vec<Option<Val>>, u64> = HashMap::new();
+    for (i, snapshot) in joined[0].1.iter().enumerate() {
+        let vals = prog
+            .terms
+            .iter()
+            .map(|term| match *term {
+                Term::Reg { thread, reg } => {
+                    let regs = prog.threads.get(thread)?.names.len();
+                    joined[thread].0[i * regs + reg? as usize].map(decode)
+                }
+                Term::Loc(loc) => Some(decode(snapshot[loc? as usize])),
+            })
+            .collect();
+        *outcomes.entry(vals).or_insert(0) += 1;
+    }
+    let mut stats =
+        HostStats { observed: 0, total: config.iterations, histogram: BTreeMap::new() };
+    for (vals, n) in outcomes {
+        if prog.holds(&test.condition.prop, &vals) {
+            stats.observed += n;
+        }
+        *stats.histogram.entry(prog.render(&vals, " ")).or_insert(0) += n;
+    }
     Ok(stats)
 }
 
@@ -297,52 +263,59 @@ pub fn run_many_on_host(
 }
 
 struct Interp<'a> {
+    prog: &'a Program,
     tid: usize,
     mem: &'a [AtomicI64],
-    locs: &'a [String],
     rcu: &'a Urcu,
     srcu: &'a [Urcu],
-    regs: HashMap<String, i64>,
+    /// Register slots, by id.
+    regs: Vec<Option<i64>>,
+}
+
+fn ordering(order: RmwOrder) -> Ordering {
+    match order {
+        RmwOrder::Relaxed => Ordering::Relaxed,
+        RmwOrder::Acquire => Ordering::Acquire,
+        RmwOrder::Release => Ordering::Release,
+        RmwOrder::Full => Ordering::SeqCst,
+    }
 }
 
 impl Interp<'_> {
-    fn run(&mut self, body: &[Stmt]) -> Result<(), HostError> {
-        for stmt in body {
+    fn run(&mut self, block: BlockId) -> Result<(), HostError> {
+        let prog = self.prog;
+        for stmt in prog.threads[self.tid].block(block) {
             self.step(stmt)?;
         }
         Ok(())
     }
 
-    fn addr(&self, a: &AddrExpr) -> Result<usize, HostError> {
+    fn reg(&self, reg: u32) -> Result<i64, HostError> {
+        self.regs[reg as usize].ok_or_else(|| {
+            let names = &self.prog.threads[self.tid].names;
+            HostError::UninitialisedRegister(names[reg as usize].clone())
+        })
+    }
+
+    fn addr(&self, a: Addr) -> Result<usize, HostError> {
         match a {
-            AddrExpr::Var(name) => self
-                .locs
-                .iter()
-                .position(|l| l == name)
-                .ok_or(HostError::BadPointer),
-            AddrExpr::Reg(r) => {
-                let v = *self
-                    .regs
-                    .get(r)
-                    .ok_or_else(|| HostError::UninitialisedRegister(r.clone()))?;
-                decode_loc(v).ok_or(HostError::BadPointer)
-            }
+            Addr::Loc(l) => Ok(l as usize),
+            Addr::Reg(r) => decode_loc(self.reg(r)?).ok_or(HostError::BadPointer),
         }
     }
 
-    fn eval(&self, e: &Expr) -> Result<i64, HostError> {
-        Ok(match e {
-            Expr::Const(c) => *c,
-            Expr::Reg(r) => *self
-                .regs
-                .get(r)
-                .ok_or_else(|| HostError::UninitialisedRegister(r.clone()))?,
-            Expr::LocRef(name) => encode_loc(
-                self.locs.iter().position(|l| l == name).ok_or(HostError::BadPointer)?,
-            ),
-            Expr::Not(inner) => i64::from(self.eval(inner)? == 0),
-            Expr::Bin(op, a, b) => {
-                let (x, y) = (self.eval(a)?, self.eval(b)?);
+    fn eval(&self, e: LExpr) -> Result<i64, HostError> {
+        self.eval_node(e.root)
+    }
+
+    fn eval_node(&self, node: u32) -> Result<i64, HostError> {
+        Ok(match self.prog.exprs[node as usize] {
+            Node::Const(c) => c,
+            Node::Reg { reg, .. } => self.reg(reg)?,
+            Node::Loc(l) => encode(Val::Loc(LocId(l as usize))),
+            Node::Not(inner) => i64::from(self.eval_node(inner)? == 0),
+            Node::Bin(op, a, b) => {
+                let (x, y) = (self.eval_node(a)?, self.eval_node(b)?);
                 match op {
                     BinOp::Add => x.wrapping_add(y),
                     BinOp::Sub => x.wrapping_sub(y),
@@ -361,29 +334,19 @@ impl Interp<'_> {
         })
     }
 
-    fn step(&mut self, stmt: &Stmt) -> Result<(), HostError> {
-        match stmt {
-            Stmt::ReadOnce { dst, addr } | Stmt::RcuDereference { dst, addr } => {
+    fn step(&mut self, stmt: &LStmt) -> Result<(), HostError> {
+        match *stmt {
+            LStmt::Load { dst, addr, acquire, .. } => {
                 let l = self.addr(addr)?;
-                let v = self.mem[l].load(Ordering::Relaxed);
-                self.regs.insert(dst.clone(), v);
+                let order = if acquire { Ordering::Acquire } else { Ordering::Relaxed };
+                self.regs[dst as usize] = Some(self.mem[l].load(order));
             }
-            Stmt::LoadAcquire { dst, addr } => {
-                let l = self.addr(addr)?;
-                let v = self.mem[l].load(Ordering::Acquire);
-                self.regs.insert(dst.clone(), v);
-            }
-            Stmt::WriteOnce { addr, value } => {
+            LStmt::Store { addr, value, release } => {
                 let l = self.addr(addr)?;
                 let v = self.eval(value)?;
-                self.mem[l].store(v, Ordering::Relaxed);
+                self.mem[l].store(v, if release { Ordering::Release } else { Ordering::Relaxed });
             }
-            Stmt::StoreRelease { addr, value } | Stmt::RcuAssignPointer { addr, value } => {
-                let l = self.addr(addr)?;
-                let v = self.eval(value)?;
-                self.mem[l].store(v, Ordering::Release);
-            }
-            Stmt::Fence(kind) => match kind {
+            LStmt::Fence(kind) => match kind {
                 FenceKind::Rmb => fence(Ordering::Acquire),
                 FenceKind::Wmb => fence(Ordering::Release),
                 FenceKind::Mb => fence(Ordering::SeqCst),
@@ -392,87 +355,50 @@ impl Interp<'_> {
                 FenceKind::RcuUnlock => self.rcu.read_unlock(self.tid),
                 FenceKind::SyncRcu => self.rcu.synchronize_rcu(),
             },
-            Stmt::Xchg { order, dst, addr, value } => {
-                let l = self.addr(addr)?;
+            LStmt::Rmw { order, dst, addr, value, expected, compute, dst_new } => {
+                let cell = &self.mem[self.addr(addr)?];
+                let expected = expected.map(|e| self.eval(e)).transpose()?;
                 let v = self.eval(value)?;
-                let old = match order {
-                    RmwOrder::Relaxed => self.mem[l].swap(v, Ordering::Relaxed),
-                    RmwOrder::Acquire => self.mem[l].swap(v, Ordering::Acquire),
-                    RmwOrder::Release => self.mem[l].swap(v, Ordering::Release),
-                    RmwOrder::Full => self.mem[l].swap(v, Ordering::SeqCst),
+                let ord = ordering(order);
+                let old = match (expected, compute) {
+                    (Some(exp), _) => {
+                        let failure =
+                            if order == RmwOrder::Release { Ordering::Relaxed } else { ord };
+                        match cell.compare_exchange(exp, v, ord, failure) {
+                            Ok(o) | Err(o) => o,
+                        }
+                    }
+                    (None, None) => cell.swap(v, ord),
+                    (None, Some(BinOp::Sub)) => cell.fetch_sub(v, ord),
+                    (None, Some(BinOp::And)) => cell.fetch_and(v, ord),
+                    (None, Some(BinOp::Or)) => cell.fetch_or(v, ord),
+                    (None, Some(BinOp::Xor)) => cell.fetch_xor(v, ord),
+                    (None, Some(_)) => cell.fetch_add(v, ord),
                 };
-                self.regs.insert(dst.clone(), old);
-            }
-            Stmt::CmpXchg { order, dst, addr, expected, new } => {
-                let l = self.addr(addr)?;
-                let exp = self.eval(expected)?;
-                let newv = self.eval(new)?;
-                let (success, failure) = match order {
-                    RmwOrder::Relaxed => (Ordering::Relaxed, Ordering::Relaxed),
-                    RmwOrder::Acquire => (Ordering::Acquire, Ordering::Acquire),
-                    RmwOrder::Release => (Ordering::Release, Ordering::Relaxed),
-                    RmwOrder::Full => (Ordering::SeqCst, Ordering::SeqCst),
-                };
-                let old = match self.mem[l].compare_exchange(exp, newv, success, failure) {
-                    Ok(o) | Err(o) => o,
-                };
-                self.regs.insert(dst.clone(), old);
-            }
-            Stmt::Assign { dst, value } => {
-                let v = self.eval(value)?;
-                self.regs.insert(dst.clone(), v);
-            }
-            Stmt::AtomicOp { order, dst, addr, op, operand } => {
-                use lkmm_litmus::ast::AtomicDst;
-                let l = self.addr(addr)?;
-                let operand = self.eval(operand)?;
-                let ordering = match order {
-                    RmwOrder::Relaxed => Ordering::Relaxed,
-                    RmwOrder::Acquire => Ordering::Acquire,
-                    RmwOrder::Release => Ordering::Release,
-                    RmwOrder::Full => Ordering::SeqCst,
-                };
-                let old = match op {
-                    BinOp::Add => self.mem[l].fetch_add(operand, ordering),
-                    BinOp::Sub => self.mem[l].fetch_sub(operand, ordering),
-                    BinOp::And => self.mem[l].fetch_and(operand, ordering),
-                    BinOp::Or => self.mem[l].fetch_or(operand, ordering),
-                    BinOp::Xor => self.mem[l].fetch_xor(operand, ordering),
-                    _ => self.mem[l].fetch_add(operand, ordering),
-                };
-                if let Some((d, kind)) = dst {
-                    let v = match (kind, op) {
-                        (AtomicDst::Old, _) => old,
-                        (AtomicDst::New, BinOp::Add) => old.wrapping_add(operand),
-                        (AtomicDst::New, BinOp::Sub) => old.wrapping_sub(operand),
-                        (AtomicDst::New, BinOp::And) => old & operand,
-                        (AtomicDst::New, BinOp::Or) => old | operand,
-                        (AtomicDst::New, BinOp::Xor) => old ^ operand,
-                        (AtomicDst::New, _) => old,
-                    };
-                    self.regs.insert(d.clone(), v);
+                if let Some(d) = dst {
+                    let new = compute.and_then(|op| atomic_result(op, old, v));
+                    self.regs[d as usize] = Some(if dst_new { new.unwrap_or(old) } else { old });
                 }
             }
-            Stmt::If { cond, then_, else_ } => {
-                if self.eval(cond)? != 0 {
-                    self.run(then_)?;
-                } else {
-                    self.run(else_)?;
-                }
+            LStmt::Assign { dst, value } => {
+                self.regs[dst as usize] = Some(self.eval(value)?);
             }
-            Stmt::SrcuReadLock { domain } => {
+            LStmt::If { cond, then_, else_ } => {
+                self.run(if self.eval(cond)? != 0 { then_ } else { else_ })?;
+            }
+            LStmt::SrcuLock(domain) => {
                 let d = self.addr(domain)?;
                 self.srcu[d].read_lock(self.tid);
             }
-            Stmt::SrcuReadUnlock { domain } => {
+            LStmt::SrcuUnlock(domain) => {
                 let d = self.addr(domain)?;
                 self.srcu[d].read_unlock(self.tid);
             }
-            Stmt::SynchronizeSrcu { domain } => {
+            LStmt::SyncSrcu(domain) => {
                 let d = self.addr(domain)?;
                 self.srcu[d].synchronize_rcu();
             }
-            Stmt::SpinLock { addr } => {
+            LStmt::SpinLock(addr) => {
                 let l = self.addr(addr)?;
                 while self.mem[l]
                     .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
@@ -481,11 +407,11 @@ impl Interp<'_> {
                     std::hint::spin_loop();
                 }
             }
-            Stmt::SpinUnlock { addr } => {
+            LStmt::SpinUnlock(addr) => {
                 let l = self.addr(addr)?;
                 self.mem[l].store(0, Ordering::Release);
             }
-            Stmt::Assume(_) => return Err(HostError::Unsupported("__assume")),
+            LStmt::Assume(_) => return Err(HostError::Unsupported("__assume")),
         }
         Ok(())
     }

@@ -9,8 +9,8 @@
 //! compares against the axiomatic models (the Owens-style TSO
 //! equivalence, done empirically).
 
-use crate::lower::Program;
 use crate::machine::{Arch, Machine, MachineError};
+use lkmm_exec::lower::Program;
 use lkmm_exec::Val;
 use lkmm_litmus::ast::Test;
 use std::collections::{BTreeSet, HashSet};

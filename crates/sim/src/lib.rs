@@ -44,7 +44,6 @@
 //! ```
 
 pub mod exhaustive;
-mod lower;
 pub mod machine;
 pub mod rng;
 pub mod runner;

@@ -15,7 +15,7 @@
 //!   dependency sets (release: everything observed; after `smp_wmb`: own
 //!   earlier stores).
 //!
-//! The machine runs on a test lowered once (`crate::lower`): locations
+//! The machine runs on a test lowered once (`lkmm_exec::lower`): locations
 //! and registers are dense indices. Every register write gets a fresh
 //! SSA id — the next slot of its thread's SSA vector, which records the
 //! source register and, once performed, the value — so a reused register
@@ -30,8 +30,10 @@
 //! propagations by thread and location). The runner draws one of them
 //! from a seeded stream, so that order is part of every seeded result.
 
-use crate::lower::{Addr, BlockId, ExprId, LExpr, LStmt, Node, Program, Term, ONE, ZERO};
 use crate::rng::SplitMix64;
+use lkmm_exec::lower::{
+    atomic_result, binop, Addr, BlockId, ExprId, LExpr, LStmt, Node, Program, Term, ONE, ZERO,
+};
 use lkmm_exec::{LocId, Val};
 use lkmm_litmus::ast::{BinOp, FenceKind, RmwOrder};
 use std::fmt;
@@ -589,32 +591,7 @@ impl<'p> Machine<'p> {
                 Leaves::At(base) => t.leaves[(base + leaf) as usize],
             })?,
             Node::Not(inner) => Val::Int(i64::from(!self.eval_node(t, inner, at)?.truthy())),
-            Node::Bin(op, a, b) => {
-                let va = self.eval_node(t, a, at)?;
-                let vb = self.eval_node(t, b, at)?;
-                match op {
-                    BinOp::Eq => Val::Int(i64::from(va == vb)),
-                    BinOp::Ne => Val::Int(i64::from(va != vb)),
-                    BinOp::Add if matches!((va, vb), (Val::Loc(_), Val::Int(0))) => va,
-                    BinOp::Add if matches!((va, vb), (Val::Int(0), Val::Loc(_))) => vb,
-                    _ => {
-                        let (x, y) = (va.as_int()?, vb.as_int()?);
-                        Val::Int(match op {
-                            BinOp::Add => x.wrapping_add(y),
-                            BinOp::Sub => x.wrapping_sub(y),
-                            BinOp::Mul => x.wrapping_mul(y),
-                            BinOp::Xor => x ^ y,
-                            BinOp::And => x & y,
-                            BinOp::Or => x | y,
-                            BinOp::Lt => i64::from(x < y),
-                            BinOp::Le => i64::from(x <= y),
-                            BinOp::Gt => i64::from(x > y),
-                            BinOp::Ge => i64::from(x >= y),
-                            BinOp::Eq | BinOp::Ne => unreachable!(),
-                        })
-                    }
-                }
-            }
+            Node::Bin(op, a, b) => binop(op, self.eval_node(t, a, at)?, self.eval_node(t, b, at)?)?,
         })
     }
 
@@ -691,7 +668,7 @@ impl<'p> Machine<'p> {
             LStmt::If { cond: e, .. } | LStmt::Assign { value: e, .. } => {
                 self.eval(tid, e.root, Leaves::Now).is_some()
             }
-            LStmt::Fence(_) | LStmt::Assume => true,
+            LStmt::Fence(_) | LStmt::Assume(_) => true,
         }
     }
 
@@ -747,7 +724,7 @@ impl<'p> Machine<'p> {
                 if full {
                     self.push_op(tid, Op::Fence(SimFence::Mb));
                 }
-                let reg = dst.unwrap_or_else(|| self.prog.threads[tid].void_regs[loc as usize]);
+                let reg = dst.unwrap_or_else(|| self.prog.void_reg(tid, loc));
                 let dst = self.fresh_ssa(tid, reg, None);
                 self.push_op(
                     tid,
@@ -784,7 +761,7 @@ impl<'p> Machine<'p> {
                 // Acquire-RMW spinning until it reads 0; modelled by a
                 // cmpxchg_acquire(0 → 1) that is only ready when the lock
                 // word is free (see op_ready).
-                let reg = self.prog.threads[tid].lock_regs[loc as usize];
+                let reg = self.prog.lock_reg(tid, loc);
                 let dst = self.fresh_ssa(tid, reg, None);
                 let (value, expected) = (self.resolve(tid, ONE), self.resolve(tid, ZERO));
                 self.push_op(
@@ -816,7 +793,7 @@ impl<'p> Machine<'p> {
                 let block = if c.truthy() { then_ } else { else_ };
                 self.threads[tid].frames.push(Frame { block, idx: 0 });
             }
-            LStmt::Assume => return Err(MachineError::Unsupported("__assume")),
+            LStmt::Assume(_) => return Err(MachineError::Unsupported("__assume")),
         }
         Ok(())
     }
@@ -1067,6 +1044,8 @@ impl<'p> Machine<'p> {
                     None => true,
                     Some(e) => self.eval_resolved(tid, e).expect("readiness checked") == cur,
                 };
+                // A failing cmpxchg still returns the value it read.
+                self.threads[tid].slots[dst as usize].val = Some(cur);
                 if succeed {
                     let operand = self.eval_resolved(tid, value).expect("readiness checked");
                     let v = match compute {
@@ -1076,17 +1055,12 @@ impl<'p> Machine<'p> {
                                 cur.as_int().expect("atomic arithmetic on pointer"),
                                 operand.as_int().expect("atomic operand must be int"),
                             );
-                            Val::Int(match op {
-                                BinOp::Add => x.wrapping_add(y),
-                                BinOp::Sub => x.wrapping_sub(y),
-                                BinOp::And => x & y,
-                                BinOp::Or => x | y,
-                                BinOp::Xor => x ^ y,
-                                _ => x,
-                            })
+                            Val::Int(atomic_result(op, x, y).unwrap_or(x))
                         }
                     };
-                    self.threads[tid].slots[dst as usize].val = Some(if dst_new { v } else { cur });
+                    if dst_new {
+                        self.threads[tid].slots[dst as usize].val = Some(v);
+                    }
                     if self.arch.multi_copy_atomic() {
                         self.mem[loc as usize] = v;
                     } else {

@@ -6,9 +6,9 @@
 //! counted by their raw term values, and each distinct one is rendered
 //! into the histogram once at the end.
 
-use crate::lower::Program;
 use crate::machine::{Arch, Machine, MachineError};
 use crate::rng::SplitMix64;
+use lkmm_exec::lower::Program;
 use lkmm_exec::Val;
 use lkmm_litmus::ast::Test;
 use std::collections::{BTreeMap, HashMap};

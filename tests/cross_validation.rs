@@ -3,11 +3,14 @@
 //! tell one consistent story.
 
 use linux_kernel_memory_model::{Herd, ModelChoice};
+use lkmm_exec::enumerate::EnumOptions;
+use lkmm_exec::states::collect_states;
 use lkmm_exec::Verdict;
 use lkmm_generator::{cycles_up_to, default_alphabet, generate};
 use lkmm_klitmus::{run_on_host, HostConfig};
 use lkmm_litmus::library;
 use lkmm_sim::{run_test, Arch, RunConfig};
+use std::collections::BTreeSet;
 
 /// Simulators never observe LKMM-forbidden outcomes — on the paper's
 /// tests *and* a sweep of generated ones.
@@ -42,6 +45,29 @@ fn host_soundness_on_paper_tests() {
         if herd.check(&test).unwrap().result.verdict == Verdict::Forbidden {
             let stats = run_on_host(&test, &HostConfig { iterations: 5_000 }).unwrap();
             assert_eq!(stats.observed, 0, "{} observed on the host", pt.name);
+        }
+    }
+}
+
+/// Every final state the host runner observes on a library test is one
+/// the LKMM allows, not only the condition's: both sides are printed by
+/// the lowered program's renderer, with `" "` between terms on the host
+/// and `"; "` in herd's histogram.
+#[test]
+fn host_states_are_lkmm_allowed() {
+    let lkmm = lkmm::Lkmm::new();
+    for pt in library::all() {
+        let test = pt.test();
+        let summary = collect_states(&lkmm, &test, &EnumOptions::default()).unwrap();
+        let allowed: BTreeSet<String> = summary
+            .states
+            .iter()
+            .filter(|(_, count)| count.allowed > 0)
+            .map(|(state, _)| state.0.replace("; ", " "))
+            .collect();
+        let stats = run_on_host(&test, &HostConfig { iterations: 2_000 }).unwrap();
+        for state in stats.histogram.keys() {
+            assert!(allowed.contains(state), "{}: the host observed {state}", pt.name);
         }
     }
 }

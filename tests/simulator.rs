@@ -47,3 +47,27 @@ fn explore_results_are_pinned() {
     let digest = fnv64(text.as_bytes());
     assert_eq!(digest, 0x951f_d3db_f673_36f4, "{digest:#018x}");
 }
+
+/// A failing `cmpxchg` returns the value it read, as the LKMM and the
+/// hardware do, on every machine: sampled and explored, and also when a
+/// later statement depends on it.
+#[test]
+fn failing_cmpxchg_returns_the_old_value() {
+    let failing = "C cmpxchg-fails\n{ x=0; y=0; }\n\
+                   P0(int *x, int *y) { int r0; r0 = cmpxchg(x, 1, 2); }\nexists (0:r0=0)\n";
+    let dependent = "C cmpxchg-fails-then-stores\n{ x=0; y=0; }\n\
+                     P0(int *x, int *y) { int r0; r0 = cmpxchg(x, 1, 2); WRITE_ONCE(*y, r0); }\n\
+                     exists (0:r0=0)\n";
+    let config = RunConfig { iterations: 50, seed: 1 };
+    for arch in Arch::ALL_WITH_ALPHA {
+        let test = lkmm_litmus::parse(failing).unwrap();
+        let stats = run_test(&test, arch, &config).unwrap();
+        assert_eq!((stats.observed, stats.histogram.len()), (50, 1), "{}", arch.name());
+        assert!(stats.histogram.contains_key("0:r0=0"), "{}", arch.name());
+        let explored = explore(&test, arch, 10_000).unwrap();
+        assert_eq!(explored.outcomes, ["0:r0=0".to_string()].into(), "{}", arch.name());
+        let test = lkmm_litmus::parse(dependent).unwrap();
+        assert_eq!(run_test(&test, arch, &config).unwrap().observed, 50, "{}", arch.name());
+        assert!(explore(&test, arch, 10_000).unwrap().observable, "{}", arch.name());
+    }
+}
