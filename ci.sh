@@ -308,19 +308,22 @@ set -e
 test "$FAULT_STATUS" -eq 6
 grep -q 'inconclusive' /tmp/lkmm-ci-fault.err
 rm -f /tmp/lkmm-ci-fault.litmus /tmp/lkmm-ci-fault.err
-# A misjudging cat checker is caught by the conformance oracles and
-# shrunk to a minimal discriminating witness, exit code 7. Run with NO
-# store: a store would cache the poisoned verdicts.
-set +e
-LKMM_FAULTPOINTS=cat.misjudge target/release/herd-rs conformance \
-    --max-cycle-len 0 --sim-iterations 0 \
-    > /tmp/lkmm-ci-misjudge.out 2> /dev/null
-MISJUDGE_STATUS=$?
-set -e
-test "$MISJUDGE_STATUS" -eq 7
-grep -q 'DISCREPANCIES' /tmp/lkmm-ci-misjudge.out
-grep -q 'native-cat-agreement' /tmp/lkmm-ci-misjudge.out
-grep -q 'minimal witness' /tmp/lkmm-ci-misjudge.out
+# A misjudging checker, the cat LKMM or the native one, is caught by the
+# conformance oracles and shrunk to a minimal discriminating witness,
+# exit code 7. Run with NO store: a store would cache the poisoned
+# verdicts.
+for site in cat.misjudge lkmm.misjudge; do
+    set +e
+    LKMM_FAULTPOINTS=$site target/release/herd-rs conformance \
+        --max-cycle-len 0 --sim-iterations 0 \
+        > /tmp/lkmm-ci-misjudge.out 2> /dev/null
+    MISJUDGE_STATUS=$?
+    set -e
+    test "$MISJUDGE_STATUS" -eq 7
+    grep -q 'DISCREPANCIES' /tmp/lkmm-ci-misjudge.out
+    grep -q 'native-cat-agreement' /tmp/lkmm-ci-misjudge.out
+    grep -q 'minimal witness' /tmp/lkmm-ci-misjudge.out
+done
 rm -f /tmp/lkmm-ci-misjudge.out
 # A weakened lock family — the safe ticket variant silently generated
 # with relaxed orderings while still claiming Forbidden — is caught by

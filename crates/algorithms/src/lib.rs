@@ -25,7 +25,9 @@
 //! step-machine model carry an [`interleave::Machine`]: a loom-style
 //! exhaustive interleaving explorer ([`interleave::explore`]) decides
 //! whether the bad state is reachable under SC, which the conformance
-//! layer cross-checks against the axiomatic SC verdict. Real threaded
+//! layer cross-checks against the campaign's SC column
+//! (`lkmm_models::Sc`: `acyclic(po ∪ com)` plus RMW atomicity, the
+//! semantics of a machine's indivisible `Cas` step). Real threaded
 //! reference implementations (extending the `rcu::urcu` pattern) live
 //! in [`impls`].
 
@@ -39,36 +41,9 @@ mod rcu_tree;
 mod seqlock;
 mod ticket;
 
-use lkmm_exec::{ConsistencyModel, ExecFacts, Execution, Verdict};
+use lkmm_exec::Verdict;
 use lkmm_generator::GenError;
 use lkmm_litmus::ast::{Stmt, Test};
-
-/// Lamport sequential consistency *with atomic RMWs*: `acyclic(po ∪
-/// com)` plus the LKMM's `empty(rmw ∩ (fre ; coe))` atomicity axiom.
-///
-/// This is exactly the semantics the [`interleave`] step machines
-/// implement: a machine `Cas` step reads and writes in one indivisible
-/// step, so two CASes can never both claim the same old value. The
-/// interleave⇔axiomatic cross-check compares [`interleave::explore`]'s
-/// `bad_reachable` against this model's verdict. It coincides with
-/// `lkmm_models::Sc` but lives here so the algorithms crate (and the
-/// cross-check contract) stays self-contained.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ScAtomic;
-
-impl ConsistencyModel for ScAtomic {
-    fn name(&self) -> &str {
-        "SC+atomic"
-    }
-
-    fn allows(&self, x: &Execution) -> bool {
-        self.allows_with(x, &ExecFacts::new(x))
-    }
-
-    fn allows_with(&self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
-        facts.atomicity_ok() && x.shape.po.union(facts.com()).is_acyclic()
-    }
-}
 
 /// One algorithm family.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -112,29 +112,8 @@ impl ConsistencyModel for CatModel {
     ///
     /// Panics if the model has semantic errors (caught on first use; parse
     /// errors are already impossible here).
-    fn allows(&self, x: &Execution) -> bool {
-        self.allows_with(x, &ExecFacts::new(x))
-    }
-
     fn allows_with(&self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
-        let allowed = CatSession::new(self)
-            .evaluate_with(x, facts)
-            .expect("cat evaluation failed")
-            .allowed();
-        // `cat.misjudge` deliberately inverts verdicts so the conformance
-        // oracles can be demonstrated against a broken checker.
-        if lkmm_core::faultpoint::should_fail("cat.misjudge") {
-            !allowed
-        } else {
-            allowed
-        }
-    }
-
-    fn explain(&self, x: &Execution) -> Option<String> {
-        self.evaluate(x)
-            .expect("cat evaluation failed")
-            .failed_check
-            .map(|c| format!("violates cat check `{c}`"))
+        CatSession::new(self).try_allows_with(x, facts).expect("unmetered sessions never stop")
     }
 
     fn session(&self) -> Option<Box<dyn ModelSession + '_>> {
@@ -143,33 +122,11 @@ impl ConsistencyModel for CatModel {
 }
 
 impl ModelSession for CatSession<'_> {
-    /// # Panics
-    ///
-    /// Panics if the model has semantic errors, like
-    /// [`ConsistencyModel::allows`] on [`CatModel`].
-    fn allows(&mut self, x: &Execution) -> bool {
-        ModelSession::allows_with(self, x, &ExecFacts::new(x))
-    }
-
-    fn allows_with(&mut self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
-        let allowed = self
-            .evaluate_with(x, facts)
-            .expect("cat evaluation failed")
-            .allowed();
-        if lkmm_core::faultpoint::should_fail("cat.misjudge") {
-            !allowed
-        } else {
-            allowed
-        }
-    }
-
     /// Fuel exhaustion becomes a clean [`EvalStop`]; genuine semantic
-    /// errors still panic (contained by the pipeline's per-candidate
+    /// errors panic (contained by the pipeline's per-candidate
     /// `catch_unwind` in governed runs).
-    fn try_allows(&mut self, x: &Execution) -> Result<bool, lkmm_exec::EvalStop> {
-        self.try_allows_with(x, &ExecFacts::new(x))
-    }
-
+    ///
+    /// [`EvalStop`]: lkmm_exec::EvalStop
     fn try_allows_with(
         &mut self,
         x: &Execution,
@@ -180,11 +137,9 @@ impl ModelSession for CatSession<'_> {
             Err(e) if e.is_fuel_exhausted() => return Err(lkmm_exec::EvalStop),
             Err(e) => panic!("cat evaluation failed: {e}"),
         };
-        if lkmm_core::faultpoint::should_fail("cat.misjudge") {
-            Ok(!allowed)
-        } else {
-            Ok(allowed)
-        }
+        // `cat.misjudge` deliberately inverts verdicts so the conformance
+        // oracles can be demonstrated against a broken checker.
+        Ok(allowed != lkmm_core::faultpoint::should_fail("cat.misjudge"))
     }
 
     fn install_step_fuel(&mut self, fuel: std::sync::Arc<lkmm_core::budget::StepFuel>) {

@@ -19,8 +19,9 @@
 //!   hardware threads via the klitmus host runner;
 //! * **interleave agreement** — programs carrying a step machine are
 //!   exhaustively interleaved ([`interleave::explore`]) and the
-//!   reachability of the bad state must match the axiomatic
-//!   SC+atomicity verdict ([`lkmm_algorithms::ScAtomic`]).
+//!   reachability of the bad state must match the row's SC verdict
+//!   (`lkmm_models::Sc`: `acyclic(po ∪ com)` plus RMW atomicity, the
+//!   semantics of the machines' indivisible steps).
 //!
 //! The resulting [`AlgoReport`] wraps the driver's [`CampaignReport`]
 //! (per-model counts, oracle totals, discrepancies, quarantined units,
@@ -42,9 +43,9 @@ use crate::report::{
 };
 use crate::shrink::shrink_discrepancies;
 use lkmm_algorithms::interleave::{self, Machine};
-use lkmm_algorithms::{FamilyId, FamilyParams, ScAtomic};
+use lkmm_algorithms::{FamilyId, FamilyParams};
 use lkmm_core::budget::Budget;
-use lkmm_exec::{check, CheckOutcome, EnumOptions, PipelineOptions, Verdict};
+use lkmm_exec::Verdict;
 use lkmm_service::json::Json;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -60,9 +61,9 @@ pub struct AlgoConfig {
     pub salt: String,
     /// Worker threads (0 = all hardware threads, never more than the
     /// host has): the matrix pass checks this many units at once, each
-    /// on one thread, as in the cycle campaign; an interleave or shrink
-    /// re-check big enough to split spreads its pre-executions over this
-    /// many workers. Reports are identical at any value.
+    /// on one thread, as in the cycle campaign; a shrink re-check big
+    /// enough to split spreads its pre-executions over this many
+    /// workers. Reports are identical at any value.
     pub jobs: usize,
     /// Per-check budget; trips surface as inconclusive cells.
     pub budget: Budget,
@@ -236,7 +237,7 @@ pub fn run_algo_campaign_with(
         }
         if let Some(machine) = &program.machine {
             let agreement = &mut here[OracleKind::InterleaveAgreement.index()];
-            interleave_check_row(machine, cfg, row, discrepancies, agreement);
+            interleave_check_row(machine, cfg.interleave_max_states, row, discrepancies, agreement);
         }
         for (total, part) in summaries.iter_mut().zip(here) {
             *total += part;
@@ -300,34 +301,24 @@ fn host_check_row(
 /// Interleave agreement for one program with a step machine: exhaustive
 /// SC interleaving (capped at `interleave_max_states`; a truncated
 /// exploration is skipped rather than risking a false verdict) against
-/// the axiomatic SC+atomicity verdict. A quarantined unit's all-`None`
-/// row is skipped unexplored, as the matrix oracles skip it.
+/// the row's SC cell. A missing or inconclusive cell (a quarantined
+/// unit's row among them) is skipped unexplored.
 fn interleave_check_row(
     machine: &Machine,
-    cfg: &AlgoConfig,
+    max_states: usize,
     row: &MatrixRow,
     discrepancies: &mut Vec<Discrepancy>,
     summary: &mut OracleSummary,
 ) {
-    if row.cells.iter().all(Option::is_none) {
+    let Some(axiomatic) = row.verdict(ModelId::Sc) else {
         summary.skipped += 1;
         return;
-    }
-    let max_states = cfg.interleave_max_states;
+    };
     let explored = interleave::explore(machine, max_states);
     if explored.truncated {
         summary.skipped += 1;
         return;
     }
-    let opts = EnumOptions { budget: cfg.budget.clone(), ..EnumOptions::default() };
-    let pipe = PipelineOptions { jobs: cfg.jobs, ..PipelineOptions::default() };
-    let axiomatic = match check(&[&ScAtomic], &row.test, &opts, &pipe).into_first() {
-        CheckOutcome::Complete(result) => result.verdict,
-        CheckOutcome::Inconclusive { .. } => {
-            summary.skipped += 1;
-            return;
-        }
-    };
     summary.checked += 1;
     if explored.bad_reachable != (axiomatic == Verdict::Allowed) {
         summary.violations += 1;
@@ -335,7 +326,7 @@ fn interleave_check_row(
             test_name: row.test.name.clone(),
             oracle: OracleKind::InterleaveAgreement,
             detail: format!(
-                "interleaving says the bad state is {} ({} states explored), SC+atomic says {}",
+                "interleaving says the bad state is {} ({} states explored), SC says {}",
                 if explored.bad_reachable { "reachable" } else { "unreachable" },
                 explored.states,
                 axiomatic
@@ -452,6 +443,7 @@ mod tests {
     use super::*;
     use crate::oracle::recheck_violated;
     use crate::shrink::test_size;
+    use lkmm_exec::{EnumOptions, PipelineOptions};
 
     fn quick_config() -> AlgoConfig {
         AlgoConfig {
@@ -576,7 +568,7 @@ mod tests {
             panic!("injected panic opening a model session");
         }
 
-        fn allows(&self, _: &lkmm_exec::Execution) -> bool {
+        fn allows_with(&self, _: &lkmm_exec::Execution, _: &lkmm_exec::ExecFacts<'_>) -> bool {
             true
         }
     }

@@ -783,10 +783,6 @@ mod tests {
             self.sc.session()
         }
 
-        fn allows(&self, x: &Execution) -> bool {
-            self.sc.allows(x)
-        }
-
         fn allows_with(&self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
             self.sc.allows_with(x, facts)
         }

@@ -24,10 +24,13 @@ use lkmm_litmus::FenceKind;
 use lkmm_models::OriginalC11;
 use std::path::Path;
 
-/// One column of the verdict matrix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// One column of the verdict matrix, and the model choice of every
+/// other entry point (`Herd`, `herd-rs --model`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ModelId {
-    /// The native LKMM (Figure 3/8 axioms plus the Figure 12 RCU axiom).
+    /// The native LKMM (Figure 3/8 axioms plus the Figure 12 RCU axiom);
+    /// the default.
+    #[default]
     LkmmNative,
     /// The LKMM interpreted from its embedded cat file.
     LkmmCat,
@@ -72,6 +75,21 @@ impl ModelId {
             ModelId::Power => "power",
             ModelId::C11 => "c11",
         }
+    }
+
+    /// Parse a command-line name: a [`ModelId::column`] name or one of
+    /// the aliases `cat`, `x86`, `x86-tso`, `arm`, `aarch64`, `ppc` and
+    /// `power8`, in any case.
+    pub fn parse_name(name: &str) -> Option<ModelId> {
+        let name = name.to_ascii_lowercase();
+        let column = match name.as_str() {
+            "cat" => "lkmm-cat",
+            "x86" | "x86-tso" => "tso",
+            "arm" | "aarch64" => "armv8",
+            "ppc" | "power8" => "power",
+            other => other,
+        };
+        ModelId::ALL.into_iter().find(|id| id.column() == column)
     }
 
     /// Instantiate the reference checker for this column.

@@ -22,7 +22,7 @@
 //! declared expectation), **host soundness** (the klitmus runner never
 //! observes an LKMM-forbidden outcome on real threads), and
 //! **interleave agreement** (exhaustive step-machine interleaving
-//! agrees with the axiomatic SC+atomicity verdict).
+//! agrees with the row's SC verdict).
 //!
 //! A violation is a structured [`Discrepancy`] carrying a re-checkable
 //! [`Recheck`] predicate. Re-checks always recompute from scratch —
@@ -59,8 +59,8 @@ pub enum OracleKind {
     /// outcome on real hardware threads.
     HostSoundness,
     /// Loom-style exhaustive interleaving of a program's step machine
-    /// agrees with the axiomatic SC+atomicity verdict: the bad state is
-    /// reachable iff the model allows the condition.
+    /// agrees with the row's SC verdict: the bad state is reachable iff
+    /// the SC column allows the condition.
     InterleaveAgreement,
 }
 
@@ -127,7 +127,7 @@ pub enum Recheck {
     /// family-safety discrepancies shrink to a minimal program that
     /// still gets the wrong verdict — and when the wrong verdict is an
     /// *Allow*, the recheck additionally demands the outcome be weak
-    /// (SC+atomicity forbids it), so the minimal witness is a genuine
+    /// (the SC column forbids it), so the minimal witness is a genuine
     /// weak-memory discriminator rather than the empty program.
     FamilyExpectation { expect: Verdict },
     /// A klitmus host run observes an outcome the LKMM forbids.
@@ -135,7 +135,7 @@ pub enum Recheck {
     /// re-run may not reproduce the observation), but never shrunk.
     HostObservation { iterations: u64 },
     /// Exhaustive interleaving of the program's step machine disagrees
-    /// with the axiomatic SC+atomicity verdict. The machine travels
+    /// with the SC column's verdict. The machine travels
     /// with the check — it is hand-built per family and cannot be
     /// re-derived from a mutated test, so these are never shrunk.
     InterleaveDivergence {
@@ -402,16 +402,13 @@ pub fn recheck_violated(
                 }
                 match native.verdict {
                     // A wrong Allow must be backed by a genuinely weak
-                    // outcome — one the SC+atomicity interleaving
-                    // reference forbids. Without this the shrinker
-                    // would collapse every wrong-Allow witness to the
-                    // trivially-allowed empty program, which
-                    // discriminates nothing.
-                    Verdict::Allowed => matches!(
-                        lkmm_exec::check(&[&lkmm_algorithms::ScAtomic], test, opts, pipe)
-                            .into_first(),
-                        CheckOutcome::Complete(r) if r.verdict == Verdict::Forbidden
-                    ),
+                    // outcome — one the SC column forbids. Without this
+                    // the shrinker would collapse every wrong-Allow
+                    // witness to the trivially-allowed empty program,
+                    // which discriminates nothing.
+                    Verdict::Allowed => {
+                        run(ModelId::Sc).is_some_and(|sc| sc.verdict == Verdict::Forbidden)
+                    }
                     _ => true,
                 }
             }
@@ -430,18 +427,14 @@ pub fn recheck_violated(
         }
         Recheck::InterleaveDivergence { machine, max_states } => {
             // Recompute both sides from scratch: the machine re-explored,
-            // the axiomatic side re-checked under SC+atomicity (the
-            // semantics the machine implements — see
-            // [`lkmm_algorithms::ScAtomic`]).
+            // the axiomatic side re-checked by the SC column.
             let explored = lkmm_algorithms::interleave::explore(machine, *max_states);
             if explored.truncated {
                 return false;
             }
-            match lkmm_exec::check(&[&lkmm_algorithms::ScAtomic], test, opts, pipe).into_first() {
-                CheckOutcome::Complete(result) => {
-                    explored.bad_reachable != (result.verdict == Verdict::Allowed)
-                }
-                CheckOutcome::Inconclusive { .. } => false,
+            match run(ModelId::Sc) {
+                Some(sc) => explored.bad_reachable != (sc.verdict == Verdict::Allowed),
+                None => false,
             }
         }
     }

@@ -260,34 +260,12 @@ impl ConsistencyModel for Lkmm {
         }
     }
 
-    fn allows(&self, x: &Execution) -> bool {
-        self.allows_with(x, &ExecFacts::new(x))
-    }
-
     fn allows_with(&self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
-        let statics = LkmmStatics::compute_with_facts(x, facts);
-        let mut tmp = AxiomScratch::default();
-        let allowed = self.violated_axiom_pooled(x, &statics, facts, &mut tmp).is_none();
-        // `lkmm.misjudge` deliberately inverts verdicts so the conformance
-        // oracles can be demonstrated against a broken checker.
-        if lkmm_core::faultpoint::should_fail("lkmm.misjudge") {
-            !allowed
-        } else {
-            allowed
-        }
-    }
-
-    fn explain(&self, x: &Execution) -> Option<String> {
-        self.violated_axiom(x).map(|a| format!("violates {a}"))
+        LkmmSession::new(*self).try_allows_with(x, facts).expect("unmetered sessions never stop")
     }
 
     fn session(&self) -> Option<Box<dyn ModelSession + '_>> {
-        Some(Box::new(LkmmSession {
-            model: *self,
-            cache: None,
-            fuel: None,
-            tmp: AxiomScratch::default(),
-        }))
+        Some(Box::new(LkmmSession::new(*self)))
     }
 }
 
@@ -305,33 +283,16 @@ pub struct LkmmSession {
     tmp: AxiomScratch,
 }
 
+impl LkmmSession {
+    fn new(model: Lkmm) -> Self {
+        LkmmSession { model, cache: None, fuel: None, tmp: AxiomScratch::default() }
+    }
+}
+
 impl ModelSession for LkmmSession {
-    fn allows(&mut self, x: &Execution) -> bool {
-        self.allows_with(x, &ExecFacts::new(x))
-    }
-
-    fn allows_with(&mut self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
-        let hit = self.cache.as_ref().is_some_and(|(shape, _)| Arc::ptr_eq(shape, &x.shape));
-        if !hit {
-            self.cache = Some((Arc::clone(&x.shape), LkmmStatics::compute_with_facts(x, facts)));
-        }
-        let statics = &self.cache.as_ref().expect("cache filled above").1;
-        let allowed =
-            self.model.violated_axiom_pooled(x, statics, facts, &mut self.tmp).is_none();
-        if lkmm_core::faultpoint::should_fail("lkmm.misjudge") {
-            !allowed
-        } else {
-            allowed
-        }
-    }
-
     /// The native axioms are evaluated by closed-form relation algebra
     /// (no open-ended fixpoints), so the step cost of one candidate is
     /// charged as `1 + |events|` units against the shared tank.
-    fn try_allows(&mut self, x: &Execution) -> Result<bool, lkmm_exec::EvalStop> {
-        self.try_allows_with(x, &ExecFacts::new(x))
-    }
-
     fn try_allows_with(
         &mut self,
         x: &Execution,
@@ -342,7 +303,16 @@ impl ModelSession for LkmmSession {
                 return Err(lkmm_exec::EvalStop);
             }
         }
-        Ok(self.allows_with(x, facts))
+        let hit = self.cache.as_ref().is_some_and(|(shape, _)| Arc::ptr_eq(shape, &x.shape));
+        if !hit {
+            self.cache = Some((Arc::clone(&x.shape), LkmmStatics::compute_with_facts(x, facts)));
+        }
+        let statics = &self.cache.as_ref().expect("cache filled above").1;
+        let allowed =
+            self.model.violated_axiom_pooled(x, statics, facts, &mut self.tmp).is_none();
+        // `lkmm.misjudge` deliberately inverts verdicts so the conformance
+        // oracles can be demonstrated against a broken checker.
+        Ok(allowed != lkmm_core::faultpoint::should_fail("lkmm.misjudge"))
     }
 
     fn install_step_fuel(&mut self, fuel: Arc<lkmm_core::budget::StepFuel>) {
@@ -456,7 +426,7 @@ mod tests {
         let mut session = model.session().unwrap();
         let mut cache = lkmm_exec::FactsCache::new();
         for x in a.iter().chain(&b).chain(&a) {
-            assert_eq!(session.allows_with(x, &cache.facts(x)), model.allows(x));
+            assert_eq!(session.try_allows_with(x, &cache.facts(x)), Ok(model.allows(x)));
         }
     }
 

@@ -18,34 +18,22 @@ pub trait ConsistencyModel: Sync {
     /// Short model name, e.g. `"LKMM"`.
     fn name(&self) -> &str;
 
-    /// Whether the model allows this candidate execution.
-    fn allows(&self, x: &Execution) -> bool;
+    /// Whether the model allows this candidate execution, reading the
+    /// derived relations it shares with other models (`fr`, `com`, fence
+    /// sets, …) from `facts`, so N models checking one candidate share
+    /// one copy of each.
+    fn allows_with(&self, x: &Execution, facts: &ExecFacts<'_>) -> bool;
 
-    /// As [`ConsistencyModel::allows`], reading shared derived relations
-    /// from `facts` instead of recomputing them. Models whose axioms use
-    /// the common base relations (`fr`, `com`, fence sets, …) override
-    /// this so N models checking one candidate share one copy of each;
-    /// the default ignores the facts.
-    fn allows_with(&self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
-        let _ = facts;
-        self.allows(x)
-    }
-
-    /// A human-readable reason the execution is forbidden, if it is.
-    ///
-    /// The default implementation reports only allow/forbid.
-    fn explain(&self, x: &Execution) -> Option<String> {
-        if self.allows(x) {
-            None
-        } else {
-            Some(format!("forbidden by {}", self.name()))
-        }
+    /// As [`ConsistencyModel::allows_with`], computing the facts for
+    /// this one candidate.
+    fn allows(&self, x: &Execution) -> bool {
+        self.allows_with(x, &ExecFacts::new(x))
     }
 
     /// Open a stateful per-worker evaluation session, if the model has
     /// one. Sessions may carry mutable caches keyed on the candidate's
     /// shared pre-execution (e.g. the cat evaluator's static node
-    /// slots), which a `&self` [`ConsistencyModel::allows`] cannot.
+    /// slots), which a `&self` [`ConsistencyModel::allows_with`] cannot.
     ///
     /// Callers should go through [`open_session`], which falls back to a
     /// stateless pass-through for models that return `None` here.
@@ -56,58 +44,38 @@ pub trait ConsistencyModel: Sync {
 
 /// Model evaluation stopped because its step fuel ran out. Not an
 /// evaluation *error*: the model is fine, the budget is spent. See
-/// [`ModelSession::try_allows`].
+/// [`ModelSession::try_allows_with`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EvalStop;
 
 /// A stateful evaluation handle used by one checking thread. Unlike
-/// [`ConsistencyModel::allows`], [`ModelSession::allows`] takes `&mut
-/// self`, so implementations can cache work shared by the candidates of
-/// one litmus test (static event sets, compiled environments, …) without
-/// interior mutability. Sessions are cheap to create: the pipeline opens
-/// one per worker.
+/// [`ConsistencyModel::allows_with`], [`ModelSession::try_allows_with`]
+/// takes `&mut self`, so implementations can cache work shared by the
+/// candidates of one litmus test (static event sets, compiled
+/// environments, …) without interior mutability. Sessions are cheap to
+/// create: the pipeline opens one per worker.
 pub trait ModelSession {
-    /// Whether the model allows this candidate execution.
-    fn allows(&mut self, x: &Execution) -> bool;
-
-    /// As [`ModelSession::allows`], reading shared derived relations
-    /// from `facts`. The default ignores the facts.
-    fn allows_with(&mut self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
-        let _ = facts;
-        self.allows(x)
-    }
-
-    /// Budget-aware variant of [`ModelSession::allows`]: returns
-    /// `Err(EvalStop)` when the session's installed [`StepFuel`] runs
-    /// dry mid-evaluation. The default ignores fuel entirely, which is
-    /// correct for models whose per-candidate cost is trivially bounded.
-    fn try_allows(&mut self, x: &Execution) -> Result<bool, EvalStop> {
-        Ok(self.allows(x))
-    }
-
-    /// Budget-aware, facts-sharing evaluation — what the pipeline calls
-    /// for every candidate. The default falls back to
-    /// [`ModelSession::try_allows`], preserving the fuel behaviour of
-    /// sessions that predate the facts layer.
+    /// Whether the model allows this candidate execution, reading shared
+    /// derived relations from `facts`; what the pipeline calls for every
+    /// candidate. Returns `Err(EvalStop)` when the session's installed
+    /// [`StepFuel`] runs dry mid-evaluation, and never without one.
     fn try_allows_with(
         &mut self,
         x: &Execution,
         facts: &ExecFacts<'_>,
-    ) -> Result<bool, EvalStop> {
-        let _ = facts;
-        self.try_allows(x)
-    }
+    ) -> Result<bool, EvalStop>;
 
     /// Hand the session a shared evaluation-step fuel tank. Sessions
     /// that meter their work (the cat evaluator, the native LKMM)
-    /// consume from it inside [`ModelSession::try_allows`]; the default
-    /// discards it.
+    /// consume from it inside [`ModelSession::try_allows_with`]; the
+    /// default discards it, which is correct for models whose
+    /// per-candidate cost is trivially bounded.
     fn install_step_fuel(&mut self, _fuel: Arc<StepFuel>) {}
 }
 
 /// Open an evaluation session for `model`: its own caching session if it
 /// provides one, otherwise a stateless adapter over
-/// [`ConsistencyModel::allows`].
+/// [`ConsistencyModel::allows_with`].
 pub fn open_session(model: &dyn ConsistencyModel) -> Box<dyn ModelSession + '_> {
     model.session().unwrap_or_else(|| Box::new(StatelessSession(model)))
 }
@@ -115,14 +83,6 @@ pub fn open_session(model: &dyn ConsistencyModel) -> Box<dyn ModelSession + '_> 
 struct StatelessSession<'a>(&'a dyn ConsistencyModel);
 
 impl ModelSession for StatelessSession<'_> {
-    fn allows(&mut self, x: &Execution) -> bool {
-        self.0.allows(x)
-    }
-
-    fn allows_with(&mut self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
-        self.0.allows_with(x, facts)
-    }
-
     fn try_allows_with(
         &mut self,
         x: &Execution,
@@ -179,13 +139,13 @@ pub struct TestResult {
 ///
 /// ```
 /// use lkmm_exec::model::{check_test, ConsistencyModel, Verdict};
-/// use lkmm_exec::{enumerate::EnumOptions, Execution};
+/// use lkmm_exec::{enumerate::EnumOptions, ExecFacts, Execution};
 ///
 /// /// A model that allows everything.
 /// struct Anything;
 /// impl ConsistencyModel for Anything {
 ///     fn name(&self) -> &str { "anything" }
-///     fn allows(&self, _: &Execution) -> bool { true }
+///     fn allows_with(&self, _: &Execution, _: &ExecFacts<'_>) -> bool { true }
 /// }
 ///
 /// let test = lkmm_litmus::library::by_name("SB").unwrap().test();
@@ -206,7 +166,7 @@ pub fn check_test(
     for_each_execution(test, opts, &mut |x| {
         candidates += 1;
         let facts = cache.facts(x);
-        if session.allows_with(x, &facts) {
+        if session.try_allows_with(x, &facts).expect("unmetered sessions never stop") {
             allowed += 1;
             if x.satisfies_prop(&test.condition.prop) {
                 witnesses += 1;
@@ -234,7 +194,7 @@ impl ConsistencyModel for AllowAll {
         "allow-all"
     }
 
-    fn allows(&self, _: &Execution) -> bool {
+    fn allows_with(&self, _: &Execution, _: &ExecFacts<'_>) -> bool {
         true
     }
 }

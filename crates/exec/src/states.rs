@@ -133,7 +133,7 @@ mod tests {
             fn name(&self) -> &str {
                 "no-weak"
             }
-            fn allows(&self, x: &Execution) -> bool {
+            fn allows_with(&self, x: &Execution, _: &crate::ExecFacts<'_>) -> bool {
                 // Forbid executions where both final regs are (1, 0).
                 let reg = |name| x.final_regs[1][x.program.reg(1, name).unwrap() as usize];
                 !(reg("r0") == Some(crate::event::Val::Int(1))

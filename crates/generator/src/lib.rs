@@ -28,7 +28,6 @@
 //! ```
 
 pub mod family;
-pub mod sweep;
 
 use lkmm_litmus::ast::{AddrExpr, BinOp, Expr, FenceKind, Stmt, Test, Thread};
 use lkmm_litmus::cond::{CondVal, Condition, Prop, Quantifier, StateTerm};

@@ -45,7 +45,7 @@ use lkmm_litmus::ast::{BinOp, FenceKind, RmwOrder, Test};
 use lkmm_rcu::Urcu;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::atomic::{fence, AtomicI64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicI64, Ordering};
 use std::sync::Barrier;
 
 /// Host-run configuration.
@@ -117,7 +117,9 @@ fn decode(v: i64) -> Val {
 ///
 /// # Errors
 ///
-/// See [`HostError`].
+/// See [`HostError`]. A thread whose body fails still meets the others
+/// at the end of that iteration, where every thread stops; the error
+/// returned is the first in thread order.
 pub fn run_on_host(test: &Test, config: &HostConfig) -> Result<HostStats, HostError> {
     let prog = Program::lower(test);
     // Reject unsupported constructs up front.
@@ -134,6 +136,9 @@ pub fn run_on_host(test: &Test, config: &HostConfig) -> Result<HostStats, HostEr
     let srcu: Vec<Urcu> = (0..prog.locs.len()).map(|_| Urcu::new(n_threads)).collect();
     let start = Barrier::new(n_threads);
     let finish = Barrier::new(n_threads);
+    // Set by a thread whose body failed; `finish` orders the store
+    // before every thread's load.
+    let failed = AtomicBool::new(false);
 
     /// Per-worker result: its final registers, iteration after
     /// iteration, plus (thread 0 only) the memory snapshot per iteration.
@@ -143,7 +148,7 @@ pub fn run_on_host(test: &Test, config: &HostConfig) -> Result<HostStats, HostEr
         let mut handles = Vec::new();
         for tid in 0..n_threads {
             let (prog, mem, rcu, srcu) = (&prog, &mem, &rcu, &srcu);
-            let (start, finish, init) = (&start, &finish, &init);
+            let (start, finish, failed, init) = (&start, &finish, &failed, &init);
             handles.push(scope.spawn(move || -> Result<WorkerOut, HostError> {
                 let code = &prog.threads[tid];
                 let mut finals = Vec::with_capacity(config.iterations as usize * code.names.len());
@@ -160,9 +165,16 @@ pub fn run_on_host(test: &Test, config: &HostConfig) -> Result<HostStats, HostEr
                     }
                     start.wait();
                     interp.regs.fill(None);
-                    interp.run(code.body)?;
+                    let body = interp.run(code.body);
+                    if body.is_err() {
+                        failed.store(true, Ordering::Relaxed);
+                    }
                     finals.extend_from_slice(&interp.regs);
                     finish.wait();
+                    body?;
+                    if failed.load(Ordering::Relaxed) {
+                        break;
+                    }
                     // All bodies are done; snapshot the final memory
                     // before the next iteration's reset.
                     if tid == 0 {
@@ -201,65 +213,6 @@ pub fn run_on_host(test: &Test, config: &HostConfig) -> Result<HostStats, HostEr
         *stats.histogram.entry(prog.render(&vals, " ")).or_insert(0) += n;
     }
     Ok(stats)
-}
-
-/// Run a batch of tests on the host, `jobs` tests at a time (`0` = one
-/// per available hardware thread).
-///
-/// Results come back in input order regardless of which worker ran which
-/// test. Each test still spawns its own litmus threads, so the effective
-/// thread count is `jobs × threads-per-test`; callers batching large
-/// libraries may want `jobs` below the hardware thread count.
-///
-/// # Examples
-///
-/// ```
-/// use lkmm_klitmus::{run_many_on_host, HostConfig};
-///
-/// let tests: Vec<_> = ["SB+mbs", "MP+wmb+rmb"]
-///     .iter()
-///     .map(|n| lkmm_litmus::library::by_name(n).unwrap().test())
-///     .collect();
-/// let stats = run_many_on_host(&tests, &HostConfig { iterations: 500 }, 2);
-/// assert!(stats.iter().all(|s| s.as_ref().unwrap().observed == 0));
-/// ```
-pub fn run_many_on_host(
-    tests: &[Test],
-    config: &HostConfig,
-    jobs: usize,
-) -> Vec<Result<HostStats, HostError>> {
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        jobs
-    };
-    let jobs = jobs.min(tests.len().max(1));
-    if jobs <= 1 {
-        return tests.iter().map(|t| run_on_host(t, config)).collect();
-    }
-    let mut out: Vec<Option<Result<HostStats, HostError>>> = Vec::new();
-    out.resize_with(tests.len(), || None);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(jobs);
-        for w in 0..jobs {
-            handles.push(scope.spawn(move || {
-                // Strided assignment: worker w runs tests w, w+jobs, …
-                tests
-                    .iter()
-                    .enumerate()
-                    .skip(w)
-                    .step_by(jobs)
-                    .map(|(i, t)| (i, run_on_host(t, config)))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        for h in handles {
-            for (i, r) in h.join().expect("klitmus worker panicked") {
-                out[i] = Some(r);
-            }
-        }
-    });
-    out.into_iter().map(|r| r.expect("every test assigned to a worker")).collect()
 }
 
 struct Interp<'a> {
@@ -464,24 +417,6 @@ mod tests {
     fn pointer_tests_run() {
         let stats = run("MP+wmb+addr-acq", 5_000);
         assert_eq!(stats.observed, 0, "acquire-protected pointer chase broke");
-    }
-
-    #[test]
-    fn run_many_matches_run_one_for_forbidden_tests() {
-        let tests: Vec<_> = ["SB+mbs", "MP+wmb+rmb", "LB+ctrl+mb"]
-            .iter()
-            .map(|n| library::by_name(n).unwrap().test())
-            .collect();
-        let config = HostConfig { iterations: 2_000 };
-        for jobs in [1, 2, 0] {
-            let many = run_many_on_host(&tests, &config, jobs);
-            assert_eq!(many.len(), tests.len());
-            for (t, r) in tests.iter().zip(&many) {
-                let r = r.as_ref().unwrap();
-                assert_eq!(r.observed, 0, "{} (jobs={jobs})", t.name);
-                assert_eq!(r.total, config.iterations);
-            }
-        }
     }
 
     #[test]

@@ -133,10 +133,6 @@ impl ConsistencyModel for Armv8 {
         "ARMv8"
     }
 
-    fn allows(&self, x: &Execution) -> bool {
-        self.allows_with(x, &ExecFacts::new(x))
-    }
-
     fn allows_with(&self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
         // Internal visibility (per-location coherence), then atomicity.
         if !facts.sc_per_loc_ok() || !facts.atomicity_ok() {

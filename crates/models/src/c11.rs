@@ -269,10 +269,6 @@ impl ConsistencyModel for OriginalC11 {
         "C11"
     }
 
-    fn allows(&self, x: &Execution) -> bool {
-        self.allows_with(x, &ExecFacts::new(x))
-    }
-
     fn allows_with(&self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
         let pool = facts.arena();
         let n = x.universe();

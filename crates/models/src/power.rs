@@ -257,10 +257,6 @@ impl ConsistencyModel for Power {
         "Power"
     }
 
-    fn allows(&self, x: &Execution) -> bool {
-        self.allows_with(x, &ExecFacts::new(x))
-    }
-
     fn allows_with(&self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
         if !facts.sc_per_loc_ok() || !facts.atomicity_ok() {
             return false;

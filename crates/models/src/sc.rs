@@ -34,10 +34,6 @@ impl ConsistencyModel for Sc {
         "SC"
     }
 
-    fn allows(&self, x: &Execution) -> bool {
-        self.allows_with(x, &ExecFacts::new(x))
-    }
-
     fn allows_with(&self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
         if !facts.atomicity_ok() {
             return false;

@@ -83,10 +83,6 @@ impl ConsistencyModel for X86Tso {
         "x86-TSO"
     }
 
-    fn allows(&self, x: &Execution) -> bool {
-        self.allows_with(x, &ExecFacts::new(x))
-    }
-
     fn allows_with(&self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
         // Per-location coherence, then atomicity of RMWs.
         if !facts.sc_per_loc_ok() || !facts.atomicity_ok() {

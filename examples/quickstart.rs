@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use linux_kernel_memory_model::{Herd, ModelChoice};
+use linux_kernel_memory_model::{Herd, ModelId};
 use lkmm::{explain_violation, Lkmm, LkmmRelations};
 use lkmm_exec::enumerate::{enumerate, EnumOptions};
 
@@ -36,7 +36,7 @@ exists (1:r1=1 /\ 1:r2=0)
 
 fn main() {
     // 1. The one-call API.
-    let herd = Herd::new(ModelChoice::Lkmm);
+    let herd = Herd::new(ModelId::LkmmNative);
     let report = herd.check_source(MESSAGE_PASSING).expect("valid litmus");
     println!("{report}\n");
 
@@ -67,7 +67,7 @@ fn main() {
     }
 
     // 5. Compare models in one line each.
-    for choice in [ModelChoice::Sc, ModelChoice::Tso, ModelChoice::C11, ModelChoice::LkmmCat] {
+    for choice in [ModelId::Sc, ModelId::Tso, ModelId::C11, ModelId::LkmmCat] {
         let r = Herd::new(choice).check_source(MESSAGE_PASSING).unwrap();
         println!("{:10} says: {}", r.model_name, r.result.verdict);
     }

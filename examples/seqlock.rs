@@ -16,7 +16,7 @@
 //! cargo run --release --example seqlock
 //! ```
 
-use linux_kernel_memory_model::{Herd, ModelChoice};
+use linux_kernel_memory_model::{Herd, ModelId};
 use lkmm_exec::states::collect_states;
 use lkmm_exec::enumerate::EnumOptions;
 
@@ -54,7 +54,7 @@ fn seqlock_source(wmb: &str, rmb: &str) -> String {
 }
 
 fn main() {
-    let herd = Herd::new(ModelChoice::Lkmm);
+    let herd = Herd::new(ModelId::LkmmNative);
 
     // With the kernel's barriers: an accepted read is never torn.
     let good = seqlock_source("smp_wmb();", "smp_rmb();");
@@ -72,7 +72,7 @@ fn main() {
     // appears among the allowed ones.
     let test = lkmm_litmus::parse(&broken).unwrap();
     let summary = collect_states(
-        ModelChoice::Lkmm.model().as_ref(),
+        ModelId::LkmmNative.instantiate().as_ref(),
         &test,
         &EnumOptions::default(),
     )

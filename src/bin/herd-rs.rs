@@ -112,7 +112,7 @@ use linux_kernel_memory_model::service::{
     MultiBatchChecker, MultiColumn, RecoveryReport, ServeSession, ShardedStore, VerdictStore,
 };
 use linux_kernel_memory_model::{
-    Budget, CheckOutcome, Herd, InconclusiveReason, ModelChoice, MultiCheckOutcome, Report, Tally,
+    Budget, CheckOutcome, Herd, InconclusiveReason, ModelId, MultiCheckOutcome, Report, Tally,
 };
 use lkmm_core::quota::ClientQuota;
 use lkmm_exec::enumerate::{enumerate, EnumOptions};
@@ -371,9 +371,10 @@ impl Value<'_> {
     }
 }
 
-fn model(name: &str) -> Result<ModelChoice, String> {
-    ModelChoice::parse_name(name).ok_or_else(|| {
-        format!("unknown model `{name}` (lkmm, lkmm-cat, sc, tso, armv8, power, c11)")
+fn model(name: &str) -> Result<ModelId, String> {
+    ModelId::parse_name(name).ok_or_else(|| {
+        let known: Vec<_> = ModelId::ALL.iter().map(|m| m.column()).collect();
+        format!("unknown model `{name}` ({})", known.join(", "))
     })
 }
 
@@ -388,8 +389,8 @@ fn family(name: &str) -> Result<FamilyId, String> {
 #[derive(Default)]
 struct Cli {
     mode: Mode,
-    model: ModelChoice,
-    models: Option<Vec<ModelChoice>>,
+    model: ModelId,
+    models: Option<Vec<ModelId>>,
     file: Option<String>,
     dot: bool,
     states: bool,
@@ -758,7 +759,7 @@ fn file_mode(cli: &Cli) -> ExitCode {
     }
 
     let (model_name, outcome) = if let Some(store_path) = cli.store.as_deref() {
-        let model = cli.model.model();
+        let model = cli.model.instantiate();
         let opts = EnumOptions::default();
         let mut checker = match store_checker(cli, model.as_ref(), store_path, opts) {
             Ok(c) => c,
@@ -798,7 +799,7 @@ fn file_mode(cli: &Cli) -> ExitCode {
 
     println!("{report}");
     if cli.states {
-        match collect_states(cli.model.model().as_ref(), &test, &EnumOptions::default()) {
+        match collect_states(cli.model.instantiate().as_ref(), &test, &EnumOptions::default()) {
             Ok(summary) => println!("\n{summary}"),
             Err(e) => eprintln!("states: {e}"),
         }
@@ -822,7 +823,7 @@ fn file_mode(cli: &Cli) -> ExitCode {
 /// the point of the single-enumeration path.
 fn multi_mode(
     cli: &Cli,
-    models: &[ModelChoice],
+    models: &[ModelId],
     test: &lkmm_litmus::Test,
     path: &str,
 ) -> ExitCode {
@@ -982,7 +983,7 @@ fn list_algorithms_mode() -> ExitCode {
 }
 
 fn serve_mode(cli: &Cli) -> ExitCode {
-    let model = cli.model.model();
+    let model = cli.model.instantiate();
     let store = match open_store(cli.store.as_deref()) {
         Ok(s) => s,
         Err(code) => return code,
@@ -1056,7 +1057,7 @@ fn serve_tcp_mode(cli: &Cli, addr: &str) -> ExitCode {
         Err(e) => return fail_code(EXIT_INTERNAL, &format!("serve: {e}")),
     }
     let choice = cli.model;
-    match serve_tcp(listener, &move || choice.model(), &cli.salt, store.clone(), &config) {
+    match serve_tcp(listener, &move || choice.instantiate(), &cli.salt, store.clone(), &config) {
         Ok(summary) => {
             for st in store.stats() {
                 if let Some(why) = &st.poisoned {
@@ -1305,7 +1306,7 @@ fn library_plain(cli: &Cli) -> ExitCode {
 /// observability on stderr. A fully warm store answers the whole library
 /// without enumerating a single candidate execution.
 fn library_via_store(cli: &Cli, store_path: &str) -> ExitCode {
-    let model = cli.model.model();
+    let model = cli.model.instantiate();
     let stats = cli.stats();
     let opts = EnumOptions { stats: stats.0.clone(), ..EnumOptions::default() };
     let mut checker = match store_checker(cli, model.as_ref(), store_path, opts) {
@@ -1352,7 +1353,7 @@ mod tests {
         let cli = parse(&["--models", "sc,tso,c11", "t.litmus"]).unwrap().unwrap();
         assert_eq!(
             cli.models,
-            Some(vec![ModelChoice::Sc, ModelChoice::Tso, ModelChoice::C11])
+            Some(vec![ModelId::Sc, ModelId::Tso, ModelId::C11])
         );
         assert_eq!(cli.file.as_deref(), Some("t.litmus"));
     }
@@ -1362,7 +1363,7 @@ mod tests {
         let cli = parse(&["--models", "x86, aarch64 ,cat", "t.litmus"]).unwrap().unwrap();
         assert_eq!(
             cli.models,
-            Some(vec![ModelChoice::Tso, ModelChoice::Armv8, ModelChoice::LkmmCat])
+            Some(vec![ModelId::Tso, ModelId::Armv8, ModelId::LkmmCat])
         );
     }
 

@@ -42,9 +42,9 @@
 //! # Quickstart
 //!
 //! ```
-//! use linux_kernel_memory_model::{Herd, ModelChoice};
+//! use linux_kernel_memory_model::{Herd, ModelId};
 //!
-//! let herd = Herd::new(ModelChoice::Lkmm);
+//! let herd = Herd::new(ModelId::LkmmNative);
 //! let report = herd.check_source(r#"
 //! C MP+wmb+rmb
 //! { x=0; y=0; }
@@ -73,6 +73,7 @@ pub use lkmm_server as server;
 pub use lkmm_service as service;
 pub use lkmm_sim as sim;
 
+pub use lkmm_conformance::ModelId;
 pub use lkmm_exec::{
     Budget, BudgetKind, CancelToken, CheckOutcome, InconclusiveReason, MultiCheckOutcome, Tally,
 };
@@ -81,55 +82,6 @@ use lkmm_exec::enumerate::EnumOptions;
 use lkmm_exec::{check, ConsistencyModel, EnumError, PipelineOptions, TestResult, Verdict};
 use lkmm_litmus::{parse, ParseError, Test};
 use std::fmt;
-
-/// Which consistency model to check against.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum ModelChoice {
-    /// The native LKMM (core + RCU axioms); the default.
-    #[default]
-    Lkmm,
-    /// The LKMM interpreted from its embedded cat file.
-    LkmmCat,
-    /// Sequential consistency.
-    Sc,
-    /// x86-TSO.
-    Tso,
-    /// Simplified ARMv8 (ordered-before style).
-    Armv8,
-    /// IBM Power (herding-cats style).
-    Power,
-    /// Original C11 under the P0124 mapping.
-    C11,
-}
-
-impl ModelChoice {
-    /// Instantiate the model.
-    pub fn model(self) -> Box<dyn ConsistencyModel> {
-        match self {
-            ModelChoice::Lkmm => Box::new(lkmm::Lkmm::new()),
-            ModelChoice::LkmmCat => Box::new(lkmm_cat::linux_kernel_model()),
-            ModelChoice::Sc => Box::new(lkmm_models::Sc),
-            ModelChoice::Tso => Box::new(lkmm_models::X86Tso),
-            ModelChoice::Armv8 => Box::new(lkmm_models::Armv8),
-            ModelChoice::Power => Box::new(lkmm_models::Power),
-            ModelChoice::C11 => Box::new(lkmm_models::OriginalC11),
-        }
-    }
-
-    /// Parse a command-line name (`lkmm`, `lkmm-cat`, `sc`, `tso`, `armv8`, `power`, `c11`).
-    pub fn parse_name(name: &str) -> Option<ModelChoice> {
-        Some(match name.to_ascii_lowercase().as_str() {
-            "lkmm" => ModelChoice::Lkmm,
-            "lkmm-cat" | "cat" => ModelChoice::LkmmCat,
-            "sc" => ModelChoice::Sc,
-            "tso" | "x86" | "x86-tso" => ModelChoice::Tso,
-            "armv8" | "arm" | "aarch64" => ModelChoice::Armv8,
-            "power" | "ppc" | "power8" => ModelChoice::Power,
-            "c11" => ModelChoice::C11,
-            _ => return None,
-        })
-    }
-}
 
 /// High-level checker: the herd7 work-flow in one object.
 ///
@@ -279,8 +231,8 @@ impl From<EnumError> for HerdError {
 impl Herd {
     /// A checker for the chosen model with default enumeration options,
     /// checking sequentially (`jobs = 1`).
-    pub fn new(choice: ModelChoice) -> Self {
-        Herd::new_multi(&[choice])
+    pub fn new(model: ModelId) -> Self {
+        Herd::new_multi(&[model])
     }
 
     /// A checker deciding every chosen model from a single enumeration
@@ -288,9 +240,9 @@ impl Herd {
     ///
     /// # Panics
     ///
-    /// Panics on an empty choice list.
-    pub fn new_multi(choices: &[ModelChoice]) -> Self {
-        Herd::from_models(choices.iter().map(|c| c.model()).collect())
+    /// Panics on an empty model list.
+    pub fn new_multi(models: &[ModelId]) -> Self {
+        Herd::from_models(models.iter().map(|id| id.instantiate()).collect())
     }
 
     /// A checker for models of the caller's own, in the order given: the
@@ -457,7 +409,7 @@ mod tests {
 
     #[test]
     fn herd_checks_library_tests() {
-        let herd = Herd::new(ModelChoice::Lkmm);
+        let herd = Herd::new(ModelId::LkmmNative);
         let t = lkmm_litmus::library::by_name("SB+mbs").unwrap().test();
         let report = herd.check(&t).unwrap();
         assert!(!report.allowed());
@@ -466,20 +418,20 @@ mod tests {
 
     #[test]
     fn model_choice_parsing() {
-        assert_eq!(ModelChoice::parse_name("LKMM"), Some(ModelChoice::Lkmm));
-        assert_eq!(ModelChoice::parse_name("x86"), Some(ModelChoice::Tso));
-        assert_eq!(ModelChoice::parse_name("bogus"), None);
+        assert_eq!(ModelId::parse_name("LKMM"), Some(ModelId::LkmmNative));
+        assert_eq!(ModelId::parse_name("x86"), Some(ModelId::Tso));
+        assert_eq!(ModelId::parse_name("bogus"), None);
     }
 
     #[test]
     fn parse_errors_surface() {
-        let herd = Herd::new(ModelChoice::Sc);
+        let herd = Herd::new(ModelId::Sc);
         assert!(matches!(herd.check_source("not litmus"), Err(HerdError::Parse(_))));
     }
 
     #[test]
     fn multi_check_matches_single_model_runs() {
-        let choices = [ModelChoice::Lkmm, ModelChoice::Sc, ModelChoice::Tso];
+        let choices = [ModelId::LkmmNative, ModelId::Sc, ModelId::Tso];
         let herd = Herd::new_multi(&choices);
         let t = lkmm_litmus::library::by_name("SB").unwrap().test();
         let reports = herd.check_multi(&t).unwrap();

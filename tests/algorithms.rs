@@ -5,12 +5,11 @@
 //! and a faultpoint-weakened family must be caught — and shrunk to a
 //! minimal witness — by the family-safety oracle.
 
-use linux_kernel_memory_model::algorithms::{
-    all_programs, interleave, FamilyParams, ScAtomic,
-};
+use linux_kernel_memory_model::algorithms::{all_programs, interleave, FamilyParams};
 use linux_kernel_memory_model::exec::enumerate::EnumOptions;
 use linux_kernel_memory_model::exec::{check_test, Verdict};
 use linux_kernel_memory_model::model::Lkmm;
+use linux_kernel_memory_model::models::Sc;
 
 #[test]
 fn every_program_meets_its_family_expectation_under_lkmm() {
@@ -44,7 +43,7 @@ fn interleaving_agrees_with_sc_atomic_on_every_machine_program() {
         let machine = p.machine.as_ref().unwrap();
         let explored = interleave::explore(machine, 0);
         assert!(!explored.truncated);
-        let r = check_test(&ScAtomic, &p.test, &EnumOptions::default()).unwrap();
+        let r = check_test(&Sc, &p.test, &EnumOptions::default()).unwrap();
         assert_eq!(
             explored.bad_reachable,
             r.verdict == Verdict::Allowed,
@@ -108,7 +107,7 @@ fn weakened_ticket_family_is_caught_and_shrunk() {
         // trivially-allowed empty program: the SC+atomicity reference
         // forbids the very outcome the LKMM admits.
         let lkmm = check_test(&Lkmm::new(), &witness, &EnumOptions::default()).unwrap();
-        let sc = check_test(&ScAtomic, &witness, &EnumOptions::default()).unwrap();
+        let sc = check_test(&Sc, &witness, &EnumOptions::default()).unwrap();
         assert_eq!(lkmm.verdict, Verdict::Allowed, "{}", witness.name);
         assert_eq!(sc.verdict, Verdict::Forbidden, "{}", witness.name);
     }

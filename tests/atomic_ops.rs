@@ -3,11 +3,11 @@
 //! builds on): orderings and atomicity across the axiomatic model, the
 //! simulators, and the host runner.
 
-use linux_kernel_memory_model::{Herd, ModelChoice};
+use linux_kernel_memory_model::{Herd, ModelId};
 use lkmm_exec::Verdict;
 
 fn lkmm(source: &str) -> Verdict {
-    Herd::new(ModelChoice::Lkmm).check_source(source).unwrap().result.verdict
+    Herd::new(ModelId::LkmmNative).check_source(source).unwrap().result.verdict
 }
 
 /// Two concurrent increments never lose an update (the At axiom).

@@ -6,13 +6,13 @@
 //! deterministic across job counts (only the single-threaded enumerator
 //! spends candidate fuel), and no governance path ever panics or hangs.
 
-use linux_kernel_memory_model::exec::{ConsistencyModel, Execution};
+use linux_kernel_memory_model::exec::{ConsistencyModel, ExecFacts, Execution};
 use linux_kernel_memory_model::litmus::{library, Test};
 use linux_kernel_memory_model::service::{
     ColumnReport, MultiBatchChecker, MultiColumn, Provenance, VerdictStore,
 };
 use linux_kernel_memory_model::{
-    Budget, BudgetKind, CancelToken, CheckOutcome, Herd, InconclusiveReason, ModelChoice,
+    Budget, BudgetKind, CancelToken, CheckOutcome, Herd, InconclusiveReason, ModelId,
 };
 use std::time::Duration;
 
@@ -26,9 +26,9 @@ fn generous() -> Budget {
 
 #[test]
 fn generous_budget_is_bit_identical_to_sequential_at_every_job_count() {
-    let baseline = Herd::new(ModelChoice::Lkmm);
+    let baseline = Herd::new(ModelId::LkmmNative);
     for jobs in [1, 2, 8] {
-        let governed = Herd::new(ModelChoice::Lkmm).with_jobs(jobs).with_budget(generous());
+        let governed = Herd::new(ModelId::LkmmNative).with_jobs(jobs).with_budget(generous());
         for paper in library::all() {
             let test = paper.test();
             let expected = baseline.check(&test).unwrap();
@@ -48,13 +48,13 @@ fn candidate_fuel_partial_tallies_are_identical_across_job_counts() {
         let test = paper.test();
         // Tests with a single candidate complete within the fuel; the
         // interesting cases are the ones that trip it.
-        let total = Herd::new(ModelChoice::Lkmm).check(&test).unwrap().result.candidates;
+        let total = Herd::new(ModelId::LkmmNative).check(&test).unwrap().result.candidates;
         if total <= 1 {
             continue;
         }
         let mut outcomes = Vec::new();
         for jobs in [1, 2, 8] {
-            let herd = Herd::new(ModelChoice::Lkmm).with_jobs(jobs).with_budget(budget.clone());
+            let herd = Herd::new(ModelId::LkmmNative).with_jobs(jobs).with_budget(budget.clone());
             let got = herd.check_governed(&test);
             match &got.outcome {
                 CheckOutcome::Inconclusive { reason, partial } => {
@@ -82,7 +82,7 @@ fn eval_step_fuel_exhaustion_is_inconclusive() {
     // The cat evaluator burns fixpoint instructions as eval steps; one
     // step of fuel cannot possibly evaluate a candidate under LKMM-cat.
     let herd =
-        Herd::new(ModelChoice::LkmmCat).with_budget(Budget::default().with_max_eval_steps(1));
+        Herd::new(ModelId::LkmmCat).with_budget(Budget::default().with_max_eval_steps(1));
     let test = library::by_name("SB").unwrap().test();
     match herd.check_governed(&test).outcome {
         CheckOutcome::Inconclusive {
@@ -103,7 +103,7 @@ fn eval_step_fuel_use_is_pinned_under_lkmm_cat() {
     let test = library::by_name("SB").unwrap().test();
     for jobs in [1, 2, 8] {
         let herd = |steps| {
-            Herd::new(ModelChoice::LkmmCat)
+            Herd::new(ModelId::LkmmCat)
                 .with_jobs(jobs)
                 .with_budget(Budget::default().with_max_eval_steps(steps))
                 .check_governed(&test)
@@ -136,7 +136,7 @@ fn eval_step_fuel_use_does_not_depend_on_static_cache_hits() {
     let test = library::by_name("RCU-MP").unwrap().test();
     for jobs in [1, 2, 8] {
         let herd = |steps| {
-            Herd::new(ModelChoice::LkmmCat)
+            Herd::new(ModelId::LkmmCat)
                 .with_jobs(jobs)
                 .with_budget(Budget::default().with_max_eval_steps(steps))
                 .check_governed(&test)
@@ -167,7 +167,7 @@ fn eval_step_trips_on_a_test_big_enough_to_split_match_at_every_job_count() {
     let src = format!("C same\n{{ x=0; }}\nP0{thread}\nP1{thread}\nP2{thread}\nexists (0:r0=0)");
     let test = linux_kernel_memory_model::litmus::parse(&src).unwrap();
     let outcome = |jobs| {
-        Herd::new(ModelChoice::LkmmCat)
+        Herd::new(ModelId::LkmmCat)
             .with_jobs(jobs)
             .with_budget(Budget::default().with_max_eval_steps(2_000))
             .check_governed(&test)
@@ -188,7 +188,7 @@ fn eval_step_trips_on_a_test_big_enough_to_split_match_at_every_job_count() {
 
 #[test]
 fn zero_time_limit_is_inconclusive_wall_clock() {
-    let herd = Herd::new(ModelChoice::Lkmm)
+    let herd = Herd::new(ModelId::LkmmNative)
         .with_budget(Budget::default().with_time_limit(Duration::ZERO));
     let test = library::by_name("SB").unwrap().test();
     match herd.check_governed(&test).outcome {
@@ -205,7 +205,7 @@ fn pre_cancelled_token_is_inconclusive_cancelled() {
     let token = CancelToken::new();
     token.cancel();
     let herd =
-        Herd::new(ModelChoice::Lkmm).with_budget(Budget::default().with_cancel(token.clone()));
+        Herd::new(ModelId::LkmmNative).with_budget(Budget::default().with_cancel(token.clone()));
     let test = library::by_name("MP").unwrap().test();
     match herd.check_governed(&test).outcome {
         CheckOutcome::Inconclusive {
@@ -225,7 +225,7 @@ impl ConsistencyModel for PanickingModel {
         "panicking"
     }
 
-    fn allows(&self, _: &Execution) -> bool {
+    fn allows_with(&self, _: &Execution, _: &ExecFacts<'_>) -> bool {
         panic!("deliberate test panic inside model evaluation")
     }
 }
@@ -244,7 +244,7 @@ fn worker_panic_is_contained_and_the_process_continues() {
     }
     // The process is intact: an ordinary check still completes. (SB
     // without fences is Allowed under LKMM — Figure 4.)
-    let report = Herd::new(ModelChoice::Lkmm).check(&test).unwrap();
+    let report = Herd::new(ModelId::LkmmNative).check(&test).unwrap();
     assert!(report.allowed());
 }
 

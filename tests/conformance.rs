@@ -17,7 +17,7 @@ use linux_kernel_memory_model::conformance::{
 };
 use linux_kernel_memory_model::exec::model::AllowAll;
 use linux_kernel_memory_model::exec::{
-    ConsistencyModel, DataPlaneStats, EnumOptions, EnumStats, Execution, ModelSession,
+    ConsistencyModel, DataPlaneStats, EnumOptions, EnumStats, ExecFacts, Execution, ModelSession,
     PipelineOptions,
 };
 use linux_kernel_memory_model::litmus::library;
@@ -74,7 +74,7 @@ impl ConsistencyModel for ForbidAll {
         "forbid-all"
     }
 
-    fn allows(&self, _x: &Execution) -> bool {
+    fn allows_with(&self, _x: &Execution, _facts: &ExecFacts<'_>) -> bool {
         false
     }
 }
@@ -148,7 +148,7 @@ fn envelope_oracle_sees_through_a_weakened_hardware_model() {
         fn name(&self) -> &str {
             "allow-all"
         }
-        fn allows(&self, _x: &Execution) -> bool {
+        fn allows_with(&self, _x: &Execution, _facts: &ExecFacts<'_>) -> bool {
             true
         }
     }
@@ -274,7 +274,7 @@ impl ConsistencyModel for SessionPanics {
         panic!("injected panic opening a model session");
     }
 
-    fn allows(&self, _x: &Execution) -> bool {
+    fn allows_with(&self, _x: &Execution, _facts: &ExecFacts<'_>) -> bool {
         true
     }
 }
@@ -361,4 +361,38 @@ fn quarantined_algorithm_rows_are_not_interleaved() {
     assert_eq!((agreement.summary.checked, agreement.summary.skipped), (0, programs));
     let family = &report.families[0].interleave;
     assert_eq!((family.checked, family.skipped), (0, programs));
+}
+
+#[test]
+fn interleave_agreement_checks_the_sc_column() {
+    // Each step machine is held to the row's SC cell, the column the
+    // campaign reports: with an allow-all SC column, every program whose
+    // bad state no interleaving reaches is a violation, and its recheck
+    // fails against the mutant set only.
+    let cfg = AlgoConfig {
+        families: vec![FamilyId::Ticket],
+        jobs: 1,
+        sim: SimConfig { iterations: 0, ..SimConfig::default() },
+        host_iterations: 0,
+        shrink: false,
+        ..AlgoConfig::default()
+    };
+    let set = mutant_set(ModelId::Sc, false);
+    let report = run_algo_campaign_with(&cfg, &set).unwrap();
+    let agreement = &report.campaign.oracles[OracleKind::InterleaveAgreement.index()];
+    assert!(agreement.summary.violations > 0, "{:?}", agreement.summary);
+    let divergences: Vec<_> = report
+        .campaign
+        .discrepancies
+        .iter()
+        .filter(|d| d.oracle == OracleKind::InterleaveAgreement)
+        .collect();
+    assert_eq!(divergences.len(), agreement.summary.violations);
+    let (opts, pipe) = (EnumOptions::default(), PipelineOptions::default());
+    for d in divergences {
+        assert!(matches!(d.check, Recheck::InterleaveDivergence { .. }));
+        assert!(recheck_violated(&d.check, &d.test, &set, &opts, &pipe), "{}", d.test_name);
+        let healthy = ModelSet::standard();
+        assert!(!recheck_violated(&d.check, &d.test, &healthy, &opts, &pipe), "{}", d.test_name);
+    }
 }

@@ -2,7 +2,7 @@
 //! the operational simulators, the host runner and the RCU machinery must
 //! tell one consistent story.
 
-use linux_kernel_memory_model::{Herd, ModelChoice};
+use linux_kernel_memory_model::{Herd, ModelId};
 use lkmm_exec::enumerate::EnumOptions;
 use lkmm_exec::states::collect_states;
 use lkmm_exec::Verdict;
@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 /// tests *and* a sweep of generated ones.
 #[test]
 fn simulator_soundness_on_generated_tests() {
-    let herd = Herd::new(ModelChoice::Lkmm);
+    let herd = Herd::new(ModelId::LkmmNative);
     let cycles = cycles_up_to(4, &default_alphabet());
     let mut forbidden_checked = 0usize;
     for (i, cycle) in cycles.iter().enumerate() {
@@ -39,7 +39,7 @@ fn simulator_soundness_on_generated_tests() {
 /// The host runner (real threads, real silicon) is likewise sound.
 #[test]
 fn host_soundness_on_paper_tests() {
-    let herd = Herd::new(ModelChoice::Lkmm);
+    let herd = Herd::new(ModelId::LkmmNative);
     for pt in library::table5() {
         let test = pt.test();
         if herd.check(&test).unwrap().result.verdict == Verdict::Forbidden {
@@ -77,7 +77,7 @@ fn host_states_are_lkmm_allowed() {
 /// axiomatic TSO model allows.
 #[test]
 fn x86_simulator_within_axiomatic_tso() {
-    let tso = Herd::new(ModelChoice::Tso);
+    let tso = Herd::new(ModelId::Tso);
     for pt in library::all().iter().filter(|p| !p.name.starts_with("RCU")) {
         let test = pt.test();
         let stats = run_test(&test, Arch::X86, &RunConfig { iterations: 3_000, seed: 23 })
@@ -97,7 +97,7 @@ fn x86_simulator_within_axiomatic_tso() {
 /// preserves the RCU verdict but flips the fence verdict.
 #[test]
 fn rcu_stronger_than_fences() {
-    let herd = Herd::new(ModelChoice::Lkmm);
+    let herd = Herd::new(ModelId::LkmmNative);
     // Fence version of RCU-deferred-free's shape: allowed.
     let fences = herd
         .check_source(

@@ -11,6 +11,10 @@
 
 #![cfg(feature = "fault-injection")]
 
+use linux_kernel_memory_model::cat::linux_kernel_model;
+use linux_kernel_memory_model::exec::{
+    enumerate, open_session, ConsistencyModel, EnumOptions, ExecFacts,
+};
 use linux_kernel_memory_model::litmus::library;
 use linux_kernel_memory_model::litmus::Test;
 use linux_kernel_memory_model::model::Lkmm;
@@ -18,7 +22,7 @@ use linux_kernel_memory_model::service::{
     MultiBatchChecker, MultiColumn, Provenance, UnitCell, VerdictStore,
 };
 use std::io;
-use linux_kernel_memory_model::{CheckOutcome, Herd, InconclusiveReason, ModelChoice};
+use linux_kernel_memory_model::{CheckOutcome, Herd, InconclusiveReason, ModelId};
 use lkmm_core::faultpoint;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -43,7 +47,7 @@ fn checker(model: &Lkmm, store: VerdictStore) -> MultiBatchChecker<'_> {
 #[test]
 fn injected_worker_panic_is_contained_and_recovers() {
     let _serial = serial();
-    let herd = Herd::new(ModelChoice::Lkmm).with_jobs(4);
+    let herd = Herd::new(ModelId::LkmmNative).with_jobs(4);
     let test = library::by_name("SB").unwrap().test();
 
     let guard = faultpoint::arm("worker.panic");
@@ -61,7 +65,7 @@ fn injected_worker_panic_is_contained_and_recovers() {
 #[test]
 fn injected_enumerator_budget_trip_is_inconclusive() {
     let _serial = serial();
-    let herd = Herd::new(ModelChoice::Lkmm);
+    let herd = Herd::new(ModelId::LkmmNative);
     let test = library::by_name("MP").unwrap().test();
 
     let guard = faultpoint::arm("enum.budget");
@@ -75,6 +79,45 @@ fn injected_enumerator_budget_trip_is_inconclusive() {
     }
     drop(guard);
     assert!(herd.check_governed(&test).report().is_some());
+}
+
+#[test]
+fn misjudge_sites_invert_both_lkmm_formulations() {
+    let _serial = serial();
+    let (native, cat) = (Lkmm::new(), linux_kernel_model());
+    let models: [&dyn ConsistencyModel; 2] = [&native, &cat];
+    for name in ["SB", "MP+wmb+rmb"] {
+        let xs =
+            enumerate(&library::by_name(name).unwrap().test(), &EnumOptions::default()).unwrap();
+        // Every candidate's verdict through the model and through a
+        // session, the path the check engine takes.
+        let verdicts = |model: &dyn ConsistencyModel| -> Vec<(bool, bool)> {
+            let mut session = open_session(model);
+            xs.iter()
+                .map(|x| {
+                    let through_session = session.try_allows_with(x, &ExecFacts::new(x));
+                    (model.allows(x), through_session.unwrap())
+                })
+                .collect()
+        };
+        let honest = models.map(verdicts);
+        assert!(honest[0].iter().any(|v| v.0), "{name}: LKMM allows some candidate");
+        assert!(honest[0].iter().all(|v| v.0 == v.1), "{name}: allows ≡ session");
+        assert_eq!(honest[0], honest[1], "{name}: native ≡ cat");
+        for (armed, site) in ["lkmm.misjudge", "cat.misjudge"].into_iter().enumerate() {
+            let guard = faultpoint::arm(site);
+            for (k, &model) in models.iter().enumerate() {
+                let expect: Vec<_> = if k == armed {
+                    honest[k].iter().map(|&(a, b)| (!a, !b)).collect()
+                } else {
+                    honest[k].clone()
+                };
+                assert_eq!(verdicts(model), expect, "{site} armed, {} on {name}", model.name());
+            }
+            drop(guard);
+            assert_eq!(models.map(verdicts), honest, "{site} disarmed on {name}");
+        }
+    }
 }
 
 #[test]
@@ -220,7 +263,7 @@ fn nth_hit_trigger_fires_on_exactly_that_hit() {
     // `worker.panic=2`: the first evaluated candidate passes, the second
     // panics. The check still reports WorkerPanicked (containment), which
     // shows the trigger grammar works end-to-end through the pipeline.
-    let herd = Herd::new(ModelChoice::Lkmm).with_jobs(1);
+    let herd = Herd::new(ModelId::LkmmNative).with_jobs(1);
     let test = library::by_name("SB").unwrap().test();
 
     let guard = faultpoint::arm("worker.panic=2");

@@ -16,12 +16,14 @@ use linux_kernel_memory_model::exec::states::collect_states;
 use linux_kernel_memory_model::generator::{
     cycles_up_to, default_alphabet, generate, generate_contended,
 };
-use linux_kernel_memory_model::klitmus::{run_on_host, HostConfig};
+use linux_kernel_memory_model::klitmus::{run_on_host, HostConfig, HostError};
 use linux_kernel_memory_model::litmus::{library, parse, Test};
 use linux_kernel_memory_model::relation::Relation;
 use linux_kernel_memory_model::service::hash::Fnv64;
 use std::fmt::Write;
 use std::ops::ControlFlow;
+use std::sync::mpsc;
+use std::time::Duration;
 
 /// Fold every candidate of `test`, then its state histogram, into `h`;
 /// returns the number of candidates.
@@ -173,4 +175,26 @@ fn host_runner_results_are_pinned() {
     }
     let digest = linux_kernel_memory_model::service::hash::fnv64(text.as_bytes());
     assert_eq!(digest, 0x7d31_3af8_7731_c988, "{digest:#018x}\n{text}");
+}
+
+/// A thread whose body fails still meets the others at the end of that
+/// iteration, so the call returns the error instead of leaving the
+/// other threads blocked on a barrier. The call runs on a spawned thread
+/// so that a hang fails the test instead of stalling the suite.
+#[test]
+fn host_runner_returns_a_failing_threads_error() {
+    let test = parse(
+        "C host-failing-thread\n{ x=0; }\n\
+         P0(int *x) { WRITE_ONCE(*x, r5); }\n\
+         P1(int *x) { int r0; r0 = READ_ONCE(*x); }\n\
+         exists (1:r0=0)\n",
+    )
+    .unwrap();
+    let (tx, rx) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let _ = tx.send(run_on_host(&test, &HostConfig { iterations: 10 }));
+    });
+    let result = rx.recv_timeout(Duration::from_secs(10)).expect("run_on_host hung");
+    runner.join().expect("the runner thread returned");
+    assert_eq!(result, Err(HostError::UninitialisedRegister("r5".into())));
 }

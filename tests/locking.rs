@@ -4,11 +4,11 @@
 //! barrier (the srcu ordering fix \[64\] and the ARM64 `spin_unlock_wait`
 //! discussions \[26, 83\]).
 
-use linux_kernel_memory_model::{Herd, ModelChoice};
+use linux_kernel_memory_model::{Herd, ModelId};
 use lkmm_exec::Verdict;
 
 fn lkmm(source: &str) -> Verdict {
-    Herd::new(ModelChoice::Lkmm).check_source(source).unwrap().result.verdict
+    Herd::new(ModelId::LkmmNative).check_source(source).unwrap().result.verdict
 }
 
 /// \[64\]: code incorrectly relied on fully ordered lock-unlock pairs.

@@ -7,18 +7,18 @@
 
 use linux_kernel_memory_model::litmus::{self, ast::Test};
 use linux_kernel_memory_model::service::{MultiBatchChecker, MultiColumn, VerdictStore};
-use linux_kernel_memory_model::{Budget, Herd, ModelChoice, MultiCheckOutcome};
+use linux_kernel_memory_model::{Budget, Herd, ModelId, MultiCheckOutcome};
 use std::path::PathBuf;
 
 /// Every checker, in conformance-matrix column order.
-const ALL: [ModelChoice; 7] = [
-    ModelChoice::Lkmm,
-    ModelChoice::LkmmCat,
-    ModelChoice::Sc,
-    ModelChoice::Tso,
-    ModelChoice::Armv8,
-    ModelChoice::Power,
-    ModelChoice::C11,
+const ALL: [ModelId; 7] = [
+    ModelId::LkmmNative,
+    ModelId::LkmmCat,
+    ModelId::Sc,
+    ModelId::Tso,
+    ModelId::Armv8,
+    ModelId::Power,
+    ModelId::C11,
 ];
 
 fn library() -> Vec<Test> {
@@ -65,7 +65,7 @@ fn library_model_set_matches_sequential_single_model_runs() {
 fn store_backed_model_set_is_bit_identical_cold_and_warm() {
     let tests = library();
     let path = temp_store("store");
-    let models: Vec<_> = ALL.iter().map(|c| c.model()).collect();
+    let models: Vec<_> = ALL.iter().map(|c| c.instantiate()).collect();
     let salts: Vec<String> =
         models.iter().map(|m| format!("mm|col:{}", m.name())).collect();
     let columns = || -> Vec<MultiColumn<'_>> {
@@ -131,7 +131,7 @@ fn budget_trip_stops_every_model_with_job_count_deterministic_partials() {
     // SB+mbs enumerates well over two candidates under every model, so a
     // two-candidate fuel allowance must trip mid-enumeration.
     let t = litmus::library::by_name("SB+mbs").unwrap().test();
-    let set = [ModelChoice::Lkmm, ModelChoice::Sc, ModelChoice::C11];
+    let set = [ModelId::LkmmNative, ModelId::Sc, ModelId::C11];
 
     let mut seen = Vec::new();
     for jobs in [1usize, 2, 8] {

@@ -1,7 +1,7 @@
 //! End-to-end integration: every result the paper reports, checked
 //! through the public facade API.
 
-use linux_kernel_memory_model::{Herd, ModelChoice};
+use linux_kernel_memory_model::{Herd, ModelId};
 use lkmm_exec::Verdict;
 use lkmm_litmus::library::{self, Expect};
 
@@ -14,7 +14,7 @@ fn expect_to_verdict(e: Expect) -> Verdict {
 
 #[test]
 fn table5_model_column_via_facade() {
-    let herd = Herd::new(ModelChoice::Lkmm);
+    let herd = Herd::new(ModelId::LkmmNative);
     for pt in library::table5() {
         let report = herd.check(&pt.test()).unwrap();
         assert_eq!(report.result.verdict, expect_to_verdict(pt.lkmm), "{}", pt.name);
@@ -23,7 +23,7 @@ fn table5_model_column_via_facade() {
 
 #[test]
 fn table5_c11_column_via_facade() {
-    let herd = Herd::new(ModelChoice::C11);
+    let herd = Herd::new(ModelId::C11);
     for pt in library::table5() {
         let Some(c11) = pt.c11 else { continue };
         let report = herd.check(&pt.test()).unwrap();
@@ -33,8 +33,8 @@ fn table5_c11_column_via_facade() {
 
 #[test]
 fn interpreted_cat_model_matches_native_on_all_figures() {
-    let native = Herd::new(ModelChoice::Lkmm);
-    let cat = Herd::new(ModelChoice::LkmmCat);
+    let native = Herd::new(ModelId::LkmmNative);
+    let cat = Herd::new(ModelId::LkmmCat);
     for pt in library::all() {
         let t = pt.test();
         let a = native.check(&t).unwrap().result;
@@ -46,7 +46,7 @@ fn interpreted_cat_model_matches_native_on_all_figures() {
 
 #[test]
 fn sc_forbids_everything_lkmm_forbids() {
-    let sc = Herd::new(ModelChoice::Sc);
+    let sc = Herd::new(ModelId::Sc);
     for pt in library::all() {
         if pt.lkmm == Expect::Forbidden {
             let report = sc.check(&pt.test()).unwrap();
@@ -59,7 +59,7 @@ fn sc_forbids_everything_lkmm_forbids() {
 fn round_trip_print_parse_check() {
     // Print every library test, re-parse it, and verify the verdict is
     // unchanged — the full front-end loop.
-    let herd = Herd::new(ModelChoice::Lkmm);
+    let herd = Herd::new(ModelId::LkmmNative);
     for pt in library::all() {
         let t = pt.test();
         let reparsed = lkmm_litmus::parse(&t.to_litmus_string()).unwrap();
@@ -73,7 +73,7 @@ fn round_trip_print_parse_check() {
 fn section7_locking_emulation() {
     // §7: "we model a spinlock as a shared location; spin_lock behaves
     // like xchg_acquire, spin_unlock like smp_store_release".
-    let herd = Herd::new(ModelChoice::Lkmm);
+    let herd = Herd::new(ModelId::LkmmNative);
     let report = herd
         .check_source(
             "C lock-hand-off\n{ s=0; x=0; }\n\
@@ -92,7 +92,7 @@ fn section7_locking_emulation() {
 fn synchronize_rcu_replaces_smp_mb() {
     // §4.2: gp joins strong-fence. SB with one synchronize_rcu and one
     // smp_mb is forbidden, like SB+mbs.
-    let herd = Herd::new(ModelChoice::Lkmm);
+    let herd = Herd::new(ModelId::LkmmNative);
     let report = herd
         .check_source(
             "C SB+sync+mb\n{ x=0; y=0; }\n\

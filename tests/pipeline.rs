@@ -8,7 +8,7 @@
 //! algorithms family (generated programs far bigger than any library
 //! litmus test), and tests big enough to split over workers.
 
-use linux_kernel_memory_model::{Herd, ModelChoice};
+use linux_kernel_memory_model::{Herd, ModelId};
 use lkmm_exec::enumerate::{EnumOptions, EnumStats};
 use lkmm_exec::pipeline::INLINE_WORK;
 use lkmm_exec::{
@@ -18,8 +18,8 @@ use lkmm_litmus::ast::Test;
 use lkmm_litmus::library;
 use std::sync::Arc;
 
-fn pipeline_matches_sequential(choice: ModelChoice) {
-    let model = choice.model();
+fn pipeline_matches_sequential(choice: ModelId) {
+    let model = choice.instantiate();
     let opts = EnumOptions::default();
     for pt in library::all() {
         let t = pt.test();
@@ -44,18 +44,18 @@ fn pipeline_matches_sequential(choice: ModelChoice) {
 
 #[test]
 fn lkmm_pipeline_matches_sequential_on_library() {
-    pipeline_matches_sequential(ModelChoice::Lkmm);
+    pipeline_matches_sequential(ModelId::LkmmNative);
 }
 
 #[test]
 fn cat_pipeline_matches_sequential_on_library() {
-    pipeline_matches_sequential(ModelChoice::LkmmCat);
+    pipeline_matches_sequential(ModelId::LkmmCat);
 }
 
 #[test]
 fn stateless_model_pipeline_matches_sequential_on_library() {
     // SC has no session, so this covers the stateless fallback path.
-    pipeline_matches_sequential(ModelChoice::Sc);
+    pipeline_matches_sequential(ModelId::Sc);
 }
 
 /// Bit-identity of every [`lkmm_exec::TestResult`] field over jobs
@@ -76,7 +76,7 @@ fn grid_matches_sequential(model: &dyn lkmm_exec::ConsistencyModel, tests: &[Tes
 #[test]
 fn jobs_batch_grid_matches_sequential_on_library() {
     let tests: Vec<Test> = library::all().iter().map(|pt| pt.test()).collect();
-    grid_matches_sequential(ModelChoice::Lkmm.model().as_ref(), &tests);
+    grid_matches_sequential(ModelId::LkmmNative.instantiate().as_ref(), &tests);
 }
 
 /// The contended-twin corpus: every event of a cycle's test collapsed
@@ -101,7 +101,7 @@ fn contended_twins() -> Vec<Test> {
 
 #[test]
 fn jobs_batch_grid_matches_sequential_on_contended_twins() {
-    grid_matches_sequential(ModelChoice::Lkmm.model().as_ref(), &contended_twins());
+    grid_matches_sequential(ModelId::LkmmNative.instantiate().as_ref(), &contended_twins());
 }
 
 #[test]
@@ -115,7 +115,7 @@ fn jobs_batch_grid_matches_sequential_on_algorithms_family() {
         .map(|p| p.test)
         .collect();
     assert!(!tests.is_empty(), "ticket family generates");
-    grid_matches_sequential(ModelChoice::Lkmm.model().as_ref(), &tests);
+    grid_matches_sequential(ModelId::LkmmNative.instantiate().as_ref(), &tests);
 }
 
 /// One location, `threads` writers each storing `value(thread)`, then
@@ -148,15 +148,15 @@ fn split_sized() -> Vec<Test> {
 
 #[test]
 fn jobs_grid_matches_sequential_on_tests_big_enough_to_split() {
-    grid_matches_sequential(ModelChoice::Lkmm.model().as_ref(), &split_sized());
-    grid_matches_sequential(ModelChoice::LkmmCat.model().as_ref(), &split_sized());
+    grid_matches_sequential(ModelId::LkmmNative.instantiate().as_ref(), &split_sized());
+    grid_matches_sequential(ModelId::LkmmCat.instantiate().as_ref(), &split_sized());
 }
 
 #[test]
 fn budget_trip_mid_batch_is_deterministic_across_jobs_and_batches() {
     // A candidate budget that trips partway through a small test: the
     // partial tally must be exactly the budget at every job count.
-    let model = ModelChoice::Lkmm.model();
+    let model = ModelId::LkmmNative.instantiate();
     let t = library::by_name("RWC").expect("RWC is in the library").test();
     let opts =
         EnumOptions { budget: Budget::default().with_max_candidates(7), ..EnumOptions::default() };
@@ -182,7 +182,7 @@ fn budget_trip_inside_a_worker_range_is_exact_at_every_job_count() {
     // enumerated ahead of the commit against the whole allowance: the
     // commit re-runs that range inline, so the partial tally, the stop
     // reason and the enumeration counters match the sequential run.
-    let model = ModelChoice::Lkmm.model();
+    let model = ModelId::LkmmNative.instantiate();
     for t in split_sized() {
         let total = check_test(model.as_ref(), &t, &EnumOptions::default()).unwrap().candidates;
         let limit = total - 5;
@@ -218,7 +218,7 @@ fn budget_trip_inside_a_worker_range_is_exact_at_every_job_count() {
 
 #[test]
 fn early_exit_agrees_on_verdict_and_condition() {
-    let model = ModelChoice::Lkmm.model();
+    let model = ModelId::LkmmNative.instantiate();
     let opts = EnumOptions::default();
     for t in library::all().iter().map(|pt| pt.test()).chain(split_sized()) {
         let full = check_test(model.as_ref(), &t, &opts).unwrap();
@@ -251,9 +251,9 @@ fn early_exit_agrees_on_verdict_and_condition() {
 fn herd_reports_are_job_count_invariant() {
     // What `herd-rs --library` prints is a pure function of the Report
     // fields, so equal reports mean byte-identical CLI output.
-    let base = Herd::new(ModelChoice::Lkmm).with_jobs(1);
+    let base = Herd::new(ModelId::LkmmNative).with_jobs(1);
     for jobs in [0, 2, 8] {
-        let herd = Herd::new(ModelChoice::Lkmm).with_jobs(jobs);
+        let herd = Herd::new(ModelId::LkmmNative).with_jobs(jobs);
         for pt in library::all() {
             let t = pt.test();
             let a = base.check(&t).unwrap();

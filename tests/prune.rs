@@ -15,7 +15,7 @@ use linux_kernel_memory_model::generator::{
 use linux_kernel_memory_model::litmus::library;
 use linux_kernel_memory_model::litmus::Test;
 use linux_kernel_memory_model::{
-    Budget, BudgetKind, CheckOutcome, Herd, InconclusiveReason, ModelChoice,
+    Budget, BudgetKind, CheckOutcome, Herd, InconclusiveReason, ModelId,
 };
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -133,7 +133,7 @@ fn raw_mode_ignores_the_strategy_knob() {
 
 #[test]
 fn pipelined_results_are_identical_between_strategies_at_all_job_counts() {
-    let model = ModelChoice::Lkmm.model();
+    let model = ModelId::LkmmNative.instantiate();
     for pt in library::all() {
         let t = pt.test();
         let seq = check_test(model.as_ref(), &t, &with_strategy(EnumStrategy::Naive)).unwrap();
@@ -174,14 +174,14 @@ fn budget_trips_yield_job_count_deterministic_partial_tallies() {
     tests.push(generate_contended(&mp).unwrap());
     for test in &tests {
         let name = &test.name;
-        let total = Herd::new(ModelChoice::Lkmm).check(test).unwrap().result.candidates;
+        let total = Herd::new(ModelId::LkmmNative).check(test).unwrap().result.candidates;
         if total <= 2 {
             continue;
         }
         let mut outcomes = Vec::new();
         for strategy in [EnumStrategy::Pruned, EnumStrategy::Naive] {
             for jobs in [1, 2, 8] {
-                let herd = Herd::new(ModelChoice::Lkmm)
+                let herd = Herd::new(ModelId::LkmmNative)
                     .with_options(with_strategy(strategy))
                     .with_jobs(jobs)
                     .with_budget(budget.clone());

@@ -3,12 +3,12 @@
 //! pointer-publish idiom with `rcu_dereference`/`rcu_assign_pointer`
 //! (Table 4).
 
-use linux_kernel_memory_model::{Herd, ModelChoice};
+use linux_kernel_memory_model::{Herd, ModelId};
 use lkmm_exec::Verdict;
 use lkmm_sim::{run_test, Arch, RunConfig};
 
 fn lkmm(source: &str) -> Verdict {
-    Herd::new(ModelChoice::Lkmm).check_source(source).unwrap().result.verdict
+    Herd::new(ModelId::LkmmNative).check_source(source).unwrap().result.verdict
 }
 
 fn assert_sim_sound(source: &str) {

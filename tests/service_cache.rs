@@ -18,7 +18,6 @@ use linux_kernel_memory_model::service::hash::Fnv64;
 use linux_kernel_memory_model::service::{
     ColumnReport, MultiBatchChecker, MultiColumn, Provenance, VerdictStore,
 };
-use linux_kernel_memory_model::ModelChoice;
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
@@ -61,7 +60,7 @@ fn results(col: &ColumnReport) -> impl Iterator<Item = Cell<'_>> {
 #[test]
 fn warm_library_pass_is_pure_replay_with_identical_results() {
     let path = temp_store("warm");
-    let model = ModelChoice::Lkmm.model();
+    let model = ModelId::LkmmNative.instantiate();
 
     let cold = {
         let store = VerdictStore::open(&path).unwrap();
@@ -94,7 +93,7 @@ fn warm_library_pass_is_pure_replay_with_identical_results() {
 #[test]
 fn torn_tail_is_truncated_and_recomputed() {
     let path = temp_store("torn");
-    let model = ModelChoice::Lkmm.model();
+    let model = ModelId::LkmmNative.instantiate();
 
     let cold = library_pass(model.as_ref(), VerdictStore::open(&path).unwrap());
 
@@ -127,7 +126,7 @@ fn torn_tail_is_truncated_and_recomputed() {
 #[test]
 fn corrupt_mid_record_keeps_the_valid_prefix() {
     let path = temp_store("corrupt");
-    let model = ModelChoice::Lkmm.model();
+    let model = ModelId::LkmmNative.instantiate();
 
     let cold = library_pass(model.as_ref(), VerdictStore::open(&path).unwrap());
 

@@ -4,13 +4,13 @@
 //! beyond the paper (its §7 future-work direction; the kernel's LKMM
 //! gained SRCU support in 2019).
 
-use linux_kernel_memory_model::{Herd, ModelChoice};
+use linux_kernel_memory_model::{Herd, ModelId};
 use lkmm_exec::Verdict;
 use lkmm_klitmus::{run_on_host, HostConfig};
 use lkmm_sim::{run_test, Arch, RunConfig};
 
 fn lkmm(source: &str) -> Verdict {
-    Herd::new(ModelChoice::Lkmm).check_source(source).unwrap().result.verdict
+    Herd::new(ModelId::LkmmNative).check_source(source).unwrap().result.verdict
 }
 
 const SRCU_MP: &str = "C SRCU-MP\n{ ss=0; x=0; y=0; }\n\
@@ -90,7 +90,7 @@ fn nested_srcu_sections() {
 /// Unbalanced SRCU sections are rejected.
 #[test]
 fn unbalanced_srcu_rejected() {
-    let herd = Herd::new(ModelChoice::Lkmm);
+    let herd = Herd::new(ModelId::LkmmNative);
     let err = herd
         .check_source(
             "C bad\n{ ss=0; x=0; }\nP0(srcu_struct *ss, int *x) { srcu_read_lock(ss); \
