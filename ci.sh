@@ -6,6 +6,11 @@ set -eu
 echo "== tier-1: release build =="
 cargo build --workspace --release
 
+echo "== every target builds with every feature =="
+# No test, bench or example may sit behind a feature that an offline
+# build cannot turn on: compile every target with all features enabled.
+cargo test --workspace --all-features --no-run
+
 echo "== tier-1: test suite =="
 cargo test --workspace --quiet
 

@@ -99,9 +99,9 @@ impl<const N: usize> SeqLock<N> {
 pub const POISON: i64 = -0xdead;
 
 /// `Arc`-style strong count with a payload word standing in for the
-/// managed allocation: relaxed clone, release drop, acquire fence on
-/// the final drop before the free (Rust `Arc`'s exact protocol), and a
-/// `Weak::upgrade`-style conditional increment.
+/// managed allocation: owners counted at construction, release drop,
+/// acquire fence on the final drop before the free (Rust `Arc`'s exact
+/// protocol), and a `Weak::upgrade`-style conditional increment.
 #[derive(Debug)]
 pub struct ArcCount {
     count: AtomicUsize,
@@ -112,10 +112,6 @@ impl ArcCount {
     /// One owner, payload initialised live.
     pub fn new(owners: usize, payload: i64) -> ArcCount {
         ArcCount { count: AtomicUsize::new(owners), payload: AtomicI64::new(payload) }
-    }
-
-    pub fn clone_ref(&self) {
-        self.count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// `Weak::upgrade`: CAS-increment unless the count already hit 0.

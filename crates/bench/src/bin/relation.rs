@@ -22,6 +22,7 @@
 //! allocator, so losing to the scalar loop at any universe size would
 //! mean the kernels regressed.
 
+use lkmm_core::rng::SplitMix64;
 use lkmm_relation::Relation;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -30,20 +31,6 @@ use std::time::Instant;
 /// roomy generated execution, 256 an oversized stress shape (relations
 /// are not bounded by the execution event cap).
 const UNIVERSES: [usize; 3] = [8, 64, 256];
-
-/// Deterministic pseudo-random pair stream (SplitMix64) so every run
-/// measures identical inputs.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
 
 /// A po-like forward order: each event points at a handful of later
 /// ones — sparse, acyclic, the shape the checkers sequence against.
@@ -59,13 +46,14 @@ fn order_like(n: usize) -> Relation {
     r
 }
 
-/// A communication-like scatter: ~4·n pseudo-random pairs.
+/// A communication-like scatter: ~4·n pseudo-random pairs, from a
+/// seeded stream so every run measures identical inputs.
 fn scatter(n: usize, seed: u64) -> Relation {
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix64::seed_from_u64(seed);
     let mut r = Relation::empty(n);
     for _ in 0..4 * n {
-        let a = (rng.next() as usize) % n;
-        let b = (rng.next() as usize) % n;
+        let a = (rng.next_u64() as usize) % n;
+        let b = (rng.next_u64() as usize) % n;
         r.insert(a, b);
     }
     r

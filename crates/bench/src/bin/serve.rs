@@ -45,6 +45,7 @@
 //! ```
 
 use lkmm::Lkmm;
+use lkmm_core::rng::SplitMix64;
 use lkmm_exec::{TestResult, Verdict};
 use lkmm_litmus::parse;
 use lkmm_server::{serve_tcp, ServerConfig};
@@ -198,7 +199,7 @@ fn store_round(n: usize, shards: usize, writers: usize) -> f64 {
             scope.spawn(move || {
                 for i in 0..n / writers {
                     let seed = (t * n + i) as u64;
-                    let key = splitmix(seed) as u128 | ((splitmix(seed ^ 0x5bd1e995) as u128) << 64);
+                    let key = word(seed) | (word(seed ^ 0x5bd1e995) << 64);
                     store
                         .put(
                             key,
@@ -234,7 +235,7 @@ fn fsync_stream_rate(streams: usize, per_stream: usize) -> f64 {
                 let store = ShardedStore::open(base, 1).unwrap().durable(true);
                 for i in 0..per_stream {
                     let seed = (t * per_stream + i) as u64;
-                    let key = splitmix(seed) as u128 | ((splitmix(seed ^ 0xc2b2ae35) as u128) << 64);
+                    let key = word(seed) | (word(seed ^ 0xc2b2ae35) << 64);
                     store
                         .put(
                             key,
@@ -258,11 +259,10 @@ fn fsync_stream_rate(streams: usize, per_stream: usize) -> f64 {
     rate
 }
 
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
+/// The first word of the SplitMix64 stream seeded with `seed`, widened
+/// to build a 128-bit store key.
+fn word(seed: u64) -> u128 {
+    SplitMix64::seed_from_u64(seed).next_u64().into()
 }
 
 fn main() {

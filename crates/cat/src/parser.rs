@@ -54,10 +54,6 @@ impl Parser {
         &self.toks[self.pos].0
     }
 
-    fn peek2(&self) -> &Tok {
-        &self.toks[(self.pos + 1).min(self.toks.len() - 1)].0
-    }
-
     fn bump(&mut self) -> Tok {
         let t = self.toks[self.pos].0.clone();
         if self.pos + 1 < self.toks.len() {
@@ -219,7 +215,7 @@ impl Parser {
         // `X * Y` is cartesian product when `*` is followed by the start of
         // an atom; otherwise `*` was already consumed as a postfix closure
         // by parse_unary.
-        if matches!(self.peek(), Tok::Punct("*")) && self.starts_atom(self.peek2()) {
+        if matches!(self.peek(), Tok::Punct("*")) && self.starts_atom(1) {
             self.bump();
             let rhs = self.parse_unary()?;
             return self.binary(Expr::Cartesian, lhs, rhs);
@@ -227,14 +223,21 @@ impl Parser {
         Ok(lhs)
     }
 
-    fn starts_atom(&self, t: &Tok) -> bool {
+    /// Whether the token `ahead` places past the cursor starts an atom.
+    /// A `~` does only when an atom follows it: `~empty`, `~acyclic` and
+    /// `~irreflexive` begin a negated check, which may follow a postfix
+    /// `*` that ends the instruction before it.
+    fn starts_atom(&self, mut ahead: usize) -> bool {
         const KEYWORDS: &[&str] = &[
             "let", "rec", "and", "as", "acyclic", "irreflexive", "empty", "flag", "include",
         ];
-        match t {
-            Tok::Ident(w) => !KEYWORDS.contains(&w.as_str()),
-            Tok::Zero | Tok::Punct("(") | Tok::Punct("[") | Tok::Punct("~") => true,
-            _ => false,
+        loop {
+            match &self.toks[(self.pos + ahead).min(self.toks.len() - 1)].0 {
+                Tok::Ident(w) => return !KEYWORDS.contains(&w.as_str()),
+                Tok::Zero | Tok::Punct("(") | Tok::Punct("[") => return true,
+                Tok::Punct("~") => ahead += 1,
+                _ => return false,
+            }
         }
     }
 
@@ -257,7 +260,7 @@ impl Parser {
                 e = self.unary(Expr::Plus, e)?;
             } else if self.eat_punct("^-1") {
                 e = self.unary(Expr::Inverse, e)?;
-            } else if matches!(self.peek(), Tok::Punct("*")) && !self.starts_atom(self.peek2()) {
+            } else if matches!(self.peek(), Tok::Punct("*")) && !self.starts_atom(1) {
                 self.bump();
                 e = self.unary(Expr::Star, e)?;
             } else {

@@ -188,4 +188,12 @@ mod tests {
         let reparsed = parse(&printed).unwrap();
         assert_eq!(m, reparsed, "{printed}");
     }
+
+    #[test]
+    fn a_negated_check_after_a_postfix_star_starts_an_instruction() {
+        let m = parse("let a = r*\n~empty s as t\nlet b = r* * ~s").unwrap();
+        assert_eq!(m.instrs.len(), 3, "{m}");
+        let reparsed = parse(&m.to_string()).unwrap();
+        assert_eq!(m, reparsed, "{m}");
+    }
 }

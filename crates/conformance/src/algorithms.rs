@@ -50,6 +50,11 @@ use lkmm_service::json::Json;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+/// Interleaving state cap of the interleave-agreement oracle; a
+/// truncated exploration skips the agreement check rather than risking a
+/// false verdict. The report renders it as `interleave_max_states`.
+const INTERLEAVE_MAX_STATES: usize = 1_000_000;
+
 /// Everything one algorithm campaign depends on.
 #[derive(Clone, Debug)]
 pub struct AlgoConfig {
@@ -74,9 +79,6 @@ pub struct AlgoConfig {
     /// klitmus host-runner iterations per runnable program; 0 disables
     /// the host-soundness pass.
     pub host_iterations: u64,
-    /// Interleaving state cap (0 = unbounded); a truncated exploration
-    /// skips the agreement check rather than risking a false verdict.
-    pub interleave_max_states: usize,
     /// Minimize discrepancies with the shrinker.
     pub shrink: bool,
     /// Shared enumeration pruning counters for the matrix pass
@@ -99,7 +101,6 @@ impl Default for AlgoConfig {
             store_path: None,
             sim: SimConfig::default(),
             host_iterations: 2_000,
-            interleave_max_states: 1_000_000,
             shrink: true,
             enum_stats: None,
             data_plane: None,
@@ -237,7 +238,7 @@ pub fn run_algo_campaign_with(
         }
         if let Some(machine) = &program.machine {
             let agreement = &mut here[OracleKind::InterleaveAgreement.index()];
-            interleave_check_row(machine, cfg.interleave_max_states, row, discrepancies, agreement);
+            interleave_check_row(machine, row, discrepancies, agreement);
         }
         for (total, part) in summaries.iter_mut().zip(here) {
             *total += part;
@@ -299,13 +300,12 @@ fn host_check_row(
 }
 
 /// Interleave agreement for one program with a step machine: exhaustive
-/// SC interleaving (capped at `interleave_max_states`; a truncated
+/// SC interleaving (capped at [`INTERLEAVE_MAX_STATES`]; a truncated
 /// exploration is skipped rather than risking a false verdict) against
 /// the row's SC cell. A missing or inconclusive cell (a quarantined
 /// unit's row among them) is skipped unexplored.
 fn interleave_check_row(
     machine: &Machine,
-    max_states: usize,
     row: &MatrixRow,
     discrepancies: &mut Vec<Discrepancy>,
     summary: &mut OracleSummary,
@@ -314,7 +314,7 @@ fn interleave_check_row(
         summary.skipped += 1;
         return;
     };
-    let explored = interleave::explore(machine, max_states);
+    let explored = interleave::explore(machine, INTERLEAVE_MAX_STATES);
     if explored.truncated {
         summary.skipped += 1;
         return;
@@ -331,7 +331,10 @@ fn interleave_check_row(
                 explored.states,
                 axiomatic
             ),
-            check: Recheck::InterleaveDivergence { machine: machine.clone(), max_states },
+            check: Recheck::InterleaveDivergence {
+                machine: machine.clone(),
+                max_states: INTERLEAVE_MAX_STATES,
+            },
             test: row.test.clone(),
             shrunk: None,
         });
@@ -375,7 +378,7 @@ pub fn algo_json_report(report: &AlgoReport, cfg: &AlgoConfig) -> Json {
                 ("sim_iterations", Json::num(cfg.sim.iterations)),
                 ("sim_seed", Json::num(cfg.sim.seed)),
                 ("host_iterations", Json::num(cfg.host_iterations)),
-                ("interleave_max_states", Json::num(cfg.interleave_max_states as u64)),
+                ("interleave_max_states", Json::num(INTERLEAVE_MAX_STATES as u64)),
                 ("shrink", Json::Bool(cfg.shrink)),
             ]),
         ),

@@ -70,6 +70,7 @@ use crate::checkpoint::{self, Checkpoint, CheckpointLog, FailedUnit, FailureKind
 use crate::matrix::{CorpusEntry, MatrixOptions, MatrixRow, ModelId, ModelPass, ModelSet, Origin};
 use crate::oracle::{Discrepancy, OracleKind, OracleSummary};
 use lkmm_core::faultpoint;
+use lkmm_core::rng::SplitMix64;
 use lkmm_exec::pool::prepare_in_order;
 use lkmm_exec::{worker_threads, CheckOutcome, EnumOptions, Verdict};
 use lkmm_generator::GenError;
@@ -77,7 +78,6 @@ use lkmm_litmus::ast::Test;
 use lkmm_service::{
     CorpusRun, MultiBatchChecker, MultiColumn, PreparedUnit, StoreError, UnitFault, VerdictStore,
 };
-use lkmm_sim::rng::SplitMix64;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::thread;

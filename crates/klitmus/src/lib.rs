@@ -119,7 +119,9 @@ fn decode(v: i64) -> Val {
 ///
 /// See [`HostError`]. A thread whose body fails still meets the others
 /// at the end of that iteration, where every thread stops; the error
-/// returned is the first in thread order.
+/// returned is the first in thread order. Nothing waits on a body that
+/// stops early: it leaves its read-side sections, so grace periods end,
+/// and a thread spinning on a lock, which the failed one may hold, stops.
 pub fn run_on_host(test: &Test, config: &HostConfig) -> Result<HostStats, HostError> {
     let prog = Program::lower(test);
     // Reject unsupported constructs up front.
@@ -153,8 +155,8 @@ pub fn run_on_host(test: &Test, config: &HostConfig) -> Result<HostStats, HostEr
                 let code = &prog.threads[tid];
                 let mut finals = Vec::with_capacity(config.iterations as usize * code.names.len());
                 let mut snapshots = Vec::new();
-                let mut interp =
-                    Interp { prog, tid, mem, rcu, srcu, regs: vec![None; code.names.len()] };
+                let regs = vec![None; code.names.len()];
+                let mut interp = Interp { prog, tid, mem, rcu, srcu, failed, regs };
                 for _ in 0..config.iterations {
                     // Thread 0 resets memory before releasing the pack;
                     // everyone else is parked on the start barrier.
@@ -166,12 +168,17 @@ pub fn run_on_host(test: &Test, config: &HostConfig) -> Result<HostStats, HostEr
                     start.wait();
                     interp.regs.fill(None);
                     let body = interp.run(code.body);
-                    if body.is_err() {
-                        failed.store(true, Ordering::Relaxed);
+                    if let Err(error) = &body {
+                        if error.is_some() {
+                            failed.store(true, Ordering::Relaxed);
+                        }
+                        interp.leave_sections();
                     }
                     finals.extend_from_slice(&interp.regs);
                     finish.wait();
-                    body?;
+                    if let Err(Some(error)) = body {
+                        return Err(error);
+                    }
                     if failed.load(Ordering::Relaxed) {
                         break;
                     }
@@ -221,6 +228,8 @@ struct Interp<'a> {
     mem: &'a [AtomicI64],
     rcu: &'a Urcu,
     srcu: &'a [Urcu],
+    /// Set by a thread whose body failed.
+    failed: &'a AtomicBool,
     /// Register slots, by id.
     regs: Vec<Option<i64>>,
 }
@@ -235,7 +244,9 @@ fn ordering(order: RmwOrder) -> Ordering {
 }
 
 impl Interp<'_> {
-    fn run(&mut self, block: BlockId) -> Result<(), HostError> {
+    /// Run a block; `Err(None)` when the body stopped because another
+    /// thread failed.
+    fn run(&mut self, block: BlockId) -> Result<(), Option<HostError>> {
         let prog = self.prog;
         for stmt in prog.threads[self.tid].block(block) {
             self.step(stmt)?;
@@ -287,7 +298,15 @@ impl Interp<'_> {
         })
     }
 
-    fn step(&mut self, stmt: &LStmt) -> Result<(), HostError> {
+    /// Leave every read-side section this thread is inside, so that no
+    /// grace period waits on a body that stopped inside one.
+    fn leave_sections(&self) {
+        for domain in std::iter::once(self.rcu).chain(self.srcu) {
+            domain.leave_read_sections(self.tid);
+        }
+    }
+
+    fn step(&mut self, stmt: &LStmt) -> Result<(), Option<HostError>> {
         match *stmt {
             LStmt::Load { dst, addr, acquire, .. } => {
                 let l = self.addr(addr)?;
@@ -357,6 +376,10 @@ impl Interp<'_> {
                     .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
                     .is_err()
                 {
+                    // A failed thread may hold the lock for good.
+                    if self.failed.load(Ordering::Relaxed) {
+                        return Err(None);
+                    }
                     std::hint::spin_loop();
                 }
             }
@@ -364,7 +387,7 @@ impl Interp<'_> {
                 let l = self.addr(addr)?;
                 self.mem[l].store(0, Ordering::Release);
             }
-            LStmt::Assume(_) => return Err(HostError::Unsupported("__assume")),
+            LStmt::Assume(_) => return Err(Some(HostError::Unsupported("__assume"))),
         }
         Ok(())
     }

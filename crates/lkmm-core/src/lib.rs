@@ -1,9 +1,9 @@
 //! # lkmm-core
 //!
 //! Dependency-free runtime substrate shared by every layer of the LKMM
-//! toolkit. Two concerns live here, both deliberately below the litmus /
-//! execution / model crates so that any of them can use the machinery
-//! without dependency cycles:
+//! toolkit. Its modules sit deliberately below the litmus / execution /
+//! model crates so that any of them can use the machinery without
+//! dependency cycles:
 //!
 //! * [`budget`] — resource governance: candidate-count fuel, evaluation
 //!   step fuel for `cat` fixpoints, wall-clock deadlines, and shared
@@ -16,8 +16,11 @@
 //!   [`faultpoint::arm`] test guard;
 //! * [`quota`] — per-client admission quotas for the multi-client
 //!   verdict service, reusing the budget machinery as per-request
-//!   governance with typed over-quota / overloaded rejections.
+//!   governance with typed over-quota / overloaded rejections;
+//! * [`rng`] — the vendored SplitMix64 stream every seeded component
+//!   draws from.
 
 pub mod budget;
 pub mod faultpoint;
 pub mod quota;
+pub mod rng;

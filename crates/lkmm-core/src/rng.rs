@@ -1,10 +1,12 @@
-//! Minimal deterministic PRNG for the Monte-Carlo scheduler.
+//! Minimal deterministic PRNG: the one seeded stream of the workspace.
 //!
-//! The simulators only need a seedable, reproducible stream of small
-//! bounded integers to pick the next enabled action. SplitMix64 (Steele,
-//! Lea & Flood 2014) is more than adequate for that — it passes BigCrush
-//! when used as a 64-bit generator — and keeps the workspace free of
-//! registry dependencies, which an offline build cannot fetch.
+//! The simulators' Monte-Carlo scheduler, the campaign driver's retry
+//! jitter, the benches and the seeded property tests only need a
+//! seedable, reproducible stream of 64-bit words and small bounded
+//! integers. SplitMix64 (Steele, Lea & Flood 2014) is more than adequate
+//! for that — it passes BigCrush when used as a 64-bit generator — and
+//! keeps the workspace free of registry dependencies, which an offline
+//! build cannot fetch.
 
 /// SplitMix64 stream.
 #[derive(Clone, Debug)]
@@ -14,11 +16,13 @@ pub struct SplitMix64 {
 
 impl SplitMix64 {
     /// A generator whose stream is fully determined by `seed`.
+    #[inline]
     pub fn seed_from_u64(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
     /// Next raw 64-bit output.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -33,6 +37,7 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn gen_index(&mut self, bound: usize) -> usize {
         assert!(bound > 0, "gen_index bound must be positive");
         let bound = bound as u64;

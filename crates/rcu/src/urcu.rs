@@ -92,6 +92,13 @@ impl Urcu {
         self.rc[tid].store(val - 1, Ordering::Relaxed); // line 24
     }
 
+    /// Leave every read-side critical section thread `tid` is inside, as
+    /// a reader that stops for good must, or grace periods wait forever.
+    pub fn leave_read_sections(&self, tid: usize) {
+        fence(Ordering::SeqCst); // as in rcu_read_unlock()
+        self.rc[tid].store(0, Ordering::Relaxed);
+    }
+
     /// RAII critical section.
     pub fn read_guard(&self, tid: usize) -> ReadGuard<'_> {
         self.read_lock(tid);

@@ -574,11 +574,6 @@ impl Relation {
         None
     }
 
-    /// Cartesian product of two event sets as a relation.
-    pub fn cross_sets(a: &EventSet, b: &EventSet) -> Relation {
-        a.cross(b)
-    }
-
     fn zip(&self, other: &Relation, f: impl Fn(u64, u64) -> u64) -> Relation {
         assert_eq!(self.n, other.n, "universe mismatch");
         let rows = self.rows.iter().zip(&other.rows).map(|(&a, &b)| f(a, b)).collect();

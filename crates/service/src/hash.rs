@@ -8,7 +8,7 @@
 //! accidental collisions over even a billion-test corpus astronomically
 //! unlikely, and a poisoned entry is merely a wrong cached verdict for an
 //! attacker-chosen test, not a memory-safety issue, so a cryptographic
-//! hash buys nothing here. Vendored like SplitMix64 in `lkmm-sim`: the
+//! hash buys nothing here. Vendored like SplitMix64 in `lkmm-core`: the
 //! workspace builds offline with zero external dependencies.
 
 const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

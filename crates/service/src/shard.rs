@@ -134,11 +134,6 @@ impl ShardedStore {
         self
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The log paths for a `shards`-way family at `base`: the base path
     /// itself for one shard, `<base>.shard<i>of<n>` siblings otherwise.
     pub fn shard_paths(base: &Path, shards: usize) -> Vec<PathBuf> {

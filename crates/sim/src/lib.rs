@@ -45,7 +45,11 @@
 
 pub mod exhaustive;
 pub mod machine;
-pub mod rng;
+/// The scheduler's stream, re-exported from `lkmm-core` for callers of
+/// this path.
+pub mod rng {
+    pub use lkmm_core::rng::SplitMix64;
+}
 pub mod runner;
 
 pub use exhaustive::{explore, ExploreResult};

@@ -30,7 +30,7 @@
 //! propagations by thread and location). The runner draws one of them
 //! from a seeded stream, so that order is part of every seeded result.
 
-use crate::rng::SplitMix64;
+use lkmm_core::rng::SplitMix64;
 use lkmm_exec::lower::{
     atomic_result, binop, Addr, BlockId, ExprId, LExpr, LStmt, Node, Program, Term, ONE, ZERO,
 };

@@ -7,7 +7,7 @@
 //! into the histogram once at the end.
 
 use crate::machine::{Arch, Machine, MachineError};
-use crate::rng::SplitMix64;
+use lkmm_core::rng::SplitMix64;
 use lkmm_exec::lower::Program;
 use lkmm_exec::Val;
 use lkmm_litmus::ast::Test;

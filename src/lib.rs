@@ -392,15 +392,6 @@ impl Herd {
         let test = parse(source)?;
         self.check(&test)
     }
-
-    /// herd-style final-state histogram for a test.
-    ///
-    /// # Errors
-    ///
-    /// Propagates enumeration errors.
-    pub fn states(&self, test: &Test) -> Result<lkmm_exec::StateSummary, HerdError> {
-        Ok(lkmm_exec::collect_states(self.model(), test, &self.options)?)
-    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use linux_kernel_memory_model::exec::states::collect_states;
 use linux_kernel_memory_model::generator::{
     cycles_up_to, default_alphabet, generate, generate_contended,
 };
-use linux_kernel_memory_model::klitmus::{run_on_host, HostConfig, HostError};
+use linux_kernel_memory_model::klitmus::{run_on_host, HostConfig, HostError, HostStats};
 use linux_kernel_memory_model::litmus::{library, parse, Test};
 use linux_kernel_memory_model::relation::Relation;
 use linux_kernel_memory_model::service::hash::Fnv64;
@@ -177,24 +177,62 @@ fn host_runner_results_are_pinned() {
     assert_eq!(digest, 0x7d31_3af8_7731_c988, "{digest:#018x}\n{text}");
 }
 
-/// A thread whose body fails still meets the others at the end of that
-/// iteration, so the call returns the error instead of leaving the
-/// other threads blocked on a barrier. The call runs on a spawned thread
-/// so that a hang fails the test instead of stalling the suite.
-#[test]
-fn host_runner_returns_a_failing_threads_error() {
-    let test = parse(
-        "C host-failing-thread\n{ x=0; }\n\
-         P0(int *x) { WRITE_ONCE(*x, r5); }\n\
-         P1(int *x) { int r0; r0 = READ_ONCE(*x); }\n\
-         exists (1:r0=0)\n",
-    )
-    .unwrap();
+/// `run_on_host` at 10 iterations, on a spawned thread so that a hang
+/// fails the test instead of stalling the suite.
+fn run_on_host_or_hang(src: &str) -> Result<HostStats, HostError> {
+    let test = parse(src).unwrap();
     let (tx, rx) = mpsc::channel();
     let runner = std::thread::spawn(move || {
         let _ = tx.send(run_on_host(&test, &HostConfig { iterations: 10 }));
     });
     let result = rx.recv_timeout(Duration::from_secs(10)).expect("run_on_host hung");
     runner.join().expect("the runner thread returned");
+    result
+}
+
+/// A thread whose body fails still meets the others at the end of that
+/// iteration, so the call returns the error instead of leaving the
+/// other threads blocked on a barrier.
+#[test]
+fn host_runner_returns_a_failing_threads_error() {
+    let result = run_on_host_or_hang(
+        "C host-failing-thread\n{ x=0; }\n\
+         P0(int *x) { WRITE_ONCE(*x, r5); }\n\
+         P1(int *x) { int r0; r0 = READ_ONCE(*x); }\n\
+         exists (1:r0=0)\n",
+    );
     assert_eq!(result, Err(HostError::UninitialisedRegister("r5".into())));
+}
+
+/// Nothing waits on a thread that fails holding a spin lock or inside a
+/// read-side section: the other thread's `spin_lock` stops spinning,
+/// and its grace period ends. Each shape hung a call now and then
+/// (a few in a thousand for the lock) before, so each runs 500 times.
+#[test]
+fn host_runner_returns_when_a_thread_fails_holding_a_lock_or_a_read_section() {
+    for (holder, waiter) in [
+        (
+            "spin_lock(s); WRITE_ONCE(*x, r5); spin_unlock(s);",
+            "spin_lock(s); r0 = READ_ONCE(*x); spin_unlock(s);",
+        ),
+        (
+            "rcu_read_lock(); WRITE_ONCE(*x, r5); rcu_read_unlock();",
+            "synchronize_rcu(); r0 = READ_ONCE(*x);",
+        ),
+        (
+            "srcu_read_lock(s); WRITE_ONCE(*x, r5); srcu_read_unlock(s);",
+            "synchronize_srcu(s); r0 = READ_ONCE(*x);",
+        ),
+    ] {
+        let src = format!(
+            "C host-failing-holder\n{{ x=0; s=0; }}\n\
+             P0(int *x, int *s) {{ {holder} }}\n\
+             P1(int *x, int *s) {{ int r0; {waiter} }}\n\
+             exists (1:r0=0)\n"
+        );
+        for _ in 0..500 {
+            let result = run_on_host_or_hang(&src);
+            assert_eq!(result, Err(HostError::UninitialisedRegister("r5".into())), "{holder}");
+        }
+    }
 }
