@@ -341,6 +341,60 @@ fn rendered_reports_are_pinned() {
 }
 
 #[test]
+fn every_oracles_discrepancies_recheck() {
+    // Whatever a campaign row judged violated, the shrinker's from-scratch
+    // re-check judges violated again against the same models, and holds
+    // against the reference set. Both campaigns run twice, with a
+    // forbid-all and an allow-all native LKMM column, and the first five
+    // discrepancies of each oracle in each report are re-checked. Host
+    // soundness is left out (`host_iterations: 0`): whether real threads
+    // observe an outcome depends on scheduling, so its re-check need not
+    // reproduce. Interleave agreement has its own test below.
+    let sim = SimConfig { iterations: 20, seed: 7, stride: 1 };
+    let cycles =
+        CampaignConfig { max_cycle_len: 4, sim: sim.clone(), shrink: false, ..library_campaign() };
+    let ticket = AlgoConfig {
+        families: vec![FamilyId::Ticket],
+        sim,
+        host_iterations: 0,
+        shrink: false,
+        ..AlgoConfig::default()
+    };
+    let (opts, pipe) = (EnumOptions::default(), PipelineOptions::default());
+    let healthy = ModelSet::standard();
+    let mut covered = [0usize; OracleKind::ALL.len()];
+    let mutants: [fn() -> Box<dyn ConsistencyModel>; 2] =
+        [|| Box::new(ForbidAll), || Box::new(AllowAll)];
+    for mutant in mutants {
+        let mut set = ModelSet::standard();
+        set.replace(ModelId::LkmmNative, mutant());
+        let reports = [
+            run_campaign_with(&cycles, &set).unwrap(),
+            run_algo_campaign_with(&ticket, &set).unwrap().campaign,
+        ];
+        for report in reports {
+            for kind in OracleKind::ALL {
+                for d in report.discrepancies.iter().filter(|d| d.oracle == kind).take(5) {
+                    let what = format!("[{kind}] {}: {}", d.test_name, d.detail);
+                    assert!(recheck_violated(&d.check, &d.test, &set, &opts, &pipe), "{what}");
+                    assert!(!recheck_violated(&d.check, &d.test, &healthy, &opts, &pipe), "{what}");
+                    covered[kind.index()] += 1;
+                }
+            }
+        }
+    }
+    for kind in [
+        OracleKind::NativeCatAgreement,
+        OracleKind::EnvelopeOrdering,
+        OracleKind::SimSoundness,
+        OracleKind::C11Divergence,
+        OracleKind::FamilySafety,
+    ] {
+        assert!(covered[kind.index()] > 0, "no {kind} discrepancy to re-check: {covered:?}");
+    }
+}
+
+#[test]
 fn quarantined_algorithm_rows_are_not_interleaved() {
     // C11 panics on every unit, so every ticket program is quarantined
     // and its row stays all-`None`: interleave agreement, like every
