@@ -383,6 +383,22 @@ grep -q '"partial":true' /tmp/lkmm-ci-degraded.json
 grep -q '"kind":"transient-io"' /tmp/lkmm-ci-degraded.json
 grep -q '"attempts":3' /tmp/lkmm-ci-degraded.json
 rm -f /tmp/lkmm-ci-degraded.json
+# An offline merge into a sharded family reports a failed append or
+# flush (exit 5), as a merge into a plain store does.
+MERGE_SRC=/tmp/lkmm-ci-merge-src.bin
+MERGE_FAM=/tmp/lkmm-ci-merge-fam.bin
+rm -f "$MERGE_SRC" "$MERGE_FAM".shard*
+target/release/herd-rs --library --store "$MERGE_SRC" > /dev/null 2>&1
+for spec in store.append.torn=3 store.flush=2; do
+    set +e
+    LKMM_FAULTPOINTS=$spec target/release/herd-rs store merge --shards 4 \
+        "$MERGE_FAM" "$MERGE_SRC" > /dev/null 2>&1
+    MERGE_STATUS=$?
+    set -e
+    test "$MERGE_STATUS" -eq 5
+    rm -f "$MERGE_FAM".shard*
+done
+rm -f "$MERGE_SRC"
 # Rebuild without the feature so later consumers get the fault-free binary.
 cargo build --release --bin herd-rs
 

@@ -112,7 +112,7 @@ fn sequential(sources: &[String]) -> (Vec<u8>, f64) {
     assert_eq!(report.columns[0].computed, sources.len(), "bench corpus has a key collision");
     drop(checker);
     let out = temp_base("seq-export");
-    VerdictStore::export(&base, &out).unwrap();
+    ShardedStore::export_merged(&base, &out).unwrap();
     let bytes = std::fs::read(&out).unwrap();
     cleanup(&base);
     cleanup(&out);

@@ -7,7 +7,7 @@
 //! verdict matrix (all seven axiomatic columns, incrementally through
 //! the verdict store), the same unit pool, retries and quarantine. As
 //! each program's row completes it is held to the oracles its shape
-//! supports:
+//! supports, each check one [`Recheck`] judged over the row's cells:
 //!
 //! * the four matrix oracles of [`crate::oracle`] (native≡cat,
 //!   envelope, C11 whitelist) plus **family safety** — the LKMM verdict
@@ -18,10 +18,11 @@
 //! * **host soundness** — the same runnable programs execute on real
 //!   hardware threads via the klitmus host runner;
 //! * **interleave agreement** — programs carrying a step machine are
-//!   exhaustively interleaved ([`interleave::explore`]) and the
-//!   reachability of the bad state must match the row's SC verdict
-//!   (`lkmm_models::Sc`: `acyclic(po ∪ com)` plus RMW atomicity, the
-//!   semantics of the machines' indivisible steps).
+//!   exhaustively interleaved
+//!   ([`lkmm_algorithms::interleave::explore`]) and the reachability of
+//!   the bad state must match the row's SC verdict (`lkmm_models::Sc`:
+//!   `acyclic(po ∪ com)` plus RMW atomicity, the semantics of the
+//!   machines' indivisible steps).
 //!
 //! The resulting [`AlgoReport`] wraps the driver's [`CampaignReport`]
 //! (per-model counts, oracle totals, discrepancies, quarantined units,
@@ -36,16 +37,14 @@
 
 use crate::campaign::{sim_check_row, CampaignError, CampaignReport, CorpusStream, SimConfig};
 use crate::driver::{drive_campaign, ResilienceConfig};
-use crate::matrix::{uses_srcu, CorpusEntry, MatrixOptions, MatrixRow, ModelId, ModelSet, Origin};
-use crate::oracle::{check_row, Discrepancy, OracleKind, OracleSummary, Recheck};
+use crate::matrix::{uses_srcu, CorpusEntry, MatrixOptions, MatrixRow, ModelSet, Origin};
+use crate::oracle::{check_row, judge_row, Discrepancy, OracleKind, OracleSummary, Recheck};
 use crate::report::{
     counters_json, discrepancies_json, failed_units_json, models_json, oracles_json, table_tail,
 };
 use crate::shrink::shrink_discrepancies;
-use lkmm_algorithms::interleave::{self, Machine};
 use lkmm_algorithms::{FamilyId, FamilyParams};
 use lkmm_core::budget::Budget;
-use lkmm_exec::Verdict;
 use lkmm_service::json::Json;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -229,17 +228,15 @@ pub fn run_algo_campaign_with(
         // Matrix oracles, family safety among them.
         check_row(row, discrepancies, &mut here);
         if program.runnable && !uses_srcu(&row.test) {
-            let sim = &mut here[OracleKind::SimSoundness.index()];
-            sim_check_row(&cfg.sim, i, row, discrepancies, sim);
+            sim_check_row(&cfg.sim, i, row, discrepancies, &mut here);
         }
-        if program.runnable {
-            let host = &mut here[OracleKind::HostSoundness.index()];
-            host_check_row(cfg.host_iterations, row, discrepancies, host);
-        }
-        if let Some(machine) = &program.machine {
-            let agreement = &mut here[OracleKind::InterleaveAgreement.index()];
-            interleave_check_row(machine, row, discrepancies, agreement);
-        }
+        let host = (program.runnable && cfg.host_iterations > 0)
+            .then_some(Recheck::HostObservation { iterations: cfg.host_iterations });
+        let interleave = program.machine.as_ref().map(|machine| Recheck::InterleaveDivergence {
+            machine: machine.clone(),
+            max_states: INTERLEAVE_MAX_STATES,
+        });
+        judge_row(row, host.into_iter().chain(interleave), discrepancies, &mut here);
         for (total, part) in summaries.iter_mut().zip(here) {
             *total += part;
         }
@@ -259,86 +256,6 @@ pub fn run_algo_campaign_with(
         shrink_discrepancies(&mut campaign.discrepancies, set, &cfg.budget, cfg.jobs);
     }
     Ok(AlgoReport { campaign, params: cfg.params, families: family_stats })
-}
-
-/// Whether the native LKMM completed `row` with a Forbidden verdict.
-fn lkmm_forbidden(row: &MatrixRow) -> bool {
-    row.verdict(ModelId::LkmmNative) == Some(Verdict::Forbidden)
-}
-
-/// Host soundness for one runnable program's row: real hardware threads
-/// must never observe an outcome the LKMM forbids.
-fn host_check_row(
-    iterations: u64,
-    row: &MatrixRow,
-    discrepancies: &mut Vec<Discrepancy>,
-    summary: &mut OracleSummary,
-) {
-    if iterations == 0 || !lkmm_forbidden(row) {
-        return;
-    }
-    match lkmm_klitmus::run_on_host(&row.test, &lkmm_klitmus::HostConfig { iterations }) {
-        Err(_) => summary.skipped += 1,
-        Ok(stats) => {
-            summary.checked += 1;
-            if stats.observed > 0 {
-                summary.violations += 1;
-                discrepancies.push(Discrepancy {
-                    test_name: row.test.name.clone(),
-                    oracle: OracleKind::HostSoundness,
-                    detail: format!(
-                        "host threads observed an LKMM-forbidden outcome {} times in {} runs",
-                        stats.observed, stats.total
-                    ),
-                    check: Recheck::HostObservation { iterations },
-                    test: row.test.clone(),
-                    shrunk: None,
-                });
-            }
-        }
-    }
-}
-
-/// Interleave agreement for one program with a step machine: exhaustive
-/// SC interleaving (capped at [`INTERLEAVE_MAX_STATES`]; a truncated
-/// exploration is skipped rather than risking a false verdict) against
-/// the row's SC cell. A missing or inconclusive cell (a quarantined
-/// unit's row among them) is skipped unexplored.
-fn interleave_check_row(
-    machine: &Machine,
-    row: &MatrixRow,
-    discrepancies: &mut Vec<Discrepancy>,
-    summary: &mut OracleSummary,
-) {
-    let Some(axiomatic) = row.verdict(ModelId::Sc) else {
-        summary.skipped += 1;
-        return;
-    };
-    let explored = interleave::explore(machine, INTERLEAVE_MAX_STATES);
-    if explored.truncated {
-        summary.skipped += 1;
-        return;
-    }
-    summary.checked += 1;
-    if explored.bad_reachable != (axiomatic == Verdict::Allowed) {
-        summary.violations += 1;
-        discrepancies.push(Discrepancy {
-            test_name: row.test.name.clone(),
-            oracle: OracleKind::InterleaveAgreement,
-            detail: format!(
-                "interleaving says the bad state is {} ({} states explored), SC says {}",
-                if explored.bad_reachable { "reachable" } else { "unreachable" },
-                explored.states,
-                axiomatic
-            ),
-            check: Recheck::InterleaveDivergence {
-                machine: machine.clone(),
-                max_states: INTERLEAVE_MAX_STATES,
-            },
-            test: row.test.clone(),
-            shrunk: None,
-        });
-    }
 }
 
 /// Render the deterministic JSON report for an algorithm campaign.
@@ -444,6 +361,7 @@ pub fn algo_human_table(report: &AlgoReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::ModelId;
     use crate::oracle::recheck_violated;
     use crate::shrink::test_size;
     use lkmm_exec::{EnumOptions, PipelineOptions};

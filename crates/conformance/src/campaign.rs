@@ -18,15 +18,15 @@ use crate::driver::{drive_campaign, ResilienceConfig};
 use crate::matrix::{
     uses_srcu, CorpusEntry, MatrixOptions, MatrixRow, ModelId, ModelPass, ModelSet, Origin,
 };
-use crate::oracle::{check_row, Discrepancy, OracleKind, OracleSummary, Recheck};
+use crate::oracle::{check_row, judge_row, Discrepancy, OracleKind, OracleSummary, Recheck};
 use crate::shrink::shrink_discrepancies;
 use lkmm_core::budget::Budget;
-use lkmm_exec::{CheckOutcome, Verdict};
+use lkmm_exec::Verdict;
 use lkmm_generator::{
     cycles_up_to, default_alphabet, generate, generate_contended, Edge, GenError,
 };
 use lkmm_service::hash::fnv64;
-use lkmm_sim::{run_test, Arch, RunConfig};
+use lkmm_sim::Arch;
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
@@ -391,10 +391,12 @@ pub(crate) fn sim_seed(base: u64, corpus_index: usize) -> u64 {
     base ^ (corpus_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Simulator soundness for one completed row: an operational machine
-/// must never observe an outcome the LKMM forbids, so only
-/// LKMM-forbidden rows need running, and only every `stride`-th corpus
-/// index is sampled. Runs as part of the driver's per-row checks, so a
+/// Simulator soundness for one completed row: each architecture's
+/// [`Recheck::SimObservation`], judged over the row. An operational
+/// machine must never observe an outcome the LKMM forbids, so only
+/// LKMM-forbidden rows run, only every `stride`-th corpus index is
+/// sampled, and a row using SRCU, which the machines do not implement,
+/// counts one skip. Runs as part of the driver's per-row checks, so a
 /// checkpoint frame's aggregates already include the prefix's share of
 /// the simulator pass.
 pub(crate) fn sim_check_row(
@@ -402,52 +404,21 @@ pub(crate) fn sim_check_row(
     i: usize,
     row: &MatrixRow,
     discrepancies: &mut Vec<Discrepancy>,
-    summary: &mut OracleSummary,
+    summaries: &mut [OracleSummary],
 ) {
-    if sim.iterations == 0 || i % sim.stride.max(1) != 0 {
-        return;
-    }
-    let forbidden = matches!(
-        row.cell(ModelId::LkmmNative).and_then(CheckOutcome::result),
-        Some(r) if r.verdict == Verdict::Forbidden
-    );
-    if !forbidden {
+    if sim.iterations == 0
+        || !i.is_multiple_of(sim.stride.max(1))
+        || row.verdict(ModelId::LkmmNative) != Some(Verdict::Forbidden)
+    {
         return;
     }
     if uses_srcu(&row.test) {
-        summary.skipped += 1;
+        summaries[OracleKind::SimSoundness.index()].skipped += 1;
         return;
     }
-    let seed = sim_seed(sim.seed, i);
-    for arch in Arch::ALL {
-        let config = RunConfig { iterations: sim.iterations, seed };
-        match run_test(&row.test, arch, &config) {
-            Err(_) => summary.skipped += 1,
-            Ok(stats) => {
-                summary.checked += 1;
-                if stats.observed > 0 {
-                    summary.violations += 1;
-                    discrepancies.push(Discrepancy {
-                        test_name: row.test.name.clone(),
-                        oracle: OracleKind::SimSoundness,
-                        detail: format!(
-                            "{} observed an LKMM-forbidden outcome {} times in {} runs (seed {seed})",
-                            arch.name(),
-                            stats.observed,
-                            stats.total
-                        ),
-                        check: Recheck::SimObservation {
-                            arch,
-                            iterations: sim.iterations,
-                            seed,
-                        },
-                        test: row.test.clone(),
-                        shrunk: None,
-                    });
-                }
-            }
-        }
-    }
+    let (iterations, seed) = (sim.iterations, sim_seed(sim.seed, i));
+    let checks = Arch::ALL.map(|arch| Recheck::SimObservation { arch, iterations, seed });
+    judge_row(row, checks, discrepancies, summaries);
 }
 
 /// Run a full campaign with the standard reference checkers.
@@ -495,8 +466,7 @@ pub fn run_campaign_with(
         &cfg.resilience,
         |i, row, discrepancies, summaries| {
             check_row(row, discrepancies, summaries);
-            let sim = &mut summaries[OracleKind::SimSoundness.index()];
-            sim_check_row(&cfg.sim, i, row, discrepancies, sim);
+            sim_check_row(&cfg.sim, i, row, discrepancies, summaries);
         },
     )?;
     // Shrink every discrepancy down to a minimal discriminating witness.

@@ -1,7 +1,7 @@
 //! Typed invariants over verdict-matrix rows.
 //!
-//! Each oracle encodes one §5 validation claim as a checkable property
-//! of a single row:
+//! Each oracle encodes one §5 validation claim (the last three belong to
+//! the algorithm-family campaign, [`crate::algorithms`]):
 //!
 //! * **native≡cat** — the two LKMM formulations produce identical
 //!   [`TestResult`]s (verdict *and* exact candidate/allowed/witness
@@ -11,25 +11,31 @@
 //!   Power allows, the LKMM allows;
 //! * **sim soundness** — an operational simulator never observes an
 //!   outcome the LKMM forbids (Table 5's empty "forbidden observed"
-//!   column), checked by [`crate::campaign`] with seeded runs;
+//!   column), checked with seeded runs;
 //! * **C11 divergence whitelist** — original C11 under the P0124
 //!   mapping may diverge from the LKMM only where the mapping loses
 //!   ordering ([`OriginalC11::divergence_license`]); library rows must
-//!   additionally match the paper's published C11 column exactly.
+//!   instead match the paper's published C11 column exactly;
+//! * **family safety** — an algorithm-family program's LKMM verdict
+//!   matches its family's declared expectation;
+//! * **host soundness** — the klitmus runner never observes an
+//!   LKMM-forbidden outcome on real threads;
+//! * **interleave agreement** — exhaustive step-machine interleaving
+//!   agrees with the row's SC verdict.
 //!
-//! The algorithm-family campaign ([`crate::algorithms`]) adds three
-//! more: **family safety** (a family program's LKMM verdict matches its
-//! declared expectation), **host soundness** (the klitmus runner never
-//! observes an LKMM-forbidden outcome on real threads), and
-//! **interleave agreement** (exhaustive step-machine interleaving
-//! agrees with the row's SC verdict).
+//! Each oracle is defined once, as a [`Recheck`]: [`Recheck::oracle`]
+//! names its invariant, and one judgement decides whether it holds on a
+//! test, reading each column's completed result through a closure. A
+//! campaign judges a row's checks over the row's cells ([`check_row`],
+//! and the simulator, host and interleaving passes of the campaigns);
+//! the shrinker judges the same check over fresh checks
+//! ([`recheck_violated`]).
 //!
-//! A violation is a structured [`Discrepancy`] carrying a re-checkable
-//! [`Recheck`] predicate. Re-checks always recompute from scratch —
-//! **never through the verdict store** — so a discrepancy can never be
-//! an artifact of a stale or poisoned cache entry, and the shrinker can
-//! evaluate the same predicate on mutated tests that were never checked
-//! before.
+//! A violation is a structured [`Discrepancy`] carrying its [`Recheck`].
+//! Re-checks always recompute from scratch — **never through the verdict
+//! store** — so a discrepancy can never be an artifact of a stale or
+//! poisoned cache entry, and the shrinker can evaluate the same
+//! predicate on mutated tests that were never checked before.
 
 use crate::matrix::{MatrixRow, ModelId, ModelSet, Origin};
 use lkmm_exec::{CheckOutcome, EnumOptions, PipelineOptions, TestResult, Verdict};
@@ -104,9 +110,9 @@ impl fmt::Display for OracleKind {
     }
 }
 
-/// The re-checkable predicate behind one discrepancy: exactly the
-/// failing oracle pair, nothing else. The shrinker re-evaluates this
-/// (and only this) on every candidate reduction.
+/// One oracle check: the row's campaign judges it over the row's cells,
+/// and the shrinker re-evaluates it (and only it) from scratch on every
+/// candidate reduction.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Recheck {
     /// Two checkers disagree on the full [`TestResult`].
@@ -128,8 +134,10 @@ pub enum Recheck {
     /// still gets the wrong verdict — and when the wrong verdict is an
     /// *Allow*, the recheck additionally demands the outcome be weak
     /// (the SC column forbids it), so the minimal witness is a genuine
-    /// weak-memory discriminator rather than the empty program.
-    FamilyExpectation { expect: Verdict },
+    /// weak-memory discriminator rather than the empty program. The
+    /// family's name and invariant, as in [`Origin::Algorithm`], are
+    /// report text.
+    FamilyExpectation { family: &'static str, invariant: &'static str, expect: Verdict },
     /// A klitmus host run observes an outcome the LKMM forbids.
     /// Re-checkable in principle (host scheduling is uncontrolled, so a
     /// re-run may not reproduce the observation), but never shrunk.
@@ -189,153 +197,217 @@ pub const ENVELOPE_PAIRS: [(ModelId, ModelId); 4] = [
     (ModelId::Power, ModelId::LkmmNative),
 ];
 
-fn complete(row: &MatrixRow, id: ModelId) -> Option<&TestResult> {
-    row.cell(id).and_then(CheckOutcome::result)
+/// What one check concludes about one test.
+enum Judgement {
+    /// Not applicable (a soundness check on a test the LKMM allows):
+    /// counted nowhere.
+    Moot,
+    /// A result it needs is missing or inconclusive, or its run failed.
+    Skipped,
+    Holds,
+    /// Violated, with the report's detail text.
+    Violated(String),
 }
 
-/// Evaluate the matrix-level oracles (agreement, envelope, C11, and —
-/// on algorithm rows — family safety) on one row, appending any
-/// violations and updating the summaries (indexed like
-/// [`OracleKind::ALL`]). Sim soundness needs simulator runs and lives
-/// in [`crate::campaign`]; host soundness and interleave agreement live
-/// in [`crate::algorithms`].
-pub fn check_row(
+fn violated_if(violated: bool, detail: impl FnOnce() -> String) -> Judgement {
+    if violated {
+        Judgement::Violated(detail())
+    } else {
+        Judgement::Holds
+    }
+}
+
+impl Recheck {
+    /// The invariant this check belongs to.
+    pub fn oracle(&self) -> OracleKind {
+        match self {
+            Recheck::ResultAgreement { .. } => OracleKind::NativeCatAgreement,
+            Recheck::Envelope { .. } => OracleKind::EnvelopeOrdering,
+            Recheck::C11Expectation { .. } | Recheck::C11Unlicensed => OracleKind::C11Divergence,
+            Recheck::SimObservation { .. } => OracleKind::SimSoundness,
+            Recheck::FamilyExpectation { .. } => OracleKind::FamilySafety,
+            Recheck::HostObservation { .. } => OracleKind::HostSoundness,
+            Recheck::InterleaveDivergence { .. } => OracleKind::InterleaveAgreement,
+        }
+    }
+
+    /// Judge this check on `test`. `result` reads one column's completed
+    /// result: `None` when the column does not cover the test or its
+    /// check was inconclusive. The simulator and host checks run their
+    /// machines here, and interleave agreement explores its machine.
+    fn judge(
+        &self,
+        test: &Test,
+        result: &mut dyn FnMut(ModelId) -> Option<TestResult>,
+    ) -> Judgement {
+        match self {
+            Recheck::ResultAgreement { left, right } => {
+                let (Some(a), Some(b)) = (result(*left), result(*right)) else {
+                    return Judgement::Skipped;
+                };
+                // Full result equality, not just the verdict: the two
+                // formulations enumerate the same candidates, so even a
+                // count drift is a bug in one of them.
+                violated_if(a != b, || {
+                    format!(
+                        "native {} (candidates={}, allowed={}) vs cat {} (candidates={}, allowed={})",
+                        a.verdict, a.candidates, a.allowed, b.verdict, b.candidates, b.allowed
+                    )
+                })
+            }
+            Recheck::Envelope { sub, envelope } => {
+                let (Some(weak), Some(strong)) = (result(*sub), result(*envelope)) else {
+                    return Judgement::Skipped;
+                };
+                violated_if(
+                    weak.verdict == Verdict::Allowed && strong.verdict == Verdict::Forbidden,
+                    || format!("{} allows what {} forbids", sub.column(), envelope.column()),
+                )
+            }
+            Recheck::C11Expectation { expect } => match result(ModelId::C11) {
+                None => Judgement::Skipped,
+                Some(c11) => violated_if(c11.verdict != *expect, || {
+                    format!("C11 says {}, the paper's column says {expect}", c11.verdict)
+                }),
+            },
+            Recheck::C11Unlicensed => {
+                let (Some(c11), Some(native)) = (result(ModelId::C11), result(ModelId::LkmmNative))
+                else {
+                    return Judgement::Skipped;
+                };
+                let unlicensed = || OriginalC11::divergence_license(test).is_none();
+                violated_if(c11.verdict != native.verdict && unlicensed(), || {
+                    format!(
+                        "LKMM {} vs C11 {} on a test with no divergence license",
+                        native.verdict, c11.verdict
+                    )
+                })
+            }
+            Recheck::SimObservation { arch, iterations, seed } => {
+                if result(ModelId::LkmmNative).map(|r| r.verdict) != Some(Verdict::Forbidden) {
+                    return Judgement::Moot;
+                }
+                let config = RunConfig { iterations: *iterations, seed: *seed };
+                match run_test(test, *arch, &config) {
+                    Err(_) => Judgement::Skipped,
+                    Ok(stats) => violated_if(stats.observed > 0, || {
+                        format!(
+                            "{} observed an LKMM-forbidden outcome {} times in {} runs (seed {seed})",
+                            arch.name(),
+                            stats.observed,
+                            stats.total
+                        )
+                    }),
+                }
+            }
+            Recheck::FamilyExpectation { family, invariant, expect } => {
+                match result(ModelId::LkmmNative) {
+                    None => Judgement::Skipped,
+                    Some(native) => violated_if(native.verdict != *expect, || {
+                        format!(
+                            "{family}: LKMM says {}, the family expects {expect} ({invariant})",
+                            native.verdict
+                        )
+                    }),
+                }
+            }
+            Recheck::HostObservation { iterations } => {
+                if result(ModelId::LkmmNative).map(|r| r.verdict) != Some(Verdict::Forbidden) {
+                    return Judgement::Moot;
+                }
+                let config = lkmm_klitmus::HostConfig { iterations: *iterations };
+                match lkmm_klitmus::run_on_host(test, &config) {
+                    Err(_) => Judgement::Skipped,
+                    Ok(stats) => violated_if(stats.observed > 0, || {
+                        format!(
+                            "host threads observed an LKMM-forbidden outcome {} times in {} runs",
+                            stats.observed, stats.total
+                        )
+                    }),
+                }
+            }
+            Recheck::InterleaveDivergence { machine, max_states } => {
+                // A missing or inconclusive SC cell (a quarantined unit's
+                // row among them) is skipped unexplored, and a truncated
+                // exploration is skipped rather than risking a false
+                // verdict.
+                let Some(sc) = result(ModelId::Sc) else { return Judgement::Skipped };
+                let explored = lkmm_algorithms::interleave::explore(machine, *max_states);
+                if explored.truncated {
+                    return Judgement::Skipped;
+                }
+                violated_if(explored.bad_reachable != (sc.verdict == Verdict::Allowed), || {
+                    format!(
+                        "interleaving says the bad state is {} ({} states explored), SC says {}",
+                        if explored.bad_reachable { "reachable" } else { "unreachable" },
+                        explored.states,
+                        sc.verdict
+                    )
+                })
+            }
+        }
+    }
+}
+
+/// Judge `checks` over the row's cells: each judgement counts into
+/// `summaries` (indexed like [`OracleKind::ALL`]) and each violation
+/// becomes a [`Discrepancy`] in `out`.
+pub(crate) fn judge_row(
     row: &MatrixRow,
+    checks: impl IntoIterator<Item = Recheck>,
     out: &mut Vec<Discrepancy>,
     summaries: &mut [OracleSummary],
 ) {
-    let discrepancy = |oracle: OracleKind, detail: String, check: Recheck| Discrepancy {
-        test_name: row.test.name.clone(),
-        oracle,
-        detail,
-        check,
-        test: row.test.clone(),
-        shrunk: None,
-    };
-
-    // Native ≡ cat: full result equality, not just the verdict — the two
-    // formulations enumerate the same candidates, so even a count drift
-    // is a bug in one of them.
-    {
-        let s = &mut summaries[0];
-        match (complete(row, ModelId::LkmmNative), complete(row, ModelId::LkmmCat)) {
-            (Some(native), Some(cat)) => {
+    let mut cell = |id: ModelId| row.cell(id).and_then(CheckOutcome::result).cloned();
+    for check in checks {
+        let oracle = check.oracle();
+        let s = &mut summaries[oracle.index()];
+        match check.judge(&row.test, &mut cell) {
+            Judgement::Moot => {}
+            Judgement::Skipped => s.skipped += 1,
+            Judgement::Holds => s.checked += 1,
+            Judgement::Violated(detail) => {
                 s.checked += 1;
-                if native != cat {
-                    s.violations += 1;
-                    out.push(discrepancy(
-                        OracleKind::NativeCatAgreement,
-                        format!(
-                            "native {} (candidates={}, allowed={}) vs cat {} (candidates={}, allowed={})",
-                            native.verdict, native.candidates, native.allowed,
-                            cat.verdict, cat.candidates, cat.allowed
-                        ),
-                        Recheck::ResultAgreement {
-                            left: ModelId::LkmmNative,
-                            right: ModelId::LkmmCat,
-                        },
-                    ));
-                }
-            }
-            _ => s.skipped += 1,
-        }
-    }
-
-    // Envelope ordering on verdicts: if the weaker model allows the
-    // condition, every enveloping model must allow it too.
-    {
-        let s = &mut summaries[1];
-        for (sub, envelope) in ENVELOPE_PAIRS {
-            match (complete(row, sub), complete(row, envelope)) {
-                (Some(weak), Some(strong)) => {
-                    s.checked += 1;
-                    if weak.verdict == Verdict::Allowed && strong.verdict == Verdict::Forbidden {
-                        s.violations += 1;
-                        out.push(discrepancy(
-                            OracleKind::EnvelopeOrdering,
-                            format!(
-                                "{} allows what {} forbids",
-                                sub.column(),
-                                envelope.column()
-                            ),
-                            Recheck::Envelope { sub, envelope },
-                        ));
-                    }
-                }
-                _ => s.skipped += 1,
+                s.violations += 1;
+                out.push(Discrepancy {
+                    test_name: row.test.name.clone(),
+                    oracle,
+                    detail,
+                    check,
+                    test: row.test.clone(),
+                    shrunk: None,
+                });
             }
         }
     }
+}
 
-    // C11: library rows must match the paper's column; generated rows
+/// Judge the matrix-level oracles on one row: native≡cat, the four
+/// envelope pairs, the C11 check and, on algorithm rows, family safety,
+/// counting into `summaries` (indexed like [`OracleKind::ALL`]) and
+/// appending violations to `out`. The simulator, host and interleaving
+/// checks need runs of their own; their campaigns judge them with the
+/// same [`Recheck`]s ([`crate::campaign`], [`crate::algorithms`]).
+pub fn check_row(row: &MatrixRow, out: &mut Vec<Discrepancy>, summaries: &mut [OracleSummary]) {
+    let agreement = Recheck::ResultAgreement { left: ModelId::LkmmNative, right: ModelId::LkmmCat };
+    let envelope = ENVELOPE_PAIRS.map(|(sub, envelope)| Recheck::Envelope { sub, envelope });
+    // Library rows must match the paper's C11 column; every other row
     // may diverge from the LKMM only with a license.
-    {
-        let s = &mut summaries[3];
-        match complete(row, ModelId::C11) {
-            None => s.skipped += 1,
-            Some(c11) => {
-                if let Origin::Library { c11: Some(expect), .. } = &row.origin {
-                    s.checked += 1;
-                    let expected = match expect {
-                        Expect::Allowed => Verdict::Allowed,
-                        Expect::Forbidden => Verdict::Forbidden,
-                    };
-                    if c11.verdict != expected {
-                        s.violations += 1;
-                        out.push(discrepancy(
-                            OracleKind::C11Divergence,
-                            format!("C11 says {}, the paper's column says {}", c11.verdict, expected),
-                            Recheck::C11Expectation { expect: expected },
-                        ));
-                    }
-                } else {
-                    match complete(row, ModelId::LkmmNative) {
-                        None => s.skipped += 1,
-                        Some(native) => {
-                            s.checked += 1;
-                            if c11.verdict != native.verdict
-                                && OriginalC11::divergence_license(&row.test).is_none()
-                            {
-                                s.violations += 1;
-                                out.push(discrepancy(
-                                    OracleKind::C11Divergence,
-                                    format!(
-                                        "LKMM {} vs C11 {} on a test with no divergence license",
-                                        native.verdict, c11.verdict
-                                    ),
-                                    Recheck::C11Unlicensed,
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
+    let c11 = match row.origin {
+        Origin::Library { c11: Some(expect), .. } => Recheck::C11Expectation {
+            expect: if expect == Expect::Allowed { Verdict::Allowed } else { Verdict::Forbidden },
+        },
+        _ => Recheck::C11Unlicensed,
+    };
+    // Algorithm rows carry their family's declared LKMM expectation.
+    let family = match row.origin {
+        Origin::Algorithm { family, invariant, expect } => {
+            Some(Recheck::FamilyExpectation { family, invariant, expect })
         }
-    }
-
-    // Family safety: algorithm rows carry their declared LKMM
-    // expectation — the safe variant's violation condition must be
-    // Forbidden, the weakened twin's Allowed.
-    if let Origin::Algorithm { family, invariant, expect } = &row.origin {
-        let s = &mut summaries[OracleKind::FamilySafety.index()];
-        match complete(row, ModelId::LkmmNative) {
-            Some(native) => {
-                s.checked += 1;
-                if native.verdict != *expect {
-                    s.violations += 1;
-                    out.push(discrepancy(
-                        OracleKind::FamilySafety,
-                        format!(
-                            "{family}: LKMM says {}, the family expects {} ({invariant})",
-                            native.verdict, expect
-                        ),
-                        Recheck::FamilyExpectation { expect: *expect },
-                    ));
-                }
-            }
-            None => s.skipped += 1,
-        }
-    }
+        _ => None,
+    };
+    let checks = std::iter::once(agreement).chain(envelope).chain([c11]).chain(family);
+    judge_row(row, checks, out, summaries);
 }
 
 /// Whether `check` still fails on `test`, computed **from scratch** —
@@ -344,9 +416,13 @@ pub fn check_row(
 /// Inconclusive checks count as *not failing* (the shrinker then simply
 /// keeps the larger test, staying conservative).
 ///
-/// This single predicate serves both roles the shrinker needs: the
-/// keep-decision on candidate reductions, and the final re-validation
-/// of the emitted witness.
+/// This is the campaign's judgement over fresh checks, plus one rule of
+/// the shrinker's own: a family program the LKMM wrongly allows must be
+/// forbidden by SC. Without it the shrinker would collapse every
+/// wrong-Allow witness to the trivially allowed empty program, which
+/// discriminates nothing. The one predicate serves both roles the
+/// shrinker needs: the keep-decision on candidate reductions, and the
+/// final re-validation of the emitted witness.
 pub fn recheck_violated(
     check: &Recheck,
     test: &Test,
@@ -354,7 +430,7 @@ pub fn recheck_violated(
     opts: &EnumOptions,
     pipe: &PipelineOptions,
 ) -> bool {
-    let run = |id: ModelId| -> Option<TestResult> {
+    let mut run = |id: ModelId| -> Option<TestResult> {
         if !ModelId::supports(id, test) {
             return None;
         }
@@ -363,80 +439,14 @@ pub fn recheck_violated(
             CheckOutcome::Inconclusive { .. } => None,
         }
     };
+    if !matches!(check.judge(test, &mut run), Judgement::Violated(_)) {
+        return false;
+    }
     match check {
-        Recheck::ResultAgreement { left, right } => match (run(*left), run(*right)) {
-            (Some(a), Some(b)) => a != b,
-            _ => false,
-        },
-        Recheck::Envelope { sub, envelope } => match (run(*sub), run(*envelope)) {
-            (Some(weak), Some(strong)) => {
-                weak.verdict == Verdict::Allowed && strong.verdict == Verdict::Forbidden
-            }
-            _ => false,
-        },
-        Recheck::C11Expectation { expect } => match run(ModelId::C11) {
-            Some(c11) => c11.verdict != *expect,
-            None => false,
-        },
-        Recheck::C11Unlicensed => match (run(ModelId::LkmmNative), run(ModelId::C11)) {
-            (Some(native), Some(c11)) => {
-                native.verdict != c11.verdict
-                    && OriginalC11::divergence_license(test).is_none()
-            }
-            _ => false,
-        },
-        Recheck::SimObservation { arch, iterations, seed } => {
-            let Some(native) = run(ModelId::LkmmNative) else { return false };
-            if native.verdict != Verdict::Forbidden {
-                return false;
-            }
-            match run_test(test, *arch, &RunConfig { iterations: *iterations, seed: *seed }) {
-                Ok(stats) => stats.observed > 0,
-                Err(_) => false,
-            }
+        Recheck::FamilyExpectation { expect: Verdict::Forbidden, .. } => {
+            run(ModelId::Sc).is_some_and(|sc| sc.verdict == Verdict::Forbidden)
         }
-        Recheck::FamilyExpectation { expect } => match run(ModelId::LkmmNative) {
-            Some(native) => {
-                if native.verdict == *expect {
-                    return false;
-                }
-                match native.verdict {
-                    // A wrong Allow must be backed by a genuinely weak
-                    // outcome — one the SC column forbids. Without this
-                    // the shrinker would collapse every wrong-Allow
-                    // witness to the trivially-allowed empty program,
-                    // which discriminates nothing.
-                    Verdict::Allowed => {
-                        run(ModelId::Sc).is_some_and(|sc| sc.verdict == Verdict::Forbidden)
-                    }
-                    _ => true,
-                }
-            }
-            None => false,
-        },
-        Recheck::HostObservation { iterations } => {
-            let Some(native) = run(ModelId::LkmmNative) else { return false };
-            if native.verdict != Verdict::Forbidden {
-                return false;
-            }
-            let config = lkmm_klitmus::HostConfig { iterations: *iterations };
-            match lkmm_klitmus::run_on_host(test, &config) {
-                Ok(stats) => stats.observed > 0,
-                Err(_) => false,
-            }
-        }
-        Recheck::InterleaveDivergence { machine, max_states } => {
-            // Recompute both sides from scratch: the machine re-explored,
-            // the axiomatic side re-checked by the SC column.
-            let explored = lkmm_algorithms::interleave::explore(machine, *max_states);
-            if explored.truncated {
-                return false;
-            }
-            match run(ModelId::Sc) {
-                Some(sc) => explored.bad_reachable != (sc.verdict == Verdict::Allowed),
-                None => false,
-            }
-        }
+        _ => true,
     }
 }
 

@@ -218,7 +218,7 @@ fn recheck_json(check: &Recheck) -> Json {
             ("iterations", Json::num(*iterations)),
             ("seed", Json::num(*seed)),
         ]),
-        Recheck::FamilyExpectation { expect } => Json::obj(vec![
+        Recheck::FamilyExpectation { expect, .. } => Json::obj(vec![
             ("kind", Json::str("family-expectation")),
             ("expect", Json::str(format!("{expect:?}"))),
         ]),

@@ -25,7 +25,10 @@
 //! concurrently, and records the final registers and memory. The final
 //! states are counted by their term values, and each distinct one is
 //! checked and rendered once, by the same `Program::holds` and
-//! `Program::render` the other interpreters use. The key soundness
+//! `Program::render` the other interpreters use. Each body's read-side
+//! sections must balance, per RCU or SRCU domain, as the enumerator
+//! demands: an unbalanced body is an error, never a panic in [`Urcu`]
+//! or a grace period that waits forever. The key soundness
 //! check — mirrored from Table 5 — is that no LKMM-forbidden outcome is
 //! ever observed on real silicon.
 //!
@@ -75,12 +78,17 @@ pub struct HostStats {
 /// Host-run failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum HostError {
-    /// `__assume` has no operational meaning.
+    /// A construct with no operational meaning here: `__assume`, or a
+    /// grace period inside the thread's own read-side section.
     Unsupported(&'static str),
     /// A register was read before being written (program bug).
     UninitialisedRegister(String),
-    /// An integer was dereferenced (program bug).
+    /// An integer, or an address outside the test's locations, was
+    /// dereferenced (program bug).
     BadPointer,
+    /// A thread left a read-side section (RCU or SRCU) it never entered,
+    /// or its body ended inside one.
+    UnbalancedRcu { thread: usize },
 }
 
 impl fmt::Display for HostError {
@@ -89,6 +97,9 @@ impl fmt::Display for HostError {
             HostError::Unsupported(w) => write!(f, "unsupported on host: {w}"),
             HostError::UninitialisedRegister(r) => write!(f, "uninitialised register {r}"),
             HostError::BadPointer => write!(f, "dereferenced a non-pointer value"),
+            HostError::UnbalancedRcu { thread } => {
+                write!(f, "unbalanced RCU critical section in thread {thread}")
+            }
         }
     }
 }
@@ -156,7 +167,8 @@ pub fn run_on_host(test: &Test, config: &HostConfig) -> Result<HostStats, HostEr
                 let mut finals = Vec::with_capacity(config.iterations as usize * code.names.len());
                 let mut snapshots = Vec::new();
                 let regs = vec![None; code.names.len()];
-                let mut interp = Interp { prog, tid, mem, rcu, srcu, failed, regs };
+                let held = vec![0; 1 + srcu.len()];
+                let mut interp = Interp { prog, tid, mem, rcu, srcu, failed, regs, held };
                 for _ in 0..config.iterations {
                     // Thread 0 resets memory before releasing the pack;
                     // everyone else is parked on the start barrier.
@@ -167,7 +179,11 @@ pub fn run_on_host(test: &Test, config: &HostConfig) -> Result<HostStats, HostEr
                     }
                     start.wait();
                     interp.regs.fill(None);
-                    let body = interp.run(code.body);
+                    interp.held.fill(0);
+                    let mut body = interp.run(code.body);
+                    if body.is_ok() && interp.held.iter().any(|&depth| depth > 0) {
+                        body = Err(Some(HostError::UnbalancedRcu { thread: tid }));
+                    }
                     if let Err(error) = &body {
                         if error.is_some() {
                             failed.store(true, Ordering::Relaxed);
@@ -232,6 +248,9 @@ struct Interp<'a> {
     failed: &'a AtomicBool,
     /// Register slots, by id.
     regs: Vec<Option<i64>>,
+    /// Read-side sections this thread is inside, per domain: RCU, then
+    /// the SRCU domain of each location.
+    held: Vec<u32>,
 }
 
 fn ordering(order: RmwOrder) -> Ordering {
@@ -264,7 +283,9 @@ impl Interp<'_> {
     fn addr(&self, a: Addr) -> Result<usize, HostError> {
         match a {
             Addr::Loc(l) => Ok(l as usize),
-            Addr::Reg(r) => decode_loc(self.reg(r)?).ok_or(HostError::BadPointer),
+            Addr::Reg(r) => decode_loc(self.reg(r)?)
+                .filter(|&l| l < self.mem.len())
+                .ok_or(HostError::BadPointer),
         }
     }
 
@@ -306,6 +327,34 @@ impl Interp<'_> {
         }
     }
 
+    /// One RCU statement (`op` is `RcuLock`, `RcuUnlock` or `SyncRcu`) on
+    /// domain `d`: 0 is RCU, `1 + l` the SRCU domain of location `l`.
+    fn section(&mut self, d: usize, op: FenceKind) -> Result<(), HostError> {
+        let (srcu, tid) = (self.srcu, self.tid);
+        let domain = if d == 0 { self.rcu } else { &srcu[d - 1] };
+        let held = &mut self.held[d];
+        match op {
+            FenceKind::RcuLock => {
+                *held += 1;
+                domain.read_lock(tid);
+            }
+            FenceKind::RcuUnlock if *held == 0 => {
+                return Err(HostError::UnbalancedRcu { thread: tid })
+            }
+            FenceKind::RcuUnlock => {
+                *held -= 1;
+                domain.read_unlock(tid);
+            }
+            _ if *held > 0 => {
+                return Err(HostError::Unsupported(
+                    "a grace period inside its own read-side section",
+                ))
+            }
+            _ => domain.synchronize_rcu(),
+        }
+        Ok(())
+    }
+
     fn step(&mut self, stmt: &LStmt) -> Result<(), Option<HostError>> {
         match *stmt {
             LStmt::Load { dst, addr, acquire, .. } => {
@@ -323,9 +372,9 @@ impl Interp<'_> {
                 FenceKind::Wmb => fence(Ordering::Release),
                 FenceKind::Mb => fence(Ordering::SeqCst),
                 FenceKind::RbDep => {} // not an Alpha
-                FenceKind::RcuLock => self.rcu.read_lock(self.tid),
-                FenceKind::RcuUnlock => self.rcu.read_unlock(self.tid),
-                FenceKind::SyncRcu => self.rcu.synchronize_rcu(),
+                FenceKind::RcuLock | FenceKind::RcuUnlock | FenceKind::SyncRcu => {
+                    self.section(0, kind)?
+                }
             },
             LStmt::Rmw { order, dst, addr, value, expected, compute, dst_new } => {
                 let cell = &self.mem[self.addr(addr)?];
@@ -358,18 +407,11 @@ impl Interp<'_> {
             LStmt::If { cond, then_, else_ } => {
                 self.run(if self.eval(cond)? != 0 { then_ } else { else_ })?;
             }
-            LStmt::SrcuLock(domain) => {
-                let d = self.addr(domain)?;
-                self.srcu[d].read_lock(self.tid);
-            }
+            LStmt::SrcuLock(domain) => self.section(1 + self.addr(domain)?, FenceKind::RcuLock)?,
             LStmt::SrcuUnlock(domain) => {
-                let d = self.addr(domain)?;
-                self.srcu[d].read_unlock(self.tid);
+                self.section(1 + self.addr(domain)?, FenceKind::RcuUnlock)?
             }
-            LStmt::SyncSrcu(domain) => {
-                let d = self.addr(domain)?;
-                self.srcu[d].synchronize_rcu();
-            }
+            LStmt::SyncSrcu(domain) => self.section(1 + self.addr(domain)?, FenceKind::SyncRcu)?,
             LStmt::SpinLock(addr) => {
                 let l = self.addr(addr)?;
                 while self.mem[l]

@@ -37,7 +37,7 @@
 //! re-checking workloads without a maintenance window.
 
 use crate::store::{
-    read_log, replay_sorted, scan_records, sibling, write_snapshot, CompactReport, LockFile,
+    read_records, replay_sorted, scan_records, sibling, snapshot, CompactReport, LockFile,
     MergeReport, RecoveryReport, ShardStats, StoreError, VerdictLog, VerdictStore,
 };
 use lkmm_core::faultpoint;
@@ -85,24 +85,30 @@ impl ShardedStore {
     /// I/O errors opening or recovering any shard. `shards` must be
     /// ≥ 1.
     pub fn open(base: impl AsRef<Path>, shards: usize) -> Result<ShardedStore, StoreError> {
-        assert!(shards >= 1, "a sharded store needs at least one shard");
         let base = base.as_ref().to_path_buf();
-        let base_lock = if shards > 1 { Some(LockFile::acquire(&base)?) } else { None };
-        let mut opened = Vec::with_capacity(shards);
-        for path in Self::shard_paths(&base, shards) {
-            opened.push(Mutex::new(Shard {
-                store: VerdictStore::open(path)?,
-                poisoned: None,
-                dropped: 0,
-            }));
-        }
+        let (base_lock, members) = Self::open_members(&base, shards)?;
         Ok(ShardedStore {
-            shards: opened,
+            shards: members
+                .into_iter()
+                .map(|store| Mutex::new(Shard { store, poisoned: None, dropped: 0 }))
+                .collect(),
             base: Some(base),
             durable: false,
             compact_threshold: 0,
             _base_lock: base_lock,
         })
+    }
+
+    /// Lock the `shards`-way family at `base` (the base path too, when
+    /// `shards > 1`) and open every member's plain store, in shard order.
+    fn open_members(
+        base: &Path,
+        shards: usize,
+    ) -> Result<(Option<LockFile>, Vec<VerdictStore>), StoreError> {
+        assert!(shards >= 1, "a sharded store needs at least one shard");
+        let base_lock = if shards > 1 { Some(LockFile::acquire(base)?) } else { None };
+        let members = Self::shard_paths(base, shards).into_iter().map(VerdictStore::open);
+        Ok((base_lock, members.collect::<Result<_, _>>()?))
     }
 
     /// `shards` in-memory logs: same semantics, nothing persists.
@@ -156,8 +162,16 @@ impl ShardedStore {
         1
     }
 
+    /// The logs an offline verb walks for the store at `base`: the plain
+    /// log itself, which must exist, or each member of a sharded family
+    /// that exists on disk.
+    pub fn members(base: &Path) -> Vec<PathBuf> {
+        let shards = Self::discover(base);
+        Self::shard_paths(base, shards).into_iter().filter(|m| shards == 1 || m.exists()).collect()
+    }
+
     fn route(&self, key: u128) -> usize {
-        ((key >> 96) as u32 as usize) % self.shards.len()
+        route(key, self.shards.len())
     }
 
     /// A panicking worker must not wedge the whole store: take the data
@@ -284,68 +298,41 @@ impl ShardedStore {
     }
 
     /// Write one key-ordered compacted snapshot of the whole family at
-    /// `base` (however many shards it has on disk) to `dst`. Because
-    /// every key lives in exactly one shard, this is byte-identical to
-    /// [`VerdictStore::export`] of an unsharded store with the same
-    /// contents — the mechanism CI uses to compare a sharded
-    /// multi-client run against the sequential path.
+    /// `base` (however many shards it has on disk; a plain store is a
+    /// one-shard family) to `dst`. Because every key lives in exactly
+    /// one shard, the snapshot does not depend on the shard count — the
+    /// mechanism CI uses to compare a sharded multi-client run against
+    /// the sequential path.
     ///
     /// # Errors
     ///
     /// [`StoreError::Locked`] if any member (or `dst`) is in use; I/O
-    /// errors reading shards or writing the snapshot.
+    /// errors reading [`ShardedStore::members`] or writing the snapshot.
     pub fn export_merged(
         base: impl AsRef<Path>,
         dst: impl AsRef<Path>,
     ) -> Result<CompactReport, StoreError> {
         let (base, dst) = (base.as_ref(), dst.as_ref());
-        let shards = Self::discover(base);
-        let _base_lock = if shards > 1 { Some(LockFile::acquire(base)?) } else { None };
+        let _base_lock = (Self::discover(base) > 1).then(|| LockFile::acquire(base)).transpose()?;
+        let members = Self::members(base);
+        let _locks = members.iter().map(|m| LockFile::acquire(m)).collect::<Result<Vec<_>, _>>()?;
         let _dst_lock = LockFile::acquire(dst)?;
-        let mut locks = Vec::new();
-        let mut records = Vec::new();
-        let mut bytes_before = 0u64;
-        let mut defect_bytes = 0u64;
-        for path in Self::shard_paths(base, shards) {
-            if shards > 1 {
-                locks.push(LockFile::acquire(&path)?);
-            }
-            if !path.exists() {
-                continue;
-            }
-            let (bytes, wrong_magic) = read_log(&path)?;
-            if wrong_magic {
-                return Err(StoreError::Io(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{}: not a verdict store (run scrub --repair first)", path.display()),
-                )));
-            }
-            bytes_before += bytes.len() as u64;
-            let scan = scan_records(&bytes);
-            defect_bytes += scan.defect_bytes();
-            records.extend(scan.records);
-        }
-        let records_in = records.len();
-        let sorted = replay_sorted(&records);
-        let bytes_after = write_snapshot(dst, &sorted)?;
-        Ok(CompactReport {
-            records_in,
-            records_out: sorted.len(),
-            superseded: records_in - sorted.len(),
-            defect_bytes,
-            bytes_before,
-            bytes_after,
-        })
+        Ok(snapshot(&members, dst)?)
     }
 
-    /// Replay the plain store at `src` into a `shards`-way family at
-    /// `dst_base`, routing each key to its shard — how an existing warm
-    /// single log is promoted for a sharded server.
+    /// Merge the store at `src` into the `shards`-way family at
+    /// `dst_base` (appending; `src` is untouched), routing each key to
+    /// its shard — with one shard, into a plain store; with more, how an
+    /// existing warm single log is promoted for a sharded server.
+    /// Conflicting keys resolve in the source's favour, and entries are
+    /// replayed in key order, so merging the same stores always yields
+    /// the same logs.
     ///
     /// # Errors
     ///
     /// [`StoreError::Locked`] if `src` or any destination member is in
-    /// use; I/O errors reading or appending.
+    /// use; I/O errors reading `src`, or appending to or flushing any
+    /// member.
     pub fn merge_into_shards(
         dst_base: impl AsRef<Path>,
         shards: usize,
@@ -353,26 +340,26 @@ impl ShardedStore {
     ) -> Result<MergeReport, StoreError> {
         let (dst_base, src) = (dst_base.as_ref(), src.as_ref());
         let _src_lock = LockFile::acquire(src)?;
-        let dst = ShardedStore::open(dst_base, shards)?;
-        let (bytes, wrong_magic) = read_log(src)?;
-        if wrong_magic {
-            return Err(StoreError::Io(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: not a verdict store (run scrub --repair first)", src.display()),
-            )));
-        }
-        let sorted = replay_sorted(&scan_records(&bytes).records);
+        let (_base_lock, mut members) = Self::open_members(dst_base, shards)?;
+        let sorted = replay_sorted(&scan_records(&read_records(src)?).records);
         let mut report = MergeReport { source_keys: sorted.len(), ..MergeReport::default() };
         for (key, result) in sorted {
-            if dst.put(key, result)? {
+            if members[route(key, shards)].put(key, result)? {
                 report.merged += 1;
             } else {
                 report.unchanged += 1;
             }
         }
-        dst.flush();
+        for member in &mut members {
+            member.flush()?;
+        }
         Ok(report)
     }
+}
+
+/// The shard of a `shards`-way family that owns `key`.
+fn route(key: u128, shards: usize) -> usize {
+    ((key >> 96) as u32 as usize) % shards
 }
 
 impl VerdictLog for Arc<ShardedStore> {
@@ -521,12 +508,26 @@ mod tests {
         let dst_a = temp_base("exp-out-a");
         let dst_b = temp_base("exp-out-b");
         ShardedStore::export_merged(&base_sharded, &dst_a).unwrap();
-        VerdictStore::export(&base_plain, &dst_b).unwrap();
+        ShardedStore::export_merged(&base_plain, &dst_b).unwrap();
         assert_eq!(std::fs::read(&dst_a).unwrap(), std::fs::read(&dst_b).unwrap());
         cleanup(&base_sharded, 4);
         cleanup(&base_plain, 1);
         cleanup(&dst_a, 1);
         cleanup(&dst_b, 1);
+    }
+
+    #[test]
+    fn exporting_a_live_plain_store_is_locked() {
+        let base = temp_base("live-plain");
+        let dst = temp_base("live-plain-out");
+        let live = VerdictStore::open(&base).unwrap();
+        assert!(matches!(ShardedStore::export_merged(&base, &dst), Err(StoreError::Locked { .. })));
+        drop(live);
+        ShardedStore::export_merged(&base, &dst).unwrap();
+        // A plain source must exist; only a sharded family may lack members.
+        cleanup(&base, 1);
+        assert!(matches!(ShardedStore::export_merged(&base, &dst), Err(StoreError::Io(_))));
+        cleanup(&dst, 1);
     }
 
     #[test]

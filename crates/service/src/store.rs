@@ -52,9 +52,10 @@
 //! [`VerdictStore::scrub`] verifies every frame checksum read-only (or
 //! repairs defects in place), [`VerdictStore::compact`] rewrites the
 //! log dropping superseded frames behind an atomic rename (fsyncing
-//! file *and* directory), and [`VerdictStore::export`] /
-//! [`VerdictStore::merge`] copy warm verdicts between stores with
-//! last-writer-wins determinism.
+//! file *and* directory), and [`crate::ShardedStore::export_merged`] /
+//! [`crate::ShardedStore::merge_into_shards`] copy warm verdicts between
+//! stores (a plain store is a one-shard family) with last-writer-wins
+//! determinism.
 
 use crate::hash::fnv64;
 use lkmm_core::faultpoint;
@@ -185,7 +186,7 @@ impl ScrubReport {
     }
 }
 
-/// What [`VerdictStore::compact`] / [`VerdictStore::export`] did.
+/// What [`VerdictStore::compact`] / [`crate::ShardedStore::export_merged`] did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CompactReport {
     /// Valid frames read from the source log.
@@ -202,7 +203,7 @@ pub struct CompactReport {
     pub bytes_after: u64,
 }
 
-/// What [`VerdictStore::merge`] did.
+/// What [`crate::ShardedStore::merge_into_shards`] did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MergeReport {
     /// Distinct keys replayed from the source store.
@@ -424,11 +425,51 @@ pub(crate) fn write_snapshot(dst: &Path, records: &[(u128, TestResult)]) -> io::
 }
 
 /// Read a log file for maintenance, classifying its magic.
-pub(crate) fn read_log(path: &Path) -> io::Result<(Vec<u8>, bool)> {
+fn read_log(path: &Path) -> io::Result<(Vec<u8>, bool)> {
     let bytes = fs::read(path)?;
     let wrong_magic =
         !bytes.is_empty() && (bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC);
     Ok((bytes, wrong_magic))
+}
+
+/// Read a log file whose records maintenance will rewrite or copy: a
+/// wrong-magic file is an error, since only `scrub --repair` may touch it.
+pub(crate) fn read_records(path: &Path) -> io::Result<Vec<u8>> {
+    let (bytes, wrong_magic) = read_log(path)?;
+    if wrong_magic {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{}: not a verdict store (run scrub --repair first)", path.display()),
+        ));
+    }
+    Ok(bytes)
+}
+
+/// Write one key-ordered snapshot of the records of `logs` to `dst`,
+/// the last record of a key winning, dropping superseded frames and
+/// defective tails: how [`VerdictStore::compact`] rewrites a log and
+/// [`crate::ShardedStore::export_merged`] copies a family.
+pub(crate) fn snapshot(logs: &[PathBuf], dst: &Path) -> io::Result<CompactReport> {
+    let mut records = Vec::new();
+    let mut bytes_before = 0u64;
+    let mut defect_bytes = 0u64;
+    for log in logs {
+        let bytes = read_records(log)?;
+        bytes_before += bytes.len() as u64;
+        let scan = scan_records(&bytes);
+        defect_bytes += scan.defect_bytes();
+        records.extend(scan.records);
+    }
+    let sorted = replay_sorted(&records);
+    let bytes_after = write_snapshot(dst, &sorted)?;
+    Ok(CompactReport {
+        records_in: records.len(),
+        records_out: sorted.len(),
+        superseded: records.len() - sorted.len(),
+        defect_bytes,
+        bytes_before,
+        bytes_after,
+    })
 }
 
 /// Append-only on-disk verdict cache with an in-memory index.
@@ -756,90 +797,7 @@ impl VerdictStore {
     pub fn compact(path: impl AsRef<Path>) -> Result<CompactReport, StoreError> {
         let path = path.as_ref();
         let _lock = LockFile::acquire(path)?;
-        let (bytes, wrong_magic) = read_log(path)?;
-        if wrong_magic {
-            return Err(StoreError::Io(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: not a verdict store (run scrub --repair first)", path.display()),
-            )));
-        }
-        let scan = scan_records(&bytes);
-        let sorted = replay_sorted(&scan.records);
-        let bytes_after = write_snapshot(path, &sorted)?;
-        Ok(CompactReport {
-            records_in: scan.records.len(),
-            records_out: sorted.len(),
-            superseded: scan.records.len() - sorted.len(),
-            defect_bytes: scan.defect.torn_bytes + scan.defect.corrupt_bytes,
-            bytes_before: bytes.len() as u64,
-            bytes_after,
-        })
-    }
-
-    /// Write a compacted snapshot of the store at `src` to `dst`,
-    /// leaving `src` untouched. Locks both paths; the write is atomic
-    /// like [`VerdictStore::compact`].
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Locked`] if either store is in use; I/O errors
-    /// reading `src` or writing `dst`.
-    pub fn export(src: impl AsRef<Path>, dst: impl AsRef<Path>) -> Result<CompactReport, StoreError> {
-        let (src, dst) = (src.as_ref(), dst.as_ref());
-        let _src_lock = LockFile::acquire(src)?;
-        let _dst_lock = LockFile::acquire(dst)?;
-        let (bytes, wrong_magic) = read_log(src)?;
-        if wrong_magic {
-            return Err(StoreError::Io(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: not a verdict store (run scrub --repair first)", src.display()),
-            )));
-        }
-        let scan = scan_records(&bytes);
-        let sorted = replay_sorted(&scan.records);
-        let bytes_after = write_snapshot(dst, &sorted)?;
-        Ok(CompactReport {
-            records_in: scan.records.len(),
-            records_out: sorted.len(),
-            superseded: scan.records.len() - sorted.len(),
-            defect_bytes: scan.defect.torn_bytes + scan.defect.corrupt_bytes,
-            bytes_before: bytes.len() as u64,
-            bytes_after,
-        })
-    }
-
-    /// Merge the entries of the store at `src` into the store at `dst`
-    /// (appending; `src` is untouched). Conflicting keys resolve
-    /// last-writer-wins in the merged-in store's favour, and entries are
-    /// replayed in key order, so merging the same stores always yields
-    /// the same log.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Locked`] if either store is in use; I/O errors
-    /// reading `src` or appending to `dst`.
-    pub fn merge(dst: impl AsRef<Path>, src: impl AsRef<Path>) -> Result<MergeReport, StoreError> {
-        let (dst, src) = (dst.as_ref(), src.as_ref());
-        let _src_lock = LockFile::acquire(src)?;
-        let mut store = VerdictStore::open(dst)?;
-        let (bytes, wrong_magic) = read_log(src)?;
-        if wrong_magic {
-            return Err(StoreError::Io(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: not a verdict store (run scrub --repair first)", src.display()),
-            )));
-        }
-        let sorted = replay_sorted(&scan_records(&bytes).records);
-        let mut report = MergeReport { source_keys: sorted.len(), ..MergeReport::default() };
-        for (key, result) in sorted {
-            if store.put(key, result)? {
-                report.merged += 1;
-            } else {
-                report.unchanged += 1;
-            }
-        }
-        store.flush()?;
-        Ok(report)
+        Ok(snapshot(&[path.to_path_buf()], path)?)
     }
 }
 
@@ -982,6 +940,7 @@ fn parse_payload(payload: &[u8]) -> Option<(u128, TestResult)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedStore;
 
     fn sample(i: usize) -> TestResult {
         TestResult {
@@ -1293,12 +1252,12 @@ mod tests {
             s.put(5, sample(5)).unwrap(); // wins: merged-in store is newer
             s.flush().unwrap();
         }
-        let exported = VerdictStore::export(&b, &snap).unwrap();
+        let exported = ShardedStore::export_merged(&b, &snap).unwrap();
         assert_eq!(exported.records_out, 3);
         // Source store is untouched and openable.
         assert_eq!(VerdictStore::open(&b).unwrap().len(), 3);
 
-        let report = VerdictStore::merge(&a, &snap).unwrap();
+        let report = ShardedStore::merge_into_shards(&a, 1, &snap).unwrap();
         assert_eq!(report.source_keys, 3);
         assert_eq!(report.merged, 2, "new key 3 plus conflicting key 5");
         assert_eq!(report.unchanged, 1, "identical key 2 not re-appended");
@@ -1332,7 +1291,7 @@ mod tests {
             s.put(7, sample(7)).unwrap();
             s.flush().unwrap();
             drop(s);
-            VerdictStore::merge(d, &src).unwrap();
+            ShardedStore::merge_into_shards(d, 1, &src).unwrap();
         }
         assert_eq!(std::fs::read(&d1).unwrap(), std::fs::read(&d2).unwrap());
         for p in [&src, &d1, &d2] {

@@ -1154,12 +1154,8 @@ fn store_cmd_mode(cli: &Cli) -> ExitCode {
     let (verb, paths) = cli.store_args.split_first().expect("parse_args requires a verb");
     match (verb.as_str(), paths) {
         ("scrub", [path]) => {
-            let shards = ShardedStore::discover(Path::new(path));
             let mut worst = 0u8;
-            for member in ShardedStore::shard_paths(Path::new(path), shards) {
-                if shards > 1 && !member.exists() {
-                    continue;
-                }
+            for member in ShardedStore::members(Path::new(path)) {
                 match scrub_one(&member.display().to_string(), cli.repair) {
                     Ok(code) => worst = worst.max(code),
                     Err(e) => return store_fail("store scrub", &e),
@@ -1168,11 +1164,7 @@ fn store_cmd_mode(cli: &Cli) -> ExitCode {
             ExitCode::from(worst)
         }
         ("compact", [path]) => {
-            let shards = ShardedStore::discover(Path::new(path));
-            for member in ShardedStore::shard_paths(Path::new(path), shards) {
-                if shards > 1 && !member.exists() {
-                    continue;
-                }
+            for member in ShardedStore::members(Path::new(path)) {
                 let member = member.display().to_string();
                 match VerdictStore::compact(&member) {
                     Ok(r) => println!(
@@ -1224,40 +1216,26 @@ fn store_cmd_mode(cli: &Cli) -> ExitCode {
             );
             ExitCode::SUCCESS
         }
-        ("export", [src, dst]) => {
-            let shards = ShardedStore::discover(Path::new(src));
-            let result = if shards > 1 {
-                ShardedStore::export_merged(src, dst)
-            } else {
-                VerdictStore::export(src, dst)
-            };
-            match result {
-                Ok(r) => {
-                    println!(
-                        "{src} -> {dst}: {} records -> {} ({} superseded dropped, \
-                         {} defect bytes); {} bytes -> {}",
-                        r.records_in,
-                        r.records_out,
-                        r.superseded,
-                        r.defect_bytes,
-                        r.bytes_before,
-                        r.bytes_after
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => store_fail("store export", &e),
+        ("export", [src, dst]) => match ShardedStore::export_merged(src, dst) {
+            Ok(r) => {
+                println!(
+                    "{src} -> {dst}: {} records -> {} ({} superseded dropped, \
+                     {} defect bytes); {} bytes -> {}",
+                    r.records_in,
+                    r.records_out,
+                    r.superseded,
+                    r.defect_bytes,
+                    r.bytes_before,
+                    r.bytes_after
+                );
+                ExitCode::SUCCESS
             }
-        }
+            Err(e) => store_fail("store export", &e),
+        },
         ("merge", [dst, sources @ ..]) if !sources.is_empty() => {
-            let shards =
-                cli.shards.unwrap_or_else(|| ShardedStore::discover(Path::new(dst)));
+            let shards = cli.shards.unwrap_or_else(|| ShardedStore::discover(Path::new(dst)));
             for src in sources {
-                let result = if shards > 1 {
-                    ShardedStore::merge_into_shards(dst, shards, src)
-                } else {
-                    VerdictStore::merge(dst, src)
-                };
-                match result {
+                match ShardedStore::merge_into_shards(dst, shards, src) {
                     Ok(r) => println!(
                         "{src} -> {dst}: {} source keys, {} merged, {} unchanged",
                         r.source_keys, r.merged, r.unchanged

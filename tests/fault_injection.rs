@@ -13,13 +13,13 @@
 
 use linux_kernel_memory_model::cat::linux_kernel_model;
 use linux_kernel_memory_model::exec::{
-    enumerate, open_session, ConsistencyModel, EnumOptions, ExecFacts,
+    enumerate, open_session, ConsistencyModel, EnumOptions, ExecFacts, TestResult, Verdict,
 };
 use linux_kernel_memory_model::litmus::library;
 use linux_kernel_memory_model::litmus::Test;
 use linux_kernel_memory_model::model::Lkmm;
 use linux_kernel_memory_model::service::{
-    MultiBatchChecker, MultiColumn, Provenance, UnitCell, VerdictStore,
+    MultiBatchChecker, MultiColumn, Provenance, ShardedStore, UnitCell, VerdictStore,
 };
 use std::io;
 use linux_kernel_memory_model::{CheckOutcome, Herd, InconclusiveReason, ModelId};
@@ -255,6 +255,41 @@ fn crashed_compaction_leaves_the_original_log_intact() {
         let _ = std::fs::remove_file(f.unwrap().path());
     }
     let _ = std::fs::remove_dir(&dir);
+}
+
+#[test]
+fn sharded_merge_surfaces_append_and_flush_errors() {
+    let _serial = serial();
+    // An offline merge writes through each member's plain store, so a
+    // failed append or flush into a sharded family is an error, as it is
+    // into a plain store: never a merge that reports success short.
+    let dir = std::env::temp_dir().join(format!("lkmm-fault-merge-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let src = dir.join("src.vstore");
+    {
+        let mut store = VerdictStore::open(&src).unwrap();
+        for i in 0..32usize {
+            let result = TestResult {
+                verdict: Verdict::Allowed,
+                condition_holds: true,
+                candidates: i,
+                allowed: i,
+                witnesses: 0,
+            };
+            // Keys spread over the routing prefix, so every shard gets some.
+            store.put((i as u128) << 96 | i as u128, result).unwrap();
+        }
+        store.flush().unwrap();
+    }
+    let faults = [("store.append.torn", "store.append.torn=3"), ("store.flush", "store.flush=2")];
+    for (site, spec) in faults {
+        let guard = faultpoint::arm(spec);
+        let err = ShardedStore::merge_into_shards(dir.join(site), 4, &src).unwrap_err();
+        drop(guard);
+        assert!(err.to_string().contains(site), "{spec}: got {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -236,3 +236,37 @@ fn host_runner_returns_when_a_thread_fails_holding_a_lock_or_a_read_section() {
         }
     }
 }
+
+/// Read-side sections balance on the host as the enumerator demands: a
+/// thread that leaves a section it never entered, or whose body ends
+/// inside one, fails with `UnbalancedRcu` instead of panicking or leaving
+/// another thread's grace period waiting, and a grace period inside the
+/// thread's own section is unsupported. Each shape hung or panicked, or
+/// (the last) returned `Ok`, before; each runs 20 times.
+#[test]
+fn host_runner_rejects_unbalanced_read_side_sections() {
+    let reader = "r0 = READ_ONCE(*x);";
+    let unbalanced = Err(HostError::UnbalancedRcu { thread: 0 });
+    for (p0, p1, expected) in [
+        ("rcu_read_unlock();", reader, &unbalanced),
+        ("srcu_read_unlock(s);", reader, &unbalanced),
+        ("rcu_read_lock();", "synchronize_rcu(); r0 = READ_ONCE(*x);", &unbalanced),
+        ("srcu_read_lock(s);", "synchronize_srcu(s); r0 = READ_ONCE(*x);", &unbalanced),
+        (
+            "rcu_read_lock(); synchronize_rcu(); rcu_read_unlock();",
+            reader,
+            &Err(HostError::Unsupported("a grace period inside its own read-side section")),
+        ),
+        ("rcu_read_lock();", reader, &unbalanced),
+    ] {
+        let src = format!(
+            "C host-unbalanced\n{{ x=0; s=0; }}\n\
+             P0(int *x, int *s) {{ {p0} }}\n\
+             P1(int *x, int *s) {{ int r0; {p1} }}\n\
+             exists (1:r0=0)\n"
+        );
+        for _ in 0..20 {
+            assert_eq!(&run_on_host_or_hang(&src), expected, "{p0} beside {p1}");
+        }
+    }
+}

@@ -96,7 +96,7 @@ fn sequential_export() -> Vec<u8> {
     let base = temp_base("seq");
     sequential_library(&base);
     let out = temp_base("seq-export");
-    VerdictStore::export(&base, &out).unwrap();
+    ShardedStore::export_merged(&base, &out).unwrap();
     let bytes = std::fs::read(&out).unwrap();
     cleanup(&base);
     cleanup(&out);
@@ -152,7 +152,7 @@ fn warm_stores_interchange_between_sequential_and_server_paths() {
     sequential_library(&seq);
     let want = {
         let out = temp_base("warm-seq-export");
-        VerdictStore::export(&seq, &out).unwrap();
+        ShardedStore::export_merged(&seq, &out).unwrap();
         let bytes = std::fs::read(&out).unwrap();
         cleanup(&out);
         bytes
