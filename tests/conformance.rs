@@ -259,6 +259,67 @@ fn counted_runs(dir: &Path, jobs: usize) -> Vec<Observed> {
     vec![cold, warm, resumed]
 }
 
+#[test]
+fn worker_judged_reports_match_one_job() {
+    // Each row's oracles, the simulators among them, are judged on the
+    // worker that prepared the row, and the committing thread keeps or
+    // re-judges them in corpus order: the rendered report must not
+    // depend on the job count. The forbid-all native column sends every
+    // row to the simulators and fires most oracles; the allow-all one
+    // simulates nothing. The standard set runs again cold then warm on
+    // an on-disk store, where every row replays from the store.
+    let sim = SimConfig { iterations: 20, seed: 7, stride: 1 };
+    let cycles = |jobs, store_path| CampaignConfig {
+        max_cycle_len: 4,
+        jobs,
+        store_path,
+        sim: sim.clone(),
+        shrink: false,
+        ..library_campaign()
+    };
+    let dir = std::env::temp_dir().join(format!("lkmm-conf-judged-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let runs = |jobs: usize| -> Vec<String> {
+        let mutants: [fn() -> Option<Box<dyn ConsistencyModel>>; 3] =
+            [|| None, || Some(Box::new(ForbidAll)), || Some(Box::new(AllowAll))];
+        let mut reports: Vec<String> = mutants
+            .iter()
+            .map(|mutant| {
+                let mut set = ModelSet::standard();
+                if let Some(model) = mutant() {
+                    set.replace(ModelId::LkmmNative, model);
+                }
+                let cfg = cycles(jobs, None);
+                json_report(&run_campaign_with(&cfg, &set).unwrap(), &cfg).to_string()
+            })
+            .collect();
+        let stored = cycles(jobs, Some(dir.join(format!("store-j{jobs}.vstore"))));
+        for _pass in ["cold", "warm"] {
+            reports.push(json_report(&run_campaign(&stored).unwrap(), &stored).to_string());
+        }
+        let ticket = AlgoConfig {
+            families: vec![FamilyId::Ticket],
+            jobs,
+            sim: sim.clone(),
+            host_iterations: 50,
+            shrink: false,
+            ..AlgoConfig::default()
+        };
+        let report = run_algo_campaign_with(&ticket, &ModelSet::standard()).unwrap();
+        reports.push(algo_json_report(&report, &ticket).to_string());
+        reports
+    };
+    let reference = runs(1);
+    assert!(reference[1].contains("\"oracle\":\"sim-soundness\""), "forbid-all is simulated");
+    for jobs in [2, 8] {
+        for (k, (got, want)) in runs(jobs).iter().zip(&reference).enumerate() {
+            assert_eq!(got, want, "report {k} at jobs={jobs} differs from jobs=1");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A column whose evaluation session always panics: every unit that
 /// checks it fails each attempt and is quarantined, so the report is
 /// degraded. Standing in for C11, it spares the rows C11 does not cover
