@@ -330,6 +330,22 @@ for site in cat.misjudge lkmm.misjudge; do
     grep -q 'minimal witness' /tmp/lkmm-ci-misjudge.out
 done
 rm -f /tmp/lkmm-ci-misjudge.out
+# The same misjudging native LKMM over cycles up to length 4 with the
+# simulators on: the oracles, simulator soundness among them, fire on
+# rows judged by the workers that prepared them, and the report must be
+# the one a single job writes.
+for J in 1 2; do
+    set +e
+    LKMM_FAULTPOINTS=lkmm.misjudge target/release/herd-rs conformance --max-cycle-len 4 \
+        --sim-iterations 50 --no-shrink --json --jobs $J > /tmp/lkmm-ci-misjudge-j$J.json \
+        2> /dev/null
+    MISJUDGE_STATUS=$?
+    set -e
+    test "$MISJUDGE_STATUS" -eq 7
+done
+cmp /tmp/lkmm-ci-misjudge-j1.json /tmp/lkmm-ci-misjudge-j2.json
+grep -q '"oracle":"sim-soundness"' /tmp/lkmm-ci-misjudge-j2.json
+rm -f /tmp/lkmm-ci-misjudge-j1.json /tmp/lkmm-ci-misjudge-j2.json
 # A weakened lock family — the safe ticket variant silently generated
 # with relaxed orderings while still claiming Forbidden — is caught by
 # the family-safety oracle and shrunk to a minimal wrong-verdict
@@ -397,6 +413,23 @@ for spec in store.append.torn=3 store.flush=2; do
     set -e
     test "$MERGE_STATUS" -eq 5
     rm -f "$MERGE_FAM".shard*
+done
+# One family per base path: merging into a family with a different
+# shard count is refused (exit 5) in either direction, creating nothing.
+for COUNTS in "4 2" "2 4"; do
+    FIRST=${COUNTS% *}
+    SECOND=${COUNTS#* }
+    target/release/herd-rs store merge --shards "$FIRST" "$MERGE_FAM" "$MERGE_SRC" > /dev/null
+    set +e
+    target/release/herd-rs store merge --shards "$SECOND" "$MERGE_FAM" "$MERGE_SRC" \
+        > /dev/null 2> /tmp/lkmm-ci-merge-recount.err
+    MERGE_STATUS=$?
+    set -e
+    test "$MERGE_STATUS" -eq 5
+    grep -q "a $FIRST-shard store is already there; .* as $SECOND shard(s)" \
+        /tmp/lkmm-ci-merge-recount.err
+    test "$(ls "$MERGE_FAM"* | wc -l)" -eq "$FIRST"
+    rm -f "$MERGE_FAM".shard* /tmp/lkmm-ci-merge-recount.err
 done
 rm -f "$MERGE_SRC"
 # Rebuild without the feature so later consumers get the fault-free binary.

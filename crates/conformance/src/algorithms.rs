@@ -37,8 +37,8 @@
 
 use crate::campaign::{sim_check_row, CampaignError, CampaignReport, CorpusStream, SimConfig};
 use crate::driver::{drive_campaign, ResilienceConfig};
-use crate::matrix::{uses_srcu, CorpusEntry, MatrixOptions, MatrixRow, ModelSet, Origin};
-use crate::oracle::{check_row, judge_row, Discrepancy, OracleKind, OracleSummary, Recheck};
+use crate::matrix::{uses_srcu, CorpusEntry, MatrixOptions, MatrixRow, ModelSet, Origin, RowRef};
+use crate::oracle::{judge_matrix, judge_row, Discrepancy, OracleKind, OracleSummary, Recheck};
 use crate::report::{
     counters_json, discrepancies_json, failed_units_json, models_json, oracles_json, table_tail,
 };
@@ -217,18 +217,18 @@ pub fn run_algo_campaign_with(
         enum_stats: cfg.enum_stats.clone(),
         data_plane: cfg.data_plane.clone(),
     };
-    // Each row's checks count into a row summary first, which then joins
-    // both the campaign totals and its family's columns.
-    let row_check = |i: usize,
-                     row: &MatrixRow,
-                     discrepancies: &mut Vec<Discrepancy>,
-                     summaries: &mut [OracleSummary]| {
+    // Each row is judged where the driver runs it, into the row's own
+    // summaries; the ones the driver keeps join the row's family's
+    // columns at commit.
+    let judge = |i: usize,
+                 row: RowRef<'_>,
+                 discrepancies: &mut Vec<Discrepancy>,
+                 summaries: &mut [OracleSummary]| {
         let program = &programs[i];
-        let mut here = [OracleSummary::default(); OracleKind::ALL.len()];
         // Matrix oracles, family safety among them.
-        check_row(row, discrepancies, &mut here);
-        if program.runnable && !uses_srcu(&row.test) {
-            sim_check_row(&cfg.sim, i, row, discrepancies, &mut here);
+        judge_matrix(row, discrepancies, summaries);
+        if program.runnable && !uses_srcu(row.test) {
+            sim_check_row(&cfg.sim, i, row, discrepancies, summaries);
         }
         let host = (program.runnable && cfg.host_iterations > 0)
             .then_some(Recheck::HostObservation { iterations: cfg.host_iterations });
@@ -236,10 +236,9 @@ pub fn run_algo_campaign_with(
             machine: machine.clone(),
             max_states: INTERLEAVE_MAX_STATES,
         });
-        judge_row(row, host.into_iter().chain(interleave), discrepancies, &mut here);
-        for (total, part) in summaries.iter_mut().zip(here) {
-            *total += part;
-        }
+        judge_row(row, host.into_iter().chain(interleave), discrepancies, summaries);
+    };
+    let fold = |i: usize, _: &MatrixRow, here: &[OracleSummary]| {
         let fs = &mut family_stats[family_of[i]];
         fs.safety += here[OracleKind::FamilySafety.index()];
         fs.sim += here[OracleKind::SimSoundness.index()];
@@ -247,8 +246,8 @@ pub fn run_algo_campaign_with(
         fs.interleave += here[OracleKind::InterleaveAgreement.index()];
     };
     // No checkpoint, so no fingerprint to guard one.
-    let mut campaign =
-        drive_campaign(stream, 0, set, &matrix_opts, &ResilienceConfig::default(), row_check)?;
+    let res = ResilienceConfig::default();
+    let mut campaign = drive_campaign(stream, 0, set, &matrix_opts, &res, judge, fold)?;
     // Shrink. Family-safety discrepancies re-check through one native
     // LKMM run, so the mutant-catching path minimizes to the smallest
     // program that still gets the wrong verdict.

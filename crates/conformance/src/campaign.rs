@@ -16,9 +16,9 @@
 use crate::checkpoint::FailedUnit;
 use crate::driver::{drive_campaign, ResilienceConfig};
 use crate::matrix::{
-    uses_srcu, CorpusEntry, MatrixOptions, MatrixRow, ModelId, ModelPass, ModelSet, Origin,
+    uses_srcu, CorpusEntry, MatrixOptions, ModelId, ModelPass, ModelSet, Origin, RowRef,
 };
-use crate::oracle::{check_row, judge_row, Discrepancy, OracleKind, OracleSummary, Recheck};
+use crate::oracle::{judge_matrix, judge_row, Discrepancy, OracleKind, OracleSummary, Recheck};
 use crate::shrink::shrink_discrepancies;
 use lkmm_core::budget::Budget;
 use lkmm_exec::Verdict;
@@ -391,18 +391,19 @@ pub(crate) fn sim_seed(base: u64, corpus_index: usize) -> u64 {
     base ^ (corpus_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Simulator soundness for one completed row: each architecture's
+/// Simulator soundness for one row: each architecture's
 /// [`Recheck::SimObservation`], judged over the row. An operational
 /// machine must never observe an outcome the LKMM forbids, so only
 /// LKMM-forbidden rows run, only every `stride`-th corpus index is
 /// sampled, and a row using SRCU, which the machines do not implement,
-/// counts one skip. Runs as part of the driver's per-row checks, so a
-/// checkpoint frame's aggregates already include the prefix's share of
-/// the simulator pass.
+/// counts one skip. Part of the driver's row judgement, so the
+/// simulators run on the worker that prepared the row (or at commit,
+/// when the committed row is not the prepared one), and a checkpoint
+/// frame's aggregates already include the prefix's share of the pass.
 pub(crate) fn sim_check_row(
     sim: &SimConfig,
     i: usize,
-    row: &MatrixRow,
+    row: RowRef<'_>,
     discrepancies: &mut Vec<Discrepancy>,
     summaries: &mut [OracleSummary],
 ) {
@@ -412,7 +413,7 @@ pub(crate) fn sim_check_row(
     {
         return;
     }
-    if uses_srcu(&row.test) {
+    if uses_srcu(row.test) {
         summaries[OracleKind::SimSoundness.index()].skipped += 1;
         return;
     }
@@ -453,11 +454,12 @@ pub fn run_campaign_with(
         enum_stats: cfg.enum_stats.clone(),
         data_plane: cfg.data_plane.clone(),
     };
-    // Rows stream through the driver, which runs the matrix-level
-    // oracles and the simulator soundness pass the moment each row's
-    // cells are complete — that per-row folding is what lets a
-    // checkpoint frame carry the campaign's whole deterministic state
-    // as aggregates, and a resume continue it as arithmetic.
+    // Rows stream through the driver, which judges the matrix-level
+    // oracles and the simulator soundness pass on each row as soon as
+    // its cells are known and folds the results in corpus order — that
+    // per-row folding is what lets a checkpoint frame carry the
+    // campaign's whole deterministic state as aggregates, and a resume
+    // continue it as arithmetic.
     let mut report = drive_campaign(
         stream,
         fingerprint,
@@ -465,9 +467,10 @@ pub fn run_campaign_with(
         &matrix_opts,
         &cfg.resilience,
         |i, row, discrepancies, summaries| {
-            check_row(row, discrepancies, summaries);
+            judge_matrix(row, discrepancies, summaries);
             sim_check_row(&cfg.sim, i, row, discrepancies, summaries);
         },
+        |_, _, _| {},
     )?;
     // Shrink every discrepancy down to a minimal discriminating witness.
     // Re-checks recompute from scratch through the exact failing pair —

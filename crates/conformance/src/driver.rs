@@ -4,12 +4,12 @@
 //! [`drive_campaign`] runs every campaign, the cycle campaign and the
 //! algorithm campaign alike. It *streams* work units from a lazy
 //! [`CorpusStream`], feeds them one at a time to the streaming
-//! [`CorpusRun`] API, and runs the caller's row-level checks (matrix
-//! oracles, simulator soundness, and for the algorithm families family
-//! safety, host runs and interleaving) the moment each row's cells are
-//! complete, folding everything into running aggregates. No full
-//! verdict matrix is ever materialised. That buys three things a
-//! monolithic batch call cannot offer:
+//! [`CorpusRun`] API, and judges each row with the caller's row-level
+//! checks (matrix oracles, simulator soundness, and for the algorithm
+//! families family safety, host runs and interleaving) as soon as its
+//! cells are known, folding everything into running aggregates in
+//! corpus order. No full verdict matrix is ever materialised. That buys
+//! three things a monolithic batch call cannot offer:
 //!
 //! * **Checkpoint.** Every `checkpoint_every` units the driver flushes
 //!   the verdict store and appends a framed manifest (see
@@ -52,13 +52,19 @@
 //! Campaigns parallelise over units, not candidates. `jobs` scoped
 //! worker threads (never more than the host has) run the pure half of
 //! each unit, [`MultiBatchChecker::prepare`] — keys, store lookups, one
-//! inline enumeration — up to 16 units per worker ahead of the commit
-//! cursor, on the ordered pool ([`prepare_in_order`]) that a check split
-//! over workers runs on too.
+//! inline enumeration — and then judge the prepared row: the row
+//! oracles and the simulators run there, up to 16 units per worker
+//! ahead of the commit cursor, on the ordered pool
+//! ([`prepare_in_order`]) that a check split over workers runs on too.
 //! The calling thread commits units strictly in corpus order
-//! ([`CorpusRun::commit`]) and does all of the above, so reports,
-//! counters, checkpoints and fault points behave exactly as with one
-//! job, where both halves run inline and no thread is spawned.
+//! ([`CorpusRun::commit`]) and does all of the above that needs order,
+//! so reports, counters, checkpoints and fault points behave exactly as
+//! with one job, where both halves run inline and no thread is spawned.
+//! It keeps a worker's judgement only when the committed row is exactly
+//! the prepared one; a row that changed — an in-flight duplicate, a
+//! retry, a panicking prepare, a quarantined unit, a tripped corpus
+//! deadline — is judged again on the calling thread, so a discarded
+//! judgement counts nowhere.
 //!
 //! Fault points: `campaign.kill` aborts the process at a unit boundary
 //! (a simulated SIGKILL for crash tests); `worker.transient` injects a
@@ -67,7 +73,9 @@
 
 use crate::campaign::{CampaignError, CampaignReport, CorpusStream, ModelStats, OracleStats};
 use crate::checkpoint::{self, Checkpoint, CheckpointLog, FailedUnit, FailureKind, PrefixStats};
-use crate::matrix::{CorpusEntry, MatrixOptions, MatrixRow, ModelId, ModelPass, ModelSet, Origin};
+use crate::matrix::{
+    CorpusEntry, MatrixOptions, MatrixRow, ModelId, ModelPass, ModelSet, Origin, RowRef,
+};
 use crate::oracle::{Discrepancy, OracleKind, OracleSummary};
 use lkmm_core::faultpoint;
 use lkmm_core::rng::SplitMix64;
@@ -152,9 +160,10 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// One attempt at one unit: commit its prepared check, or check it
-/// afresh on this thread when nothing was prepared. `None` is success
-/// (including deterministic inconclusive cells); `Some` classifies the
-/// failure. A panic while preparing is this attempt's failure.
+/// afresh on this thread when nothing was prepared. `Ok` is success
+/// (including deterministic inconclusive cells), saying whether the row
+/// was committed exactly as prepared; `Err` classifies the failure. A
+/// panic while preparing is this attempt's failure.
 fn attempt_unit(
     run: &mut CorpusRun<'_, '_>,
     i: usize,
@@ -162,38 +171,40 @@ fn attempt_unit(
     mask_row: &[bool],
     prepared: Result<Option<PreparedUnit>, String>,
     retry_timeouts: bool,
-) -> Option<(FailureKind, String)> {
-    if let Err(e) = faultpoint::inject_io("worker.transient") {
-        return Some((FailureKind::TransientIo, e.to_string()));
-    }
+) -> Result<bool, (FailureKind, String)> {
+    faultpoint::inject_io("worker.transient")
+        .map_err(|e| (FailureKind::TransientIo, e.to_string()))?;
     let committed = match prepared {
-        Err(detail) => return Some((FailureKind::Panic, detail)),
+        Err(detail) => return Err((FailureKind::Panic, detail)),
         Ok(Some(unit)) => catch_unwind(AssertUnwindSafe(|| run.commit(i, test, mask_row, unit))),
-        Ok(None) => catch_unwind(AssertUnwindSafe(|| run.check_unit(i, test, mask_row))),
+        Ok(None) => {
+            catch_unwind(AssertUnwindSafe(|| run.check_unit(i, test, mask_row).map(|()| false)))
+        }
     };
     match committed {
-        Err(payload) => Some((FailureKind::Panic, panic_text(payload.as_ref()))),
-        Ok(Err(e)) => Some((FailureKind::TransientIo, format!("verdict store: {e}"))),
-        Ok(Ok(())) => match run.unit_fault(i) {
-            Some(UnitFault::WorkerPanicked) => Some((
+        Err(payload) => Err((FailureKind::Panic, panic_text(payload.as_ref()))),
+        Ok(Err(e)) => Err((FailureKind::TransientIo, format!("verdict store: {e}"))),
+        Ok(Ok(as_prepared)) => match run.unit_fault(i) {
+            Some(UnitFault::WorkerPanicked) => Err((
                 FailureKind::Panic,
                 "model evaluation panicked (contained by the pipeline)".to_string(),
             )),
-            Some(UnitFault::TimedOut) if retry_timeouts => Some((
+            Some(UnitFault::TimedOut) if retry_timeouts => Err((
                 FailureKind::Deadline,
                 "relative wall-clock limit tripped".to_string(),
             )),
-            _ => None,
+            _ => Ok(as_prepared),
         },
     }
 }
 
 /// Run one unit under the retry supervisor: the first attempt commits
 /// what was `prepared`, retries check afresh on this thread. Returns
-/// the quarantine record if every attempt failed; the unit's row is
-/// reset either way before a retry or quarantine, so partial attempts
-/// never leak into the matrix (verdicts that reached the store stay —
-/// they are content-addressed and replay as hits on the retry).
+/// whether the row was committed exactly as prepared (never after a
+/// retry), or the quarantine record if every attempt failed; the unit's
+/// row is reset either way before a retry or quarantine, so partial
+/// attempts never leak into the matrix (verdicts that reached the store
+/// stay — they are content-addressed and replay as hits on the retry).
 fn supervise_unit(
     run: &mut CorpusRun<'_, '_>,
     i: usize,
@@ -202,17 +213,17 @@ fn supervise_unit(
     mut prepared: Result<Option<PreparedUnit>, String>,
     res: &ResilienceConfig,
     retry_timeouts: bool,
-) -> Option<FailedUnit> {
+) -> Result<bool, FailedUnit> {
     let mut attempt = 0u32;
     loop {
         attempt += 1;
         let this_attempt = std::mem::replace(&mut prepared, Ok(None));
         match attempt_unit(run, i, test, mask_row, this_attempt, retry_timeouts) {
-            None => return None,
-            Some((kind, detail)) => {
+            Ok(as_prepared) => return Ok(as_prepared),
+            Err((kind, detail)) => {
                 run.reset_unit(i);
                 if attempt > res.max_retries {
-                    return Some(FailedUnit {
+                    return Err(FailedUnit {
                         index: i,
                         test: test.name.clone(),
                         kind,
@@ -227,6 +238,14 @@ fn supervise_unit(
             }
         }
     }
+}
+
+/// One row's oracle results, judged on the worker that prepared the row
+/// or at commit, before they join the campaign's.
+#[derive(Default)]
+struct RowJudgement {
+    discrepancies: Vec<Discrepancy>,
+    summaries: [OracleSummary; OracleKind::ALL.len()],
 }
 
 /// The campaign's deterministic substance, accumulated row by row —
@@ -338,11 +357,14 @@ impl CampaignCore {
 }
 
 /// Drive a whole campaign by streaming `stream` through a supervised,
-/// checkpointing [`CorpusRun`], running `row_check` (the matrix-level
-/// oracles plus whatever else the caller folds per row — simulator
-/// soundness, say) as each row completes, in corpus order, and return
-/// the campaign's report, unshrunk. See the module docs for the full
-/// contract.
+/// checkpointing [`CorpusRun`], and return the campaign's report,
+/// unshrunk. `judge` is the row judgement (the matrix-level oracles plus
+/// whatever else the caller checks per row — simulator soundness, say):
+/// it appends one row's violations and counts into that row's own
+/// summaries, on the worker that prepared the row, or at commit when the
+/// committed row is not exactly the prepared one. The summaries kept
+/// reach `fold`, and every total, in corpus order. See the module docs
+/// for the full contract.
 ///
 /// # Errors
 ///
@@ -355,7 +377,8 @@ pub fn drive_campaign(
     set: &ModelSet,
     opts: &MatrixOptions<'_>,
     res: &ResilienceConfig,
-    mut row_check: impl FnMut(usize, &MatrixRow, &mut Vec<Discrepancy>, &mut [OracleSummary]),
+    judge: impl Fn(usize, RowRef<'_>, &mut Vec<Discrepancy>, &mut [OracleSummary]) + Sync,
+    mut fold: impl FnMut(usize, &MatrixRow, &[OracleSummary]),
 ) -> Result<CampaignReport, CampaignError> {
     let total_units = stream.total();
     let store = match opts.store_path {
@@ -440,14 +463,23 @@ pub fn drive_campaign(
     let mut processed = 0usize;
     let mut suspended = None;
     let mask_of = |test: &Test| ModelId::ALL.map(|id| id.supports(test));
+    let judge_one = |i: usize, row: RowRef<'_>| {
+        let mut judgement = RowJudgement::default();
+        judge(i, row, &mut judgement.discrepancies, &mut judgement.summaries);
+        judgement
+    };
 
-    // Workers prepare units ahead (pure: keys, lookups, enumeration);
-    // everything order- or state-dependent happens here, in corpus
-    // order, on the calling thread.
+    // Workers prepare units ahead (pure: keys, lookups, enumeration)
+    // and judge each prepared row; everything order- or state-dependent
+    // happens here, in corpus order, on the calling thread.
     let units = (&mut stream).enumerate().map(|(off, entry)| (start_at + off, entry));
     let prepare = |_: &mut (), (i, entry): &(usize, Result<CorpusEntry, GenError>)| {
         let entry = entry.as_ref().ok().filter(|_| !quarantined.contains(i))?;
-        Some(checker.prepare(&entry.test, &mask_of(&entry.test)))
+        let unit = checker.prepare(&entry.test, &mask_of(&entry.test));
+        let row = RowRef { test: &entry.test, origin: &entry.origin, cells: unit.cells() };
+        // A panicking judgement fails nothing here: commit judges again.
+        let judgement = catch_unwind(AssertUnwindSafe(|| judge_one(*i, row))).ok();
+        Some((unit, judgement))
     };
     prepare_in_order(
         units,
@@ -460,24 +492,30 @@ pub fn drive_campaign(
             if faultpoint::should_fail("campaign.kill") {
                 std::process::abort();
             }
+            let (prepared, judgement) = match prepared {
+                Ok(Some((unit, judgement))) => (Ok(Some(unit)), judgement),
+                Ok(None) => (Ok(None), None),
+                Err(payload) => (Err(panic_text(payload.as_ref())), None),
+            };
             // A unit still quarantined from the resumed campaign keeps
-            // its row `None` without another round of doomed retries.
-            if !quarantined.contains(&i) {
-                if let Some(f) = supervise_unit(
-                    &mut run,
-                    i,
-                    &entry.test,
-                    &mask_of(&entry.test),
-                    prepared.map_err(|payload| panic_text(payload.as_ref())),
-                    res,
-                    retry_timeouts,
-                ) {
-                    failed.push(f);
-                }
-            }
+            // its row `None` without another round of doomed retries; a
+            // unit that failed every attempt is quarantined now.
+            let mask = mask_of(&entry.test);
+            let as_prepared = !quarantined.contains(&i)
+                && supervise_unit(&mut run, i, &entry.test, &mask, prepared, res, retry_timeouts)
+                    .map_err(|f| failed.push(f))
+                    .unwrap_or(false);
             let cells = run.take_row(i).into_iter().map(|cell| cell.map(|c| c.outcome)).collect();
             let row = MatrixRow { cells, test: entry.test, origin: entry.origin };
-            row_check(i, &row, &mut core.discrepancies, &mut core.summaries);
+            // The worker's judgement holds only for the row exactly as it
+            // was prepared; any other row is judged here.
+            let judgement =
+                judgement.filter(|_| as_prepared).unwrap_or_else(|| judge_one(i, row.view()));
+            fold(i, &row, &judgement.summaries);
+            for (total, part) in core.summaries.iter_mut().zip(judgement.summaries) {
+                *total += part;
+            }
+            core.discrepancies.extend(judgement.discrepancies);
             core.account_row(&row);
             processed += 1;
             since_ckpt += 1;
@@ -561,9 +599,9 @@ mod tests {
     use super::*;
     use crate::campaign::{config_fingerprint, corpus_stream, CampaignConfig, SimConfig};
     use crate::matrix::reference_row;
-    use crate::oracle::check_row;
+    use crate::oracle::{check_row, judge_matrix};
     use lkmm_exec::{ConsistencyModel, ExecFacts, Execution, ModelSession};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn quick_config() -> CampaignConfig {
@@ -589,9 +627,15 @@ mod tests {
         let stream = corpus_stream(cfg);
         let fp = config_fingerprint(cfg, stream.total());
         let opts = MatrixOptions { store_path: store, ..MatrixOptions::default() };
-        drive_campaign(stream, fp, &ModelSet::standard(), &opts, res, |_, row, d, s| {
-            check_row(row, d, s)
-        })
+        drive_campaign(
+            stream,
+            fp,
+            &ModelSet::standard(),
+            &opts,
+            res,
+            |_, row, d, s| judge_matrix(row, d, s),
+            |_, _, _| {},
+        )
     }
 
     fn assert_same_substance(a: &CampaignReport, b: &CampaignReport) {
@@ -627,17 +671,23 @@ mod tests {
         let mut seen = 0;
         let stream = corpus_stream(&cfg);
         let fp = config_fingerprint(&cfg, stream.total());
-        let report =
-            drive_campaign(stream, fp, &set, &MatrixOptions::default(), &res, |i, row, d, s| {
+        let report = drive_campaign(
+            stream,
+            fp,
+            &set,
+            &MatrixOptions::default(),
+            &res,
+            |_, row, d, s| judge_matrix(row, d, s),
+            |i, row, _| {
                 // Rows arrive in corpus order, each cell what a
                 // dedicated check of that column says.
                 assert_eq!(i, seen);
                 seen += 1;
                 assert_eq!(row.test.name, rows[i].test.name);
                 assert_eq!(row.cells, rows[i].cells, "{}", row.test.name);
-                check_row(row, d, s)
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         assert_eq!(seen, rows.len());
         assert!(report.failed_units.is_empty());
         assert_eq!(report.resumed_at, None);
@@ -659,7 +709,8 @@ mod tests {
             &ModelSet::standard(),
             &MatrixOptions::default(),
             &res,
-            |_, row, _, _| rows.push(row.clone()),
+            |_, _, _, _| {},
+            |_, row, _| rows.push(row.clone()),
         )
         .unwrap();
         assert!(rows[0].cells.iter().all(Option::is_some));
@@ -803,13 +854,73 @@ mod tests {
             let stream = corpus_stream(&cfg);
             let fp = config_fingerprint(&cfg, stream.total());
             let opts = MatrixOptions { jobs, ..MatrixOptions::default() };
-            let report =
-                drive_campaign(stream, fp, &set, &opts, &res, |_, row, d, s| check_row(row, d, s))
-                    .unwrap();
+            let report = drive_campaign(
+                stream,
+                fp,
+                &set,
+                &opts,
+                &res,
+                |_, row, d, s| judge_matrix(row, d, s),
+                |_, _, _| {},
+            )
+            .unwrap();
             assert!(!armed.load(Ordering::SeqCst), "jobs={jobs}: the panic fired");
             assert!(report.failed_units.is_empty(), "jobs={jobs}: the retry succeeded");
             assert_same_substance(&report, &reference);
         }
+    }
+
+    #[test]
+    fn each_row_judgement_is_folded_once_adopted_or_judged_again() {
+        // One test twice in a row, and an SC column whose first session
+        // panics. Whichever unit opens it fails its prepare and is
+        // retried at commit; the other copy is either an in-flight
+        // duplicate (judged again at commit) or committed exactly as
+        // prepared (its worker's judgement adopted), depending on
+        // timing. Either way each row's summaries join the report once.
+        let mp = lkmm_litmus::library::by_name("MP").unwrap().test();
+        let entries = vec![CorpusEntry { test: mp, origin: Origin::Generated }; 2];
+        let res = ResilienceConfig { retry_base_ms: 0, ..ResilienceConfig::default() };
+        let run = |jobs| {
+            let armed = Arc::new(AtomicBool::new(true));
+            let mut set = ModelSet::standard();
+            set.replace(
+                ModelId::Sc,
+                Box::new(FirstSessionPanics { armed: armed.clone(), sc: lkmm_models::Sc }),
+            );
+            let calls = [AtomicUsize::new(0), AtomicUsize::new(0)];
+            let mut folds = [0usize; 2];
+            let opts = MatrixOptions { jobs, ..MatrixOptions::default() };
+            let report = drive_campaign(
+                CorpusStream::from_entries(entries.clone()),
+                0,
+                &set,
+                &opts,
+                &res,
+                |i, row, d, s| {
+                    calls[i].fetch_add(1, Ordering::SeqCst);
+                    judge_matrix(row, d, s);
+                },
+                |i, _, s| {
+                    folds[i] += 1;
+                    assert_eq!(s[OracleKind::NativeCatAgreement.index()].checked, 1, "unit {i}");
+                },
+            )
+            .unwrap();
+            assert!(!armed.load(Ordering::SeqCst), "jobs={jobs}: the panic fired");
+            assert!(report.failed_units.is_empty(), "jobs={jobs}: the retry succeeded");
+            assert_eq!(folds, [1, 1], "jobs={jobs}: each unit folded once");
+            // The retried unit is judged once, at commit; the other at
+            // most twice.
+            let calls = calls.map(AtomicUsize::into_inner);
+            assert!(calls.iter().all(|n| (1..=2).contains(n)), "jobs={jobs}: {calls:?}");
+            assert!(calls.contains(&1), "jobs={jobs}: {calls:?}");
+            report
+        };
+        let one = run(1);
+        let agreement = &one.oracles[OracleKind::NativeCatAgreement.index()].summary;
+        assert_eq!(agreement.checked, 2, "one judgement per unit");
+        assert_same_substance(&run(2), &one);
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub use campaign::{
 pub use checkpoint::{Checkpoint, CheckpointLog, CheckpointScan, FailedUnit, FailureKind};
 pub use driver::{backoff_delay, drive_campaign, ResilienceConfig};
 pub use matrix::{
-    CorpusEntry, MatrixOptions, MatrixRow, ModelId, ModelPass, ModelSet, Origin,
+    CorpusEntry, MatrixOptions, MatrixRow, ModelId, ModelPass, ModelSet, Origin, RowRef,
 };
 pub use oracle::{
     check_row, recheck_violated, Discrepancy, OracleKind, OracleSummary, Recheck, ENVELOPE_PAIRS,

@@ -236,14 +236,43 @@ pub struct MatrixRow {
 }
 
 impl MatrixRow {
+    /// This row, borrowed as the oracles read it.
+    pub fn view(&self) -> RowRef<'_> {
+        RowRef { test: &self.test, origin: &self.origin, cells: &self.cells }
+    }
+
     /// The cell for one column.
     pub fn cell(&self, id: ModelId) -> Option<&CheckOutcome> {
-        self.cells[id.index()].as_ref()
+        self.view().cell(id)
     }
 
     /// The completed verdict for one column, if the cell is present and
     /// the check finished.
     pub fn verdict(&self, id: ModelId) -> Option<Verdict> {
+        self.view().verdict(id)
+    }
+}
+
+/// One row as the oracles read it, borrowed: a committed [`MatrixRow`]
+/// ([`MatrixRow::view`]), or a unit's cells as its worker prepared them
+/// beside the corpus entry.
+#[derive(Clone, Copy, Debug)]
+pub struct RowRef<'a> {
+    pub test: &'a Test,
+    pub origin: &'a Origin,
+    /// Indexed by [`ModelId::index`].
+    pub cells: &'a [Option<CheckOutcome>],
+}
+
+impl<'a> RowRef<'a> {
+    /// The cell for one column.
+    pub fn cell(self, id: ModelId) -> Option<&'a CheckOutcome> {
+        self.cells[id.index()].as_ref()
+    }
+
+    /// The completed verdict for one column, if the cell is present and
+    /// the check finished.
+    pub fn verdict(self, id: ModelId) -> Option<Verdict> {
         self.cell(id).and_then(CheckOutcome::result).map(|r| r.verdict)
     }
 }

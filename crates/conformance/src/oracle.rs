@@ -37,7 +37,7 @@
 //! poisoned cache entry, and the shrinker can evaluate the same
 //! predicate on mutated tests that were never checked before.
 
-use crate::matrix::{MatrixRow, ModelId, ModelSet, Origin};
+use crate::matrix::{MatrixRow, ModelId, ModelSet, Origin, RowRef};
 use lkmm_exec::{CheckOutcome, EnumOptions, PipelineOptions, TestResult, Verdict};
 use lkmm_litmus::ast::Test;
 use lkmm_litmus::library::Expect;
@@ -353,7 +353,7 @@ impl Recheck {
 /// `summaries` (indexed like [`OracleKind::ALL`]) and each violation
 /// becomes a [`Discrepancy`] in `out`.
 pub(crate) fn judge_row(
-    row: &MatrixRow,
+    row: RowRef<'_>,
     checks: impl IntoIterator<Item = Recheck>,
     out: &mut Vec<Discrepancy>,
     summaries: &mut [OracleSummary],
@@ -362,7 +362,7 @@ pub(crate) fn judge_row(
     for check in checks {
         let oracle = check.oracle();
         let s = &mut summaries[oracle.index()];
-        match check.judge(&row.test, &mut cell) {
+        match check.judge(row.test, &mut cell) {
             Judgement::Moot => {}
             Judgement::Skipped => s.skipped += 1,
             Judgement::Holds => s.checked += 1,
@@ -389,18 +389,27 @@ pub(crate) fn judge_row(
 /// checks need runs of their own; their campaigns judge them with the
 /// same [`Recheck`]s ([`crate::campaign`], [`crate::algorithms`]).
 pub fn check_row(row: &MatrixRow, out: &mut Vec<Discrepancy>, summaries: &mut [OracleSummary]) {
+    judge_matrix(row.view(), out, summaries);
+}
+
+/// [`check_row`] on a borrowed row, as the campaign driver judges it.
+pub(crate) fn judge_matrix(
+    row: RowRef<'_>,
+    out: &mut Vec<Discrepancy>,
+    summaries: &mut [OracleSummary],
+) {
     let agreement = Recheck::ResultAgreement { left: ModelId::LkmmNative, right: ModelId::LkmmCat };
     let envelope = ENVELOPE_PAIRS.map(|(sub, envelope)| Recheck::Envelope { sub, envelope });
     // Library rows must match the paper's C11 column; every other row
     // may diverge from the LKMM only with a license.
-    let c11 = match row.origin {
+    let c11 = match *row.origin {
         Origin::Library { c11: Some(expect), .. } => Recheck::C11Expectation {
             expect: if expect == Expect::Allowed { Verdict::Allowed } else { Verdict::Forbidden },
         },
         _ => Recheck::C11Unlicensed,
     };
     // Algorithm rows carry their family's declared LKMM expectation.
-    let family = match row.origin {
+    let family = match *row.origin {
         Origin::Algorithm { family, invariant, expect } => {
             Some(Recheck::FamilyExpectation { family, invariant, expect })
         }

@@ -30,10 +30,10 @@
 //! Checking a unit has two halves. [`MultiBatchChecker::prepare`] is
 //! pure — canonical text, keys, store lookups and the enumeration — so
 //! a driver may run it for many units at once on worker threads.
-//! [`CorpusRun::commit`] applies a prepared unit in corpus order: the
-//! dedupe map, store appends and counters all live there, which is what
-//! keeps reports and counters identical however many units were
-//! prepared ahead.
+//! [`CorpusRun::commit`] applies a prepared unit in corpus order, reusing
+//! its store hits: the dedupe map, store appends and counters all live
+//! there, which is what keeps reports and counters identical however
+//! many units were prepared ahead.
 //!
 //! Per-column bookkeeping (hits, computed, deduped, inconclusive,
 //! candidates) keeps the exact semantics of N sequential passes: a
@@ -322,8 +322,10 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
     /// any thread ahead of the unit's turn: one canonicalization, every
     /// column's key, a store lookup per column `mask_row` enables, and
     /// one governed enumeration (at this checker's pipeline options)
-    /// over the enabled columns the store lacks. Its counters are kept
-    /// apart until [`CorpusRun::commit`] adopts the result.
+    /// over the enabled columns the store lacks. The hits and the
+    /// check's outcomes make up the prepared row
+    /// ([`PreparedUnit::cells`]); the check's counters are kept apart
+    /// until [`CorpusRun::commit`] adopts the result.
     ///
     /// # Panics
     ///
@@ -331,27 +333,50 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
     pub fn prepare(&self, test: &Test, mask_row: &[bool]) -> PreparedUnit {
         assert_eq!(mask_row.len(), self.columns.len(), "one mask slot per column");
         let keys = self.keys(test);
-        let missing: Vec<usize> = {
+        let mut cells = vec![None; keys.len()];
+        let mut missing = Vec::new();
+        {
             let store = self.store();
-            (0..keys.len()).filter(|&c| mask_row[c] && store.get(keys[c]).is_none()).collect()
-        };
-        let check = (!missing.is_empty()).then(|| self.check_columns(test, missing));
-        PreparedUnit { keys, check }
+            for c in (0..keys.len()).filter(|&c| mask_row[c]) {
+                match store.get(keys[c]) {
+                    Some(result) => cells[c] = Some(CheckOutcome::Complete(result)),
+                    None => missing.push(c),
+                }
+            }
+        }
+        let check = (!missing.is_empty()).then(|| self.check_columns(test, missing, &mut cells));
+        PreparedUnit { keys, cells, check }
     }
 
     /// One governed enumeration of `test` over `columns`, against
-    /// private counters.
-    fn check_columns(&self, test: &Test, columns: Vec<usize>) -> ColumnsCheck {
+    /// private counters, settling each of those columns in `cells`.
+    fn check_columns(
+        &self,
+        test: &Test,
+        columns: Vec<usize>,
+        cells: &mut [Option<CheckOutcome>],
+    ) -> ColumnsCheck {
         let enum_stats = self.enum_opts.stats.as_ref().map(|_| Arc::new(EnumStats::default()));
         let data_plane = self.pipe.stats.as_ref().map(|_| Arc::new(DataPlaneStats::default()));
         let opts = EnumOptions { stats: enum_stats.clone(), ..self.enum_opts.clone() };
         let pipe = PipelineOptions { stats: data_plane.clone(), ..self.pipe.clone() };
         let models: Vec<&dyn ConsistencyModel> =
             columns.iter().map(|&c| self.columns[c].model).collect();
-        let outcome = check(&models, test, &opts, &pipe);
+        match check(&models, test, &opts, &pipe) {
+            MultiCheckOutcome::Complete(results) => {
+                for (&c, result) in columns.iter().zip(results) {
+                    cells[c] = Some(CheckOutcome::Complete(result));
+                }
+            }
+            MultiCheckOutcome::Inconclusive { reason, partials } => {
+                for (&c, partial) in columns.iter().zip(partials) {
+                    let reason = reason.clone();
+                    cells[c] = Some(CheckOutcome::Inconclusive { reason, partial });
+                }
+            }
+        }
         ColumnsCheck {
             columns,
-            outcome,
             enum_stats: enum_stats.map(|s| s.snapshot()),
             data_plane: data_plane.map(|s| s.snapshot()),
         }
@@ -397,15 +422,27 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
 pub struct PreparedUnit {
     /// One cache key per column, masked columns included.
     keys: Vec<u128>,
+    /// The prepared row (see [`PreparedUnit::cells`]).
+    cells: Vec<Option<CheckOutcome>>,
     /// The enumeration over the columns the store lacked, if any.
     check: Option<ColumnsCheck>,
 }
 
-/// One enumeration pass over a set of columns, with its own counters.
+impl PreparedUnit {
+    /// The unit's row as prepared, one slot per column: the store's
+    /// verdict, or the outcome of the unit's own check; `None` where
+    /// masked. [`CorpusRun::commit`] says whether the committed row is
+    /// exactly this one.
+    pub fn cells(&self) -> &[Option<CheckOutcome>] {
+        &self.cells
+    }
+}
+
+/// One enumeration pass over a set of columns, with its own counters;
+/// its outcomes sit in the unit's cells.
 #[derive(Debug)]
 struct ColumnsCheck {
     columns: Vec<usize>,
-    outcome: MultiCheckOutcome,
     enum_stats: Option<EnumSnapshot>,
     data_plane: Option<DataPlaneSnapshot>,
 }
@@ -473,26 +510,30 @@ pub struct CorpusRun<'a, 'm, S: VerdictLog = VerdictStore> {
 impl<S: VerdictLog> CorpusRun<'_, '_, S> {
     /// Check corpus member `i` across every column `mask_row` enables
     /// (one slot per column) on the calling thread: [`CorpusRun::commit`]
-    /// with nothing prepared, so the columns the store lacks are checked
-    /// right there, once the corpus budget has been polled.
+    /// with nothing prepared, so every enabled column is looked up here
+    /// and the ones the store lacks are checked right there, once the
+    /// corpus budget has been polled.
     ///
     /// # Errors
     ///
     /// Store-append failure only; see the retry semantics above.
     pub fn check_unit(&mut self, i: usize, test: &Test, mask_row: &[bool]) -> io::Result<()> {
         let keys = self.checker.keys(test);
-        self.commit(i, test, mask_row, PreparedUnit { keys, check: None })
+        let cells = vec![None; keys.len()];
+        self.commit(i, test, mask_row, PreparedUnit { keys, cells, check: None }).map(drop)
     }
 
-    /// Apply unit `i`'s prepared check, in corpus order: resolve each
-    /// enabled column against the store (a verdict already there is a
-    /// replay — `Deduped` if an earlier unit of this run resolved the
-    /// key, else a `Hit`), then settle the columns still missing with
-    /// the prepared enumeration if it covered exactly those columns, or
-    /// with a fresh one on this thread if not: nothing was prepared
-    /// ([`CorpusRun::check_unit`]), or an earlier duplicate of this unit
-    /// was committed after this one was prepared. Completed verdicts are
-    /// appended to the store.
+    /// Apply unit `i`'s prepared check, in corpus order: reuse each store
+    /// hit it was prepared with, and look the other enabled columns up
+    /// again, since an earlier duplicate may have landed (a replay is
+    /// `Deduped` if an earlier unit of this run resolved the key, else a
+    /// `Hit`). Then settle the columns still missing with the prepared
+    /// enumeration if it covered exactly those columns, or with a fresh
+    /// one on this thread if not: nothing was prepared
+    /// ([`CorpusRun::check_unit`]), or a duplicate landed. Completed
+    /// verdicts are appended to the store. Returns whether the committed
+    /// row is exactly the prepared one ([`PreparedUnit::cells`]), so
+    /// whatever was derived from that row holds for this one.
     ///
     /// # Errors
     ///
@@ -503,18 +544,25 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
         test: &Test,
         mask_row: &[bool],
         prepared: PreparedUnit,
-    ) -> io::Result<()> {
+    ) -> io::Result<bool> {
         let ncols = self.columns.len();
         assert_eq!(mask_row.len(), ncols, "one mask slot per column");
         self.row.iter_mut().for_each(|cell| *cell = None);
         self.row_unit = Some(i);
-        let PreparedUnit { keys, check } = prepared;
+        let PreparedUnit { keys, mut cells, check } = prepared;
+        let checked = check.as_ref().map_or(&[][..], |check| &check.columns);
+        let mut as_prepared = true;
         let mut missing: Vec<usize> = Vec::new();
         {
             let store = self.checker.store();
             for c in (0..ncols).filter(|&c| mask_row[c]) {
                 let key = keys[c];
-                let Some(result) = store.get(key) else {
+                // A column prepared without a hit goes back to the store.
+                let hit = match cells[c].take_if(|_| !checked.contains(&c)) {
+                    Some(CheckOutcome::Complete(hit)) => Some(hit),
+                    _ => store.get(key).inspect(|_| as_prepared = false),
+                };
+                let Some(result) = hit else {
                     missing.push(c);
                     continue;
                 };
@@ -531,7 +579,7 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
             }
         }
         if missing.is_empty() {
-            return Ok(());
+            return Ok(as_prepared);
         }
         if let Err(kind) = self.corpus_meter.poll_now() {
             for &c in &missing {
@@ -545,48 +593,43 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
                     provenance: Provenance::Computed,
                 });
             }
-            return Ok(());
+            return Ok(false);
         }
         let check = match check {
             Some(check) if check.columns == missing => check,
-            _ => self.checker.check_columns(test, missing),
+            _ => {
+                as_prepared = false;
+                self.checker.check_columns(test, missing, &mut cells)
+            }
         };
         self.checker.adopt_counters(&check);
         self.enumeration_passes += 1;
-        match check.outcome {
-            MultiCheckOutcome::Complete(results) => {
-                self.candidates_actual += results.first().map_or(0, |r| r.candidates);
-                let mut store = self.checker.store_mut();
-                for (&c, result) in check.columns.iter().zip(results) {
-                    let key = keys[c];
+        let mut store = self.checker.store_mut();
+        for (k, &c) in check.columns.iter().enumerate() {
+            let key = keys[c];
+            let outcome = cells[c].take().expect("the check settles each of its columns");
+            let candidates = match &outcome {
+                CheckOutcome::Complete(result) => {
                     store.put(key, result.clone())?;
                     self.columns[c].computed += 1;
-                    self.columns[c].candidates_enumerated += result.candidates;
                     self.seen[c].insert(key, i);
-                    self.row[c] = Some(UnitCell {
-                        key,
-                        outcome: CheckOutcome::Complete(result),
-                        provenance: Provenance::Computed,
-                    });
+                    result.candidates
                 }
-            }
-            MultiCheckOutcome::Inconclusive { reason, partials } => {
-                self.candidates_actual += partials.first().map_or(0, |p| p.candidates);
-                for (&c, partial) in check.columns.iter().zip(partials) {
+                // Inconclusive outcomes join neither the store nor the
+                // dedupe map: a later isomorph deserves its own attempt.
+                CheckOutcome::Inconclusive { partial, .. } => {
                     self.columns[c].inconclusive += 1;
-                    self.columns[c].candidates_enumerated += partial.candidates;
-                    // Inconclusive outcomes join neither the store
-                    // nor the dedupe map: a later isomorph deserves
-                    // its own attempt.
-                    self.row[c] = Some(UnitCell {
-                        key: keys[c],
-                        outcome: CheckOutcome::Inconclusive { reason: reason.clone(), partial },
-                        provenance: Provenance::Computed,
-                    });
+                    partial.candidates
                 }
+            };
+            self.columns[c].candidates_enumerated += candidates;
+            // One pass served every column: count its candidates once.
+            if k == 0 {
+                self.candidates_actual += candidates;
             }
+            self.row[c] = Some(UnitCell { key, outcome, provenance: Provenance::Computed });
         }
-        Ok(())
+        Ok(as_prepared)
     }
 
     /// Clear unit `i`'s row (if it is the unit committed last) and drop
@@ -1027,10 +1070,10 @@ mod tests {
         let first = multi.prepare(&test, &[true]);
         let second = multi.prepare(&test, &[true]);
         let mut run = multi.begin_corpus();
-        run.commit(0, &test, &[true], first).unwrap();
+        assert!(run.commit(0, &test, &[true], first).unwrap(), "committed as prepared");
         let after_first = stats.snapshot();
         assert!(after_first.arena_acquires > 0);
-        run.commit(1, &test, &[true], second).unwrap();
+        assert!(!run.commit(1, &test, &[true], second).unwrap(), "the duplicate replays");
         assert_eq!(stats.snapshot(), after_first, "a discarded check counts nowhere");
         let row = run.take_row(1);
         assert_eq!(row[0].as_ref().unwrap().provenance, Provenance::Deduped);

@@ -101,11 +101,26 @@ impl ShardedStore {
 
     /// Lock the `shards`-way family at `base` (the base path too, when
     /// `shards > 1`) and open every member's plain store, in shard order.
+    /// A family of another shard count already at `base` (a plain log
+    /// there is the one-shard family) is refused before anything is
+    /// created: opening beside it would orphan its logs.
     fn open_members(
         base: &Path,
         shards: usize,
     ) -> Result<(Option<LockFile>, Vec<VerdictStore>), StoreError> {
         assert!(shards >= 1, "a sharded store needs at least one shard");
+        let found = match Self::discover(base) {
+            1 => usize::from(base.exists()),
+            n => n,
+        };
+        if found != 0 && found != shards {
+            let refusal = format!(
+                "{}: a {found}-shard store is already there; refusing to open it as \
+                 {shards} shard(s)",
+                base.display()
+            );
+            return Err(StoreError::Io(io::Error::new(io::ErrorKind::AlreadyExists, refusal)));
+        }
         let base_lock = if shards > 1 { Some(LockFile::acquire(base)?) } else { None };
         let members = Self::shard_paths(base, shards).into_iter().map(VerdictStore::open);
         Ok((base_lock, members.collect::<Result<_, _>>()?))
@@ -486,6 +501,35 @@ mod tests {
         drop(s);
         let _reopen = ShardedStore::open(&base, 2).unwrap();
         cleanup(&base, 2);
+    }
+
+    #[test]
+    fn a_family_of_another_shard_count_is_refused() {
+        let family = temp_base("recount-family");
+        let plain = temp_base("recount-plain");
+        let s = ShardedStore::open(&family, 4).unwrap();
+        s.put(spread_key(1), sample(1)).unwrap();
+        s.flush();
+        drop(s);
+        drop(ShardedStore::open(&plain, 1).unwrap());
+        // Every count but the one on disk, a plain log being the 1-shard
+        // family; merges open their destination the same way.
+        for (base, found, asked) in [(&family, 4, 2), (&family, 4, 1), (&plain, 1, 3)] {
+            let err = match ShardedStore::open(base, asked) {
+                Err(StoreError::Io(e)) => e.to_string(),
+                other => panic!("{asked} shards over {found}: {:?}", other.map(|s| s.len())),
+            };
+            assert!(err.contains(&format!("a {found}-shard store")), "{err}");
+            assert!(err.contains(&format!("as {asked} shard(s)")), "{err}");
+            assert!(ShardedStore::merge_into_shards(base, asked, &plain).is_err());
+            let created = ShardedStore::shard_paths(base, asked).into_iter().filter(|p| p.exists());
+            assert_eq!(created.count(), 0, "{asked} shards over {found}");
+            assert!(!sibling(base, ".lock").exists(), "the base lock is gone");
+        }
+        // The count on disk still opens, with its contents.
+        assert_eq!(ShardedStore::open(&family, 4).unwrap().get(spread_key(1)), Some(sample(1)));
+        cleanup(&family, 4);
+        cleanup(&plain, 1);
     }
 
     #[test]

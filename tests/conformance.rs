@@ -215,8 +215,8 @@ type Observed = (String, Vec<[usize; 4]>);
 /// copy was still in flight; neither the report nor any counter may
 /// show it. (Contended twins are left to `ci.sh`, which compares them
 /// across job counts in a release build: here, unoptimised, they would
-/// take minutes. Simulators are off: they run on the committing thread
-/// and only cost time.)
+/// take minutes. Simulators are off: they only cost time here, and
+/// `worker_judged_reports_match_one_job` runs them at every job count.)
 fn counted_runs(dir: &Path, jobs: usize) -> Vec<Observed> {
     let config = |store: &str| CampaignConfig {
         max_cycle_len: 4,
