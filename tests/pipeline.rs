@@ -8,11 +8,13 @@
 //! algorithms family (generated programs far bigger than any library
 //! litmus test), and tests big enough to split over workers.
 
+use linux_kernel_memory_model::service::{MultiBatchChecker, MultiColumn, VerdictStore};
 use linux_kernel_memory_model::{Herd, ModelId};
 use lkmm_exec::enumerate::{EnumOptions, EnumStats};
 use lkmm_exec::pipeline::INLINE_WORK;
 use lkmm_exec::{
-    check, check_test, Budget, BudgetKind, CheckOutcome, InconclusiveReason, PipelineOptions,
+    check, check_test, Budget, BudgetKind, CheckOutcome, DataPlaneStats, InconclusiveReason,
+    PipelineOptions,
 };
 use lkmm_litmus::ast::Test;
 use lkmm_litmus::library;
@@ -262,4 +264,136 @@ fn herd_reports_are_job_count_invariant() {
             assert_eq!(a.to_string(), b.to_string(), "{} jobs={jobs}", pt.name);
         }
     }
+}
+
+/// The eight opt-in counters: the enumeration's five, then the data
+/// plane's three.
+fn counters(e: &EnumStats, d: &DataPlaneStats) -> [u64; 8] {
+    let (e, d) = (e.snapshot(), d.snapshot());
+    [
+        e.rf_prefixes_pruned,
+        e.co_pairs_saturated,
+        e.co_pairs_branched,
+        e.co_leaves_tested,
+        e.candidates_emitted,
+        d.arena_acquires,
+        d.arena_reuses,
+        d.static_builds,
+    ]
+}
+
+/// Fresh counters for one run.
+fn fresh_counters() -> (Arc<EnumStats>, Arc<DataPlaneStats>) {
+    (Arc::default(), Arc::default())
+}
+
+/// `herd-rs ARGS`'s exit status and its `enumeration:` and
+/// `data-plane:` stderr lines.
+fn herd_rs_counter_lines(args: &[&str]) -> (bool, Vec<String>) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_herd-rs"))
+        .args(args)
+        .env_remove("LKMM_FAULTPOINTS")
+        .output()
+        .expect("spawn herd-rs");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let lines = stderr
+        .lines()
+        .filter(|l| l.contains("enumeration:") || l.contains("data-plane:"))
+        .map(str::to_string)
+        .collect();
+    (out.status.success(), lines)
+}
+
+/// Pins by value the counters that the campaign pins in
+/// `tests/conformance.rs` leave out: a multi-model check of the library,
+/// split checks, a cached check cold and warm, and the CLI's stderr
+/// lines.
+#[test]
+fn counters_outside_the_campaigns_are_pinned() {
+    let models = [ModelId::LkmmNative, ModelId::LkmmCat, ModelId::Sc];
+
+    // One enumeration for three models over the library, inline.
+    let (e, d) = fresh_counters();
+    let herd = Herd::new_multi(&models)
+        .with_options(EnumOptions { stats: Some(e.clone()), ..EnumOptions::default() })
+        .with_pipeline_stats(Some(d.clone()));
+    for pt in library::all() {
+        let _ = herd.check_multi_governed(&pt.test());
+    }
+    assert_eq!(counters(&e, &d), [1, 1, 18, 170, 170, 1700, 1436, 37], "library at jobs 1");
+
+    // Split checks: which worker ran which range decides the arena
+    // counts, so only the enumeration's are pinned.
+    let (e, d) = fresh_counters();
+    let herd = Herd::new_multi(&models)
+        .with_options(EnumOptions { stats: Some(e.clone()), ..EnumOptions::default() })
+        .with_pipeline_stats(Some(d.clone()))
+        .with_jobs(2);
+    for t in split_sized() {
+        herd.check_multi(&t).unwrap();
+    }
+    assert_eq!(counters(&e, &d)[..5], [4632, 324, 78, 216, 216], "split tests at jobs 2");
+
+    // A cached check: the cold pass counts, the warm one adds nothing.
+    let model = ModelId::LkmmNative.instantiate();
+    let column = MultiColumn { model: model.as_ref(), salt: "pins".into() };
+    let (e, d) = fresh_counters();
+    let mut checker = MultiBatchChecker::new(vec![column], VerdictStore::in_memory())
+        .with_options(EnumOptions { stats: Some(e.clone()), ..EnumOptions::default() })
+        .with_pipeline_stats(Some(d.clone()));
+    let tests: Vec<Test> = library::all().iter().map(|pt| pt.test()).collect();
+    let mask = [vec![true; tests.len()]];
+    checker.check_corpus(&tests, &mask).unwrap();
+    assert_eq!(counters(&e, &d), [1, 1, 18, 166, 166, 1494, 1270, 36], "cold library");
+    let cold = counters(&e, &d);
+    checker.check_corpus(&tests, &mask).unwrap();
+    assert_eq!(counters(&e, &d), cold, "a warm pass adds nothing");
+
+    // The CLI's `--enum-stats` lines.
+    let dir = std::env::temp_dir().join(format!("lkmm-counter-pins-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let sb = dir.join("sb.litmus");
+    std::fs::write(
+        &sb,
+        "C ci-sb\n{ x=0; y=0; }\n\
+         P0(int *x, int *y) { WRITE_ONCE(*x, 1); int r0; r0 = READ_ONCE(*y); }\n\
+         P1(int *x, int *y) { WRITE_ONCE(*y, 1); int r0; r0 = READ_ONCE(*x); }\n\
+         exists (0:r0=0 /\\ 1:r0=0)\n",
+    )
+    .unwrap();
+    let store = dir.join("library.bin");
+    let (sb, store) = (sb.to_str().unwrap(), store.to_str().unwrap());
+    let library = ["--library", "--store", store, "--enum-stats"];
+    for (args, expect) in [
+        (
+            &["--models", "lkmm,sc", "--enum-stats", sb][..],
+            [
+                "herd-rs: enumeration: 0 rf prefixes pruned, 0 co pairs saturated, 0 branched, \
+                 4 leaves tested, 4 candidates emitted",
+                "herd-rs: data-plane: 40 arena acquires (32 reused)",
+            ],
+        ),
+        (
+            &library[..],
+            [
+                "herd-rs: enumeration: 1 rf prefixes pruned, 1 co pairs saturated, 18 branched, \
+                 166 leaves tested, 166 candidates emitted",
+                "herd-rs: data-plane: 1494 arena acquires (1270 reused)",
+            ],
+        ),
+        (
+            &library[..],
+            [
+                "herd-rs: enumeration: 0 rf prefixes pruned, 0 co pairs saturated, 0 branched, \
+                 0 leaves tested, 0 candidates emitted",
+                "herd-rs: data-plane: 0 arena acquires (0 reused)",
+            ],
+        ),
+    ] {
+        let (ok, lines) = herd_rs_counter_lines(args);
+        assert!(ok, "herd-rs {args:?} failed");
+        assert_eq!(lines, expect, "herd-rs {args:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
