@@ -27,7 +27,7 @@
 //! ```
 
 use lkmm_conformance::campaign::{corpus_stream, CampaignConfig};
-use lkmm_exec::{enumerate, EnumOptions, EnumSnapshot, EnumStats, EnumStrategy};
+use lkmm_exec::{enumerate, EnumOptions, EnumSnapshot, EnumStrategy, Stats};
 use lkmm_litmus::Test;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -52,7 +52,7 @@ fn sweep(tests: &[Test], strategy: EnumStrategy, iters: usize) -> (f64, EnumSnap
     let mut seconds = 0.0;
     let mut snap = EnumSnapshot::default();
     for i in 0..iters {
-        let stats = Arc::new(EnumStats::default());
+        let stats = Arc::new(Stats::default());
         let opts = EnumOptions { strategy, stats: Some(Arc::clone(&stats)), ..Default::default() };
         let start = Instant::now();
         for t in tests {
@@ -60,7 +60,7 @@ fn sweep(tests: &[Test], strategy: EnumStrategy, iters: usize) -> (f64, EnumSnap
         }
         seconds += start.elapsed().as_secs_f64();
         if i == 0 {
-            snap = stats.snapshot();
+            snap = stats.snapshot().enumeration;
         }
     }
     (seconds / iters as f64, snap)

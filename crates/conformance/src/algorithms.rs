@@ -80,13 +80,9 @@ pub struct AlgoConfig {
     pub host_iterations: u64,
     /// Minimize discrepancies with the shrinker.
     pub shrink: bool,
-    /// Shared enumeration pruning counters for the matrix pass
+    /// Shared enumeration and data-plane counters for the matrix pass
     /// (observability only, exactly as in the cycle campaign).
-    pub enum_stats: Option<std::sync::Arc<lkmm_exec::EnumStats>>,
-    /// Shared data-plane counters (arena acquires and reuses) for the
-    /// matrix pass (observability only, exactly as in the cycle
-    /// campaign).
-    pub data_plane: Option<std::sync::Arc<lkmm_exec::DataPlaneStats>>,
+    pub stats: Option<std::sync::Arc<lkmm_exec::Stats>>,
 }
 
 impl Default for AlgoConfig {
@@ -101,8 +97,7 @@ impl Default for AlgoConfig {
             sim: SimConfig::default(),
             host_iterations: 2_000,
             shrink: true,
-            enum_stats: None,
-            data_plane: None,
+            stats: None,
         }
     }
 }
@@ -214,8 +209,7 @@ pub fn run_algo_campaign_with(
         jobs: cfg.jobs,
         budget: cfg.budget.clone(),
         store_path: cfg.store_path.as_deref(),
-        enum_stats: cfg.enum_stats.clone(),
-        data_plane: cfg.data_plane.clone(),
+        stats: cfg.stats.clone(),
     };
     // Each row is judged where the driver runs it, into the row's own
     // summaries; the ones the driver keeps join the row's family's

@@ -80,19 +80,13 @@ pub struct CampaignConfig {
     pub sim: SimConfig,
     /// Minimize discrepancies with the shrinker.
     pub shrink: bool,
-    /// Shared enumeration pruning counters for the matrix pass. `None`
-    /// (the default) records nothing; when set, the report carries a
-    /// [`CampaignReport::enumeration`] snapshot. Observability only —
+    /// Shared enumeration and data-plane counters for the matrix pass.
+    /// `None` (the default) records nothing; when set, the report carries
+    /// the [`CampaignReport::enumeration`] and
+    /// [`CampaignReport::data_plane`] snapshots. Observability only —
     /// counters never influence verdicts or cache keys, and a warm store
     /// legitimately reports zeros.
-    pub enum_stats: Option<std::sync::Arc<lkmm_exec::EnumStats>>,
-    /// Shared data-plane counters (arena acquires and reuses) for the
-    /// matrix pass. Same contract as `enum_stats`: `None` (the
-    /// default) records nothing; when set, the report carries a
-    /// [`CampaignReport::data_plane`] snapshot. Observability only —
-    /// counters never influence verdicts or cache keys, and a warm
-    /// store legitimately reports zeros.
-    pub data_plane: Option<std::sync::Arc<lkmm_exec::DataPlaneStats>>,
+    pub stats: Option<std::sync::Arc<lkmm_exec::Stats>>,
     /// Crash-survival knobs: checkpoint/resume, per-unit retry budget,
     /// backoff seed (see [`ResilienceConfig`]).
     pub resilience: ResilienceConfig,
@@ -110,8 +104,7 @@ impl Default for CampaignConfig {
             store_path: None,
             sim: SimConfig::default(),
             shrink: true,
-            enum_stats: None,
-            data_plane: None,
+            stats: None,
             resilience: ResilienceConfig::default(),
         }
     }
@@ -147,12 +140,11 @@ pub struct CampaignReport {
     /// Every oracle violation (shrunk when configured).
     pub discrepancies: Vec<Discrepancy>,
     /// Enumeration pruning counters from the matrix pass; present only
-    /// when [`CampaignConfig::enum_stats`] (or
-    /// [`crate::AlgoConfig::enum_stats`]) was set.
+    /// when [`CampaignConfig::stats`] (or [`crate::AlgoConfig::stats`])
+    /// was set.
     pub enumeration: Option<lkmm_exec::EnumSnapshot>,
-    /// Data-plane counters (arena acquires and reuses) from the
-    /// matrix pass; present only when [`CampaignConfig::data_plane`]
-    /// (or [`crate::AlgoConfig::data_plane`]) was set.
+    /// Data-plane counters (arena acquires and reuses) from the matrix
+    /// pass; present exactly when `enumeration` is.
     pub data_plane: Option<lkmm_exec::DataPlaneSnapshot>,
     /// Units the supervisor gave up on after exhausting retries. A
     /// non-empty list makes the report *degraded*: the matrix is
@@ -451,8 +443,7 @@ pub fn run_campaign_with(
         jobs: cfg.jobs,
         budget: cfg.budget.clone(),
         store_path: cfg.store_path.as_deref(),
-        enum_stats: cfg.enum_stats.clone(),
-        data_plane: cfg.data_plane.clone(),
+        stats: cfg.stats.clone(),
     };
     // Rows stream through the driver, which judges the matrix-level
     // oracles and the simulator soundness pass on each row as soon as

@@ -399,8 +399,7 @@ pub fn drive_campaign(
     // each prepare whole units, checking their candidates inline.
     let workers = worker_threads(opts.jobs);
     let checker = MultiBatchChecker::new(columns, store)
-        .with_options(EnumOptions { stats: opts.enum_stats.clone(), ..EnumOptions::default() })
-        .with_pipeline_stats(opts.data_plane.clone())
+        .with_options(EnumOptions { stats: opts.stats.clone(), ..EnumOptions::default() })
         .with_jobs(1)
         .with_budget(opts.budget.clone());
 
@@ -584,9 +583,10 @@ pub fn drive_campaign(
         pass.deduped = col.deduped;
         pass.candidates_enumerated = col.candidates_enumerated;
     }
+    let counters = opts.stats.as_ref().map(|s| s.snapshot());
     Ok(CampaignReport {
-        enumeration: opts.enum_stats.as_ref().map(|s| s.snapshot()),
-        data_plane: opts.data_plane.as_ref().map(|s| s.snapshot()),
+        enumeration: counters.map(|c| c.enumeration),
+        data_plane: counters.map(|c| c.data_plane),
         failed_units: failed,
         resumed_at,
         checkpoints_written,

@@ -17,7 +17,7 @@
 //! Table 5). Unsupported cells are `None` and the oracles skip them.
 
 use lkmm_core::budget::Budget;
-use lkmm_exec::{CheckOutcome, ConsistencyModel, EnumStats, Verdict};
+use lkmm_exec::{CheckOutcome, ConsistencyModel, Stats, Verdict};
 use lkmm_litmus::ast::{Stmt, Test};
 use lkmm_litmus::library::Expect;
 use lkmm_litmus::FenceKind;
@@ -317,12 +317,10 @@ pub struct MatrixOptions<'a> {
     pub budget: Budget,
     /// Persistent verdict store; `None` checks in memory.
     pub store_path: Option<&'a Path>,
-    /// Shared enumeration pruning counters (observability only — like
-    /// store hits, never part of cache keys or the default report JSON).
-    pub enum_stats: Option<std::sync::Arc<EnumStats>>,
-    /// Shared data-plane counters (arena acquires and reuses) from the
-    /// checks. Observability only, like `enum_stats`.
-    pub data_plane: Option<std::sync::Arc<lkmm_exec::DataPlaneStats>>,
+    /// Shared enumeration and data-plane counters from the checks
+    /// (observability only — like store hits, never part of cache keys
+    /// or the default report JSON).
+    pub stats: Option<std::sync::Arc<Stats>>,
 }
 
 /// A row decided column by column with a fresh `lkmm_exec::check`: no

@@ -392,8 +392,8 @@ mod tests {
         assert!(!plain.contains("enumeration"), "counters leaked into default JSON");
         assert!(!observability_lines(&report).contains("enumeration:"));
 
-        let stats = std::sync::Arc::new(lkmm_exec::EnumStats::default());
-        let cfg2 = CampaignConfig { enum_stats: Some(std::sync::Arc::clone(&stats)), ..quick() };
+        let stats = std::sync::Arc::new(lkmm_exec::Stats::default());
+        let cfg2 = CampaignConfig { stats: Some(std::sync::Arc::clone(&stats)), ..quick() };
         let report2 = run_campaign(&cfg2).unwrap();
         let snap = report2.enumeration.expect("opted-in campaign records a snapshot");
         assert!(snap.candidates_emitted > 0, "cold matrix pass enumerates candidates");
@@ -416,8 +416,8 @@ mod tests {
         assert!(!observability_lines(&report).contains("data-plane:"));
 
         let campaign_at = |jobs: usize| {
-            let stats = std::sync::Arc::new(lkmm_exec::DataPlaneStats::default());
-            let cfg = CampaignConfig { jobs, data_plane: Some(stats), ..quick() };
+            let stats = std::sync::Arc::new(lkmm_exec::Stats::default());
+            let cfg = CampaignConfig { jobs, stats: Some(stats), ..quick() };
             let report = run_campaign(&cfg).unwrap();
             (report, cfg)
         };

@@ -48,63 +48,106 @@ pub enum EnumStrategy {
     Naive,
 }
 
-/// Shared pruning counters, updated with relaxed atomics so one instance
-/// can be observed across pipeline worker threads.
+/// Opt-in counters of where a check's work went, carried in
+/// [`EnumOptions::stats`] and updated with relaxed atomics, so one
+/// instance can be observed across worker threads.
+///
+/// The enumerator counts its pruning ([`EnumSnapshot`]). The check
+/// engine's workers add their arena and facts-cache counts
+/// ([`DataPlaneSnapshot`]) as they finish. A check on the calling thread
+/// draws from one fresh arena and one facts cache, so a campaign, which
+/// checks each unit inline, reports the same counts at any job count. A
+/// split check adds one arena and cache per worker, each warming up on
+/// its own, so its data-plane counts depend on the split.
 #[derive(Debug, Default)]
-pub struct EnumStats {
-    /// Partial `rf` assignments abandoned because `po-loc ∪ rf ∪
-    /// derived-co` became cyclic (naive strategy: complete `rf` vectors
-    /// rejected by the acyclicity pre-check).
-    pub rf_prefixes_pruned: AtomicU64,
-    /// Same-location write pairs whose coherence direction was forced by
-    /// saturation (pruned strategy only).
-    pub co_pairs_saturated: AtomicU64,
-    /// Same-location write pairs genuinely unconstrained, i.e. branched on
-    /// (pruned strategy only).
-    pub co_pairs_branched: AtomicU64,
-    /// Coherence-order leaves built and tested (naive: every permutation
-    /// product; pruned: only linear extensions of the forced order).
-    pub co_leaves_tested: AtomicU64,
-    /// Candidates that survived pruning and were emitted downstream.
-    pub candidates_emitted: AtomicU64,
+pub struct Stats {
+    pub(crate) rf_prefixes_pruned: AtomicU64,
+    pub(crate) co_pairs_saturated: AtomicU64,
+    pub(crate) co_pairs_branched: AtomicU64,
+    pub(crate) co_leaves_tested: AtomicU64,
+    pub(crate) candidates_emitted: AtomicU64,
+    pub(crate) arena_acquires: AtomicU64,
+    pub(crate) arena_reuses: AtomicU64,
+    pub(crate) static_builds: AtomicU64,
 }
 
-impl EnumStats {
+impl Stats {
     /// A plain-value copy of the counters.
-    pub fn snapshot(&self) -> EnumSnapshot {
-        EnumSnapshot {
-            rf_prefixes_pruned: self.rf_prefixes_pruned.load(AtomicOrdering::Relaxed),
-            co_pairs_saturated: self.co_pairs_saturated.load(AtomicOrdering::Relaxed),
-            co_pairs_branched: self.co_pairs_branched.load(AtomicOrdering::Relaxed),
-            co_leaves_tested: self.co_leaves_tested.load(AtomicOrdering::Relaxed),
-            candidates_emitted: self.candidates_emitted.load(AtomicOrdering::Relaxed),
+    pub fn snapshot(&self) -> StatsSnapshot {
+        let load = |counter: &AtomicU64| counter.load(AtomicOrdering::Relaxed);
+        StatsSnapshot {
+            enumeration: EnumSnapshot {
+                rf_prefixes_pruned: load(&self.rf_prefixes_pruned),
+                co_pairs_saturated: load(&self.co_pairs_saturated),
+                co_pairs_branched: load(&self.co_pairs_branched),
+                co_leaves_tested: load(&self.co_leaves_tested),
+                candidates_emitted: load(&self.candidates_emitted),
+            },
+            data_plane: DataPlaneSnapshot {
+                arena_acquires: load(&self.arena_acquires),
+                arena_reuses: load(&self.arena_reuses),
+                static_builds: load(&self.static_builds),
+            },
         }
     }
 
-    /// Add another counter set's totals to these — how an enumeration
-    /// run against private counters is folded into shared ones once its
-    /// result is kept.
-    pub fn add(&self, other: &EnumSnapshot) {
+    /// Add another counter set's totals to these — how a run against
+    /// private counters is folded into shared ones once its result is
+    /// kept.
+    pub fn add(&self, other: &StatsSnapshot) {
+        let (e, d) = (&other.enumeration, &other.data_plane);
         for (counter, n) in [
-            (&self.rf_prefixes_pruned, other.rf_prefixes_pruned),
-            (&self.co_pairs_saturated, other.co_pairs_saturated),
-            (&self.co_pairs_branched, other.co_pairs_branched),
-            (&self.co_leaves_tested, other.co_leaves_tested),
-            (&self.candidates_emitted, other.candidates_emitted),
+            (&self.rf_prefixes_pruned, e.rf_prefixes_pruned),
+            (&self.co_pairs_saturated, e.co_pairs_saturated),
+            (&self.co_pairs_branched, e.co_pairs_branched),
+            (&self.co_leaves_tested, e.co_leaves_tested),
+            (&self.candidates_emitted, e.candidates_emitted),
+            (&self.arena_acquires, d.arena_acquires),
+            (&self.arena_reuses, d.arena_reuses),
+            (&self.static_builds, d.static_builds),
         ] {
             counter.fetch_add(n, AtomicOrdering::Relaxed);
         }
     }
 }
 
-/// Point-in-time copy of [`EnumStats`].
+/// Point-in-time copy of [`Stats`], in its two sections.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StatsSnapshot {
+    pub enumeration: EnumSnapshot,
+    pub data_plane: DataPlaneSnapshot,
+}
+
+/// The enumerator's pruning counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EnumSnapshot {
+    /// Partial `rf` assignments abandoned because `po-loc ∪ rf ∪
+    /// derived-co` became cyclic (naive strategy: complete `rf` vectors
+    /// rejected by the acyclicity pre-check).
     pub rf_prefixes_pruned: u64,
+    /// Same-location write pairs whose coherence direction was forced by
+    /// saturation (pruned strategy only).
     pub co_pairs_saturated: u64,
+    /// Same-location write pairs genuinely unconstrained, i.e. branched on
+    /// (pruned strategy only).
     pub co_pairs_branched: u64,
+    /// Coherence-order leaves built and tested (naive: every permutation
+    /// product; pruned: only linear extensions of the forced order).
     pub co_leaves_tested: u64,
+    /// Candidates that survived pruning and were emitted downstream.
     pub candidates_emitted: u64,
+}
+
+/// The check engine's arena and facts-cache counts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DataPlaneSnapshot {
+    /// Relation/set/scratch acquisitions served by per-worker arenas.
+    pub arena_acquires: u64,
+    /// Acquisitions served from pooled storage instead of the allocator.
+    pub arena_reuses: u64,
+    /// Static fact tiers built: one per run of consecutive candidates
+    /// of one [`Shape`] a facts cache saw.
+    pub static_builds: u64,
 }
 
 /// Tuning knobs for the enumerator.
@@ -140,10 +183,11 @@ pub struct EnumOptions {
     /// — the strategy is excluded from the [`fmt::Debug`] cache-key form:
     /// stores written by either strategy replay byte-identically.
     pub strategy: EnumStrategy,
-    /// Optional shared pruning counters; `None` (the default) costs
-    /// nothing. Excluded from [`fmt::Debug`] for the same reason as
-    /// `budget`: observability cannot change a verdict.
-    pub stats: Option<Arc<EnumStats>>,
+    /// Optional shared counters, filled by the enumerator and the check
+    /// engine; `None` (the default) costs nothing. Excluded from
+    /// [`fmt::Debug`] for the same reason as `budget`: observability
+    /// cannot change a verdict.
+    pub stats: Option<Arc<Stats>>,
 }
 
 impl Default for EnumOptions {
@@ -156,6 +200,23 @@ impl Default for EnumOptions {
             budget: Budget::default(),
             strategy: EnumStrategy::default(),
             stats: None,
+        }
+    }
+}
+
+impl EnumOptions {
+    /// These options with fresh counters of their own in place of the
+    /// shared ones (none if none are kept), for a run whose result may
+    /// still be thrown away.
+    pub fn with_own_stats(&self) -> EnumOptions {
+        EnumOptions { stats: self.stats.as_ref().map(|_| Arc::default()), ..self.clone() }
+    }
+
+    /// Add the counts of a kept run's own counters (see
+    /// [`EnumOptions::with_own_stats`]) to these options' counters.
+    pub fn adopt_stats(&self, own: &Option<Arc<Stats>>) {
+        if let (Some(shared), Some(own)) = (&self.stats, own) {
+            shared.add(&own.snapshot());
         }
     }
 }

@@ -44,8 +44,8 @@ pub mod lower;
 pub mod thread;
 
 pub use enumerate::{
-    enumerate, for_each_execution, try_for_each_execution, EnumError, EnumOptions, EnumSnapshot,
-    EnumStats, EnumStrategy,
+    enumerate, for_each_execution, try_for_each_execution, DataPlaneSnapshot, EnumError,
+    EnumOptions, EnumSnapshot, EnumStrategy, Stats, StatsSnapshot,
 };
 pub use event::{Event, EventKind, LocId, ReadAnnot, SrcuKind, Val, WriteAnnot};
 pub use execution::{Execution, Shape};
@@ -55,7 +55,7 @@ pub use model::{
     check_test, open_session, ConsistencyModel, EvalStop, ModelSession, TestResult, Verdict,
 };
 pub use pipeline::{
-    check, effective_jobs, worker_threads, CheckOutcome, DataPlaneSnapshot, DataPlaneStats,
-    InconclusiveReason, MultiCheckOutcome, PipelineOptions, Tally, MAX_JOBS,
+    check, effective_jobs, worker_threads, CheckOutcome, InconclusiveReason, MultiCheckOutcome,
+    PipelineOptions, Tally, MAX_JOBS,
 };
 pub use states::{collect_states, StateSummary};

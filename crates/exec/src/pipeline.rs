@@ -38,7 +38,7 @@
 //! and re-run inline on the remaining fuel, where it stops at exactly the
 //! candidate a sequential run stops at. Complete runs, candidate-budget
 //! stops and `max_executions` stops therefore report bit-identical
-//! tallies, partial tallies, [`EnumStats`] and errors
+//! tallies, partial tallies, enumeration counters ([`Stats`]) and errors
 //! at every job count. A budget that bounds evaluation steps keeps the
 //! whole check inline: the step tank is shared, and ranges evaluated
 //! ahead of the commit would drain steps a sequential run never spends.
@@ -58,7 +58,9 @@
 //! counts are then lower bounds, which is why the flag exists instead of
 //! being always-on.
 
-use crate::enumerate::{Cursor, EnumError, EnumOptions, EnumStats, PreExecutions};
+use crate::enumerate::{
+    Cursor, DataPlaneSnapshot, EnumError, EnumOptions, PreExecutions, Stats, StatsSnapshot,
+};
 use crate::execution::Execution;
 use crate::facts::FactsCache;
 use crate::model::{open_session, ConsistencyModel, EvalStop, ModelSession, TestResult, Verdict};
@@ -71,7 +73,6 @@ use std::convert::Infallible;
 use std::fmt;
 use std::ops::{ControlFlow, Range};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 
@@ -110,58 +111,6 @@ pub struct PipelineOptions {
     /// and `condition_holds` still match a full run exactly; the counts
     /// become lower bounds.
     pub early_exit: bool,
-    /// Opt-in arena counters. `None` (the default) records nothing.
-    pub stats: Option<Arc<DataPlaneStats>>,
-}
-
-/// Opt-in counters describing how much relation storage the per-worker
-/// arenas served and recycled, and how many static fact tiers the
-/// workers built. Shared via [`PipelineOptions::stats`]; all methods are
-/// thread-safe.
-///
-/// A check on the calling thread draws from one fresh arena and one
-/// facts cache, so a campaign, which checks each unit inline, reports
-/// the same counts at any job count. A split check adds one arena and
-/// cache per worker, each warming up on its own, so its `arena_reuses`
-/// and `static_builds` (and, where workers recompute a pre-execution's
-/// shared facts, `arena_acquires`) depend on the split.
-#[derive(Debug, Default)]
-pub struct DataPlaneStats {
-    arena_acquires: AtomicU64,
-    arena_reuses: AtomicU64,
-    static_builds: AtomicU64,
-}
-
-impl DataPlaneStats {
-    /// A consistent copy of the counters.
-    pub fn snapshot(&self) -> DataPlaneSnapshot {
-        DataPlaneSnapshot {
-            arena_acquires: self.arena_acquires.load(Ordering::Relaxed),
-            arena_reuses: self.arena_reuses.load(Ordering::Relaxed),
-            static_builds: self.static_builds.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Add another counter set's totals to these — how a check run
-    /// against private counters is folded into shared ones once its
-    /// result is kept.
-    pub fn add(&self, other: &DataPlaneSnapshot) {
-        self.arena_acquires.fetch_add(other.arena_acquires, Ordering::Relaxed);
-        self.arena_reuses.fetch_add(other.arena_reuses, Ordering::Relaxed);
-        self.static_builds.fetch_add(other.static_builds, Ordering::Relaxed);
-    }
-}
-
-/// Plain-data view of [`DataPlaneStats`] at one instant.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DataPlaneSnapshot {
-    /// Relation/set/scratch acquisitions served by per-worker arenas.
-    pub arena_acquires: u64,
-    /// Acquisitions served from pooled storage instead of the allocator.
-    pub arena_reuses: u64,
-    /// Static fact tiers built: one per run of consecutive candidates
-    /// of one [`Shape`](crate::execution::Shape) a facts cache saw.
-    pub static_builds: u64,
 }
 
 /// Resolve a `--jobs` value: `0` becomes the available parallelism
@@ -460,7 +409,7 @@ fn run_check(
     // The whole candidate allowance with the deadline pinned once, here:
     // what every range enumerated ahead of the commit runs against.
     let allowance = meter.clone();
-    let mut inline = WorkerState::new(models, &space, &fuel, &pipe.stats);
+    let mut inline = WorkerState::new(models, &space, &fuel, &opts.stats);
     let mut emitted = 0usize;
     let mut next = 0usize;
     if workers > 1 {
@@ -471,17 +420,14 @@ fn run_check(
         while next < units {
             let before = (inline.tallies.clone(), emitted, meter.clone());
             let cap = inline.tallies[0].candidates + INLINE_WORK;
-            let stats = opts.stats.as_ref().map(|_| Arc::new(EnumStats::default()));
-            let own = EnumOptions { stats: stats.clone(), ..opts.clone() };
+            let own = opts.with_own_stats();
             let ran = inline.run(&cx, next..next + slices, &own, &mut meter, &mut emitted, cap);
             if let Ran::Capped = ran {
                 (inline.tallies, emitted, meter) = before;
                 sliced = true;
                 break;
             }
-            if let (Some(shared), Some(own)) = (&opts.stats, &stats) {
-                shared.add(&own.snapshot());
-            }
+            opts.adopt_stats(&own.stats);
             next += slices;
             if let Ran::Stopped(reason) = ran {
                 return (inline.take_tallies(), Some(reason));
@@ -511,7 +457,7 @@ fn run_check(
             let Ok(()) = prepare_in_order(
                 ranges,
                 workers,
-                || WorkerState::new(models, &space, &None, &pipe.stats),
+                || WorkerState::new(models, &space, &None, &opts.stats),
                 |worker, range| worker.run_ahead(&cx, range, opts, &allowance),
                 |range, ran| -> Result<bool, Infallible> {
                     let Ok(ran) = ran else {
@@ -528,9 +474,7 @@ fn run_check(
                     for (total, t) in inline.tallies.iter_mut().zip(&ran.tallies) {
                         *total = total.merge(*t);
                     }
-                    if let (Some(shared), Some(own)) = (&opts.stats, &ran.enum_stats) {
-                        shared.add(own);
-                    }
+                    opts.adopt_stats(&ran.stats);
                     stop = ran.stop;
                     Ok(stop.is_none() && !(pipe.early_exit && inline.decided(quantifier)))
                 },
@@ -554,7 +498,7 @@ struct RangeRun {
     emitted: usize,
     stop: Option<InconclusiveReason>,
     /// The range's own enumeration counters, when the check keeps any.
-    enum_stats: Option<crate::EnumSnapshot>,
+    stats: Option<Arc<Stats>>,
 }
 
 /// One thread's evaluation state: a session per model, a cursor over the
@@ -571,7 +515,9 @@ struct WorkerState<'m> {
     cache: FactsCache,
     allows: Vec<bool>,
     tallies: Vec<Tally>,
-    stats: Option<Arc<DataPlaneStats>>,
+    /// The check's counters, which get this thread's data-plane counts
+    /// when it finishes.
+    stats: Option<Arc<Stats>>,
 }
 
 impl<'m> WorkerState<'m> {
@@ -579,7 +525,7 @@ impl<'m> WorkerState<'m> {
         models: &[&'m dyn ConsistencyModel],
         space: &'m PreExecutions,
         fuel: &Option<Arc<StepFuel>>,
-        stats: &Option<Arc<DataPlaneStats>>,
+        stats: &Option<Arc<Stats>>,
     ) -> Self {
         let sessions = models
             .iter()
@@ -658,8 +604,7 @@ impl<'m> WorkerState<'m> {
         opts: &EnumOptions,
         allowance: &Meter,
     ) -> RangeRun {
-        let stats = opts.stats.as_ref().map(|_| Arc::new(EnumStats::default()));
-        let opts = EnumOptions { stats: stats.clone(), ..opts.clone() };
+        let opts = opts.with_own_stats();
         let mut emitted = 0;
         let ran =
             self.run(cx, units.clone(), &opts, &mut allowance.clone(), &mut emitted, usize::MAX);
@@ -667,7 +612,7 @@ impl<'m> WorkerState<'m> {
             tallies: self.take_tallies(),
             emitted,
             stop: if let Ran::Stopped(reason) = ran { Some(reason) } else { None },
-            enum_stats: stats.map(|s| s.snapshot()),
+            stats: opts.stats,
         }
     }
 
@@ -705,17 +650,18 @@ impl<'m> WorkerState<'m> {
 }
 
 impl Drop for WorkerState<'_> {
-    /// Fold this thread's arena and facts-cache counters into the
-    /// data-plane stats.
+    /// Add this thread's arena and facts-cache counts to the check's
+    /// counters.
     fn drop(&mut self) {
         if let (Some(stats), Some(Ok(arena))) =
             (&self.stats, self.cache.arena().map(|arena| arena.try_borrow()))
         {
-            stats.add(&DataPlaneSnapshot {
+            let data_plane = DataPlaneSnapshot {
                 arena_acquires: arena.acquires(),
                 arena_reuses: arena.reuses(),
                 static_builds: self.cache.static_builds(),
-            });
+            };
+            stats.add(&StatsSnapshot { data_plane, ..StatsSnapshot::default() });
         }
     }
 }
@@ -744,11 +690,11 @@ mod tests {
     fn at_worker_counts(models: &[&dyn ConsistencyModel], opts: &EnumOptions) -> Vec<String> {
         [1, 2, 3, 8]
             .map(|workers| {
-                let stats = Arc::new(EnumStats::default());
+                let stats = Arc::new(Stats::default());
                 let opts = EnumOptions { stats: Some(stats.clone()), ..opts.clone() };
                 let t = same_value_writers();
                 let run = run_check(models, &t, &opts, &PipelineOptions::default(), workers);
-                format!("{run:?} {:?}", stats.snapshot())
+                format!("{run:?} {:?}", stats.snapshot().enumeration)
             })
             .to_vec()
     }
@@ -756,14 +702,14 @@ mod tests {
     #[test]
     fn split_checks_match_sequential_at_any_worker_count() {
         let t = same_value_writers();
-        let stats = Arc::new(EnumStats::default());
+        let stats = Arc::new(Stats::default());
         let opts = EnumOptions { stats: Some(stats.clone()), ..EnumOptions::default() };
         let seq = check_test(&AllowAll, &t, &opts).unwrap();
         assert!(seq.candidates > INLINE_WORK, "the test must split");
         // Two models share one enumeration: the counters a split run
         // reports are a single-model sequential run's.
         let runs = at_worker_counts(&[&AllowAll, &AllowAll], &EnumOptions::default());
-        assert!(runs[0].ends_with(&format!("{:?}", stats.snapshot())), "{}", runs[0]);
+        assert!(runs[0].ends_with(&format!("{:?}", stats.snapshot().enumeration)), "{}", runs[0]);
         assert!(runs.iter().all(|r| *r == runs[0]), "{runs:#?}");
         let (tallies, stop) =
             run_check(&[&AllowAll], &t, &EnumOptions::default(), &PipelineOptions::default(), 2);
@@ -838,7 +784,7 @@ mod tests {
         // neither knob may surface in the `{:?}` cache-key form.
         let tuned = EnumOptions {
             strategy: crate::enumerate::EnumStrategy::Naive,
-            stats: Some(std::sync::Arc::new(crate::enumerate::EnumStats::default())),
+            stats: Some(std::sync::Arc::new(Stats::default())),
             ..EnumOptions::default()
         };
         assert_eq!(format!("{tuned:?}"), format!("{:?}", EnumOptions::default()));

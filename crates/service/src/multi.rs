@@ -46,8 +46,8 @@ use crate::canon::{canonical_text, KeyPrefix};
 use crate::store::{VerdictLog, VerdictStore};
 use lkmm_core::budget::{Budget, BudgetKind, Meter};
 use lkmm_exec::{
-    check, CheckOutcome, ConsistencyModel, DataPlaneSnapshot, DataPlaneStats, EnumOptions,
-    EnumSnapshot, EnumStats, InconclusiveReason, MultiCheckOutcome, PipelineOptions, Tally,
+    check, CheckOutcome, ConsistencyModel, EnumOptions, InconclusiveReason, MultiCheckOutcome,
+    PipelineOptions, Stats, Tally,
 };
 use lkmm_litmus::ast::Test;
 use std::collections::HashMap;
@@ -163,7 +163,7 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
             store: RwLock::new(store),
             prefixes: Vec::new(),
             enum_opts: EnumOptions::default(),
-            pipe: PipelineOptions { jobs: 0, ..PipelineOptions::default() },
+            pipe: PipelineOptions::default(),
         }
         // Derives the key prefixes.
         .with_options(EnumOptions::default())
@@ -184,15 +184,6 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
     /// unsupported: its lower-bound counts must never be cached as exact.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.pipe.jobs = jobs;
-        self
-    }
-
-    /// Record arena counters into `stats` during enumeration passes.
-    /// Observability only — like job count, never part of cache keys,
-    /// and a warm store (which enumerates nothing) legitimately leaves
-    /// the counters at zero.
-    pub fn with_pipeline_stats(mut self, stats: Option<Arc<DataPlaneStats>>) -> Self {
-        self.pipe.stats = stats;
         self
     }
 
@@ -356,13 +347,10 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
         columns: Vec<usize>,
         cells: &mut [Option<CheckOutcome>],
     ) -> ColumnsCheck {
-        let enum_stats = self.enum_opts.stats.as_ref().map(|_| Arc::new(EnumStats::default()));
-        let data_plane = self.pipe.stats.as_ref().map(|_| Arc::new(DataPlaneStats::default()));
-        let opts = EnumOptions { stats: enum_stats.clone(), ..self.enum_opts.clone() };
-        let pipe = PipelineOptions { stats: data_plane.clone(), ..self.pipe.clone() };
+        let opts = self.enum_opts.with_own_stats();
         let models: Vec<&dyn ConsistencyModel> =
             columns.iter().map(|&c| self.columns[c].model).collect();
-        match check(&models, test, &opts, &pipe) {
+        match check(&models, test, &opts, &self.pipe) {
             MultiCheckOutcome::Complete(results) => {
                 for (&c, result) in columns.iter().zip(results) {
                     cells[c] = Some(CheckOutcome::Complete(result));
@@ -375,21 +363,7 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
                 }
             }
         }
-        ColumnsCheck {
-            columns,
-            enum_stats: enum_stats.map(|s| s.snapshot()),
-            data_plane: data_plane.map(|s| s.snapshot()),
-        }
-    }
-
-    /// Fold an adopted check's private counters into the shared ones.
-    fn adopt_counters(&self, check: &ColumnsCheck) {
-        if let (Some(shared), Some(own)) = (&self.enum_opts.stats, &check.enum_stats) {
-            shared.add(own);
-        }
-        if let (Some(shared), Some(own)) = (&self.pipe.stats, &check.data_plane) {
-            shared.add(own);
-        }
+        ColumnsCheck { columns, stats: opts.stats }
     }
 
     /// The underlying store, read-locked while the guard lives.
@@ -443,8 +417,7 @@ impl PreparedUnit {
 #[derive(Debug)]
 struct ColumnsCheck {
     columns: Vec<usize>,
-    enum_stats: Option<EnumSnapshot>,
-    data_plane: Option<DataPlaneSnapshot>,
+    stats: Option<Arc<Stats>>,
 }
 
 /// One decided cell of a unit.
@@ -602,7 +575,7 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
                 self.checker.check_columns(test, missing, &mut cells)
             }
         };
-        self.checker.adopt_counters(&check);
+        self.checker.enum_opts.adopt_stats(&check.stats);
         self.enumeration_passes += 1;
         let mut store = self.checker.store_mut();
         for (k, &c) in check.columns.iter().enumerate() {
@@ -1059,12 +1032,12 @@ mod tests {
     fn a_check_prepared_beside_its_duplicate_is_discarded_at_commit() {
         let test = corpus(1).remove(0);
         let sc = lkmm_models::Sc;
-        let stats = Arc::new(DataPlaneStats::default());
+        let stats = Arc::new(Stats::default());
         let multi = MultiBatchChecker::new(
             vec![MultiColumn { model: &sc, salt: "d|col:sc".into() }],
             VerdictStore::in_memory(),
         )
-        .with_pipeline_stats(Some(stats.clone()));
+        .with_options(EnumOptions { stats: Some(stats.clone()), ..EnumOptions::default() });
         // Both copies are prepared before either commits, as two
         // workers would: each enumerates, since the store is empty.
         let first = multi.prepare(&test, &[true]);
@@ -1072,7 +1045,7 @@ mod tests {
         let mut run = multi.begin_corpus();
         assert!(run.commit(0, &test, &[true], first).unwrap(), "committed as prepared");
         let after_first = stats.snapshot();
-        assert!(after_first.arena_acquires > 0);
+        assert!(after_first.data_plane.arena_acquires > 0);
         assert!(!run.commit(1, &test, &[true], second).unwrap(), "the duplicate replays");
         assert_eq!(stats.snapshot(), after_first, "a discarded check counts nowhere");
         let row = run.take_row(1);

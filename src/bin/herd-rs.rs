@@ -117,7 +117,7 @@ use linux_kernel_memory_model::{
 use lkmm_core::quota::ClientQuota;
 use lkmm_exec::enumerate::{enumerate, EnumOptions};
 use lkmm_exec::states::collect_states;
-use lkmm_exec::{DataPlaneStats, EnumStats, MAX_JOBS};
+use lkmm_exec::{Stats, MAX_JOBS};
 use lkmm_service::StoreError;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -532,16 +532,12 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
     })
 }
 
-/// The `--enum-stats` counters a run shares: enumeration and data plane.
-type Stats = (Option<Arc<EnumStats>>, Option<Arc<DataPlaneStats>>);
-
 /// Print the one-pass paths' `--enum-stats` lines on stderr.
-fn report_stats((enumeration, data_plane): &Stats) {
-    if let Some(e) = enumeration {
-        eprintln!("herd-rs: {}", enumeration_line(&e.snapshot()));
-    }
-    if let Some(d) = data_plane {
-        eprintln!("herd-rs: {}", data_plane_line(&d.snapshot()));
+fn report_stats(stats: &Option<Arc<Stats>>) {
+    if let Some(stats) = stats {
+        let counters = stats.snapshot();
+        eprintln!("herd-rs: {}", enumeration_line(&counters.enumeration));
+        eprintln!("herd-rs: {}", data_plane_line(&counters.data_plane));
     }
 }
 
@@ -633,8 +629,8 @@ impl Cli {
     }
 
     /// Fresh `--enum-stats` counters, or none without the flag.
-    fn stats(&self) -> Stats {
-        (self.enum_stats.then(Arc::default), self.enum_stats.then(Arc::default))
+    fn stats(&self) -> Option<Arc<Stats>> {
+        self.enum_stats.then(Arc::default)
     }
 }
 
@@ -829,8 +825,7 @@ fn multi_mode(
 ) -> ExitCode {
     let stats = cli.stats();
     let herd = Herd::new_multi(models)
-        .with_options(EnumOptions { stats: stats.0.clone(), ..EnumOptions::default() })
-        .with_pipeline_stats(stats.1.clone())
+        .with_options(EnumOptions { stats: stats.clone(), ..EnumOptions::default() })
         .with_jobs(cli.jobs)
         .with_budget(cli.budget(true));
     let governed = herd.check_multi_governed(test);
@@ -865,7 +860,6 @@ fn conformance_mode(cli: &Cli) -> ExitCode {
     };
     let defaults = CampaignConfig::default();
     let resilience_defaults = defaults.resilience;
-    let (enum_stats, data_plane) = cli.stats();
     let cfg = CampaignConfig {
         max_cycle_len: cli.max_cycle_len.unwrap_or(defaults.max_cycle_len),
         contended: cli.contended,
@@ -876,8 +870,7 @@ fn conformance_mode(cli: &Cli) -> ExitCode {
         store_path: cli.store.as_ref().map(std::path::PathBuf::from),
         sim: cli.sim.clone(),
         shrink: !cli.no_shrink,
-        enum_stats,
-        data_plane,
+        stats: cli.stats(),
         resilience: ResilienceConfig {
             checkpoint: cli.checkpoint.as_ref().map(std::path::PathBuf::from),
             checkpoint_every: cli.checkpoint_every.unwrap_or(resilience_defaults.checkpoint_every),
@@ -938,7 +931,6 @@ fn algo_conformance_mode(cli: &Cli) -> ExitCode {
         algo_human_table, algo_json_report, observability_lines, run_algo_campaign, AlgoConfig,
     };
     let defaults = FamilyParams::default();
-    let (enum_stats, data_plane) = cli.stats();
     let cfg = AlgoConfig {
         families: cli.families.clone(),
         params: FamilyParams {
@@ -954,8 +946,7 @@ fn algo_conformance_mode(cli: &Cli) -> ExitCode {
         // default here.
         sim: cli.sim.clone(),
         shrink: !cli.no_shrink,
-        enum_stats,
-        data_plane,
+        stats: cli.stats(),
         ..AlgoConfig::default()
     };
     let report = match run_algo_campaign(&cfg) {
@@ -1286,9 +1277,9 @@ fn library_plain(cli: &Cli) -> ExitCode {
 fn library_via_store(cli: &Cli, store_path: &str) -> ExitCode {
     let model = cli.model.instantiate();
     let stats = cli.stats();
-    let opts = EnumOptions { stats: stats.0.clone(), ..EnumOptions::default() };
+    let opts = EnumOptions { stats: stats.clone(), ..EnumOptions::default() };
     let mut checker = match store_checker(cli, model.as_ref(), store_path, opts) {
-        Ok(c) => c.with_pipeline_stats(stats.1.clone()),
+        Ok(c) => c,
         Err(code) => return code,
     };
     let tests: Vec<_> = lkmm_litmus::library::all().iter().map(|pt| pt.test()).collect();

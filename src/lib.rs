@@ -290,16 +290,6 @@ impl Herd {
         self
     }
 
-    /// Record arena counters into `stats` while checking.
-    /// Observability only — never affects verdicts or counts.
-    pub fn with_pipeline_stats(
-        mut self,
-        stats: Option<std::sync::Arc<lkmm_exec::DataPlaneStats>>,
-    ) -> Self {
-        self.pipeline.stats = stats;
-        self
-    }
-
     /// Bound every check by `budget`. A check that exceeds it reports
     /// [`CheckOutcome::Inconclusive`] through [`Herd::check_governed`]
     /// (plain [`Herd::check`] surfaces it as an enumeration error). A

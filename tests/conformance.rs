@@ -17,8 +17,7 @@ use linux_kernel_memory_model::conformance::{
 };
 use linux_kernel_memory_model::exec::model::AllowAll;
 use linux_kernel_memory_model::exec::{
-    ConsistencyModel, DataPlaneStats, EnumOptions, EnumStats, ExecFacts, Execution, ModelSession,
-    PipelineOptions,
+    ConsistencyModel, EnumOptions, ExecFacts, Execution, ModelSession, PipelineOptions, Stats,
 };
 use linux_kernel_memory_model::litmus::library;
 use linux_kernel_memory_model::service::hash::fnv64;
@@ -223,8 +222,7 @@ fn counted_runs(dir: &Path, jobs: usize) -> Vec<Observed> {
         jobs,
         store_path: Some(dir.join(format!("{store}-j{jobs}.vstore"))),
         sim: SimConfig { iterations: 0, ..SimConfig::default() },
-        enum_stats: Some(Arc::new(EnumStats::default())),
-        data_plane: Some(Arc::new(DataPlaneStats::default())),
+        stats: Some(Arc::new(Stats::default())),
         ..library_campaign()
     };
     let observe = |cfg: &CampaignConfig| -> Observed {
@@ -364,8 +362,7 @@ fn rendered_reports_are_pinned() {
         let cfg = CampaignConfig {
             jobs: 1,
             sim: SimConfig { iterations: 20, seed: 7, stride: 1 },
-            enum_stats: Some(Arc::new(EnumStats::default())),
-            data_plane: Some(Arc::new(DataPlaneStats::default())),
+            stats: Some(Arc::new(Stats::default())),
             resilience: ResilienceConfig { retry_base_ms: 0, ..ResilienceConfig::default() },
             ..library_campaign()
         };
@@ -379,8 +376,7 @@ fn rendered_reports_are_pinned() {
             jobs: 1,
             sim: SimConfig { iterations: 0, ..SimConfig::default() },
             host_iterations: 0,
-            enum_stats: Some(Arc::new(EnumStats::default())),
-            data_plane: Some(Arc::new(DataPlaneStats::default())),
+            stats: Some(Arc::new(Stats::default())),
             ..AlgoConfig::default()
         };
         let set = mutant_set(ModelId::LkmmNative, degraded);

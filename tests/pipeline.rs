@@ -10,11 +10,11 @@
 
 use linux_kernel_memory_model::service::{MultiBatchChecker, MultiColumn, VerdictStore};
 use linux_kernel_memory_model::{Herd, ModelId};
-use lkmm_exec::enumerate::{EnumOptions, EnumStats};
+use lkmm_exec::enumerate::EnumOptions;
 use lkmm_exec::pipeline::INLINE_WORK;
 use lkmm_exec::{
-    check, check_test, Budget, BudgetKind, CheckOutcome, DataPlaneStats, InconclusiveReason,
-    PipelineOptions,
+    check, check_test, Budget, BudgetKind, CheckOutcome, InconclusiveReason, PipelineOptions,
+    Stats, StatsSnapshot,
 };
 use lkmm_litmus::ast::Test;
 use lkmm_litmus::library;
@@ -190,7 +190,7 @@ fn budget_trip_inside_a_worker_range_is_exact_at_every_job_count() {
         let limit = total - 5;
         let mut seen = Vec::new();
         for jobs in [1, 2, 8] {
-            let stats = Arc::new(EnumStats::default());
+            let stats = Arc::new(Stats::default());
             let opts = EnumOptions {
                 budget: Budget::default().with_max_candidates(limit as u64),
                 stats: Some(stats.clone()),
@@ -210,7 +210,7 @@ fn budget_trip_inside_a_worker_range_is_exact_at_every_job_count() {
                 }
                 CheckOutcome::Complete(_) => panic!("{} completed at jobs={jobs}", t.name),
             }
-            seen.push((outcome, stats.snapshot()));
+            seen.push((outcome, stats.snapshot().enumeration));
         }
         for (jobs, s) in [2, 8].iter().zip(&seen[1..]) {
             assert_eq!(*s, seen[0], "{} at jobs={jobs} differs from jobs=1", t.name);
@@ -268,8 +268,8 @@ fn herd_reports_are_job_count_invariant() {
 
 /// The eight opt-in counters: the enumeration's five, then the data
 /// plane's three.
-fn counters(e: &EnumStats, d: &DataPlaneStats) -> [u64; 8] {
-    let (e, d) = (e.snapshot(), d.snapshot());
+fn counters(stats: &Stats) -> [u64; 8] {
+    let StatsSnapshot { enumeration: e, data_plane: d } = stats.snapshot();
     [
         e.rf_prefixes_pruned,
         e.co_pairs_saturated,
@@ -280,11 +280,6 @@ fn counters(e: &EnumStats, d: &DataPlaneStats) -> [u64; 8] {
         d.arena_reuses,
         d.static_builds,
     ]
-}
-
-/// Fresh counters for one run.
-fn fresh_counters() -> (Arc<EnumStats>, Arc<DataPlaneStats>) {
-    (Arc::default(), Arc::default())
 }
 
 /// `herd-rs ARGS`'s exit status and its `enumeration:` and
@@ -313,41 +308,38 @@ fn counters_outside_the_campaigns_are_pinned() {
     let models = [ModelId::LkmmNative, ModelId::LkmmCat, ModelId::Sc];
 
     // One enumeration for three models over the library, inline.
-    let (e, d) = fresh_counters();
+    let stats = Arc::new(Stats::default());
     let herd = Herd::new_multi(&models)
-        .with_options(EnumOptions { stats: Some(e.clone()), ..EnumOptions::default() })
-        .with_pipeline_stats(Some(d.clone()));
+        .with_options(EnumOptions { stats: Some(stats.clone()), ..EnumOptions::default() });
     for pt in library::all() {
         let _ = herd.check_multi_governed(&pt.test());
     }
-    assert_eq!(counters(&e, &d), [1, 1, 18, 170, 170, 1700, 1436, 37], "library at jobs 1");
+    assert_eq!(counters(&stats), [1, 1, 18, 170, 170, 1700, 1436, 37], "library at jobs 1");
 
     // Split checks: which worker ran which range decides the arena
     // counts, so only the enumeration's are pinned.
-    let (e, d) = fresh_counters();
+    let stats = Arc::new(Stats::default());
     let herd = Herd::new_multi(&models)
-        .with_options(EnumOptions { stats: Some(e.clone()), ..EnumOptions::default() })
-        .with_pipeline_stats(Some(d.clone()))
+        .with_options(EnumOptions { stats: Some(stats.clone()), ..EnumOptions::default() })
         .with_jobs(2);
     for t in split_sized() {
         herd.check_multi(&t).unwrap();
     }
-    assert_eq!(counters(&e, &d)[..5], [4632, 324, 78, 216, 216], "split tests at jobs 2");
+    assert_eq!(counters(&stats)[..5], [4632, 324, 78, 216, 216], "split tests at jobs 2");
 
     // A cached check: the cold pass counts, the warm one adds nothing.
     let model = ModelId::LkmmNative.instantiate();
     let column = MultiColumn { model: model.as_ref(), salt: "pins".into() };
-    let (e, d) = fresh_counters();
+    let stats = Arc::new(Stats::default());
     let mut checker = MultiBatchChecker::new(vec![column], VerdictStore::in_memory())
-        .with_options(EnumOptions { stats: Some(e.clone()), ..EnumOptions::default() })
-        .with_pipeline_stats(Some(d.clone()));
+        .with_options(EnumOptions { stats: Some(stats.clone()), ..EnumOptions::default() });
     let tests: Vec<Test> = library::all().iter().map(|pt| pt.test()).collect();
     let mask = [vec![true; tests.len()]];
     checker.check_corpus(&tests, &mask).unwrap();
-    assert_eq!(counters(&e, &d), [1, 1, 18, 166, 166, 1494, 1270, 36], "cold library");
-    let cold = counters(&e, &d);
+    assert_eq!(counters(&stats), [1, 1, 18, 166, 166, 1494, 1270, 36], "cold library");
+    let cold = counters(&stats);
     checker.check_corpus(&tests, &mask).unwrap();
-    assert_eq!(counters(&e, &d), cold, "a warm pass adds nothing");
+    assert_eq!(counters(&stats), cold, "a warm pass adds nothing");
 
     // The CLI's `--enum-stats` lines.
     let dir = std::env::temp_dir().join(format!("lkmm-counter-pins-{}", std::process::id()));

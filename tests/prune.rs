@@ -6,7 +6,7 @@
 //! including under budget exhaustion.
 
 use linux_kernel_memory_model::exec::enumerate::{
-    enumerate, EnumOptions, EnumStats, EnumStrategy, PreExecutions,
+    enumerate, EnumOptions, EnumStrategy, PreExecutions, Stats,
 };
 use linux_kernel_memory_model::exec::{check, check_test, PipelineOptions};
 use linux_kernel_memory_model::generator::{
@@ -214,13 +214,13 @@ fn budget_trips_yield_job_count_deterministic_partial_tallies() {
 
 #[test]
 fn pruning_counters_report_real_work() {
-    let stats = Arc::new(EnumStats::default());
+    let stats = Arc::new(Stats::default());
     let opts = EnumOptions { stats: Some(Arc::clone(&stats)), ..Default::default() };
     let mut emitted = 0usize;
     for pt in library::all() {
         emitted += enumerate(&pt.test(), &opts).unwrap().len();
     }
-    let snap = stats.snapshot();
+    let snap = stats.snapshot().enumeration;
     assert_eq!(snap.candidates_emitted, emitted as u64);
     // The pruned path tests exactly the leaves it emits: saturation
     // means no leaf is built only to be filtered.
@@ -229,7 +229,7 @@ fn pruning_counters_report_real_work() {
     assert!(snap.co_pairs_saturated > 0, "library has forced co pairs");
 
     // The naive twin visits strictly more leaves on the same corpus.
-    let naive_stats = Arc::new(EnumStats::default());
+    let naive_stats = Arc::new(Stats::default());
     let naive_opts = EnumOptions {
         strategy: EnumStrategy::Naive,
         stats: Some(Arc::clone(&naive_stats)),
@@ -238,7 +238,7 @@ fn pruning_counters_report_real_work() {
     for pt in library::all() {
         let _ = enumerate(&pt.test(), &naive_opts).unwrap();
     }
-    let naive_snap = naive_stats.snapshot();
+    let naive_snap = naive_stats.snapshot().enumeration;
     assert_eq!(naive_snap.candidates_emitted, snap.candidates_emitted);
     assert!(
         naive_snap.co_leaves_tested > snap.co_leaves_tested,
@@ -272,7 +272,7 @@ fn sliced_units_concatenate_to_the_sequential_stream_and_counters() {
     for t in &tests {
         for base in &configs {
             let run = |slices: usize, unit_by_unit: bool| {
-                let stats = Arc::new(EnumStats::default());
+                let stats = Arc::new(Stats::default());
                 let opts = EnumOptions { stats: Some(stats.clone()), ..base.clone() };
                 let mut meter = opts.budget.meter();
                 let space = PreExecutions::new(t, &opts, &mut meter).unwrap();
@@ -290,7 +290,7 @@ fn sliced_units_concatenate_to_the_sequential_stream_and_counters() {
                         .unwrap();
                 }
                 assert_eq!(emitted, out.len());
-                (out, stats.snapshot())
+                (out, stats.snapshot().enumeration)
             };
             let (whole, whole_stats) = run(1, false);
             assert!(!whole.is_empty(), "{}", t.name);

@@ -11,8 +11,8 @@
 
 use linux_kernel_memory_model::conformance::matrix::ModelId;
 use linux_kernel_memory_model::exec::{
-    check, for_each_execution, ConsistencyModel, DataPlaneStats, EnumOptions, ExecFacts,
-    PipelineOptions, TestResult, Verdict,
+    check, for_each_execution, ConsistencyModel, EnumOptions, ExecFacts, PipelineOptions, Stats,
+    TestResult, Verdict,
 };
 use linux_kernel_memory_model::generator::{
     cycles_up_to, default_alphabet, generate, generate_contended,
@@ -55,15 +55,16 @@ fn uncached(models: &[&dyn ConsistencyModel], test: &Test) -> Vec<TestResult> {
 fn differential(corpus: &[Test]) -> u64 {
     let columns: Vec<(ModelId, Box<dyn ConsistencyModel>)> =
         ModelId::ALL.iter().map(|&id| (id, id.instantiate())).collect();
-    let stats = Arc::new(DataPlaneStats::default());
-    let pipe = PipelineOptions { jobs: 1, stats: Some(stats.clone()), ..Default::default() };
+    let stats = Arc::new(Stats::default());
+    let opts = EnumOptions { stats: Some(stats.clone()), ..EnumOptions::default() };
+    let pipe = PipelineOptions { jobs: 1, ..Default::default() };
     for test in corpus {
         let (ids, models): (Vec<ModelId>, Vec<&dyn ConsistencyModel>) = columns
             .iter()
             .filter(|(id, _)| id.supports(test))
             .map(|(id, model)| (*id, model.as_ref()))
             .unzip();
-        let cached = check(&models, test, &EnumOptions::default(), &pipe)
+        let cached = check(&models, test, &opts, &pipe)
             .into_result()
             .unwrap_or_else(|e| panic!("{}: {e}", test.name));
         let fresh = uncached(&models, test);
@@ -72,7 +73,7 @@ fn differential(corpus: &[Test]) -> u64 {
             assert_eq!(tally(c), tally(f), "{} in column {}", test.name, id.column());
         }
     }
-    stats.snapshot().static_builds
+    stats.snapshot().data_plane.static_builds
 }
 
 #[test]
