@@ -431,6 +431,17 @@ for COUNTS in "4 2" "2 4"; do
     test "$(ls "$MERGE_FAM"* | wc -l)" -eq "$FIRST"
     rm -f "$MERGE_FAM".shard* /tmp/lkmm-ci-merge-recount.err
 done
+# A plain --store open is refused over a sharded family the same way,
+# and leaves only the family's logs: no plain log beside them.
+target/release/herd-rs store merge --shards 4 "$MERGE_FAM" "$MERGE_SRC" > /dev/null
+set +e
+target/release/herd-rs --library --store "$MERGE_FAM" > /dev/null 2> /tmp/lkmm-ci-merge-plain.err
+PLAIN_STATUS=$?
+set -e
+test "$PLAIN_STATUS" -eq 5
+grep -q "a 4-shard store is already there; .* as 1 shard(s)" /tmp/lkmm-ci-merge-plain.err
+test "$(ls "$MERGE_FAM"* | wc -l)" -eq 4
+rm -f "$MERGE_FAM".shard* /tmp/lkmm-ci-merge-plain.err
 rm -f "$MERGE_SRC"
 # Rebuild without the feature so later consumers get the fault-free binary.
 cargo build --release --bin herd-rs
@@ -585,6 +596,15 @@ echo "== algorithms bench: cold vs store-warm family campaign =="
 BENCH_DIR=$(mktemp -d /tmp/lkmm-bench-algorithms.XXXXXX)
 cargo build --release -q -p lkmm-bench --bin algorithms
 ( cd "$BENCH_DIR" && "$REPO_ROOT/target/release/algorithms" --iters 3 )
+rm -rf "$BENCH_DIR"
+
+echo "== cache bench: uncached vs cold vs warm verdict store =="
+# The run asserts identical results across the uncached, cold and warm
+# passes and that the warm pass computes nothing; the recorded
+# BENCH_CACHE.json is regenerated deliberately from the repo root.
+BENCH_DIR=$(mktemp -d /tmp/lkmm-bench-cache.XXXXXX)
+cargo build --release -q -p lkmm-bench --bin cache
+( cd "$BENCH_DIR" && "$REPO_ROOT/target/release/cache" --iters 3 )
 rm -rf "$BENCH_DIR"
 
 echo "== resume bench: checkpoint restart vs cold campaign =="

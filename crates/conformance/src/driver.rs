@@ -86,6 +86,7 @@ use lkmm_litmus::ast::Test;
 use lkmm_service::{
     CorpusRun, MultiBatchChecker, MultiColumn, PreparedUnit, StoreError, UnitFault, VerdictStore,
 };
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::thread;
@@ -384,7 +385,9 @@ pub fn drive_campaign(
     let store = match opts.store_path {
         Some(path) => VerdictStore::open(path).map_err(|e| match e {
             StoreError::Locked { lock, pid } => CampaignError::Locked { lock, pid },
-            StoreError::Io(e) => CampaignError::Store(e),
+            StoreError::Io(e) => {
+                CampaignError::Store(io::Error::new(e.kind(), format!("{}: {e}", path.display())))
+            }
         })?,
         None => VerdictStore::in_memory(),
     };

@@ -100,30 +100,37 @@ impl ShardedStore {
     }
 
     /// Lock the `shards`-way family at `base` (the base path too, when
-    /// `shards > 1`) and open every member's plain store, in shard order.
-    /// A family of another shard count already at `base` (a plain log
-    /// there is the one-shard family) is refused before anything is
-    /// created: opening beside it would orphan its logs.
+    /// `shards > 1`) and open every member's plain store, in shard order,
+    /// once [`ShardedStore::refuse_other_family`] has let it through.
     fn open_members(
         base: &Path,
         shards: usize,
     ) -> Result<(Option<LockFile>, Vec<VerdictStore>), StoreError> {
         assert!(shards >= 1, "a sharded store needs at least one shard");
+        Self::refuse_other_family(base, shards)?;
+        let base_lock = if shards > 1 { Some(LockFile::acquire(base)?) } else { None };
+        let members = Self::shard_paths(base, shards)
+            .into_iter()
+            .map(|path| VerdictStore::open_locked(&path, LockFile::acquire(&path)?));
+        Ok((base_lock, members.collect::<Result<_, _>>()?))
+    }
+
+    /// Refuse to open `base` as `shards` shard(s) when a family of
+    /// another shard count is already there (a plain log there is the
+    /// one-shard family): opening beside it would orphan its logs. The
+    /// refusal names both counts, not the path, which the caller names.
+    pub(crate) fn refuse_other_family(base: &Path, shards: usize) -> Result<(), StoreError> {
         let found = match Self::discover(base) {
             1 => usize::from(base.exists()),
             n => n,
         };
         if found != 0 && found != shards {
             let refusal = format!(
-                "{}: a {found}-shard store is already there; refusing to open it as \
-                 {shards} shard(s)",
-                base.display()
+                "a {found}-shard store is already there; refusing to open it as {shards} shard(s)"
             );
             return Err(StoreError::Io(io::Error::new(io::ErrorKind::AlreadyExists, refusal)));
         }
-        let base_lock = if shards > 1 { Some(LockFile::acquire(base)?) } else { None };
-        let members = Self::shard_paths(base, shards).into_iter().map(VerdictStore::open);
-        Ok((base_lock, members.collect::<Result<_, _>>()?))
+        Ok(())
     }
 
     /// `shards` in-memory logs: same semantics, nothing persists.
@@ -530,6 +537,25 @@ mod tests {
         assert_eq!(ShardedStore::open(&family, 4).unwrap().get(spread_key(1)), Some(sample(1)));
         cleanup(&family, 4);
         cleanup(&plain, 1);
+    }
+
+    #[test]
+    fn a_plain_open_refuses_a_sharded_family() {
+        let family = temp_base("plain-over-family");
+        let s = ShardedStore::open(&family, 4).unwrap();
+        s.put(spread_key(1), sample(1)).unwrap();
+        s.flush();
+        drop(s);
+        let err = match VerdictStore::open(&family) {
+            Err(StoreError::Io(e)) => e.to_string(),
+            other => panic!("a plain open over 4 shards: {:?}", other.map(|s| s.len())),
+        };
+        assert_eq!(err, "a 4-shard store is already there; refusing to open it as 1 shard(s)");
+        assert!(!family.exists(), "no plain log beside the family");
+        assert!(!sibling(&family, ".lock").exists(), "the lock is gone");
+        // The family still opens, with its verdict.
+        assert_eq!(ShardedStore::open(&family, 4).unwrap().get(spread_key(1)), Some(sample(1)));
+        cleanup(&family, 4);
     }
 
     #[test]

@@ -58,6 +58,7 @@
 //! determinism.
 
 use crate::hash::fnv64;
+use crate::shard::ShardedStore;
 use lkmm_core::faultpoint;
 use lkmm_exec::{TestResult, Verdict};
 use std::collections::HashMap;
@@ -500,15 +501,26 @@ pub struct VerdictStore {
 
 impl VerdictStore {
     /// Open (creating if absent) the store at `path`, taking its
-    /// advisory lockfile and recovering the valid prefix of the log.
+    /// advisory lockfile and recovering the valid prefix of the log. A
+    /// sharded family at `path` is refused before anything is created:
+    /// a plain log beside it would orphan the family's verdicts.
     ///
     /// # Errors
     ///
     /// [`StoreError::Locked`] if another live process holds the store;
-    /// otherwise I/O errors opening, reading, or truncating the file.
+    /// otherwise that refusal, or I/O errors opening, reading, or
+    /// truncating the file.
     pub fn open(path: impl AsRef<Path>) -> Result<VerdictStore, StoreError> {
-        let path = path.as_ref().to_path_buf();
-        let lock = LockFile::acquire(&path)?;
+        let lock = LockFile::acquire(path.as_ref())?;
+        ShardedStore::refuse_other_family(path.as_ref(), 1)?;
+        Self::open_locked(path.as_ref(), lock)
+    }
+
+    /// [`VerdictStore::open`] under an already taken `lock`, without
+    /// looking for a family at `path`: how a family's members open, once
+    /// [`ShardedStore`] has checked the family.
+    pub(crate) fn open_locked(path: &Path, lock: LockFile) -> Result<VerdictStore, StoreError> {
+        let path = path.to_path_buf();
         let reclaimed_pid = lock.reclaimed_pid;
         let mut file = OpenOptions::new().read(true).write(true).create(true).open(&path)?;
         let mut bytes = Vec::new();

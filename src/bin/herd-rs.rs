@@ -635,7 +635,8 @@ impl Cli {
 }
 
 /// Exit code and message for a store that failed to open or maintain:
-/// 9 when another live process holds its lock, 5 otherwise.
+/// 9 when another live process holds its lock, 5 otherwise. `context`
+/// names the store: a refusal or a plain I/O error does not.
 fn store_fail(context: &str, e: &StoreError) -> ExitCode {
     let code = match e {
         StoreError::Locked { .. } => EXIT_LOCKED,
@@ -1147,9 +1148,10 @@ fn store_cmd_mode(cli: &Cli) -> ExitCode {
         ("scrub", [path]) => {
             let mut worst = 0u8;
             for member in ShardedStore::members(Path::new(path)) {
-                match scrub_one(&member.display().to_string(), cli.repair) {
+                let member = member.display().to_string();
+                match scrub_one(&member, cli.repair) {
                     Ok(code) => worst = worst.max(code),
-                    Err(e) => return store_fail("store scrub", &e),
+                    Err(e) => return store_fail(&format!("store scrub: {member}"), &e),
                 }
             }
             ExitCode::from(worst)
@@ -1168,7 +1170,7 @@ fn store_cmd_mode(cli: &Cli) -> ExitCode {
                         r.bytes_before,
                         r.bytes_after
                     ),
-                    Err(e) => return store_fail("store compact", &e),
+                    Err(e) => return store_fail(&format!("store compact: {member}"), &e),
                 }
             }
             ExitCode::SUCCESS
@@ -1180,7 +1182,7 @@ fn store_cmd_mode(cli: &Cli) -> ExitCode {
             }
             let store = match ShardedStore::open(path, shards) {
                 Ok(s) => s,
-                Err(e) => return store_fail("store stats", &e),
+                Err(e) => return store_fail(&format!("store stats: {path}"), &e),
             };
             let (mut records, mut superseded, mut quarantined) = (0usize, 0usize, 0usize);
             for st in store.stats() {
@@ -1221,7 +1223,7 @@ fn store_cmd_mode(cli: &Cli) -> ExitCode {
                 );
                 ExitCode::SUCCESS
             }
-            Err(e) => store_fail("store export", &e),
+            Err(e) => store_fail(&format!("store export: {src} -> {dst}"), &e),
         },
         ("merge", [dst, sources @ ..]) if !sources.is_empty() => {
             let shards = cli.shards.unwrap_or_else(|| ShardedStore::discover(Path::new(dst)));
@@ -1231,7 +1233,7 @@ fn store_cmd_mode(cli: &Cli) -> ExitCode {
                         "{src} -> {dst}: {} source keys, {} merged, {} unchanged",
                         r.source_keys, r.merged, r.unchanged
                     ),
-                    Err(e) => return store_fail("store merge", &e),
+                    Err(e) => return store_fail(&format!("store merge: {src} -> {dst}"), &e),
                 }
             }
             ExitCode::SUCCESS

@@ -302,3 +302,51 @@ fn client_forwards_every_line_after_one_that_is_not_utf8() {
     assert!(replies[1].contains("not valid UTF-8"), "{}", replies[1]);
     assert!(replies[2].contains("\"verdict\""), "{}", replies[2]);
 }
+
+/// Every way of opening a store from the command line names the store's
+/// path exactly once when the open fails: a plain or sharded open over
+/// a family of another shard count (exit 5, nothing created), and a
+/// path whose directory does not exist.
+#[test]
+fn store_open_failures_name_the_path_once() {
+    use std::process::{Command, Stdio};
+
+    let family = temp_base("once-family");
+    let s = ShardedStore::open(&family, 4).unwrap();
+    drop(s);
+    let source = temp_base("once-source");
+    drop(VerdictStore::open(&source).unwrap());
+    let missing = temp_base("once-missing").join("x.bin");
+    let (family, source, missing) =
+        (family.to_str().unwrap(), source.to_str().unwrap(), missing.to_str().unwrap());
+    let campaign = ["conformance", "--max-cycle-len", "0", "--sim-iterations", "0", "--store"];
+    let listen = ["serve", "--listen", "127.0.0.1:0", "--shards", "2", "--store"];
+    for path in [family, missing] {
+        let runs: [Vec<&str>; 5] = [
+            vec!["--library", "--store", path],
+            vec!["serve", "--store", path],
+            [&campaign[..], &[path]].concat(),
+            [&listen[..], &[path]].concat(),
+            vec!["store", "merge", "--shards", "2", path, source],
+        ];
+        for args in runs {
+            let out = Command::new(env!("CARGO_BIN_EXE_herd-rs"))
+                .args(&args)
+                .env_remove("LKMM_FAULTPOINTS")
+                .stdin(Stdio::null())
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert_eq!(out.status.code(), Some(5), "{args:?}: {stderr}");
+            assert_eq!(stderr.matches(path).count(), 1, "{args:?}: {stderr}");
+            if path == family {
+                assert!(stderr.contains("a 4-shard store is already there"), "{stderr}");
+                let left = ShardedStore::members(Path::new(family));
+                assert_eq!(left, ShardedStore::shard_paths(Path::new(family), 4), "{args:?}");
+                assert!(!Path::new(family).exists(), "{args:?} left a plain log");
+            }
+        }
+    }
+    cleanup(Path::new(family));
+    cleanup(Path::new(source));
+}
