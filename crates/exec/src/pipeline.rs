@@ -58,9 +58,7 @@
 //! counts are then lower bounds, which is why the flag exists instead of
 //! being always-on.
 
-use crate::enumerate::{
-    Cursor, DataPlaneSnapshot, EnumError, EnumOptions, PreExecutions, Stats, StatsSnapshot,
-};
+use crate::enumerate::{Cursor, EnumError, EnumOptions, PreExecutions, Stats};
 use crate::execution::Execution;
 use crate::facts::FactsCache;
 use crate::model::{open_session, ConsistencyModel, EvalStop, ModelSession, TestResult, Verdict};
@@ -73,6 +71,7 @@ use std::convert::Infallible;
 use std::fmt;
 use std::ops::{ControlFlow, Range};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;
 
@@ -656,12 +655,9 @@ impl Drop for WorkerState<'_> {
         if let (Some(stats), Some(Ok(arena))) =
             (&self.stats, self.cache.arena().map(|arena| arena.try_borrow()))
         {
-            let data_plane = DataPlaneSnapshot {
-                arena_acquires: arena.acquires(),
-                arena_reuses: arena.reuses(),
-                static_builds: self.cache.static_builds(),
-            };
-            stats.add(&StatsSnapshot { data_plane, ..StatsSnapshot::default() });
+            stats.arena_acquires.fetch_add(arena.acquires(), Ordering::Relaxed);
+            stats.arena_reuses.fetch_add(arena.reuses(), Ordering::Relaxed);
+            stats.static_builds.fetch_add(self.cache.static_builds(), Ordering::Relaxed);
         }
     }
 }

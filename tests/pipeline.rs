@@ -229,7 +229,7 @@ fn early_exit_agrees_on_verdict_and_condition() {
                 &[model.as_ref()],
                 &t,
                 &opts,
-                &PipelineOptions { jobs, early_exit: true, ..Default::default() },
+                &PipelineOptions { jobs, early_exit: true },
             )
             .into_result()
             .unwrap()
