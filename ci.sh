@@ -466,6 +466,21 @@ grep -q ' 0 computed, .* 0 candidates enumerated' /tmp/lkmm-maint-warm.err
 "$BIN" --library --store "$MAINT_M" > /tmp/lkmm-maint-merged.out 2> /tmp/lkmm-maint-merged.err
 cmp /tmp/lkmm-maint-cold.out /tmp/lkmm-maint-merged.out
 grep -q ' 0 computed, .* 0 candidates enumerated' /tmp/lkmm-maint-merged.err
+# A log with the wrong magic is moved aside to `<its own name>.corrupt`,
+# which holds its bytes: a plain store a check opens, and each bad
+# member of a sharded family that scrub repairs.
+QUAR=/tmp/lkmm-ci-quarantine.bin
+rm -f "$QUAR" "$QUAR".*
+printf 'junk, not a verdict store\n' > "$QUAR"
+"$BIN" --library --store "$QUAR" > /dev/null 2> /tmp/lkmm-ci-quarantine.err
+grep -q "quarantined to $QUAR.corrupt" /tmp/lkmm-ci-quarantine.err
+printf 'junk, not a verdict store\n' | cmp - "$QUAR.corrupt"
+rm -f "$QUAR" "$QUAR".*
+"$BIN" store merge --shards 4 "$QUAR" "$MAINT_A" > /dev/null
+for I in 0 1; do printf 'junk in shard %s\n' "$I" > "$QUAR.shard${I}of4"; done
+"$BIN" store scrub --repair "$QUAR" > /dev/null
+for I in 0 1; do printf 'junk in shard %s\n' "$I" | cmp - "$QUAR.shard${I}of4.corrupt"; done
+rm -f "$QUAR".* /tmp/lkmm-ci-quarantine.err
 rm -f "$MAINT_A" "$MAINT_B" "$MAINT_M" /tmp/lkmm-maint-cold.out /tmp/lkmm-maint-warm.out \
     /tmp/lkmm-maint-warm.err /tmp/lkmm-maint-merged.out /tmp/lkmm-maint-merged.err
 

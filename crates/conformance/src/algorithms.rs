@@ -40,7 +40,8 @@ use crate::driver::{drive_campaign, ResilienceConfig};
 use crate::matrix::{uses_srcu, CorpusEntry, MatrixOptions, MatrixRow, ModelSet, Origin, RowRef};
 use crate::oracle::{judge_matrix, judge_row, Discrepancy, OracleKind, OracleSummary, Recheck};
 use crate::report::{
-    counters_json, discrepancies_json, failed_units_json, models_json, oracles_json, table_tail,
+    counters_json, discrepancies_json, failed_units_json, models_json, oracle_counts, oracles_json,
+    table_tail,
 };
 use crate::shrink::shrink_discrepancies;
 use lkmm_algorithms::{FamilyId, FamilyParams};
@@ -257,13 +258,7 @@ pub fn algo_json_report(report: &AlgoReport, cfg: &AlgoConfig) -> Json {
         .families
         .iter()
         .map(|f| {
-            let col = |s: &OracleSummary| {
-                Json::obj(vec![
-                    ("checked", Json::num(s.checked as u64)),
-                    ("violations", Json::num(s.violations as u64)),
-                    ("skipped", Json::num(s.skipped as u64)),
-                ])
-            };
+            let col = |s: &OracleSummary| Json::obj(oracle_counts(s));
             Json::obj(vec![
                 ("family", Json::str(f.family.name())),
                 ("invariant", Json::str(f.family.invariant())),

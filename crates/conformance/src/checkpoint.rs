@@ -7,16 +7,14 @@
 //! whole frame per checkpoint — rather than rewriting one in place —
 //! means a crash *during* a checkpoint write costs nothing: the torn
 //! frame fails its length or checksum test on load and the previous
-//! frame wins. Recovery is therefore the same discipline as the verdict
-//! store's: scan the valid prefix, stop at the first bad frame, take
-//! the **latest valid** manifest.
+//! frame wins. The file is a [`lkmm_service::frame`] log, as the verdict
+//! store is: load scans the valid prefix, stops at the first bad frame,
+//! and takes the **latest valid** manifest.
 //!
-//! The frame format mirrors the store record format deliberately
-//! (`len:u32le  fnv64:u64le  payload`), with a JSON manifest as the
-//! payload so a human can inspect a checkpoint with `xxd`/`jq` when a
-//! campaign goes sideways. The fingerprint is serialized as a hex
-//! string — the vendored JSON type holds numbers as `f64`, which cannot
-//! carry 64 significant bits.
+//! Each frame's payload is a JSON manifest, so a human can inspect a
+//! checkpoint with `xxd`/`jq` when a campaign goes sideways. The
+//! fingerprint is serialized as a hex string — the vendored JSON type
+//! holds numbers as `f64`, which cannot carry 64 significant bits.
 //!
 //! Fault points: `ckpt.torn` tears a frame mid-append (half the frame
 //! reaches the file, the append returns an injected error), simulating
@@ -24,20 +22,23 @@
 
 use crate::matrix::ModelPass;
 use crate::oracle::OracleSummary;
-use lkmm_core::faultpoint;
-use lkmm_service::hash::fnv64;
+use crate::report::{oracle_counts, pass_counts};
+use lkmm_service::frame::{Format, FrameLog, WrongMagic};
 use lkmm_service::json::Json;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
-/// File magic; the trailing `01` versions the manifest schema.
-const MAGIC: &[u8; 8] = b"LKMMCK01";
-/// Frame header: `len: u32le` + `checksum: u64le`.
-const HEADER_LEN: usize = 12;
-/// Sanity bound on one manifest frame (a manifest is small JSON; a
-/// length field beyond this is corruption, not a big checkpoint).
-const MAX_FRAME_LEN: usize = 1 << 24;
+/// The checkpoint log. The magic's trailing `01` versions the manifest
+/// schema; a wrong-magic file starts over on a resuming open.
+static FORMAT: Format = Format {
+    magic: b"LKMMCK01",
+    // A manifest is small JSON: a length beyond this is corruption, not
+    // a big checkpoint.
+    max_len: 1 << 24,
+    wrong_magic: WrongMagic::StartOver,
+    torn_fault: "ckpt.torn",
+    dir_sync_fault: None,
+};
 
 /// Why a quarantined unit was given up on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,7 +93,8 @@ pub struct FailedUnit {
 }
 
 impl FailedUnit {
-    fn to_json(&self) -> Json {
+    /// The unit as the reports and checkpoints list it.
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj(vec![
             ("index", Json::num(self.index as u64)),
             ("test", Json::str(&self.test)),
@@ -144,41 +146,13 @@ pub struct PrefixStats {
 
 impl PrefixStats {
     fn to_json(&self) -> Json {
+        let passes = self.passes.iter().map(|p| Json::obj(pass_counts(p)));
+        let oracles = self.oracles.iter().map(|o| Json::obj(oracle_counts(o)));
         Json::obj(vec![
             ("library", Json::num(self.corpus_library as u64)),
             ("generated", Json::num(self.corpus_generated as u64)),
-            (
-                "passes",
-                Json::Arr(
-                    self.passes
-                        .iter()
-                        .map(|p| {
-                            Json::obj(vec![
-                                ("checked", Json::num(p.checked as u64)),
-                                ("allowed", Json::num(p.allowed as u64)),
-                                ("forbidden", Json::num(p.forbidden as u64)),
-                                ("inconclusive", Json::num(p.inconclusive as u64)),
-                                ("skipped", Json::num(p.skipped as u64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "oracles",
-                Json::Arr(
-                    self.oracles
-                        .iter()
-                        .map(|o| {
-                            Json::obj(vec![
-                                ("checked", Json::num(o.checked as u64)),
-                                ("violations", Json::num(o.violations as u64)),
-                                ("skipped", Json::num(o.skipped as u64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("passes", Json::Arr(passes.collect())),
+            ("oracles", Json::Arr(oracles.collect())),
         ])
     }
 
@@ -306,49 +280,22 @@ pub struct CheckpointScan {
 /// Underlying read errors only — torn and corrupt frames are recovery
 /// input, not errors.
 pub fn load(path: &Path) -> io::Result<CheckpointScan> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-        }
+    let bytes = match std::fs::read(path) {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(CheckpointScan::default()),
-        Err(e) => return Err(e),
-    }
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        return Ok(CheckpointScan { dropped_bytes: bytes.len() as u64, ..Default::default() });
-    }
-    let mut scan = CheckpointScan::default();
-    let mut at = MAGIC.len();
-    let mut valid_end = at;
-    while bytes.len() - at >= HEADER_LEN {
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-        let checksum = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap());
-        if len > MAX_FRAME_LEN || bytes.len() - at - HEADER_LEN < len {
-            break; // absurd length or short payload: stop at the tear
-        }
-        let payload = &bytes[at + HEADER_LEN..at + HEADER_LEN + len];
-        if fnv64(payload) != checksum {
-            break;
-        }
-        let manifest = std::str::from_utf8(payload)
-            .ok()
-            .and_then(|text| Json::parse(text).ok())
-            .and_then(|v| Checkpoint::from_json(&v));
-        let Some(manifest) = manifest else { break };
-        scan.latest = Some(manifest);
-        scan.frames += 1;
-        at += HEADER_LEN + len;
-        valid_end = at;
-    }
-    scan.dropped_bytes = (bytes.len() - valid_end) as u64;
-    Ok(scan)
+        bytes => bytes?,
+    };
+    let mut scan = FORMAT.scan(&bytes, parse_manifest);
+    let frames = scan.frames.len();
+    Ok(CheckpointScan { latest: scan.frames.pop(), frames, dropped_bytes: scan.dropped_bytes() })
+}
+
+fn parse_manifest(payload: &[u8]) -> Option<Checkpoint> {
+    Checkpoint::from_json(&Json::parse(std::str::from_utf8(payload).ok()?).ok()?)
 }
 
 /// An open checkpoint file the driver appends manifest frames to.
 pub struct CheckpointLog {
-    path: PathBuf,
-    file: File,
-    dir_synced: bool,
+    log: FrameLog,
 }
 
 impl CheckpointLog {
@@ -361,25 +308,10 @@ impl CheckpointLog {
     ///
     /// File creation/truncation errors.
     pub fn open(path: &Path, resume: bool) -> io::Result<CheckpointLog> {
-        let fresh = !resume || !path.exists();
-        let mut file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(fresh).open(path)?;
-        if fresh {
-            file.write_all(MAGIC)?;
-        } else {
-            let scan = load(path)?;
-            if scan.frames == 0 {
-                // Wrong magic, empty, or nothing valid at all: start over.
-                file.set_len(0)?;
-                file.write_all(MAGIC)?;
-            } else if scan.dropped_bytes > 0 {
-                let end = file.metadata()?.len() - scan.dropped_bytes;
-                file.set_len(end)?;
-            }
+        if !resume {
+            std::fs::File::create(path)?;
         }
-        use std::io::Seek as _;
-        file.seek(io::SeekFrom::End(0))?;
-        Ok(CheckpointLog { path: path.to_path_buf(), file, dir_synced: false })
+        Ok(CheckpointLog { log: FrameLog::open(path, &FORMAT, parse_manifest)?.0 })
     }
 
     /// Append one manifest frame and sync it to stable storage. The
@@ -391,34 +323,17 @@ impl CheckpointLog {
     /// Write/sync failures, including the injected `ckpt.torn` tear
     /// (half the frame reaches the file; the next [`load`] drops it).
     pub fn append(&mut self, ck: &Checkpoint) -> io::Result<()> {
-        let payload = ck.to_json().to_string().into_bytes();
-        let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv64(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        if faultpoint::should_fail("ckpt.torn") {
-            self.file.write_all(&frame[..frame.len() / 2])?;
-            self.file.sync_data()?;
-            return Err(io::Error::new(
-                io::ErrorKind::Other,
-                "faultpoint: torn checkpoint frame at `ckpt.torn`",
-            ));
-        }
-        self.file.write_all(&frame)?;
-        self.file.sync_data()?;
-        if !self.dir_synced {
-            if let Some(dir) = self.path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                File::open(dir)?.sync_all()?;
-            }
-            self.dir_synced = true;
-        }
-        Ok(())
+        self.log.append(ck.to_json().to_string().as_bytes())?;
+        self.log.sync()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write as _;
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         let p = std::env::temp_dir()

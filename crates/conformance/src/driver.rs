@@ -102,8 +102,6 @@ pub struct ResilienceConfig {
     /// Retries per unit after its first failed attempt; a unit failing
     /// `max_retries + 1` attempts is quarantined.
     pub max_retries: u32,
-    /// Seed for the deterministic backoff jitter.
-    pub retry_seed: u64,
     /// First-retry backoff in milliseconds (doubled per retry, plus
     /// seeded jitter in `[0, delay/2]`). `0` disables sleeping — what
     /// tests use so injected fault storms retry instantly.
@@ -123,7 +121,6 @@ impl Default for ResilienceConfig {
             checkpoint: None,
             checkpoint_every: 64,
             max_retries: 2,
-            retry_seed: 7,
             retry_base_ms: 25,
             resume: false,
             stop_after: None,
@@ -131,10 +128,13 @@ impl Default for ResilienceConfig {
     }
 }
 
+/// Seed for the deterministic backoff jitter.
+const RETRY_SEED: u64 = 7;
+
 /// Deterministic backoff for retry `attempt` (1-based) of `unit`:
 /// exponential in the attempt, jittered by a [`SplitMix64`] stream
-/// keyed on `(seed, unit, attempt)` — two runs of the same campaign
-/// back off identically, but colliding units spread out.
+/// keyed on `(RETRY_SEED, unit, attempt)` — two runs of the same
+/// campaign back off identically, but colliding units spread out.
 pub fn backoff_delay(res: &ResilienceConfig, unit: usize, attempt: u32) -> Duration {
     if res.retry_base_ms == 0 {
         return Duration::ZERO;
@@ -142,7 +142,7 @@ pub fn backoff_delay(res: &ResilienceConfig, unit: usize, attempt: u32) -> Durat
     let shift = attempt.saturating_sub(1).min(6);
     let base = res.retry_base_ms.saturating_mul(1u64 << shift);
     let mut rng = SplitMix64::seed_from_u64(
-        res.retry_seed
+        RETRY_SEED
             ^ (unit as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ u64::from(attempt).wrapping_mul(0xBF58_476D_1CE4_E5B9),
     );

@@ -16,7 +16,9 @@
 //! tables' shared tail; [`observability_lines`] serves both.
 
 use crate::campaign::{CampaignConfig, CampaignReport};
-use crate::oracle::Recheck;
+use crate::checkpoint::FailedUnit;
+use crate::matrix::ModelPass;
+use crate::oracle::{OracleSummary, Recheck};
 use lkmm_service::json::Json;
 use std::fmt::Write as _;
 
@@ -63,17 +65,23 @@ pub(crate) fn models_json(report: &CampaignReport) -> Json {
             .models
             .iter()
             .map(|m| {
-                Json::obj(vec![
-                    ("model", Json::str(m.id.column())),
-                    ("checked", Json::num(m.pass.checked as u64)),
-                    ("allowed", Json::num(m.pass.allowed as u64)),
-                    ("forbidden", Json::num(m.pass.forbidden as u64)),
-                    ("inconclusive", Json::num(m.pass.inconclusive as u64)),
-                    ("skipped", Json::num(m.pass.skipped as u64)),
-                ])
+                let mut fields = vec![("model", Json::str(m.id.column()))];
+                fields.extend(pass_counts(&m.pass));
+                Json::obj(fields)
             })
             .collect(),
     )
+}
+
+/// A column's report counts, as the reports and checkpoints list them.
+pub(crate) fn pass_counts(p: &ModelPass) -> Vec<(&'static str, Json)> {
+    vec![
+        ("checked", Json::num(p.checked as u64)),
+        ("allowed", Json::num(p.allowed as u64)),
+        ("forbidden", Json::num(p.forbidden as u64)),
+        ("inconclusive", Json::num(p.inconclusive as u64)),
+        ("skipped", Json::num(p.skipped as u64)),
+    ]
 }
 
 /// Per-oracle outcome counts.
@@ -83,15 +91,21 @@ pub(crate) fn oracles_json(report: &CampaignReport) -> Json {
             .oracles
             .iter()
             .map(|o| {
-                Json::obj(vec![
-                    ("oracle", Json::str(o.kind.name())),
-                    ("checked", Json::num(o.summary.checked as u64)),
-                    ("violations", Json::num(o.summary.violations as u64)),
-                    ("skipped", Json::num(o.summary.skipped as u64)),
-                ])
+                let mut fields = vec![("oracle", Json::str(o.kind.name()))];
+                fields.extend(oracle_counts(&o.summary));
+                Json::obj(fields)
             })
             .collect(),
     )
+}
+
+/// An oracle's outcome counts, as the reports and checkpoints list them.
+pub(crate) fn oracle_counts(s: &OracleSummary) -> Vec<(&'static str, Json)> {
+    vec![
+        ("checked", Json::num(s.checked as u64)),
+        ("violations", Json::num(s.violations as u64)),
+        ("skipped", Json::num(s.skipped as u64)),
+    ]
 }
 
 /// Every discrepancy, with its re-check, canonical witness and, when
@@ -128,21 +142,7 @@ pub(crate) fn discrepancies_json(report: &CampaignReport) -> Json {
 
 /// Quarantined units as the reports list them.
 pub(crate) fn failed_units_json(report: &CampaignReport) -> Json {
-    Json::Arr(
-        report
-            .failed_units
-            .iter()
-            .map(|f| {
-                Json::obj(vec![
-                    ("index", Json::num(f.index as u64)),
-                    ("test", Json::str(&f.test)),
-                    ("kind", Json::str(f.kind.name())),
-                    ("attempts", Json::num(u64::from(f.attempts))),
-                    ("detail", Json::str(&f.detail)),
-                ])
-            })
-            .collect(),
-    )
+    Json::Arr(report.failed_units.iter().map(FailedUnit::to_json).collect())
 }
 
 /// Append the opt-in `enumeration` and `data_plane` sections, each

@@ -150,6 +150,15 @@ pub struct DataPlaneSnapshot {
     pub static_builds: u64,
 }
 
+/// Cap on value-domain fixpoint rounds (the enumerator already stops
+/// after `#reads + 1` rounds, which is sound: a realisable value flows
+/// through at most one read event per dataflow step, and a candidate
+/// execution has finitely many distinct reads — any value needing a
+/// longer derivation chain cannot be matched by `rf`).
+const MAX_DOMAIN_ITERATIONS: usize = 16;
+/// Cap on oracle branches explored per thread.
+const MAX_ORACLE_BRANCHES: usize = 200_000;
+
 /// Tuning knobs for the enumerator.
 #[derive(Clone)]
 pub struct EnumOptions {
@@ -161,19 +170,11 @@ pub struct EnumOptions {
     pub prune_scpv: bool,
     /// Hard cap on emitted executions.
     pub max_executions: usize,
-    /// Hard cap on value-domain fixpoint rounds (the enumerator already
-    /// stops after `#reads + 1` rounds, which is sound: a realisable value
-    /// flows through at most one read event per dataflow step, and a
-    /// candidate execution has finitely many distinct reads — any value
-    /// needing a longer derivation chain cannot be matched by `rf`).
-    pub max_domain_iterations: usize,
-    /// Cap on oracle branches explored per thread.
-    pub max_oracle_branches: usize,
     /// Resource budget governing this enumeration (and, through the
     /// pipeline, the model evaluation fed from it). Unlimited by default.
     ///
-    /// Unlike the caps above — which are semantic knobs changing *which*
-    /// error a pathological test reports — a budget never changes any
+    /// Unlike the caps — which are semantic knobs changing *which* error
+    /// a pathological test reports — a budget never changes any
     /// completed verdict, only whether the check runs to completion. It
     /// is therefore excluded from the [`fmt::Debug`] form, which the
     /// verdict store folds into cache keys.
@@ -195,8 +196,6 @@ impl Default for EnumOptions {
         EnumOptions {
             prune_scpv: true,
             max_executions: 4_000_000,
-            max_domain_iterations: 16,
-            max_oracle_branches: 200_000,
             budget: Budget::default(),
             strategy: EnumStrategy::default(),
             stats: None,
@@ -221,9 +220,10 @@ impl EnumOptions {
     }
 }
 
-/// Manual impl printing exactly the pre-budget derived form. The verdict
-/// store salts cache keys with `{:?}` of these options; keeping the
-/// budget — and the later `strategy`/`stats` knobs — out of it
+/// Manual impl printing exactly the pre-budget derived form, the two
+/// fixed caps included. The verdict store salts cache keys with `{:?}`
+/// of these options; keeping the budget — and the later
+/// `strategy`/`stats` knobs — out of it
 /// (a) preserves every existing store byte-for-byte and (b) is
 /// semantically right — budgets cannot change a completed verdict,
 /// inconclusive results are never cached, both strategies emit identical
@@ -233,8 +233,8 @@ impl fmt::Debug for EnumOptions {
         f.debug_struct("EnumOptions")
             .field("prune_scpv", &self.prune_scpv)
             .field("max_executions", &self.max_executions)
-            .field("max_domain_iterations", &self.max_domain_iterations)
-            .field("max_oracle_branches", &self.max_oracle_branches)
+            .field("max_domain_iterations", &MAX_DOMAIN_ITERATIONS)
+            .field("max_oracle_branches", &MAX_ORACLE_BRANCHES)
             .finish()
     }
 }
@@ -396,7 +396,7 @@ impl PreExecutions {
             program.init.iter().map(|&v| BTreeSet::from([v])).collect();
         let mut outcomes: Vec<Vec<ThreadOutcome>> = Vec::new();
         let stmt_count: usize = program.threads.iter().map(|code| code.stmts.len()).sum();
-        let rounds = (stmt_count + 1).min(opts.max_domain_iterations.max(1));
+        let rounds = (stmt_count + 1).min(MAX_DOMAIN_ITERATIONS);
         for _round in 0..rounds {
             meter.poll_now().map_err(EnumError::BudgetExceeded)?;
             outcomes = (0..program.threads.len())
@@ -569,7 +569,7 @@ fn explore_thread(
     let mut branches = 0usize;
     while let Some(oracle) = stack.pop() {
         branches += 1;
-        if branches > opts.max_oracle_branches {
+        if branches > MAX_ORACLE_BRANCHES {
             return Err(EnumError::TooManyBranches);
         }
         meter.poll().map_err(EnumError::BudgetExceeded)?;

@@ -9,15 +9,19 @@
 //!   (sorted thread order, alpha-renamed locations/registers, normalized
 //!   condition) and a 128-bit content hash over it, keyed by model name
 //!   and a caller-supplied version salt.
-//! * [`store`] — [`store::VerdictStore`], a crash-safe append-only log of
-//!   `key → verdict` records with an in-memory index. Recovery tolerates
-//!   torn or corrupt tails by truncating to the last valid record. The
+//! * [`frame`] — the crash-safe frame log: magic, checksummed frames, a
+//!   scan that stops at the first torn or corrupt frame, truncation to
+//!   the valid prefix on open, and the directory fsync. The verdict
+//!   store and the campaign checkpoint (`lkmm_conformance`) are both
+//!   frame logs, told apart by their magic and payloads.
+//! * [`store`] — [`store::VerdictStore`], a frame log of `key → verdict`
+//!   records with an in-memory index. Recovery tolerates torn or corrupt
+//!   tails by truncating to the last valid record. The
 //!   [`store::VerdictLog`] trait splits out the lookup/append/flush
 //!   surface the checker needs, so it runs over any backend.
 //! * [`shard`] — [`shard::ShardedStore`], N independent logs partitioned
 //!   by key prefix behind the same [`store::VerdictLog`] API: parallel
-//!   appends without file contention, per-shard quarantine, and
-//!   threshold-triggered in-place compaction.
+//!   appends without file contention and per-shard quarantine.
 //! * [`multi`] — [`multi::MultiBatchChecker`], which dedupes a corpus
 //!   by canonical key, replays store hits, and checks only the misses:
 //!   one enumeration per test serves every column (model + salt) it
@@ -37,6 +41,7 @@
 //! verdict and counts exactly.
 
 pub mod canon;
+pub mod frame;
 pub mod hash;
 pub mod json;
 pub mod multi;

@@ -28,17 +28,11 @@
 //! and the other shards are untouched. A multi-client server degrades
 //! to a partial cache instead of dying — exactly the contract
 //! [`VerdictLog::put`] documents with its `Ok(false)`.
-//!
-//! ## Compaction
-//!
-//! Each shard tracks superseded frames; when a shard crosses the
-//! configured threshold its log is rewritten in place (atomic
-//! snapshot + rename) on the next append, bounding log growth under
-//! re-checking workloads without a maintenance window.
 
+use crate::frame::sibling;
 use crate::store::{
-    read_records, replay_sorted, scan_records, sibling, snapshot, CompactReport, LockFile,
-    MergeReport, RecoveryReport, ShardStats, StoreError, VerdictLog, VerdictStore,
+    read_records, replay_sorted, snapshot, CompactReport, LockFile, MergeReport, RecoveryReport,
+    ShardStats, StoreError, VerdictLog, VerdictStore,
 };
 use lkmm_core::faultpoint;
 use lkmm_exec::TestResult;
@@ -67,9 +61,6 @@ pub struct ShardedStore {
     /// fsync after every successful append (a server acking requests
     /// must not lose acked verdicts to a crash).
     durable: bool,
-    /// In-place-compact a shard once it accumulates this many
-    /// superseded frames (0 = never).
-    compact_threshold: usize,
     /// Advisory lock on the base path while `n > 1` (the shard files
     /// carry their own locks; this one fences plain openers).
     _base_lock: Option<LockFile>,
@@ -94,7 +85,6 @@ impl ShardedStore {
                 .collect(),
             base: Some(base),
             durable: false,
-            compact_threshold: 0,
             _base_lock: base_lock,
         })
     }
@@ -144,7 +134,6 @@ impl ShardedStore {
                 .collect(),
             base: None,
             durable: false,
-            compact_threshold: 0,
             _base_lock: None,
         }
     }
@@ -152,13 +141,6 @@ impl ShardedStore {
     /// Builder: fsync each append before reporting it stored.
     pub fn durable(mut self, durable: bool) -> ShardedStore {
         self.durable = durable;
-        self
-    }
-
-    /// Builder: in-place-compact a shard once it holds `threshold`
-    /// superseded frames (0 disables).
-    pub fn with_compact_threshold(mut self, threshold: usize) -> ShardedStore {
-        self.compact_threshold = threshold;
         self
     }
 
@@ -229,19 +211,13 @@ impl ShardedStore {
                 }
                 Ok(wrote)
             });
-        let wrote = match outcome {
-            Ok(wrote) => wrote,
+        match outcome {
+            Ok(wrote) => Ok(wrote),
             Err(e) => {
                 g.poisoned = Some(e.to_string());
-                return Ok(false);
-            }
-        };
-        if self.compact_threshold > 0 && g.store.superseded() >= self.compact_threshold {
-            if let Err(e) = g.store.compact_in_place() {
-                g.poisoned = Some(format!("compaction failed: {e}"));
+                Ok(false)
             }
         }
-        Ok(wrote)
     }
 
     /// Flush every healthy shard. A failing flush quarantines that
@@ -272,11 +248,6 @@ impl ShardedStore {
     /// Records appended across all shards since open.
     pub fn appended(&self) -> usize {
         (0..self.shards.len()).map(|i| self.guard(i).store.appended()).sum()
-    }
-
-    /// Superseded frames across all shards.
-    pub fn superseded(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.guard(i).store.superseded()).sum()
     }
 
     /// The base path, if file-backed.
@@ -363,7 +334,7 @@ impl ShardedStore {
         let (dst_base, src) = (dst_base.as_ref(), src.as_ref());
         let _src_lock = LockFile::acquire(src)?;
         let (_base_lock, mut members) = Self::open_members(dst_base, shards)?;
-        let sorted = replay_sorted(&scan_records(&read_records(src)?).records);
+        let sorted = replay_sorted(&read_records(src)?.frames);
         let mut report = MergeReport { source_keys: sorted.len(), ..MergeReport::default() };
         for (key, result) in sorted {
             if members[route(key, shards)].put(key, result)? {
@@ -422,6 +393,7 @@ impl VerdictLog for Arc<ShardedStore> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::quarantine_path;
     use lkmm_exec::Verdict;
 
     fn sample(i: usize) -> TestResult {
@@ -623,29 +595,33 @@ mod tests {
     }
 
     #[test]
-    fn threshold_compaction_reclaims_superseded_frames() {
-        let base = temp_base("threshold");
-        let s = ShardedStore::open(&base, 1).unwrap().with_compact_threshold(4);
-        for i in 0..8 {
-            s.put(spread_key(i), sample(i as usize)).unwrap();
-        }
-        // Re-put with differing results until the threshold trips.
-        for round in 1..=4 {
-            for i in 0..8 {
-                s.put(spread_key(i), sample(i as usize + round * 100)).unwrap();
+    fn each_bad_member_is_quarantined_beside_itself() {
+        // Two junk members of a 4-shard family each go to their own
+        // `<member>.corrupt` with their own bytes, whether an open or a
+        // repairing scrub of every member finds them.
+        for repair in [false, true] {
+            let base = temp_base(&format!("quarantine-{repair}"));
+            drop(ShardedStore::open(&base, 4).unwrap());
+            let members = ShardedStore::shard_paths(&base, 4);
+            let junk = |i: usize| format!("junk in shard {i} of 4");
+            for (i, member) in members[..2].iter().enumerate() {
+                std::fs::write(member, junk(i)).unwrap();
             }
+            if repair {
+                for member in ShardedStore::members(&base) {
+                    VerdictStore::scrub(&member, true).unwrap();
+                }
+            } else {
+                let s = ShardedStore::open(&base, 4).unwrap();
+                let stats = s.stats().into_iter().filter(|st| st.quarantined);
+                assert_eq!(stats.filter_map(|st| st.path).collect::<Vec<_>>(), members[..2]);
+            }
+            for (i, member) in members[..2].iter().enumerate() {
+                let aside = quarantine_path(member);
+                assert_eq!(std::fs::read_to_string(&aside).unwrap(), junk(i), "repair {repair}");
+                std::fs::remove_file(aside).unwrap();
+            }
+            cleanup(&base, 4);
         }
-        assert!(
-            s.superseded() < 4,
-            "compaction kept superseded frames below the threshold, found {}",
-            s.superseded()
-        );
-        assert_eq!(s.len(), 8);
-        drop(s);
-        let s = ShardedStore::open(&base, 1).unwrap();
-        assert_eq!(s.len(), 8);
-        assert_eq!(s.get(spread_key(2)), Some(sample(402)));
-        drop(s);
-        cleanup(&base, 1);
     }
 }

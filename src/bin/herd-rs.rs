@@ -106,6 +106,7 @@ use linux_kernel_memory_model::conformance::{
     data_plane_line, enumeration_line, CampaignError, CampaignReport, SimConfig,
 };
 use linux_kernel_memory_model::server::{serve_tcp, ServerConfig};
+use linux_kernel_memory_model::service::frame::quarantine_path;
 use linux_kernel_memory_model::service::json::Json;
 use linux_kernel_memory_model::service::serve::{serve_with, ServeOptions};
 use linux_kernel_memory_model::service::{
@@ -119,6 +120,7 @@ use lkmm_exec::enumerate::{enumerate, EnumOptions};
 use lkmm_exec::states::collect_states;
 use lkmm_exec::{Stats, MAX_JOBS};
 use lkmm_service::StoreError;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -652,7 +654,8 @@ fn open_store(path: Option<&str>) -> Result<VerdictStore, ExitCode> {
         return Ok(VerdictStore::in_memory());
     };
     let store = VerdictStore::open(path).map_err(|e| store_fail(path, &e))?;
-    report_recovery(path, &store.recovery());
+    let recovery = store.recovery();
+    report_recovery(path, &recovery, recovery.quarantined.then(|| PathBuf::from(path)));
     Ok(store)
 }
 
@@ -673,14 +676,22 @@ fn store_checker<'m>(
 }
 
 /// Narrate open-time recovery events on stderr: reclaimed stale locks
-/// (naming the dead holder), quarantined contents, truncated tails.
-fn report_recovery(path: &str, recovery: &RecoveryReport) {
+/// (naming the dead holder), where each log in `quarantined` (the store
+/// itself, or the members of a family) put its contents, truncated
+/// tails.
+fn report_recovery(
+    path: &str,
+    recovery: &RecoveryReport,
+    quarantined: impl IntoIterator<Item = PathBuf>,
+) {
     if let Some(pid) = recovery.reclaimed_pid {
         eprintln!("herd-rs: store {path}: reclaimed stale lock held by dead process {pid}");
     }
-    if recovery.quarantined {
-        eprintln!("herd-rs: store {path}: unrecognized contents quarantined to {path}.corrupt");
-    } else if recovery.truncated_bytes() > 0 {
+    for log in quarantined {
+        let aside = quarantine_path(&log);
+        eprintln!("herd-rs: store {path}: unrecognized contents quarantined to {}", aside.display());
+    }
+    if recovery.truncated_bytes() > 0 {
         eprintln!(
             "herd-rs: store {path}: recovered {} records, dropped {} trailing bytes \
              ({} torn, {} from {} corrupt frames)",
@@ -879,7 +890,6 @@ fn conformance_mode(cli: &Cli) -> ExitCode {
             retry_base_ms: cli.retry_base_ms.unwrap_or(resilience_defaults.retry_base_ms),
             resume: cli.resume,
             stop_after: cli.stop_after,
-            ..resilience_defaults
         },
     };
     let report = match run_campaign(&cfg) {
@@ -1012,7 +1022,8 @@ fn serve_tcp_mode(cli: &Cli, addr: &str) -> ExitCode {
     let store = match cli.store.as_deref() {
         Some(path) => match ShardedStore::open(path, shards) {
             Ok(s) => {
-                report_recovery(path, &s.recovery());
+                let members = s.stats().into_iter().filter(|st| st.quarantined);
+                report_recovery(path, &s.recovery(), members.filter_map(|st| st.path));
                 s
             }
             Err(e) => return store_fail(path, &e),
