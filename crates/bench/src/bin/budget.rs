@@ -21,10 +21,10 @@
 //! ```
 
 use lkmm::Lkmm;
+use lkmm_bench::{stress_test, Flag, Report, Val};
 use lkmm_exec::enumerate::EnumOptions;
 use lkmm_exec::{check, effective_jobs, Budget, CheckOutcome, PipelineOptions, TestResult};
 use lkmm_litmus::ast::Test;
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 enum BenchModel {
@@ -36,23 +36,6 @@ struct Workload {
     name: &'static str,
     model: BenchModel,
     tests: Vec<Test>,
-}
-
-/// Same shape as the sweep bench's stress workload: wide rf/co space,
-/// cheap enumeration, expensive interpreted evaluation.
-fn stress_test(threads: usize, reads: usize) -> Test {
-    let mut src = format!("C stress-{threads}w{reads}r\n{{ x=0; }}\n");
-    for i in 0..threads {
-        let mut decls = String::new();
-        let mut body = format!("WRITE_ONCE(*x, {}); ", i + 1);
-        for r in 0..reads {
-            decls.push_str(&format!("int r{r}; "));
-            body.push_str(&format!("r{r} = READ_ONCE(*x); "));
-        }
-        src.push_str(&format!("P{i}(int *x) {{ {decls}{body}}}\n"));
-    }
-    src.push_str("exists (0:r0=1)\n");
-    lkmm_litmus::parse(&src).expect("stress test parses")
 }
 
 fn workloads() -> Vec<Workload> {
@@ -134,23 +117,8 @@ fn run_config(
 }
 
 fn main() {
-    let mut iters = 5usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--iters" => {
-                iters = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--iters needs a positive integer");
-            }
-            "--help" | "-h" => {
-                println!("usage: budget [--iters N]   (timed repetitions per config, default 5)");
-                return;
-            }
-            other => panic!("unknown argument `{other}`"),
-        }
-    }
+    let mut iters = 5;
+    lkmm_bench::flags(&mut [Flag::count("--iters", &mut iters, "timed repetitions per config")]);
 
     let pipe = PipelineOptions { jobs: 1, ..Default::default() };
     let configs: [(&str, Config); 3] = [
@@ -159,8 +127,7 @@ fn main() {
         ("metered", Config::Metered),
     ];
 
-    println!("{:18} {:12} {:>10} {:>14} {:>10}", "workload", "config", "secs", "cands/sec", "overhead");
-    let mut json_entries = String::new();
+    let mut rows = Vec::new();
     for w in workloads() {
         // Alternate configs across rounds and keep each config's best
         // time: scheduler noise inflates individual rounds but never
@@ -191,33 +158,26 @@ fn main() {
                 );
             }
             let overhead_percent = (seconds / baseline_seconds - 1.0) * 100.0;
-            let throughput = candidates as f64 / seconds;
-            println!(
-                "{:18} {:12} {:>10.4} {:>14.0} {:>9.2}%",
-                w.name, name, seconds, throughput, overhead_percent
-            );
-            if !json_entries.is_empty() {
-                json_entries.push_str(",\n");
-            }
-            write!(
-                json_entries,
-                "    {{\"workload\": \"{}\", \"config\": \"{name}\", \
-                 \"seconds\": {seconds:.6}, \"candidates\": {candidates}, \
-                 \"candidates_per_sec\": {throughput:.1}, \
-                 \"overhead_percent\": {overhead_percent:.2}}}",
-                w.name
-            )
-            .expect("write to string");
+            rows.push(vec![
+                ("workload", w.name.into()),
+                ("config", (*name).into()),
+                ("seconds", Val::Fixed(seconds, 6)),
+                ("candidates", candidates.into()),
+                ("candidates_per_sec", Val::Fixed(candidates as f64 / seconds, 1)),
+                ("overhead_percent", Val::Fixed(overhead_percent, 2)),
+            ]);
         }
     }
 
-    let hw = effective_jobs(0);
-    let json = format!(
-        "{{\n  \"bench\": \"budget-overhead\",\n  \"model\": \"LKMM\",\n  \
-         \"hardware_threads\": {hw},\n  \"iters\": {iters},\n  \
-         \"acceptance\": \"metered overhead_percent <= 3.0 on each workload\",\n  \
-         \"measurements\": [\n{json_entries}\n  ]\n}}\n"
-    );
-    std::fs::write("BENCH_BUDGET.json", &json).expect("write BENCH_BUDGET.json");
-    println!("\nwrote BENCH_BUDGET.json");
+    Report {
+        bench: "budget-overhead",
+        params: vec![
+            ("model", "LKMM".into()),
+            ("hardware_threads", effective_jobs(0).into()),
+            ("iters", iters.into()),
+            ("acceptance", "metered overhead_percent <= 3.0 on each workload".into()),
+        ],
+        rows,
+    }
+    .finish("BENCH_BUDGET.json");
 }

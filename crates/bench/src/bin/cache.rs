@@ -20,10 +20,10 @@
 //! ```
 
 use lkmm::Lkmm;
+use lkmm_bench::{Flag, Report, Row, Val};
 use lkmm_exec::TestResult;
 use lkmm_litmus::ast::Test;
 use lkmm_service::{ColumnReport, MultiBatchChecker, MultiColumn, VerdictStore};
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -41,16 +41,6 @@ fn workloads() -> Vec<Workload> {
         Workload { name: "table5-library", tests: library },
         Workload { name: "mp-family-sweep", tests: family },
     ]
-}
-
-struct Measurement {
-    workload: &'static str,
-    config: &'static str,
-    seconds: f64,
-    tests: usize,
-    candidates_enumerated: usize,
-    hits: usize,
-    deduped: usize,
 }
 
 /// One pass over `tests` through a fresh one-column checker on `store`.
@@ -83,9 +73,7 @@ fn run_store_pass(
     (seconds, col.candidates_enumerated, col.hits, col.deduped, results(&col))
 }
 
-fn bench_workload(w: &Workload, iters: usize, store_path: &Path) -> Vec<Measurement> {
-    let mut out = Vec::new();
-
+fn bench_workload(w: &Workload, iters: usize, store_path: &Path) -> Vec<Row> {
     // Baseline: no store at all (the pre-cache code path).
     let model = Lkmm::new();
     let herd_results = results(&check_pass(&model, VerdictStore::in_memory(), &w.tests));
@@ -97,15 +85,22 @@ fn bench_workload(w: &Workload, iters: usize, store_path: &Path) -> Vec<Measurem
         assert_eq!(report.hits, 0);
         std::hint::black_box(report);
     }
-    out.push(Measurement {
-        workload: w.name,
-        config: "uncached",
-        seconds: start.elapsed().as_secs_f64() / iters as f64,
-        tests: w.tests.len(),
-        candidates_enumerated: herd_results.iter().map(|r| r.candidates).sum(),
-        hits: 0,
-        deduped: 0,
-    });
+    let uncached_seconds = start.elapsed().as_secs_f64() / iters as f64;
+    let enumerated: usize = herd_results.iter().map(|r| r.candidates).sum();
+    let row = |config: &str, seconds: f64, enumerated: usize, hits: usize, deduped: usize| -> Row {
+        vec![
+            ("workload", w.name.into()),
+            ("config", config.into()),
+            ("seconds", Val::Fixed(seconds, 6)),
+            ("tests", w.tests.len().into()),
+            ("tests_per_sec", Val::Fixed(w.tests.len() as f64 / seconds, 1)),
+            ("candidates_enumerated", enumerated.into()),
+            ("hits", hits.into()),
+            ("deduped", deduped.into()),
+            ("speedup_vs_uncached", Val::Fixed(uncached_seconds / seconds, 3)),
+        ]
+    };
+    let mut out = vec![row("uncached", uncached_seconds, enumerated, 0, 0)];
 
     // Cold: fresh on-disk store each iteration (write-path overhead).
     let mut cold_seconds = 0.0;
@@ -121,15 +116,7 @@ fn bench_workload(w: &Workload, iters: usize, store_path: &Path) -> Vec<Measurem
         }
     }
     assert_eq!(cold_results, herd_results, "{}: store changed results", w.name);
-    out.push(Measurement {
-        workload: w.name,
-        config: "cold",
-        seconds: cold_seconds / iters as f64,
-        tests: w.tests.len(),
-        candidates_enumerated: herd_results.iter().map(|r| r.candidates).sum(),
-        hits: 0,
-        deduped: 0,
-    });
+    out.push(row("cold", cold_seconds / iters as f64, enumerated, 0, 0));
 
     // Warm: reopen the populated store each iteration (pure replay).
     let mut warm_seconds = 0.0;
@@ -144,87 +131,22 @@ fn bench_workload(w: &Workload, iters: usize, store_path: &Path) -> Vec<Measurem
         warm_hits = hits;
         warm_deduped = deduped;
     }
-    out.push(Measurement {
-        workload: w.name,
-        config: "warm",
-        seconds: warm_seconds / iters as f64,
-        tests: w.tests.len(),
-        candidates_enumerated: 0,
-        hits: warm_hits,
-        deduped: warm_deduped,
-    });
     let _ = std::fs::remove_file(store_path);
+    out.push(row("warm", warm_seconds / iters as f64, 0, warm_hits, warm_deduped));
     out
 }
 
 fn main() {
-    let mut iters = 5usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--iters" => {
-                iters = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--iters needs a positive integer");
-            }
-            "--help" | "-h" => {
-                println!("usage: cache [--iters N]   (timed repetitions per config, default 5)");
-                return;
-            }
-            other => panic!("unknown argument `{other}`"),
-        }
-    }
+    let mut iters = 5;
+    lkmm_bench::flags(&mut [Flag::count("--iters", &mut iters, "timed repetitions per config")]);
 
     let store_path: PathBuf =
         std::env::temp_dir().join(format!("lkmm-bench-cache-{}.bin", std::process::id()));
 
-    let mut measurements = Vec::new();
-    for w in workloads() {
-        measurements.extend(bench_workload(&w, iters, &store_path));
+    Report {
+        bench: "verdict-cache",
+        params: vec![("model", "LKMM".into()), ("iters", iters.into())],
+        rows: workloads().iter().flat_map(|w| bench_workload(w, iters, &store_path)).collect(),
     }
-
-    println!(
-        "{:18} {:10} {:>10} {:>12} {:>9} {:>7} {:>9}",
-        "workload", "config", "secs", "tests/sec", "cands", "hits", "speedup"
-    );
-    let mut json_entries = String::new();
-    for m in &measurements {
-        let baseline = measurements
-            .iter()
-            .find(|b| b.workload == m.workload && b.config == "uncached")
-            .expect("uncached baseline exists");
-        let speedup = baseline.seconds / m.seconds;
-        let throughput = m.tests as f64 / m.seconds;
-        println!(
-            "{:18} {:10} {:>10.5} {:>12.0} {:>9} {:>7} {:>8.2}x",
-            m.workload, m.config, m.seconds, throughput, m.candidates_enumerated, m.hits, speedup
-        );
-        if !json_entries.is_empty() {
-            json_entries.push_str(",\n");
-        }
-        write!(
-            json_entries,
-            "    {{\"workload\": \"{}\", \"config\": \"{}\", \"seconds\": {:.6}, \
-             \"tests\": {}, \"tests_per_sec\": {:.1}, \"candidates_enumerated\": {}, \
-             \"hits\": {}, \"deduped\": {}, \"speedup_vs_uncached\": {:.3}}}",
-            m.workload,
-            m.config,
-            m.seconds,
-            m.tests,
-            throughput,
-            m.candidates_enumerated,
-            m.hits,
-            m.deduped,
-            speedup
-        )
-        .expect("write to string");
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"verdict-cache\",\n  \"model\": \"LKMM\",\n  \
-         \"iters\": {iters},\n  \"measurements\": [\n{json_entries}\n  ]\n}}\n"
-    );
-    std::fs::write("BENCH_CACHE.json", &json).expect("write BENCH_CACHE.json");
-    println!("\nwrote BENCH_CACHE.json");
+    .finish("BENCH_CACHE.json");
 }

@@ -21,19 +21,10 @@
 //! cargo run --release -p lkmm-bench --bin conformance [-- --iters N] [--max-cycle-len L]
 //! ```
 
-use lkmm_conformance::{json_report, run_campaign, CampaignConfig, CampaignReport, SimConfig};
-use std::fmt::Write as _;
+use lkmm_bench::{pass_stats, Flag, Report, Val};
+use lkmm_conformance::{json_report, run_campaign, CampaignConfig, SimConfig};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-
-struct Measurement {
-    config: &'static str,
-    seconds: f64,
-    tests: usize,
-    cells: usize,
-    candidates_enumerated: usize,
-    hits: usize,
-}
 
 fn campaign_config(max_cycle_len: usize, store_path: &Path) -> CampaignConfig {
     CampaignConfig {
@@ -44,47 +35,12 @@ fn campaign_config(max_cycle_len: usize, store_path: &Path) -> CampaignConfig {
     }
 }
 
-fn pass_stats(report: &CampaignReport) -> (usize, usize, usize) {
-    let cells = report.models.iter().map(|m| m.pass.checked).sum();
-    let enumerated = report.models.iter().map(|m| m.pass.candidates_enumerated).sum();
-    let hits = report.models.iter().map(|m| m.pass.hits).sum();
-    (cells, enumerated, hits)
-}
-
-/// Cells answered without touching the store: duplicates of another
-/// corpus test with the same canonical form.
-fn deduped(report: &CampaignReport) -> usize {
-    report.models.iter().map(|m| m.pass.deduped).sum()
-}
-
 fn main() {
-    let mut iters = 3usize;
-    let mut max_cycle_len = 4usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--iters" => {
-                iters = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--iters needs a positive integer");
-            }
-            "--max-cycle-len" => {
-                max_cycle_len = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--max-cycle-len needs a non-negative integer");
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: conformance [--iters N] [--max-cycle-len L]   \
-                     (timed repetitions per config, default 3; cycle length, default 4)"
-                );
-                return;
-            }
-            other => panic!("unknown argument `{other}`"),
-        }
-    }
+    let (mut iters, mut max_cycle_len) = (3, 4);
+    lkmm_bench::flags(&mut [
+        Flag::count("--iters", &mut iters, "timed repetitions per config"),
+        Flag::int("--max-cycle-len", &mut max_cycle_len, 0, "cycle length"),
+    ]);
 
     let store_path: PathBuf = std::env::temp_dir()
         .join(format!("lkmm-bench-conformance-{}.bin", std::process::id()));
@@ -101,7 +57,7 @@ fn main() {
         let report = run_campaign(&cfg).expect("cold campaign runs");
         cold_seconds += start.elapsed().as_secs_f64();
         assert!(report.clean(), "cold campaign found discrepancies");
-        let (cells, enumerated, hits) = pass_stats(&report);
+        let (cells, enumerated, hits, _) = pass_stats(&report);
         assert_eq!(hits, 0, "cold pass hit a fresh store");
         assert!(enumerated > 0, "cold pass enumerated nothing");
         if i == 0 {
@@ -119,71 +75,33 @@ fn main() {
         let report = run_campaign(&cfg).expect("warm campaign runs");
         warm_seconds += start.elapsed().as_secs_f64();
         assert!(report.clean(), "warm campaign found discrepancies");
-        let (cells, enumerated, hits) = pass_stats(&report);
+        let (cells, enumerated, hits, deduped) = pass_stats(&report);
         assert_eq!(enumerated, 0, "warm pass enumerated candidates");
         // Every cell is either a store hit or an in-corpus duplicate.
-        assert_eq!(hits + deduped(&report), cells, "warm pass missed the store somewhere");
+        assert_eq!(hits + deduped, cells, "warm pass missed the store somewhere");
         let warm_json = json_report(&report, &cfg).to_string();
         assert_eq!(warm_json, cold_json, "warm report differs from cold");
         warm_stats = (cells, enumerated, hits);
     }
     let _ = std::fs::remove_file(&store_path);
 
-    let measurements = [
-        Measurement {
-            config: "cold",
-            seconds: cold_seconds / iters as f64,
-            tests,
-            cells: cold_stats.0,
-            candidates_enumerated: cold_stats.1,
-            hits: cold_stats.2,
-        },
-        Measurement {
-            config: "warm",
-            seconds: warm_seconds / iters as f64,
-            tests,
-            cells: warm_stats.0,
-            candidates_enumerated: warm_stats.1,
-            hits: warm_stats.2,
-        },
-    ];
-
-    println!(
-        "{:8} {:>10} {:>12} {:>8} {:>9} {:>7} {:>9}",
-        "config", "secs", "tests/sec", "cells", "cands", "hits", "speedup"
-    );
-    let mut json_entries = String::new();
-    for m in &measurements {
-        let speedup = measurements[0].seconds / m.seconds;
-        let throughput = m.tests as f64 / m.seconds;
-        println!(
-            "{:8} {:>10.5} {:>12.0} {:>8} {:>9} {:>7} {:>8.2}x",
-            m.config, m.seconds, throughput, m.cells, m.candidates_enumerated, m.hits, speedup
-        );
-        if !json_entries.is_empty() {
-            json_entries.push_str(",\n");
-        }
-        write!(
-            json_entries,
-            "    {{\"config\": \"{}\", \"seconds\": {:.6}, \"tests\": {}, \
-             \"tests_per_sec\": {:.1}, \"matrix_cells\": {}, \"candidates_enumerated\": {}, \
-             \"hits\": {}, \"speedup_vs_cold\": {:.3}}}",
-            m.config,
-            m.seconds,
-            m.tests,
-            throughput,
-            m.cells,
-            m.candidates_enumerated,
-            m.hits,
-            speedup
-        )
-        .expect("write to string");
+    let row = |config: &str, seconds: f64, (cells, enumerated, hits): (usize, usize, usize)| {
+        let seconds = seconds / iters as f64;
+        vec![
+            ("config", config.into()),
+            ("seconds", Val::Fixed(seconds, 6)),
+            ("tests", tests.into()),
+            ("tests_per_sec", Val::Fixed(tests as f64 / seconds, 1)),
+            ("matrix_cells", cells.into()),
+            ("candidates_enumerated", enumerated.into()),
+            ("hits", hits.into()),
+            ("speedup_vs_cold", Val::Fixed(cold_seconds / iters as f64 / seconds, 3)),
+        ]
+    };
+    Report {
+        bench: "conformance-campaign",
+        params: vec![("max_cycle_len", max_cycle_len.into()), ("iters", iters.into())],
+        rows: vec![row("cold", cold_seconds, cold_stats), row("warm", warm_seconds, warm_stats)],
     }
-
-    let json = format!(
-        "{{\n  \"bench\": \"conformance-campaign\",\n  \"max_cycle_len\": {max_cycle_len},\n  \
-         \"iters\": {iters},\n  \"measurements\": [\n{json_entries}\n  ]\n}}\n"
-    );
-    std::fs::write("BENCH_CONFORMANCE.json", &json).expect("write BENCH_CONFORMANCE.json");
-    println!("\nwrote BENCH_CONFORMANCE.json");
+    .finish("BENCH_CONFORMANCE.json");
 }

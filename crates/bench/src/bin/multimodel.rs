@@ -20,47 +20,18 @@
 //! cargo run --release -p lkmm-bench --bin multimodel [-- --iters N] [--max-cycle-len L]
 //! ```
 
+use lkmm_bench::{Flag, Report, Row, Val};
 use lkmm_conformance::{corpus_stream, CampaignConfig, ModelId};
 use lkmm_litmus::ast::Test;
 use lkmm_service::{MultiBatchChecker, MultiColumn, VerdictStore};
-use std::fmt::Write as _;
 use std::time::Instant;
 
-struct Measurement {
-    config: &'static str,
-    seconds: f64,
-    enumeration_passes: usize,
-    candidates_enumerated: usize,
-}
-
 fn main() {
-    let mut iters = 3usize;
-    let mut max_cycle_len = 4usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--iters" => {
-                iters = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--iters needs a positive integer");
-            }
-            "--max-cycle-len" => {
-                max_cycle_len = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--max-cycle-len needs a non-negative integer");
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: multimodel [--iters N] [--max-cycle-len L]   \
-                     (timed repetitions per config, default 3; cycle length, default 4)"
-                );
-                return;
-            }
-            other => panic!("unknown argument `{other}`"),
-        }
-    }
+    let (mut iters, mut max_cycle_len) = (3, 4);
+    lkmm_bench::flags(&mut [
+        Flag::count("--iters", &mut iters, "timed repetitions per config"),
+        Flag::int("--max-cycle-len", &mut max_cycle_len, 0, "cycle length"),
+    ]);
 
     let cfg = CampaignConfig { max_cycle_len, ..CampaignConfig::default() };
     let tests: Vec<Test> =
@@ -159,54 +130,27 @@ fn main() {
          ({reduction:.2}x)"
     );
 
-    let measurements = [
-        Measurement {
-            config: "sequential",
-            seconds: seq_seconds / iters as f64,
-            enumeration_passes: seq_passes,
-            candidates_enumerated: seq_candidates,
-        },
-        Measurement {
-            config: "multi",
-            seconds: multi_seconds / iters as f64,
-            enumeration_passes: multi_passes,
-            candidates_enumerated: multi_candidates,
-        },
-    ];
-
-    println!(
-        "{:12} {:>10} {:>8} {:>12} {:>10}",
-        "config", "secs", "passes", "candidates", "reduction"
-    );
-    let mut json_entries = String::new();
-    for m in &measurements {
-        println!(
-            "{:12} {:>10.5} {:>8} {:>12} {:>9.2}x",
-            m.config,
-            m.seconds,
-            m.enumeration_passes,
-            m.candidates_enumerated,
-            seq_candidates as f64 / m.candidates_enumerated.max(1) as f64
-        );
-        if !json_entries.is_empty() {
-            json_entries.push_str(",\n");
-        }
-        write!(
-            json_entries,
-            "    {{\"config\": \"{}\", \"seconds\": {:.6}, \"enumeration_passes\": {}, \
-             \"candidates_enumerated\": {}}}",
-            m.config, m.seconds, m.enumeration_passes, m.candidates_enumerated
-        )
-        .expect("write to string");
+    let row = |config: &str, seconds: f64, passes: usize, candidates: usize| -> Row {
+        vec![
+            ("config", config.into()),
+            ("seconds", Val::Fixed(seconds / iters as f64, 6)),
+            ("enumeration_passes", passes.into()),
+            ("candidates_enumerated", candidates.into()),
+        ]
+    };
+    Report {
+        bench: "multimodel-single-enumeration",
+        params: vec![
+            ("max_cycle_len", max_cycle_len.into()),
+            ("iters", iters.into()),
+            ("columns", ModelId::ALL.len().into()),
+            ("corpus_tests", tests.len().into()),
+            ("candidates_reduction", Val::Fixed(reduction, 3)),
+        ],
+        rows: vec![
+            row("sequential", seq_seconds, seq_passes, seq_candidates),
+            row("multi", multi_seconds, multi_passes, multi_candidates),
+        ],
     }
-    let json = format!(
-        "{{\n  \"bench\": \"multimodel-single-enumeration\",\n  \
-         \"max_cycle_len\": {max_cycle_len},\n  \"iters\": {iters},\n  \
-         \"columns\": {},\n  \"corpus_tests\": {},\n  \
-         \"candidates_reduction\": {reduction:.3},\n  \"measurements\": [\n{json_entries}\n  ]\n}}\n",
-        ModelId::ALL.len(),
-        tests.len()
-    );
-    std::fs::write("BENCH_MULTIMODEL.json", &json).expect("write BENCH_MULTIMODEL.json");
-    println!("\nwrote BENCH_MULTIMODEL.json");
+    .finish("BENCH_MULTIMODEL.json");
 }

@@ -26,20 +26,12 @@
 //! cargo run --release -p lkmm-bench --bin prune [-- --iters N] [--max-cycle-len L]
 //! ```
 
+use lkmm_bench::{Flag, Report, Row, Val};
 use lkmm_conformance::campaign::{corpus_stream, CampaignConfig};
 use lkmm_exec::{enumerate, EnumOptions, EnumSnapshot, EnumStrategy, Stats};
 use lkmm_litmus::Test;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-
-struct Measurement {
-    max_cycle_len: usize,
-    strategy: &'static str,
-    seconds: f64,
-    tests: usize,
-    snap: EnumSnapshot,
-}
 
 fn corpus_tests(max_cycle_len: usize) -> Vec<Test> {
     let cfg = CampaignConfig { max_cycle_len, contended: true, ..CampaignConfig::default() };
@@ -67,42 +59,18 @@ fn sweep(tests: &[Test], strategy: EnumStrategy, iters: usize) -> (f64, EnumSnap
 }
 
 fn main() {
-    let mut iters = 3usize;
-    let mut max_cycle_len = 6usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--iters" => {
-                iters = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--iters needs a positive integer");
-            }
-            "--max-cycle-len" => {
-                max_cycle_len = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--max-cycle-len needs an integer >= 4");
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: prune [--iters N] [--max-cycle-len L]   \
-                     (timed repetitions per config, default 3; deepest sweep, default 6)"
-                );
-                return;
-            }
-            other => panic!("unknown argument `{other}`"),
-        }
-    }
-    assert!(max_cycle_len >= 4, "--max-cycle-len must be at least 4");
+    let (mut iters, mut max_cycle_len) = (3, 6);
+    lkmm_bench::flags(&mut [
+        Flag::count("--iters", &mut iters, "timed repetitions per config"),
+        Flag::int("--max-cycle-len", &mut max_cycle_len, 4, "deepest sweep"),
+    ]);
 
-    let mut measurements: Vec<Measurement> = Vec::new();
-    for len in [4, max_cycle_len] {
-        // The deep sweep subsumes the shallow one when the requested
-        // maximum is already 4.
-        if measurements.iter().any(|m| m.max_cycle_len == len) {
-            continue;
-        }
+    // The deep sweep subsumes the shallow one when the requested
+    // maximum is already 4.
+    let mut lens = vec![4, max_cycle_len];
+    lens.dedup();
+    let mut rows = Vec::new();
+    for len in lens {
         let tests = corpus_tests(len);
         let (naive_secs, naive_snap) = sweep(&tests, EnumStrategy::Naive, iters);
         let (pruned_secs, pruned_snap) = sweep(&tests, EnumStrategy::Pruned, iters);
@@ -122,75 +90,33 @@ fn main() {
                 "cycle length 4: only {reduction:.2}x candidate reduction (need >= 5x)"
             );
         }
-        measurements.push(Measurement {
-            max_cycle_len: len,
-            strategy: "naive",
-            seconds: naive_secs,
-            tests: tests.len(),
-            snap: naive_snap,
-        });
-        measurements.push(Measurement {
-            max_cycle_len: len,
-            strategy: "pruned",
-            seconds: pruned_secs,
-            tests: tests.len(),
-            snap: pruned_snap,
-        });
+        let naive_leaves = naive_snap.co_leaves_tested as f64;
+        let row = |strategy: &str, seconds: f64, snap: &EnumSnapshot| -> Row {
+            let leaves = snap.co_leaves_tested as f64;
+            vec![
+                ("max_cycle_len", len.into()),
+                ("strategy", strategy.into()),
+                ("seconds", Val::Fixed(seconds, 6)),
+                ("tests", tests.len().into()),
+                ("co_leaves_tested", Val::Int(snap.co_leaves_tested)),
+                ("candidates_emitted", Val::Int(snap.candidates_emitted)),
+                ("rf_prefixes_pruned", Val::Int(snap.rf_prefixes_pruned)),
+                ("co_pairs_saturated", Val::Int(snap.co_pairs_saturated)),
+                ("co_pairs_branched", Val::Int(snap.co_pairs_branched)),
+                ("candidate_reduction_vs_naive", Val::Fixed(naive_leaves / leaves, 3)),
+                ("speedup_vs_naive", Val::Fixed(naive_secs / seconds, 3)),
+            ]
+        };
+        rows.push(row("naive", naive_secs, &naive_snap));
+        rows.push(row("pruned", pruned_secs, &pruned_snap));
     }
-
-    println!(
-        "{:>3} {:8} {:>10} {:>7} {:>12} {:>12} {:>12} {:>9} {:>8}",
-        "len", "strategy", "secs", "tests", "leaves", "emitted", "rf-pruned", "reduction", "speedup"
-    );
-    let mut json_entries = String::new();
-    for m in &measurements {
-        let naive = measurements
-            .iter()
-            .find(|n| n.max_cycle_len == m.max_cycle_len && n.strategy == "naive")
-            .expect("naive twin");
-        let reduction = naive.snap.co_leaves_tested as f64 / m.snap.co_leaves_tested as f64;
-        let speedup = naive.seconds / m.seconds;
-        println!(
-            "{:>3} {:8} {:>10.4} {:>7} {:>12} {:>12} {:>12} {:>8.2}x {:>7.2}x",
-            m.max_cycle_len,
-            m.strategy,
-            m.seconds,
-            m.tests,
-            m.snap.co_leaves_tested,
-            m.snap.candidates_emitted,
-            m.snap.rf_prefixes_pruned,
-            reduction,
-            speedup
-        );
-        if !json_entries.is_empty() {
-            json_entries.push_str(",\n");
-        }
-        write!(
-            json_entries,
-            "    {{\"max_cycle_len\": {}, \"strategy\": \"{}\", \"seconds\": {:.6}, \
-             \"tests\": {}, \"co_leaves_tested\": {}, \"candidates_emitted\": {}, \
-             \"rf_prefixes_pruned\": {}, \"co_pairs_saturated\": {}, \"co_pairs_branched\": {}, \
-             \"candidate_reduction_vs_naive\": {:.3}, \"speedup_vs_naive\": {:.3}}}",
-            m.max_cycle_len,
-            m.strategy,
-            m.seconds,
-            m.tests,
-            m.snap.co_leaves_tested,
-            m.snap.candidates_emitted,
-            m.snap.rf_prefixes_pruned,
-            m.snap.co_pairs_saturated,
-            m.snap.co_pairs_branched,
-            reduction,
-            speedup
-        )
-        .expect("write to string");
+    Report {
+        bench: "enumerator-pruning",
+        params: vec![
+            ("corpus", "library + diy cycles + contended twins".into()),
+            ("iters", iters.into()),
+        ],
+        rows,
     }
-
-    let json = format!(
-        "{{\n  \"bench\": \"enumerator-pruning\",\n  \"corpus\": \"library + diy cycles + \
-         contended twins\",\n  \"iters\": {iters},\n  \
-         \"measurements\": [\n{json_entries}\n  ]\n}}\n"
-    );
-    std::fs::write("BENCH_PRUNE.json", &json).expect("write BENCH_PRUNE.json");
-    println!("\nwrote BENCH_PRUNE.json");
+    .finish("BENCH_PRUNE.json");
 }

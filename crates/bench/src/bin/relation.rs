@@ -22,9 +22,9 @@
 //! allocator, so losing to the scalar loop at any universe size would
 //! mean the kernels regressed.
 
+use lkmm_bench::{Flag, Report, Row, Val};
 use lkmm_core::rng::SplitMix64;
 use lkmm_relation::Relation;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Universes to measure. 8 covers the paper's library tests, 64 a
@@ -57,20 +57,6 @@ fn scatter(n: usize, seed: u64) -> Relation {
         r.insert(a, b);
     }
     r
-}
-
-struct Row {
-    op: &'static str,
-    universe: usize,
-    iters: usize,
-    naive_ns: f64,
-    inplace_ns: f64,
-}
-
-impl Row {
-    fn speedup(&self) -> f64 {
-        self.naive_ns / self.inplace_ns
-    }
 }
 
 /// Best-of-`reps` time for `iters` runs of `f`, in ns per iteration.
@@ -129,7 +115,21 @@ fn naive_closure(r: &Relation) -> Relation {
     out
 }
 
-fn bench_universe(n: usize, reps: usize, rows: &mut Vec<Row>) {
+fn bench_universe(n: usize, reps: usize, rows: &mut Vec<Row>, slower: &mut Vec<String>) {
+    let mut push = |op: &str, iters: usize, naive_ns: f64, inplace_ns: f64| {
+        let speedup = naive_ns / inplace_ns;
+        if speedup < 1.0 {
+            slower.push(format!("{op} at n={n} ({speedup:.2}x)"));
+        }
+        rows.push(vec![
+            ("op", op.into()),
+            ("universe", n.into()),
+            ("iters", iters.into()),
+            ("naive_ns_per_op", Val::Fixed(naive_ns, 1)),
+            ("inplace_ns_per_op", Val::Fixed(inplace_ns, 1)),
+            ("speedup", Val::Fixed(speedup, 3)),
+        ]);
+    };
     // Iteration counts scale with the O(n²) row footprint so every cell
     // measures a comparable amount of work.
     let iters = (2_000_000 / (n * n)).max(64);
@@ -152,7 +152,7 @@ fn bench_universe(n: usize, reps: usize, rows: &mut Vec<Row>) {
         out.union_in_place(&b);
         std::hint::black_box(&out);
     });
-    rows.push(Row { op: "union", universe: n, iters, naive_ns: naive, inplace_ns: inplace });
+    push("union", iters, naive, inplace);
 
     // seq: successor walks vs the O(n³/64) row-OR composition every
     // fixpoint is made of.
@@ -167,7 +167,7 @@ fn bench_universe(n: usize, reps: usize, rows: &mut Vec<Row>) {
         a.seq_into(&b, &mut out);
         std::hint::black_box(&out);
     });
-    rows.push(Row { op: "seq", universe: n, iters: seq_iters, naive_ns: naive, inplace_ns: inplace });
+    push("seq", seq_iters, naive, inplace);
 
     // transitive closure: bit-level Warshall vs the row-OR kernel with
     // a reused scratch row — the hb*/pb*/rcu fixpoint workhorse.
@@ -185,72 +185,19 @@ fn bench_universe(n: usize, reps: usize, rows: &mut Vec<Row>) {
         out.transitive_close_with(&mut scratch);
         std::hint::black_box(&out);
     });
-    rows.push(Row {
-        op: "closure",
-        universe: n,
-        iters: close_iters,
-        naive_ns: naive,
-        inplace_ns: inplace,
-    });
+    push("closure", close_iters, naive, inplace);
 }
 
 fn main() {
-    let mut reps = 7usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--reps" => {
-                reps = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--reps needs a positive integer");
-            }
-            "--help" | "-h" => {
-                println!("usage: relation [--reps N]   (best-of repetitions per cell, default 7)");
-                return;
-            }
-            other => panic!("unknown argument `{other}`"),
-        }
-    }
+    let mut reps = 7;
+    lkmm_bench::flags(&mut [Flag::count("--reps", &mut reps, "best-of repetitions per cell")]);
 
-    let mut rows = Vec::new();
+    let (mut rows, mut slower) = (Vec::new(), Vec::new());
     for n in UNIVERSES {
-        bench_universe(n, reps, &mut rows);
+        bench_universe(n, reps, &mut rows, &mut slower);
     }
-
-    println!("{:10} {:>9} {:>12} {:>14} {:>9}", "op", "universe", "naive ns/op", "inplace ns/op", "speedup");
-    let mut json_entries = String::new();
-    let mut slower = Vec::new();
-    for r in &rows {
-        println!(
-            "{:10} {:>9} {:>12.1} {:>14.1} {:>8.2}x",
-            r.op,
-            r.universe,
-            r.naive_ns,
-            r.inplace_ns,
-            r.speedup()
-        );
-        if r.speedup() < 1.0 {
-            slower.push(format!("{} at n={} ({:.2}x)", r.op, r.universe, r.speedup()));
-        }
-        if !json_entries.is_empty() {
-            json_entries.push_str(",\n");
-        }
-        write!(
-            json_entries,
-            "    {{\"op\": \"{}\", \"universe\": {}, \"iters\": {}, \
-             \"naive_ns_per_op\": {:.1}, \"inplace_ns_per_op\": {:.1}, \"speedup\": {:.3}}}",
-            r.op, r.universe, r.iters, r.naive_ns, r.inplace_ns, r.speedup()
-        )
-        .expect("write to string");
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"relation-kernels\",\n  \"reps\": {reps},\n  \
-         \"measurements\": [\n{json_entries}\n  ]\n}}\n"
-    );
-    std::fs::write("BENCH_RELATION.json", &json).expect("write BENCH_RELATION.json");
-    println!("\nwrote BENCH_RELATION.json");
+    Report { bench: "relation-kernels", params: vec![("reps", reps.into())], rows }
+        .finish("BENCH_RELATION.json");
 
     assert!(
         slower.is_empty(),

@@ -21,21 +21,13 @@
 //! cargo run --release -p lkmm-bench --bin resume [-- --iters N] [--max-cycle-len L]
 //! ```
 
+use lkmm_bench::{pass_stats, Flag, Report, Row, Val};
 use lkmm_conformance::{
     corpus_stream, json_report, run_campaign, CampaignConfig, CampaignError, ResilienceConfig,
     SimConfig,
 };
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-
-struct Measurement {
-    config: &'static str,
-    seconds: f64,
-    tests: usize,
-    hits: usize,
-    candidates_enumerated: usize,
-}
 
 fn campaign_config(max_cycle_len: usize, store: &Path, ckpt: &Path) -> CampaignConfig {
     CampaignConfig {
@@ -52,33 +44,11 @@ fn campaign_config(max_cycle_len: usize, store: &Path, ckpt: &Path) -> CampaignC
 }
 
 fn main() {
-    let mut iters = 3usize;
-    let mut max_cycle_len = 4usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--iters" => {
-                iters = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--iters needs a positive integer");
-            }
-            "--max-cycle-len" => {
-                max_cycle_len = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--max-cycle-len needs a non-negative integer");
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: resume [--iters N] [--max-cycle-len L]   \
-                     (timed repetitions per config, default 3; cycle length, default 4)"
-                );
-                return;
-            }
-            other => panic!("unknown argument `{other}`"),
-        }
-    }
+    let (mut iters, mut max_cycle_len) = (3, 4);
+    lkmm_bench::flags(&mut [
+        Flag::count("--iters", &mut iters, "timed repetitions per config"),
+        Flag::int("--max-cycle-len", &mut max_cycle_len, 0, "cycle length"),
+    ]);
 
     let tmp = std::env::temp_dir();
     let pid = std::process::id();
@@ -107,9 +77,7 @@ fn main() {
         assert!(!report.degraded(), "cold campaign quarantined units");
         if i == 0 {
             cold_json = json_report(&report, &cold_cfg).to_string();
-            cold_hits = report.models.iter().map(|m| m.pass.hits).sum();
-            cold_enumerated =
-                report.models.iter().map(|m| m.pass.candidates_enumerated).sum();
+            (_, cold_enumerated, cold_hits, _) = pass_stats(&report);
         }
     }
 
@@ -136,9 +104,7 @@ fn main() {
         assert_eq!(report.resumed_at, Some(suspend_at), "resume missed the checkpoint");
         let resume_json = json_report(&report, &resume_cfg).to_string();
         assert_eq!(resume_json, cold_json, "resumed report differs from cold");
-        resume_hits = report.models.iter().map(|m| m.pass.hits).sum();
-        resume_enumerated =
-            report.models.iter().map(|m| m.pass.candidates_enumerated).sum();
+        (_, resume_enumerated, resume_hits, _) = pass_stats(&report);
         assert!(resume_enumerated > 0, "the tail must compute fresh");
         assert!(
             resume_enumerated < cold_enumerated / 2,
@@ -159,51 +125,29 @@ fn main() {
         100.0 * ratio
     );
 
-    let measurements = [
-        Measurement {
-            config: "cold",
-            seconds: cold_avg,
-            tests: total,
-            hits: cold_hits,
-            candidates_enumerated: cold_enumerated,
-        },
-        Measurement {
-            config: "resume",
-            seconds: resume_avg,
-            tests: total,
-            hits: resume_hits,
-            candidates_enumerated: resume_enumerated,
-        },
-    ];
-
-    println!(
-        "{:8} {:>10} {:>8} {:>8} {:>9} {:>13}",
-        "config", "secs", "tests", "hits", "cands", "frac-of-cold"
-    );
-    let mut json_entries = String::new();
-    for m in &measurements {
-        let frac = m.seconds / cold_avg;
-        println!(
-            "{:8} {:>10.5} {:>8} {:>8} {:>9} {:>12.1}%",
-            m.config, m.seconds, m.tests, m.hits, m.candidates_enumerated, 100.0 * frac
-        );
-        if !json_entries.is_empty() {
-            json_entries.push_str(",\n");
-        }
-        write!(
-            json_entries,
-            "    {{\"config\": \"{}\", \"seconds\": {:.6}, \"tests\": {}, \"hits\": {}, \
-             \"candidates_enumerated\": {}, \"fraction_of_cold\": {:.4}}}",
-            m.config, m.seconds, m.tests, m.hits, m.candidates_enumerated, frac
-        )
-        .expect("write to string");
+    let row = |config: &str, seconds: f64, hits: usize, enumerated: usize| -> Row {
+        vec![
+            ("config", config.into()),
+            ("seconds", Val::Fixed(seconds, 6)),
+            ("tests", total.into()),
+            ("hits", hits.into()),
+            ("candidates_enumerated", enumerated.into()),
+            ("fraction_of_cold", Val::Fixed(seconds / cold_avg, 4)),
+        ]
+    };
+    Report {
+        bench: "conformance-resume",
+        params: vec![
+            ("max_cycle_len", max_cycle_len.into()),
+            ("iters", iters.into()),
+            ("corpus_total", total.into()),
+            ("suspended_at", suspend_at.into()),
+            ("resume_budget_fraction", Val::Fixed(0.15, 2)),
+        ],
+        rows: vec![
+            row("cold", cold_avg, cold_hits, cold_enumerated),
+            row("resume", resume_avg, resume_hits, resume_enumerated),
+        ],
     }
-
-    let json = format!(
-        "{{\n  \"bench\": \"conformance-resume\",\n  \"max_cycle_len\": {max_cycle_len},\n  \
-         \"iters\": {iters},\n  \"corpus_total\": {total},\n  \"suspended_at\": {suspend_at},\n  \
-         \"resume_budget_fraction\": 0.15,\n  \"measurements\": [\n{json_entries}\n  ]\n}}\n"
-    );
-    std::fs::write("BENCH_RESUME.json", &json).expect("write BENCH_RESUME.json");
-    println!("\nwrote BENCH_RESUME.json");
+    .finish("BENCH_RESUME.json");
 }

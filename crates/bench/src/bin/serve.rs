@@ -45,12 +45,12 @@
 //! ```
 
 use lkmm::Lkmm;
+use lkmm_bench::{Flag, Report, Row, Val};
 use lkmm_core::rng::SplitMix64;
 use lkmm_exec::{TestResult, Verdict};
 use lkmm_litmus::parse;
 use lkmm_server::{serve_tcp, ServerConfig};
 use lkmm_service::{MultiBatchChecker, MultiColumn, ShardedStore, VerdictStore};
-use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -63,14 +63,6 @@ const SALT: &str = "bench-serve";
 
 /// The acceptance target; met where the host can overlap fsyncs.
 const TARGET_SCALING: f64 = 2.5;
-
-struct Measurement {
-    config: &'static str,
-    shards: usize,
-    clients: usize,
-    seconds: f64,
-    tests: usize,
-}
 
 /// One tiny single-thread test. The store key hashes the *canonical*
 /// form (names are alpha-renamed away), so distinctness comes from the
@@ -266,32 +258,12 @@ fn word(seed: u64) -> u128 {
 }
 
 fn main() {
-    let mut iters = 3usize;
-    let mut tests = 512usize;
-    let mut clients = 4usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut count = |flag: &str| {
-            args.next()
-                .and_then(|s| s.parse::<usize>().ok())
-                .filter(|n| *n >= 1)
-                .unwrap_or_else(|| panic!("{flag} wants a positive integer"))
-        };
-        match arg.as_str() {
-            "--iters" => iters = count("--iters"),
-            "--tests" => tests = count("--tests"),
-            "--clients" => clients = count("--clients"),
-            "--help" | "-h" => {
-                println!(
-                    "usage: serve [--iters N] [--tests N] [--clients N]   \
-                     (timed repetitions, default 3; corpus size, default 512; \
-                     concurrent clients, default 4)"
-                );
-                return;
-            }
-            other => panic!("unknown argument `{other}`"),
-        }
-    }
+    let (mut iters, mut tests, mut clients) = (3, 512, 4);
+    lkmm_bench::flags(&mut [
+        Flag::count("--iters", &mut iters, "timed repetitions"),
+        Flag::count("--tests", &mut tests, "corpus size"),
+        Flag::count("--clients", &mut clients, "concurrent clients"),
+    ]);
 
     let cpus = thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let sources: Vec<String> = (0..tests).map(source).collect();
@@ -322,56 +294,6 @@ fn main() {
     let stream_rates: Vec<f64> =
         stream_counts.iter().map(|&k| fsync_stream_rate(k, 128)).collect();
 
-    let measurements = [
-        Measurement { config: "sequential", shards: 0, clients: 1, seconds: seq_seconds, tests },
-        Measurement { config: "serve-1shard", shards: 1, clients, seconds: serve_secs[0], tests },
-        Measurement { config: "serve-4shard", shards: 4, clients, seconds: serve_secs[1], tests },
-        Measurement { config: "store-1shard", shards: 1, clients, seconds: store_secs[0], tests },
-        Measurement { config: "store-4shard", shards: 4, clients, seconds: store_secs[1], tests },
-    ];
-
-    println!(
-        "{:14} {:>7} {:>8} {:>10} {:>12} {:>9}",
-        "config", "shards", "clients", "secs", "tests/sec", "scaling"
-    );
-    let mut json_entries = String::new();
-    for m in &measurements {
-        let throughput = m.tests as f64 / m.seconds;
-        let vs_1shard = match m.config {
-            "serve-4shard" => scaling,
-            "store-4shard" => store_scaling,
-            _ => 1.0,
-        };
-        println!(
-            "{:14} {:>7} {:>8} {:>10.5} {:>12.0} {:>8.2}x",
-            m.config, m.shards, m.clients, m.seconds, throughput, vs_1shard
-        );
-        if !json_entries.is_empty() {
-            json_entries.push_str(",\n");
-        }
-        write!(
-            json_entries,
-            "    {{\"config\": \"{}\", \"shards\": {}, \"clients\": {}, \
-             \"seconds\": {:.6}, \"tests\": {}, \"tests_per_sec\": {:.1}, \
-             \"scaling_vs_1shard\": {:.3}}}",
-            m.config, m.shards, m.clients, m.seconds, m.tests, throughput, vs_1shard
-        )
-        .expect("write to string");
-    }
-
-    let mut streams_json = String::new();
-    for (k, rate) in stream_counts.iter().zip(&stream_rates) {
-        if !streams_json.is_empty() {
-            streams_json.push_str(", ");
-        }
-        write!(
-            streams_json,
-            "{{\"streams\": {k}, \"puts_per_sec\": {rate:.0}, \"vs_1_stream\": {:.3}}}",
-            rate / stream_rates[0]
-        )
-        .expect("write to string");
-    }
-
     // Sharding must never cost throughput (beyond timing noise: on a
     // 1-CPU host with a small corpus, compute dominates and the true
     // ratio is ~1.0); byte-identity was asserted inside every round.
@@ -386,6 +308,56 @@ fn main() {
     );
     let met = scaling >= TARGET_SCALING;
     let fsync_ceiling = stream_rates[2] / stream_rates[0];
+
+    let row = |config: &str, shards: usize, clients: usize, seconds: f64, vs_1shard: f64| -> Row {
+        vec![
+            ("config", config.into()),
+            ("shards", shards.into()),
+            ("clients", clients.into()),
+            ("seconds", Val::Fixed(seconds, 6)),
+            ("tests", tests.into()),
+            ("tests_per_sec", Val::Fixed(tests as f64 / seconds, 1)),
+            ("scaling_vs_1shard", Val::Fixed(vs_1shard, 3)),
+        ]
+    };
+    let streams = stream_counts.iter().zip(&stream_rates).map(|(&k, rate)| {
+        Val::Obj(vec![
+            ("streams", k.into()),
+            ("puts_per_sec", Val::Fixed(*rate, 0)),
+            ("vs_1_stream", Val::Fixed(rate / stream_rates[0], 3)),
+        ])
+    });
+    Report {
+        bench: "serve",
+        params: vec![
+            ("tests", tests.into()),
+            ("clients", clients.into()),
+            ("workers", Val::Int(4)),
+            ("iters", iters.into()),
+            ("durable", Val::Bool(true)),
+            ("byte_identical_to_sequential", Val::Bool(true)),
+            ("scaling_1_to_4_shards", Val::Fixed(scaling, 3)),
+            ("store_scaling_1_to_4_shards", Val::Fixed(store_scaling, 3)),
+            (
+                "bar",
+                Val::Obj(vec![
+                    ("target_scaling", Val::Fixed(TARGET_SCALING, 1)),
+                    ("met", Val::Bool(met)),
+                    ("host_cpus", cpus.into()),
+                    ("host_fsync_stream_scaling_at_4", Val::Fixed(fsync_ceiling, 3)),
+                ]),
+            ),
+            ("fsync_stream_scaling", Val::List(streams.collect())),
+        ],
+        rows: vec![
+            row("sequential", 0, 1, seq_seconds, 1.0),
+            row("serve-1shard", 1, clients, serve_secs[0], 1.0),
+            row("serve-4shard", 4, clients, serve_secs[1], scaling),
+            row("store-1shard", 1, clients, store_secs[0], 1.0),
+            row("store-4shard", 4, clients, store_secs[1], store_scaling),
+        ],
+    }
+    .finish("BENCH_SERVE.json");
     if !met {
         println!(
             "\nNOTE: target {TARGET_SCALING}x not reachable on this host \
@@ -394,19 +366,4 @@ fn main() {
              {scaling:.2}x, store-only {store_scaling:.2}x."
         );
     }
-
-    let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"tests\": {tests},\n  \"clients\": {clients},\n  \
-         \"workers\": 4,\n  \"iters\": {iters},\n  \"durable\": true,\n  \
-         \"byte_identical_to_sequential\": true,\n  \
-         \"scaling_1_to_4_shards\": {scaling:.3},\n  \
-         \"store_scaling_1_to_4_shards\": {store_scaling:.3},\n  \
-         \"bar\": {{\"target_scaling\": {TARGET_SCALING}, \"met\": {met}, \
-         \"host_cpus\": {cpus}, \
-         \"host_fsync_stream_scaling_at_4\": {fsync_ceiling:.3}}},\n  \
-         \"fsync_stream_scaling\": [{streams_json}],\n  \
-         \"measurements\": [\n{json_entries}\n  ]\n}}\n"
-    );
-    std::fs::write("BENCH_SERVE.json", &json).expect("write BENCH_SERVE.json");
-    println!("\nwrote BENCH_SERVE.json");
 }

@@ -39,10 +39,10 @@
 //! records `hardware_threads` so results are interpretable.
 
 use lkmm::Lkmm;
+use lkmm_bench::{stress_test, Flag, Report, Val};
 use lkmm_exec::enumerate::EnumOptions;
 use lkmm_exec::{check, check_test, effective_jobs, PipelineOptions, TestResult};
 use lkmm_litmus::ast::Test;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 enum BenchModel {
@@ -54,36 +54,6 @@ struct Workload {
     name: &'static str,
     model: BenchModel,
     tests: Vec<Test>,
-}
-
-/// A wide single-location test: `threads` writers × `reads` reads each,
-/// giving a combinatorial rf/co space with cheap per-candidate
-/// enumeration — the shape where the worker pool pays off.
-fn stress_test(threads: usize, reads: usize) -> Test {
-    let mut src = format!("C stress-{threads}w{reads}r\n{{ x=0; }}\n");
-    for i in 0..threads {
-        let mut decls = String::new();
-        let mut body = format!("WRITE_ONCE(*x, {}); ", i + 1);
-        for r in 0..reads {
-            decls.push_str(&format!("int r{r}; "));
-            body.push_str(&format!("r{r} = READ_ONCE(*x); "));
-        }
-        src.push_str(&format!("P{i}(int *x) {{ {decls}{body}}}\n"));
-    }
-    src.push_str("exists (0:r0=1)\n");
-    lkmm_litmus::parse(&src).expect("stress test parses")
-}
-
-struct Measurement {
-    workload: &'static str,
-    config: String,
-    jobs: usize,
-    /// Median seconds per workload pass across repetitions.
-    seconds: f64,
-    /// Median of the per-repetition paired ratios against sequential
-    /// (so `sequential` itself reports exactly 1.0).
-    speedup: f64,
-    candidates: usize,
 }
 
 fn workloads() -> Vec<Workload> {
@@ -147,35 +117,11 @@ fn time_config(
 const SAMPLE_TARGET_SECS: f64 = 0.1;
 
 fn main() {
-    let mut iters = 3usize;
-    let mut assert_bar: Option<f64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--iters" => {
-                iters = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--iters needs a positive integer");
-            }
-            "--assert-bar" => {
-                assert_bar = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--assert-bar needs a number"),
-                );
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: sweep [--iters N] [--assert-bar X]\n  \
-                     --iters N       best-of repetitions per config (default 3)\n  \
-                     --assert-bar X  exit 1 if any pipeline-j2 speedup < X"
-                );
-                return;
-            }
-            other => panic!("unknown argument `{other}`"),
-        }
-    }
+    let (mut iters, mut assert_bar) = (3, None);
+    lkmm_bench::flags(&mut [
+        Flag::count("--iters", &mut iters, "best-of repetitions per config"),
+        Flag::number("--assert-bar", &mut assert_bar, "exit 1 if any pipeline-j2 speedup < X"),
+    ]);
 
     let opts = EnumOptions::default();
     let hw = effective_jobs(0);
@@ -188,7 +134,8 @@ fn main() {
         v
     };
 
-    let mut measurements: Vec<Measurement> = Vec::new();
+    let mut rows = Vec::new();
+    let mut below = Vec::new();
     for w in workloads() {
         let native;
         let cat;
@@ -258,54 +205,33 @@ fn main() {
                 .zip(config_samples)
                 .map(|(seq, s)| seq / s)
                 .collect();
-            measurements.push(Measurement {
-                workload: w.name,
-                config: name.clone(),
-                jobs: *jobs,
-                seconds: median(config_samples),
-                speedup: median(&ratios),
-                candidates,
-            });
+            let (seconds, speedup) = (median(config_samples), median(&ratios));
+            if name == "pipeline-j2" && assert_bar.is_some_and(|bar| speedup < bar) {
+                below.push(format!("{} ({speedup:.3}x)", w.name));
+            }
+            rows.push(vec![
+                ("workload", w.name.into()),
+                ("config", name.as_str().into()),
+                ("jobs", (*jobs).into()),
+                ("seconds", Val::Fixed(seconds, 6)),
+                ("candidates", candidates.into()),
+                ("candidates_per_sec", Val::Fixed(candidates as f64 / seconds, 1)),
+                ("speedup_vs_sequential", Val::Fixed(speedup, 3)),
+            ]);
         }
     }
-
-    // Human-readable table.
-    println!("{:18} {:14} {:>10} {:>14} {:>9}", "workload", "config", "secs", "cands/sec", "speedup");
-    let mut json_entries = String::new();
-    for m in &measurements {
-        let speedup = m.speedup;
-        let throughput = m.candidates as f64 / m.seconds;
-        println!(
-            "{:18} {:14} {:>10.4} {:>14.0} {:>8.2}x",
-            m.workload, m.config, m.seconds, throughput, speedup
-        );
-        if !json_entries.is_empty() {
-            json_entries.push_str(",\n");
-        }
-        write!(
-            json_entries,
-            "    {{\"workload\": \"{}\", \"config\": \"{}\", \"jobs\": {}, \
-             \"seconds\": {:.6}, \"candidates\": {}, \"candidates_per_sec\": {:.1}, \
-             \"speedup_vs_sequential\": {:.3}}}",
-            m.workload, m.config, m.jobs, m.seconds, m.candidates, throughput, speedup
-        )
-        .expect("write to string");
+    Report {
+        bench: "pipeline-sweep",
+        params: vec![
+            ("model", "LKMM".into()),
+            ("hardware_threads", hw.into()),
+            ("iters", iters.into()),
+        ],
+        rows,
     }
-
-    let json = format!(
-        "{{\n  \"bench\": \"pipeline-sweep\",\n  \"model\": \"LKMM\",\n  \
-         \"hardware_threads\": {hw},\n  \"iters\": {iters},\n  \"measurements\": [\n{json_entries}\n  ]\n}}\n"
-    );
-    std::fs::write("BENCH_PIPELINE.json", &json).expect("write BENCH_PIPELINE.json");
-    println!("\nwrote BENCH_PIPELINE.json");
+    .finish("BENCH_PIPELINE.json");
 
     if let Some(bar) = assert_bar {
-        let mut below = Vec::new();
-        for m in measurements.iter().filter(|m| m.config == "pipeline-j2") {
-            if m.speedup < bar {
-                below.push(format!("{} ({:.3}x)", m.workload, m.speedup));
-            }
-        }
         if !below.is_empty() {
             eprintln!("sweep: pipeline-j2 speedup below the {bar} bar: {}", below.join(", "));
             std::process::exit(1);
