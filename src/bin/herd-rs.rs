@@ -73,7 +73,8 @@
 //! copy without touching the source, `merge` folds one store into
 //! another (source wins on conflicting keys; `--shards N` promotes
 //! into an N-way family), and `stats` breaks a store down per shard
-//! (records, superseded, quarantine state, total index size). Every
+//! (records, superseded, wrong magic, total index size), reading only:
+//! it repairs nothing and a missing family member exits 5. Every
 //! verb discovers sharded families on disk and walks all members. All
 //! verbs take the store's advisory lock; a store held by a live
 //! process exits 9.
@@ -1191,32 +1192,28 @@ fn store_cmd_mode(cli: &Cli) -> ExitCode {
             if shards == 1 && !Path::new(path).exists() {
                 return fail_code(EXIT_STORE, &format!("store stats: {path}: no such store"));
             }
-            let store = match ShardedStore::open(path, shards) {
-                Ok(s) => s,
-                Err(e) => return store_fail(&format!("store stats: {path}"), &e),
-            };
-            let (mut records, mut superseded, mut quarantined) = (0usize, 0usize, 0usize);
-            for st in store.stats() {
-                records += st.records;
-                superseded += st.superseded;
-                quarantined += st.quarantined as usize;
-                let member = st
-                    .path
-                    .as_deref()
-                    .map(|p| p.display().to_string())
-                    .unwrap_or_else(|| path.clone());
+            // Scrub without repair reads each member and changes nothing,
+            // so a missing member fails instead of being created.
+            let (mut records, mut superseded, mut wrong_magic) = (0usize, 0usize, 0usize);
+            for (shard, member) in ShardedStore::shard_paths(Path::new(path), shards).iter().enumerate() {
+                let member = member.display().to_string();
+                let r = match VerdictStore::scrub(&member, false) {
+                    Ok(r) => r,
+                    Err(e) => return store_fail(&format!("store stats: {member}"), &e),
+                };
+                records += r.distinct_keys;
+                superseded += r.superseded;
+                wrong_magic += r.wrong_magic as usize;
                 println!(
-                    "{member}: shard {} of {}: {} records, {} superseded{}",
-                    st.shard,
-                    shards,
-                    st.records,
-                    st.superseded,
-                    if st.quarantined { ", quarantined contents" } else { "" }
+                    "{member}: shard {shard} of {shards}: {} records, {} superseded{}",
+                    r.distinct_keys,
+                    r.superseded,
+                    if r.wrong_magic { ", wrong magic" } else { "" }
                 );
             }
             println!(
                 "{path}: {shards} shard(s), {records} distinct keys in the index, \
-                 {superseded} superseded frames, {quarantined} quarantined"
+                 {superseded} superseded frames, {wrong_magic} with wrong magic"
             );
             ExitCode::SUCCESS
         }

@@ -350,3 +350,71 @@ fn store_open_failures_name_the_path_once() {
     cleanup(Path::new(family));
     cleanup(Path::new(source));
 }
+
+/// `herd-rs store stats PATH`, which must only read.
+fn store_stats(path: &Path) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_herd-rs"))
+        .args(["store", "stats", path.to_str().unwrap()])
+        .env_remove("LKMM_FAULTPOINTS")
+        .stdin(std::process::Stdio::null())
+        .output()
+        .unwrap()
+}
+
+/// Over a log with the wrong magic, `store stats` reports the member and
+/// leaves the file where it is.
+#[test]
+fn store_stats_leaves_a_wrong_magic_log_in_place() {
+    let junk = temp_base("stats-junk");
+    let corrupt = PathBuf::from(format!("{}.corrupt", junk.display()));
+    std::fs::write(&junk, "junk, not a verdict store\n").unwrap();
+    let out = store_stats(&junk);
+    let moved = corrupt.exists();
+    let _ = std::fs::remove_file(&corrupt);
+    assert_eq!(std::fs::read_to_string(&junk).unwrap(), "junk, not a verdict store\n");
+    assert!(!moved, "stats quarantined the log");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains(": shard 0 of 1: 0 records, 0 superseded, wrong magic\n"), "{stdout}");
+    assert!(stdout.ends_with(" 0 superseded frames, 1 with wrong magic\n"), "{stdout}");
+    cleanup(&junk);
+}
+
+/// Over a log with a torn tail, `store stats` counts the valid frames
+/// and cuts nothing.
+#[test]
+fn store_stats_leaves_a_torn_tail_in_place() {
+    let torn = temp_base("stats-torn");
+    sequential_library(&torn);
+    let mut bytes = std::fs::read(&torn).unwrap();
+    bytes.extend_from_slice(b"abc");
+    std::fs::write(&torn, &bytes).unwrap();
+    let out = store_stats(&torn);
+    assert_eq!(std::fs::read(&torn).unwrap(), bytes, "stats changed a torn log");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(out.status.success(), "{stdout}");
+    let total =
+        " 1 shard(s), 32 distinct keys in the index, 0 superseded frames, 0 with wrong magic";
+    assert!(stdout.ends_with(&format!("{total}\n")), "{stdout}");
+    cleanup(&torn);
+}
+
+/// Over a family missing a member, `store stats` exits 5 naming that
+/// member and does not create it.
+#[test]
+fn store_stats_refuses_a_family_missing_a_member() {
+    let source = temp_base("stats-source");
+    sequential_library(&source);
+    let family = temp_base("stats-family");
+    ShardedStore::merge_into_shards(&family, 4, &source).unwrap();
+    let missing = &ShardedStore::shard_paths(&family, 4)[2];
+    std::fs::remove_file(missing).unwrap();
+    let out = store_stats(&family);
+    let created = missing.exists();
+    cleanup(&source);
+    cleanup(&family);
+    assert!(!created, "stats created the missing member");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(5), "{stderr}");
+    assert!(stderr.contains(&format!("store stats: {}: ", missing.display())), "{stderr}");
+}
