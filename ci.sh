@@ -481,6 +481,22 @@ for I in 0 1; do printf 'junk in shard %s\n' "$I" > "$QUAR.shard${I}of4"; done
 "$BIN" store scrub --repair "$QUAR" > /dev/null
 for I in 0 1; do printf 'junk in shard %s\n' "$I" | cmp - "$QUAR.shard${I}of4.corrupt"; done
 rm -f "$QUAR".* /tmp/lkmm-ci-quarantine.err
+# `store stats` only reads: a log with the wrong magic and one with a
+# torn tail keep every byte, and neither is moved aside.
+STATS_JUNK=/tmp/lkmm-ci-stats-junk.bin
+STATS_TORN=/tmp/lkmm-ci-stats-torn.bin
+rm -f "$STATS_JUNK" "$STATS_JUNK".* "$STATS_TORN" "$STATS_TORN".*
+printf 'junk, not a verdict store\n' > "$STATS_JUNK"
+cp "$MAINT_A" "$STATS_TORN"
+printf 'abc' >> "$STATS_TORN"
+cp "$STATS_TORN" "$STATS_TORN.want"
+"$BIN" store stats "$STATS_JUNK" | grep -q ', 1 with wrong magic$'
+"$BIN" store stats "$STATS_TORN" | grep -q ', 0 with wrong magic$'
+printf 'junk, not a verdict store\n' | cmp - "$STATS_JUNK"
+cmp "$STATS_TORN.want" "$STATS_TORN"
+test ! -e "$STATS_JUNK.corrupt"
+test ! -e "$STATS_TORN.corrupt"
+rm -f "$STATS_JUNK" "$STATS_TORN" "$STATS_TORN.want"
 rm -f "$MAINT_A" "$MAINT_B" "$MAINT_M" /tmp/lkmm-maint-cold.out /tmp/lkmm-maint-warm.out \
     /tmp/lkmm-maint-warm.err /tmp/lkmm-maint-merged.out /tmp/lkmm-maint-merged.err
 
@@ -566,13 +582,32 @@ rm -f "$SRV_STORE" "$SRV_STORE".shard* "$SEQ_STORE" /tmp/lkmm-srv.err /tmp/lkmm-
     /tmp/lkmm-ci-srv-family.exp \
     /tmp/lkmm-ci-srv-seq.exp /tmp/lkmm-ci-srv-stats.out /tmp/lkmm-ci-srv-quota.out
 
+echo "== bench command lines: a bad flag or a zero count exits 2, --help exits 0 =="
+# One build for the ten benches of the legs below. Each bench's flags go
+# through the shared harness; nothing here is timed, and the runs sit in
+# a scratch directory so no BENCH_*.json can land in the repo.
+cargo build --release -q -p lkmm-bench --bins
+REPO_ROOT=$(pwd)
+BENCH_DIR=$(mktemp -d /tmp/lkmm-bench-flags.XXXXXX)
+for B in algorithms budget cache conformance multimodel prune relation resume serve sweep; do
+    COUNT=--iters
+    if [ "$B" = relation ]; then COUNT=--reps; fi
+    STATUS=0
+    ( cd "$BENCH_DIR" && "$REPO_ROOT/target/release/$B" --bogus > /dev/null 2>&1 ) || STATUS=$?
+    test "$STATUS" -eq 2
+    STATUS=0
+    ( cd "$BENCH_DIR" && "$REPO_ROOT/target/release/$B" "$COUNT" 0 > /dev/null 2>&1 ) || STATUS=$?
+    test "$STATUS" -eq 2
+    ( cd "$BENCH_DIR" && "$REPO_ROOT/target/release/$B" --help > /dev/null )
+done
+test -z "$(ls -A "$BENCH_DIR")"
+rm -rf "$BENCH_DIR"
+
 echo "== budget-overhead bench: governed vs ungoverned =="
 # Run from /tmp so a noisy CI box exercises the bench (and its
 # identical-results assertions) without clobbering the recorded
 # BENCH_BUDGET.json; regenerate that deliberately, from the repo root.
 BENCH_DIR=$(mktemp -d /tmp/lkmm-bench-budget.XXXXXX)
-REPO_ROOT=$(pwd)
-cargo build --release -q -p lkmm-bench --bin budget
 ( cd "$BENCH_DIR" && "$REPO_ROOT/target/release/budget" --iters 10 )
 rm -rf "$BENCH_DIR"
 
@@ -581,7 +616,6 @@ echo "== conformance bench: cold vs store-warm campaign throughput =="
 # campaigns and pure warm replay, the recorded BENCH_CONFORMANCE.json is
 # regenerated deliberately from the repo root.
 BENCH_DIR=$(mktemp -d /tmp/lkmm-bench-conformance.XXXXXX)
-cargo build --release -q -p lkmm-bench --bin conformance
 ( cd "$BENCH_DIR" && "$REPO_ROOT/target/release/conformance" --iters 3 )
 rm -rf "$BENCH_DIR"
 
@@ -590,7 +624,6 @@ echo "== multi-model bench: single enumeration vs sequential columns =="
 # reduction; the recorded BENCH_MULTIMODEL.json is regenerated
 # deliberately from the repo root.
 BENCH_DIR=$(mktemp -d /tmp/lkmm-bench-multimodel.XXXXXX)
-cargo build --release -q -p lkmm-bench --bin multimodel
 ( cd "$BENCH_DIR" && "$REPO_ROOT/target/release/multimodel" --iters 3 )
 rm -rf "$BENCH_DIR"
 
@@ -600,7 +633,6 @@ echo "== pruning bench: consistency-driven vs generate-then-judge enumeration ==
 # cycle length 4; the recorded BENCH_PRUNE.json (which sweeps to length
 # 6) is regenerated deliberately from the repo root.
 BENCH_DIR=$(mktemp -d /tmp/lkmm-bench-prune.XXXXXX)
-cargo build --release -q -p lkmm-bench --bin prune
 ( cd "$BENCH_DIR" && "$REPO_ROOT/target/release/prune" --iters 1 --max-cycle-len 5 )
 rm -rf "$BENCH_DIR"
 
@@ -609,7 +641,6 @@ echo "== algorithms bench: cold vs store-warm family campaign =="
 # cold/warm report identity over the algorithm families; the recorded
 # BENCH_ALGOS.json is regenerated deliberately from the repo root.
 BENCH_DIR=$(mktemp -d /tmp/lkmm-bench-algorithms.XXXXXX)
-cargo build --release -q -p lkmm-bench --bin algorithms
 ( cd "$BENCH_DIR" && "$REPO_ROOT/target/release/algorithms" --iters 3 )
 rm -rf "$BENCH_DIR"
 
@@ -618,7 +649,6 @@ echo "== cache bench: uncached vs cold vs warm verdict store =="
 # passes and that the warm pass computes nothing; the recorded
 # BENCH_CACHE.json is regenerated deliberately from the repo root.
 BENCH_DIR=$(mktemp -d /tmp/lkmm-bench-cache.XXXXXX)
-cargo build --release -q -p lkmm-bench --bin cache
 ( cd "$BENCH_DIR" && "$REPO_ROOT/target/release/cache" --iters 3 )
 rm -rf "$BENCH_DIR"
 
@@ -628,7 +658,6 @@ echo "== resume bench: checkpoint restart vs cold campaign =="
 # campaign; the recorded BENCH_RESUME.json is regenerated deliberately
 # from the repo root.
 BENCH_DIR=$(mktemp -d /tmp/lkmm-bench-resume.XXXXXX)
-cargo build --release -q -p lkmm-bench --bin resume
 ( cd "$BENCH_DIR" && "$REPO_ROOT/target/release/resume" --iters 3 )
 rm -rf "$BENCH_DIR"
 
@@ -638,7 +667,6 @@ echo "== serve bench: 4 concurrent clients, shard scaling, byte-identity =="
 # recorded BENCH_SERVE.json is regenerated deliberately from the repo
 # root (the scaling ceiling is host-dependent — see EXPERIMENTS.md).
 BENCH_DIR=$(mktemp -d /tmp/lkmm-bench-serve.XXXXXX)
-cargo build --release -q -p lkmm-bench --bin serve
 ( cd "$BENCH_DIR" && "$REPO_ROOT/target/release/serve" --iters 2 --tests 512 )
 rm -rf "$BENCH_DIR"
 
@@ -651,7 +679,6 @@ echo "== pipeline perf smoke: parallel checking is never slower than sequential 
 # backs off to the measured noise floor. The recorded
 # BENCH_PIPELINE.json is regenerated deliberately from the repo root.
 BENCH_DIR=$(mktemp -d /tmp/lkmm-bench-sweep.XXXXXX)
-cargo build --release -q -p lkmm-bench --bin sweep
 if [ "$(nproc 2>/dev/null || echo 1)" -gt 1 ]; then SWEEP_BAR=1.0; else SWEEP_BAR=0.95; fi
 ( cd "$BENCH_DIR" && "$REPO_ROOT/target/release/sweep" --iters 7 --assert-bar "$SWEEP_BAR" )
 rm -rf "$BENCH_DIR"
@@ -662,7 +689,6 @@ echo "== relation kernel bench: in-place kernels never slower than naive =="
 # size; the recorded BENCH_RELATION.json is regenerated deliberately
 # from the repo root.
 BENCH_DIR=$(mktemp -d /tmp/lkmm-bench-relation.XXXXXX)
-cargo build --release -q -p lkmm-bench --bin relation
 ( cd "$BENCH_DIR" && "$REPO_ROOT/target/release/relation" --reps 5 )
 rm -rf "$BENCH_DIR"
 
