@@ -25,7 +25,7 @@
 
 use crate::{AlgoProgram, FamilyId, FamilyParams};
 use lkmm_exec::Verdict;
-use lkmm_rcu::impl_verify::{expand_rcu, ExpandOptions};
+use lkmm_rcu::impl_verify::expand_rcu;
 use std::fmt::Write;
 
 /// `demote_gps`: replace every updater's `synchronize_rcu` with
@@ -110,7 +110,7 @@ pub(crate) fn programs(p: &FamilyParams) -> Vec<AlgoProgram> {
     // push the candidate space past the enumerator's branch bound; the
     // hierarchical-depth story belongs to the abstract chain above.
     if l == 1 {
-        if let Ok(mut expanded) = expand_rcu(&safe, &ExpandOptions::default()) {
+        if let Ok(mut expanded) = expand_rcu(&safe) {
             expanded.name = format!("rcu-tree-impl-t{t}-l{l}");
             out.push(AlgoProgram::new(FamilyId::RcuTree, expanded, Verdict::Forbidden));
         }

@@ -41,7 +41,7 @@
 //! discrepancy is evidence that at least one checker is wrong, and a
 //! store keyed by (test, model, salt) cannot tell a correct verdict
 //! from a cached wrong one. Shrinker predicates therefore recompute
-//! every candidate from scratch, and fault-injection campaigns must run
+//! every candidate from scratch, and fault injection campaigns must run
 //! storeless so poisoned verdicts are never persisted.
 //!
 //! # Examples

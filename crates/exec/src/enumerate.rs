@@ -371,7 +371,7 @@ struct OutcomeClass {
 
 impl PreExecutions {
     /// Run the value-domain fixpoint for `test`, polling `meter` for the
-    /// clock and cancellation.
+    /// clock.
     ///
     /// # Errors
     ///

@@ -50,7 +50,7 @@ pub use enumerate::{
 pub use event::{Event, EventKind, LocId, ReadAnnot, SrcuKind, Val, WriteAnnot};
 pub use execution::{Execution, Shape};
 pub use facts::{ExecFacts, FactsCache, SrcuDomainFacts, StaticExecFacts};
-pub use lkmm_core::budget::{Budget, BudgetKind, CancelToken, StepFuel};
+pub use lkmm_core::budget::{Budget, BudgetKind, StepFuel};
 pub use model::{
     check_test, open_session, ConsistencyModel, EvalStop, ModelSession, TestResult, Verdict,
 };

@@ -200,8 +200,7 @@ impl Tally {
 /// Why a check could not run to completion.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum InconclusiveReason {
-    /// A budget axis (candidates, eval steps, wall clock, cancellation)
-    /// ran out.
+    /// A budget axis (candidates, eval steps, wall clock) ran out.
     BudgetExceeded(BudgetKind),
     /// Model evaluation panicked on some candidate (contained by the
     /// engine's `catch_unwind`; the process keeps running).

@@ -1,15 +1,14 @@
 //! Resource budgets for checking work.
 //!
 //! A [`Budget`] bounds one logical check (or a whole corpus run) along
-//! four independent axes:
+//! three independent axes:
 //!
 //! * **candidate fuel** — how many candidate executions may be emitted;
 //! * **evaluation-step fuel** — how many model-evaluation steps (`cat`
 //!   fixpoint instructions, native axiom passes) may run, shared across
 //!   all workers via an atomic [`StepFuel`];
 //! * **wall clock** — a relative [`Budget::time_limit`] and/or an
-//!   absolute [`Budget::deadline`];
-//! * **cancellation** — an externally owned [`CancelToken`].
+//!   absolute [`Budget::deadline`].
 //!
 //! The enumerator and worker loops never look at the `Budget` directly;
 //! they drive a per-thread [`Meter`], whose hot-path cost is a branch on
@@ -21,7 +20,7 @@
 //! infallible no-op, which is what keeps the governed pipeline
 //! byte-identical to the ungoverned one when nobody asks for limits.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -35,8 +34,6 @@ pub enum BudgetKind {
     EvalSteps,
     /// The wall-clock deadline passed.
     WallClock,
-    /// The [`CancelToken`] was triggered.
-    Cancelled,
 }
 
 impl std::fmt::Display for BudgetKind {
@@ -45,31 +42,7 @@ impl std::fmt::Display for BudgetKind {
             BudgetKind::Candidates => "candidate budget exhausted",
             BudgetKind::EvalSteps => "evaluation-step budget exhausted",
             BudgetKind::WallClock => "wall-clock deadline exceeded",
-            BudgetKind::Cancelled => "cancelled",
         })
-    }
-}
-
-/// A shared, clonable cancellation flag. Cloning is cheap (one `Arc`);
-/// every clone observes the same flag, so a controller thread can hold
-/// one clone and cancel a check running anywhere else.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
-    /// Trip the flag. Idempotent; visible to all clones.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-
-    /// Whether [`CancelToken::cancel`] has been called on any clone.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
     }
 }
 
@@ -111,8 +84,6 @@ pub struct Budget {
     /// Absolute wall-clock deadline (combined with `time_limit` by
     /// taking whichever comes first).
     pub deadline: Option<Instant>,
-    /// External cancellation.
-    pub cancel: Option<CancelToken>,
 }
 
 impl Budget {
@@ -127,7 +98,6 @@ impl Budget {
             && self.max_eval_steps.is_none()
             && self.time_limit.is_none()
             && self.deadline.is_none()
-            && self.cancel.is_none()
     }
 
     /// Bound the number of candidate executions.
@@ -154,12 +124,6 @@ impl Budget {
         self
     }
 
-    /// Attach a cancellation token.
-    pub fn with_cancel(mut self, token: CancelToken) -> Budget {
-        self.cancel = Some(token);
-        self
-    }
-
     /// A fresh step-fuel tank for this budget, or `None` when eval
     /// steps are unbounded.
     pub fn step_fuel(&self) -> Option<Arc<StepFuel>> {
@@ -173,7 +137,7 @@ impl Budget {
     }
 }
 
-/// Check the clock / cancel flag only every this many [`Meter::poll`]
+/// Check the clock only every this many [`Meter::poll`]
 /// calls. Candidate fuel is still exact — it is decremented on every
 /// [`Meter::spend_candidate`], never strided.
 pub const POLL_STRIDE: u32 = 64;
@@ -184,7 +148,6 @@ pub const POLL_STRIDE: u32 = 64;
 pub struct Meter {
     candidates_left: Option<u64>,
     deadline: Option<Instant>,
-    cancel: Option<CancelToken>,
     /// True when nothing is bounded: every operation short-circuits.
     passive: bool,
     countdown: u32,
@@ -199,15 +162,8 @@ impl Meter {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        let passive =
-            budget.max_candidates.is_none() && deadline.is_none() && budget.cancel.is_none();
-        Meter {
-            candidates_left: budget.max_candidates,
-            deadline,
-            cancel: budget.cancel.clone(),
-            passive,
-            countdown: POLL_STRIDE,
-        }
+        let passive = budget.max_candidates.is_none() && deadline.is_none();
+        Meter { candidates_left: budget.max_candidates, deadline, passive, countdown: POLL_STRIDE }
     }
 
     /// A meter that never trips.
@@ -216,7 +172,7 @@ impl Meter {
     }
 
     /// Account for one emitted candidate execution; also checks the
-    /// clock and cancel flag (strided).
+    /// clock (strided).
     pub fn spend_candidate(&mut self) -> Result<(), BudgetKind> {
         if self.passive {
             return Ok(());
@@ -243,8 +199,7 @@ impl Meter {
 
     /// Cheap progress check for loops that do work *between* candidate
     /// emissions (fixpoint rounds, oracle branches, rf/co choices).
-    /// Consults the clock and cancel flag once every [`POLL_STRIDE`]
-    /// calls.
+    /// Consults the clock once every [`POLL_STRIDE`] calls.
     #[inline]
     pub fn poll(&mut self) -> Result<(), BudgetKind> {
         if self.passive {
@@ -258,24 +213,13 @@ impl Meter {
         self.poll_now()
     }
 
-    /// Unstrided check of the clock and cancel flag. Use at loop
-    /// boundaries that are already coarse (per fixpoint round, per
-    /// test in a corpus).
+    /// Unstrided check of the clock. Use at loop boundaries that are
+    /// already coarse (per fixpoint round, per test in a corpus).
     pub fn poll_now(&mut self) -> Result<(), BudgetKind> {
-        if self.passive {
-            return Ok(());
+        match self.deadline {
+            Some(deadline) if Instant::now() >= deadline => Err(BudgetKind::WallClock),
+            _ => Ok(()),
         }
-        if let Some(token) = &self.cancel {
-            if token.is_cancelled() {
-                return Err(BudgetKind::Cancelled);
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return Err(BudgetKind::WallClock);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -339,16 +283,6 @@ mod tests {
             .with_deadline(soon)
             .with_time_limit(Duration::from_secs(3600));
         assert_eq!(b.meter().poll_now(), Err(BudgetKind::WallClock));
-    }
-
-    #[test]
-    fn cancel_token_is_shared() {
-        let token = CancelToken::new();
-        let mut m = Budget::default().with_cancel(token.clone()).meter();
-        m.poll_now().unwrap();
-        token.cancel();
-        assert_eq!(m.poll_now(), Err(BudgetKind::Cancelled));
-        assert!(token.is_cancelled());
     }
 
     #[test]

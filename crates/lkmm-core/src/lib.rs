@@ -6,14 +6,14 @@
 //! dependency cycles:
 //!
 //! * [`budget`] — resource governance: candidate-count fuel, evaluation
-//!   step fuel for `cat` fixpoints, wall-clock deadlines, and shared
-//!   cancellation tokens, with a strided [`budget::Meter`] cheap enough
-//!   to poll from the innermost enumeration loops;
-//! * [`faultpoint`] — a zero-dependency fault-injection harness. Sites
-//!   are named strings compiled out entirely unless the
-//!   `fault-injection` cargo feature is on, and even then inert until
-//!   armed through the `LKMM_FAULTPOINTS` environment variable or the
-//!   [`faultpoint::arm`] test guard;
+//!   step fuel for `cat` fixpoints and wall-clock deadlines, with a
+//!   strided [`budget::Meter`] cheap enough to poll from the innermost
+//!   enumeration loops;
+//! * [`faultpoint`] — a zero-dependency fault injection harness. Sites
+//!   are named strings, compiled into every build and inert until armed
+//!   through the `LKMM_FAULTPOINTS` environment variable (which
+//!   announces the armed sites on stderr) or the [`faultpoint::arm`]
+//!   test guard;
 //! * [`quota`] — per-client admission quotas for the multi-client
 //!   verdict service, reusing the budget machinery as per-request
 //!   governance with typed over-quota / overloaded rejections;

@@ -31,21 +31,6 @@ pub const GP_PHASE: i64 = 0x10000;
 /// `CS_MASK` from Figure 15, line 2.
 pub const CS_MASK: i64 = 0x0ffff;
 
-/// Expansion options.
-#[derive(Clone, Copy, Debug)]
-pub struct ExpandOptions {
-    /// Number of `update_counter_and_wait` calls per `synchronize_rcu`.
-    /// Figure 15 uses 2 (lines 46–47); 1 is provided for the ablation
-    /// bench showing why a single phase flip is insufficient in general.
-    pub phases: usize,
-}
-
-impl Default for ExpandOptions {
-    fn default() -> Self {
-        ExpandOptions { phases: 2 }
-    }
-}
-
 /// Why a test cannot be expanded.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExpandError {
@@ -75,7 +60,9 @@ impl fmt::Display for ExpandError {
 
 impl std::error::Error for ExpandError {}
 
-/// Expand every RCU primitive in `test` into the Figure 15 implementation.
+/// Expand every RCU primitive in `test` into the Figure 15
+/// implementation, each `synchronize_rcu` calling
+/// `update_counter_and_wait` twice (lines 46–47).
 ///
 /// # Errors
 ///
@@ -87,12 +74,18 @@ impl std::error::Error for ExpandError {}
 /// use lkmm_rcu::expand_rcu;
 ///
 /// let p = lkmm_litmus::library::by_name("RCU-MP").unwrap().test();
-/// let p2 = expand_rcu(&p, &Default::default()).unwrap();
+/// let p2 = expand_rcu(&p).unwrap();
 /// // The expansion introduces rc[] and gc but no RCU events remain.
 /// assert!(p2.to_litmus_string().contains("__assume"));
 /// assert!(!p2.to_litmus_string().contains("rcu_read_lock"));
 /// ```
-pub fn expand_rcu(test: &Test, opts: &ExpandOptions) -> Result<Test, ExpandError> {
+pub fn expand_rcu(test: &Test) -> Result<Test, ExpandError> {
+    expand_with_phases(test, 2)
+}
+
+/// [`expand_rcu`] with `phases` `update_counter_and_wait` calls per
+/// `synchronize_rcu`.
+fn expand_with_phases(test: &Test, phases: usize) -> Result<Test, ExpandError> {
     let n_threads = test.threads.len();
     let rc_name = |i: usize| format!("rc{i}");
     let gc_name = "gc".to_string();
@@ -153,7 +146,7 @@ pub fn expand_rcu(test: &Test, opts: &ExpandOptions) -> Result<Test, ExpandError
                         &rc_name,
                         &gc_name,
                         need_lock.then_some(lock_name.as_str()),
-                        opts.phases,
+                        phases,
                         tid,
                         &mut fresh,
                     );
@@ -284,9 +277,9 @@ mod tests {
     use lkmm_exec::{check_test, Verdict};
     use lkmm_litmus::library;
 
-    fn verdicts(name: &str, opts: &ExpandOptions) -> (Verdict, Verdict, usize) {
+    fn verdicts(name: &str) -> (Verdict, Verdict, usize) {
         let p = library::by_name(name).unwrap().test();
-        let p2 = expand_rcu(&p, opts).unwrap();
+        let p2 = expand_rcu(&p).unwrap();
         let model = Lkmm::new();
         let enum_opts = EnumOptions::default();
         let r1 = check_test(&model, &p, &enum_opts).unwrap();
@@ -296,8 +289,7 @@ mod tests {
 
     #[test]
     fn theorem2_rcu_mp_expansion_stays_forbidden() {
-        let (abstract_v, impl_v, candidates) =
-            verdicts("RCU-MP", &ExpandOptions::default());
+        let (abstract_v, impl_v, candidates) = verdicts("RCU-MP");
         assert_eq!(abstract_v, Verdict::Forbidden);
         assert_eq!(impl_v, Verdict::Forbidden, "Figure 16 must be forbidden");
         assert!(candidates > 0, "expansion must have allowed executions at all");
@@ -305,8 +297,7 @@ mod tests {
 
     #[test]
     fn theorem2_rcu_deferred_free_expansion_stays_forbidden() {
-        let (abstract_v, impl_v, _) =
-            verdicts("RCU-deferred-free", &ExpandOptions::default());
+        let (abstract_v, impl_v, _) = verdicts("RCU-deferred-free");
         assert_eq!(abstract_v, Verdict::Forbidden);
         assert_eq!(impl_v, Verdict::Forbidden);
     }
@@ -323,7 +314,7 @@ mod tests {
              exists (0:r0=1 /\\ 0:r1=0)",
         )
         .unwrap();
-        let p2 = expand_rcu(&p, &Default::default()).unwrap();
+        let p2 = expand_rcu(&p).unwrap();
         let model = Lkmm::new();
         let opts = EnumOptions::default();
         let v1 = check_test(&model, &p, &opts).unwrap().verdict;
@@ -345,7 +336,7 @@ mod tests {
              exists (0:r0=0 /\\ 1:r0=0)",
         )
         .unwrap();
-        let p2 = expand_rcu(&p, &Default::default()).unwrap();
+        let p2 = expand_rcu(&p).unwrap();
         let model = Lkmm::new();
         let opts = EnumOptions::default();
         assert_eq!(check_test(&model, &p, &opts).unwrap().verdict, Verdict::Forbidden);
@@ -359,19 +350,13 @@ mod tests {
              WRITE_ONCE(*x, 1); rcu_read_unlock(); rcu_read_unlock(); }\nexists (x=1)",
         )
         .unwrap();
-        assert_eq!(
-            expand_rcu(&nested, &Default::default()).unwrap_err(),
-            ExpandError::NestedRscs { thread: 0 }
-        );
+        assert_eq!(expand_rcu(&nested).unwrap_err(), ExpandError::NestedRscs { thread: 0 });
         let branched = lkmm_litmus::parse(
             "C b\n{ x=0; }\nP0(int *x) { int r; r = READ_ONCE(*x); \
              if (r == 1) { synchronize_rcu(); } }\nexists (x=0)",
         )
         .unwrap();
-        assert_eq!(
-            expand_rcu(&branched, &Default::default()).unwrap_err(),
-            ExpandError::RcuInsideBranch { thread: 0 }
-        );
+        assert_eq!(expand_rcu(&branched).unwrap_err(), ExpandError::RcuInsideBranch { thread: 0 });
     }
 
     #[test]
@@ -381,10 +366,7 @@ mod tests {
              exists (gc=1)",
         )
         .unwrap();
-        assert_eq!(
-            expand_rcu(&t, &Default::default()).unwrap_err(),
-            ExpandError::NameCollision("gc".into())
-        );
+        assert_eq!(expand_rcu(&t).unwrap_err(), ExpandError::NameCollision("gc".into()));
     }
 }
 
@@ -413,7 +395,7 @@ mod multi_updater_tests {
         // One update_counter_and_wait phase keeps the candidate space
         // tractable with two updaters; the gp_lock path and the
         // strong-fence property are what this test exercises.
-        let p2 = expand_rcu(&p, &ExpandOptions { phases: 1 }).unwrap();
+        let p2 = expand_with_phases(&p, 1).unwrap();
         // The mutex is present exactly because two threads start GPs.
         assert!(p2.to_litmus_string().contains("spin_lock(*gp_lock)")
             || p2.to_litmus_string().contains("spin_lock(&gp_lock)"));

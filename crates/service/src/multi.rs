@@ -226,8 +226,8 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
     /// completed verdicts back, and sync the store once at the end.
     ///
     /// `mask[c][i]` gates column `c` on corpus member `i` (an unsupported
-    /// cell stays `None`). The budget's `deadline`/`cancel` axes also
-    /// govern the corpus *between* tests: once tripped, every remaining
+    /// cell stays `None`). The budget's `deadline` axis also governs
+    /// the corpus *between* tests: once tripped, every remaining
     /// cell the store cannot answer is reported inconclusive without
     /// being checked (store hits are still answered). The relative
     /// `time_limit` axis stays per-check.
@@ -278,7 +278,7 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
     /// [`prepare`](MultiBatchChecker::prepare) units meanwhile.
     pub fn begin_corpus(&self) -> CorpusRun<'_, 'm, S> {
         let ncols = self.columns.len();
-        // Corpus-level governor: absolute deadline and cancellation only;
+        // Corpus-level governor: the absolute deadline only;
         // candidate/step fuel and the relative time limit are per-check.
         let corpus_meter = Budget {
             max_candidates: None,

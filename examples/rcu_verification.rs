@@ -53,7 +53,7 @@ fn main() {
         println!("  Theorem 1 equivalence verified on {agree} candidate executions");
 
         // (3) Theorem 2: substitute Figure 15.
-        let expanded = expand_rcu(&test, &Default::default()).unwrap();
+        let expanded = expand_rcu(&test).unwrap();
         let r2 = check_test(&model, &expanded, &opts).unwrap();
         println!(
             "  Figure 15 expansion ({} candidates): {}",

@@ -74,9 +74,7 @@ pub use lkmm_service as service;
 pub use lkmm_sim as sim;
 
 pub use lkmm_conformance::ModelId;
-pub use lkmm_exec::{
-    Budget, BudgetKind, CancelToken, CheckOutcome, InconclusiveReason, MultiCheckOutcome, Tally,
-};
+pub use lkmm_exec::{Budget, BudgetKind, CheckOutcome, InconclusiveReason, MultiCheckOutcome, Tally};
 
 use lkmm_exec::enumerate::EnumOptions;
 use lkmm_exec::{check, ConsistencyModel, EnumError, PipelineOptions, TestResult, Verdict};

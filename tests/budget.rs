@@ -12,7 +12,7 @@ use linux_kernel_memory_model::service::{
     ColumnReport, MultiBatchChecker, MultiColumn, Provenance, VerdictStore,
 };
 use linux_kernel_memory_model::{
-    Budget, BudgetKind, CancelToken, CheckOutcome, Herd, InconclusiveReason, ModelId,
+    Budget, BudgetKind, CheckOutcome, Herd, InconclusiveReason, ModelId,
 };
 use std::time::Duration;
 
@@ -198,23 +198,6 @@ fn zero_time_limit_is_inconclusive_wall_clock() {
         } => {}
         other => panic!("expected wall-clock trip, got {other:?}"),
     }
-}
-
-#[test]
-fn pre_cancelled_token_is_inconclusive_cancelled() {
-    let token = CancelToken::new();
-    token.cancel();
-    let herd =
-        Herd::new(ModelId::LkmmNative).with_budget(Budget::default().with_cancel(token.clone()));
-    let test = library::by_name("MP").unwrap().test();
-    match herd.check_governed(&test).outcome {
-        CheckOutcome::Inconclusive {
-            reason: InconclusiveReason::BudgetExceeded(BudgetKind::Cancelled),
-            ..
-        } => {}
-        other => panic!("expected cancellation, got {other:?}"),
-    }
-    assert!(token.is_cancelled());
 }
 
 /// A model whose evaluation panics on every candidate.

@@ -1,5 +1,5 @@
-//! Fault-injection integration tests (run via
-//! `cargo test --features fault-injection --test fault_injection`).
+//! Fault-injection integration tests. The sites are compiled into
+//! every build, so these run in the plain `cargo test`.
 //!
 //! Each test arms a `lkmm_core::faultpoint` site, drives the real stack
 //! through it, and checks two things: the fault surfaces as a structured
@@ -8,8 +8,6 @@
 //! `faultpoint::arm` serialises only the armed windows, so without it
 //! one test's unarmed code — a check counting `worker.panic` hits, an
 //! unarmed `flush` — runs beside another test's armed site.
-
-#![cfg(feature = "fault-injection")]
 
 use linux_kernel_memory_model::cat::linux_kernel_model;
 use linux_kernel_memory_model::exec::{
@@ -309,6 +307,105 @@ fn nth_hit_trigger_fires_on_exactly_that_hit() {
         other => panic!("expected WorkerPanicked on the 2nd candidate, got {other:?}"),
     }
     drop(guard);
+}
+
+/// The mutant-catching path end to end: arming `algo.weaken` makes the
+/// ticket family silently generate its relaxed orderings while still
+/// claiming Forbidden, and the family-safety oracle must catch every
+/// misjudged program and shrink it to a minimal wrong-verdict witness.
+/// Runs storeless, as every fault injection campaign must — a poisoned
+/// verdict must never be persisted.
+#[test]
+fn weakened_ticket_family_is_caught_and_shrunk() {
+    use linux_kernel_memory_model::algorithms::FamilyId;
+    use linux_kernel_memory_model::conformance::{
+        recheck_violated, run_algo_campaign, AlgoConfig, ModelSet, OracleKind, SimConfig,
+    };
+    use linux_kernel_memory_model::exec::{check_test, PipelineOptions};
+    use linux_kernel_memory_model::models::Sc;
+
+    let _serial = serial();
+    let cfg = AlgoConfig {
+        families: vec![FamilyId::Ticket],
+        sim: SimConfig { iterations: 0, ..SimConfig::default() },
+        host_iterations: 0,
+        ..AlgoConfig::default()
+    };
+
+    let guard = faultpoint::arm("algo.weaken");
+    let report = run_algo_campaign(&cfg).unwrap();
+    drop(guard);
+
+    assert!(!report.campaign.clean(), "the weakened family must not pass");
+    let safety: Vec<_> = report
+        .campaign
+        .discrepancies
+        .iter()
+        .filter(|d| d.oracle == OracleKind::FamilySafety)
+        .collect();
+    assert!(!safety.is_empty(), "family safety catches the weakened lock");
+    for d in safety {
+        let shrunk = d.shrunk.as_ref().expect("family-safety discrepancies shrink");
+        let witness = linux_kernel_memory_model::litmus::parse(&shrunk.litmus).unwrap();
+        // The minimal witness still discriminates: the real LKMM says
+        // Allowed where the weakened family claimed Forbidden.
+        assert!(recheck_violated(
+            &d.check,
+            &witness,
+            &ModelSet::standard(),
+            &EnumOptions::default(),
+            &PipelineOptions::default(),
+        ));
+        // ... and it is a genuine weak-memory witness, not the
+        // trivially-allowed empty program: the SC+atomicity reference
+        // forbids the very outcome the LKMM admits.
+        let lkmm = check_test(&Lkmm::new(), &witness, &EnumOptions::default()).unwrap();
+        let sc = check_test(&Sc, &witness, &EnumOptions::default()).unwrap();
+        assert_eq!(lkmm.verdict, Verdict::Allowed, "{}", witness.name);
+        assert_eq!(sc.verdict, Verdict::Forbidden, "{}", witness.name);
+    }
+
+    // Disarmed, the same campaign is clean again.
+    let healed = run_algo_campaign(&cfg).unwrap();
+    assert!(
+        healed.campaign.clean(),
+        "{:?}",
+        healed.campaign.discrepancies.first().map(|d| &d.detail)
+    );
+}
+
+/// The environment-armed path through the binary: `LKMM_FAULTPOINTS`
+/// arms `enum.budget` in a child `herd-rs`, which announces the armed
+/// site once on stderr and reports the injected trip as inconclusive
+/// (exit 6). Without the variable the same run completes silently.
+#[test]
+fn env_armed_binary_announces_its_sites_and_trips() {
+    let _serial = serial();
+    let dir = std::env::temp_dir().join(format!("lkmm-fault-env-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("one-thread.litmus");
+    let litmus = "C one-thread\n{ x=0; }\nP0(int *x) { WRITE_ONCE(*x, 1); }\nexists (x=1)\n";
+    std::fs::write(&path, litmus).unwrap();
+    let run = |faults: Option<&str>| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_herd-rs"));
+        cmd.arg(&path).env_remove("LKMM_FAULTPOINTS");
+        if let Some(spec) = faults {
+            cmd.env("LKMM_FAULTPOINTS", spec);
+        }
+        let out = cmd.output().expect("spawn herd-rs");
+        (out.status.code(), String::from_utf8(out.stderr).unwrap())
+    };
+    let (code, stderr) = run(Some("enum.budget"));
+    assert_eq!(code, Some(6), "injected trip is inconclusive: {stderr}");
+    assert!(stderr.contains("inconclusive"), "{stderr}");
+    let notices: Vec<_> = stderr.lines().filter(|l| l.starts_with("faultpoint:")).collect();
+    assert_eq!(notices, ["faultpoint: LKMM_FAULTPOINTS armed enum.budget"], "{stderr}");
+
+    let (code, stderr) = run(None);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(!stderr.contains("faultpoint"), "unarmed runs announce nothing: {stderr}");
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // --- TCP server faultpoints (ISSUE 9 satellite 3) ---------------------

@@ -3,12 +3,14 @@
 //! whole resilience layer exists for — a resumed campaign's JSON
 //! report is byte-identical to an uninterrupted run's.
 //!
-//! The always-on tests use the clean `--stop-after` suspend and the
-//! advisory store lock. The crash tests (killing mid-campaign via
+//! The first tests use the clean `--stop-after` suspend and the
+//! advisory store lock. The crash tests arm injection sites in the
+//! child through `LKMM_FAULTPOINTS`: killing mid-campaign via
 //! `campaign.kill`, tearing a checkpoint frame, crashing mid-compaction,
-//! poisoning a unit) need the injection sites compiled in:
-//! `cargo test --features fault-injection --test resume`.
+//! poisoning a unit. Each test's temp directory is removed when it
+//! passes and kept when it fails.
 
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -26,11 +28,31 @@ const CAMPAIGN: &[&str] = &[
     "--json",
 ];
 
-fn temp_dir(tag: &str) -> PathBuf {
+/// A test's scratch directory: removed on drop when the test passes,
+/// kept for debugging when it panics.
+struct TempDir(PathBuf);
+
+impl Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}
+
+fn temp_dir(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("lkmm-resume-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TempDir(dir)
 }
 
 /// Run `herd-rs` with `args`, optionally with `LKMM_FAULTPOINTS=spec`.
@@ -198,8 +220,7 @@ fn store_verbs_roundtrip_a_campaign_store() {
 }
 
 /// The crash tests proper: these arm injection sites in the child via
-/// `LKMM_FAULTPOINTS`, so they only exist when the sites are compiled in.
-#[cfg(feature = "fault-injection")]
+/// `LKMM_FAULTPOINTS`.
 mod crash {
     use super::*;
 
