@@ -280,13 +280,8 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
         let ncols = self.columns.len();
         // Corpus-level governor: the absolute deadline only;
         // candidate/step fuel and the relative time limit are per-check.
-        let corpus_meter = Budget {
-            max_candidates: None,
-            max_eval_steps: None,
-            time_limit: None,
-            ..self.enum_opts.budget.clone()
-        }
-        .meter();
+        let corpus_meter =
+            Budget { deadline: self.enum_opts.budget.deadline, ..Budget::default() }.meter();
         CorpusRun {
             columns: (0..ncols)
                 .map(|_| ColumnReport {
