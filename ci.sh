@@ -54,6 +54,10 @@ cargo build --release --bin herd-rs
 "$BIN" --library           > /tmp/lkmm-library-auto.out
 cmp /tmp/lkmm-library-j1.out /tmp/lkmm-library-j4.out
 cmp /tmp/lkmm-library-j1.out /tmp/lkmm-library-auto.out
+# Early exit runs on the same checker, and prints the same at every job count.
+"$BIN" --library --early-exit --jobs 1 > /tmp/lkmm-library-ee-j1.out
+"$BIN" --library --early-exit --jobs 4 > /tmp/lkmm-library-ee-j4.out
+cmp /tmp/lkmm-library-ee-j1.out /tmp/lkmm-library-ee-j4.out
 
 echo "== verdict store: cold/warm library round-trip is byte-identical =="
 STORE=/tmp/lkmm-ci-store.bin
@@ -65,6 +69,15 @@ cmp /tmp/lkmm-library-cold.out /tmp/lkmm-library-warm.out
 cmp /tmp/lkmm-library-j1.out /tmp/lkmm-library-cold.out
 # The warm pass must be pure replay: zero candidate enumerations.
 grep -q ' 0 computed, .* 0 candidates enumerated' /tmp/lkmm-store-warm.err
+# A storeless --library checks through the same checker over an
+# in-memory store, so its counters read as a cold --store run's.
+rm -f "$STORE.stats"
+"$BIN" --library --store "$STORE.stats" --enum-stats 2>&1 > /dev/null \
+    | grep -E 'enumeration:|data-plane:' > /tmp/lkmm-stats-store.err
+"$BIN" --library --enum-stats 2>&1 > /dev/null \
+    | grep -E 'enumeration:|data-plane:' > /tmp/lkmm-stats-plain.err
+test "$(wc -l < /tmp/lkmm-stats-plain.err)" -eq 2
+cmp /tmp/lkmm-stats-store.err /tmp/lkmm-stats-plain.err
 
 echo "== serve mode: JSON-lines smoke test over the warm store =="
 printf '%s\n' \
@@ -83,9 +96,11 @@ if grep -q '"ok":false' /tmp/lkmm-serve.out; then
     echo "serve smoke test produced an error response" >&2
     exit 1
 fi
-rm -f "$STORE" /tmp/lkmm-library-j1.out /tmp/lkmm-library-j4.out /tmp/lkmm-library-auto.out \
+rm -f "$STORE" "$STORE.stats" /tmp/lkmm-library-j1.out /tmp/lkmm-library-j4.out \
+    /tmp/lkmm-library-auto.out /tmp/lkmm-library-ee-j1.out /tmp/lkmm-library-ee-j4.out \
     /tmp/lkmm-library-cold.out /tmp/lkmm-library-warm.out \
-    /tmp/lkmm-store-cold.err /tmp/lkmm-store-warm.err /tmp/lkmm-serve.out
+    /tmp/lkmm-store-cold.err /tmp/lkmm-store-warm.err /tmp/lkmm-serve.out \
+    /tmp/lkmm-stats-store.err /tmp/lkmm-stats-plain.err
 
 echo "== budgets: governed checking stays deterministic and bounded =="
 # A starved check is a structured inconclusive verdict with a distinct
@@ -147,8 +162,9 @@ for ARGS in "client --connect 127.0.0.1:9 --dot" "--list-algorithms --jobs 2" \
     test "$USAGE_STATUS" -eq 2
     grep -q '(try --help)' /tmp/lkmm-multi.err
 done
-# The help text is byte-for-byte what it was before the flag table.
-test "$("$BIN" --help | cksum)" = "3870552447 5913"
+# The help text is byte-for-byte what it was before the flag table,
+# but for `--enum-stats`, which `--library` takes without `--store`.
+test "$("$BIN" --help | cksum)" = "3116748118 5905"
 # The simulated Table 5 is byte-for-byte what the by-name simulators
 # printed. Its SB and MP rows are the ones where the machines do observe
 # outcomes, which no campaign digest covers: every row a campaign
@@ -313,6 +329,15 @@ FAULT_STATUS=$?
 set -e
 test "$FAULT_STATUS" -eq 6
 grep -q 'inconclusive' /tmp/lkmm-ci-fault.err
+# A misspelled site arms nothing and says so: one rejection line, no
+# armed line, and a clean run.
+LKMM_FAULTPOINTS=enum.budgt target/release/herd-rs /tmp/lkmm-ci-fault.litmus \
+    > /dev/null 2> /tmp/lkmm-ci-fault.err
+grep -q '^faultpoint: LKMM_FAULTPOINTS rejected `enum.budgt`' /tmp/lkmm-ci-fault.err
+if grep -q 'LKMM_FAULTPOINTS armed' /tmp/lkmm-ci-fault.err; then
+    echo "a rejected fault spec armed a site" >&2
+    exit 1
+fi
 rm -f /tmp/lkmm-ci-fault.litmus /tmp/lkmm-ci-fault.err
 # A misjudging checker, the cat LKMM or the native one, is caught by the
 # conformance oracles and shrunk to a minimal discriminating witness,

@@ -374,6 +374,24 @@ fn weakened_ticket_family_is_caught_and_shrunk() {
     );
 }
 
+/// `herd-rs` on a one-thread file, with `LKMM_FAULTPOINTS=spec` when
+/// given: its exit code and stderr.
+fn one_thread_run(faults: Option<&str>) -> (Option<i32>, String) {
+    let dir = std::env::temp_dir().join(format!("lkmm-fault-env-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("one-thread.litmus");
+    let litmus = "C one-thread\n{ x=0; }\nP0(int *x) { WRITE_ONCE(*x, 1); }\nexists (x=1)\n";
+    std::fs::write(&path, litmus).unwrap();
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_herd-rs"));
+    cmd.arg(&path).env_remove("LKMM_FAULTPOINTS");
+    if let Some(spec) = faults {
+        cmd.env("LKMM_FAULTPOINTS", spec);
+    }
+    let out = cmd.output().expect("spawn herd-rs");
+    let _ = std::fs::remove_dir_all(&dir);
+    (out.status.code(), String::from_utf8(out.stderr).unwrap())
+}
+
 /// The environment-armed path through the binary: `LKMM_FAULTPOINTS`
 /// arms `enum.budget` in a child `herd-rs`, which announces the armed
 /// site once on stderr and reports the injected trip as inconclusive
@@ -381,31 +399,32 @@ fn weakened_ticket_family_is_caught_and_shrunk() {
 #[test]
 fn env_armed_binary_announces_its_sites_and_trips() {
     let _serial = serial();
-    let dir = std::env::temp_dir().join(format!("lkmm-fault-env-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("one-thread.litmus");
-    let litmus = "C one-thread\n{ x=0; }\nP0(int *x) { WRITE_ONCE(*x, 1); }\nexists (x=1)\n";
-    std::fs::write(&path, litmus).unwrap();
-    let run = |faults: Option<&str>| {
-        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_herd-rs"));
-        cmd.arg(&path).env_remove("LKMM_FAULTPOINTS");
-        if let Some(spec) = faults {
-            cmd.env("LKMM_FAULTPOINTS", spec);
-        }
-        let out = cmd.output().expect("spawn herd-rs");
-        (out.status.code(), String::from_utf8(out.stderr).unwrap())
-    };
-    let (code, stderr) = run(Some("enum.budget"));
+    let (code, stderr) = one_thread_run(Some("enum.budget"));
     assert_eq!(code, Some(6), "injected trip is inconclusive: {stderr}");
     assert!(stderr.contains("inconclusive"), "{stderr}");
     let notices: Vec<_> = stderr.lines().filter(|l| l.starts_with("faultpoint:")).collect();
     assert_eq!(notices, ["faultpoint: LKMM_FAULTPOINTS armed enum.budget"], "{stderr}");
 
-    let (code, stderr) = run(None);
+    let (code, stderr) = one_thread_run(None);
     assert_eq!(code, Some(0), "{stderr}");
     assert!(!stderr.contains("faultpoint"), "unarmed runs announce nothing: {stderr}");
+}
 
-    let _ = std::fs::remove_dir_all(&dir);
+/// A spec that would arm nothing is rejected out loud: a malformed
+/// trigger and a misspelled site each print one rejection line naming
+/// the part, arm nothing, and leave the run clean (exit 0).
+#[test]
+fn env_specs_that_arm_nothing_are_rejected() {
+    let _serial = serial();
+    for spec in ["enum.budget=0", "enum.budget=x", "enum.budgt"] {
+        let (code, stderr) = one_thread_run(Some(spec));
+        assert_eq!(code, Some(0), "{spec}: {stderr}");
+        let notices: Vec<_> = stderr.lines().filter(|l| l.starts_with("faultpoint:")).collect();
+        let rejected = format!("faultpoint: LKMM_FAULTPOINTS rejected `{spec}`: ");
+        assert_eq!(notices.len(), 1, "{spec}: {stderr}");
+        assert!(notices[0].starts_with(&rejected), "{spec}: {stderr}");
+        assert!(!stderr.contains("LKMM_FAULTPOINTS armed"), "{spec}: {stderr}");
+    }
 }
 
 // --- TCP server faultpoints (ISSUE 9 satellite 3) ---------------------
