@@ -124,7 +124,6 @@ use lkmm_exec::states::collect_states;
 use lkmm_exec::{ConsistencyModel, Stats, MAX_JOBS};
 use lkmm_litmus::Test;
 use lkmm_service::{MultiBatchReport, StoreError};
-use std::io;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -707,8 +706,9 @@ fn main() -> ExitCode {
 /// FILE, `--models` and `--library`: check the one test, or the
 /// library, through one [`MultiBatchChecker`] with a column per model
 /// (`--model`, or each of `--models`) salted with `--salt`, over the
-/// `--store` log or an in-memory store. `--enum-stats` counters go to
-/// stderr once the mode has printed its answer.
+/// `--store` log or an in-memory store. A failed append names the store
+/// and exits 5. `--enum-stats` counters go to stderr once the checker
+/// has run, whether the mode answered, stopped or failed.
 fn direct_mode(cli: &Cli) -> Result<(), ExitCode> {
     let tests = match (cli.mode, cli.file.as_deref()) {
         (Mode::Library, _) => lkmm_litmus::library::all().iter().map(|pt| pt.test()).collect(),
@@ -724,17 +724,22 @@ fn direct_mode(cli: &Cli) -> Result<(), ExitCode> {
         .with_jobs(cli.jobs)
         .with_early_exit(cli.early_exit)
         .with_budget(cli.budget(true));
-    let report = checker.check_corpus(&tests, &vec![vec![true; tests.len()]; models.len()]);
-    match cli.mode {
-        Mode::Library => library_lines(cli, &tests, report)?,
-        _ => file_reports(cli, &tests[0], &models, report)?,
-    }
+    let answered = checker
+        .check_corpus(&tests, &vec![vec![true; tests.len()]; models.len()])
+        .map_err(|e| {
+            let store = cli.store.as_deref().expect("only a store on disk fails an append");
+            fail_code(EXIT_STORE, &format!("{store}: verdict store: {e}"))
+        })
+        .and_then(|report| match cli.mode {
+            Mode::Library => library_lines(cli, &tests, report),
+            _ => file_reports(cli, &tests[0], &models, report),
+        });
     if let Some(stats) = stats {
         let counters = stats.snapshot();
         eprintln!("herd-rs: {}", enumeration_line(&counters.enumeration));
         eprintln!("herd-rs: {}", data_plane_line(&counters.data_plane));
     }
-    Ok(())
+    answered
 }
 
 /// Read and parse FILE.litmus: exit 3 when it cannot be read, 4 when it
@@ -754,16 +759,11 @@ fn file_reports(
     cli: &Cli,
     test: &Test,
     models: &[Box<dyn ConsistencyModel>],
-    report: io::Result<MultiBatchReport>,
+    report: MultiBatchReport,
 ) -> Result<(), ExitCode> {
-    let store = cli.store.as_deref();
-    let report = report.map_err(|e| {
-        let store = store.expect("only a store on disk fails an append");
-        fail_code(EXIT_STORE, &format!("{store}: verdict store: {e}"))
-    })?;
     let cells = report.columns.into_iter().map(|mut col| col.outcomes.remove(0));
     let cells: Vec<_> = cells.map(|cell| cell.expect("every column is enabled")).collect();
-    if let Some(store) = store {
+    if let Some(store) = cli.store.as_deref() {
         eprintln!("herd-rs: store {store}: {}", cells[0].provenance);
     }
     let path = cli.file.as_deref().expect("a file was read");
@@ -806,12 +806,7 @@ fn file_reports(
 /// `--library`'s answer: one line per paper test, `Inconc` where the
 /// check stopped. The store's summary goes to stderr with `--store`,
 /// the count of inconclusive tests without it.
-fn library_lines(
-    cli: &Cli,
-    tests: &[Test],
-    report: io::Result<MultiBatchReport>,
-) -> Result<(), ExitCode> {
-    let report = report.map_err(|e| fail_code(EXIT_STORE, &format!("verdict store: {e}")))?;
+fn library_lines(cli: &Cli, tests: &[Test], report: MultiBatchReport) -> Result<(), ExitCode> {
     let col = &report.columns[0];
     for (test, cell) in tests.iter().zip(col.outcomes.iter().flatten()) {
         match &cell.outcome {

@@ -233,7 +233,7 @@ fn models_mode_bytes_are_pinned() {
                     "--enum-stats",
                     "sb.litmus",
                 ],
-                0x5daa_df86_e5e9_47f5,
+                0x8f1e_42ed_c4e2_6307,
             ),
             (
                 &["--models", "sc,sc,tso", "mp.litmus"],

@@ -374,22 +374,26 @@ fn weakened_ticket_family_is_caught_and_shrunk() {
     );
 }
 
-/// `herd-rs` on a one-thread file, with `LKMM_FAULTPOINTS=spec` when
-/// given: its exit code and stderr.
-fn one_thread_run(faults: Option<&str>) -> (Option<i32>, String) {
+/// `herd-rs args` in a fresh directory holding `one-thread.litmus`, with
+/// `LKMM_FAULTPOINTS=spec` when given: its exit code and stderr.
+fn herd_rs(args: &[&str], faults: Option<&str>) -> (Option<i32>, String) {
     let dir = std::env::temp_dir().join(format!("lkmm-fault-env-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("one-thread.litmus");
     let litmus = "C one-thread\n{ x=0; }\nP0(int *x) { WRITE_ONCE(*x, 1); }\nexists (x=1)\n";
-    std::fs::write(&path, litmus).unwrap();
+    std::fs::write(dir.join("one-thread.litmus"), litmus).unwrap();
     let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_herd-rs"));
-    cmd.arg(&path).env_remove("LKMM_FAULTPOINTS");
+    cmd.current_dir(&dir).args(args).env_remove("LKMM_FAULTPOINTS");
     if let Some(spec) = faults {
         cmd.env("LKMM_FAULTPOINTS", spec);
     }
     let out = cmd.output().expect("spawn herd-rs");
     let _ = std::fs::remove_dir_all(&dir);
     (out.status.code(), String::from_utf8(out.stderr).unwrap())
+}
+
+/// `herd-rs` on the one-thread file.
+fn one_thread_run(faults: Option<&str>) -> (Option<i32>, String) {
+    herd_rs(&["one-thread.litmus"], faults)
 }
 
 /// The environment-armed path through the binary: `LKMM_FAULTPOINTS`
@@ -424,6 +428,24 @@ fn env_specs_that_arm_nothing_are_rejected() {
         assert_eq!(notices.len(), 1, "{spec}: {stderr}");
         assert!(notices[0].starts_with(&rejected), "{spec}: {stderr}");
         assert!(!stderr.contains("LKMM_FAULTPOINTS armed"), "{spec}: {stderr}");
+    }
+}
+
+/// A failed append names the store in every direct mode: FILE and
+/// `--library` over a cold `--store` each print one
+/// `herd-rs: <store>: verdict store: …` line and exit 5.
+#[test]
+fn a_failed_store_append_names_the_store() {
+    let _serial = serial();
+    for args in [&["--store", "s.vs", "one-thread.litmus"][..], &["--library", "--store", "s.vs"]] {
+        let (code, stderr) = herd_rs(args, Some("store.append.torn"));
+        assert_eq!(code, Some(5), "{args:?}: {stderr}");
+        let errors: Vec<_> = stderr.lines().filter(|l| l.starts_with("herd-rs:")).collect();
+        assert_eq!(
+            errors,
+            ["herd-rs: s.vs: verdict store: faultpoint: injected I/O error at `store.append.torn`"],
+            "{args:?}: {stderr}"
+        );
     }
 }
 
