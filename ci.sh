@@ -37,6 +37,13 @@ echo "== static tiers: shape-keyed caches match uncached evaluation of every can
 # also bounds the static tiers built. Ignored in the debug run above.
 cargo test --release --offline --test static_tier --quiet -- --ignored
 
+echo "== relation kernels: the one-word and multi-word operators match their references, optimised =="
+# The debug workspace run above checks overflow, not the optimiser. The
+# campaigns run the release build, whose one-word arms (universes of up
+# to 64 events) acyclic.rs and kernels.rs check against pair-by-pair
+# references on both sides of 64 events.
+cargo test --release --offline -p lkmm-relation --quiet
+
 echo "== simulators: exhaustive exploration of the library is pinned =="
 # explore() over every library test on all five machines: outcome sets,
 # observability, visited-state counts and truncation, hashed against a

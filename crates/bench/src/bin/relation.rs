@@ -2,8 +2,9 @@
 //! word-parallel in-place kernels the checkers' hot paths use.
 //!
 //! Dependency-free (no criterion): times `union`/`seq`/`transitive
-//! closure` in both styles at universes 8, 64 and 256 — the library
-//! tests, a roomy execution, and a deliberately oversized stress shape —
+//! closure`/`inverse` in both styles at universes 8, 64 and 256 — the
+//! library tests, a roomy execution, and a deliberately oversized stress
+//! shape (the first two on one-word rows, the last on four words) —
 //! then writes `BENCH_RELATION.json` in the working directory and
 //! prints a summary table. The naive side is what a pair-by-pair
 //! implementation costs (`iter`/`contains`/`insert` loops, one fresh
@@ -91,6 +92,15 @@ fn naive_seq(a: &Relation, b: &Relation) -> Relation {
         for z in b.successors(y) {
             out.insert(x, z);
         }
+    }
+    out
+}
+
+/// Pair-by-pair inverse: insert `(y, x)` for every `(x, y)` in `r`.
+fn naive_inverse(r: &Relation) -> Relation {
+    let mut out = Relation::empty(r.universe());
+    for (x, y) in r.iter() {
+        out.insert(y, x);
     }
     out
 }
@@ -186,6 +196,21 @@ fn bench_universe(n: usize, reps: usize, rows: &mut Vec<Row>, slower: &mut Vec<S
         std::hint::black_box(&out);
     });
     push("closure", close_iters, naive, inplace);
+
+    // inverse: pair-by-pair transposition vs `inverse_into` over a
+    // reused buffer — how the facts layer builds `rf^-1` and the cat
+    // evaluator its `^-1` nodes.
+    let expected = naive_inverse(&b);
+    b.inverse_into(&mut out);
+    assert_eq!(out, expected, "inverse styles disagree at n={n}");
+    let naive = best_of(reps, iters, || {
+        std::hint::black_box(naive_inverse(&b));
+    });
+    let inplace = best_of(reps, iters, || {
+        b.inverse_into(&mut out);
+        std::hint::black_box(&out);
+    });
+    push("inverse", iters, naive, inplace);
 }
 
 fn main() {

@@ -1,7 +1,8 @@
 //! Word-parallel bitset kernels.
 //!
-//! Every relation and set operator in this crate bottoms out in one of
-//! three word-wise combines over `u64` rows: `|`, `&`, `& !`. These
+//! Relation and set operators on rows wider than one word bottom out in
+//! one of three word-wise combines over `u64` rows: `|`, `&`, `& !`
+//! (one-word rows combine their single words directly). These
 //! kernels operate on borrowed row slices and are manually unrolled
 //! four words at a time so the compiler reliably keeps four independent
 //! accumulators in flight (the autovectorizer then maps them onto

@@ -10,8 +10,17 @@
 //! both panic. Pure queries (`contains`) treat out-of-universe indices
 //! as simply *absent* and return `false`, which lets callers probe
 //! speculative indices without pre-checking the universe.
+//!
+//! # Row invariant
+//!
+//! No row carries a bit at or past the universe `n`: mutators keep the
+//! tail of each row's last word clear, and `complement` masks it back.
+//! The one-word arms (universes of 1–64 events, one `u64` per row) rely
+//! on it, since `seq_into` and `inverse_into` index rows by the position
+//! of each set bit. `tests/kernels.rs` checks every arm against a
+//! pair-by-pair reference on both sides of 64 events.
 
-use crate::{iter_bits, kernel, word_and_bit, words_for, EventSet, WORD_BITS};
+use crate::{for_each_bit, iter_bits, kernel, word_and_bit, words_for, EventSet, WORD_BITS};
 use std::fmt;
 
 /// A binary relation over a universe of `n` events, stored as a bitset
@@ -253,7 +262,8 @@ impl Relation {
     }
 
     /// Inverse writing into a caller-provided relation, reusing its
-    /// allocation (`out` is overwritten).
+    /// allocation (`out` is overwritten). On one-word rows it sets bit
+    /// `a` of row `b` for each set bit `b` of row `a`.
     ///
     /// # Panics
     ///
@@ -261,6 +271,12 @@ impl Relation {
     pub fn inverse_into(&self, out: &mut Relation) {
         assert_eq!(self.n, out.n, "output universe mismatch");
         out.rows.fill(0);
+        if self.row_words == 1 {
+            for (a, &row) in self.rows.iter().enumerate() {
+                for_each_bit(row, |b| out.rows[b] |= 1 << a);
+            }
+            return;
+        }
         for (a, b) in self.iter() {
             let (w, bit) = word_and_bit(a);
             out.rows[b * out.row_words + w] |= bit;
@@ -280,6 +296,8 @@ impl Relation {
     /// Relational sequence writing into a caller-provided relation,
     /// reusing its allocation (`out` is overwritten, not accumulated
     /// into). The borrow checker rules out aliasing with `self`/`other`.
+    /// On one-word rows, row `a` of the result is the OR of `other`'s
+    /// rows at the set bits of `self`'s row `a`.
     ///
     /// # Panics
     ///
@@ -287,6 +305,14 @@ impl Relation {
     pub fn seq_into(&self, other: &Relation, out: &mut Relation) {
         assert_eq!(self.n, other.n, "universe mismatch");
         assert_eq!(self.n, out.n, "output universe mismatch");
+        if self.row_words == 1 {
+            for (dst, &row) in out.rows.iter_mut().zip(&self.rows) {
+                let mut acc = 0;
+                for_each_bit(row, |b| acc |= other.rows[b]);
+                *dst = acc;
+            }
+            return;
+        }
         for a in 0..self.n {
             let base = a * self.row_words;
             out.rows[base..base + self.row_words].fill(0);
@@ -306,8 +332,15 @@ impl Relation {
         out
     }
 
-    /// In-place reflexive closure: add every `(e, e)` pair.
+    /// In-place reflexive closure: add every `(e, e)` pair (bit `e` of
+    /// row `e` on one-word rows).
     pub fn reflexive_in_place(&mut self) {
+        if self.row_words == 1 {
+            for (e, row) in self.rows.iter_mut().enumerate() {
+                *row |= 1 << e;
+            }
+            return;
+        }
         for i in 0..self.n {
             let (w, bit) = word_and_bit(i);
             self.rows[i * self.row_words + w] |= bit;
@@ -330,8 +363,19 @@ impl Relation {
 
     /// [`Relation::transitive_close`] with a caller-provided scratch
     /// row, so arena-backed hot loops avoid even the single per-call
-    /// allocation. The scratch is resized as needed.
+    /// allocation. The scratch is resized as needed. One-word rows need
+    /// no scratch: each round ORs row `k` into every row holding bit `k`.
     pub fn transitive_close_with(&mut self, row_k: &mut Vec<u64>) {
+        if self.row_words == 1 {
+            for k in 0..self.n {
+                let row_k = self.rows[k];
+                for row in &mut self.rows {
+                    // All ones when the row holds bit `k`, else zero.
+                    *row |= row_k & (*row >> k & 1).wrapping_neg();
+                }
+            }
+            return;
+        }
         row_k.clear();
         row_k.resize(self.row_words, 0);
         for k in 0..self.n {
@@ -352,34 +396,30 @@ impl Relation {
 
     /// Restrict the domain to `s`: `[s] ; r`.
     pub fn restrict_domain(&self, s: &EventSet) -> Relation {
-        assert_eq!(self.n, s.universe(), "universe mismatch");
         let mut out = self.clone();
-        for a in 0..self.n {
-            if !s.contains(a) {
-                let base = a * self.row_words;
-                out.rows[base..base + self.row_words].fill(0);
-            }
-        }
+        out.restrict_domain_in_place(s);
         out
     }
 
     /// Restrict the range to `s`: `r ; [s]`.
     pub fn restrict_range(&self, s: &EventSet) -> Relation {
-        assert_eq!(self.n, s.universe(), "universe mismatch");
         let mut out = self.clone();
-        for a in 0..self.n {
-            let base = a * self.row_words;
-            for (w, &mask) in s.words().iter().enumerate() {
-                out.rows[base + w] &= mask;
-            }
-        }
+        out.restrict_range_in_place(s);
         out
     }
 
     /// In-place [`Relation::restrict_domain`]: zero every row whose
-    /// event is outside `s`.
+    /// event is outside `s` (on one-word rows, every row `a` whose bit
+    /// `a` of `s` is clear).
     pub fn restrict_domain_in_place(&mut self, s: &EventSet) {
         assert_eq!(self.n, s.universe(), "universe mismatch");
+        if self.row_words == 1 {
+            let keep = s.words()[0];
+            for (a, row) in self.rows.iter_mut().enumerate() {
+                *row &= (keep >> a & 1).wrapping_neg();
+            }
+            return;
+        }
         for a in 0..self.n {
             if !s.contains(a) {
                 let base = a * self.row_words;
@@ -388,9 +428,17 @@ impl Relation {
         }
     }
 
-    /// In-place [`Relation::restrict_range`]: mask every row by `s`.
+    /// In-place [`Relation::restrict_range`]: mask every row by `s`
+    /// (by its one word, on one-word rows).
     pub fn restrict_range_in_place(&mut self, s: &EventSet) {
         assert_eq!(self.n, s.universe(), "universe mismatch");
+        if self.row_words == 1 {
+            let keep = s.words()[0];
+            for row in &mut self.rows {
+                *row &= keep;
+            }
+            return;
+        }
         for a in 0..self.n {
             let base = a * self.row_words;
             kernel::and_assign(&mut self.rows[base..base + self.row_words], s.words());
@@ -443,8 +491,12 @@ impl Relation {
         }
     }
 
-    /// Whether the relation contains no pair `(e, e)`.
+    /// Whether the relation contains no pair `(e, e)`: on one-word
+    /// rows, whether no row `e` holds bit `e`.
     pub fn is_irreflexive(&self) -> bool {
+        if self.row_words == 1 {
+            return self.rows.iter().enumerate().all(|(e, &row)| row >> e & 1 == 0);
+        }
         (0..self.n).all(|i| !self.contains(i, i))
     }
 
