@@ -14,7 +14,8 @@
 //!
 //! Not every checker covers every test: the hardware models and C11 have
 //! no RCU read-side semantics, and C11 has no RCU at all ("–" in
-//! Table 5). Unsupported cells are `None` and the oracles skip them.
+//! Table 5); the cat LKMM has no SRCU ([`ModelId::supports`]).
+//! Unsupported cells are `None` and the oracles skip them.
 
 use lkmm_core::budget::Budget;
 use lkmm_exec::{CheckOutcome, ConsistencyModel, Stats, Verdict};
@@ -105,13 +106,17 @@ impl ModelId {
         }
     }
 
-    /// Whether this checker's semantics cover `test`. Both LKMM
-    /// formulations and SC cover everything; the hardware models have no
-    /// RCU read-side or SRCU semantics; C11 additionally excludes every
-    /// RCU primitive (see [`OriginalC11::supports`]).
+    /// Whether this checker's semantics cover `test`. The native LKMM
+    /// and SC cover everything. The cat LKMM covers everything but SRCU:
+    /// the embedded cat file has no SRCU primitives, so its evaluator
+    /// refuses SRCU events, and its session panics rather than answer
+    /// without their semantics. The hardware models have no RCU read-side or
+    /// SRCU semantics; C11 additionally excludes every RCU primitive (see
+    /// [`OriginalC11::supports`]).
     pub fn supports(self, test: &Test) -> bool {
         match self {
-            ModelId::LkmmNative | ModelId::LkmmCat | ModelId::Sc => true,
+            ModelId::LkmmNative | ModelId::Sc => true,
+            ModelId::LkmmCat => !uses_srcu(test),
             ModelId::Tso | ModelId::Armv8 | ModelId::Power => {
                 !uses_rcu_read_side(test) && !uses_srcu(test)
             }
@@ -365,6 +370,20 @@ mod tests {
         assert!(!ModelId::C11.supports(&rcu));
         let plain = lkmm_litmus::library::by_name("MP").unwrap().test();
         assert!(ModelId::ALL.iter().all(|m| m.supports(&plain)));
+    }
+
+    #[test]
+    fn srcu_is_covered_by_the_native_lkmm_and_sc_only() {
+        let srcu = lkmm_litmus::parse(
+            "C SRCU\n{ ss=0; x=0; }\nP0(srcu_struct *ss, int *x) { int r0; \
+             srcu_read_lock(ss); r0 = READ_ONCE(*x); srcu_read_unlock(ss); }\n\
+             P1(srcu_struct *ss, int *x) { synchronize_srcu(ss); WRITE_ONCE(*x, 1); }\n\
+             exists (0:r0=1)",
+        )
+        .unwrap();
+        let covering: Vec<ModelId> =
+            ModelId::ALL.into_iter().filter(|m| m.supports(&srcu)).collect();
+        assert_eq!(covering, [ModelId::LkmmNative, ModelId::Sc]);
     }
 
     #[test]
