@@ -82,8 +82,13 @@ impl CatOutcome {
 /// each `let rec` fixpoint, which is why every fixpoint runs whether or
 /// not a check still needs it.
 ///
-/// One session serves one thread; the parallel pipeline opens a session
-/// per worker.
+/// One session serves one thread, test after test: a campaign worker
+/// keeps its session across the tests it checks, and a worker of a check
+/// split over a pool opens its own. Slots are reshaped in place when the
+/// universe changes, and a fuel stop leaves nothing pending (fuel is
+/// burned only between instructions, with no demand walk open), so a
+/// session that stopped is as good as a fresh one. A session that
+/// panicked mid-walk is not: the check engine drops it.
 pub struct CatSession<'a> {
     program: &'a Program,
     rels: Vec<Relation>,
@@ -129,9 +134,9 @@ impl<'a> CatSession<'a> {
     }
 
     /// Meter every subsequent evaluation against `fuel` (shared with the
-    /// other workers of a governed check).
-    pub fn set_fuel(&mut self, fuel: Arc<StepFuel>) {
-        self.fuel = Some(fuel);
+    /// other workers of a governed check), or not at all with `None`.
+    pub fn set_fuel(&mut self, fuel: Option<Arc<StepFuel>>) {
+        self.fuel = fuel;
     }
 
     /// Evaluate all checks against one candidate execution, reusing the

@@ -142,7 +142,7 @@ impl ModelSession for CatSession<'_> {
         Ok(allowed != lkmm_core::faultpoint::should_fail("cat.misjudge"))
     }
 
-    fn install_step_fuel(&mut self, fuel: std::sync::Arc<lkmm_core::budget::StepFuel>) {
+    fn set_step_fuel(&mut self, fuel: Option<std::sync::Arc<lkmm_core::budget::StepFuel>>) {
         self.set_fuel(fuel);
     }
 }

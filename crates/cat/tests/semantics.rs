@@ -57,7 +57,7 @@ fn fuel_needed(src: &str) -> u64 {
     let x = &sb()[0];
     let runs_dry = |steps: u64| {
         let mut session = CatSession::new(&model);
-        session.set_fuel(Arc::new(StepFuel::new(steps)));
+        session.set_fuel(Some(Arc::new(StepFuel::new(steps))));
         matches!(session.evaluate(x), Err(e) if e.is_fuel_exhausted())
     };
     let steps = (0..1000).find(|&s| !runs_dry(s)).expect("finite fuel");

@@ -315,8 +315,8 @@ impl ModelSession for LkmmSession {
         Ok(allowed != lkmm_core::faultpoint::should_fail("lkmm.misjudge"))
     }
 
-    fn install_step_fuel(&mut self, fuel: Arc<lkmm_core::budget::StepFuel>) {
-        self.fuel = Some(fuel);
+    fn set_step_fuel(&mut self, fuel: Option<Arc<lkmm_core::budget::StepFuel>>) {
+        self.fuel = fuel;
     }
 }
 

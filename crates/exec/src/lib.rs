@@ -56,6 +56,6 @@ pub use model::{
 };
 pub use pipeline::{
     check, effective_jobs, worker_threads, CheckOutcome, InconclusiveReason, MultiCheckOutcome,
-    PipelineOptions, Tally, MAX_JOBS,
+    PipelineOptions, Sessions, Tally, MAX_JOBS,
 };
 pub use states::{collect_states, StateSummary};

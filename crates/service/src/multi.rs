@@ -30,11 +30,13 @@
 //!
 //! Checking a unit has two halves. [`MultiBatchChecker::prepare`] is
 //! pure — canonical text, keys, store lookups and the enumeration — so
-//! a driver may run it for many units at once on worker threads.
-//! [`CorpusRun::commit`] applies a prepared unit in corpus order, reusing
-//! its store hits: the dedupe map, store appends and counters all live
-//! there, which is what keeps reports and counters identical however
-//! many units were prepared ahead.
+//! a driver may run it for many units at once on worker threads, each
+//! passing its own [`Sessions`] handle so the model sessions serve unit
+//! after unit. [`CorpusRun::commit`] applies a prepared unit in corpus
+//! order, reusing its store hits: the dedupe map, store appends and
+//! counters all live there, which is what keeps reports and counters
+//! identical however many units were prepared ahead. A [`CorpusRun`]
+//! keeps a handle of its own for what it checks on the calling thread.
 //!
 //! Per-column bookkeeping (hits, computed, deduped, inconclusive,
 //! candidates) keeps the exact semantics of N sequential passes: a
@@ -47,8 +49,8 @@ use crate::canon::{canonical_text, KeyPrefix};
 use crate::store::{VerdictLog, VerdictStore};
 use lkmm_core::budget::{Budget, BudgetKind, Meter};
 use lkmm_exec::{
-    check, CheckOutcome, ConsistencyModel, EnumOptions, InconclusiveReason, MultiCheckOutcome,
-    PipelineOptions, Stats, Tally,
+    CheckOutcome, ConsistencyModel, EnumOptions, InconclusiveReason, MultiCheckOutcome,
+    PipelineOptions, Sessions, Stats, Tally,
 };
 use lkmm_litmus::ast::Test;
 use std::collections::HashMap;
@@ -310,23 +312,38 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
             candidates_actual: 0,
             corpus_meter,
             start: Instant::now(),
+            sessions: self.sessions(),
             checker: self,
         }
+    }
+
+    /// A [`Sessions`] handle over this checker's columns, in column
+    /// order, with no session open yet: what a thread passes to every
+    /// [`MultiBatchChecker::prepare`] it runs.
+    pub fn sessions(&self) -> Sessions<'m> {
+        Sessions::new(self.columns.iter().map(|c| c.model))
     }
 
     /// The order-independent half of checking one unit, safe to run on
     /// any thread ahead of the unit's turn: one canonicalization, every
     /// column's key, a store lookup per column `mask_row` enables, and
     /// one governed enumeration (at this checker's pipeline options)
-    /// over the enabled columns the store lacks. The hits and the
-    /// check's outcomes make up the prepared row
+    /// over the enabled columns the store lacks, on the calling thread's
+    /// `sessions` (from [`MultiBatchChecker::sessions`]). The hits and
+    /// the check's outcomes make up the prepared row
     /// ([`PreparedUnit::cells`]); the check's counters are kept apart
     /// until [`CorpusRun::commit`] adopts the result.
     ///
     /// # Panics
     ///
-    /// If `mask_row` does not have one slot per column.
-    pub fn prepare(&self, test: &Test, mask_row: &[bool]) -> PreparedUnit {
+    /// If `mask_row` does not have one slot per column, or a model
+    /// panics opening its session.
+    pub fn prepare(
+        &self,
+        sessions: &mut Sessions<'m>,
+        test: &Test,
+        mask_row: &[bool],
+    ) -> PreparedUnit {
         assert_eq!(mask_row.len(), self.columns.len(), "one mask slot per column");
         let keys = self.keys(test);
         let mut cells = vec![None; keys.len()];
@@ -340,22 +357,23 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
                 }
             }
         }
-        let check = (!missing.is_empty()).then(|| self.check_columns(test, missing, &mut cells));
+        let check =
+            (!missing.is_empty()).then(|| self.check_columns(sessions, test, missing, &mut cells));
         PreparedUnit { keys, cells, check }
     }
 
-    /// One governed enumeration of `test` over `columns`, against
-    /// private counters, settling each of those columns in `cells`.
+    /// One governed enumeration of `test` over `columns` on `sessions`,
+    /// against private counters, settling each of those columns in
+    /// `cells`.
     fn check_columns(
         &self,
+        sessions: &mut Sessions<'m>,
         test: &Test,
         columns: Vec<usize>,
         cells: &mut [Option<CheckOutcome>],
     ) -> ColumnsCheck {
         let opts = self.enum_opts.with_own_stats();
-        let models: Vec<&dyn ConsistencyModel> =
-            columns.iter().map(|&c| self.columns[c].model).collect();
-        match check(&models, test, &opts, &self.pipe) {
+        match sessions.check(&columns, test, &opts, &self.pipe) {
             MultiCheckOutcome::Complete(results) => {
                 for (&c, result) in columns.iter().zip(results) {
                     cells[c] = Some(CheckOutcome::Complete(result));
@@ -457,8 +475,9 @@ pub enum UnitFault {
 /// `None`), and *re-run* a unit whose first attempt failed partway.
 ///
 /// Only the unit committed last keeps its cells ([`CorpusRun::take_row`]);
-/// across units the session keeps per-column counters and a dedupe map
-/// from key to the first unit that resolved it. A duplicate's verdict
+/// across units the run keeps per-column counters, a dedupe map from
+/// key to the first unit that resolved it, and the model sessions that
+/// check units on the calling thread. A duplicate's verdict
 /// is replayed from the store (a backend that dropped the first
 /// verdict's append makes the duplicate compute afresh instead).
 ///
@@ -474,6 +493,8 @@ pub enum UnitFault {
 /// deterministic reports.
 pub struct CorpusRun<'a, 'm, S: VerdictLog = VerdictStore> {
     checker: &'a MultiBatchChecker<'m, S>,
+    /// Model sessions for the checks run here, kept from unit to unit.
+    sessions: Sessions<'m>,
     columns: Vec<ColumnReport>,
     seen: Vec<HashMap<u128, usize>>,
     /// Cells of unit `row_unit`, the one committed last.
@@ -578,7 +599,7 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
             Some(check) if check.columns == missing => check,
             _ => {
                 as_prepared = false;
-                self.checker.check_columns(test, missing, &mut cells)
+                self.checker.check_columns(&mut self.sessions, test, missing, &mut cells)
             }
         };
         self.checker.enum_opts.adopt_stats(&check.stats);
@@ -1050,8 +1071,8 @@ mod tests {
         .with_options(EnumOptions { stats: Some(stats.clone()), ..EnumOptions::default() });
         // Both copies are prepared before either commits, as two
         // workers would: each enumerates, since the store is empty.
-        let first = multi.prepare(&test, &[true]);
-        let second = multi.prepare(&test, &[true]);
+        let first = multi.prepare(&mut multi.sessions(), &test, &[true]);
+        let second = multi.prepare(&mut multi.sessions(), &test, &[true]);
         let mut run = multi.begin_corpus();
         assert!(run.commit(0, &test, &[true], first).unwrap(), "committed as prepared");
         let after_first = stats.snapshot();

@@ -6,18 +6,22 @@
 //! it from different directions: the contended-twin corpus
 //! (coherence-dominated streams full of doomed candidates), an
 //! algorithms family (generated programs far bigger than any library
-//! litmus test), and tests big enough to split over workers.
+//! litmus test), and tests big enough to split over workers. One
+//! thread's kept sessions (`Sessions`) give what fresh ones give, after a
+//! model panic, under a step tank and over any subset of their columns.
 
 use linux_kernel_memory_model::service::{MultiBatchChecker, MultiColumn, VerdictStore};
 use linux_kernel_memory_model::{Herd, ModelId};
 use lkmm_exec::enumerate::EnumOptions;
 use lkmm_exec::pipeline::INLINE_WORK;
 use lkmm_exec::{
-    check, check_test, Budget, BudgetKind, CheckOutcome, InconclusiveReason, PipelineOptions,
-    Stats, StatsSnapshot,
+    check, check_test, open_session, Budget, BudgetKind, CheckOutcome, ConsistencyModel,
+    ExecFacts, Execution, InconclusiveReason, ModelSession, MultiCheckOutcome, PipelineOptions,
+    Sessions, Stats, StatsSnapshot,
 };
 use lkmm_litmus::ast::Test;
 use lkmm_litmus::library;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn pipeline_matches_sequential(choice: ModelId) {
@@ -388,4 +392,121 @@ fn counters_outside_the_campaigns_are_pinned() {
         assert_eq!(lines, expect, "herd-rs {args:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A model that counts the sessions opened on it.
+struct CountingOpens {
+    inner: Box<dyn ConsistencyModel>,
+    opens: AtomicUsize,
+}
+
+impl CountingOpens {
+    fn new(id: ModelId) -> Self {
+        CountingOpens { inner: id.instantiate(), opens: AtomicUsize::new(0) }
+    }
+}
+
+impl ConsistencyModel for CountingOpens {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn allows_with(&self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
+        self.inner.allows_with(x, facts)
+    }
+
+    fn session(&self) -> Option<Box<dyn ModelSession + '_>> {
+        self.opens.fetch_add(1, Ordering::SeqCst);
+        Some(open_session(self.inner.as_ref()))
+    }
+}
+
+/// Message passing through one SRCU domain: the native LKMM forbids it,
+/// the cat LKMM refuses SRCU events by panicking.
+fn srcu_mp() -> Test {
+    lkmm_litmus::parse(
+        "C SRCU-MP\n{ ss=0; x=0; y=0; }\n\
+         P0(srcu_struct *ss, int *x, int *y) { int r1; int r2; srcu_read_lock(ss); \
+         r1 = READ_ONCE(*x); r2 = READ_ONCE(*y); srcu_read_unlock(ss); }\n\
+         P1(srcu_struct *ss, int *x, int *y) { WRITE_ONCE(*y, 1); \
+         synchronize_srcu(ss); WRITE_ONCE(*x, 1); }\n\
+         exists (0:r1=1 /\\ 0:r2=0)",
+    )
+    .unwrap()
+}
+
+#[test]
+fn kept_sessions_after_a_model_panic_are_reopened_and_match_fresh_checks() {
+    let (lkmm, cat) = (ModelId::LkmmNative.instantiate(), ModelId::LkmmCat.instantiate());
+    let counted = CountingOpens::new(ModelId::LkmmCat);
+    let fresh: [&dyn ConsistencyModel; 2] = [lkmm.as_ref(), cat.as_ref()];
+    let (opts, pipe) = (EnumOptions::default(), PipelineOptions::default());
+    let mut sessions = Sessions::new([lkmm.as_ref(), &counted]);
+    let test = |name: &str| library::by_name(name).unwrap().test();
+    // MP opens the cat session and SRCU-MP reuses it, which then panics.
+    let mut opens_after = Vec::new();
+    for t in [test("MP"), srcu_mp(), test("SB")] {
+        let kept = sessions.check(&[0, 1], &t, &opts, &pipe);
+        opens_after.push(counted.opens.load(Ordering::SeqCst));
+        assert_eq!(kept, check(&fresh, &t, &opts, &pipe), "{}", t.name);
+        if t.name == "SRCU-MP" {
+            assert!(matches!(
+                kept,
+                MultiCheckOutcome::Inconclusive { reason: InconclusiveReason::WorkerPanicked, .. }
+            ));
+        }
+    }
+    // The panicked session is dropped: SB opens a new one.
+    assert_eq!(opens_after, [1, 1, 2]);
+}
+
+#[test]
+fn kept_sessions_run_on_each_checks_own_step_tank() {
+    let cat = ModelId::LkmmCat.instantiate();
+    let models = [cat.as_ref()];
+    let sb = library::by_name("SB").unwrap().test();
+    let pipe = PipelineOptions::default();
+    let mut sessions = Sessions::new(models);
+    // SB burns 164 steps under the cat LKMM (`tests/budget.rs`).
+    for steps in [Some(163), Some(164), None] {
+        let budget =
+            steps.map_or_else(Budget::default, |s| Budget::default().with_max_eval_steps(s));
+        let opts = EnumOptions { budget, ..EnumOptions::default() };
+        let kept = sessions.check(&[0], &sb, &opts, &pipe);
+        assert_eq!(kept, check(&models, &sb, &opts, &pipe), "{steps:?} steps");
+        match (steps, kept) {
+            (Some(163), MultiCheckOutcome::Inconclusive { reason, partials }) => {
+                assert_eq!(reason, InconclusiveReason::BudgetExceeded(BudgetKind::EvalSteps));
+                assert_eq!(partials[0].candidates, 3);
+            }
+            (_, MultiCheckOutcome::Complete(results)) if steps != Some(163) => {
+                assert_eq!(results[0].candidates, 4);
+            }
+            (_, other) => panic!("{steps:?} steps: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn kept_sessions_serve_any_subset_of_their_columns() {
+    // One handle over all seven columns, each library test checked on a
+    // different subset of the columns that cover it, as store hits and
+    // masks leave them.
+    let set: Vec<(ModelId, Box<dyn ConsistencyModel>)> =
+        ModelId::ALL.iter().map(|&id| (id, id.instantiate())).collect();
+    let mut sessions = Sessions::new(set.iter().map(|(_, m)| m.as_ref()));
+    let (opts, pipe) = (EnumOptions::default(), PipelineOptions::default());
+    for (i, pt) in library::all().iter().enumerate() {
+        let t = pt.test();
+        let columns: Vec<usize> = (0..set.len())
+            .filter(|&c| set[c].0.supports(&t) && (i + c) % 3 != 0)
+            .collect();
+        if columns.is_empty() {
+            continue;
+        }
+        let models: Vec<&dyn ConsistencyModel> =
+            columns.iter().map(|&c| set[c].1.as_ref()).collect();
+        let kept = sessions.check(&columns, &t, &opts, &pipe);
+        assert_eq!(kept, check(&models, &t, &opts, &pipe), "{} on columns {columns:?}", pt.name);
+    }
 }

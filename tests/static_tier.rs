@@ -3,7 +3,8 @@
 //! caches, all keyed on each candidate's value-free shape — against an
 //! uncached evaluation of every candidate (`ExecFacts::new` plus
 //! `ConsistencyModel::allows_with`, no session), in every column that
-//! supports the test. Two corpora: the paper library plus every diy
+//! supports the test, with fresh sessions per test and with one set of
+//! sessions kept across the whole corpus. Two corpora: the paper library plus every diy
 //! cycle up to length 6, and every cycle up to length 5 with its
 //! contended twin (one location, colliding write values, so many
 //! candidates per pre-execution). Both run for minutes unoptimised, so
@@ -11,8 +12,8 @@
 
 use linux_kernel_memory_model::conformance::matrix::ModelId;
 use linux_kernel_memory_model::exec::{
-    check, for_each_execution, ConsistencyModel, EnumOptions, ExecFacts, PipelineOptions, Stats,
-    TestResult, Verdict,
+    check, for_each_execution, ConsistencyModel, EnumOptions, ExecFacts, MultiCheckOutcome,
+    PipelineOptions, Sessions, Stats, TestResult, Verdict,
 };
 use linux_kernel_memory_model::generator::{
     cycles_up_to, default_alphabet, generate, generate_contended,
@@ -51,28 +52,38 @@ fn uncached(models: &[&dyn ConsistencyModel], test: &Test) -> Vec<TestResult> {
 }
 
 /// Check every test of `corpus` at jobs 1, column by column against the
-/// uncached evaluation; returns the static tiers the facts caches built.
+/// uncached evaluation, twice: with fresh sessions per test (`check`),
+/// and on one `Sessions` handle kept across the whole corpus, as a
+/// campaign worker keeps it. Both must count the same, data plane
+/// included; returns the static tiers the facts caches built.
 fn differential(corpus: &[Test]) -> u64 {
     let columns: Vec<(ModelId, Box<dyn ConsistencyModel>)> =
         ModelId::ALL.iter().map(|&id| (id, id.instantiate())).collect();
     let stats = Arc::new(Stats::default());
     let opts = EnumOptions { stats: Some(stats.clone()), ..EnumOptions::default() };
+    let kept_stats = Arc::new(Stats::default());
+    let kept_opts = EnumOptions { stats: Some(kept_stats.clone()), ..EnumOptions::default() };
+    let mut kept = Sessions::new(columns.iter().map(|(_, model)| model.as_ref()));
     let pipe = PipelineOptions { jobs: 1, ..Default::default() };
     for test in corpus {
-        let (ids, models): (Vec<ModelId>, Vec<&dyn ConsistencyModel>) = columns
-            .iter()
-            .filter(|(id, _)| id.supports(test))
-            .map(|(id, model)| (*id, model.as_ref()))
-            .unzip();
-        let cached = check(&models, test, &opts, &pipe)
-            .into_result()
-            .unwrap_or_else(|e| panic!("{}: {e}", test.name));
+        let supported: Vec<usize> =
+            (0..columns.len()).filter(|&c| columns[c].0.supports(test)).collect();
+        let models: Vec<&dyn ConsistencyModel> =
+            supported.iter().map(|&c| columns[c].1.as_ref()).collect();
+        let strict = |outcome: MultiCheckOutcome| {
+            outcome.into_result().unwrap_or_else(|e| panic!("{}: {e}", test.name))
+        };
+        let cached = strict(check(&models, test, &opts, &pipe));
+        let reused = strict(kept.check(&supported, test, &kept_opts, &pipe));
         let fresh = uncached(&models, test);
-        for ((id, c), f) in ids.iter().zip(&cached).zip(&fresh) {
+        for (k, &c) in supported.iter().enumerate() {
             let tally = |r: &TestResult| (r.verdict, r.candidates, r.allowed, r.witnesses);
-            assert_eq!(tally(c), tally(f), "{} in column {}", test.name, id.column());
+            let column = columns[c].0.column();
+            assert_eq!(tally(&cached[k]), tally(&fresh[k]), "{} in column {column}", test.name);
+            assert_eq!(tally(&reused[k]), tally(&fresh[k]), "{} in kept {column}", test.name);
         }
     }
+    assert_eq!(kept_stats.snapshot(), stats.snapshot(), "kept sessions count the same");
     stats.snapshot().data_plane.static_builds
 }
 
