@@ -397,6 +397,60 @@ fn rendered_reports_are_pinned() {
     );
 }
 
+/// The four campaigns `rendered_reports_are_pinned` renders, at `jobs`:
+/// each one's JSON report, human table and stderr lines.
+fn rendered_reports(jobs: usize) -> Vec<String> {
+    let mut texts = Vec::new();
+    for degraded in [false, true] {
+        let cfg = CampaignConfig {
+            jobs,
+            sim: SimConfig { iterations: 20, seed: 7, stride: 1 },
+            stats: Some(Arc::new(Stats::default())),
+            resilience: ResilienceConfig { retry_base_ms: 0, ..ResilienceConfig::default() },
+            ..library_campaign()
+        };
+        let report = run_campaign_with(&cfg, &mutant_set(ModelId::LkmmCat, degraded)).unwrap();
+        let json = json_report(&report, &cfg).to_string();
+        texts.push([json, human_table(&report), observability_lines(&report)].concat());
+    }
+    for degraded in [false, true] {
+        let cfg = AlgoConfig {
+            families: vec![FamilyId::Ticket],
+            jobs,
+            sim: SimConfig { iterations: 0, ..SimConfig::default() },
+            host_iterations: 0,
+            stats: Some(Arc::new(Stats::default())),
+            ..AlgoConfig::default()
+        };
+        let set = mutant_set(ModelId::LkmmNative, degraded);
+        let report = run_algo_campaign_with(&cfg, &set).unwrap();
+        texts.push(
+            [
+                algo_json_report(&report, &cfg).to_string(),
+                algo_human_table(&report),
+                observability_lines(&report.campaign),
+            ]
+            .concat(),
+        );
+    }
+    texts
+}
+
+#[test]
+fn degraded_reports_are_the_same_at_every_job_count() {
+    // The pinned campaigns again, at more than one job. In the degraded
+    // ones C11 quarantines every unit it covers: those units fail their
+    // prepare on whichever thread ran it, are retried and re-judged by
+    // the committing thread, and name their test in the quarantine list.
+    // None of that may change a byte of any rendering.
+    let reference = rendered_reports(1);
+    for jobs in [2, 8] {
+        for (k, (got, want)) in rendered_reports(jobs).iter().zip(&reference).enumerate() {
+            assert_eq!(got, want, "campaign {k} at jobs={jobs} differs from jobs=1");
+        }
+    }
+}
+
 #[test]
 fn every_oracles_discrepancies_recheck() {
     // Whatever a campaign row judged violated, the shrinker's from-scratch
