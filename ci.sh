@@ -262,15 +262,25 @@ echo "== conformance: cycle-length-6 campaign completes cleanly at every --jobs 
 # oracle matrix, no sim, no shrinking. Each campaign worker keeps its
 # model sessions from unit to unit and sees a timing-dependent run of
 # the 63 473 tests, so the report, counters included, must not depend
-# on the job count at full size either.
+# on the job count at full size either. Each job count runs over its own
+# store, cold and then warm: the warm pass replays every verdict, so it
+# is the pass where the pool's own costs dominate.
 for J in 1 2; do
-    "$BIN" conformance --max-cycle-len 6 --sim-iterations 0 --no-shrink --enum-stats --json \
-        --jobs $J > /tmp/lkmm-conf-len6-j$J.json 2> /dev/null
+    rm -f /tmp/lkmm-ci-len6-j$J.bin
+    for PASS in cold warm; do
+        "$BIN" conformance --max-cycle-len 6 --sim-iterations 0 --no-shrink --enum-stats \
+            --json --jobs $J --store /tmp/lkmm-ci-len6-j$J.bin \
+            > /tmp/lkmm-conf-len6-j$J-$PASS.json 2> /dev/null
+    done
 done
-cmp /tmp/lkmm-conf-len6-j1.json /tmp/lkmm-conf-len6-j2.json
-grep -q '"clean":true' /tmp/lkmm-conf-len6-j2.json
-grep -q '"discrepancies":\[\]' /tmp/lkmm-conf-len6-j2.json
-rm -f /tmp/lkmm-conf-len6-j1.json /tmp/lkmm-conf-len6-j2.json
+for PASS in cold warm; do
+    cmp /tmp/lkmm-conf-len6-j1-$PASS.json /tmp/lkmm-conf-len6-j2-$PASS.json
+    grep -q '"clean":true' /tmp/lkmm-conf-len6-j2-$PASS.json
+    grep -q '"discrepancies":\[\]' /tmp/lkmm-conf-len6-j2-$PASS.json
+done
+rm -f /tmp/lkmm-ci-len6-j1.bin /tmp/lkmm-ci-len6-j2.bin /tmp/lkmm-conf-len6-j1-cold.json \
+    /tmp/lkmm-conf-len6-j2-cold.json /tmp/lkmm-conf-len6-j1-warm.json \
+    /tmp/lkmm-conf-len6-j2-warm.json
 
 echo "== conformance --algorithms: family campaign is clean, warm replay byte-identical =="
 # The real-algorithm tier: every family at the default size through all
