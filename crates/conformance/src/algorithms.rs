@@ -37,7 +37,7 @@
 
 use crate::campaign::{sim_check_row, CampaignError, CampaignReport, CorpusStream, SimConfig};
 use crate::driver::{drive_campaign, ResilienceConfig};
-use crate::matrix::{uses_srcu, CorpusEntry, MatrixOptions, MatrixRow, ModelSet, Origin, RowRef};
+use crate::matrix::{uses_srcu, CorpusEntry, MatrixOptions, ModelSet, Origin, RowRef};
 use crate::oracle::{judge_matrix, judge_row, Discrepancy, OracleKind, OracleSummary, Recheck};
 use crate::report::{
     counters_json, discrepancies_json, failed_units_json, models_json, oracle_counts, oracles_json,
@@ -46,6 +46,7 @@ use crate::report::{
 use crate::shrink::shrink_discrepancies;
 use lkmm_algorithms::{FamilyId, FamilyParams};
 use lkmm_core::budget::Budget;
+use lkmm_exec::CheckOutcome;
 use lkmm_service::json::Json;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -233,7 +234,7 @@ pub fn run_algo_campaign_with(
         });
         judge_row(row, host.into_iter().chain(interleave), discrepancies, summaries);
     };
-    let fold = |i: usize, _: &MatrixRow, here: &[OracleSummary]| {
+    let fold = |i: usize, _: &[Option<CheckOutcome>], here: &[OracleSummary]| {
         let fs = &mut family_stats[family_of[i]];
         fs.safety += here[OracleKind::FamilySafety.index()];
         fs.sim += here[OracleKind::SimSoundness.index()];

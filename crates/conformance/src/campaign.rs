@@ -250,52 +250,57 @@ impl From<io::Error> for CampaignError {
 
 /// The lazy campaign corpus: the named library up front (already
 /// materialised — it is small), then every generated cycle in
-/// `cycles_up_to` order, each litmus test built only when the driver
-/// reaches it, then the contended twins. The order (and therefore every
-/// corpus index) is a deterministic function of the config — which is
-/// what lets a checkpoint record progress as a plain cursor. The
-/// algorithm campaign streams its expanded programs the same way,
-/// through [`CorpusStream::from_entries`].
+/// `cycles_up_to` order, then the contended twins, each litmus test
+/// built only when asked for. The order (and therefore every corpus
+/// index) is a deterministic function of the config — which is what
+/// lets a checkpoint record progress as a plain cursor. Units can be
+/// built by index ([`CorpusStream::entry`]), on any thread and as often
+/// as wanted, always to the same test: the campaign driver builds each
+/// unit on the thread that checks it. The algorithm campaign streams its
+/// expanded programs the same way, through [`CorpusStream::from_entries`].
 pub struct CorpusStream {
-    /// Materialised entries, served first.
-    entries: std::vec::IntoIter<CorpusEntry>,
+    /// Materialised entries, the first units.
+    entries: Vec<CorpusEntry>,
     cycles: Vec<Vec<Edge>>,
-    /// Next cycle slot: `0..cycles.len()` plain, then the contended
-    /// twins when enabled.
-    at: usize,
     contended: bool,
-    total: usize,
+    /// The next unit the iterator yields.
+    at: usize,
 }
 
 impl CorpusStream {
     /// A stream over `entries` alone, in order.
     pub fn from_entries(entries: Vec<CorpusEntry>) -> CorpusStream {
-        CorpusStream {
-            total: entries.len(),
-            entries: entries.into_iter(),
-            cycles: Vec::new(),
-            at: 0,
-            contended: false,
-        }
+        CorpusStream { entries, cycles: Vec::new(), contended: false, at: 0 }
     }
 
     /// Total units this stream will yield.
     pub fn total(&self) -> usize {
-        self.total
+        self.entries.len() + self.cycles.len() * if self.contended { 2 } else { 1 }
     }
 
-    /// Advance past the first `n` units without building their tests —
-    /// the aggregate-resume fast path: a resumed campaign takes units
-    /// `0..cursor` from the checkpoint's aggregates, so their litmus
-    /// tests never need to exist in this process at all.
+    /// Advance past the next `n` units without building their tests.
     pub fn seek(&mut self, n: usize) {
-        let from_entries = n.min(self.entries.len());
-        if from_entries > 0 {
-            // `Vec::IntoIter::nth` drops the skipped entries without
-            // generating or cloning anything.
-            let _ = self.entries.nth(from_entries - 1);
+        self.at += n;
+    }
+
+    /// Unit `i`: a clone of a materialised entry, or the cycle's test (or
+    /// its contended twin) generated afresh.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is not below [`CorpusStream::total`].
+    pub fn entry(&self, i: usize) -> Result<CorpusEntry, GenError> {
+        if let Some(entry) = self.entries.get(i) {
+            return Ok(entry.clone());
         }
-        self.at += n - from_entries;
+        let j = i - self.entries.len();
+        let n = self.cycles.len();
+        assert!(j < n || (self.contended && j < 2 * n), "unit {i} is past the corpus");
+        let test = match self.cycles.get(j) {
+            Some(cycle) => generate(cycle),
+            None => generate_contended(&self.cycles[j - n]),
+        };
+        test.map(|test| CorpusEntry { test, origin: Origin::Generated })
     }
 }
 
@@ -303,30 +308,18 @@ impl Iterator for CorpusStream {
     type Item = Result<CorpusEntry, GenError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if let Some(e) = self.entries.next() {
-            return Some(Ok(e));
-        }
-        let n = self.cycles.len();
-        if self.at < n {
-            let r = generate(&self.cycles[self.at]);
-            self.at += 1;
-            Some(r.map(|test| CorpusEntry { test, origin: Origin::Generated }))
-        } else if self.contended && self.at < 2 * n {
-            let r = generate_contended(&self.cycles[self.at - n]);
-            self.at += 1;
-            Some(r.map(|test| CorpusEntry { test, origin: Origin::Generated }))
-        } else {
-            None
-        }
+        let entry = (self.at < self.total()).then(|| self.entry(self.at))?;
+        self.at += 1;
+        Some(entry)
     }
 }
 
 /// The campaign corpus as a lazy stream (see [`CorpusStream`]).
 pub fn corpus_stream(cfg: &CampaignConfig) -> CorpusStream {
-    let mut library = Vec::new();
+    let mut entries = Vec::new();
     if cfg.include_library {
         for pt in lkmm_litmus::library::all() {
-            library.push(CorpusEntry {
+            entries.push(CorpusEntry {
                 test: pt.test(),
                 origin: Origin::Library { lkmm: pt.lkmm, c11: pt.c11 },
             });
@@ -337,14 +330,7 @@ pub fn corpus_stream(cfg: &CampaignConfig) -> CorpusStream {
     } else {
         Vec::new()
     };
-    let total = library.len() + cycles.len() * if cfg.contended { 2 } else { 1 };
-    CorpusStream {
-        entries: library.into_iter(),
-        cycles,
-        at: 0,
-        contended: cfg.contended,
-        total,
-    }
+    CorpusStream { entries, cycles, contended: cfg.contended, at: 0 }
 }
 
 /// FNV-64 fingerprint over everything the deterministic report depends
@@ -389,7 +375,7 @@ pub(crate) fn sim_seed(base: u64, corpus_index: usize) -> u64 {
 /// LKMM-forbidden rows run, only every `stride`-th corpus index is
 /// sampled, and a row using SRCU, which the machines do not implement,
 /// counts one skip. Part of the driver's row judgement, so the
-/// simulators run on the worker that prepared the row (or at commit,
+/// simulators run on the thread that prepared the row (or at commit,
 /// when the committed row is not the prepared one), and a checkpoint
 /// frame's aggregates already include the prefix's share of the pass.
 pub(crate) fn sim_check_row(

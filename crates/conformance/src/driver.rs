@@ -2,7 +2,7 @@
 //! per-row oracles, retry/backoff, quarantine, and checkpoint/resume.
 //!
 //! [`drive_campaign`] runs every campaign, the cycle campaign and the
-//! algorithm campaign alike. It *streams* work units from a lazy
+//! algorithm campaign alike. It builds work units on demand from a lazy
 //! [`CorpusStream`], feeds them one at a time to the streaming
 //! [`CorpusRun`] API, and judges each row with the caller's row-level
 //! checks (matrix oracles, simulator soundness, and for the algorithm
@@ -30,9 +30,9 @@
 //!   the same inconclusive cell, so they stay inconclusive cells.
 //! * **Resume.** With a valid checkpoint whose config fingerprint
 //!   matches, a clean-prefix campaign resumes as *arithmetic*: the
-//!   aggregates restart from the frame's [`PrefixStats`], the corpus
-//!   stream seeks past the prefix without generating its tests, and
-//!   only the tail is checked — resume cost is proportional to the
+//!   aggregates restart from the frame's [`PrefixStats`], the units
+//!   start past the prefix without generating its tests, and only the
+//!   tail is checked — resume cost is proportional to the
 //!   *remaining* work, not the corpus. A prefix with discrepancies
 //!   has no aggregates in its frames (their full structure is needed
 //!   for shrinking); resume then replays every unit through the warm
@@ -49,24 +49,30 @@
 //! the discrepancies; those re-checks start from scratch and never show
 //! in the counters.
 //!
-//! Campaigns parallelise over units, not candidates. `jobs` scoped
-//! worker threads (never more than the host has) run the pure half of
-//! each unit, [`MultiBatchChecker::prepare`] — keys, store lookups, one
-//! inline enumeration on the worker's own model sessions, kept from unit
-//! to unit — and then judge the prepared row: the row oracles and the
-//! simulators run there, up to 16 units per worker ahead of the commit
-//! cursor, on the ordered pool ([`prepare_in_order`]) that a check split
-//! over workers runs on too. Which worker checked which unit changes
-//! only what its sessions had cached, never a verdict or a counter.
-//! The calling thread commits units strictly in corpus order
-//! ([`CorpusRun::commit`]) and does all of the above that needs order,
-//! so reports, counters, checkpoints and fault points behave exactly as
-//! with one job, where both halves run inline and no thread is spawned.
-//! It keeps a worker's judgement only when the committed row is exactly
-//! the prepared one; a row that changed — an in-flight duplicate, a
-//! retry, a panicking prepare, a quarantined unit, a tripped corpus
-//! deadline — is judged again on the calling thread, so a discarded
-//! judgement counts nowhere.
+//! Campaigns parallelise over units, not candidates, on the ordered pool
+//! ([`prepare_in_order`]) that a check split over workers runs on too:
+//! `jobs` threads in all (never more than the host has), the calling
+//! thread among them. Units are corpus indices, and each unit lives on
+//! one thread from generation to drop: the thread that prepares it
+//! builds its test ([`CorpusStream::entry`]), runs the pure half of the
+//! unit, [`MultiBatchChecker::prepare`] — keys, store lookups, one
+//! inline enumeration on the thread's own model sessions, kept from unit
+//! to unit — judges the prepared row (the row oracles and the
+//! simulators) and drops the test. Only the prepared row reaches the
+//! committing thread, up to 16 units per thread ahead of its cursor.
+//! Which thread checked which unit changes only what its sessions had
+//! cached, never a verdict or a counter. The calling thread commits
+//! units strictly in corpus order ([`CorpusRun::commit`]) and does all
+//! of the above that needs order, so reports, counters, checkpoints and
+//! fault points behave exactly as with one job, where both halves run
+//! inline and no thread is spawned. It keeps a prepared judgement only
+//! when the committed row is exactly the prepared one; a row that
+//! changed — an in-flight duplicate, a retry, a panicking prepare, a
+//! quarantined unit, a tripped corpus deadline — is judged again on the
+//! calling thread, so a discarded judgement counts nowhere. Those slow
+//! paths, and a quarantine record's test name, are the only ones that
+//! build a unit's test again on the calling thread; generation is
+//! deterministic, so it is the same test.
 //!
 //! Fault points: `campaign.kill` aborts the process at a unit boundary
 //! (a simulated SIGKILL for crash tests); `worker.transient` injects a
@@ -75,9 +81,7 @@
 
 use crate::campaign::{CampaignError, CampaignReport, CorpusStream, ModelStats, OracleStats};
 use crate::checkpoint::{self, Checkpoint, CheckpointLog, FailedUnit, FailureKind, PrefixStats};
-use crate::matrix::{
-    CorpusEntry, MatrixOptions, MatrixRow, ModelId, ModelPass, ModelSet, Origin, RowRef,
-};
+use crate::matrix::{CorpusEntry, MatrixOptions, ModelId, ModelPass, ModelSet, Origin, RowRef};
 use crate::oracle::{Discrepancy, OracleKind, OracleSummary};
 use lkmm_core::faultpoint;
 use lkmm_core::rng::SplitMix64;
@@ -88,6 +92,7 @@ use lkmm_litmus::ast::Test;
 use lkmm_service::{
     CorpusRun, MultiBatchChecker, MultiColumn, PreparedUnit, StoreError, UnitFault, VerdictStore,
 };
+use std::cell::OnceCell;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -170,7 +175,7 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 fn attempt_unit(
     run: &mut CorpusRun<'_, '_>,
     i: usize,
-    test: &Test,
+    test: &UnitTest<'_>,
     mask_row: &[bool],
     prepared: Result<Option<PreparedUnit>, String>,
     retry_timeouts: bool,
@@ -179,10 +184,12 @@ fn attempt_unit(
         .map_err(|e| (FailureKind::TransientIo, e.to_string()))?;
     let committed = match prepared {
         Err(detail) => return Err((FailureKind::Panic, detail)),
-        Ok(Some(unit)) => catch_unwind(AssertUnwindSafe(|| run.commit(i, test, mask_row, unit))),
-        Ok(None) => {
-            catch_unwind(AssertUnwindSafe(|| run.check_unit(i, test, mask_row).map(|()| false)))
+        Ok(Some(unit)) => {
+            catch_unwind(AssertUnwindSafe(|| run.commit(i, || test.get(), mask_row, unit)))
         }
+        Ok(None) => catch_unwind(AssertUnwindSafe(|| {
+            run.check_unit(i, test.get(), mask_row).map(|()| false)
+        })),
     };
     match committed {
         Err(payload) => Err((FailureKind::Panic, panic_text(payload.as_ref()))),
@@ -211,7 +218,7 @@ fn attempt_unit(
 fn supervise_unit(
     run: &mut CorpusRun<'_, '_>,
     i: usize,
-    test: &Test,
+    test: &UnitTest<'_>,
     mask_row: &[bool],
     mut prepared: Result<Option<PreparedUnit>, String>,
     res: &ResilienceConfig,
@@ -228,7 +235,7 @@ fn supervise_unit(
                 if attempt > res.max_retries {
                     return Err(FailedUnit {
                         index: i,
-                        test: test.name.clone(),
+                        test: test.get().name.clone(),
                         kind,
                         attempts: attempt,
                         detail,
@@ -243,12 +250,43 @@ fn supervise_unit(
     }
 }
 
-/// One row's oracle results, judged on the worker that prepared the row
+/// One row's oracle results, judged on the thread that prepared the row
 /// or at commit, before they join the campaign's.
 #[derive(Default)]
 struct RowJudgement {
     discrepancies: Vec<Discrepancy>,
     summaries: [OracleSummary; OracleKind::ALL.len()],
+}
+
+/// One unit as the thread that prepared it hands it to the committing
+/// thread: everything but its test, which that thread built, checked,
+/// judged and dropped.
+struct PreparedRow {
+    origin: Origin,
+    mask: [bool; ModelId::ALL.len()],
+    /// The prepared check and its judgement (`None` if judging panicked);
+    /// `None` for a unit still quarantined from the resumed campaign.
+    unit: Option<(PreparedUnit, Option<RowJudgement>)>,
+}
+
+/// A unit's test on the committing thread: built again from its corpus
+/// index the first time a slow path asks for it (a retry, a fresh check
+/// at commit, a judgement of the committed row, a quarantine record).
+/// Generation is deterministic, so it is the test the unit was prepared
+/// with.
+struct UnitTest<'s> {
+    stream: &'s CorpusStream,
+    i: usize,
+    test: OnceCell<Test>,
+}
+
+impl UnitTest<'_> {
+    fn get(&self) -> &Test {
+        self.test.get_or_init(|| {
+            let entry = self.stream.entry(self.i);
+            entry.expect("the unit's test was built once already").test
+        })
+    }
 }
 
 /// The campaign's deterministic substance, accumulated row by row —
@@ -280,13 +318,14 @@ impl CampaignCore {
         }
     }
 
-    /// Fold one completed row into the per-column counts.
-    fn account_row(&mut self, row: &MatrixRow) {
-        match row.origin {
+    /// Fold one completed row, its origin and cells, into the per-column
+    /// counts.
+    fn account_row(&mut self, origin: &Origin, cells: &[Option<CheckOutcome>]) {
+        match origin {
             Origin::Library { .. } => self.corpus_library += 1,
             _ => self.corpus_generated += 1,
         }
-        for (pass, cell) in self.passes.iter_mut().zip(&row.cells) {
+        for (pass, cell) in self.passes.iter_mut().zip(cells) {
             let Some(outcome) = cell else {
                 pass.skipped += 1;
                 continue;
@@ -365,10 +404,10 @@ impl CampaignCore {
 /// unshrunk. `judge` is the row judgement (the matrix-level oracles plus
 /// whatever else the caller checks per row — simulator soundness, say):
 /// it appends one row's violations and counts into that row's own
-/// summaries, on the worker that prepared the row, or at commit when the
-/// committed row is not exactly the prepared one. The summaries kept
-/// reach `fold`, and every total, in corpus order. See the module docs
-/// for the full contract.
+/// summaries, on the thread that prepared the row, or at commit when the
+/// committed row is not exactly the prepared one. The committed cells
+/// and the summaries kept reach `fold`, and every total, in corpus
+/// order. See the module docs for the full contract.
 ///
 /// # Errors
 ///
@@ -376,13 +415,13 @@ impl CampaignCore {
 /// I/O, a refused fingerprint mismatch on resume, and the deliberate
 /// [`CampaignError::Suspended`] from `stop_after`.
 pub fn drive_campaign(
-    mut stream: CorpusStream,
+    stream: CorpusStream,
     fingerprint: u64,
     set: &ModelSet,
     opts: &MatrixOptions<'_>,
     res: &ResilienceConfig,
     judge: impl Fn(usize, RowRef<'_>, &mut Vec<Discrepancy>, &mut [OracleSummary]) + Sync,
-    mut fold: impl FnMut(usize, &MatrixRow, &[OracleSummary]),
+    mut fold: impl FnMut(usize, &[Option<CheckOutcome>], &[OracleSummary]),
 ) -> Result<CampaignReport, CampaignError> {
     let total_units = stream.total();
     let store = match opts.store_path {
@@ -411,8 +450,8 @@ pub fn drive_campaign(
 
     // Resume: load the latest valid manifest and refuse a config
     // mismatch. A missing or empty checkpoint is a fresh start. A clean
-    // prefix restores the aggregates and seeks the stream past the
-    // done units; a dirty one replays them through the warm store.
+    // prefix restores the aggregates and starts past the done units; a
+    // dirty one replays them through the warm store.
     let mut core = CampaignCore::empty();
     let mut failed: Vec<FailedUnit> = Vec::new();
     let mut resumed_at = None;
@@ -442,7 +481,6 @@ pub fn drive_campaign(
                     core.passes = p.passes;
                     core.summaries = p.oracles;
                     start_at = ck.cursor;
-                    stream.seek(ck.cursor);
                 }
             }
         }
@@ -474,55 +512,66 @@ pub fn drive_campaign(
         judgement
     };
 
-    // Workers prepare units ahead (pure: keys, lookups, enumeration)
-    // and judge each prepared row; everything order- or state-dependent
-    // happens here, in corpus order, on the calling thread.
-    let units = (&mut stream).enumerate().map(|(off, entry)| (start_at + off, entry));
-    let prepare = |sessions: &mut _, (i, entry): &(usize, Result<CorpusEntry, GenError>)| {
-        let entry = entry.as_ref().ok().filter(|_| !quarantined.contains(i))?;
-        let unit = checker.prepare(sessions, &entry.test, &mask_of(&entry.test));
-        let row = RowRef { test: &entry.test, origin: &entry.origin, cells: unit.cells() };
-        // A panicking judgement fails nothing here: commit judges again.
-        let judgement = catch_unwind(AssertUnwindSafe(|| judge_one(*i, row))).ok();
-        Some((unit, judgement))
+    // Each unit lives on one thread, from generation to drop: it builds
+    // the unit's test, prepares it (pure: keys, lookups, enumeration)
+    // and judges the prepared row. Everything order- or state-dependent
+    // happens at commit, in corpus order, on the calling thread.
+    let prepare = |sessions: &mut _, &i: &usize| -> Result<PreparedRow, GenError> {
+        let CorpusEntry { test, origin } = stream.entry(i)?;
+        let mask = mask_of(&test);
+        let unit = (!quarantined.contains(&i)).then(|| {
+            let unit = checker.prepare(sessions, &test, &mask);
+            let row = RowRef { test: &test, origin: &origin, cells: unit.cells() };
+            // A panicking judgement fails nothing here: commit judges again.
+            let judgement = catch_unwind(AssertUnwindSafe(|| judge_one(i, row))).ok();
+            (unit, judgement)
+        });
+        Ok(PreparedRow { origin, mask, unit })
     };
     prepare_in_order(
-        units,
+        start_at..total_units,
         workers,
-        // Each worker keeps one session per column from unit to unit.
+        // Each thread keeps one session per column from unit to unit.
         || checker.sessions(),
         prepare,
-        |(i, entry), prepared| -> Result<bool, CampaignError> {
-            let entry = entry?;
+        |i, prepared| -> Result<bool, CampaignError> {
+            let (origin, mask, prepared, judgement) = match prepared {
+                Ok(row) => {
+                    let PreparedRow { origin, mask, unit } = row?;
+                    let (unit, judgement) = unit.unzip();
+                    (origin, mask, Ok(unit), judgement.flatten())
+                }
+                // The prepare panicked and left nothing: build the unit here.
+                Err(payload) => {
+                    let entry = stream.entry(i)?;
+                    (entry.origin, mask_of(&entry.test), Err(panic_text(payload.as_ref())), None)
+                }
+            };
+            let test = UnitTest { stream: &stream, i, test: OnceCell::new() };
             // Simulated SIGKILL at a unit boundary (crash-storm tests).
             if faultpoint::should_fail("campaign.kill") {
                 std::process::abort();
             }
-            let (prepared, judgement) = match prepared {
-                Ok(Some((unit, judgement))) => (Ok(Some(unit)), judgement),
-                Ok(None) => (Ok(None), None),
-                Err(payload) => (Err(panic_text(payload.as_ref())), None),
-            };
             // A unit still quarantined from the resumed campaign keeps
             // its row `None` without another round of doomed retries; a
             // unit that failed every attempt is quarantined now.
-            let mask = mask_of(&entry.test);
             let as_prepared = !quarantined.contains(&i)
-                && supervise_unit(&mut run, i, &entry.test, &mask, prepared, res, retry_timeouts)
+                && supervise_unit(&mut run, i, &test, &mask, prepared, res, retry_timeouts)
                     .map_err(|f| failed.push(f))
                     .unwrap_or(false);
-            let cells = run.take_row(i).into_iter().map(|cell| cell.map(|c| c.outcome)).collect();
-            let row = MatrixRow { cells, test: entry.test, origin: entry.origin };
-            // The worker's judgement holds only for the row exactly as it
+            let cells: Vec<_> =
+                run.take_row(i).into_iter().map(|cell| cell.map(|c| c.outcome)).collect();
+            // The prepared judgement holds only for the row exactly as it
             // was prepared; any other row is judged here.
-            let judgement =
-                judgement.filter(|_| as_prepared).unwrap_or_else(|| judge_one(i, row.view()));
-            fold(i, &row, &judgement.summaries);
+            let judgement = judgement.filter(|_| as_prepared).unwrap_or_else(|| {
+                judge_one(i, RowRef { test: test.get(), origin: &origin, cells: &cells })
+            });
+            fold(i, &cells, &judgement.summaries);
             for (total, part) in core.summaries.iter_mut().zip(judgement.summaries) {
                 *total += part;
             }
             core.discrepancies.extend(judgement.discrepancies);
-            core.account_row(&row);
+            core.account_row(&origin, &cells);
             processed += 1;
             since_ckpt += 1;
             let done = i + 1;
@@ -587,7 +636,7 @@ pub fn drive_campaign(
 mod tests {
     use super::*;
     use crate::campaign::{config_fingerprint, corpus_stream, CampaignConfig, SimConfig};
-    use crate::matrix::reference_row;
+    use crate::matrix::{reference_row, MatrixRow};
     use crate::oracle::{check_row, judge_matrix};
     use lkmm_exec::{ConsistencyModel, ExecFacts, Execution, ModelSession};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -653,7 +702,7 @@ mod tests {
         for entry in corpus_stream(&cfg) {
             let row = reference_row(entry.unwrap(), &set);
             check_row(&row, &mut reference.discrepancies, &mut reference.summaries);
-            reference.account_row(&row);
+            reference.account_row(&row.origin, &row.cells);
             rows.push(row);
         }
         let res = ResilienceConfig { retry_base_ms: 0, ..ResilienceConfig::default() };
@@ -667,13 +716,12 @@ mod tests {
             &MatrixOptions::default(),
             &res,
             |_, row, d, s| judge_matrix(row, d, s),
-            |i, row, _| {
+            |i, cells, _| {
                 // Rows arrive in corpus order, each cell what a
                 // dedicated check of that column says.
                 assert_eq!(i, seen);
                 seen += 1;
-                assert_eq!(row.test.name, rows[i].test.name);
-                assert_eq!(row.cells, rows[i].cells, "{}", row.test.name);
+                assert_eq!(cells, rows[i].cells, "{}", rows[i].test.name);
             },
         )
         .unwrap();
@@ -699,7 +747,10 @@ mod tests {
             &MatrixOptions::default(),
             &res,
             |_, _, _, _| {},
-            |_, row, _| rows.push(row.clone()),
+            |i, cells, _| {
+                let CorpusEntry { test, origin } = entries[i].clone();
+                rows.push(MatrixRow { test, origin, cells: cells.to_vec() });
+            },
         )
         .unwrap();
         assert!(rows[0].cells.iter().all(Option::is_some));
@@ -736,7 +787,10 @@ mod tests {
             &MatrixOptions::default(),
             &res,
             |_, row, d, s| judge_matrix(row, d, s),
-            |_, row, _| rows.push(row.clone()),
+            |i, cells, _| {
+                let CorpusEntry { test, origin } = entries[i].clone();
+                rows.push(MatrixRow { test, origin, cells: cells.to_vec() });
+            },
         )
         .unwrap();
         assert!(report.failed_units.is_empty(), "{:?}", report.failed_units);

@@ -519,7 +519,7 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
     pub fn check_unit(&mut self, i: usize, test: &Test, mask_row: &[bool]) -> io::Result<()> {
         let keys = self.checker.keys(test);
         let cells = vec![None; keys.len()];
-        self.commit(i, test, mask_row, PreparedUnit { keys, cells, check: None }).map(drop)
+        self.commit(i, || test, mask_row, PreparedUnit { keys, cells, check: None }).map(drop)
     }
 
     /// Apply unit `i`'s prepared check, in corpus order: reuse each store
@@ -529,19 +529,22 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
     /// `Hit`). Then settle the columns still missing with the prepared
     /// enumeration if it covered exactly those columns, or with a fresh
     /// one on this thread if not: nothing was prepared
-    /// ([`CorpusRun::check_unit`]), or a duplicate landed. Completed
-    /// verdicts are appended to the store, unless early exit made their
-    /// counts lower bounds. Returns whether the committed row is exactly
-    /// the prepared one ([`PreparedUnit::cells`]), so whatever was
-    /// derived from that row holds for this one.
+    /// ([`CorpusRun::check_unit`]), or a duplicate landed. Only that
+    /// fresh check reads the unit's test, so `test` is called for it then
+    /// and not otherwise: a driver that prepared the unit elsewhere need
+    /// not keep the test for its commit. Completed verdicts are appended
+    /// to the store, unless early exit made their counts lower bounds.
+    /// Returns whether the committed row is exactly the prepared one
+    /// ([`PreparedUnit::cells`]), so whatever was derived from that row
+    /// holds for this one.
     ///
     /// # Errors
     ///
     /// Store-append failure only; see the retry semantics above.
-    pub fn commit(
+    pub fn commit<'t>(
         &mut self,
         i: usize,
-        test: &Test,
+        test: impl FnOnce() -> &'t Test,
         mask_row: &[bool],
         prepared: PreparedUnit,
     ) -> io::Result<bool> {
@@ -599,7 +602,7 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
             Some(check) if check.columns == missing => check,
             _ => {
                 as_prepared = false;
-                self.checker.check_columns(&mut self.sessions, test, missing, &mut cells)
+                self.checker.check_columns(&mut self.sessions, test(), missing, &mut cells)
             }
         };
         self.checker.enum_opts.adopt_stats(&check.stats);
@@ -1074,10 +1077,10 @@ mod tests {
         let first = multi.prepare(&mut multi.sessions(), &test, &[true]);
         let second = multi.prepare(&mut multi.sessions(), &test, &[true]);
         let mut run = multi.begin_corpus();
-        assert!(run.commit(0, &test, &[true], first).unwrap(), "committed as prepared");
+        assert!(run.commit(0, || &test, &[true], first).unwrap(), "committed as prepared");
         let after_first = stats.snapshot();
         assert!(after_first.data_plane.arena_acquires > 0);
-        assert!(!run.commit(1, &test, &[true], second).unwrap(), "the duplicate replays");
+        assert!(!run.commit(1, || &test, &[true], second).unwrap(), "the duplicate replays");
         assert_eq!(stats.snapshot(), after_first, "a discarded check counts nowhere");
         let row = run.take_row(1);
         assert_eq!(row[0].as_ref().unwrap().provenance, Provenance::Deduped);
