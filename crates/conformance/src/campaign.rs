@@ -278,11 +278,6 @@ impl CorpusStream {
         self.entries.len() + self.cycles.len() * if self.contended { 2 } else { 1 }
     }
 
-    /// Advance past the next `n` units without building their tests.
-    pub fn seek(&mut self, n: usize) {
-        self.at += n;
-    }
-
     /// Unit `i`: a clone of a materialised entry, or the cycle's test (or
     /// its contended twin) generated afresh.
     ///

@@ -259,8 +259,8 @@ impl MatrixRow {
 }
 
 /// One row as the oracles read it, borrowed: a committed [`MatrixRow`]
-/// ([`MatrixRow::view`]), or a unit's cells as its worker prepared them
-/// beside the corpus entry.
+/// ([`MatrixRow::view`]), or a unit's cells as the thread that prepared
+/// them holds them beside the unit's test.
 #[derive(Clone, Copy, Debug)]
 pub struct RowRef<'a> {
     pub test: &'a Test,
