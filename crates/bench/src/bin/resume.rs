@@ -120,7 +120,8 @@ fn main() {
     let ratio = resume_avg / cold_avg;
     assert!(
         ratio <= 0.15,
-        "resume at {:.0}% completion cost {:.1}% of a cold campaign (budget: 15%)",
+        "resume at {:.0}% completion cost {:.1}% of a cold campaign \
+         ({resume_avg:.3} s against {cold_avg:.3} s; budget: 15%)",
         100.0 * suspend_at as f64 / total as f64,
         100.0 * ratio
     );
