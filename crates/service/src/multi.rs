@@ -1090,6 +1090,42 @@ mod tests {
     }
 
     #[test]
+    fn a_reset_unit_replays_its_stored_verdicts_as_hits() {
+        let sb = lkmm_litmus::library::by_name("SB").unwrap().test();
+        let sc = lkmm_models::Sc;
+        let tso = lkmm_models::X86Tso;
+        let multi = MultiBatchChecker::new(
+            vec![
+                MultiColumn { model: &sc, salt: "r|col:sc".into() },
+                MultiColumn { model: &tso, salt: "r|col:tso".into() },
+            ],
+            VerdictStore::in_memory(),
+        );
+        // A supervisor that fails the unit after its verdicts reached the
+        // store resets it and checks it again: the retry replays them as
+        // store hits, not as in-run duplicates of the forgotten attempt.
+        let mut run = multi.begin_corpus();
+        run.check_unit(0, &sb, &[true, true]).unwrap();
+        let first = run.take_row(0);
+        run.reset_unit(0);
+        run.check_unit(0, &sb, &[true, true]).unwrap();
+        let retry = run.take_row(0);
+        for (first, retry) in first.iter().zip(&retry) {
+            let (first, retry) = (first.as_ref().unwrap(), retry.as_ref().unwrap());
+            assert_eq!(first.provenance, Provenance::Computed);
+            assert_eq!(retry.provenance, Provenance::Hit);
+            assert_eq!(retry.key, first.key);
+            assert_eq!(retry.outcome.result(), first.outcome.result());
+            assert!(retry.outcome.result().is_some());
+        }
+        let report = run.finish().unwrap();
+        assert_eq!(report.enumeration_passes, 1);
+        for col in &report.columns {
+            assert_eq!((col.computed, col.hits, col.deduped), (1, 1, 0));
+        }
+    }
+
+    #[test]
     fn early_exit_results_are_neither_stored_nor_replayed() {
         let a = parse("C a\n{ x=0; }\nP0(int *x) { WRITE_ONCE(*x, 1); }\nexists (x=1)").unwrap();
         let b = parse("C b\n{ y=0; }\nP0(int *y) { WRITE_ONCE(*y, 1); }\nexists (y=1)").unwrap();
