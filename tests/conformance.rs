@@ -12,18 +12,20 @@ use linux_kernel_memory_model::algorithms::FamilyId;
 use linux_kernel_memory_model::conformance::{
     algo_human_table, algo_json_report, corpus_stream, human_table, json_report,
     observability_lines, recheck_violated, run_algo_campaign_with, run_campaign,
-    run_campaign_with, test_size, AlgoConfig, CampaignConfig, CampaignError, ModelId, ModelSet,
-    OracleKind, Recheck, ResilienceConfig, SimConfig,
+    run_campaign_with, test_size, AlgoConfig, CampaignConfig, CampaignError, FailureKind, ModelId,
+    ModelSet, OracleKind, Recheck, ResilienceConfig, SimConfig,
 };
 use linux_kernel_memory_model::exec::model::AllowAll;
 use linux_kernel_memory_model::exec::{
-    ConsistencyModel, EnumOptions, ExecFacts, Execution, ModelSession, PipelineOptions, Stats,
+    Budget, ConsistencyModel, EnumOptions, ExecFacts, Execution, ModelSession, PipelineOptions,
+    Stats,
 };
 use linux_kernel_memory_model::litmus::library;
 use linux_kernel_memory_model::service::hash::fnv64;
 use linux_kernel_memory_model::service::json::Json;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Library-only campaign with a small seeded simulator pass and the
 /// shrinker armed — cheap enough for CI, exercises every layer.
@@ -447,6 +449,68 @@ fn degraded_reports_are_the_same_at_every_job_count() {
     for jobs in [2, 8] {
         for (k, (got, want)) in rendered_reports(jobs).iter().zip(&reference).enumerate() {
             assert_eq!(got, want, "campaign {k} at jobs={jobs} differs from jobs=1");
+        }
+    }
+}
+
+/// A column whose every evaluation panics. Unlike [`SessionPanics`],
+/// the panic happens inside the check engine, which contains it and
+/// leaves the row's cells inconclusive.
+struct EvalPanics;
+
+impl ConsistencyModel for EvalPanics {
+    fn name(&self) -> &str {
+        "eval-panics"
+    }
+
+    fn allows_with(&self, _x: &Execution, _facts: &ExecFacts<'_>) -> bool {
+        panic!("injected panic evaluating a candidate");
+    }
+}
+
+#[test]
+fn retry_worthy_cells_are_retried_and_quarantined_by_kind() {
+    // A contained evaluation panic and a relative wall-clock trip are
+    // worth a retry: each unit is tried three times, then quarantined
+    // with the failure's kind. An absolute deadline trips every unit
+    // alike, so its cells stay inconclusive and nothing is quarantined.
+    let units = library::all().len();
+    let campaign = |jobs, budget, set: &ModelSet| {
+        let cfg = CampaignConfig {
+            jobs,
+            budget,
+            sim: SimConfig { iterations: 0, ..SimConfig::default() },
+            shrink: false,
+            resilience: ResilienceConfig { retry_base_ms: 0, ..ResilienceConfig::default() },
+            ..library_campaign()
+        };
+        run_campaign_with(&cfg, set).unwrap()
+    };
+    for jobs in [1, 2] {
+        let mut panics = ModelSet::standard();
+        panics.replace(ModelId::Sc, Box::new(EvalPanics));
+        let report = campaign(jobs, Budget::default(), &panics);
+        assert_eq!(report.failed_units.len(), units, "jobs={jobs}");
+        for unit in &report.failed_units {
+            assert_eq!(unit.kind, FailureKind::Panic, "jobs={jobs}: {unit:?}");
+            assert_eq!(unit.attempts, 3, "jobs={jobs}: {unit:?}");
+            assert_eq!(unit.detail, "model evaluation panicked (contained by the pipeline)");
+        }
+
+        let timed_out = Budget::default().with_time_limit(Duration::ZERO);
+        let report = campaign(jobs, timed_out, &ModelSet::standard());
+        assert_eq!(report.failed_units.len(), units, "jobs={jobs}");
+        for unit in &report.failed_units {
+            assert_eq!((unit.kind, unit.attempts), (FailureKind::Deadline, 3), "jobs={jobs}");
+        }
+
+        let late = Budget::default().with_deadline(Instant::now());
+        let report = campaign(jobs, late, &ModelSet::standard());
+        assert!(report.failed_units.is_empty(), "jobs={jobs}: {:?}", report.failed_units);
+        for model in &report.models {
+            let pass = &model.pass;
+            assert!(pass.checked > 0, "jobs={jobs}: {:?}", model.id);
+            assert_eq!(pass.inconclusive, pass.checked, "jobs={jobs}: {:?}", model.id);
         }
     }
 }
