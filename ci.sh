@@ -448,6 +448,21 @@ grep -q '"partial":true' /tmp/lkmm-ci-degraded.json
 grep -q '"kind":"transient-io"' /tmp/lkmm-ci-degraded.json
 grep -q '"attempts":3' /tmp/lkmm-ci-degraded.json
 rm -f /tmp/lkmm-ci-degraded.json
+# A panic inside model evaluation is contained by the check engine and
+# leaves the unit's cells inconclusive: the campaign retries each unit,
+# then quarantines all 33 library units as panics, exit 8.
+set +e
+LKMM_FAULTPOINTS=worker.panic target/release/herd-rs conformance \
+    --max-cycle-len 0 --sim-iterations 0 --no-shrink --json --retry-base-ms 0 \
+    > /tmp/lkmm-ci-panicked.json 2> /dev/null
+PANICKED_STATUS=$?
+set -e
+test "$PANICKED_STATUS" -eq 8
+test "$(grep -o '"kind":"panic"' /tmp/lkmm-ci-panicked.json | wc -l)" -eq 33
+grep -q '"attempts":3' /tmp/lkmm-ci-panicked.json
+grep -q '"detail":"model evaluation panicked (contained by the pipeline)"' \
+    /tmp/lkmm-ci-panicked.json
+rm -f /tmp/lkmm-ci-panicked.json
 # An offline merge into a sharded family reports a failed append or
 # flush (exit 5), as a merge into a plain store does.
 MERGE_SRC=/tmp/lkmm-ci-merge-src.bin
