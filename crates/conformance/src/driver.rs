@@ -4,12 +4,13 @@
 //! [`drive_campaign`] runs every campaign, the cycle campaign and the
 //! algorithm campaign alike. It builds work units on demand from a lazy
 //! [`CorpusStream`], feeds them one at a time to the streaming
-//! [`CorpusRun`] API, and judges each row with the caller's row-level
-//! checks (matrix oracles, simulator soundness, and for the algorithm
-//! families family safety, host runs and interleaving) as soon as its
-//! cells are known, folding everything into running aggregates in
-//! corpus order. No full verdict matrix is ever materialised. That buys
-//! three things a monolithic batch call cannot offer:
+//! [`CorpusRun`] API, which hands each committed row back, and judges
+//! the row with the caller's row-level checks (matrix oracles,
+//! simulator soundness, and for the algorithm families family safety,
+//! host runs and interleaving) as soon as its cells are known, folding
+//! everything straight into the [`CampaignReport`] it returns, in
+//! corpus order. No full verdict matrix is ever materialised. That
+//! buys three things a monolithic batch call cannot offer:
 //!
 //! * **Checkpoint.** Every `checkpoint_every` units the driver flushes
 //!   the verdict store and appends a framed manifest (see
@@ -19,15 +20,16 @@
 //!   *any* point — mid-unit, mid-append, mid-checkpoint — loses at
 //!   most the units since the last frame.
 //! * **Supervise.** Each unit runs under a retry loop: a driver-level
-//!   panic, a transient store I/O error, a contained worker panic, or
-//!   (when the budget has a relative time limit) a wall-clock trip is
-//!   retried with bounded exponential backoff and deterministic seeded
-//!   jitter. A unit that fails every attempt is *quarantined*: its
-//!   row stays all-`None` (the oracles skip it), it is recorded as a
-//!   typed [`FailedUnit`], and the campaign completes degraded
-//!   instead of dying. Deterministic fuel trips (candidate or
-//!   eval-step budgets) are **not** faults — retrying them reproduces
-//!   the same inconclusive cell, so they stay inconclusive cells.
+//!   panic, a transient store I/O error, or a committed row holding a
+//!   contained worker panic or (when the budget has a relative time
+//!   limit) a wall-clock trip is retried with bounded exponential
+//!   backoff and deterministic seeded jitter. A unit that fails every
+//!   attempt is *quarantined*: its row stays all-`None` (the oracles
+//!   skip it), it is recorded as a typed [`FailedUnit`], and the
+//!   campaign completes degraded instead of dying. Deterministic fuel
+//!   trips (candidate or eval-step budgets) are **not** faults —
+//!   retrying them reproduces the same inconclusive cell, so they stay
+//!   inconclusive cells.
 //! * **Resume.** With a valid checkpoint whose config fingerprint
 //!   matches, a clean-prefix campaign resumes as *arithmetic*: the
 //!   aggregates restart from the frame's [`PrefixStats`], the units
@@ -41,9 +43,9 @@
 //!   run's. A mismatched fingerprint is refused — resuming under a
 //!   different config would silently mix two campaigns.
 //!
-//! After the last unit the driver ends the campaign and returns its
-//! [`CampaignReport`]: the aggregates with this process's cache counters
-//! grafted on, the quarantine list, the resume cursor, the checkpoint
+//! After the last unit the driver ends the campaign and completes the
+//! report: it grafts this process's cache counters onto the aggregates
+//! and fills in the quarantine list, the resume cursor, the checkpoint
 //! count, and the opt-in enumeration and data-plane counters as they
 //! stood after the last unit. All a campaign does afterwards is shrink
 //! the discrepancies; those re-checks start from scratch and never show
@@ -86,11 +88,13 @@ use crate::oracle::{Discrepancy, OracleKind, OracleSummary};
 use lkmm_core::faultpoint;
 use lkmm_core::rng::SplitMix64;
 use lkmm_exec::pool::prepare_in_order;
-use lkmm_exec::{worker_threads, CheckOutcome, EnumOptions, Verdict};
+use lkmm_exec::{
+    worker_threads, BudgetKind, CheckOutcome, EnumOptions, InconclusiveReason, Verdict,
+};
 use lkmm_generator::GenError;
 use lkmm_litmus::ast::Test;
 use lkmm_service::{
-    CorpusRun, MultiBatchChecker, MultiColumn, PreparedUnit, StoreError, UnitFault, VerdictStore,
+    CorpusRun, MultiBatchChecker, MultiColumn, PreparedUnit, StoreError, UnitCell, VerdictStore,
 };
 use std::cell::OnceCell;
 use std::io;
@@ -167,11 +171,19 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// A unit's committed row, one cell per column (`None` where masked),
+/// and whether it is exactly the prepared one.
+type Committed = (Vec<Option<UnitCell>>, bool);
+
 /// One attempt at one unit: commit its prepared check, or check it
-/// afresh on this thread when nothing was prepared. `Ok` is success
-/// (including deterministic inconclusive cells), saying whether the row
-/// was committed exactly as prepared; `Err` classifies the failure. A
-/// panic while preparing is this attempt's failure.
+/// afresh on this thread when nothing was prepared. `Ok` is success,
+/// deterministic inconclusive cells included; `Err` classifies the
+/// failure: a panic while preparing or committing, a store error, or a
+/// committed row a retry could plausibly repair. Such a row holds a
+/// contained worker panic, or, when `retry_timeouts` holds, a relative
+/// wall-clock trip (an absolute corpus deadline is not worth a retry).
+/// Deterministic fuel trips (candidates, eval steps) are *not*
+/// failures: re-running them reproduces the same inconclusive cell.
 fn attempt_unit(
     run: &mut CorpusRun<'_, '_>,
     i: usize,
@@ -179,7 +191,7 @@ fn attempt_unit(
     mask_row: &[bool],
     prepared: Result<Option<PreparedUnit>, String>,
     retry_timeouts: bool,
-) -> Result<bool, (FailureKind, String)> {
+) -> Result<Committed, (FailureKind, String)> {
     faultpoint::inject_io("worker.transient")
         .map_err(|e| (FailureKind::TransientIo, e.to_string()))?;
     let committed = match prepared {
@@ -188,33 +200,37 @@ fn attempt_unit(
             catch_unwind(AssertUnwindSafe(|| run.commit(i, || test.get(), mask_row, unit)))
         }
         Ok(None) => catch_unwind(AssertUnwindSafe(|| {
-            run.check_unit(i, test.get(), mask_row).map(|()| false)
+            run.check_unit(i, test.get(), mask_row).map(|row| (row, false))
         })),
     };
-    match committed {
-        Err(payload) => Err((FailureKind::Panic, panic_text(payload.as_ref()))),
-        Ok(Err(e)) => Err((FailureKind::TransientIo, format!("verdict store: {e}"))),
-        Ok(Ok(as_prepared)) => match run.unit_fault(i) {
-            Some(UnitFault::WorkerPanicked) => Err((
-                FailureKind::Panic,
-                "model evaluation panicked (contained by the pipeline)".to_string(),
-            )),
-            Some(UnitFault::TimedOut) if retry_timeouts => Err((
-                FailureKind::Deadline,
-                "relative wall-clock limit tripped".to_string(),
-            )),
-            _ => Ok(as_prepared),
-        },
+    let (row, as_prepared) = match committed {
+        Err(payload) => return Err((FailureKind::Panic, panic_text(payload.as_ref()))),
+        Ok(Err(e)) => return Err((FailureKind::TransientIo, format!("verdict store: {e}"))),
+        Ok(Ok(committed)) => committed,
+    };
+    let tripped = |wanted: InconclusiveReason| {
+        row.iter().flatten().any(|cell| {
+            matches!(&cell.outcome, CheckOutcome::Inconclusive { reason, .. } if *reason == wanted)
+        })
+    };
+    if tripped(InconclusiveReason::WorkerPanicked) {
+        let detail = "model evaluation panicked (contained by the pipeline)";
+        return Err((FailureKind::Panic, detail.to_string()));
     }
+    if retry_timeouts && tripped(InconclusiveReason::BudgetExceeded(BudgetKind::WallClock)) {
+        return Err((FailureKind::Deadline, "relative wall-clock limit tripped".to_string()));
+    }
+    Ok((row, as_prepared))
 }
 
 /// Run one unit under the retry supervisor: the first attempt commits
 /// what was `prepared`, retries check afresh on this thread. Returns
-/// whether the row was committed exactly as prepared (never after a
-/// retry), or the quarantine record if every attempt failed; the unit's
-/// row is reset either way before a retry or quarantine, so partial
-/// attempts never leak into the matrix (verdicts that reached the store
-/// stay — they are content-addressed and replay as hits on the retry).
+/// the committed row (never as prepared after a retry), or the
+/// quarantine record if every attempt failed. A failed attempt's row is
+/// dropped, and the unit is reset before a retry or quarantine, so
+/// partial attempts never leak into the matrix (verdicts that reached
+/// the store stay — they are content-addressed and replay as hits on
+/// the retry).
 fn supervise_unit(
     run: &mut CorpusRun<'_, '_>,
     i: usize,
@@ -223,13 +239,13 @@ fn supervise_unit(
     mut prepared: Result<Option<PreparedUnit>, String>,
     res: &ResilienceConfig,
     retry_timeouts: bool,
-) -> Result<bool, FailedUnit> {
+) -> Result<Committed, FailedUnit> {
     let mut attempt = 0u32;
     loop {
         attempt += 1;
         let this_attempt = std::mem::replace(&mut prepared, Ok(None));
         match attempt_unit(run, i, test, mask_row, this_attempt, retry_timeouts) {
-            Ok(as_prepared) => return Ok(as_prepared),
+            Ok(committed) => return Ok(committed),
             Err((kind, detail)) => {
                 run.reset_unit(i);
                 if attempt > res.max_retries {
@@ -289,32 +305,28 @@ impl UnitTest<'_> {
     }
 }
 
-/// The campaign's deterministic substance, accumulated row by row —
-/// exactly what the report JSON is rendered from. Rows are folded in
-/// corpus order, so these sums are identical whether a campaign ran
-/// uninterrupted or restarted from a [`PrefixStats`] frame.
-struct CampaignCore {
-    corpus_library: usize,
-    corpus_generated: usize,
-    /// Per-column counts, in [`ModelId::ALL`] order. The deterministic
-    /// fields accumulate per row; the observability counters (hits,
-    /// computed, deduped, candidates) are grafted on from the
-    /// [`CorpusRun`] when it finishes and cover this process only.
-    passes: Vec<ModelPass>,
-    /// Per-oracle summaries, in [`OracleKind::ALL`] order.
-    summaries: Vec<OracleSummary>,
-    /// Oracle violations so far, in row order.
-    discrepancies: Vec<Discrepancy>,
-}
-
-impl CampaignCore {
-    fn empty() -> CampaignCore {
-        CampaignCore {
+/// The report a campaign accumulates row by row. Its deterministic
+/// substance — exactly what the report JSON is rendered from — is
+/// folded in corpus order, so the sums are identical whether a campaign
+/// ran uninterrupted or restarted from a [`PrefixStats`] frame. The
+/// observability counters (each column's hits, computed, deduped and
+/// candidates, and the run's own fields) stay empty until the campaign
+/// ends and cover this process only.
+impl CampaignReport {
+    fn empty() -> CampaignReport {
+        CampaignReport {
             corpus_library: 0,
             corpus_generated: 0,
-            passes: vec![ModelPass::default(); ModelId::ALL.len()],
-            summaries: vec![OracleSummary::default(); OracleKind::ALL.len()],
+            models: ModelId::ALL.map(|id| ModelStats { id, pass: ModelPass::default() }).to_vec(),
+            oracles: OracleKind::ALL
+                .map(|kind| OracleStats { kind, summary: OracleSummary::default() })
+                .to_vec(),
             discrepancies: Vec::new(),
+            enumeration: None,
+            data_plane: None,
+            failed_units: Vec::new(),
+            resumed_at: None,
+            checkpoints_written: 0,
         }
     }
 
@@ -325,7 +337,7 @@ impl CampaignCore {
             Origin::Library { .. } => self.corpus_library += 1,
             _ => self.corpus_generated += 1,
         }
-        for (pass, cell) in self.passes.iter_mut().zip(cells) {
+        for (ModelStats { pass, .. }, cell) in self.models.iter_mut().zip(cells) {
             let Some(outcome) = cell else {
                 pass.skipped += 1;
                 continue;
@@ -347,54 +359,20 @@ impl CampaignCore {
     /// discrepancy exists (its AST would have to travel too; resume
     /// replays instead).
     fn checkpoint(&self, fingerprint: u64, cursor: usize, failed: &[FailedUnit]) -> Checkpoint {
-        let prefix = self.discrepancies.is_empty().then(|| PrefixStats {
+        let prefix = self.clean().then(|| PrefixStats {
             corpus_library: self.corpus_library,
             corpus_generated: self.corpus_generated,
-            passes: self
-                .passes
-                .iter()
-                .map(|p| ModelPass {
-                    checked: p.checked,
-                    allowed: p.allowed,
-                    forbidden: p.forbidden,
-                    inconclusive: p.inconclusive,
-                    skipped: p.skipped,
-                    ..ModelPass::default()
-                })
-                .collect(),
-            oracles: self.summaries.clone(),
+            // Their observability counters are still zero, and a frame
+            // writes none of them.
+            passes: self.models.iter().map(|m| m.pass.clone()).collect(),
+            oracles: self.oracles.iter().map(|o| o.summary).collect(),
         });
         Checkpoint {
             fingerprint,
             cursor,
-            watermarks: self.passes.iter().map(|p| p.checked).collect(),
+            watermarks: self.models.iter().map(|m| m.pass.checked).collect(),
             failed_units: failed.to_vec(),
             prefix,
-        }
-    }
-
-    /// The aggregates as a report, with nothing of the run's
-    /// observability (counters, quarantine, checkpoints) filled in.
-    fn into_report(self) -> CampaignReport {
-        CampaignReport {
-            corpus_library: self.corpus_library,
-            corpus_generated: self.corpus_generated,
-            models: ModelId::ALL
-                .iter()
-                .zip(self.passes)
-                .map(|(&id, pass)| ModelStats { id, pass })
-                .collect(),
-            oracles: OracleKind::ALL
-                .iter()
-                .zip(self.summaries)
-                .map(|(&kind, summary)| OracleStats { kind, summary })
-                .collect(),
-            discrepancies: self.discrepancies,
-            enumeration: None,
-            data_plane: None,
-            failed_units: Vec::new(),
-            resumed_at: None,
-            checkpoints_written: 0,
         }
     }
 }
@@ -452,7 +430,7 @@ pub fn drive_campaign(
     // mismatch. A missing or empty checkpoint is a fresh start. A clean
     // prefix restores the aggregates and starts past the done units; a
     // dirty one replays them through the warm store.
-    let mut core = CampaignCore::empty();
+    let mut report = CampaignReport::empty();
     let mut failed: Vec<FailedUnit> = Vec::new();
     let mut resumed_at = None;
     let mut start_at = 0usize;
@@ -476,10 +454,14 @@ pub fn drive_campaign(
                         && p.oracles.len() == OracleKind::ALL.len()
                 });
                 if let Some(p) = prefix {
-                    core.corpus_library = p.corpus_library;
-                    core.corpus_generated = p.corpus_generated;
-                    core.passes = p.passes;
-                    core.summaries = p.oracles;
+                    report.corpus_library = p.corpus_library;
+                    report.corpus_generated = p.corpus_generated;
+                    for (model, pass) in report.models.iter_mut().zip(p.passes) {
+                        model.pass = pass;
+                    }
+                    for (oracle, summary) in report.oracles.iter_mut().zip(p.oracles) {
+                        oracle.summary = summary;
+                    }
                     start_at = ck.cursor;
                 }
             }
@@ -555,23 +537,22 @@ pub fn drive_campaign(
             // A unit still quarantined from the resumed campaign keeps
             // its row `None` without another round of doomed retries; a
             // unit that failed every attempt is quarantined now.
-            let as_prepared = !quarantined.contains(&i)
-                && supervise_unit(&mut run, i, &test, &mask, prepared, res, retry_timeouts)
-                    .map_err(|f| failed.push(f))
-                    .unwrap_or(false);
-            let cells: Vec<_> =
-                run.take_row(i).into_iter().map(|cell| cell.map(|c| c.outcome)).collect();
+            let (row, as_prepared) = (!quarantined.contains(&i))
+                .then(|| supervise_unit(&mut run, i, &test, &mask, prepared, res, retry_timeouts))
+                .and_then(|supervised| supervised.map_err(|f| failed.push(f)).ok())
+                .unwrap_or_else(|| (vec![None; ModelId::ALL.len()], false));
+            let cells: Vec<_> = row.into_iter().map(|cell| cell.map(|c| c.outcome)).collect();
             // The prepared judgement holds only for the row exactly as it
             // was prepared; any other row is judged here.
             let judgement = judgement.filter(|_| as_prepared).unwrap_or_else(|| {
                 judge_one(i, RowRef { test: test.get(), origin: &origin, cells: &cells })
             });
             fold(i, &cells, &judgement.summaries);
-            for (total, part) in core.summaries.iter_mut().zip(judgement.summaries) {
-                *total += part;
+            for (total, part) in report.oracles.iter_mut().zip(judgement.summaries) {
+                total.summary += part;
             }
-            core.discrepancies.extend(judgement.discrepancies);
-            core.account_row(&origin, &cells);
+            report.discrepancies.extend(judgement.discrepancies);
+            report.account_row(&origin, &cells);
             processed += 1;
             since_ckpt += 1;
             let done = i + 1;
@@ -579,7 +560,7 @@ pub fn drive_campaign(
                 if let Some(log) = &mut log {
                     if since_ckpt >= res.checkpoint_every.max(1) {
                         run.flush().map_err(CampaignError::Store)?;
-                        log.append(&core.checkpoint(fingerprint, done, &failed))
+                        log.append(&report.checkpoint(fingerprint, done, &failed))
                             .map_err(CampaignError::Checkpoint)?;
                         checkpoints_written += 1;
                         since_ckpt = 0;
@@ -597,17 +578,17 @@ pub fn drive_campaign(
     if let Some(done) = suspended {
         run.flush().map_err(CampaignError::Store)?;
         if let Some(log) = &mut log {
-            log.append(&core.checkpoint(fingerprint, done, &failed))
+            log.append(&report.checkpoint(fingerprint, done, &failed))
                 .map_err(CampaignError::Checkpoint)?;
         }
         return Err(CampaignError::Suspended { cursor: done, total: total_units });
     }
 
-    let report = run.finish().map_err(CampaignError::Store)?;
+    let batch = run.finish().map_err(CampaignError::Store)?;
     // Final frame: cursor at the end, so resuming a *finished* clean
     // campaign costs one checkpoint load and zero corpus work.
     if let Some(log) = &mut log {
-        log.append(&core.checkpoint(fingerprint, total_units, &failed))
+        log.append(&report.checkpoint(fingerprint, total_units, &failed))
             .map_err(CampaignError::Checkpoint)?;
         checkpoints_written += 1;
     }
@@ -615,7 +596,7 @@ pub fn drive_campaign(
     // Graft this process's observability counters onto the
     // deterministic sums (a resumed run reports only its own cache
     // traffic — the JSON never contains these).
-    for (pass, col) in core.passes.iter_mut().zip(&report.columns) {
+    for (ModelStats { pass, .. }, col) in report.models.iter_mut().zip(&batch.columns) {
         pass.hits = col.hits;
         pass.computed = col.computed;
         pass.deduped = col.deduped;
@@ -628,7 +609,7 @@ pub fn drive_campaign(
         failed_units: failed,
         resumed_at,
         checkpoints_written,
-        ..core.into_report()
+        ..report
     })
 }
 
@@ -697,13 +678,17 @@ mod tests {
         // check each, then folds the rows exactly as the driver does.
         let cfg = quick_config();
         let set = ModelSet::standard();
-        let mut reference = CampaignCore::empty();
+        let mut reference = CampaignReport::empty();
+        let mut summaries = [OracleSummary::default(); OracleKind::ALL.len()];
         let mut rows: Vec<MatrixRow> = Vec::new();
         for entry in corpus_stream(&cfg) {
             let row = reference_row(entry.unwrap(), &set);
-            check_row(&row, &mut reference.discrepancies, &mut reference.summaries);
+            check_row(&row, &mut reference.discrepancies, &mut summaries);
             reference.account_row(&row.origin, &row.cells);
             rows.push(row);
+        }
+        for (oracle, summary) in reference.oracles.iter_mut().zip(summaries) {
+            oracle.summary = summary;
         }
         let res = ResilienceConfig { retry_base_ms: 0, ..ResilienceConfig::default() };
         let mut seen = 0;
@@ -728,7 +713,7 @@ mod tests {
         assert_eq!(seen, rows.len());
         assert!(report.failed_units.is_empty());
         assert_eq!(report.resumed_at, None);
-        assert_same_substance(&report, &reference.into_report());
+        assert_same_substance(&report, &reference);
     }
 
     #[test]

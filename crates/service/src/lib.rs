@@ -51,7 +51,7 @@ pub mod store;
 
 pub use multi::{
     ColumnReport, CorpusRun, MultiBatchChecker, MultiBatchReport, MultiColumn, PreparedUnit,
-    Provenance, UnitCell, UnitFault,
+    Provenance, UnitCell,
 };
 pub use canon::{cache_key, cache_key_of_text, canonical_text, canonicalize, CANON_REVISION};
 pub use serve::{serve, serve_with, ServeOptions, ServeSession, ServeSummary};

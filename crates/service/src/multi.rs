@@ -33,10 +33,11 @@
 //! a driver may run it for many units at once on worker threads, each
 //! passing its own [`Sessions`] handle so the model sessions serve unit
 //! after unit. [`CorpusRun::commit`] applies a prepared unit in corpus
-//! order, reusing its store hits: the dedupe map, store appends and
-//! counters all live there, which is what keeps reports and counters
-//! identical however many units were prepared ahead. A [`CorpusRun`]
-//! keeps a handle of its own for what it checks on the calling thread.
+//! order, reusing its store hits, and hands the committed row back: the
+//! dedupe map, store appends and counters all live there, which is what
+//! keeps reports and counters identical however many units were
+//! prepared ahead. A [`CorpusRun`] keeps a handle of its own for what
+//! it checks on the calling thread.
 //!
 //! Per-column bookkeeping (hits, computed, deduped, inconclusive,
 //! candidates) keeps the exact semantics of N sequential passes: a
@@ -47,7 +48,7 @@
 
 use crate::canon::{canonical_text, KeyPrefix};
 use crate::store::{VerdictLog, VerdictStore};
-use lkmm_core::budget::{Budget, BudgetKind, Meter};
+use lkmm_core::budget::{Budget, Meter};
 use lkmm_exec::{
     CheckOutcome, ConsistencyModel, EnumOptions, InconclusiveReason, MultiCheckOutcome,
     PipelineOptions, Sessions, Stats, Tally,
@@ -107,7 +108,8 @@ pub struct ColumnReport {
     /// One slot per corpus member, in corpus order; `None` where the
     /// column was masked out (the checker does not cover the test).
     /// Filled by [`MultiBatchChecker::check_corpus`]; empty in the report
-    /// of a streaming [`CorpusRun`], which keeps only the current unit.
+    /// of a streaming [`CorpusRun`], which hands each row back as it
+    /// commits.
     pub outcomes: Vec<Option<UnitCell>>,
     /// Store hits.
     pub hits: usize,
@@ -266,13 +268,12 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
         let mut outcomes: Vec<Vec<Option<UnitCell>>> =
             (0..ncols).map(|_| Vec::with_capacity(tests.len())).collect();
         let mut run = self.begin_corpus();
-        let mut row = vec![false; ncols];
+        let mut mask_row = vec![false; ncols];
         for (i, test) in tests.iter().enumerate() {
             for c in 0..ncols {
-                row[c] = mask[c][i];
+                mask_row[c] = mask[c][i];
             }
-            run.check_unit(i, test, &row)?;
-            for (slots, cell) in outcomes.iter_mut().zip(run.take_row(i)) {
+            for (slots, cell) in outcomes.iter_mut().zip(run.check_unit(i, test, &mask_row)?) {
                 slots.push(cell);
             }
         }
@@ -306,8 +307,6 @@ impl<'m, S: VerdictLog> MultiBatchChecker<'m, S> {
                 })
                 .collect(),
             seen: vec![HashMap::new(); ncols],
-            row: vec![None; ncols],
-            row_unit: None,
             enumeration_passes: 0,
             candidates_actual: 0,
             corpus_meter,
@@ -456,40 +455,30 @@ pub struct UnitCell {
     pub provenance: Provenance,
 }
 
-/// A retry-worthy failure recorded in a unit's cells (see
-/// [`CorpusRun::unit_fault`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UnitFault {
-    /// At least one cell is inconclusive because model evaluation
-    /// panicked (contained by the check engine's `catch_unwind`).
-    WorkerPanicked,
-    /// At least one cell tripped the relative wall-clock limit.
-    TimedOut,
-}
-
 /// A streaming corpus session over a [`MultiBatchChecker`]: the caller
-/// feeds units one at a time (in any index order, normally ascending)
-/// and collects the aggregate [`MultiBatchReport`] at the end. This is
-/// what a checkpointing campaign driver runs on — it can flush the
-/// store between units, skip quarantined indices (their rows stay
-/// `None`), and *re-run* a unit whose first attempt failed partway.
+/// feeds units one at a time (in any index order, normally ascending),
+/// gets each unit's row back as it commits, and collects the aggregate
+/// [`MultiBatchReport`] at the end. This is what a checkpointing
+/// campaign driver runs on — it can flush the store between units, skip
+/// quarantined indices, and *re-run* a unit whose first attempt failed
+/// partway.
 ///
-/// Only the unit committed last keeps its cells ([`CorpusRun::take_row`]);
-/// across units the run keeps per-column counters, a dedupe map from
-/// key to the first unit that resolved it, and the model sessions that
-/// check units on the calling thread. A duplicate's verdict
-/// is replayed from the store (a backend that dropped the first
-/// verdict's append makes the duplicate compute afresh instead).
+/// The run keeps no unit's cells: across units it keeps per-column
+/// counters, a dedupe map from key to the first unit that resolved it,
+/// and the model sessions that check units on the calling thread. A
+/// duplicate's verdict is replayed from the store (a backend that
+/// dropped the first verdict's append makes the duplicate compute
+/// afresh instead).
 ///
 /// ## Retry semantics
 ///
 /// `check_unit` is safe to call again with the same index after an
-/// error or a contained panic: the unit's row is simply overwritten,
-/// columns that already completed (their verdict reached the store)
-/// replay instead of recomputing, and only the columns that never
-/// finished are enumerated again. Session counters
-/// (`hits`/`computed`/`deduped`) may double-count across such a retry —
-/// they are stderr observability, deliberately excluded from
+/// error or a contained panic, once [`CorpusRun::reset_unit`] has
+/// forgotten the failed attempt: columns that already completed (their
+/// verdict reached the store) replay instead of recomputing, and only
+/// the columns that never finished are enumerated again. Session
+/// counters (`hits`/`computed`/`deduped`) may double-count across such
+/// a retry — they are stderr observability, deliberately excluded from
 /// deterministic reports.
 pub struct CorpusRun<'a, 'm, S: VerdictLog = VerdictStore> {
     checker: &'a MultiBatchChecker<'m, S>,
@@ -497,9 +486,6 @@ pub struct CorpusRun<'a, 'm, S: VerdictLog = VerdictStore> {
     sessions: Sessions<'m>,
     columns: Vec<ColumnReport>,
     seen: Vec<HashMap<u128, usize>>,
-    /// Cells of unit `row_unit`, the one committed last.
-    row: Vec<Option<UnitCell>>,
-    row_unit: Option<usize>,
     enumeration_passes: usize,
     candidates_actual: usize,
     corpus_meter: Meter,
@@ -508,18 +494,24 @@ pub struct CorpusRun<'a, 'm, S: VerdictLog = VerdictStore> {
 
 impl<S: VerdictLog> CorpusRun<'_, '_, S> {
     /// Check corpus member `i` across every column `mask_row` enables
-    /// (one slot per column) on the calling thread: [`CorpusRun::commit`]
-    /// with nothing prepared, so every enabled column is looked up here
-    /// and the ones the store lacks are checked right there, once the
-    /// corpus budget has been polled.
+    /// (one slot per column) on the calling thread and return its row:
+    /// [`CorpusRun::commit`] with nothing prepared, so every enabled
+    /// column is looked up here and the ones the store lacks are checked
+    /// right there, once the corpus budget has been polled.
     ///
     /// # Errors
     ///
     /// Store-append failure only; see the retry semantics above.
-    pub fn check_unit(&mut self, i: usize, test: &Test, mask_row: &[bool]) -> io::Result<()> {
+    pub fn check_unit(
+        &mut self,
+        i: usize,
+        test: &Test,
+        mask_row: &[bool],
+    ) -> io::Result<Vec<Option<UnitCell>>> {
         let keys = self.checker.keys(test);
         let cells = vec![None; keys.len()];
-        self.commit(i, || test, mask_row, PreparedUnit { keys, cells, check: None }).map(drop)
+        let prepared = PreparedUnit { keys, cells, check: None };
+        self.commit(i, || test, mask_row, prepared).map(|(row, _)| row)
     }
 
     /// Apply unit `i`'s prepared check, in corpus order: reuse each store
@@ -534,7 +526,8 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
     /// and not otherwise: a driver that prepared the unit elsewhere need
     /// not keep the test for its commit. Completed verdicts are appended
     /// to the store, unless early exit made their counts lower bounds.
-    /// Returns whether the committed row is exactly the prepared one
+    /// Returns the committed row, one slot per column (`None` where
+    /// masked), and whether it is exactly the prepared one
     /// ([`PreparedUnit::cells`]), so whatever was derived from that row
     /// holds for this one.
     ///
@@ -547,11 +540,10 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
         test: impl FnOnce() -> &'t Test,
         mask_row: &[bool],
         prepared: PreparedUnit,
-    ) -> io::Result<bool> {
+    ) -> io::Result<(Vec<Option<UnitCell>>, bool)> {
         let ncols = self.columns.len();
         assert_eq!(mask_row.len(), ncols, "one mask slot per column");
-        self.row.iter_mut().for_each(|cell| *cell = None);
-        self.row_unit = Some(i);
+        let mut row = vec![None; ncols];
         let PreparedUnit { keys, mut cells, check } = prepared;
         let checked = check.as_ref().map_or(&[][..], |check| &check.columns);
         let mut as_prepared = true;
@@ -577,17 +569,17 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
                     self.seen[c].insert(key, i);
                     Provenance::Hit
                 };
-                self.row[c] =
-                    Some(UnitCell { key, outcome: CheckOutcome::Complete(result), provenance });
+                let outcome = CheckOutcome::Complete(result);
+                row[c] = Some(UnitCell { key, outcome, provenance });
             }
         }
         if missing.is_empty() {
-            return Ok(as_prepared);
+            return Ok((row, as_prepared));
         }
         if let Err(kind) = self.corpus_meter.poll_now() {
             for &c in &missing {
                 self.columns[c].inconclusive += 1;
-                self.row[c] = Some(UnitCell {
+                row[c] = Some(UnitCell {
                     key: keys[c],
                     outcome: CheckOutcome::Inconclusive {
                         reason: InconclusiveReason::BudgetExceeded(kind),
@@ -596,7 +588,7 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
                     provenance: Provenance::Computed,
                 });
             }
-            return Ok(false);
+            return Ok((row, false));
         }
         let check = match check {
             Some(check) if check.columns == missing => check,
@@ -634,64 +626,21 @@ impl<S: VerdictLog> CorpusRun<'_, '_, S> {
             if k == 0 {
                 self.candidates_actual += candidates;
             }
-            self.row[c] = Some(UnitCell { key, outcome, provenance: Provenance::Computed });
+            row[c] = Some(UnitCell { key, outcome, provenance: Provenance::Computed });
         }
-        Ok(as_prepared)
+        Ok((row, as_prepared))
     }
 
-    /// Clear unit `i`'s row (if it is the unit committed last) and drop
-    /// dedupe-map entries that point at it, so later isomorphs count as
-    /// store hits instead of replays of a wiped row. A supervising
+    /// Forget unit `i`'s dedupe-map entries, so later isomorphs count as
+    /// store hits instead of replays of a discarded row. A supervising
     /// driver calls this before retrying a failed unit and before
     /// quarantining one — verdicts that already reached the store stay
     /// there (they are content-addressed and valid regardless of which
     /// attempt produced them) and replay as hits on the retry.
     pub fn reset_unit(&mut self, i: usize) {
-        if self.row_unit == Some(i) {
-            self.row.iter_mut().for_each(|cell| *cell = None);
-        }
         for seen in &mut self.seen {
             seen.retain(|_, &mut first| first != i);
         }
-    }
-
-    /// Move unit `i`'s cells out, one per column (`None` for masked
-    /// cells, and for every cell unless `i` is the unit committed last)
-    /// — what a streaming driver feeds its per-row oracles the moment
-    /// the unit completes, instead of waiting for the whole corpus.
-    pub fn take_row(&mut self, i: usize) -> Vec<Option<UnitCell>> {
-        let empty = vec![None; self.columns.len()];
-        if self.row_unit == Some(i) {
-            std::mem::replace(&mut self.row, empty)
-        } else {
-            empty
-        }
-    }
-
-    /// Whether unit `i`'s recorded cells carry a failure a retry could
-    /// plausibly repair: a contained worker panic, or a relative
-    /// wall-clock trip (the caller decides whether its budget makes
-    /// `TimedOut` retry-worthy — an absolute corpus deadline does not).
-    /// Deterministic fuel trips (candidates, eval steps) are *not*
-    /// faults: re-running them reproduces the same inconclusive cell.
-    pub fn unit_fault(&self, i: usize) -> Option<UnitFault> {
-        if self.row_unit != Some(i) {
-            return None;
-        }
-        let mut fault = None;
-        for cell in self.row.iter().flatten() {
-            match &cell.outcome {
-                CheckOutcome::Inconclusive {
-                    reason: InconclusiveReason::WorkerPanicked, ..
-                } => return Some(UnitFault::WorkerPanicked),
-                CheckOutcome::Inconclusive {
-                    reason: InconclusiveReason::BudgetExceeded(BudgetKind::WallClock),
-                    ..
-                } => fault = Some(UnitFault::TimedOut),
-                _ => {}
-            }
-        }
-        fault
     }
 
     /// Sync the store mid-run — what a checkpointing driver calls before
@@ -934,8 +883,8 @@ mod tests {
             let mut run = capped.begin_corpus();
             for (i, test) in tests.iter().enumerate() {
                 let mask: Vec<bool> = (0..3).map(|c| (i + c) % 3 != 0).collect();
-                run.check_unit(i, test, &mask).unwrap();
-                for (c, cell) in run.take_row(i).into_iter().enumerate() {
+                let row = run.check_unit(i, test, &mask).unwrap();
+                for (c, cell) in row.into_iter().enumerate() {
                     assert_eq!(cell.is_some(), mask[c], "{pass} unit {i} column {c}");
                     if let Some(cell) = cell {
                         assert_eq!(cell.key, capped.key_of(c, test), "{pass} unit {i} column {c}");
@@ -1077,12 +1026,12 @@ mod tests {
         let first = multi.prepare(&mut multi.sessions(), &test, &[true]);
         let second = multi.prepare(&mut multi.sessions(), &test, &[true]);
         let mut run = multi.begin_corpus();
-        assert!(run.commit(0, || &test, &[true], first).unwrap(), "committed as prepared");
+        assert!(run.commit(0, || &test, &[true], first).unwrap().1, "committed as prepared");
         let after_first = stats.snapshot();
         assert!(after_first.data_plane.arena_acquires > 0);
-        assert!(!run.commit(1, || &test, &[true], second).unwrap(), "the duplicate replays");
+        let (row, as_prepared) = run.commit(1, || &test, &[true], second).unwrap();
+        assert!(!as_prepared, "the duplicate replays");
         assert_eq!(stats.snapshot(), after_first, "a discarded check counts nowhere");
-        let row = run.take_row(1);
         assert_eq!(row[0].as_ref().unwrap().provenance, Provenance::Deduped);
         let report = run.finish().unwrap();
         assert_eq!(report.enumeration_passes, 1);
@@ -1105,11 +1054,9 @@ mod tests {
         // store resets it and checks it again: the retry replays them as
         // store hits, not as in-run duplicates of the forgotten attempt.
         let mut run = multi.begin_corpus();
-        run.check_unit(0, &sb, &[true, true]).unwrap();
-        let first = run.take_row(0);
+        let first = run.check_unit(0, &sb, &[true, true]).unwrap();
         run.reset_unit(0);
-        run.check_unit(0, &sb, &[true, true]).unwrap();
-        let retry = run.take_row(0);
+        let retry = run.check_unit(0, &sb, &[true, true]).unwrap();
         for (first, retry) in first.iter().zip(&retry) {
             let (first, retry) = (first.as_ref().unwrap(), retry.as_ref().unwrap());
             assert_eq!(first.provenance, Provenance::Computed);

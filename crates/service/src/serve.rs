@@ -311,10 +311,10 @@ fn op_check<S: VerdictLog>(session: &mut ServeSession<'_, S>, request: &Json) ->
     // One unit and no `finish`: a check appends its verdict but never
     // syncs the store (a `batch`, a `flush` or the exit does).
     let mut run = session.checker.begin_corpus();
-    if let Err(e) = run.check_unit(0, &test, &[true]) {
-        return error_response(&format!("verdict store: {e}"));
-    }
-    let cell = run.take_row(0).pop().flatten().expect("the one column is enabled");
+    let cell = match run.check_unit(0, &test, &[true]) {
+        Ok(mut row) => row.pop().flatten().expect("the one column is enabled"),
+        Err(e) => return error_response(&format!("verdict store: {e}")),
+    };
     session.tally(&cell);
     let mut fields = vec![("ok", Json::Bool(true)), ("op", Json::str("check"))];
     fields.extend(outcome_fields(&test, &cell));
